@@ -26,7 +26,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--points", type=int, default=15, help="grid size")
     ap.add_argument("--emax", type=float, default=0.25, help="grid endpoint")
-    ap.add_argument("--jobs", type=int, default=4, help="solver threads")
     ap.add_argument("--csv", help="write the four-state curve here as CSV")
     args = ap.parse_args()
 
@@ -34,7 +33,7 @@ def main():
     curves = {}
     for name in ("four-state", "six-state"):
         t0 = time.time()
-        points = sweep(name, grid, jobs=args.jobs)
+        points = sweep(name, grid)
         curves[name] = points
         print(f"\n{name} curve ({time.time() - t0:.1f}s):")
         print(f"  {'e':>8} {'lambda_max':>11} {'bound':>9}  status")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .extendibility import LAMBDA_TOL, best_extendible_decomposition
@@ -129,24 +128,17 @@ def _base_spec(protocol, direction, source_constraint):
 
 
 def sweep(protocol, e_grid, direction="direct", source_constraint=None,
-          settings=None, lam_tol=LAMBDA_TOL, jobs=1):
-    """Evaluate the bound over a grid of error rates.
+          settings=None, lam_tol=LAMBDA_TOL):
+    """Evaluate the bound over a grid of error rates, in grid order.
 
     protocol: "four-state", "six-state", or a built-in ProtocolSpec to
     use as a template.  Failed points stay in the output with status
-    "failed"; the sweep continues.  jobs > 1 evaluates points in a
-    thread pool; the output order is the grid order either way.
+    "failed"; the sweep continues.
     """
     base = _base_spec(protocol, direction, source_constraint)
-    specs = [replace(base, e=float(e)) for e in e_grid]
-
-    def run(s):
-        return one_way_upper_bound(s, settings=settings, lam_tol=lam_tol)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            return list(pool.map(run, specs))
-    return [run(s) for s in specs]
+    return [one_way_upper_bound(replace(base, e=float(e)), settings=settings,
+                                lam_tol=lam_tol)
+            for e in e_grid]
 
 
 def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
@@ -156,8 +148,11 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     The predicate is lambda_max(e) >= 1 - lam_tol.  It must be False at
     bracket[0] and True at bracket[1]; monotonicity of the depolarized
     family makes the bisection sound.  The answer is the bracket
-    midpoint once its width is below tol.
+    midpoint once its width is below tol, or once the bracket has
+    narrowed to adjacent floats.  tol must be finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     base = _base_spec(protocol, direction, source_constraint)
 
     def extendible_at(e):
@@ -177,6 +172,8 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
         raise ValueError(f"upper bracket e={hi} is not extendible")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if extendible_at(mid):
             hi = mid
         else:

@@ -128,7 +128,6 @@ def build_parser():
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--emit-gnuplot", action="store_true",
                          help="also write <out>.gp plotting the CSV")
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_cut = subs.add_parser("cutoff", help="bisect for the extendibility threshold")
     _add_common(p_cut, with_e=False)
@@ -203,8 +202,7 @@ def run(args):
         grid = _parse_grid(args.grid)
         points = sweep(args.protocol, grid, direction=args.direction or "direct",
                        source_constraint=args.source_constraint,
-                       settings=settings, lam_tol=args.lambda_tol,
-                       jobs=args.jobs)
+                       settings=settings, lam_tol=args.lambda_tol)
         _emit_points(points, args)
         return 1 if any(p.status == "failed" for p in points) else 0
 

@@ -22,8 +22,8 @@ Tr(chi~) = e_00 = Tr(sigma~), the objective min r_00 - e_00 returns
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,23 @@ LAMBDA_TOL = 1e-6
 CLIP_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariableLayout:
-    """Index bookkeeping for the joint decomposition SDP."""
+    """The data-independent part of the joint decomposition SDP for one
+    dims pair: variable indexing, the three LMI blocks (their matrices are
+    the rho and chi stacks), the coupling rows f_{k,l,0} = e_kl, the
+    objective c, and chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack of
+    swap-symmetric extension operators with chi~ = sum_i f_i chi_mats[i].
+
+    Built once per dims by layout_for and shared by every problem of that
+    size, so every array in it is read-only.
+    """
 
     dims: tuple
-    f_triples: tuple
+    blocks: tuple = field(repr=False)
+    coupling: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    chi_mats: np.ndarray = field(repr=False)
 
     @property
     def na(self):
@@ -60,7 +71,7 @@ class VariableLayout:
 
     @property
     def n_f(self):
-        return len(self.f_triples)
+        return self.na * self.nb * (self.nb + 1) // 2
 
     @property
     def total(self):
@@ -73,48 +84,41 @@ class VariableLayout:
         return self.n_r + k * self.nb + l
 
     def f_index(self, k, l, m):
+        """Index of f_klm; the f variables run over k, then l, then m <= l."""
         if m > l:
             l, m = m, l
-        return self.n_r + self.n_e + self.f_triples.index((k, l, m))
+        return (self.n_r + self.n_e + k * self.nb * (self.nb + 1) // 2
+                + l * (l + 1) // 2 + m)
 
 
-def _make_layout(dims):
+@functools.lru_cache(maxsize=8)
+def layout_for(dims):
+    """The VariableLayout of the joint SDP for dims = (d_A, d_B)."""
     da, db = dims
     na, nb = da * da, db * db
-    triples = tuple((k, l, m) for k in range(na)
-                    for l in range(nb) for m in range(l + 1))
-    return VariableLayout(dims=(da, db), f_triples=triples)
-
-
-def build_sdp(cls, settings=None):
-    """The joint decomposition SDP for an EquivalenceClassSpec.
-
-    Returns (SdpProblem, VariableLayout).
-    """
-    da, db = cls.dims
-    layout = _make_layout((da, db))
-    basis_a, basis_b = build_basis(da), build_basis(db)
+    sa, sb = build_basis(da).elements, build_basis(db).elements
     dab = da * db
     dabb = da * db * db
 
-    rho_mats = np.stack([
-        np.kron(basis_a.elements[k], basis_b.elements[l]) / dab
-        for k in range(layout.na) for l in range(layout.nb)])
-
+    rho_mats = np.stack([np.kron(sa[k], sb[l]) / dab
+                         for k in range(na) for l in range(nb)])
     chi_mats = []
-    for (k, l, m) in layout.f_triples:
-        sk, sl, sm = basis_a.elements[k], basis_b.elements[l], basis_b.elements[m]
-        if l == m:
-            mat = np.kron(sk, np.kron(sl, sl))
-        else:
-            mat = np.kron(sk, np.kron(sl, sm)) + np.kron(sk, np.kron(sm, sl))
-        chi_mats.append(mat / dabb)
+    for k in range(na):
+        for l in range(nb):
+            for m in range(l + 1):
+                if l == m:
+                    mat = np.kron(sa[k], np.kron(sb[l], sb[l]))
+                else:
+                    mat = (np.kron(sa[k], np.kron(sb[l], sb[m]))
+                           + np.kron(sa[k], np.kron(sb[m], sb[l])))
+                chi_mats.append(mat / dabb)
     chi_mats = np.stack(chi_mats)
 
-    r_idx = np.arange(layout.n_r)
-    e_idx = layout.n_r + np.arange(layout.n_e)
-    f_idx = layout.n_r + layout.n_e + np.arange(layout.n_f)
-
+    n_r = na * nb
+    n_f = chi_mats.shape[0]
+    r_idx = np.arange(n_r)
+    e_idx = n_r + np.arange(n_r)
+    f_idx = 2 * n_r + np.arange(n_f)
     zero_ab = np.zeros((dab, dab))
     blocks = (
         # rho >= 0
@@ -128,26 +132,36 @@ def build_sdp(cls, settings=None):
                  var_idx=f_idx, mats=chi_mats),
     )
 
-    n = layout.total
-    rows = [np.concatenate([cls.rows, np.zeros((cls.n_rows, n - layout.n_r))],
-                           axis=1)]
-    rhs = [cls.rhs]
-    coupling = np.zeros((layout.n_r, n))
-    for k in range(layout.na):
-        for l in range(layout.nb):
-            i = k * layout.nb + l
-            coupling[i, layout.e_index(k, l)] = 1.0
-            coupling[i, layout.f_index(k, l, 0)] -= 1.0
-    rows.append(coupling)
-    rhs.append(np.zeros(layout.n_r))
+    layout = VariableLayout(dims=(da, db), blocks=blocks,
+                            coupling=np.zeros((n_r, 2 * n_r + n_f)),
+                            c=np.zeros(2 * n_r + n_f),
+                            chi_mats=blocks[2].mats)
+    for k in range(na):
+        for l in range(nb):
+            i = layout.r_index(k, l)
+            layout.coupling[i, layout.e_index(k, l)] = 1.0
+            layout.coupling[i, layout.f_index(k, l, 0)] -= 1.0
+    layout.c[layout.r_index(0, 0)] = 1.0
+    layout.c[layout.e_index(0, 0)] = -1.0
+    layout.coupling.setflags(write=False)
+    layout.c.setflags(write=False)
+    return layout
 
-    c = np.zeros(n)
-    c[layout.r_index(0, 0)] = 1.0
-    c[layout.e_index(0, 0)] = -1.0
 
-    problem = SdpProblem(c=c, blocks=blocks,
-                         eq_rows=np.concatenate(rows, axis=0),
-                         eq_rhs=np.concatenate(rhs))
+def build_sdp(cls):
+    """The joint decomposition SDP for an EquivalenceClassSpec.
+
+    Only the class rows and their right-hand side are built here; the
+    rest comes from the cached layout_for(cls.dims).
+
+    Returns (SdpProblem, VariableLayout).
+    """
+    da, db = cls.dims
+    layout = layout_for((da, db))
+    class_rows = np.pad(cls.rows, ((0, 0), (0, layout.total - layout.n_r)))
+    problem = SdpProblem(c=layout.c, blocks=layout.blocks,
+                         eq_rows=np.concatenate([class_rows, layout.coupling]),
+                         eq_rhs=np.concatenate([cls.rhs, np.zeros(layout.n_r)]))
     return problem, layout
 
 
@@ -201,22 +215,6 @@ def _to_density(mat, dims, diagnostics, name, clip_tol=CLIP_TOL):
     return DensityOperator(mat / tr, dims)
 
 
-def _chi_matrix(f_vec, layout):
-    da, db = layout.dims
-    basis_a, basis_b = build_basis(da), build_basis(db)
-    dabb = da * db * db
-    out = np.zeros((dabb, dabb), dtype=complex)
-    for val, (k, l, m) in zip(f_vec, layout.f_triples):
-        if val == 0.0:
-            continue
-        sk, sl, sm = basis_a.elements[k], basis_b.elements[l], basis_b.elements[m]
-        if l == m:
-            out += val * np.kron(sk, np.kron(sl, sl))
-        else:
-            out += val * (np.kron(sk, np.kron(sl, sm)) + np.kron(sk, np.kron(sm, sl)))
-    return out / dabb
-
-
 def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     """Solve the joint SDP and unpack the optimal decomposition.
 
@@ -254,8 +252,8 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     if lam > lam_tol:
         sigma_ext = _to_density(reconstruct(e, (basis_a, basis_b)) / lam,
                                 (da, db), diagnostics, "sigma_ext")
-        chi = _to_density(_chi_matrix(f, layout) / lam, (da, db, db),
-                          diagnostics, "chi")
+        chi = _to_density(np.tensordot(f, layout.chi_mats, 1) / lam,
+                          (da, db, db), diagnostics, "chi")
     if lam < 1.0 - lam_tol:
         resid = (reconstruct(r, (basis_a, basis_b))
                  - reconstruct(e, (basis_a, basis_b))) / (1.0 - lam)
@@ -306,7 +304,7 @@ def verify_extension(result, decomp_tol=1e-7, swap_tol=1e-9,
     e = sol.x[layout.n_r:layout.n_r + layout.n_e].reshape(layout.na, layout.nb)
     f = sol.x[layout.n_r + layout.n_e:]
     sigma_raw = reconstruct(e, (basis_a, basis_b))
-    chi_raw = _chi_matrix(f, layout)
+    chi_raw = np.tensordot(f, layout.chi_mats, 1)
 
     if result.sigma_ext is not None:
         sigma_part = lam * result.sigma_ext.matrix

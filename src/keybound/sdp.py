@@ -6,11 +6,11 @@ Problem form::
     subject to  F^(b)(x) = F0^(b) + sum_i x_i Fi^(b)  >= 0   for each block b
                 A x = rhs
 
-with Hermitian F matrices and real data elsewhere.  Complex Hermitian
-blocks are embedded once at setup as real symmetric blocks of twice the
-size, [[Re, -Im], [Im, Re]], which preserves the spectrum (doubled
-multiplicities) and hence the feasible set; the iteration itself is
-all-real.
+with Hermitian F matrices and real data elsewhere.  Each LmiBlock embeds
+itself once, at construction, as a real symmetric block; a complex one
+becomes [[Re, -Im], [Im, Re]] of twice the size, which preserves the
+spectrum (doubled multiplicities) and hence the feasible set.  The
+iteration itself is all-real and reads only that embedding.
 
 The algorithm is an infeasible-start Mehrotra predictor-corrector with
 Nesterov-Todd scaling.  Writing W = R R^T for the scaling point of the
@@ -40,6 +40,7 @@ sum <S,Z> / (1 + |pobj| + |dobj|).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 HERM_TOL = 1e-12
+
+log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
@@ -68,12 +71,20 @@ def _as_herm(mat, what):
 
 @dataclass(frozen=True)
 class LmiBlock:
-    """One linear matrix inequality F0 + sum_i x[var_idx[i]] * mats[i] >= 0."""
+    """One linear matrix inequality F0 + sum_i x[var_idx[i]] * mats[i] >= 0.
+
+    real_dim, real_const and real_mats hold the real symmetric embedding
+    the solver iterates on: the block itself when every matrix is real,
+    [[Re, -Im], [Im, Re]] otherwise.
+    """
 
     dim: int
     const: np.ndarray
     var_idx: np.ndarray
     mats: np.ndarray
+    real_dim: int = field(init=False, repr=False, compare=False)
+    real_const: np.ndarray = field(init=False, repr=False, compare=False)
+    real_mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = int(self.dim)
@@ -90,13 +101,21 @@ class LmiBlock:
             _as_herm(mats[i], f"block matrix {i}")
         if len(set(idx.tolist())) != idx.size:
             raise ValueError("var_idx entries must be distinct")
-        const.setflags(write=False)
-        mats.setflags(write=False)
-        idx.setflags(write=False)
+        if const.imag.any() or mats.imag.any():
+            F0, rmats = _realify(const), _realify(mats)
+        else:
+            F0, rmats = const.real.copy(), mats.real.copy()
+        F0 = 0.5 * (F0 + F0.T)
+        rmats = 0.5 * (rmats + np.transpose(rmats, (0, 2, 1)))
+        for arr in (const, mats, idx, F0, rmats):
+            arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "var_idx", idx)
         object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "real_dim", F0.shape[0])
+        object.__setattr__(self, "real_const", F0)
+        object.__setattr__(self, "real_mats", rmats)
 
     @classmethod
     def from_dense(cls, const, mats):
@@ -162,7 +181,6 @@ class SolverSettings:
     feas_tol: float = 1e-8
     max_iter: int = 200
     step_fraction: float = 0.98
-    verbose: bool = False
 
 
 @dataclass(frozen=True)
@@ -200,55 +218,29 @@ class SdpSolution:
 
 
 def _realify(mat):
+    """[[Re, -Im], [Im, Re]] of one matrix or of a stack of matrices."""
     re, im = mat.real, mat.imag
-    return np.block([[re, -im], [im, re]])
-
-
-@dataclass
-class _Block:
-    n: int
-    F0: np.ndarray
-    idx: np.ndarray
-    mats: np.ndarray  # (nv, n, n) real symmetric
-
-
-def _prep_blocks(problem):
-    out = []
-    for blk in problem.blocks:
-        parts = [blk.const] + [blk.mats[i] for i in range(blk.var_idx.size)]
-        if any(np.abs(p.imag).max(initial=0.0) > 0.0 for p in parts):
-            F0 = _realify(blk.const)
-            mats = np.stack([_realify(m) for m in blk.mats]) if blk.var_idx.size \
-                else np.zeros((0, 2 * blk.dim, 2 * blk.dim))
-            n = 2 * blk.dim
-        else:
-            F0 = blk.const.real.copy()
-            mats = blk.mats.real.copy() if blk.var_idx.size \
-                else np.zeros((0, blk.dim, blk.dim))
-            n = blk.dim
-        F0 = 0.5 * (F0 + F0.T)
-        mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
-        out.append(_Block(n=n, F0=F0, idx=blk.var_idx.copy(), mats=mats))
-    return out
+    return np.concatenate([np.concatenate([re, -im], axis=-1),
+                           np.concatenate([im, re], axis=-1)], axis=-2)
 
 
 def _apply(blk, x):
-    if blk.idx.size == 0:
-        return blk.F0.copy()
-    return blk.F0 + np.einsum("i,ijk->jk", x[blk.idx], blk.mats)
+    if blk.var_idx.size == 0:
+        return blk.real_const.copy()
+    return blk.real_const + np.einsum("i,ijk->jk", x[blk.var_idx], blk.real_mats)
 
 
 def _apply_lin(blk, x):
-    if blk.idx.size == 0:
-        return np.zeros((blk.n, blk.n))
-    return np.einsum("i,ijk->jk", x[blk.idx], blk.mats)
+    if blk.var_idx.size == 0:
+        return np.zeros((blk.real_dim, blk.real_dim))
+    return np.einsum("i,ijk->jk", x[blk.var_idx], blk.real_mats)
 
 
 def _adjoint(blocks, Z, t):
     out = np.zeros(t)
     for blk, Zb in zip(blocks, Z):
-        if blk.idx.size:
-            out[blk.idx] += np.einsum("ijk,jk->i", blk.mats, Zb)
+        if blk.var_idx.size:
+            out[blk.var_idx] += np.einsum("ijk,jk->i", blk.real_mats, Zb)
     return out
 
 
@@ -278,12 +270,12 @@ def _step_bound(d, delta_scaled):
 def solve(problem, settings=None):
     """Run the interior-point method; always returns an SdpSolution."""
     st = settings or SolverSettings()
-    blocks = _prep_blocks(problem)
+    blocks = problem.blocks
     c = problem.c
     t = problem.num_vars
     A, b = problem.eq_rows, problem.eq_rhs
     m = A.shape[0]
-    ntot = sum(blk.n for blk in blocks)
+    ntot = sum(blk.real_dim for blk in blocks)
 
     if m:
         x = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -294,8 +286,8 @@ def solve(problem, settings=None):
     for blk in blocks:
         B0 = _apply(blk, x)
         eta_p = max(10.0, 1.2 * float(np.linalg.norm(B0, "fro")))
-        S.append(eta_p * np.eye(blk.n))
-        Z.append(max(10.0, float(np.abs(c).max())) * np.eye(blk.n))
+        S.append(eta_p * np.eye(blk.real_dim))
+        Z.append(max(10.0, float(np.abs(c).max())) * np.eye(blk.real_dim))
 
     history = []
     best = None
@@ -311,12 +303,13 @@ def solve(problem, settings=None):
         rd = c - _adjoint(blocks, Z, t) - (A.T @ y if m else 0.0)
         pobj = float(c @ x)
         dobj = float((b @ y if m else 0.0)
-                     - sum(np.vdot(blk.F0, Zb).real for blk, Zb in zip(blocks, Z)))
+                     - sum(np.vdot(blk.real_const, Zb).real
+                           for blk, Zb in zip(blocks, Z)))
         inners = [float(np.vdot(Sb, Zb).real) for Sb, Zb in zip(S, Z)]
         gap_inner = sum(inners)
         mu = max(gap_inner / ntot, 1e-300)
         pres = max(float(np.linalg.norm(rpb, "fro"))
-                   / (1.0 + float(np.linalg.norm(blk.F0, "fro")))
+                   / (1.0 + float(np.linalg.norm(blk.real_const, "fro")))
                    for blk, rpb in zip(blocks, rp))
         eres = float(np.linalg.norm(re_vec)) / (1.0 + float(np.linalg.norm(b))) if m else 0.0
         dres = float(np.linalg.norm(rd)) / (1.0 + float(np.linalg.norm(c)))
@@ -332,7 +325,7 @@ def solve(problem, settings=None):
             dres_fit = float(np.linalg.norm(rd_fit)) / (1.0 + float(np.linalg.norm(c)))
             if dres_fit < dres:
                 y, rd, dres = y_fit, rd_fit, dres_fit
-                dobj = float(b @ y - sum(np.vdot(blk.F0, Zb).real
+                dobj = float(b @ y - sum(np.vdot(blk.real_const, Zb).real
                                          for blk, Zb in zip(blocks, Z)))
                 relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
         kappa = (sum(float(np.linalg.norm(rpb, "fro")) * float(np.linalg.norm(Zb, "fro"))
@@ -343,9 +336,8 @@ def solve(problem, settings=None):
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
             min_block_inner=min(inners), kappa=kappa, mu=mu,
             primal_res=pres, dual_res=dres, eq_res=eres))
-        if st.verbose:
-            print(f"  it {it:3d}  pobj {pobj:+.6e}  dobj {dobj:+.6e}  "
-                  f"gap {relgap:.2e}  pres {pres:.2e}  dres {dres:.2e}  eres {eres:.2e}")
+        log.debug("it %3d  pobj %+.6e  dobj %+.6e  gap %.2e  pres %.2e  "
+                  "dres %.2e  eres %.2e", it, pobj, dobj, relgap, pres, dres, eres)
 
         score = max(relgap, pres, dres, eres)
         if best is None or score < best["score"]:
@@ -381,7 +373,8 @@ def solve(problem, settings=None):
         if nu_d > 1e7:
             hom = float(np.linalg.norm(c - rd))  # = ||A*(Z) + A^T y||
             ray_obj = float((b @ y if m else 0.0)
-                            - sum(np.vdot(blk.F0, Zb).real for blk, Zb in zip(blocks, Z)))
+                            - sum(np.vdot(blk.real_const, Zb).real
+                                  for blk, Zb in zip(blocks, Z)))
             if hom <= 1e-7 * nu_d * (1.0 + float(np.linalg.norm(c))) \
                     and ray_obj > 1e-9 * nu_d:
                 status = "infeasible"
@@ -429,11 +422,11 @@ def solve(problem, settings=None):
                 break
             U, d, Vt = np.linalg.svd(Lz.T @ Ls)
             d = np.maximum(d, 1e-150)
-            Ls_inv = solve_triangular(Ls, np.eye(blk.n), lower=True)
+            Ls_inv = solve_triangular(Ls, np.eye(blk.real_dim), lower=True)
             R = Ls @ (Vt.T / np.sqrt(d)[None, :])
             Rinv = np.sqrt(d)[:, None] * (Vt @ Ls_inv)
-            Q = np.matmul(np.matmul(Rinv, blk.mats), Rinv.T) if blk.idx.size \
-                else np.zeros((0, blk.n, blk.n))
+            Q = np.matmul(np.matmul(Rinv, blk.real_mats), Rinv.T) if blk.var_idx.size \
+                else np.zeros((0, blk.real_dim, blk.real_dim))
             Rs.append(R)
             Rinvs.append(Rinv)
             ds.append(d)
@@ -446,9 +439,9 @@ def solve(problem, settings=None):
 
         M = np.zeros((t, t))
         for blk, Q in zip(blocks, Qs):
-            if blk.idx.size:
-                Qf = Q.reshape(blk.idx.size, -1)
-                M[np.ix_(blk.idx, blk.idx)] += Qf @ Qf.T
+            if blk.var_idx.size:
+                Qf = Q.reshape(blk.var_idx.size, -1)
+                M[np.ix_(blk.var_idx, blk.var_idx)] += Qf @ Qf.T
         Mf = None
         ridge = 0.0
         for _ in range(3):
@@ -482,8 +475,8 @@ def solve(problem, settings=None):
         def kkt_solve(Ks):
             h = -rd.copy()
             for blk, Q, Kb in zip(blocks, Qs, Ks):
-                if blk.idx.size:
-                    h[blk.idx] += np.einsum("ijk,jk->i", Q, Kb)
+                if blk.var_idx.size:
+                    h[blk.var_idx] += np.einsum("ijk,jk->i", Q, Kb)
             u = cho_solve(Mf, h)
             if m:
                 dy = cho_solve(Schurf, re_vec - A @ u)
@@ -496,8 +489,8 @@ def solve(problem, settings=None):
         def directions(dx, Ks):
             dSp, dZp = [], []
             for blk, Q, Kb, rppb in zip(blocks, Qs, Ks, rpps):
-                lin = np.einsum("i,ijk->jk", dx[blk.idx], Q) if blk.idx.size \
-                    else np.zeros((blk.n, blk.n))
+                lin = np.einsum("i,ijk->jk", dx[blk.var_idx], Q) if blk.var_idx.size \
+                    else np.zeros((blk.real_dim, blk.real_dim))
                 dSp.append(lin + rppb)
                 dZp.append(Kb - lin)
             return dSp, dZp
@@ -647,10 +640,10 @@ def check_feasible(problem, settings=None, margin=1e-8):
     nblk = len(problem.blocks)
     y = sol.y
     zs = sol.z_blocks[:nblk]
-    blocks_r = _prep_blocks(problem)
-    station = _adjoint(blocks_r, zs, problem.num_vars) + (A.T @ y if m else 0.0)
+    station = _adjoint(problem.blocks, zs, problem.num_vars) + (A.T @ y if m else 0.0)
     violation = float((b @ y if m else 0.0)
-                      - sum(np.vdot(blk.F0, Zb).real for blk, Zb in zip(blocks_r, zs)))
+                      - sum(np.vdot(blk.real_const, Zb).real
+                            for blk, Zb in zip(problem.blocks, zs)))
     return SdpSolution(
         status="infeasible", x=sol.x[:-1].copy(), y=y, z_blocks=zs,
         objective=tstar, dual_objective=sol.dual_objective,
@@ -677,11 +670,11 @@ def write_sdpa(problem, path):
     block, within a block by upper-triangle row-major position, skipping
     exact zeros, with 17 significant digits.
     """
-    blocks = _prep_blocks(problem)
+    blocks = problem.blocks
     A, b = problem.eq_rows, problem.eq_rhs
     meq = A.shape[0]
     t = problem.num_vars
-    sizes = [blk.n for blk in blocks]
+    sizes = [blk.real_dim for blk in blocks]
     if meq:
         sizes += [-meq, -meq]
 
@@ -690,15 +683,15 @@ def write_sdpa(problem, path):
         for bi, blk in enumerate(blocks, start=1):
             mat = None
             if matno == 0:
-                mat = -blk.F0
+                mat = -blk.real_const
             else:
-                pos = np.flatnonzero(blk.idx == matno - 1)
+                pos = np.flatnonzero(blk.var_idx == matno - 1)
                 if pos.size:
-                    mat = blk.mats[pos[0]]
+                    mat = blk.real_mats[pos[0]]
             if mat is None:
                 continue
-            for i in range(blk.n):
-                for j in range(i, blk.n):
+            for i in range(blk.real_dim):
+                for j in range(i, blk.real_dim):
                     v = float(mat[i, j])
                     if v != 0.0:
                         yield bi, i + 1, j + 1, v

@@ -7,6 +7,7 @@ oracle evaluates eigenvalues directly.
 
 import numpy as np
 
+from keybound.basis import build_basis
 from keybound.extendibility import pinned_problem
 from keybound.sdp import LmiBlock, SdpProblem, SolverSettings, check_feasible
 
@@ -160,3 +161,23 @@ def random_density(rng, dim):
 def random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def chi_reference(f_vec, dims):
+    """The extension chi~ = sum_klm f_klm (S_k (x) sym(S_l (x) S_m)) / d,
+    summed term by term with explicit Kronecker products, in the variable
+    order k, then l, then m <= l."""
+    da, db = dims
+    sa, sb = build_basis(da).elements, build_basis(db).elements
+    dabb = da * db * db
+    triples = [(k, l, m) for k in range(da * da)
+               for l in range(db * db) for m in range(l + 1)]
+    assert len(f_vec) == len(triples)
+    out = np.zeros((dabb, dabb), dtype=complex)
+    for val, (k, l, m) in zip(f_vec, triples):
+        if l == m:
+            out += val * np.kron(sa[k], np.kron(sb[l], sb[l]))
+        else:
+            out += val * (np.kron(sa[k], np.kron(sb[l], sb[m]))
+                          + np.kron(sa[k], np.kron(sb[m], sb[l])))
+    return out / dabb

@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from keybound import bounds
 from keybound.bounds import (
     BoundPoint, bound_points_to_csv, bound_points_to_json, find_cutoff,
     gnuplot_script, one_way_upper_bound, sweep,
@@ -74,14 +76,9 @@ def test_raw_information_crossing():
     assert abs(p0.upper_bound - raw_info(0.0)) <= 1e-6
 
 
-def test_sweep_preserves_grid_order_and_parallel_agrees():
+def test_sweep_preserves_grid_order():
     grid = [0.12, 0.0, 0.05]
-    serial = sweep("six-state", grid)
-    parallel = sweep("six-state", grid, jobs=3)
-    assert [p.e for p in serial] == grid
-    for a, b in zip(serial, parallel):
-        assert a.e == b.e
-        assert a.lambda_max == pytest.approx(b.lambda_max, abs=1e-12)
+    assert [p.e for p in sweep("six-state", grid)] == grid
 
 
 def test_find_cutoff_values():
@@ -96,6 +93,35 @@ def test_find_cutoff_validates_bracket():
         find_cutoff("six-state", bracket=(0.2, 0.25))  # already extendible at lo
     with pytest.raises(ValueError):
         find_cutoff("six-state", bracket=(0.0, 0.1))  # not extendible at hi
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_find_cutoff_rejects_bad_tol_before_solving(tol, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("find_cutoff solved before validating tol")
+
+    monkeypatch.setattr(bounds, "best_extendible_decomposition", no_solve)
+    with pytest.raises(ValueError, match="tol"):
+        find_cutoff("six-state", tol=tol)
+
+
+def test_find_cutoff_stops_at_float_resolution(monkeypatch):
+    # A tol below the float spacing near the threshold cannot be met; the
+    # bisection must still end once the bracket is two adjacent floats.
+    # The predicate is stubbed to a step at 1/6, so a loop that never ends
+    # fails on the call count instead of hanging.
+    calls = []
+
+    def step_at_one_sixth(e, settings=None, lam_tol=None):
+        calls.append(e)
+        assert len(calls) < 200, "bisection did not stop"
+        return SimpleNamespace(lambda_max=1.0 if e >= 1 / 6 else 0.0)
+
+    monkeypatch.setattr(bounds, "realize_protocol", lambda spec: (None, None, None))
+    monkeypatch.setattr(bounds, "assemble_class", lambda povms, data, spec: spec.e)
+    monkeypatch.setattr(bounds, "best_extendible_decomposition", step_at_one_sixth)
+    cut = find_cutoff("six-state", tol=1e-300)
+    assert cut == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_csv_contract():

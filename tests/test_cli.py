@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from keybound.cli import OUTPUT_DIR_ENV, build_parser, run
+from keybound.cli import OUTPUT_DIR_ENV, build_parser, main, run
 from keybound.protocols import four_state_povms, simulate_observed_data
 from keybound.states import depolarized_bell
 
@@ -26,6 +26,14 @@ def test_cutoff_subcommand(capsys):
     code, out = invoke(["cutoff", "--protocol", "six-state"], capsys)
     assert code == 0
     assert float(out.strip()) == pytest.approx(1 / 6, abs=2e-3)
+
+
+def test_cutoff_bad_tol_exits_2(capsys):
+    code = main(["cutoff", "--protocol", "six-state", "--tol", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "tol" in captured.err
+    assert captured.out == ""
 
 
 def test_check_extendible_subcommand(capsys):

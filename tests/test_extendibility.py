@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from keybound.extendibility import (
-    best_extendible_decomposition, build_sdp, is_extendible, pinned_problem,
-    verify_extension,
+    best_extendible_decomposition, build_sdp, is_extendible, layout_for,
+    pinned_problem, verify_extension,
 )
 from keybound.protocols import (
     ProtocolSpec, assemble_class, class_from_state, realize_protocol,
@@ -13,7 +13,7 @@ from keybound.protocols import (
 )
 from keybound.sdp import SolverSettings, check_feasible
 from keybound.states import DensityOperator, bell_psi_plus, depolarized_bell
-from helpers import lambda_bisection_oracle
+from helpers import chi_reference, lambda_bisection_oracle
 
 
 def six_state_class(e):
@@ -22,20 +22,57 @@ def six_state_class(e):
     return assemble_class(povms, data, spec)
 
 
+LAYOUT_SIZES = {(2, 2): (16, 40, 72), (2, 3): (36, 180, 252)}
+
+
 def test_variable_layout_counts():
-    _, lay = build_sdp(trivial_class((2, 2)))
-    assert lay.n_r == 16
-    assert lay.n_e == 16
-    assert lay.n_f == 40
-    assert lay.total == 72
+    for dims, (n_r, n_f, total) in LAYOUT_SIZES.items():
+        _, lay = build_sdp(trivial_class(dims))
+        assert lay.n_r == n_r
+        assert lay.n_e == n_r
+        assert lay.n_f == n_f
+        assert lay.total == total
 
 
 def test_variable_layout_symmetry():
-    _, lay = build_sdp(trivial_class((2, 2)))
-    assert lay.f_index(1, 3, 2) == lay.f_index(1, 2, 3)
-    assert lay.f_index(0, 0, 0) == lay.n_r + lay.n_e
-    seen = {lay.f_index(k, l, m) for k in range(4) for l in range(4) for m in range(l + 1)}
-    assert len(seen) == 40
+    for dims in LAYOUT_SIZES:
+        _, lay = build_sdp(trivial_class(dims))
+        assert lay.f_index(1, 3, 2) == lay.f_index(1, 2, 3)
+        assert lay.f_index(0, 0, 0) == lay.n_r + lay.n_e
+        # the closed form walks the f block in (k, l, m <= l) order, no gaps
+        order = [lay.f_index(k, l, m) for k in range(lay.na)
+                 for l in range(lay.nb) for m in range(l + 1)]
+        assert order == list(range(lay.n_r + lay.n_e, lay.total))
+
+
+@pytest.mark.parametrize("dims", sorted(LAYOUT_SIZES))
+def test_chi_stack_matches_kronecker_reference(dims):
+    lay = layout_for(dims)
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(3):
+        f = rng.normal(size=lay.n_f)
+        stacked = np.tensordot(f, lay.chi_mats, 1)
+        assert np.max(np.abs(stacked - chi_reference(f, dims))) <= 1e-12
+
+
+def test_build_sdp_shares_structure_per_dims():
+    p1, lay1 = build_sdp(six_state_class(0.05))
+    p2, lay2 = build_sdp(six_state_class(0.10))
+    assert lay1 is lay2
+    assert all(a is b for a, b in zip(p1.blocks, p2.blocks))
+    assert not np.array_equal(p1.eq_rhs, p2.eq_rhs)
+    _, lay3 = build_sdp(trivial_class((2, 3)))
+    assert lay3 is not lay1
+
+
+def test_cached_structure_is_read_only():
+    lay = layout_for((2, 2))
+    arrays = [lay.coupling, lay.c, lay.chi_mats]
+    for blk in lay.blocks:
+        arrays += [blk.const, blk.mats, blk.var_idx, blk.real_const, blk.real_mats]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
 
 
 def test_sdp_structure():

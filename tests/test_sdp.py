@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,16 @@ def test_solver_tolerances_are_respected():
     sol = solve(prob, SolverSettings(gap_tol=1e-10, feas_tol=1e-10))
     assert sol.status == "optimal"
     assert sol.duality_gap <= 1e-10
+
+
+def test_solve_logs_each_iterate_at_debug(caplog, capsys):
+    rng = np.random.default_rng(13)
+    prob = random_box_sdp(rng)
+    with caplog.at_level(logging.DEBUG, logger="keybound.sdp"):
+        sol = solve(prob)
+    lines = [r for r in caplog.records if r.name == "keybound.sdp"]
+    assert len(lines) == len(sol.history)
+    for rec, it in zip(lines, sol.history):
+        assert rec.levelno == logging.DEBUG
+        assert rec.getMessage().startswith(f"it {it.iteration:3d}  pobj")
+    assert capsys.readouterr().out == ""
