@@ -2,9 +2,9 @@
 
 Sweeps both built-in protocols over a grid of depolarizing error rates,
 prints the certified upper bound on the one-way key rate at each point,
-then bisects for the error rate where the observed statistics become
-reproducible by a two-copy-extendible state.  Past that point the bound
-is zero and one-way key distillation is ruled out.
+then solves one SDP for the error rate where the observed statistics
+become reproducible by a two-copy-extendible state.  Past that point the
+bound is zero and one-way key distillation is ruled out.
 """
 
 import argparse

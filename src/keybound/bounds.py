@@ -19,12 +19,15 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .extendibility import LAMBDA_TOL, best_extendible_decomposition
+import numpy as np
+
+from .extendibility import (LAMBDA_TOL, best_extendible_decomposition,
+                            extendibility_threshold, is_extendible)
 from .infotheory import mutual_information
 from .protocols import (ProtocolSpec, assemble_class, full_joint,
                         matched_key_distribution, qber, realize_protocol,
                         simulate_observed_data)
-from .sdp import SolverError
+from .sdp import SolverError, SolverSettings
 
 CSV_COLUMNS = ("e", "qber", "lambda_max", "mutual_info_ne", "upper_bound",
                "duality_gap", "status")
@@ -143,42 +146,59 @@ def sweep(protocol, e_grid, direction="direct", source_constraint=None,
 
 def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
                 source_constraint=None, settings=None, lam_tol=LAMBDA_TOL):
-    """Smallest error rate at which the class turns extendible, by bisection.
+    """Smallest error rate at which the class turns extendible, as one SDP.
 
-    The predicate is lambda_max(e) >= 1 - lam_tol.  It must be False at
-    bracket[0] and True at bracket[1]; monotonicity of the depolarized
-    family makes the bisection sound.  The answer is the bracket
-    midpoint once its width is below tol, or once the bracket has
-    narrowed to adjacent floats.  tol must be finite and positive.
+    The threshold is the least e in bracket whose class contains a state
+    with lambda_max >= 1 - lam_tol (extendibility_threshold).  The
+    built-in family depolarized_bell(e) is affine in e, so its classes
+    are interpolated from the two bracket ends; the class re-assembled
+    at the answer must match that interpolation within 1e-9, or
+    ValueError.  The class must be extendible at bracket[1] and not at
+    bracket[0] (ValueError otherwise).  tol is the certified accuracy:
+    tol must be finite and positive, and a solve whose duality gap
+    objective - dual objective exceeds tol raises SolverError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     base = _base_spec(protocol, direction, source_constraint)
 
-    def extendible_at(e):
+    def class_at(e):
         cls_spec = replace(base, e=float(e))
         povms, data, _ = realize_protocol(cls_spec)
-        cls = assemble_class(povms, data, cls_spec)
-        res = best_extendible_decomposition(cls, settings=settings,
-                                            lam_tol=lam_tol)
-        return res.lambda_max >= 1.0 - lam_tol
+        return assemble_class(povms, data, cls_spec)
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must be an increasing pair")
-    if extendible_at(lo):
-        raise ValueError(f"lower bracket e={lo} is already extendible")
-    if not extendible_at(hi):
+    st = settings or SolverSettings()
+    cls_lo, cls_hi = class_at(lo), class_at(hi)
+    sol = extendibility_threshold(cls_lo, cls_hi, (lo, hi), settings=st,
+                                  lam_tol=lam_tol)
+    # A diverging solve does not always end in a clean infeasibility
+    # certificate; the decomposition at hi then tells a bad bracket from
+    # a solver failure.
+    if sol.status == "infeasible" or (
+            sol.status != "optimal"
+            and not is_extendible(cls_hi, settings=st, lam_tol=lam_tol)):
         raise ValueError(f"upper bracket e={hi} is not extendible")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if extendible_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    if sol.status != "optimal":
+        raise SolverError(f"threshold solve ended with status {sol.status}: "
+                          f"{sol.message}", solution=sol)
+    cut = float(sol.x[-1])
+    gap = abs(sol.objective - sol.dual_objective)
+    if cut - lo <= max(gap, st.feas_tol):
+        raise ValueError(f"lower bracket e={lo} is already extendible")
+    if gap > tol:
+        raise SolverError(f"threshold duality gap {gap:.3e} exceeds tol {tol:.3e}",
+                          solution=sol)
+    cls_cut = class_at(cut)
+    expected = cls_lo.rhs + (cut - lo) * (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
+    if cls_cut.rows.shape != cls_lo.rows.shape \
+            or np.max(np.abs(cls_cut.rows - cls_lo.rows), initial=0.0) > 1e-9 \
+            or np.max(np.abs(cls_cut.rhs - expected), initial=0.0) > 1e-9:
+        raise ValueError(f"the class at e={cut} is not affine in e over the "
+                         "bracket; the threshold program does not apply")
+    return cut
 
 
 def _fmt(value):

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: bound (one point), sweep (a grid of points), cutoff
-(bisection for the extendibility threshold), check-extendible (yes/no at
-one error rate).  Exit codes: 0 on success, 1 when a solve fails or a
-point comes back failed, 2 on invalid input or an unwritable output
-path.  Output files are written whole via a temporary file and atomic
-rename, so a failed run leaves nothing partial behind.  When --out is a
-relative path and KEYBOUND_OUTPUT_DIR is set, output lands there.
+(the extendibility threshold, as one SDP; --tol is its certified
+accuracy), check-extendible (yes/no at one error rate).  Exit codes: 0
+on success, 1 when a solve fails or a point comes back failed, 2 on
+invalid input or an unwritable output path.  Output files are written
+whole via a temporary file and atomic rename, so a failed run leaves
+nothing partial behind.  When --out is a relative path and
+KEYBOUND_OUTPUT_DIR is set, output lands there.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ def build_parser():
     p_sweep.add_argument("--emit-gnuplot", action="store_true",
                          help="also write <out>.gp plotting the CSV")
 
-    p_cut = subs.add_parser("cutoff", help="bisect for the extendibility threshold")
+    p_cut = subs.add_parser("cutoff", help="solve for the extendibility threshold")
     _add_common(p_cut, with_e=False)
-    p_cut.add_argument("--tol", type=float, default=1e-3)
+    p_cut.add_argument("--tol", type=float, default=1e-3,
+                       help="certified accuracy: a larger duality gap exits 1")
     p_cut.add_argument("--bracket", default="0:0.25")
 
     p_chk = subs.add_parser("check-extendible",

@@ -18,6 +18,10 @@ rho >= 0, rho - sigma~ >= 0 and chi~ >= 0; equalities impose the class
 rows on r, and Tr_B'(chi~) = sigma~ via f_{k,l,0} = e_kl.  Because
 Tr(chi~) = e_00 = Tr(sigma~), the objective min r_00 - e_00 returns
 1 - lambda_max.
+
+extendibility_threshold reuses the same program for a family of classes
+affine in one parameter: the parameter becomes a variable, lambda is
+held near 1, and the parameter is minimized.
 """
 
 from __future__ import annotations
@@ -179,6 +183,43 @@ def pinned_problem(cls, lam):
     rhs = np.concatenate([problem.eq_rhs, [float(lam)]])
     return SdpProblem(c=problem.c, blocks=problem.blocks,
                       eq_rows=rows, eq_rhs=rhs), layout
+
+
+def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
+                            lam_tol=LAMBDA_TOL):
+    """Solve for the smallest parameter t of an affine family of classes
+    whose class contains a state with extendible weight
+    lambda >= 1 - lam_tol.
+
+    The family is interpolated from its classes at the bracket ends
+    (lo, hi): at t its rows are the common rows, its right-hand side
+    rhs(lo) + (t - lo) * slope with slope = (rhs(hi) - rhs(lo)) / (hi - lo).
+    The program is the joint SDP plus one variable t, last: 1x1 blocks
+    hold lo <= t <= hi and e_00 >= 1 - lam_tol, and the objective is
+    min t.  Returns the SdpSolution whatever its status; t is x[-1].
+    """
+    lo, hi = bracket
+    if cls_hi.dims != cls_lo.dims or cls_hi.rows.shape != cls_lo.rows.shape \
+            or np.max(np.abs(cls_hi.rows - cls_lo.rows), initial=0.0) > 1e-9:
+        raise ValueError("the classes at the bracket ends have different rows; "
+                         "the family is not affine")
+    problem, layout = build_sdp(cls_lo)
+    n = layout.total
+    slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
+    col = np.concatenate([-slope, np.zeros(layout.n_r)])
+    one = np.ones((1, 1, 1))
+    blocks = problem.blocks + (
+        LmiBlock(dim=1, const=[[-lo]], var_idx=[n], mats=one),
+        LmiBlock(dim=1, const=[[hi]], var_idx=[n], mats=-one),
+        LmiBlock(dim=1, const=[[lam_tol - 1.0]],
+                 var_idx=[layout.e_index(0, 0)], mats=one),
+    )
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    threshold = SdpProblem(c=c, blocks=blocks,
+                           eq_rows=np.column_stack([problem.eq_rows, col]),
+                           eq_rhs=problem.eq_rhs + lo * col)
+    return solve(threshold, settings or SolverSettings())
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,14 @@ class SolverError(RuntimeError):
         self.solution = solution
 
 
+def _finite(arr, what):
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has a non-finite entry (nan or inf)")
+    return arr
+
+
 def _as_herm(mat, what):
-    mat = np.asarray(mat)
+    mat = _finite(np.asarray(mat), what)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
     if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
@@ -88,11 +94,11 @@ class LmiBlock:
 
     def __post_init__(self):
         dim = int(self.dim)
-        const = _as_herm(self.const, "block constant")
+        const = _as_herm(self.const, "block const")
         if const.shape != (dim, dim):
             raise ValueError(f"block constant is {const.shape}, declared dim {dim}")
         idx = np.asarray(self.var_idx, dtype=int).ravel()
-        mats = np.asarray(self.mats, dtype=complex)
+        mats = _finite(np.asarray(self.mats, dtype=complex), "block mats")
         if mats.size == 0:
             mats = mats.reshape(0, dim, dim)
         if mats.shape != (idx.size, dim, dim):
@@ -136,7 +142,7 @@ class SdpProblem:
     eq_rhs: np.ndarray = None
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).ravel()
+        c = _finite(np.asarray(self.c, dtype=float).ravel(), "c")
         if c.size < 1:
             raise ValueError("need at least one variable")
         blocks = tuple(self.blocks)
@@ -158,8 +164,8 @@ class SdpProblem:
         if rows is None:
             rows = np.zeros((0, t))
             rhs = np.zeros(0)
-        rows = np.asarray(rows, dtype=float).reshape(-1, t)
-        rhs = np.asarray(rhs, dtype=float).ravel()
+        rows = _finite(np.asarray(rows, dtype=float).reshape(-1, t), "eq_rows")
+        rhs = _finite(np.asarray(rhs, dtype=float).ravel(), "eq_rhs")
         if rhs.size != rows.shape[0]:
             raise ValueError("one right-hand side per equality row required")
         c.setflags(write=False)
@@ -507,7 +513,7 @@ def solve(problem, settings=None):
         ad_a = min(1.0, min(_step_bound(d, dZ) for d, dZ in zip(ds, dZp_a)))
         mu_aff = sum(float(np.vdot(np.diag(d) + ap_a * dS, np.diag(d) + ad_a * dZ).real)
                      for d, dS, dZ in zip(ds, dSp_a, dZp_a)) / ntot
-        sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
+        sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
         # corrector
         Ks = []

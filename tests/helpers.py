@@ -1,14 +1,18 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately independent of the solver internals:
-the bisection oracle only consumes feasibility verdicts, and the grid
-oracle evaluates eigenvalues directly.
+the bisection oracles only consume feasibility or extendibility
+verdicts, and the grid oracle evaluates eigenvalues directly.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
+from keybound import bounds
 from keybound.basis import build_basis
-from keybound.extendibility import pinned_problem
+from keybound.extendibility import LAMBDA_TOL, pinned_problem
 from keybound.sdp import LmiBlock, SdpProblem, SolverSettings, check_feasible
 
 
@@ -36,6 +40,50 @@ def lambda_bisection_oracle(cls, tol=5e-5, settings=None):
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def cutoff_bisection_oracle(protocol, tol=1e-3, bracket=(0.0, 0.25),
+                            direction="direct", source_constraint=None,
+                            settings=None, lam_tol=LAMBDA_TOL):
+    """Smallest error rate at which the class turns extendible, by bisection.
+
+    Independent of the threshold program: each probe solves the plain
+    decomposition at one error rate and asks only whether
+    lambda_max >= 1 - lam_tol.  The predicate must be False at bracket[0]
+    and True at bracket[1]; monotonicity of the depolarized family makes
+    the bisection sound.  The answer is the bracket midpoint once its
+    width is below tol, or once the bracket has narrowed to adjacent
+    floats.  The probes call the names in keybound.bounds, so a test can
+    stub them there.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    base = bounds._base_spec(protocol, direction, source_constraint)
+
+    def extendible_at(e):
+        cls_spec = replace(base, e=float(e))
+        povms, data, _ = bounds.realize_protocol(cls_spec)
+        cls = bounds.assemble_class(povms, data, cls_spec)
+        res = bounds.best_extendible_decomposition(cls, settings=settings,
+                                                   lam_tol=lam_tol)
+        return res.lambda_max >= 1.0 - lam_tol
+
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError("bracket must be an increasing pair")
+    if extendible_at(lo):
+        raise ValueError(f"lower bracket e={lo} is already extendible")
+    if not extendible_at(hi):
+        raise ValueError(f"upper bracket e={hi} is not extendible")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if extendible_at(mid):
+            hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 

@@ -5,14 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from keybound import bounds
+from helpers import cutoff_bisection_oracle
+from keybound import bounds, extendibility
 from keybound.bounds import (
     BoundPoint, bound_points_to_csv, bound_points_to_json, find_cutoff,
     gnuplot_script, one_way_upper_bound, sweep,
 )
 from keybound.protocols import ProtocolSpec
+from keybound.sdp import SolverError
 
 CUT4 = 0.5 * (1.0 - 1.0 / math.sqrt(2.0))
+E_STAR = {"four-state": CUT4, "six-state": 1.0 / 6.0}
 
 
 def test_zero_error_bound_is_one():
@@ -88,6 +91,21 @@ def test_find_cutoff_values():
     assert cut4 == pytest.approx(CUT4, abs=2e-3)
 
 
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("source_constraint", [None, False, True])
+def test_find_cutoff_matches_analytic(kind, direction, source_constraint):
+    cut = find_cutoff(kind, tol=1e-4, direction=direction,
+                      source_constraint=source_constraint)
+    assert abs(cut - E_STAR[kind]) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_find_cutoff_agrees_with_bisection_oracle(kind):
+    oracle = cutoff_bisection_oracle(kind, tol=1e-5)
+    assert abs(find_cutoff(kind, tol=1e-5) - oracle) <= 2e-5
+
+
 def test_find_cutoff_validates_bracket():
     with pytest.raises(ValueError):
         find_cutoff("six-state", bracket=(0.2, 0.25))  # already extendible at lo
@@ -95,12 +113,44 @@ def test_find_cutoff_validates_bracket():
         find_cutoff("six-state", bracket=(0.0, 0.1))  # not extendible at hi
 
 
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_find_cutoff_bracket_edges(kind):
+    e_star = E_STAR[kind]
+    cut = find_cutoff(kind, tol=1e-4, bracket=(e_star - 1e-3, 0.25))
+    assert abs(cut - e_star) <= 1e-6
+    with pytest.raises(ValueError, match="lower bracket"):
+        find_cutoff(kind, tol=1e-4, bracket=(e_star + 1e-5, 0.25))
+    # The four-state threshold solve diverges here without a clean
+    # infeasibility certificate; the bracket must still be named.
+    with pytest.raises(ValueError, match="upper bracket"):
+        find_cutoff(kind, tol=1e-4, bracket=(0.0, 0.1))
+
+
+def test_find_cutoff_gap_above_tol_raises():
+    with pytest.raises(SolverError, match="exceeds tol"):
+        find_cutoff("six-state", tol=1e-300)
+
+
+def test_find_cutoff_rejects_non_affine_family(monkeypatch):
+    from keybound.protocols import six_state_povms, simulate_observed_data
+    from keybound.states import depolarized_bell
+
+    def quadratic_family(spec):
+        povms = six_state_povms()
+        return povms, simulate_observed_data(
+            depolarized_bell(4.0 * spec.e * spec.e), povms), None
+
+    monkeypatch.setattr(bounds, "realize_protocol", quadratic_family)
+    with pytest.raises(ValueError, match="not affine"):
+        find_cutoff("six-state", tol=1e-4)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_find_cutoff_rejects_bad_tol_before_solving(tol, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("find_cutoff solved before validating tol")
 
-    monkeypatch.setattr(bounds, "best_extendible_decomposition", no_solve)
+    monkeypatch.setattr(extendibility, "solve", no_solve)
     with pytest.raises(ValueError, match="tol"):
         find_cutoff("six-state", tol=tol)
 
@@ -120,7 +170,7 @@ def test_find_cutoff_stops_at_float_resolution(monkeypatch):
     monkeypatch.setattr(bounds, "realize_protocol", lambda spec: (None, None, None))
     monkeypatch.setattr(bounds, "assemble_class", lambda povms, data, spec: spec.e)
     monkeypatch.setattr(bounds, "best_extendible_decomposition", step_at_one_sixth)
-    cut = find_cutoff("six-state", tol=1e-300)
+    cut = cutoff_bisection_oracle("six-state", tol=1e-300)
     assert cut == pytest.approx(1 / 6, abs=1e-15)
 
 

@@ -36,6 +36,14 @@ def test_cutoff_bad_tol_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_cutoff_gap_above_tol_exits_1(capsys):
+    code = main(["cutoff", "--protocol", "six-state", "--tol", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "exceeds tol" in captured.err
+    assert captured.out == ""
+
+
 def test_check_extendible_subcommand(capsys):
     code, out = invoke(["check-extendible", "--protocol", "six-state", "--e", "0.2"], capsys)
     assert code == 0

@@ -1,17 +1,21 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from keybound.extendibility import (
-    best_extendible_decomposition, build_sdp, is_extendible, layout_for,
-    pinned_problem, verify_extension,
+    best_extendible_decomposition, build_sdp, extendibility_threshold,
+    is_extendible, layout_for, pinned_problem, verify_extension,
 )
 from keybound.protocols import (
     ProtocolSpec, assemble_class, class_from_state, realize_protocol,
     trivial_class,
 )
-from keybound.sdp import SolverSettings, check_feasible
+from keybound.sdp import SolverError, SolverSettings, check_feasible
 from keybound.states import DensityOperator, bell_psi_plus, depolarized_bell
 from helpers import chi_reference, lambda_bisection_oracle
 
@@ -183,3 +187,51 @@ def test_solution_diagnostics_recorded():
     assert d["iterations"] > 0
     assert abs(d["raw_lambda"] - res.lambda_max) <= 2e-6
     assert d["rho_star_clip"] <= 1e-7
+
+
+def rank_deficient_outcome(seed, rank):
+    """Decompose the rank-`rank` state of the qubit-qutrit stream seeded
+    `seed` (ranks 1, 2, ... drawn from one generator, each G G^+ / Tr
+    with G a 6 x rank complex Gaussian); "verified", "unverified",
+    "SolverError" or the name of any other exception raised."""
+    rng = np.random.default_rng(seed)
+    for r in range(1, rank + 1):
+        g = (rng.standard_normal((6, r))
+             + 1j * rng.standard_normal((6, r)))
+        mat = g @ g.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+    state = DensityOperator(mat / np.trace(mat).real, (2, 3))
+    try:
+        res = best_extendible_decomposition(class_from_state(state))
+    except SolverError:
+        return "SolverError"
+    except Exception as err:
+        return type(err).__name__
+    return "verified" if verify_extension(res).passed else "unverified"
+
+
+@pytest.mark.parametrize("seed, rank", [(15, 1), (19, 2)])
+def test_rank_deficient_qutrit_gives_result_or_solver_error(seed, rank):
+    # Both states drive the barrier parameter to its floor, where the
+    # centering parameter once overflowed.  The iterates depend on the
+    # BLAS thread count, and the overflow showed with BLAS pinned to one
+    # thread, so the solve runs in a child process pinned that way.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           str(root / "tests")]))
+    code = ("from test_extendibility import rank_deficient_outcome; "
+            f"print(rank_deficient_outcome({seed}, {rank}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() in ("verified", "SolverError")
+
+
+def test_threshold_rejects_classes_with_different_rows():
+    four = ProtocolSpec.four_state(0.0)
+    povms, data, _ = realize_protocol(four)
+    with pytest.raises(ValueError, match="different rows"):
+        extendibility_threshold(assemble_class(povms, data, four),
+                                six_state_class(0.25), (0.0, 0.25))

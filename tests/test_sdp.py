@@ -178,6 +178,25 @@ def test_blocks_must_be_hermitian():
         LmiBlock(dim=2, const=bad, var_idx=(0,), mats=np.eye(2)[None])
 
 
+def _valid_problem_parts():
+    return {"const": np.zeros((1, 1)), "mats": np.ones((1, 1, 1)),
+            "c": np.array([1.0]), "eq_rows": np.ones((1, 1)),
+            "eq_rhs": np.array([1.0])}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["const", "mats", "c", "eq_rows", "eq_rhs"])
+def test_non_finite_data_rejected(field, bad):
+    parts = _valid_problem_parts()
+    parts[field] = parts[field].copy()
+    parts[field].flat[0] = bad
+    with pytest.raises(ValueError, match=rf"\b{field}\b.*non-finite"):
+        blk = LmiBlock(dim=1, const=parts["const"], var_idx=(0,),
+                       mats=parts["mats"])
+        SdpProblem(c=parts["c"], blocks=[blk], eq_rows=parts["eq_rows"],
+                   eq_rhs=parts["eq_rhs"])
+
+
 def test_iteration_cap_returns_best_iterate():
     rng = np.random.default_rng(8)
     prob = random_box_sdp(rng)
