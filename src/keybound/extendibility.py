@@ -11,12 +11,14 @@ with sigma_ext admitting a two-copy symmetric extension on A (x) B (x) B'
 state.  lambda = 1 exactly when the class contains an extendible state.
 
 Variables, in one real vector: the coefficients r_kl of rho over the
-operator basis, the coefficients e_kl of the unnormalized extendible
-part sigma~ = lambda * sigma_ext, and the swap-symmetric coefficients
-f_klm (l >= m) of the unnormalized extension chi~.  The blocks demand
-rho >= 0, rho - sigma~ >= 0 and chi~ >= 0; equalities impose the class
-rows on r, and Tr_B'(chi~) = sigma~ via f_{k,l,0} = e_kl.  Because
-Tr(chi~) = e_00 = Tr(sigma~), the objective min r_00 - e_00 returns
+operator basis, then the swap-symmetric coefficients f_klm (l >= m) of
+the unnormalized extension chi~.  The partial trace over B' of
+S_k (x) sym(S_l (x) S_m) / d_A d_B^2 is delta_m0 S_k (x) S_l / d_A d_B,
+so sigma~ = Tr_B'(chi~) = lambda * sigma_ext has the coefficients
+f_{k,l,0} and needs no variables of its own.  The two blocks demand
+rho - sigma~ >= 0 and chi~ >= 0 (rho >= sigma~ >= 0 follows), and the
+class rows on r are the only equalities.  Because
+Tr(chi~) = f_000 = Tr(sigma~), the objective min r_00 - f_000 returns
 1 - lambda_max.
 
 extendibility_threshold reuses the same program for a family of classes
@@ -27,6 +29,7 @@ held near 1, and the parameter is minimized.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +42,21 @@ LAMBDA_TOL = 1e-6
 CLIP_TOL = 1e-7
 
 
+def _check_lam_tol(lam_tol):
+    # At 0.5 the "lambda ~ 0" and "lambda ~ 1" conventions overlap.
+    if not (math.isfinite(lam_tol) and 0.0 <= lam_tol < 0.5):
+        raise ValueError(f"lam_tol must be finite and in [0, 0.5), got {lam_tol}")
+
+
 @dataclass(frozen=True, eq=False)
 class VariableLayout:
     """The data-independent part of the joint decomposition SDP for one
-    dims pair: variable indexing, the three LMI blocks (their matrices are
-    the rho and chi stacks), the coupling rows f_{k,l,0} = e_kl, the
-    objective c, and chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack of
+    dims pair: variable indexing over the two groups r and f, the two LMI
+    blocks rho - sigma~ >= 0 and chi~ >= 0, the objective c, sigma_idx,
+    the indices of the f_{k,l,0} that are sigma~'s coefficients in
+    (k, l) order, and chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack of
     swap-symmetric extension operators with chi~ = sum_i f_i chi_mats[i].
+    The class rows, the only equalities, come with each problem.
 
     Built once per dims by layout_for and shared by every problem of that
     size, so every array in it is read-only.
@@ -53,8 +64,8 @@ class VariableLayout:
 
     dims: tuple
     blocks: tuple = field(repr=False)
-    coupling: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
+    sigma_idx: np.ndarray = field(repr=False)
     chi_mats: np.ndarray = field(repr=False)
 
     @property
@@ -70,29 +81,25 @@ class VariableLayout:
         return self.na * self.nb
 
     @property
-    def n_e(self):
-        return self.na * self.nb
-
-    @property
     def n_f(self):
         return self.na * self.nb * (self.nb + 1) // 2
 
     @property
     def total(self):
-        return self.n_r + self.n_e + self.n_f
+        return self.n_r + self.n_f
 
     def r_index(self, k, l):
         return k * self.nb + l
 
     def e_index(self, k, l):
-        return self.n_r + k * self.nb + l
+        """Index of sigma~'s coefficient e_kl, which is f_{k,l,0}."""
+        return int(self.sigma_idx[k * self.nb + l])
 
     def f_index(self, k, l, m):
         """Index of f_klm; the f variables run over k, then l, then m <= l."""
         if m > l:
             l, m = m, l
-        return (self.n_r + self.n_e + k * self.nb * (self.nb + 1) // 2
-                + l * (l + 1) // 2 + m)
+        return self.n_r + k * self.nb * (self.nb + 1) // 2 + l * (l + 1) // 2 + m
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,36 +127,25 @@ def layout_for(dims):
 
     n_r = na * nb
     n_f = chi_mats.shape[0]
-    r_idx = np.arange(n_r)
-    e_idx = n_r + np.arange(n_r)
-    f_idx = 2 * n_r + np.arange(n_f)
-    zero_ab = np.zeros((dab, dab))
+    ls = np.arange(nb)
+    sigma_idx = (n_r + np.add.outer(np.arange(na) * (nb * (nb + 1) // 2),
+                                    ls * (ls + 1) // 2)).ravel()
     blocks = (
-        # rho >= 0
-        LmiBlock(dim=dab, const=zero_ab, var_idx=r_idx, mats=rho_mats),
         # rho - sigma~ >= 0
-        LmiBlock(dim=dab, const=zero_ab,
-                 var_idx=np.concatenate([r_idx, e_idx]),
+        LmiBlock(dim=dab, const=np.zeros((dab, dab)),
+                 var_idx=np.concatenate([np.arange(n_r), sigma_idx]),
                  mats=np.concatenate([rho_mats, -rho_mats])),
-        # chi~ >= 0 (sigma~ >= 0 follows from its partial trace)
+        # chi~ >= 0 (sigma~ >= 0 and rho >= 0 follow)
         LmiBlock(dim=dabb, const=np.zeros((dabb, dabb)),
-                 var_idx=f_idx, mats=chi_mats),
+                 var_idx=n_r + np.arange(n_f), mats=chi_mats),
     )
-
-    layout = VariableLayout(dims=(da, db), blocks=blocks,
-                            coupling=np.zeros((n_r, 2 * n_r + n_f)),
-                            c=np.zeros(2 * n_r + n_f),
-                            chi_mats=blocks[2].mats)
-    for k in range(na):
-        for l in range(nb):
-            i = layout.r_index(k, l)
-            layout.coupling[i, layout.e_index(k, l)] = 1.0
-            layout.coupling[i, layout.f_index(k, l, 0)] -= 1.0
-    layout.c[layout.r_index(0, 0)] = 1.0
-    layout.c[layout.e_index(0, 0)] = -1.0
-    layout.coupling.setflags(write=False)
-    layout.c.setflags(write=False)
-    return layout
+    c = np.zeros(n_r + n_f)
+    c[0] = 1.0       # r_00
+    c[n_r] = -1.0    # f_000
+    c.setflags(write=False)
+    sigma_idx.setflags(write=False)
+    return VariableLayout(dims=(da, db), blocks=blocks, c=c,
+                          sigma_idx=sigma_idx, chi_mats=blocks[1].mats)
 
 
 def build_sdp(cls):
@@ -160,17 +156,15 @@ def build_sdp(cls):
 
     Returns (SdpProblem, VariableLayout).
     """
-    da, db = cls.dims
-    layout = layout_for((da, db))
-    class_rows = np.pad(cls.rows, ((0, 0), (0, layout.total - layout.n_r)))
+    layout = layout_for(tuple(cls.dims))
+    class_rows = np.pad(cls.rows, ((0, 0), (0, layout.n_f)))
     problem = SdpProblem(c=layout.c, blocks=layout.blocks,
-                         eq_rows=np.concatenate([class_rows, layout.coupling]),
-                         eq_rhs=np.concatenate([cls.rhs, np.zeros(layout.n_r)]))
+                         eq_rows=class_rows, eq_rhs=cls.rhs)
     return problem, layout
 
 
 def pinned_problem(cls, lam):
-    """The same SDP with the extendible weight pinned: e_00 = lam.
+    """The same SDP with the extendible weight pinned: f_000 = lam.
 
     Feasibility of this problem (for lam in [0, 1]) is the question
     "does the class admit a decomposition with weight exactly lam";
@@ -195,9 +189,11 @@ def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
     (lo, hi): at t its rows are the common rows, its right-hand side
     rhs(lo) + (t - lo) * slope with slope = (rhs(hi) - rhs(lo)) / (hi - lo).
     The program is the joint SDP plus one variable t, last: 1x1 blocks
-    hold lo <= t <= hi and e_00 >= 1 - lam_tol, and the objective is
-    min t.  Returns the SdpSolution whatever its status; t is x[-1].
+    hold lo <= t <= hi and f_000 >= 1 - lam_tol, and the objective is
+    min t.  lam_tol must be finite and in [0, 0.5) (ValueError before
+    any solve).  Returns the SdpSolution whatever its status; t is x[-1].
     """
+    _check_lam_tol(lam_tol)
     lo, hi = bracket
     if cls_hi.dims != cls_lo.dims or cls_hi.rows.shape != cls_lo.rows.shape \
             or np.max(np.abs(cls_hi.rows - cls_lo.rows), initial=0.0) > 1e-9:
@@ -206,7 +202,6 @@ def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
     problem, layout = build_sdp(cls_lo)
     n = layout.total
     slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
-    col = np.concatenate([-slope, np.zeros(layout.n_r)])
     one = np.ones((1, 1, 1))
     blocks = problem.blocks + (
         LmiBlock(dim=1, const=[[-lo]], var_idx=[n], mats=one),
@@ -217,8 +212,8 @@ def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
     c = np.zeros(n + 1)
     c[n] = 1.0
     threshold = SdpProblem(c=c, blocks=blocks,
-                           eq_rows=np.column_stack([problem.eq_rows, col]),
-                           eq_rhs=problem.eq_rhs + lo * col)
+                           eq_rows=np.column_stack([problem.eq_rows, -slope]),
+                           eq_rhs=problem.eq_rhs - lo * slope)
     return solve(threshold, settings or SolverSettings())
 
 
@@ -262,9 +257,11 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     Degenerate conventions: when lambda is within lam_tol of 0 no
     extendible part is reported (sigma_ext and chi are None); within
     lam_tol of 1 no rho_ne is reported.  Reported parts are renormalized
-    to unit trace.  Solver failure raises SolverError with the solution
-    attached.
+    to unit trace.  lam_tol must be finite and in [0, 0.5) (ValueError
+    before any solve).  Solver failure raises SolverError with the
+    solution attached.
     """
+    _check_lam_tol(lam_tol)
     problem, layout = build_sdp(cls)
     sol = solve(problem, settings or SolverSettings())
     if sol.status != "optimal":
@@ -281,8 +278,8 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     da, db = layout.dims
     basis_a, basis_b = build_basis(da), build_basis(db)
     r = sol.x[:layout.n_r].reshape(layout.na, layout.nb)
-    e = sol.x[layout.n_r:layout.n_r + layout.n_e].reshape(layout.na, layout.nb)
-    f = sol.x[layout.n_r + layout.n_e:]
+    e = sol.x[layout.sigma_idx].reshape(layout.na, layout.nb)
+    f = sol.x[layout.n_r:]
 
     diagnostics = {"raw_lambda": raw_lam, "status": sol.status,
                    "duality_gap": sol.duality_gap,
@@ -318,9 +315,10 @@ class ExtensionReport:
     """Residuals certifying a reported decomposition.
 
     Most equalities hold by construction (the swap symmetry is built
-    into the chi parameterization, the partial trace into the coupling
-    rows); the residuals confirm the numerics survived reconstruction,
-    clipping and renormalization.
+    into the chi parameterization, and sigma~ is read from chi~'s
+    f_{k,l,0}, the coefficients of its partial trace); the residuals
+    confirm the numerics survived reconstruction, clipping and
+    renormalization.
     """
 
     lambda_max: float
@@ -342,8 +340,8 @@ def verify_extension(result, decomp_tol=1e-7, swap_tol=1e-9,
     sol = result.solution
     lam = result.lambda_max
 
-    e = sol.x[layout.n_r:layout.n_r + layout.n_e].reshape(layout.na, layout.nb)
-    f = sol.x[layout.n_r + layout.n_e:]
+    e = sol.x[layout.sigma_idx].reshape(layout.na, layout.nb)
+    f = sol.x[layout.n_r:]
     sigma_raw = reconstruct(e, (basis_a, basis_b))
     chi_raw = np.tensordot(f, layout.chi_mats, 1)
 

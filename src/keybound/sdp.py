@@ -48,6 +48,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 HERM_TOL = 1e-12
+# Share of the distance to the cone boundary that one step may travel.
+STEP_FRACTION = 0.98
 
 log = logging.getLogger(__name__)
 
@@ -123,14 +125,6 @@ class LmiBlock:
         object.__setattr__(self, "real_const", F0)
         object.__setattr__(self, "real_mats", rmats)
 
-    @classmethod
-    def from_dense(cls, const, mats):
-        """Block touching variables 0..len(mats)-1 in order."""
-        mats = [np.asarray(m) for m in mats]
-        const = np.asarray(const)
-        return cls(dim=const.shape[0], const=const,
-                   var_idx=np.arange(len(mats)), mats=np.array(mats, dtype=complex))
-
 
 @dataclass(frozen=True)
 class SdpProblem:
@@ -186,7 +180,6 @@ class SolverSettings:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
 
 
 @dataclass(frozen=True)
@@ -524,10 +517,10 @@ def solve(problem, settings=None):
             Ks.append(G - rppb)
         dx, dy = kkt_solve(Ks)
         dSp, dZp = directions(dx, Ks)
-        ap = min(1.0, st.step_fraction * min(_step_bound(d, dS)
-                                             for d, dS in zip(ds, dSp)))
-        ad = min(1.0, st.step_fraction * min(_step_bound(d, dZ)
-                                             for d, dZ in zip(ds, dZp)))
+        ap = min(1.0, STEP_FRACTION * min(_step_bound(d, dS)
+                                          for d, dS in zip(ds, dSp)))
+        ad = min(1.0, STEP_FRACTION * min(_step_bound(d, dZ)
+                                          for d, dZ in zip(ds, dZp)))
 
         if ap < 1e-10 and ad < 1e-10:
             stall += 1

@@ -211,21 +211,69 @@ def random_hermitian(rng, dim):
     return 0.5 * (g + g.conj().T)
 
 
-def chi_reference(f_vec, dims):
-    """The extension chi~ = sum_klm f_klm (S_k (x) sym(S_l (x) S_m)) / d,
-    summed term by term with explicit Kronecker products, in the variable
-    order k, then l, then m <= l."""
+def _chi_terms(dims):
+    """The triples (k, l, m <= l) in variable order and, for each, the
+    operator S_k (x) sym(S_l (x) S_m) / d built with explicit Kronecker
+    products."""
     da, db = dims
     sa, sb = build_basis(da).elements, build_basis(db).elements
     dabb = da * db * db
     triples = [(k, l, m) for k in range(da * da)
                for l in range(db * db) for m in range(l + 1)]
-    assert len(f_vec) == len(triples)
-    out = np.zeros((dabb, dabb), dtype=complex)
-    for val, (k, l, m) in zip(f_vec, triples):
+    terms = []
+    for k, l, m in triples:
         if l == m:
-            out += val * np.kron(sa[k], np.kron(sb[l], sb[l]))
+            mat = np.kron(sa[k], np.kron(sb[l], sb[l]))
         else:
-            out += val * (np.kron(sa[k], np.kron(sb[l], sb[m]))
-                          + np.kron(sa[k], np.kron(sb[m], sb[l])))
-    return out / dabb
+            mat = (np.kron(sa[k], np.kron(sb[l], sb[m]))
+                   + np.kron(sa[k], np.kron(sb[m], sb[l])))
+        terms.append(mat / dabb)
+    return triples, terms
+
+
+def chi_reference(f_vec, dims):
+    """The extension chi~ = sum_klm f_klm (S_k (x) sym(S_l (x) S_m)) / d,
+    summed term by term, in the variable order k, then l, then m <= l."""
+    triples, terms = _chi_terms(dims)
+    assert len(f_vec) == len(triples)
+    return sum(val * mat for val, mat in zip(f_vec, terms))
+
+
+def three_block_reference(cls):
+    """The decomposition SDP in its redundant three-block form.
+
+    Variables r_kl (rho), e_kl (sigma~) and f_klm (chi~); blocks
+    rho >= 0, rho - sigma~ >= 0 and chi~ >= 0; equalities the class rows
+    on r and the coupling rows e_kl = f_{k,l,0} that make sigma~ the
+    partial trace of chi~ over B'; objective min r_00 - e_00.  Built
+    from the operator basis alone, independently of layout_for.
+
+    Returns (SdpProblem, index of e_00), so lambda_max = x[index].
+    """
+    da, db = cls.dims
+    na, nb = da * da, db * db
+    sa, sb = build_basis(da).elements, build_basis(db).elements
+    rho_mats = np.stack([np.kron(sa[k], sb[l]) / (da * db)
+                         for k in range(na) for l in range(nb)])
+    triples, chi_mats = _chi_terms((da, db))
+    n_r, n_f = na * nb, len(triples)
+    r_idx = np.arange(n_r)
+    e_idx = n_r + r_idx
+    zero = np.zeros((da * db, da * db))
+    blocks = (
+        LmiBlock(dim=da * db, const=zero, var_idx=r_idx, mats=rho_mats),
+        LmiBlock(dim=da * db, const=zero, var_idx=np.concatenate([r_idx, e_idx]),
+                 mats=np.concatenate([rho_mats, -rho_mats])),
+        LmiBlock(dim=da * db * db, const=np.zeros((da * db * db,) * 2),
+                 var_idx=2 * n_r + np.arange(n_f), mats=np.stack(chi_mats)),
+    )
+    coupling = np.zeros((n_r, 2 * n_r + n_f))
+    for k in range(na):
+        for l in range(nb):
+            coupling[k * nb + l, n_r + k * nb + l] = 1.0
+            coupling[k * nb + l, 2 * n_r + triples.index((k, l, 0))] = -1.0
+    c = np.zeros(2 * n_r + n_f)
+    c[0], c[n_r] = 1.0, -1.0
+    rows = np.concatenate([np.pad(cls.rows, ((0, 0), (0, n_r + n_f))), coupling])
+    rhs = np.concatenate([cls.rhs, np.zeros(n_r)])
+    return SdpProblem(c=c, blocks=blocks, eq_rows=rows, eq_rhs=rhs), n_r

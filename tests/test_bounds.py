@@ -155,6 +155,20 @@ def test_find_cutoff_rejects_bad_tol_before_solving(tol, monkeypatch):
         find_cutoff("six-state", tol=tol)
 
 
+@pytest.mark.parametrize("lam_tol", [math.nan, math.inf, -1e-3, 0.5])
+def test_bad_lam_tol_rejected_before_solving(lam_tol, monkeypatch):
+    # Unchecked, a lam_tol at or above 1 - lambda reports a bound of 0 as
+    # optimal.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating lam_tol")
+
+    monkeypatch.setattr(extendibility, "solve", no_solve)
+    with pytest.raises(ValueError, match="lam_tol"):
+        one_way_upper_bound(ProtocolSpec.six_state(0.05), lam_tol=lam_tol)
+    with pytest.raises(ValueError, match="lam_tol"):
+        find_cutoff("six-state", lam_tol=lam_tol)
+
+
 def test_find_cutoff_stops_at_float_resolution(monkeypatch):
     # A tol below the float spacing near the threshold cannot be met; the
     # bisection must still end once the bracket is two adjacent floats.

@@ -36,6 +36,15 @@ def test_cutoff_bad_tol_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_bound_bad_lambda_tol_exits_2(capsys):
+    code = main(["bound", "--protocol", "six-state", "--e", "0.05",
+                 "--lambda-tol", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "lam_tol" in captured.err
+    assert captured.out == ""
+
+
 def test_cutoff_gap_above_tol_exits_1(capsys):
     code = main(["cutoff", "--protocol", "six-state", "--tol", "1e-300"])
     captured = capsys.readouterr()

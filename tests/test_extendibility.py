@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from keybound import extendibility
 from keybound.extendibility import (
     best_extendible_decomposition, build_sdp, extendibility_threshold,
     is_extendible, layout_for, pinned_problem, verify_extension,
@@ -15,9 +16,10 @@ from keybound.protocols import (
     ProtocolSpec, assemble_class, class_from_state, realize_protocol,
     trivial_class,
 )
-from keybound.sdp import SolverError, SolverSettings, check_feasible
+from keybound.sdp import SolverError, SolverSettings, check_feasible, solve
 from keybound.states import DensityOperator, bell_psi_plus, depolarized_bell
-from helpers import chi_reference, lambda_bisection_oracle
+from helpers import (chi_reference, lambda_bisection_oracle,
+                     three_block_reference)
 
 
 def six_state_class(e):
@@ -26,27 +28,32 @@ def six_state_class(e):
     return assemble_class(povms, data, spec)
 
 
-LAYOUT_SIZES = {(2, 2): (16, 40, 72), (2, 3): (36, 180, 252)}
+LAYOUT_SIZES = {(2, 2): (16, 40, 56), (2, 3): (36, 180, 216)}
 
 
 def test_variable_layout_counts():
     for dims, (n_r, n_f, total) in LAYOUT_SIZES.items():
         _, lay = build_sdp(trivial_class(dims))
         assert lay.n_r == n_r
-        assert lay.n_e == n_r
         assert lay.n_f == n_f
         assert lay.total == total
+        assert not hasattr(lay, "n_e") and not hasattr(lay, "coupling")
 
 
 def test_variable_layout_symmetry():
     for dims in LAYOUT_SIZES:
         _, lay = build_sdp(trivial_class(dims))
         assert lay.f_index(1, 3, 2) == lay.f_index(1, 2, 3)
-        assert lay.f_index(0, 0, 0) == lay.n_r + lay.n_e
+        assert lay.f_index(0, 0, 0) == lay.n_r
         # the closed form walks the f block in (k, l, m <= l) order, no gaps
         order = [lay.f_index(k, l, m) for k in range(lay.na)
                  for l in range(lay.nb) for m in range(l + 1)]
-        assert order == list(range(lay.n_r + lay.n_e, lay.total))
+        assert order == list(range(lay.n_r, lay.total))
+        # sigma~'s coefficients are the f_{k,l,0}, in (k, l) order
+        assert lay.sigma_idx.tolist() == [lay.f_index(k, l, 0)
+                                          for k in range(lay.na)
+                                          for l in range(lay.nb)]
+        assert lay.e_index(2, 3) == lay.f_index(2, 3, 0)
 
 
 @pytest.mark.parametrize("dims", sorted(LAYOUT_SIZES))
@@ -71,7 +78,7 @@ def test_build_sdp_shares_structure_per_dims():
 
 def test_cached_structure_is_read_only():
     lay = layout_for((2, 2))
-    arrays = [lay.coupling, lay.c, lay.chi_mats]
+    arrays = [lay.c, lay.sigma_idx, lay.chi_mats]
     for blk in lay.blocks:
         arrays += [blk.const, blk.mats, blk.var_idx, blk.real_const, blk.real_mats]
     for arr in arrays:
@@ -82,12 +89,13 @@ def test_cached_structure_is_read_only():
 def test_sdp_structure():
     cls = six_state_class(0.05)
     prob, lay = build_sdp(cls)
-    assert [b.dim for b in prob.blocks] == [4, 4, 8]
-    # equalities: class rows plus one coupling row per pair index
-    assert prob.eq_rows.shape == (cls.rows.shape[0] + 16, 72)
+    assert [b.dim for b in prob.blocks] == [4, 8]
+    # equalities: the class rows only, on r
+    assert prob.eq_rows.shape == (cls.rows.shape[0], 56)
+    assert not prob.eq_rows[:, lay.n_r:].any()
     # objective rewards the non-extendible weight only
     assert prob.c[lay.r_index(0, 0)] == 1.0
-    assert prob.c[lay.e_index(0, 0)] == -1.0
+    assert prob.c[lay.f_index(0, 0, 0)] == -1.0
     assert np.count_nonzero(prob.c) == 2
 
 
@@ -189,18 +197,23 @@ def test_solution_diagnostics_recorded():
     assert d["rho_star_clip"] <= 1e-7
 
 
+def random_qutrit_state(rng, rank):
+    """The extend-qutrit recipe: G G^+ / Tr with G a 6 x rank complex
+    Gaussian drawn from rng, as a qubit-qutrit state."""
+    g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+    mat = g @ g.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    return DensityOperator(mat / np.trace(mat).real, (2, 3))
+
+
 def rank_deficient_outcome(seed, rank):
-    """Decompose the rank-`rank` state of the qubit-qutrit stream seeded
-    `seed` (ranks 1, 2, ... drawn from one generator, each G G^+ / Tr
-    with G a 6 x rank complex Gaussian); "verified", "unverified",
-    "SolverError" or the name of any other exception raised."""
+    """Decompose the rank-`rank` state of the stream seeded `seed` (ranks
+    1, 2, ... drawn from one generator by random_qutrit_state);
+    "verified", "unverified", "SolverError" or the name of any other
+    exception raised."""
     rng = np.random.default_rng(seed)
     for r in range(1, rank + 1):
-        g = (rng.standard_normal((6, r))
-             + 1j * rng.standard_normal((6, r)))
-        mat = g @ g.conj().T
-        mat = 0.5 * (mat + mat.conj().T)
-    state = DensityOperator(mat / np.trace(mat).real, (2, 3))
+        state = random_qutrit_state(rng, r)
     try:
         res = best_extendible_decomposition(class_from_state(state))
     except SolverError:
@@ -235,3 +248,40 @@ def test_threshold_rejects_classes_with_different_rows():
     with pytest.raises(ValueError, match="different rows"):
         extendibility_threshold(assemble_class(povms, data, four),
                                 six_state_class(0.25), (0.0, 0.25))
+
+
+def reference_lambda(cls):
+    problem, lam_idx = three_block_reference(cls)
+    sol = solve(problem, SolverSettings())
+    assert sol.status == "optimal", sol.message
+    return min(max(float(sol.x[lam_idx]), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("e", [0.0, 0.05, 0.12, 0.2])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_two_block_program_matches_three_block_reference(kind, direction, e):
+    spec = ProtocolSpec(kind, e=e, direction=direction)
+    povms, data, _ = realize_protocol(spec)
+    cls = assemble_class(povms, data, spec)
+    res = best_extendible_decomposition(cls)
+    assert abs(res.lambda_max - reference_lambda(cls)) <= 1e-7
+    # rho >= 0 is no block of its own; it holds through rho >= sigma~ >= 0
+    assert res.diagnostics["rho_star_clip"] <= 1e-9
+
+
+@pytest.mark.parametrize("rank", [1, 2, 6])
+def test_qutrit_program_matches_three_block_reference(rank):
+    cls = class_from_state(random_qutrit_state(np.random.default_rng(0), rank))
+    res = best_extendible_decomposition(cls)
+    assert abs(res.lambda_max - reference_lambda(cls)) <= 1e-7
+
+
+@pytest.mark.parametrize("lam_tol", [np.nan, np.inf, -1e-3, 0.5])
+def test_decomposition_rejects_bad_lam_tol_before_solving(lam_tol, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating lam_tol")
+
+    monkeypatch.setattr(extendibility, "solve", no_solve)
+    with pytest.raises(ValueError, match="lam_tol"):
+        best_extendible_decomposition(six_state_class(0.05), lam_tol=lam_tol)
