@@ -21,6 +21,14 @@ class rows on r are the only equalities.  Because
 Tr(chi~) = f_000 = Tr(sigma~), the objective min r_00 - f_000 returns
 1 - lambda_max.
 
+When the class rows pin rho to one rank-deficient state, the program
+has no strictly feasible point: every v in ker(rho) has
+v^+ sigma~ v = 0, so chi~ vanishes off the face
+F = (supp(rho) (x) C^{d_B}) intersected with its B <-> B' swap.
+best_extendible_decomposition then solves the same program on that
+face, in coordinates of chi~ on F, and maps the solution back to the
+full (r, f) vector; an empty face gives lambda_max = 0 with no solve.
+
 extendibility_threshold reuses the same program for a family of classes
 affine in one parameter: the parameter becomes a variable, lambda is
 held near 1, and the parameter is minimized.
@@ -30,16 +38,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import build_basis, reconstruct
-from .sdp import LmiBlock, SdpProblem, SolverError, SolverSettings, solve
+from .basis import build_basis, expand, reconstruct
+from .sdp import (LmiBlock, SdpProblem, SdpSolution, SolverError,
+                  SolverSettings, solve)
 from .states import DensityOperator, partial_trace_matrix, swap_last_two
 
 LAMBDA_TOL = 1e-6
 CLIP_TOL = 1e-7
+# Eigenvalues of a pinned rho at most this large count as its kernel.
+SUPPORT_TOL = 1e-9
 
 
 def _check_lam_tol(lam_tol):
@@ -251,6 +262,114 @@ def _to_density(mat, dims, diagnostics, name, clip_tol=CLIP_TOL):
     return DensityOperator(mat / tr, dims)
 
 
+def _pinned_support(cls, layout, settings):
+    """(r, w, S) when the class rows pin rho (full column rank, consistent
+    within the solver's feasibility tolerance) to a state whose smallest
+    eigenvalue lies in [-SUPPORT_TOL, SUPPORT_TOL]: w its eigenvalues
+    above SUPPORT_TOL, S their orthonormal eigenvectors and r the
+    coefficients of S diag(w) S^+.  None for every other class."""
+    r, _, rank, _ = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)
+    if rank < layout.n_r:
+        return None
+    resid = np.linalg.norm(cls.rows @ r - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs))
+    if resid > settings.feas_tol:
+        return None
+    da, db = layout.dims
+    bases = (build_basis(da), build_basis(db))
+    w, V = np.linalg.eigh(reconstruct(r.reshape(layout.na, layout.nb), bases))
+    if abs(w[0]) > SUPPORT_TOL:
+        return None
+    keep = w > SUPPORT_TOL
+    w, S = w[keep], V[:, keep]
+    # kernel eigenvalues are rounding: set them to exactly zero
+    r = expand((S * w) @ S.conj().T, bases).ravel()
+    return r, w, S
+
+
+def _face_basis(S, dims):
+    """Orthonormal bases (sym, anti) of the swap-symmetric and
+    -antisymmetric parts of F = (S (x) C^{d_B}) cap P(S (x) C^{d_B}).
+
+    F is swap-invariant, so it splits into these parts, and a vector v
+    with P v = +-v lies in F exactly when it lies in S (x) C^{d_B}: each
+    part is the eigenvalue-1 eigenspace of half Q half, with Q the
+    projector onto S (x) C^{d_B} and half = (1 +- P) / 2."""
+    db = dims[1]
+    Q = np.kron(S @ S.conj().T, np.eye(db))
+    P = swap_last_two(dims).matrix
+    eye = np.eye(P.shape[0])
+    parts = []
+    for sign in (1.0, -1.0):
+        half = 0.5 * (eye + sign * P)
+        w, V = np.linalg.eigh(half @ Q @ half)
+        parts.append(V[:, w > 1.0 - SUPPORT_TOL])
+    return parts
+
+
+def _hermitian_stack(n):
+    """An orthonormal basis of the n x n Hermitian matrices, (n*n, n, n)."""
+    out = np.zeros((n * n, n, n), dtype=complex)
+    d = np.arange(n)
+    out[d, d, d] = 1.0
+    i, j = np.triu_indices(n, 1)
+    re, im = n + np.arange(i.size), n + i.size + np.arange(i.size)
+    out[re, i, j] = out[re, j, i] = math.sqrt(0.5)
+    out[im, i, j], out[im, j, i] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
+    return out
+
+
+def _solve_on_face(r, w, S, layout, settings):
+    """The decomposition program restricted to the face of a pinned,
+    rank-deficient rho, solved and mapped back to the full (r, f) vector.
+
+    chi~ = U Y U^+ with U = [sym, anti] a basis of the face and Y
+    block-diagonal Hermitian, which makes chi~ swap-symmetric; the
+    variables g are Y's coordinates over _hermitian_stack of each block.
+    The blocks are S^+ (rho - sigma~) S >= 0, with S^+ rho S = diag(w),
+    and Y >= 0; the objective is min -Tr(Y) = -f_000, and there are no
+    equality rows.  Returns (SdpSolution, face dimension).
+    """
+    sym, anti = _face_basis(S, layout.dims)
+    n_sym, n_anti = sym.shape[1], anti.shape[1]
+    k = n_sym + n_anti
+    x = np.concatenate([r, np.zeros(layout.n_f)])
+    r00 = float(r[0])   # the objective's constant part, Tr(rho)
+    if k == 0:
+        return SdpSolution(
+            status="optimal", x=x, y=np.zeros(0), z_blocks=[],
+            objective=r00, dual_objective=r00, duality_gap=0.0,
+            primal_residual=0.0, dual_residual=0.0, equality_residual=0.0,
+            iterations=0,
+            message=(f"empty face: supp(rho) (x) C^d_B (support rank "
+                     f"{w.size}) meets its swap only in 0, so "
+                     "lambda_max = 0 without a solve")), 0
+    U = np.hstack([sym, anti])
+    ys = np.zeros((n_sym ** 2 + n_anti ** 2, k, k), dtype=complex)
+    ys[:n_sym ** 2, :n_sym, :n_sym] = _hermitian_stack(n_sym)
+    ys[n_sym ** 2:, n_sym:, n_sym:] = _hermitian_stack(n_anti)
+    # (S^+ (x) <b'|) U for each b', so S^+ Tr_B'(U Y U^+) S is
+    # sum_b' W_b' Y W_b'^+.
+    da, db = layout.dims
+    W = np.einsum("as,abk->bsk", S.conj(), U.reshape(da * db, db, k))
+    sigma_mats = np.einsum("bsk,jkl,btl->jst", W, ys, W.conj())
+    g_idx = np.arange(ys.shape[0])
+    problem = SdpProblem(
+        c=-np.trace(ys, axis1=1, axis2=2).real,
+        blocks=(LmiBlock(dim=w.size, const=np.diag(w), var_idx=g_idx,
+                         mats=-sigma_mats),
+                LmiBlock(dim=k, const=np.zeros((k, k)), var_idx=g_idx,
+                         mats=ys)))
+    sol = solve(problem, settings)
+    # chi_mats is an orthogonal basis of the swap-symmetric operators,
+    # so f_i = Tr(chi_mats[i] chi~) / Tr(chi_mats[i]^2).
+    chi = U @ np.tensordot(sol.x, ys, 1) @ U.conj().T
+    mats = layout.chi_mats
+    x[layout.n_r:] = (np.einsum("ijk,kj->i", mats, chi).real
+                      / np.einsum("ijk,ikj->i", mats, mats).real)
+    return replace(sol, x=x, objective=sol.objective + r00,
+                   dual_objective=sol.dual_objective + r00), k
+
+
 def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     """Solve the joint SDP and unpack the optimal decomposition.
 
@@ -260,10 +379,23 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     to unit trace.  lam_tol must be finite and in [0, 0.5) (ValueError
     before any solve).  Solver failure raises SolverError with the
     solution attached.
+
+    A class whose rows pin rho to a rank-deficient state (see
+    _pinned_support) is solved on its face by _solve_on_face; the
+    diagnostics then carry rho's support rank and the face dimension
+    (None for both when the full program ran).  The solution, the
+    unpack and verify_extension stay in the full (r, f) coordinates.
     """
     _check_lam_tol(lam_tol)
-    problem, layout = build_sdp(cls)
-    sol = solve(problem, settings or SolverSettings())
+    settings = settings or SolverSettings()
+    layout = layout_for(tuple(cls.dims))
+    pinned = _pinned_support(cls, layout, settings)
+    support_rank = face_dim = None
+    if pinned is None:
+        sol = solve(build_sdp(cls)[0], settings)
+    else:
+        sol, face_dim = _solve_on_face(*pinned, layout, settings)
+        support_rank = pinned[1].size
     if sol.status != "optimal":
         raise SolverError(
             f"decomposition solve ended with status {sol.status}: {sol.message}",
@@ -283,7 +415,8 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
 
     diagnostics = {"raw_lambda": raw_lam, "status": sol.status,
                    "duality_gap": sol.duality_gap,
-                   "iterations": sol.iterations}
+                   "iterations": sol.iterations,
+                   "support_rank": support_rank, "face_dim": face_dim}
     rho_star = _to_density(reconstruct(r, (basis_a, basis_b)), (da, db),
                            diagnostics, "rho_star")
     sigma_ext = rho_ne = chi = None

@@ -105,8 +105,11 @@ class LmiBlock:
             mats = mats.reshape(0, dim, dim)
         if mats.shape != (idx.size, dim, dim):
             raise ValueError("mats must be (len(var_idx), dim, dim)")
-        for i in range(idx.size):
-            _as_herm(mats[i], f"block matrix {i}")
+        bad = np.max(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))),
+                     axis=(1, 2), initial=0.0) > HERM_TOL
+        if bad.any():
+            raise ValueError(f"block matrix {int(np.flatnonzero(bad)[0])} "
+                             "is not Hermitian within 1e-12")
         if len(set(idx.tolist())) != idx.size:
             raise ValueError("var_idx entries must be distinct")
         if const.imag.any() or mats.imag.any():

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from keybound import extendibility
+from keybound.basis import build_basis, expand
 from keybound.extendibility import (
-    best_extendible_decomposition, build_sdp, extendibility_threshold,
-    is_extendible, layout_for, pinned_problem, verify_extension,
+    SUPPORT_TOL, best_extendible_decomposition, build_sdp,
+    extendibility_threshold, is_extendible, layout_for, pinned_problem,
+    verify_extension,
 )
 from keybound.protocols import (
-    ProtocolSpec, assemble_class, class_from_state, realize_protocol,
-    trivial_class,
+    EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
+    realize_protocol, trivial_class,
 )
 from keybound.sdp import SolverError, SolverSettings, check_feasible, solve
 from keybound.states import DensityOperator, bell_psi_plus, depolarized_bell
@@ -197,38 +199,51 @@ def test_solution_diagnostics_recorded():
     assert d["rho_star_clip"] <= 1e-7
 
 
-def random_qutrit_state(rng, rank):
-    """The extend-qutrit recipe: G G^+ / Tr with G a 6 x rank complex
-    Gaussian drawn from rng, as a qubit-qutrit state."""
-    g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+def random_qutrit_state(rng, rank, dims=(2, 3)):
+    """The extend-qutrit recipe: G G^+ / Tr with G a d x rank complex
+    Gaussian drawn from rng, d = d_A d_B, as a state on dims (a
+    qubit-qutrit state by default)."""
+    d = dims[0] * dims[1]
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
     mat = 0.5 * (mat + mat.conj().T)
-    return DensityOperator(mat / np.trace(mat).real, (2, 3))
+    return DensityOperator(mat / np.trace(mat).real, dims)
 
 
 def rank_deficient_outcome(seed, rank):
     """Decompose the rank-`rank` state of the stream seeded `seed` (ranks
-    1, 2, ... drawn from one generator by random_qutrit_state);
-    "verified", "unverified", "SolverError" or the name of any other
-    exception raised."""
+    1, 2, ... drawn from one generator by random_qutrit_state), then run
+    the full program on its class.  Returns "<outcome> <full>": outcome
+    is "verified", "unverified", "SolverError" or the name of any other
+    exception raised; full is the type name of what solve returned, or
+    of the exception it raised."""
     rng = np.random.default_rng(seed)
     for r in range(1, rank + 1):
         state = random_qutrit_state(rng, r)
+    cls = class_from_state(state)
     try:
-        res = best_extendible_decomposition(class_from_state(state))
+        res = best_extendible_decomposition(cls)
+        outcome = "verified" if verify_extension(res).passed else "unverified"
     except SolverError:
-        return "SolverError"
+        outcome = "SolverError"
     except Exception as err:
-        return type(err).__name__
-    return "verified" if verify_extension(res).passed else "unverified"
+        outcome = type(err).__name__
+    try:
+        full = type(solve(build_sdp(cls)[0])).__name__
+    except Exception as err:
+        full = type(err).__name__
+    return f"{outcome} {full}"
 
 
 @pytest.mark.parametrize("seed, rank", [(15, 1), (19, 2)])
-def test_rank_deficient_qutrit_gives_result_or_solver_error(seed, rank):
-    # Both states drive the barrier parameter to its floor, where the
-    # centering parameter once overflowed.  The iterates depend on the
-    # BLAS thread count, and the overflow showed with BLAS pinned to one
-    # thread, so the solve runs in a child process pinned that way.
+def test_rank_deficient_qutrit_verified_and_full_program_returns(seed, rank):
+    # Both states have an empty face, so the decomposition needs no
+    # solve.  On the full program, which has no strictly feasible point,
+    # both drive the barrier parameter to its floor, where the centering
+    # parameter once overflowed; that solve must still return.  The
+    # iterates depend on the BLAS thread count, and the overflow showed
+    # with BLAS pinned to one thread, so both run in a child process
+    # pinned that way.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
@@ -239,7 +254,109 @@ def test_rank_deficient_qutrit_gives_result_or_solver_error(seed, rank):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() in ("verified", "SolverError")
+    assert proc.stdout.strip() == "verified SdpSolution"
+
+
+# Face dimensions of generic pinned states by rank; None: full rank, so
+# the full program runs.
+FACE_DIMS = {(2, 2): [0, 2, 4, None], (2, 3): [0, 0, 3, 6, 12, None]}
+
+
+@pytest.mark.parametrize("dims, rank", [
+    (dims, rank) for dims, faces in FACE_DIMS.items()
+    for rank in range(1, len(faces) + 1)])
+def test_low_rank_pinned_state_verified(dims, rank):
+    state = random_qutrit_state(np.random.default_rng(5), rank, dims)
+    res = best_extendible_decomposition(class_from_state(state))
+    assert verify_extension(res).passed
+    assert np.max(np.abs(res.rho_star.matrix - state.matrix)) <= 1e-6
+    face = FACE_DIMS[dims][rank - 1]
+    assert res.diagnostics["face_dim"] == face
+    assert res.diagnostics["support_rank"] == (None if face is None else rank)
+
+
+def _pure(vec):
+    vec = np.asarray(vec, dtype=complex)
+    return np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+
+
+def _rank_one_qutrit():
+    return random_qutrit_state(np.random.default_rng(3), 1).matrix
+
+
+@pytest.mark.parametrize("make, dims", [(lambda: bell_psi_plus().matrix, (2, 2)),
+                                        (_rank_one_qutrit, (2, 3))],
+                         ids=["bell", "rank-1-qutrit"])
+def test_empty_face_gives_zero_without_solving(make, dims, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an empty face needs no solve")
+
+    monkeypatch.setattr(extendibility, "solve", no_solve)
+    res = best_extendible_decomposition(class_from_state(DensityOperator(make(), dims)))
+    assert res.lambda_max == 0.0
+    assert res.diagnostics["face_dim"] == 0
+    assert res.solution.iterations == 0
+    assert "empty face" in res.solution.message
+    assert verify_extension(res).passed
+
+
+@pytest.mark.parametrize("mat", [
+    _pure(np.kron([1, 0], [1, 1])),                     # |0+>
+    0.5 * (_pure([1, 0, 0, 0]) + _pure([0, 0, 0, 1])),  # (|00><00| + |11><11|)/2
+], ids=["product-0+", "classical-00-11"])
+def test_separable_low_rank_state_is_extendible(mat):
+    res = best_extendible_decomposition(class_from_state(DensityOperator(mat, (2, 2))))
+    assert res.lambda_max == pytest.approx(1.0, abs=1e-6)
+    assert res.diagnostics["face_dim"] > 0
+    assert verify_extension(res).passed
+
+
+def test_face_program_matches_full_program_where_it_converges():
+    mat = 0.5 * bell_psi_plus().matrix + 0.5 * _pure([0, 1, 0, 0])
+    cls = class_from_state(DensityOperator(mat, (2, 2)))
+    res = best_extendible_decomposition(cls)
+    assert res.diagnostics["face_dim"] is not None
+    full = solve(build_sdp(cls)[0])
+    assert full.status == "optimal"
+    full_lam = float(full.x[res.layout.e_index(0, 0)])
+    assert full_lam == pytest.approx(1.0, abs=1e-6)
+    assert res.lambda_max == pytest.approx(full_lam, abs=1e-6)
+
+
+def _negative_pinned_class():
+    mat = bell_psi_plus().matrix - 10 * SUPPORT_TOL * _pure([0, 1, 0, 0])
+    return EquivalenceClassSpec(dims=(2, 2), rows=np.eye(16),
+                                rhs=expand(mat, (build_basis(2),) * 2).ravel())
+
+
+def _inconsistent_pinned_class():
+    rhs = class_from_state(bell_psi_plus()).rhs
+    return EquivalenceClassSpec(dims=(2, 2), rows=np.vstack([np.eye(16)] * 2),
+                                rhs=np.concatenate([rhs, 1.001 * rhs]))
+
+
+@pytest.mark.parametrize("make", [_negative_pinned_class, _inconsistent_pinned_class],
+                         ids=["eigenvalue-below-support-tol", "inconsistent-rows"])
+def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
+    cls = make()
+    sizes = []
+
+    def spy(problem, settings):
+        sizes.append(problem.num_vars)
+        return solve(problem, settings)
+
+    monkeypatch.setattr(extendibility, "solve", spy)
+    try:
+        best_extendible_decomposition(cls)
+    except SolverError:
+        pass
+    assert sizes == [layout_for((2, 2)).total]
+
+
+def test_full_rank_and_unpinned_classes_run_the_full_program():
+    for cls in (six_state_class(0.05), trivial_class((2, 2))):
+        d = best_extendible_decomposition(cls).diagnostics
+        assert d["support_rank"] is None and d["face_dim"] is None
 
 
 def test_threshold_rejects_classes_with_different_rows():

@@ -178,6 +178,13 @@ def test_blocks_must_be_hermitian():
         LmiBlock(dim=2, const=bad, var_idx=(0,), mats=np.eye(2)[None])
 
 
+def test_non_hermitian_block_matrix_named_by_index():
+    mats = np.stack([np.eye(2)] * 4).astype(complex)
+    mats[2, 0, 1] = 1j  # only matrix 2 breaks M = M^+
+    with pytest.raises(ValueError, match=r"block matrix 2 is not Hermitian"):
+        LmiBlock(dim=2, const=np.zeros((2, 2)), var_idx=range(4), mats=mats)
+
+
 def _valid_problem_parts():
     return {"const": np.zeros((1, 1)), "mats": np.ones((1, 1, 1)),
             "c": np.array([1.0]), "eq_rows": np.ones((1, 1)),
