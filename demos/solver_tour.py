@@ -1,8 +1,9 @@
 """Tour of the built-in semidefinite-program solver on small problems.
 
 Three stops: a solve with the per-iteration trace printed, an
-infeasible system and its certificate, and an SDPA-sparse dump of the
-problem for cross-checking with external solvers.
+infeasible system and its certificates from solve and from
+check_feasible, and an SDPA-sparse dump of the problem for
+cross-checking with external solvers.
 """
 
 import os
@@ -43,13 +44,16 @@ def main():
         LmiBlock(dim=1, const=-one, var_idx=(0,), mats=one[None]),
         LmiBlock(dim=1, const=0 * one, var_idx=(0,), mats=-one[None]),
     ])
-    verdict = check_feasible(infeas)
-    print(f"  status: {verdict.status}")
-    if verdict.certificate:
-        cert = verdict.certificate
-        print(f"  certificate kind={cert['kind']}"
-              f"  violation={cert['violation']:.3e}"
-              f"  stationarity={cert['stationarity_residual']:.1e}")
+    # solve reads the verdict from the embedding (tau -> 0, kappa > 0);
+    # check_feasible reads it from the dual of a phase-I slack program
+    for name, verdict in (("solve", solve(infeas)),
+                          ("check_feasible", check_feasible(infeas))):
+        print(f"  {name}: status {verdict.status}")
+        if verdict.certificate:
+            cert = verdict.certificate
+            print(f"    certificate kind={cert['kind']}"
+                  f"  violation={cert['violation']:.3e}"
+                  f"  stationarity={cert['stationarity_residual']:.1e}")
 
     print("\nstop 3: SDPA-sparse dump")
     path = os.path.join(tempfile.mkdtemp(), "lambda_min.dat-s")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .extendibility import (LAMBDA_TOL, best_extendible_decomposition,
-                            extendibility_threshold, is_extendible)
+                            extendibility_threshold)
 from .infotheory import mutual_information
 from .protocols import (ProtocolSpec, assemble_class, full_joint,
                         matched_key_distribution, qber, realize_protocol,
@@ -174,12 +174,7 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     cls_lo, cls_hi = class_at(lo), class_at(hi)
     sol = extendibility_threshold(cls_lo, cls_hi, (lo, hi), settings=st,
                                   lam_tol=lam_tol)
-    # A diverging solve does not always end in a clean infeasibility
-    # certificate; the decomposition at hi then tells a bad bracket from
-    # a solver failure.
-    if sol.status == "infeasible" or (
-            sol.status != "optimal"
-            and not is_extendible(cls_hi, settings=st, lam_tol=lam_tol)):
+    if sol.status == "infeasible":
         raise ValueError(f"upper bracket e={hi} is not extendible")
     if sol.status != "optimal":
         raise SolverError(f"threshold solve ended with status {sol.status}: "

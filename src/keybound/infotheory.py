@@ -6,12 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sdp import _finite
+
 NEG_TOL = 1e-12
 SUM_ATOL = 1e-9
 
 
 def _clean_probs(p, name="probabilities"):
-    p = np.asarray(p, dtype=float)
+    p = _finite(np.asarray(p, dtype=float), name)
     if p.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if np.min(p) < -NEG_TOL:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .basis import build_basis
 from .infotheory import JointDistribution
+from .sdp import _finite
 from .states import DensityOperator
 
 PSD_ATOL = 1e-10
@@ -55,7 +56,8 @@ class Povm:
     bits: tuple | None = None
 
     def __post_init__(self):
-        elements = tuple(np.asarray(m, dtype=complex) for m in self.elements)
+        elements = tuple(_finite(np.asarray(m, dtype=complex), "elements")
+                         for m in self.elements)
         if not elements:
             raise ValueError("POVM needs at least one element")
         d = elements[0].shape[0]
@@ -161,7 +163,7 @@ class ObservedData:
     bob_bits: tuple | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _finite(np.asarray(self.probs, dtype=float), "probs")
         if p.shape != (len(self.alice_labels), len(self.bob_labels)):
             raise ValueError("probability table shape does not match labels")
         if p.size and np.min(p) < -1e-12:
@@ -366,8 +368,8 @@ class EquivalenceClassSpec:
     n_raw_rows: int = 0
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
+        rows = _finite(np.asarray(self.rows, dtype=float), "rows")
+        rhs = _finite(np.asarray(self.rhs, dtype=float), "rhs")
         da, db = self.dims
         if rows.ndim != 2 or rows.shape[1] != da * da * db * db:
             raise ValueError("constraint rows do not match the coefficient grid")

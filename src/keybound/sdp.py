@@ -12,25 +12,41 @@ becomes [[Re, -Im], [Im, Re]] of twice the size, which preserves the
 spectrum (doubled multiplicities) and hence the feasible set.  The
 iteration itself is all-real and reads only that embedding.
 
-The algorithm is an infeasible-start Mehrotra predictor-corrector with
-Nesterov-Todd scaling.  Writing W = R R^T for the scaling point of the
-current (S, Z) pair, each iteration forms the scaled constraint Gram
-matrix M_ij = <Fi, W^-1 Fj W^-1> and solves the reduced saddle-point
-system
+The algorithm is the homogeneous self-dual embedding (Ye, Todd & Mizuno
+1994; for SDP de Klerk, Roos & Terlaky 1997): F0, rhs and c are scaled
+by a scalar tau >= 0, and a scalar kappa >= 0 joins the system
+
+    F_lin(x) + tau F0 = S,  A x = tau rhs,  A*(Z) + A^T y = tau c,
+    c.x - rhs.y + <F0, Z> + kappa = 0,  <S, Z> + tau kappa = 0,
+
+with A*(Z)_i = <Fi, Z>.  A Mehrotra predictor-corrector with
+Nesterov-Todd scaling runs on it from x = 0, y = 0, S = Z = I,
+tau = kappa = 1, with one step length for primal and dual since tau
+couples them, and the iterate divided by tau is what is reported.  When
+the program has an optimal pair, tau stays positive and that iterate
+converges to one; a last primal step at fixed tau then removes the
+primal residual that the embedding leaves.  Otherwise tau -> 0 with kappa > 0, and (y, Z) tends to
+a Farkas certificate (A*(Z) + A^T y = 0, Z >= 0, rhs.y - <F0, Z> > 0)
+or x to a primal ray (F_lin(x) >= 0, A x = 0, c.x < 0).
+
+Writing W = R R^T for the scaling point of (S, Z), each iteration forms
+the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> and solves
 
     [ M  -A^T ] [dx]   [h ]
     [ A   0   ] [dy] = [re]
 
-by a Cholesky factorization of M and of the Schur complement A M^-1 A^T.
-Every variable must appear in at least one block, otherwise M is
-singular by construction and the problem is rejected up front.
+by Cholesky factorizations of M and of the Schur complement A M^-1 A^T;
+the tau column is one more right-hand side of the same system.  Every
+variable must appear in at least one block, otherwise M is singular by
+construction and the problem is rejected up front.
 
 Weak duality bookkeeping: with rp, re, rd the primal, equality and dual
-residuals, every iterate satisfies the identity
+residuals of the normalized iterate, every iterate satisfies the identity
 
     pobj - dobj = sum_b <S_b, Z_b> + rd.x + sum_b <rp_b, Z_b> - re.y
 
-so pobj - dobj >= -kappa with kappa the Cauchy-Schwarz budget
+so pobj - dobj >= -budget with the Cauchy-Schwarz budget (the kappa of
+IterateRecord, not the embedding's)
 sum_b ||rp_b||_F ||Z_b||_F + ||re|| ||y|| + ||rd|| ||x||; the first term
 is nonnegative because S and Z stay in the cone.  The per-iterate
 history records both sides so tests can assert this exactly; the
@@ -42,7 +58,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -226,12 +242,6 @@ def _realify(mat):
                            np.concatenate([im, re], axis=-1)], axis=-2)
 
 
-def _apply(blk, x):
-    if blk.var_idx.size == 0:
-        return blk.real_const.copy()
-    return blk.real_const + np.einsum("i,ijk->jk", x[blk.var_idx], blk.real_mats)
-
-
 def _apply_lin(blk, x):
     if blk.var_idx.size == 0:
         return np.zeros((blk.real_dim, blk.real_dim))
@@ -259,6 +269,19 @@ def _chol_jitter(mat):
     return None
 
 
+def _chol_ridge(mat):
+    """cho_factor with an escalating diagonal ridge; None if hopeless."""
+    n = mat.shape[0]
+    ridge = 0.0
+    for _ in range(3):
+        try:
+            return cho_factor(mat + ridge * np.eye(n), lower=True)
+        except np.linalg.LinAlgError:
+            ridge = 1e-12 * max(1.0, float(np.max(np.diag(mat)))) if ridge == 0.0 \
+                else ridge * 1e4
+    return None
+
+
 def _step_bound(d, delta_scaled):
     """Largest alpha with diag(d) + alpha * delta_scaled >= 0."""
     sd = np.sqrt(d)
@@ -278,135 +301,111 @@ def solve(problem, settings=None):
     A, b = problem.eq_rows, problem.eq_rhs
     m = A.shape[0]
     ntot = sum(blk.real_dim for blk in blocks)
+    F0s = [blk.real_const for blk in blocks]
+    p_scale = [1.0 + float(np.linalg.norm(F0, "fro")) for F0 in F0s]
+    e_scale = 1.0 + float(np.linalg.norm(b))
+    d_scale = 1.0 + float(np.linalg.norm(c))
 
-    if m:
-        x = np.linalg.lstsq(A, b, rcond=None)[0]
-    else:
-        x = np.zeros(t)
-    y = np.zeros(m)
-    S, Z = [], []
-    for blk in blocks:
-        B0 = _apply(blk, x)
-        eta_p = max(10.0, 1.2 * float(np.linalg.norm(B0, "fro")))
-        S.append(eta_p * np.eye(blk.real_dim))
-        Z.append(max(10.0, float(np.abs(c).max())) * np.eye(blk.real_dim))
-
+    x, y = np.zeros(t), np.zeros(m)
+    S = [np.eye(blk.real_dim) for blk in blocks]
+    Z = [np.eye(blk.real_dim) for blk in blocks]
+    tau = kappa = 1.0
     history = []
-    best = None
     status, message, certificate = None, "", None
-    stall = 0
-    floored = 0
-    it = 0
+    stall = floored = it = 0
+    polished = False
 
     while True:
-        # --- metrics at the current iterate ---
-        rp = [_apply(blk, x) - Sb for blk, Sb in zip(blocks, S)]
-        re_vec = b - A @ x if m else np.zeros(0)
-        rd = c - _adjoint(blocks, Z, t) - (A.T @ y if m else 0.0)
-        pobj = float(c @ x)
-        dobj = float((b @ y if m else 0.0)
-                     - sum(np.vdot(blk.real_const, Zb).real
-                           for blk, Zb in zip(blocks, Z)))
-        inners = [float(np.vdot(Sb, Zb).real) for Sb, Zb in zip(S, Z)]
+        # --- residuals of the embedding (all vanish at its solutions) ---
+        lin = [_apply_lin(blk, x) for blk in blocks]
+        rp = [Lb + tau * F0 - Sb for Lb, F0, Sb in zip(lin, F0s, S)]
+        re_vec = tau * b - A @ x
+        AZ = _adjoint(blocks, Z, t)
+        rd = tau * c - AZ - A.T @ y
+        F0Z = sum(float(np.vdot(F0, Zb)) for F0, Zb in zip(F0s, Z))
+        rg = kappa + float(c @ x) - float(b @ y) + F0Z
+        inner = [float(np.vdot(Sb, Zb)) for Sb, Zb in zip(S, Z)]
+        mu = max((sum(inner) + tau * kappa) / (ntot + 1), 1e-300)
+        inners = [v / tau ** 2 for v in inner]
         gap_inner = sum(inners)
-        mu = max(gap_inner / ntot, 1e-300)
-        pres = max(float(np.linalg.norm(rpb, "fro"))
-                   / (1.0 + float(np.linalg.norm(blk.real_const, "fro")))
-                   for blk, rpb in zip(blocks, rp))
-        eres = float(np.linalg.norm(re_vec)) / (1.0 + float(np.linalg.norm(b))) if m else 0.0
-        dres = float(np.linalg.norm(rd)) / (1.0 + float(np.linalg.norm(c)))
+
+        # --- metrics of the tau-normalized iterate ---
+        pobj = float(c @ x) / tau
+        dobj = (float(b @ y) - F0Z) / tau
+        pres = max(float(np.linalg.norm(rpb, "fro")) / (tau * sc)
+                   for rpb, sc in zip(rp, p_scale))
+        eres = float(np.linalg.norm(re_vec)) / (tau * e_scale)
+        dres = float(np.linalg.norm(rd)) / (tau * d_scale)
         relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
         if m and relgap <= st.gap_tol and pres <= st.feas_tol \
                 and eres <= st.feas_tol and dres > st.feas_tol:
             # y is unconstrained, so replacing it with the least-squares
             # minimizer of the dual residual is always admissible and leaves
             # the gap (a function of S and Z only) untouched.
-            resid = c - _adjoint(blocks, Z, t)
-            y_fit = np.linalg.lstsq(A.T, resid, rcond=None)[0]
-            rd_fit = resid - A.T @ y_fit
-            dres_fit = float(np.linalg.norm(rd_fit)) / (1.0 + float(np.linalg.norm(c)))
+            y_fit = np.linalg.lstsq(A.T, c - AZ / tau, rcond=None)[0]
+            rd_fit = tau * c - AZ - tau * (A.T @ y_fit)
+            dres_fit = float(np.linalg.norm(rd_fit)) / (tau * d_scale)
             if dres_fit < dres:
-                y, rd, dres = y_fit, rd_fit, dres_fit
-                dobj = float(b @ y - sum(np.vdot(blk.real_const, Zb).real
-                                         for blk, Zb in zip(blocks, Z)))
+                y, rd, dres = tau * y_fit, rd_fit, dres_fit
+                rg = kappa + float(c @ x) - float(b @ y) + F0Z
+                dobj = float(b @ y_fit) - F0Z / tau
                 relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
-        kappa = (sum(float(np.linalg.norm(rpb, "fro")) * float(np.linalg.norm(Zb, "fro"))
-                     for rpb, Zb in zip(rp, Z))
-                 + (float(np.linalg.norm(re_vec)) * float(np.linalg.norm(y)) if m else 0.0)
-                 + float(np.linalg.norm(rd)) * float(np.linalg.norm(x)))
+        wd_budget = (sum(float(np.linalg.norm(rpb, "fro")) * float(np.linalg.norm(Zb, "fro"))
+                         for rpb, Zb in zip(rp, Z))
+                     + float(np.linalg.norm(re_vec)) * float(np.linalg.norm(y))
+                     + float(np.linalg.norm(rd)) * float(np.linalg.norm(x))) / tau ** 2
         history.append(IterateRecord(
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
-            min_block_inner=min(inners), kappa=kappa, mu=mu,
+            min_block_inner=min(inners), kappa=wd_budget, mu=gap_inner / ntot,
             primal_res=pres, dual_res=dres, eq_res=eres))
         log.debug("it %3d  pobj %+.6e  dobj %+.6e  gap %.2e  pres %.2e  "
-                  "dres %.2e  eres %.2e", it, pobj, dobj, relgap, pres, dres, eres)
+                  "dres %.2e  eres %.2e  tau %.2e  hsd-kappa %.2e",
+                  it, pobj, dobj, relgap, pres, dres, eres, tau, kappa)
 
-        score = max(relgap, pres, dres, eres)
-        if best is None or score < best["score"]:
-            best = {"score": score, "x": x.copy(), "y": y.copy(),
-                    "Z": [Zb.copy() for Zb in Z], "pobj": pobj, "dobj": dobj,
-                    "relgap": relgap, "pres": pres, "dres": dres, "eres": eres,
-                    "it": it}
-
-        if relgap <= st.gap_tol and pres <= st.feas_tol and dres <= st.feas_tol \
-                and eres <= st.feas_tol:
-            status = "optimal"
-            break
-
+        converged = relgap <= st.gap_tol and pres <= st.feas_tol and eres <= st.feas_tol
+        accept, message = converged and dres <= st.feas_tol, ""
         # Degenerate optimal faces can leave the dual residual pinned at a
         # numerical floor a couple of decades above feas_tol while the gap
         # keeps shrinking far below gap_tol.  Once the gap has overshot the
         # request by 100x and the floor has persisted, accept the iterate and
         # report the floored residual honestly.
-        if relgap <= st.gap_tol and pres <= st.feas_tol and eres <= st.feas_tol \
-                and dres <= 1e3 * st.feas_tol:
+        if converged and not accept and dres <= 1e3 * st.feas_tol:
             floored += 1
             if floored >= 3 and (relgap <= 1e-2 * st.gap_tol or floored >= 10):
-                status = "optimal"
+                accept = True
                 message = (f"dual residual floored at {dres:.2e} "
                            "(degenerate optimal face); gap and primal "
                            "residuals fully converged")
-                break
-        else:
+        elif not accept:
             floored = 0
-
-        # --- divergence: look for certificates ---
-        nu_d = float(np.linalg.norm(y)) + sum(float(np.linalg.norm(Zb, "fro")) for Zb in Z)
-        if nu_d > 1e7:
-            hom = float(np.linalg.norm(c - rd))  # = ||A*(Z) + A^T y||
-            ray_obj = float((b @ y if m else 0.0)
-                            - sum(np.vdot(blk.real_const, Zb).real
-                                  for blk, Zb in zip(blocks, Z)))
-            if hom <= 1e-7 * nu_d * (1.0 + float(np.linalg.norm(c))) \
-                    and ray_obj > 1e-9 * nu_d:
-                status = "infeasible"
-                certificate = {
-                    "kind": "dual-ray",
-                    "y": y / nu_d,
-                    "z_blocks": [Zb / nu_d for Zb in Z],
-                    "violation": ray_obj / nu_d,
-                    "stationarity_residual": hom / nu_d,
-                }
-                message = "diverging dual iterates form an improving ray"
-                break
-        nu_p = float(np.linalg.norm(x))
-        if nu_p > 1e7:
-            xh = x / nu_p
-            eqn = float(np.linalg.norm(A @ xh)) if m else 0.0
-            psd_min = min(float(np.linalg.eigvalsh(_apply_lin(blk, xh))[0])
-                          for blk in blocks)
-            cobj = float(c @ xh)
-            if cobj < -1e-9 and eqn <= 1e-7 and psd_min >= -1e-7:
-                status = "unbounded"
-                certificate = {"kind": "primal-ray", "x": xh,
-                               "objective_slope": cobj,
-                               "eq_residual": eqn, "psd_violation": -min(psd_min, 0.0)}
-                message = "diverging primal iterates form an improving ray"
-                break
-        if max(nu_d, nu_p) > 1e11:
-            status = "numerical-failure"
-            message = "iterates diverged without a usable certificate"
+        if accept and (polished or it >= st.max_iter):
+            status = "optimal"
             break
+
+        # --- certificates: tau -> 0 while kappa stays positive ---
+        if tau < kappa and not accept:
+            violation = float(b @ y) - F0Z
+            station = float(np.linalg.norm(AZ + A.T @ y))
+            if violation > 0.0 and station <= st.feas_tol * violation:
+                status = "infeasible"
+                certificate = {"kind": "farkas", "y": y / violation,
+                               "z_blocks": [Zb / violation for Zb in Z],
+                               "violation": 1.0,
+                               "stationarity_residual": station / violation}
+                message = "Farkas certificate: tau -> 0 with b.y - <F0, Z> > 0"
+                break
+            slope = -float(c @ x)
+            ray_res = max(float(np.linalg.norm(Lb - Sb, "fro"))
+                          for Lb, Sb in zip(lin, S))
+            eq_ray = float(np.linalg.norm(A @ x))
+            if slope > 0.0 and max(ray_res, eq_ray) <= st.feas_tol * slope:
+                status = "unbounded"
+                certificate = {"kind": "primal-ray", "x": x / slope,
+                               "objective_slope": -1.0,
+                               "eq_residual": eq_ray / slope,
+                               "psd_violation": ray_res / slope}
+                message = "primal ray: tau -> 0 with c.x < 0"
+                break
 
         if it >= st.max_iter:
             status = "numerical-failure"
@@ -414,13 +413,13 @@ def solve(problem, settings=None):
             break
 
         # --- Nesterov-Todd scaling per block ---
-        failed = False
-        Rs, Rinvs, ds, Qs, rpps = [], [], [], [], []
+        Rs, Rinvs, ds, Qs, rpps, F0ts = [], [], [], [], [], []
         for blk, Sb, Zb, rpb in zip(blocks, S, Z, rp):
             Ls = _chol_jitter(Sb)
             Lz = _chol_jitter(Zb)
             if Ls is None or Lz is None:
-                failed = True
+                status = "numerical-failure"
+                message = "lost positive definiteness of an iterate"
                 break
             U, d, Vt = np.linalg.svd(Lz.T @ Ls)
             d = np.maximum(d, 1e-150)
@@ -434,81 +433,115 @@ def solve(problem, settings=None):
             ds.append(d)
             Qs.append(Q)
             rpps.append(Rinv @ rpb @ Rinv.T)
-        if failed:
-            status = "numerical-failure"
-            message = "lost positive definiteness of an iterate"
+            F0ts.append(Rinv @ blk.real_const @ Rinv.T)
+        if status:
             break
 
         M = np.zeros((t, t))
-        for blk, Q in zip(blocks, Qs):
+        f0 = np.zeros(t)
+        for blk, Q, F0t in zip(blocks, Qs, F0ts):
             if blk.var_idx.size:
                 Qf = Q.reshape(blk.var_idx.size, -1)
                 M[np.ix_(blk.var_idx, blk.var_idx)] += Qf @ Qf.T
-        Mf = None
-        ridge = 0.0
-        for _ in range(3):
-            try:
-                Mf = cho_factor(M + ridge * np.eye(t), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                ridge = 1e-12 * max(1.0, float(np.max(np.diag(M)))) if ridge == 0.0 \
-                    else ridge * 1e4
+                f0[blk.var_idx] += Qf @ F0t.ravel()
+        Mf = _chol_ridge(M)
         if Mf is None:
             status = "numerical-failure"
             message = "scaled normal matrix is numerically singular"
             break
+        # L^-1 and M^-1 of [A^T, c, f0] in one pass: the Schur complement
+        # of the equality rows is G^T G with G = L^-1 A^T, PSD as computed,
+        # and the tau column below needs the other two.
+        half = solve_triangular(Mf[0], np.column_stack([A.T, c, f0]), lower=True)
+        cols = solve_triangular(Mf[0], half, lower=True, trans="T")
+        V, mc, mf = cols[:, :m], cols[:, m], cols[:, m + 1]
         if m:
-            V = cho_solve(Mf, A.T)
-            Schur = A @ V
-            Schurf = None
-            ridge = 0.0
-            for _ in range(3):
-                try:
-                    Schurf = cho_factor(Schur + ridge * np.eye(m), lower=True)
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = 1e-12 * max(1.0, float(np.max(np.diag(Schur)))) \
-                        if ridge == 0.0 else ridge * 1e4
+            Schurf = _chol_ridge(half[:, :m].T @ half[:, :m])
             if Schurf is None:
                 status = "numerical-failure"
                 message = "equality Schur complement is numerically singular"
                 break
 
-        def kkt_solve(Ks):
-            h = -rd.copy()
+        def fixed_tau_step(h, r):
+            u = cho_solve(Mf, h)
+            if m:
+                v = cho_solve(Schurf, r - A @ u)
+                return u + V @ v, v
+            return u, np.zeros(0)
+
+        def scaled_adjoint(Ks):
+            h = np.zeros(t)
             for blk, Q, Kb in zip(blocks, Qs, Ks):
                 if blk.var_idx.size:
                     h[blk.var_idx] += np.einsum("ijk,jk->i", Q, Kb)
-            u = cho_solve(Mf, h)
-            if m:
-                dy = cho_solve(Schurf, re_vec - A @ u)
-                dx = u + V @ dy
-            else:
-                dy = np.zeros(0)
-                dx = u
-            return dx, dy
+            return h
 
-        def directions(dx, Ks):
+        def directions(dx, dtau, Ks):
             dSp, dZp = [], []
-            for blk, Q, Kb, rppb in zip(blocks, Qs, Ks, rpps):
-                lin = np.einsum("i,ijk->jk", dx[blk.var_idx], Q) if blk.var_idx.size \
-                    else np.zeros((blk.real_dim, blk.real_dim))
-                dSp.append(lin + rppb)
-                dZp.append(Kb - lin)
+            for blk, Q, Kb, rppb, F0t in zip(blocks, Qs, Ks, rpps, F0ts):
+                lin_b = dtau * F0t
+                if blk.var_idx.size:
+                    lin_b = lin_b + np.einsum("i,ijk->jk", dx[blk.var_idx], Q)
+                dSp.append(lin_b + rppb)
+                dZp.append(Kb - lin_b)
             return dSp, dZp
 
+        # the affine-scaling target S~ Z~ = 0, so dS~ + dZ~ = -D
+        Ks_aff = [-np.diag(d) - rppb for d, rppb in zip(ds, rpps)]
+        if accept:
+            # The residuals of the embedding shrink with mu but never vanish,
+            # so x/tau still violates the blocks by about pres.  A last step
+            # moves x and S alone along the affine-scaling direction at fixed
+            # tau: a full step zeros the primal and equality residuals, and
+            # the move toward the optimal face sharpens the primal solution.
+            dx = fixed_tau_step(scaled_adjoint(Ks_aff) - rd, re_vec)[0]
+            dSp = directions(dx, 0.0, Ks_aff)[0]
+            ap = min(1.0, STEP_FRACTION * min(_step_bound(d, dS) for d, dS in zip(ds, dSp)))
+            x = x + ap * dx
+            S = [R @ (np.diag(d) + ap * dS) @ R.T for R, d, dS in zip(Rs, ds, dSp)]
+            polished = True
+            it += 1
+            continue
+
+        # The tau column: [dx; dy] = [u; v] + dtau [p; q] with [u; v] the
+        # Newton step at fixed tau and [p; q] solving the same system for
+        # the right-hand side [-(c + f0); b].  The pivot den is negative and
+        # is summed from its sign-definite parts: near a degenerate optimum
+        # ||F0~||^2 and f0^T M^-1 f0 grow large and nearly equal, and their
+        # difference alone can round to exactly 0.
+        quad_c = float(half[:, m] @ half[:, m])
+        quad_f = max(sum(float(np.vdot(F0t, F0t)) for F0t in F0ts)
+                     - float(half[:, m + 1] @ half[:, m + 1]), 0.0)
+        if m:
+            Amc, bf = A @ mc, b + A @ mf
+            qc, qb = cho_solve(Schurf, np.column_stack([Amc, bf])).T
+            quad_c = max(quad_c - float(Amc @ qc), 0.0)
+            quad_f += max(float(bf @ qb), 0.0)
+            q = qc + qb
+        else:
+            q = np.zeros(0)
+        p = V @ q - mc - mf
+        den = -(quad_c + quad_f + kappa / tau)
+
+        def kkt_solve(Ks, rtk):
+            u, v = fixed_tau_step(scaled_adjoint(Ks) - rd, re_vec)
+            r4 = -rg - sum(float(np.vdot(F0t, Kb)) for F0t, Kb in zip(F0ts, Ks)) - rtk / tau
+            dtau = (r4 - float((c - f0) @ u) + float(b @ v)) / den
+            return u + dtau * p, v + dtau * q, dtau, (rtk - kappa * dtau) / tau
+
+        def step_bound(dSp, dZp, dtau, dkappa):
+            return min(min(_step_bound(d, dS) for d, dS in zip(ds, dSp)),
+                       min(_step_bound(d, dZ) for d, dZ in zip(ds, dZp)),
+                       -tau / dtau if dtau < 0.0 else np.inf,
+                       -kappa / dkappa if dkappa < 0.0 else np.inf)
+
         # predictor
-        Ks_aff = []
-        for d, rppb in zip(ds, rpps):
-            Rc = -np.diag(d * d)
-            G = 2.0 * Rc / np.add.outer(d, d)
-            Ks_aff.append(G - rppb)
-        dx_a, dy_a = kkt_solve(Ks_aff)
-        dSp_a, dZp_a = directions(dx_a, Ks_aff)
-        ap_a = min(1.0, min(_step_bound(d, dS) for d, dS in zip(ds, dSp_a)))
-        ad_a = min(1.0, min(_step_bound(d, dZ) for d, dZ in zip(ds, dZp_a)))
-        mu_aff = sum(float(np.vdot(np.diag(d) + ap_a * dS, np.diag(d) + ad_a * dZ).real)
-                     for d, dS, dZ in zip(ds, dSp_a, dZp_a)) / ntot
+        dx_a, dy_a, dt_a, dk_a = kkt_solve(Ks_aff, -tau * kappa)
+        dSp_a, dZp_a = directions(dx_a, dt_a, Ks_aff)
+        a_a = min(1.0, step_bound(dSp_a, dZp_a, dt_a, dk_a))
+        mu_aff = (sum(float(np.vdot(np.diag(d) + a_a * dS, np.diag(d) + a_a * dZ))
+                      for d, dS, dZ in zip(ds, dSp_a, dZp_a))
+                  + (tau + a_a * dt_a) * (kappa + a_a * dk_a)) / (ntot + 1)
         sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
         # corrector
@@ -518,14 +551,11 @@ def solve(problem, settings=None):
             Rc = sigma * mu * np.eye(d.size) - np.diag(d * d) - cross
             G = 2.0 * Rc / np.add.outer(d, d)
             Ks.append(G - rppb)
-        dx, dy = kkt_solve(Ks)
-        dSp, dZp = directions(dx, Ks)
-        ap = min(1.0, STEP_FRACTION * min(_step_bound(d, dS)
-                                          for d, dS in zip(ds, dSp)))
-        ad = min(1.0, STEP_FRACTION * min(_step_bound(d, dZ)
-                                          for d, dZ in zip(ds, dZp)))
+        dx, dy, dtau, dkappa = kkt_solve(Ks, sigma * mu - tau * kappa - dt_a * dk_a)
+        dSp, dZp = directions(dx, dtau, Ks)
+        alpha = min(1.0, STEP_FRACTION * step_bound(dSp, dZp, dtau, dkappa))
 
-        if ap < 1e-10 and ad < 1e-10:
+        if alpha < 1e-10:
             stall += 1
             if stall >= 3:
                 status = "numerical-failure"
@@ -534,48 +564,24 @@ def solve(problem, settings=None):
         else:
             stall = 0
 
-        x = x + ap * dx
-        if m:
-            y = y + ad * dy
+        x = x + alpha * dx
+        y = y + alpha * dy
+        tau += alpha * dtau
+        kappa += alpha * dkappa
         S_new, Z_new = [], []
         for R, Rinv, d, dS, dZ in zip(Rs, Rinvs, ds, dSp, dZp):
-            Sb = R @ (np.diag(d) + ap * dS) @ R.T
-            Zb = Rinv.T @ (np.diag(d) + ad * dZ) @ Rinv
+            Sb = R @ (np.diag(d) + alpha * dS) @ R.T
+            Zb = Rinv.T @ (np.diag(d) + alpha * dZ) @ Rinv
             S_new.append(0.5 * (Sb + Sb.T))
             Z_new.append(0.5 * (Zb + Zb.T))
         S, Z = S_new, Z_new
         it += 1
 
-    if status == "optimal":
-        out_x, out_y, out_Z = x, y, Z
-        out = {"pobj": pobj, "dobj": dobj, "relgap": relgap,
-               "pres": pres, "dres": dres, "eres": eres, "it": it}
-        if message and best is not None \
-                and best["score"] < max(relgap, pres, dres, eres):
-            out_x, out_y, out_Z = best["x"], best["y"], best["Z"]
-            out = best
-            message = (f"dual residual floored at {out['dres']:.2e} "
-                       "(degenerate optimal face); gap and primal "
-                       "residuals fully converged")
-    else:
-        out_x, out_y, out_Z = best["x"], best["y"], best["Z"]
-        out = best
     return SdpSolution(
-        status=status,
-        x=out_x,
-        y=out_y,
-        z_blocks=out_Z,
-        objective=out["pobj"],
-        dual_objective=out["dobj"],
-        duality_gap=out["relgap"],
-        primal_residual=out["pres"],
-        dual_residual=out["dres"],
-        equality_residual=out["eres"],
-        iterations=it,
-        history=history,
-        certificate=certificate,
-        message=message,
-    )
+        status=status, x=x / tau, y=y / tau, z_blocks=[Zb / tau for Zb in Z],
+        objective=pobj, dual_objective=dobj, duality_gap=relgap,
+        primal_residual=pres, dual_residual=dres, equality_residual=eres,
+        iterations=it, history=history, certificate=certificate, message=message)
 
 
 def feasibility_problem(problem):
@@ -632,26 +638,16 @@ def check_feasible(problem, settings=None, margin=1e-8):
         return sol
     tstar = float(sol.x[-1])
     if tstar <= margin:
-        return SdpSolution(
-            status="optimal", x=sol.x[:-1].copy(), y=sol.y, z_blocks=sol.z_blocks,
-            objective=tstar, dual_objective=sol.dual_objective,
-            duality_gap=sol.duality_gap, primal_residual=sol.primal_residual,
-            dual_residual=sol.dual_residual, equality_residual=sol.equality_residual,
-            iterations=sol.iterations, history=sol.history,
-            message=f"feasible with uniform margin {-tstar:.3e}")
+        return replace(sol, x=sol.x[:-1].copy(), objective=tstar,
+                       message=f"feasible with uniform margin {-tstar:.3e}")
     nblk = len(problem.blocks)
     y = sol.y
     zs = sol.z_blocks[:nblk]
-    station = _adjoint(problem.blocks, zs, problem.num_vars) + (A.T @ y if m else 0.0)
-    violation = float((b @ y if m else 0.0)
-                      - sum(np.vdot(blk.real_const, Zb).real
-                            for blk, Zb in zip(problem.blocks, zs)))
-    return SdpSolution(
-        status="infeasible", x=sol.x[:-1].copy(), y=y, z_blocks=zs,
-        objective=tstar, dual_objective=sol.dual_objective,
-        duality_gap=sol.duality_gap, primal_residual=sol.primal_residual,
-        dual_residual=sol.dual_residual, equality_residual=sol.equality_residual,
-        iterations=sol.iterations, history=sol.history,
+    station = _adjoint(problem.blocks, zs, problem.num_vars) + A.T @ y
+    violation = float(b @ y) - sum(float(np.vdot(blk.real_const, Zb))
+                                   for blk, Zb in zip(problem.blocks, zs))
+    return replace(
+        sol, status="infeasible", x=sol.x[:-1].copy(), z_blocks=zs, objective=tstar,
         certificate={"kind": "farkas", "y": y, "z_blocks": zs,
                      "violation": violation,
                      "stationarity_residual": float(np.max(np.abs(station))),

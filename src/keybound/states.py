@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sdp import _finite
+
 HERM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIG_FLOOR = -1e-9
@@ -26,7 +28,7 @@ class DensityOperator:
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _finite(np.asarray(self.matrix, dtype=complex), "matrix")
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")

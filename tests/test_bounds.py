@@ -120,8 +120,8 @@ def test_find_cutoff_bracket_edges(kind):
     assert abs(cut - e_star) <= 1e-6
     with pytest.raises(ValueError, match="lower bracket"):
         find_cutoff(kind, tol=1e-4, bracket=(e_star + 1e-5, 0.25))
-    # The four-state threshold solve diverges here without a clean
-    # infeasibility certificate; the bracket must still be named.
+    # The threshold solve ends in a Farkas certificate here, and the
+    # bracket must be named from it.
     with pytest.raises(ValueError, match="upper bracket"):
         find_cutoff(kind, tol=1e-4, bracket=(0.0, 0.1))
 

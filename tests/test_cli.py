@@ -128,6 +128,27 @@ def test_custom_protocol_file(tmp_path, capsys):
     assert lam == pytest.approx(0.05 / (0.5 * (1 - 1 / np.sqrt(2))), abs=1e-5)
 
 
+def test_custom_protocol_with_nan_probability_exits_2(tmp_path, capsys):
+    alice, bob = four_state_povms()
+    data = simulate_observed_data(depolarized_bell(0.05), (alice, bob))
+
+    def povm_json(p):
+        return [{"label": l, "basis": ba, "bit": bi,
+                 "matrix": {"re": m.real.tolist(), "im": m.imag.tolist()}}
+                for l, ba, bi, m in zip(p.labels, p.bases, p.bits, p.elements)]
+
+    records = [{"alice": la, "bob": lb, "p": p}
+               for (la, lb), p in data.entries().items()]
+    records[0]["p"] = float("nan")
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps({"dims": [2, 2], "alice_povm": povm_json(alice),
+                                "bob_povm": povm_json(bob), "probabilities": records}))
+    code = main(["bound", "--protocol", "custom", "--custom-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "probs has a non-finite entry" in captured.err
+
+
 def test_custom_without_file_errors():
     with pytest.raises(ValueError):
         run(build_parser().parse_args(["bound", "--protocol", "custom"]))

@@ -367,6 +367,45 @@ def test_threshold_rejects_classes_with_different_rows():
                                 six_state_class(0.25), (0.0, 0.25))
 
 
+def four_state_class(e, direction, source_constraint):
+    spec = ProtocolSpec("four-state", e=e, direction=direction,
+                        source_constraint=source_constraint)
+    povms, data, _ = realize_protocol(spec)
+    return assemble_class(povms, data, spec)
+
+
+@pytest.mark.parametrize("source_constraint", [None, True, False])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("hi", [0.02, 0.04, 0.06, 0.08, 0.10, 0.12])
+def test_threshold_certifies_non_extendible_upper_bracket(hi, direction,
+                                                          source_constraint,
+                                                          monkeypatch):
+    # Every four-state class below the cutoff (~0.146) is non-extendible,
+    # so the threshold program over (0, hi) is infeasible; its certificate
+    # must check against the program that was solved.
+    problems = []
+
+    def spy(problem, settings):
+        problems.append(problem)
+        return solve(problem, settings)
+
+    monkeypatch.setattr(extendibility, "solve", spy)
+    sol = extendibility_threshold(four_state_class(0.0, direction, source_constraint),
+                                  four_state_class(hi, direction, source_constraint),
+                                  (0.0, hi))
+    assert sol.status == "infeasible", sol.message
+    (problem,) = problems
+    y, zs = sol.certificate["y"], sol.certificate["z_blocks"]
+    assert min(float(np.linalg.eigvalsh(zb)[0]) for zb in zs) >= -1e-9
+    station = problem.eq_rows.T @ y
+    for blk, zb in zip(problem.blocks, zs):
+        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.real_mats, zb)
+    assert np.linalg.norm(station) <= 1e-6
+    violation = problem.eq_rhs @ y - sum(np.vdot(blk.real_const, zb)
+                                         for blk, zb in zip(problem.blocks, zs))
+    assert violation > 0.0
+
+
 def reference_lambda(cls):
     problem, lam_idx = three_block_reference(cls)
     sol = solve(problem, SolverSettings())

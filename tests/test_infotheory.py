@@ -22,6 +22,16 @@ def test_entropy_rejects_negative():
         shannon_entropy(np.array([1.1, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_joint_distribution_rejects_non_finite(bad):
+    # every comparison with nan is False, so the range and sum checks
+    # alone let it through and the mutual information read 0.0
+    with pytest.raises(ValueError, match="probabilities has a non-finite entry"):
+        mutual_information([[bad, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValueError, match="probabilities has a non-finite entry"):
+        JointDistribution(np.array([[bad, 0.5], [0.25, 0.25]]))
+
+
 def test_entropy_tolerates_tiny_negative():
     assert shannon_entropy(np.array([1.0, -1e-14])) == pytest.approx(0.0, abs=1e-10)
 

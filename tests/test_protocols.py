@@ -6,7 +6,8 @@ import pytest
 from keybound.basis import build_basis
 from keybound.infotheory import mutual_information
 from keybound.protocols import (
-    InconsistentDataError, ObservedData, Povm, ProtocolSpec, assemble_class,
+    EquivalenceClassSpec, InconsistentDataError, ObservedData, Povm,
+    ProtocolSpec, assemble_class,
     class_from_state, four_state_povms, full_joint, load_protocol,
     matched_key_distribution, povm_coefficients, qber, realize_protocol,
     simulate_observed_data, six_state_povms, trivial_class,
@@ -30,6 +31,28 @@ def test_povm_validation():
     bad = np.array([[0.6, 0.5], [0.5, 0.6]])
     with pytest.raises(ValueError):
         Povm(elements=(bad, e - bad), labels=("a", "b"))  # negative eigenvalue
+
+
+def _build_with(field, bad):
+    """A Povm, ObservedData or EquivalenceClassSpec, valid but for one
+    entry of field, which is bad."""
+    half = 0.5 * np.eye(2)
+    parts = {"elements": half.copy(), "probs": np.full((2, 2), 0.25),
+             "rows": np.eye(1, 16), "rhs": np.ones(1)}
+    parts[field].flat[0] = bad
+    if field == "elements":
+        return Povm(elements=(parts["elements"], half), labels=("a", "b"))
+    if field == "probs":
+        return ObservedData(probs=parts["probs"], alice_labels=("a", "b"),
+                            bob_labels=("a", "b"))
+    return EquivalenceClassSpec(dims=(2, 2), rows=parts["rows"], rhs=parts["rhs"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["elements", "probs", "rows", "rhs"])
+def test_non_finite_inputs_rejected(field, bad):
+    with pytest.raises(ValueError, match=rf"^{field} has a non-finite entry"):
+        _build_with(field, bad)
 
 
 @pytest.mark.parametrize("e", [0.0, 0.03, 0.11])

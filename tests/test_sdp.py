@@ -132,6 +132,21 @@ def test_infeasible_gives_certificate():
         assert float(np.linalg.eigvalsh(zb)[0]) >= -1e-9
 
 
+def test_solve_certifies_infeasibility_directly():
+    # x >= 1 and -x >= 0: tau -> 0 in the embedding and (y, Z) becomes a
+    # Farkas pair, in the format check_feasible reports
+    blocks = [scalar_block(-1.0, 1.0), scalar_block(0.0, -1.0)]
+    sol = solve(SdpProblem(c=np.array([1.0]), blocks=blocks))
+    assert sol.status == "infeasible"
+    cert = sol.certificate
+    assert cert["kind"] == "farkas"
+    assert set(cert) >= {"y", "z_blocks", "violation", "stationarity_residual"}
+    z = [float(zb[0, 0]) for zb in cert["z_blocks"]]
+    assert min(z) >= 0.0
+    assert abs(z[0] - z[1]) <= 1e-6  # A*(Z) = z0 - z1
+    assert cert["violation"] == pytest.approx(z[0]) and z[0] > 0.0  # -<F0, Z>
+
+
 def test_feasible_returns_strict_point():
     prob = SdpProblem(c=np.array([1.0]), blocks=[scalar_block(-1.0, 1.0)])
     verdict = check_feasible(prob)
@@ -204,7 +219,7 @@ def test_non_finite_data_rejected(field, bad):
                    eq_rhs=parts["eq_rhs"])
 
 
-def test_iteration_cap_returns_best_iterate():
+def test_iteration_cap_returns_last_iterate():
     rng = np.random.default_rng(8)
     prob = random_box_sdp(rng)
     sol = solve(prob, SolverSettings(max_iter=2))

@@ -23,6 +23,14 @@ def test_density_operator_validates():
         DensityOperator(np.diag([1.5, -0.5]).astype(complex), dims=(2,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_operator_rejects_non_finite(bad):
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+        DensityOperator(mat, dims=(2,))
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(11)
     a = random_density(rng, 2)
