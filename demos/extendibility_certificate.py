@@ -24,7 +24,7 @@ E = 0.10
 
 def main():
     spec = ProtocolSpec.six_state(E)
-    povms, data, marginal = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     res = best_extendible_decomposition(cls)
 
@@ -65,7 +65,7 @@ def main():
     print()
     for e_probe in (0.16, 0.17):
         probe = ProtocolSpec.six_state(e_probe)
-        p_povms, p_data, _ = realize_protocol(probe)
+        p_povms, p_data = realize_protocol(probe)
         flag = is_extendible(assemble_class(p_povms, p_data, probe))
         print(f"is_extendible(six-state, e={e_probe}) = {flag}")
 

@@ -17,10 +17,14 @@ with d the total dimension, and the coefficients r are real.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Largest tolerated entry of op - op^dagger in expand.
+HERM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,18 @@ class OperatorBasis:
     def __len__(self):
         return len(self.elements)
 
-    @property
+    @functools.cached_property
     def stack(self):
-        """All elements as one (n^2, n, n) array."""
-        return np.stack(self.elements)
+        """All elements as one read-only (n^2, n, n) array."""
+        stack = np.stack(self.elements)
+        stack.setflags(write=False)
+        return stack
 
 
+@functools.lru_cache(maxsize=8)
 def build_basis(dim):
-    """Construct the scaled Gell-Mann basis for one subsystem.
+    """Construct the scaled Gell-Mann basis for one subsystem, once per
+    dimension; every caller shares the read-only result.
 
     Parameters
     ----------
@@ -64,31 +72,23 @@ def build_basis(dim):
     if dim < 2:
         raise ValueError(f"basis needs dimension >= 2, got {dim}")
     scale = math.sqrt(dim / 2.0)
-    elements = [np.eye(dim, dtype=complex)]
-    # symmetric off-diagonal: (|j><k| + |k><j|)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            elements.append(scale * m)
-    # antisymmetric off-diagonal: (-i|j><k| + i|k><j|)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            elements.append(scale * m)
+    stack = np.zeros((dim * dim, dim, dim), dtype=complex)
+    stack[0] = np.eye(dim)
+    # over j < k in row-major order: symmetric off-diagonal (|j><k| + |k><j|),
+    # then antisymmetric off-diagonal (-i|j><k| + i|k><j|)
+    j, k = np.triu_indices(dim, 1)
+    sym = np.arange(1, len(j) + 1)
+    stack[sym, j, k] = stack[sym, k, j] = scale
+    stack[sym + len(j), j, k] = -1.0j * scale
+    stack[sym + len(j), k, j] = 1.0j * scale
     # diagonal: sqrt(2/(l(l+1))) * diag(1, ..., 1, -l, 0, ..., 0)
     for l in range(1, dim):
         v = np.zeros(dim)
         v[:l] = 1.0
         v[l] = -l
-        m = np.diag(v).astype(complex) * math.sqrt(2.0 / (l * (l + 1)))
-        elements.append(scale * m)
-    for m in elements:
-        m.setflags(write=False)
-    return OperatorBasis(dim=dim, elements=tuple(elements))
+        stack[2 * len(j) + l] = scale * (np.diag(v) * math.sqrt(2.0 / (l * (l + 1))))
+    stack.setflags(write=False)
+    return OperatorBasis(dim=dim, elements=tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class CoefficientVector:
         return self.coeffs.ravel()
 
 
-def expand(op, bases, herm_tol=1e-8):
+def expand(op, bases):
     """Expand a Hermitian operator over tensor products of basis elements.
 
     Parameters
@@ -115,8 +115,6 @@ def expand(op, bases, herm_tol=1e-8):
         Square matrix on the tensor product of the given subsystems.
     bases : sequence of OperatorBasis
         One basis per tensor factor, in order.
-    herm_tol : float
-        Largest tolerated entry of op - op^dagger.
 
     Returns
     -------
@@ -129,7 +127,7 @@ def expand(op, bases, herm_tol=1e-8):
     op = np.asarray(op, dtype=complex)
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match dims {dims}")
-    if np.max(np.abs(op - op.conj().T)) > herm_tol:
+    if np.max(np.abs(op - op.conj().T)) > HERM_TOL:
         raise ValueError("operator is not Hermitian within tolerance")
     s = len(dims)
     T = op.reshape(dims + dims)  # axes i_1..i_s, j_1..j_s

@@ -77,7 +77,7 @@ def one_way_upper_bound(spec, settings=None, lam_tol=LAMBDA_TOL):
     Solver breakdowns are not raised: the returned point carries
     status "failed" with NaN numbers.
     """
-    povms, data, _ = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     try:
         qber_val = qber(cls.data) if cls.data is not None \
@@ -164,7 +164,7 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
 
     def class_at(e):
         cls_spec = replace(base, e=float(e))
-        povms, data, _ = realize_protocol(cls_spec)
+        povms, data = realize_protocol(cls_spec)
         return assemble_class(povms, data, cls_spec)
 
     lo, hi = float(bracket[0]), float(bracket[1])

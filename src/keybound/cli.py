@@ -224,7 +224,7 @@ def run(args):
         from .protocols import assemble_class, realize_protocol
 
         spec = _spec_from_args(args)
-        povms, data, _ = realize_protocol(spec)
+        povms, data = realize_protocol(spec)
         cls = assemble_class(povms, data, spec)
         res = best_extendible_decomposition(cls, settings=settings,
                                             lam_tol=args.lambda_tol)

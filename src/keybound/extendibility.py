@@ -51,6 +51,9 @@ LAMBDA_TOL = 1e-6
 CLIP_TOL = 1e-7
 # Eigenvalues of a pinned rho at most this large count as its kernel.
 SUPPORT_TOL = 1e-9
+# Residual bounds and eigenvalue floor of verify_extension.
+VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
+                     "marginal": 1e-8, "psd_floor": -1e-9}
 
 
 def _check_lam_tol(lam_tol):
@@ -242,16 +245,16 @@ class ExtendibilityResult:
     diagnostics: dict
 
 
-def _to_density(mat, dims, diagnostics, name, clip_tol=CLIP_TOL):
+def _to_density(mat, dims, diagnostics, name):
     """Wrap near-PSD solver output as a DensityOperator, clipping tiny
     negative eigenvalues and renormalizing the trace."""
     mat = 0.5 * (mat + mat.conj().T)
     w, V = np.linalg.eigh(mat)
     lo = float(w[0])
-    if lo < -clip_tol:
+    if lo < -CLIP_TOL:
         raise SolverError(
             f"{name} from the solver has eigenvalue {lo}, beyond the "
-            f"clipping budget {clip_tol}")
+            f"clipping budget {CLIP_TOL}")
     clipped = np.clip(w, 0.0, None)
     mat = (V * clipped) @ V.conj().T
     tr = float(np.trace(mat).real)
@@ -464,8 +467,7 @@ class ExtensionReport:
     passed: bool
 
 
-def verify_extension(result, decomp_tol=1e-7, swap_tol=1e-9,
-                     ptrace_tol=1e-8, marginal_tol=1e-8, psd_floor=-1e-9):
+def verify_extension(result):
     """Check the reported decomposition against its defining equations."""
     layout = result.layout
     da, db = layout.dims
@@ -511,12 +513,11 @@ def verify_extension(result, decomp_tol=1e-7, swap_tol=1e-9,
             else ne_part)[0]),
         "chi": float(np.linalg.eigvalsh(chi_mat)[0]),
     }
-    tolerances = {"decomposition": decomp_tol, "swap": swap_tol,
-                  "partial_trace": ptrace_tol, "marginal": marginal_tol,
-                  "psd_floor": psd_floor}
-    passed = (decomp <= decomp_tol and swap_res <= swap_tol
-              and ptrace_res <= ptrace_tol and marginal_res <= marginal_tol
-              and all(v >= psd_floor for v in eigs.values()))
+    tol = VERIFY_TOLERANCES
+    passed = (decomp <= tol["decomposition"] and swap_res <= tol["swap"]
+              and ptrace_res <= tol["partial_trace"]
+              and marginal_res <= tol["marginal"]
+              and all(v >= tol["psd_floor"] for v in eigs.values()))
     return ExtensionReport(
         lambda_max=lam,
         decomposition_residual=decomp,
@@ -524,6 +525,6 @@ def verify_extension(result, decomp_tol=1e-7, swap_tol=1e-9,
         partial_trace_residual=ptrace_res,
         marginal_residual=marginal_res,
         min_eigenvalues=eigs,
-        tolerances=tolerances,
+        tolerances=dict(tol),
         passed=passed,
     )

@@ -20,16 +20,17 @@ the depolarized family shows error probability e in each.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import build_basis, expand
 from .infotheory import JointDistribution
 from .sdp import _finite
-from .states import DensityOperator
+from .states import DensityOperator, depolarized_bell
 
 PSD_ATOL = 1e-10
 COMPLETE_ATOL = 1e-10
@@ -40,6 +41,19 @@ CONSISTENCY_TOL = 1e-8
 
 class InconsistentDataError(ValueError):
     """No state can reproduce the observed probabilities."""
+
+
+def _key_metadata(bases, bits, n, who):
+    """Per-outcome (basis, bit) metadata as (str tuple, int tuple), or
+    (None, None); both present or both absent, one entry per outcome."""
+    if (bases is None) != (bits is None):
+        raise ValueError(f"{who}: bases and bits must be given together")
+    if bases is None:
+        return None, None
+    if len(bases) != n or len(bits) != n:
+        raise ValueError(f"{who}: bases/bits must have one entry per outcome, "
+                         f"got {len(bases)}/{len(bits)} for {n}")
+    return tuple(str(b) for b in bases), tuple(int(b) for b in bits)
 
 
 @dataclass(frozen=True)
@@ -56,38 +70,37 @@ class Povm:
     bits: tuple | None = None
 
     def __post_init__(self):
-        elements = tuple(_finite(np.asarray(m, dtype=complex), "elements")
-                         for m in self.elements)
-        if not elements:
+        mats = [np.asarray(m, dtype=complex) for m in self.elements]
+        if not mats:
             raise ValueError("POVM needs at least one element")
-        d = elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for m in elements:
-            if m.shape != (d, d):
-                raise ValueError("POVM elements must share one square shape")
-            if np.max(np.abs(m - m.conj().T)) > PSD_ATOL:
-                raise ValueError("POVM element is not Hermitian within 1e-10")
-            if float(np.linalg.eigvalsh(m)[0]) < -PSD_ATOL:
-                raise ValueError("POVM element has eigenvalue below -1e-10")
-            total = total + m
-        if np.max(np.abs(total - np.eye(d))) > COMPLETE_ATOL:
+        shape = mats[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
+            raise ValueError("POVM elements must share one square shape")
+        stack = _finite(np.stack(mats), "elements")
+        if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > PSD_ATOL:
+            raise ValueError("POVM element is not Hermitian within 1e-10")
+        if float(np.linalg.eigvalsh(stack)[:, 0].min()) < -PSD_ATOL:
+            raise ValueError("POVM element has eigenvalue below -1e-10")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(shape[0]))) > COMPLETE_ATOL:
             raise ValueError("POVM elements do not sum to the identity within 1e-10")
         labels = tuple(str(s) for s in self.labels)
-        if len(labels) != len(elements):
+        if len(labels) != len(mats):
             raise ValueError("one label per element required")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique")
-        if (self.bases is None) != (self.bits is None):
-            raise ValueError("bases and bits must be given together")
-        if self.bases is not None:
-            if len(self.bases) != len(elements) or len(self.bits) != len(elements):
-                raise ValueError("bases/bits must have one entry per element")
-            object.__setattr__(self, "bases", tuple(str(b) for b in self.bases))
-            object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        for m in elements:
-            m.setflags(write=False)
-        object.__setattr__(self, "elements", elements)
+        bases, bits = _key_metadata(self.bases, self.bits, len(mats), "POVM")
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "bits", bits)
+
+    @functools.cached_property
+    def stack(self):
+        """All elements as one read-only (n, d, d) array."""
+        stack = np.stack(self.elements)
+        stack.setflags(write=False)
+        return stack
 
     @property
     def dim(self):
@@ -123,35 +136,40 @@ def _binary_povm(basis_names, weights, flip_y_bits):
     return Povm(tuple(elements), tuple(labels), tuple(bases), tuple(bits))
 
 
+@functools.lru_cache(maxsize=8)
+def _qubit_povms(basis_names, weights):
+    if (len(weights) != len(basis_names) or abs(sum(weights) - 1.0) > 1e-12
+            or min(weights) <= 0):
+        raise ValueError(f"need {len(basis_names)} positive basis weights summing to 1")
+    return (_binary_povm(basis_names, weights, flip_y_bits=False),
+            _binary_povm(basis_names, weights, flip_y_bits=True))
+
+
 def four_state_povms(weights=(0.5, 0.5)):
-    """Alice and Bob POVMs for the four-state (x/z bases) protocol."""
-    if len(weights) != 2 or abs(sum(weights) - 1.0) > 1e-12 or min(weights) <= 0:
-        raise ValueError("need two positive basis weights summing to 1")
-    alice = _binary_povm(("X", "Z"), weights, flip_y_bits=False)
-    bob = _binary_povm(("X", "Z"), weights, flip_y_bits=False)
-    return alice, bob
+    """Alice and Bob POVMs for the four-state (x/z bases) protocol, built
+    once per weights; every caller shares the read-only result."""
+    return _qubit_povms(("X", "Z"), tuple(weights))
 
 
 def six_state_povms(weights=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)):
-    """Alice and Bob POVMs for the six-state (x/y/z bases) protocol.
+    """Alice and Bob POVMs for the six-state (x/y/z bases) protocol, built
+    once per weights; every caller shares the read-only result.
 
     Bob's y-basis bit labels are inverted (bit 0 tags the -1 eigenvector)
     so matched outcomes on the Bell family correlate rather than
     anticorrelate.
     """
-    if len(weights) != 3 or abs(sum(weights) - 1.0) > 1e-12 or min(weights) <= 0:
-        raise ValueError("need three positive basis weights summing to 1")
-    alice = _binary_povm(("X", "Y", "Z"), weights, flip_y_bits=False)
-    bob = _binary_povm(("X", "Y", "Z"), weights, flip_y_bits=True)
-    return alice, bob
+    return _qubit_povms(("X", "Y", "Z"), tuple(weights))
 
 
 @dataclass(frozen=True)
 class ObservedData:
     """Joint outcome probabilities for one pair of POVMs.
 
-    probs[i, j] is the probability of Alice label i with Bob label j;
-    label order matches the POVMs the data came from.
+    probs[i, j] is the probability of Alice label i with Bob label j.
+    Each party's labels are those of its POVM, in any order;
+    assemble_class matches them by label.  bases/bits are optional
+    per-label key metadata, as on Povm.
     """
 
     probs: np.ndarray
@@ -173,16 +191,19 @@ class ObservedData:
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "alice_labels", tuple(self.alice_labels))
-        object.__setattr__(self, "bob_labels", tuple(self.bob_labels))
+        for party in ("alice", "bob"):
+            labels = tuple(getattr(self, f"{party}_labels"))
+            bases, bits = _key_metadata(getattr(self, f"{party}_bases"),
+                                        getattr(self, f"{party}_bits"), len(labels), party)
+            object.__setattr__(self, f"{party}_labels", labels)
+            object.__setattr__(self, f"{party}_bases", bases)
+            object.__setattr__(self, f"{party}_bits", bits)
 
     def entries(self):
         """The table as a dict {(alice label, bob label): probability}."""
-        out = {}
-        for i, la in enumerate(self.alice_labels):
-            for j, lb in enumerate(self.bob_labels):
-                out[(la, lb)] = float(self.probs[i, j])
-        return out
+        return {(la, lb): float(self.probs[i, j])
+                for i, la in enumerate(self.alice_labels)
+                for j, lb in enumerate(self.bob_labels)}
 
     def swapped(self):
         """The same data with the two parties exchanged."""
@@ -213,38 +234,35 @@ def simulate_observed_data(state, povms):
         mat = np.asarray(state, dtype=complex)
         if mat.shape != (alice.dim * bob.dim,) * 2:
             raise ValueError("state matrix does not match POVM dimensions")
-    p = np.empty((len(alice), len(bob)))
-    for i, a in enumerate(alice.elements):
-        for j, b in enumerate(bob.elements):
-            p[i, j] = float(np.trace(np.kron(a, b) @ mat).real)
-    return ObservedData(
-        probs=p,
-        alice_labels=alice.labels,
-        bob_labels=bob.labels,
-        alice_bases=alice.bases,
-        alice_bits=alice.bits,
-        bob_bases=bob.bases,
-        bob_bits=bob.bits,
-    )
+    # kron, then @, then trace: the arithmetic of Tr(np.kron(a, b) @ mat)
+    na, nb, d = len(alice), len(bob), mat.shape[0]
+    krons = np.einsum("aij,bkl->abikjl", alice.stack, bob.stack).reshape(na, nb, d, d)
+    return _table_for(np.trace(krons @ mat, axis1=2, axis2=3).real, alice, bob)
 
 
-def _matched_mask(data):
+def _table_for(probs, alice, bob):
+    """ObservedData of a table in the label order of the two POVMs, with
+    their key metadata."""
+    return ObservedData(probs, alice.labels, bob.labels, alice.bases, alice.bits,
+                        bob.bases, bob.bits)
+
+
+def _matched_rounds(data):
+    """(mask of matched-basis label pairs, their total probability,
+    Alice's bits, Bob's bits)."""
     if not data.has_key_metadata():
         raise ValueError("observed data carries no basis metadata")
-    a = np.array(data.alice_bases)
-    b = np.array(data.bob_bases)
-    return a[:, None] == b[None, :]
+    mask = np.equal.outer(np.array(data.alice_bases), np.array(data.bob_bases))
+    matched = float(data.probs[mask].sum())
+    if matched <= 0.0:
+        raise ValueError("no matched-basis probability mass")
+    return mask, matched, np.array(data.alice_bits), np.array(data.bob_bits)
 
 
 def qber(data):
     """Probability that matched-basis bits disagree, given they matched."""
-    mask = _matched_mask(data)
-    matched = float(data.probs[mask].sum())
-    if matched <= 0.0:
-        raise ValueError("no matched-basis probability mass")
-    abits = np.array(data.alice_bits)
-    bbits = np.array(data.bob_bits)
-    differ = mask & (abits[:, None] != bbits[None, :])
+    mask, matched, abits, bbits = _matched_rounds(data)
+    differ = mask & np.not_equal.outer(abits, bbits)
     return float(data.probs[differ].sum()) / matched
 
 
@@ -254,18 +272,12 @@ def matched_key_distribution(data):
     Mismatched-basis rounds are discarded and the rest renormalized, the
     usual bookkeeping when one basis is used almost always.
     """
-    mask = _matched_mask(data)
-    matched = float(data.probs[mask].sum())
-    if matched <= 0.0:
-        raise ValueError("no matched-basis probability mass")
-    abits = np.array(data.alice_bits)
-    bbits = np.array(data.bob_bits)
+    mask, matched, abits, bbits = _matched_rounds(data)
     nbits = int(max(abits.max(), bbits.max())) + 1
     table = np.zeros((nbits, nbits))
-    for i in range(len(data.alice_labels)):
-        for j in range(len(data.bob_labels)):
-            if mask[i, j]:
-                table[abits[i], bbits[j]] += data.probs[i, j]
+    i, j = np.nonzero(mask)
+    # row-major order, as the rounds are listed: the sums keep their order
+    np.add.at(table, (abits[i], bbits[j]), data.probs[i, j])
     return JointDistribution(table / matched)
 
 
@@ -330,22 +342,15 @@ class ProtocolSpec:
 
 
 def realize_protocol(spec):
-    """Return (povms, data, alice_marginal) for a ProtocolSpec.
+    """Return (povms, data) for a ProtocolSpec.
 
     Built-in kinds simulate the depolarized Bell family at the requested
-    error rate; the source marginal is then maximally mixed.
+    error rate.
     """
-    from .states import depolarized_bell
-
     if spec.kind == "custom":
-        return spec.povms, spec.data, spec.alice_marginal
-    if spec.kind == "four-state":
-        povms = four_state_povms()
-    else:
-        povms = six_state_povms()
-    data = simulate_observed_data(depolarized_bell(spec.e), povms)
-    marginal = np.eye(2) / 2.0
-    return povms, data, marginal
+        return spec.povms, spec.data
+    povms = four_state_povms() if spec.kind == "four-state" else six_state_povms()
+    return povms, simulate_observed_data(depolarized_bell(spec.e), povms)
 
 
 @dataclass(frozen=True)
@@ -387,40 +392,31 @@ class EquivalenceClassSpec:
 
     def residual(self, state):
         """Largest violation of the constraints by a given state."""
-        from .basis import expand
-
         da, db = self.dims
         coeffs = expand(state.matrix if isinstance(state, DensityOperator) else state,
                         (build_basis(da), build_basis(db)))
         return float(np.max(np.abs(self.rows @ coeffs.ravel() - self.rhs)))
 
 
-def _independent_rows(rows, tol=DEDUP_TOL):
+def _independent_rows(rows):
     """Indices of rows kept by sequential orthogonal projection."""
     kept = []
-    ortho = []
+    ortho = np.empty((0, rows.shape[1]))
     for idx, row in enumerate(rows):
-        resid = row.astype(float).copy()
-        for q in ortho:
-            resid -= (q @ resid) * q
+        resid = row - ortho.T @ (ortho @ row)
         # second pass for numerical safety
-        for q in ortho:
-            resid -= (q @ resid) * q
+        resid -= ortho.T @ (ortho @ resid)
         norm = float(np.linalg.norm(resid))
-        if norm > tol * max(1.0, float(np.linalg.norm(row))):
+        if norm > DEDUP_TOL * max(1.0, float(np.linalg.norm(row))):
             kept.append(idx)
-            ortho.append(resid / norm)
+            ortho = np.vstack([ortho, resid / norm])
     return kept
 
 
 def povm_coefficients(povm, basis):
     """Expansion weights c_ik = Tr(E_i S_k) / d for each POVM element."""
-    d = povm.dim
-    out = np.empty((len(povm), len(basis)))
-    for i, m in enumerate(povm.elements):
-        for k, s in enumerate(basis.elements):
-            out[i, k] = float(np.trace(m @ s).real) / d
-    return out
+    prods = povm.stack[:, None] @ basis.stack[None]
+    return np.trace(prods, axis1=2, axis2=3).real / povm.dim
 
 
 def assemble_class(povms, data, spec=None):
@@ -431,8 +427,9 @@ def assemble_class(povms, data, spec=None):
     povms : (Povm, Povm)
         Alice's and Bob's POVMs.
     data : ObservedData or None
-        Outcome probabilities; None adds no probability rows, leaving the
-        class of all states (plus any source rows).
+        Outcome probabilities, matched to the POVM elements by label;
+        None adds no probability rows, leaving the class of all states
+        (plus any source rows).
     spec : ProtocolSpec, optional
         Supplies direction and source-constraint options; defaults to
         direct processing with no source constraint.
@@ -446,9 +443,12 @@ def assemble_class(povms, data, spec=None):
     slot the preparer occupies after relabeling.
 
     Raises InconsistentDataError when no coefficient vector satisfies all
-    rows (augmented rank exceeds row rank beyond tolerance).
+    rows (augmented rank exceeds row rank beyond tolerance), and
+    ValueError when the data's labels are not the POVMs' labels.
     """
     alice, bob = povms
+    if data is not None:
+        data = _in_povm_order(data, alice, bob)
     direction = spec.direction if spec is not None else "direct"
     use_source = spec.resolved_source_constraint() if spec is not None else False
     marginal = spec.alice_marginal if spec is not None else None
@@ -468,33 +468,24 @@ def assemble_class(povms, data, spec=None):
     basis_a, basis_b = build_basis(da), build_basis(db)
     na, nb = len(basis_a), len(basis_b)
 
-    rows = [np.zeros(na * nb)]
-    rows[0][0] = 1.0
-    rhs = [1.0]
-
+    # r_00 = 1, then the preparer's local coefficients r_k0 (or r_0k)
+    unit = np.eye(na * nb)
+    rows, rhs = [unit[:1]], [np.ones(1)]
     if use_source:
         srcb = basis_a if source_slot == 0 else basis_b
-        if np.asarray(marginal).shape != (srcb.dim, srcb.dim):
+        marginal = np.asarray(marginal)
+        if marginal.shape != (srcb.dim, srcb.dim):
             raise ValueError("alice_marginal shape does not match the preparer")
-        for k in range(len(srcb)):
-            row = np.zeros(na * nb)
-            flat = k * nb if source_slot == 0 else k
-            row[flat] = 1.0
-            rows.append(row)
-            rhs.append(float(np.trace(np.asarray(marginal) @ srcb.elements[k]).real))
-
+        rows.append(unit[::nb] if source_slot == 0 else unit[:nb])
+        rhs.append(np.trace(marginal @ srcb.stack, axis1=1, axis2=2).real)
     if data is not None:
-        if data.probs.shape != (len(alice), len(bob)):
-            raise ValueError("observed data does not match the POVMs")
         ca = povm_coefficients(alice, basis_a)
         cb = povm_coefficients(bob, basis_b)
-        for i in range(len(alice)):
-            for j in range(len(bob)):
-                rows.append(np.outer(ca[i], cb[j]).ravel())
-                rhs.append(float(data.probs[i, j]))
+        rows.append(np.einsum("ik,jl->ijkl", ca, cb).reshape(-1, na * nb))
+        rhs.append(data.probs.ravel())
 
-    A = np.array(rows)
-    b = np.array(rhs)
+    A = np.concatenate(rows)
+    b = np.concatenate(rhs)
 
     # consistency: the rows obey linear identities; the rhs must too
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -512,14 +503,32 @@ def assemble_class(povms, data, spec=None):
         alice=alice,
         bob=bob,
         data=data,
-        n_raw_rows=len(rows),
+        n_raw_rows=A.shape[0],
     )
+
+
+def _in_povm_order(data, alice, bob):
+    """data with its rows, columns and key metadata in the label order of
+    the POVMs."""
+    idx = {}
+    for party, povm in (("alice", alice), ("bob", bob)):
+        have = getattr(data, f"{party}_labels")
+        if len(have) != len(povm) or set(have) != set(povm.labels):
+            raise ValueError(f"observed {party} labels {list(have)} do not match "
+                             f"the POVM labels {list(povm.labels)}")
+        idx[party] = [have.index(label) for label in povm.labels]
+
+    def pick(party, key):
+        meta = getattr(data, f"{party}_{key}")
+        return None if meta is None else [meta[k] for k in idx[party]]
+
+    return ObservedData(data.probs[np.ix_(idx["alice"], idx["bob"])], alice.labels,
+                        bob.labels, pick("alice", "bases"), pick("alice", "bits"),
+                        pick("bob", "bases"), pick("bob", "bits"))
 
 
 def class_from_state(state):
     """The singleton class that pins every coefficient of one state."""
-    from .basis import expand
-
     da, db = state.dims
     coeffs = expand(state.matrix, (build_basis(da), build_basis(db)))
     n = coeffs.ravel().size
@@ -550,8 +559,7 @@ def _matrix_from_json(obj, what):
 
 
 def _povm_from_json(items, dim, party):
-    elements, labels, bases, bits = [], [], [], []
-    any_meta, all_meta = False, True
+    elements = []
     for idx, item in enumerate(items):
         what = f"{party} element {idx}"
         if "label" not in item or "matrix" not in item:
@@ -560,20 +568,14 @@ def _povm_from_json(items, dim, party):
         if m.shape != (dim, dim):
             raise ValueError(f"{what}: matrix is {m.shape}, expected {(dim, dim)}")
         elements.append(m)
-        labels.append(str(item["label"]))
-        has_meta = "basis" in item and "bit" in item
-        any_meta = any_meta or has_meta
-        all_meta = all_meta and has_meta
-        if has_meta:
-            bases.append(str(item["basis"]))
-            bits.append(int(item["bit"]))
-    if any_meta and not all_meta:
+    has_meta = ["basis" in item and "bit" in item for item in items]
+    if any(has_meta) and not all(has_meta):
         raise ValueError(f"{party}: give basis/bit on every element or on none")
-    if not all_meta:
-        bases = bits = None
-    return Povm(tuple(elements), tuple(labels),
-                tuple(bases) if bases else None,
-                tuple(bits) if bits else None)
+    bases = bits = None
+    if any(has_meta):
+        bases = [item["basis"] for item in items]
+        bits = [item["bit"] for item in items]
+    return Povm(tuple(elements), tuple(item["label"] for item in items), bases, bits)
 
 
 def load_protocol(source):
@@ -631,15 +633,7 @@ def load_protocol(source):
     if not seen.all():
         raise ValueError("probabilities must cover every (alice, bob) label pair")
 
-    data = ObservedData(
-        probs=table,
-        alice_labels=alice.labels,
-        bob_labels=bob.labels,
-        alice_bases=alice.bases,
-        alice_bits=alice.bits,
-        bob_bases=bob.bases,
-        bob_bits=bob.bits,
-    )
+    data = _table_for(table, alice, bob)
     marginal = None
     if "alice_marginal" in doc:
         marginal = _matrix_from_json(doc["alice_marginal"], "alice_marginal")

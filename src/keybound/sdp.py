@@ -66,6 +66,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 HERM_TOL = 1e-12
 # Share of the distance to the cone boundary that one step may travel.
 STEP_FRACTION = 0.98
+# check_feasible calls a problem feasible when its phase-I slack is at most this.
+FEASIBLE_MARGIN = 1e-8
 
 log = logging.getLogger(__name__)
 
@@ -604,11 +606,11 @@ def feasibility_problem(problem):
     return SdpProblem(c=c, blocks=tuple(blocks), eq_rows=rows, eq_rhs=rhs)
 
 
-def check_feasible(problem, settings=None, margin=1e-8):
+def check_feasible(problem, settings=None):
     """Decide feasibility of an SdpProblem by phase-I slack minimization.
 
     Returns an SdpSolution whose status is 'optimal' (x is a point with
-    every block >= -margin) or 'infeasible' (certificate attached:
+    every block >= -FEASIBLE_MARGIN) or 'infeasible' (certificate attached:
     multipliers with A*(Z) + A^T y = 0, Z >= 0 and <F0, Z> - rhs.y < 0),
     or 'numerical-failure' if the phase-I solve broke down.
     """
@@ -637,7 +639,7 @@ def check_feasible(problem, settings=None, margin=1e-8):
             sol.status = "numerical-failure"
         return sol
     tstar = float(sol.x[-1])
-    if tstar <= margin:
+    if tstar <= FEASIBLE_MARGIN:
         return replace(sol, x=sol.x[:-1].copy(), objective=tstar,
                        message=f"feasible with uniform margin {-tstar:.3e}")
     nblk = len(problem.blocks)

@@ -63,7 +63,7 @@ def cutoff_bisection_oracle(protocol, tol=1e-3, bracket=(0.0, 0.25),
 
     def extendible_at(e):
         cls_spec = replace(base, e=float(e))
-        povms, data, _ = bounds.realize_protocol(cls_spec)
+        povms, data = bounds.realize_protocol(cls_spec)
         cls = bounds.assemble_class(povms, data, cls_spec)
         res = bounds.best_extendible_decomposition(cls, settings=settings,
                                                    lam_tol=lam_tol)

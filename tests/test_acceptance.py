@@ -32,7 +32,7 @@ def report(num, name, ok, detail):
 
 
 def class_for(spec):
-    povms, data, _ = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     return assemble_class(povms, data, spec)
 
 
@@ -200,7 +200,7 @@ def test_criterion_7_consistency(grids):
     rows = []
     for p in grids["six-state"]:
         spec = ProtocolSpec.six_state(p.e)
-        povms, _, _ = realize_protocol(spec)
+        povms, _ = realize_protocol(spec)
         data = simulate_observed_data(depolarized_bell(p.e), povms)
         raw = mutual_information(matched_key_distribution(data))
         predicted = max(0.0, 1.0 - p.e / CUT6) - (1.0 - h(p.e))

@@ -64,7 +64,7 @@ def test_raw_information_crossing():
 
     def raw_info(e):
         spec = ProtocolSpec.six_state(e)
-        povms, _, _ = realize_protocol(spec)
+        povms, _ = realize_protocol(spec)
         data = simulate_observed_data(depolarized_bell(e), povms)
         return mutual_information(matched_key_distribution(data))
 
@@ -138,7 +138,7 @@ def test_find_cutoff_rejects_non_affine_family(monkeypatch):
     def quadratic_family(spec):
         povms = six_state_povms()
         return povms, simulate_observed_data(
-            depolarized_bell(4.0 * spec.e * spec.e), povms), None
+            depolarized_bell(4.0 * spec.e * spec.e), povms)
 
     monkeypatch.setattr(bounds, "realize_protocol", quadratic_family)
     with pytest.raises(ValueError, match="not affine"):
@@ -181,7 +181,7 @@ def test_find_cutoff_stops_at_float_resolution(monkeypatch):
         assert len(calls) < 200, "bisection did not stop"
         return SimpleNamespace(lambda_max=1.0 if e >= 1 / 6 else 0.0)
 
-    monkeypatch.setattr(bounds, "realize_protocol", lambda spec: (None, None, None))
+    monkeypatch.setattr(bounds, "realize_protocol", lambda spec: (None, None))
     monkeypatch.setattr(bounds, "assemble_class", lambda povms, data, spec: spec.e)
     monkeypatch.setattr(bounds, "best_extendible_decomposition", step_at_one_sixth)
     cut = cutoff_bisection_oracle("six-state", tol=1e-300)

@@ -26,7 +26,7 @@ from helpers import (chi_reference, lambda_bisection_oracle,
 
 def six_state_class(e):
     spec = ProtocolSpec.six_state(e)
-    povms, data, _ = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     return assemble_class(povms, data, spec)
 
 
@@ -129,7 +129,7 @@ def test_six_state_weight_law(e, lam):
 def test_four_state_dominates_six_state():
     for e in (0.04, 0.1):
         spec4 = ProtocolSpec.four_state(e)
-        povms, data, _ = realize_protocol(spec4)
+        povms, data = realize_protocol(spec4)
         cls4 = assemble_class(povms, data, spec4)
         lam4 = best_extendible_decomposition(cls4).lambda_max
         lam6 = best_extendible_decomposition(six_state_class(e)).lambda_max
@@ -361,7 +361,7 @@ def test_full_rank_and_unpinned_classes_run_the_full_program():
 
 def test_threshold_rejects_classes_with_different_rows():
     four = ProtocolSpec.four_state(0.0)
-    povms, data, _ = realize_protocol(four)
+    povms, data = realize_protocol(four)
     with pytest.raises(ValueError, match="different rows"):
         extendibility_threshold(assemble_class(povms, data, four),
                                 six_state_class(0.25), (0.0, 0.25))
@@ -370,7 +370,7 @@ def test_threshold_rejects_classes_with_different_rows():
 def four_state_class(e, direction, source_constraint):
     spec = ProtocolSpec("four-state", e=e, direction=direction,
                         source_constraint=source_constraint)
-    povms, data, _ = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     return assemble_class(povms, data, spec)
 
 
@@ -418,7 +418,7 @@ def reference_lambda(cls):
 @pytest.mark.parametrize("kind", ["four-state", "six-state"])
 def test_two_block_program_matches_three_block_reference(kind, direction, e):
     spec = ProtocolSpec(kind, e=e, direction=direction)
-    povms, data, _ = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     res = best_extendible_decomposition(cls)
     assert abs(res.lambda_max - reference_lambda(cls)) <= 1e-7

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from keybound.basis import build_basis
+from keybound.bounds import one_way_upper_bound
 from keybound.infotheory import mutual_information
 from keybound.protocols import (
     EquivalenceClassSpec, InconsistentDataError, ObservedData, Povm,
@@ -12,7 +13,7 @@ from keybound.protocols import (
     matched_key_distribution, povm_coefficients, qber, realize_protocol,
     simulate_observed_data, six_state_povms, trivial_class,
 )
-from keybound.states import depolarized_bell
+from keybound.states import DensityOperator, depolarized_bell
 
 
 def test_povm_completeness():
@@ -112,7 +113,7 @@ def test_class_row_counts():
     ):
         spec = (ProtocolSpec.four_state(0.08, source_constraint=src)
                 if kind == "four-state" else ProtocolSpec.six_state(0.08))
-        povms, data, _ = realize_protocol(spec)
+        povms, data = realize_protocol(spec)
         cls = assemble_class(povms, data, spec)
         assert cls.rows.shape == (n_rows, 16)
         assert cls.n_raw_rows == n_raw
@@ -122,7 +123,7 @@ def test_class_row_counts():
 @pytest.mark.parametrize("e", [0.0, 0.06, 0.15])
 def test_class_residual_vanishes_on_generating_state(e):
     spec = ProtocolSpec.six_state(e)
-    povms, data, _ = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     assert cls.residual(depolarized_bell(e)) < 1e-12
 
@@ -130,7 +131,7 @@ def test_class_residual_vanishes_on_generating_state(e):
 def test_six_state_class_pins_state_completely():
     # 16 independent rows on a 16-dim coefficient space: unique solution
     spec = ProtocolSpec.six_state(0.09)
-    povms, data, _ = realize_protocol(spec)
+    povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     sol, *_ = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)
     from keybound.basis import expand
@@ -165,8 +166,8 @@ def test_class_from_state_and_trivial():
 
 def test_reverse_direction_swaps_parties():
     spec = ProtocolSpec.six_state(0.08, direction="reverse")
-    povms, data, _ = realize_protocol(spec)
-    fwd_povms, fwd_data, _ = realize_protocol(ProtocolSpec.six_state(0.08))
+    povms, data = realize_protocol(spec)
+    fwd_povms, fwd_data = realize_protocol(ProtocolSpec.six_state(0.08))
     assert np.allclose(data.probs, fwd_data.probs.T, atol=1e-12)
     assert qber(data) == pytest.approx(0.08, abs=1e-12)
     cls = assemble_class(povms, data, spec)
@@ -197,7 +198,7 @@ def test_load_protocol_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     spec = load_protocol(path)
     assert spec.kind == "custom"
-    povms2, data2, _ = realize_protocol(spec)
+    povms2, data2 = realize_protocol(spec)
     assert np.allclose(data2.probs, data.probs, atol=1e-12)
     cls = assemble_class(povms2, data2, spec)
     assert cls.residual(depolarized_bell(0.08)) < 1e-10
@@ -207,3 +208,97 @@ def test_load_protocol_rejects_incomplete():
     doc = {"dims": [2, 2], "alice_povm": [], "bob_povm": [], "probabilities": []}
     with pytest.raises(ValueError):
         load_protocol(doc)
+
+
+def _random_povm(rng, d, n):
+    """A random rank-2 (non-projective) POVM with n outcomes on C^d."""
+    gs = rng.standard_normal((n, d, 2)) + 1j * rng.standard_normal((n, d, 2))
+    parts = gs @ gs.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(parts.sum(axis=0))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return Povm(elements=tuple(inv_sqrt @ parts @ inv_sqrt),
+                labels=tuple(f"o{i}" for i in range(n)))
+
+
+def test_array_protocol_layer_matches_elementwise_traces():
+    rng = np.random.default_rng(7)
+    alice, bob = _random_povm(rng, 2, 3), _random_povm(rng, 3, 4)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    probs = simulate_observed_data(DensityOperator(rho, (2, 3)), (alice, bob)).probs
+    for i, a in enumerate(alice.elements):
+        for j, b in enumerate(bob.elements):
+            assert abs(probs[i, j] - np.trace(np.kron(a, b) @ rho).real) <= 1e-14
+    for povm in (alice, bob):
+        basis = build_basis(povm.dim)
+        coeffs = povm_coefficients(povm, basis)
+        assert coeffs.shape == (len(povm), len(basis))
+        for i, m in enumerate(povm.elements):
+            for k, s in enumerate(basis.elements):
+                assert abs(coeffs[i, k] - np.trace(m @ s).real / povm.dim) <= 1e-14
+
+
+def test_builtin_povms_and_bases_are_built_once():
+    for make in (four_state_povms, six_state_povms):
+        povms = make()
+        assert make() is povms
+        for p in povms:
+            assert not p.stack.flags.writeable
+            assert not any(m.flags.writeable for m in p.elements)
+    for d in (2, 3):
+        basis = build_basis(d)
+        assert build_basis(d) is basis
+        assert not basis.stack.flags.writeable
+        assert not any(m.flags.writeable for m in basis.elements)
+
+
+def test_povm_weights_given_as_a_list():
+    alice, bob = four_state_povms([0.3, 0.7])
+    assert four_state_povms((0.3, 0.7)) == (alice, bob)  # the same cached pair
+    assert np.allclose(alice.elements[0], 0.3 * np.full((2, 2), 0.5), atol=1e-15)
+    assert six_state_povms([0.2, 0.3, 0.5])[1].labels == ("X0", "X1", "Y0", "Y1", "Z0", "Z1")
+
+
+@pytest.mark.parametrize("povms", [four_state_povms(), six_state_povms()],
+                         ids=["four-state", "six-state"])
+def test_data_matched_to_povms_by_label(povms):
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    noise = g @ g.conj().T
+    mat = 0.93 * depolarized_bell(0.02).matrix + 0.07 * noise / np.trace(noise).real
+    data = simulate_observed_data(DensityOperator(mat, (2, 2)), povms)
+    # the same table with Bob's labels listed in reverse
+    rev = ObservedData(data.probs[:, ::-1], data.alice_labels, data.bob_labels[::-1],
+                       data.alice_bases, data.alice_bits,
+                       data.bob_bases[::-1], data.bob_bits[::-1])
+    assert rev.entries() == data.entries()
+    want = one_way_upper_bound(ProtocolSpec.custom(povms, data))
+    for direction in ("direct", "reverse"):
+        got = one_way_upper_bound(ProtocolSpec.custom(povms, rev, direction=direction))
+        ref = want if direction == "direct" else one_way_upper_bound(
+            ProtocolSpec.custom(povms, data, direction=direction))
+        assert got.status == ref.status == "optimal"
+        assert got.upper_bound == ref.upper_bound
+        assert got.qber == ref.qber
+
+
+def test_data_with_other_labels_rejected():
+    alice, bob = four_state_povms()
+    data = simulate_observed_data(depolarized_bell(0.05), (alice, bob))
+    renamed = ObservedData(data.probs, data.alice_labels,
+                           ("X0", "X1", "Z0", "z1"))
+    with pytest.raises(ValueError, match=r"bob labels .*'z1'.* do not match"):
+        assemble_class((alice, bob), renamed)
+
+
+@pytest.mark.parametrize("meta", [
+    {"alice_bases": ("X", "X", "Z", "Z")},
+    {"alice_bases": ("X", "X", "Z"), "alice_bits": (0, 1, 0)},
+    {"bob_bits": (0, 1)},
+    {"bob_bases": ("X", "X", "Z"), "bob_bits": (0, 1, 0, 1)},
+])
+def test_observed_data_rejects_malformed_key_metadata(meta):
+    with pytest.raises(ValueError, match="bases"):
+        ObservedData(np.full((4, 4), 1 / 16), ("X0", "X1", "Z0", "Z1"),
+                     ("X0", "X1", "Z0", "Z1"), **meta)
