@@ -79,9 +79,12 @@ def one_way_upper_bound(spec, settings=None, lam_tol=LAMBDA_TOL):
     """
     povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
+    # qber and the matched-basis information read the same bits: those
+    # of the POVMs, in the class's (possibly swapped) party order.
+    povms = (cls.alice, cls.bob)
+    keyed = cls.alice.bases is not None and cls.bob.bases is not None
     try:
-        qber_val = qber(cls.data) if cls.data is not None \
-            and cls.data.has_key_metadata() else math.nan
+        qber_val = qber(cls.data, povms) if keyed else math.nan
     except ValueError:
         qber_val = math.nan
     try:
@@ -97,12 +100,10 @@ def one_way_upper_bound(spec, settings=None, lam_tol=LAMBDA_TOL):
             status=res.solution.status, mutual_info_ne_full=None,
             iterations=res.solution.iterations, protocol=spec.kind,
             direction=spec.direction)
-    data_ne = simulate_observed_data(res.rho_ne, (cls.alice, cls.bob))
+    data_ne = simulate_observed_data(res.rho_ne, povms)
     info_full = mutual_information(full_joint(data_ne))
-    if data_ne.has_key_metadata():
-        info = mutual_information(matched_key_distribution(data_ne))
-    else:
-        info = info_full
+    info = mutual_information(matched_key_distribution(data_ne, povms)) \
+        if keyed else info_full
     return BoundPoint(
         e=spec.e if spec.e is not None else math.nan,
         qber=qber_val,

@@ -12,7 +12,7 @@ a_{ik} = Tr(A_i S_k) / d_A and b_{jl} = Tr(B_j S_l) / d_B.  The set of
 density operators satisfying them is the equivalence class of states
 compatible with everything the protocol observes.
 
-Outcome labels carry optional (basis, bit) metadata.  Bit 0 tags the +1
+POVM outcomes carry optional (basis, bit) metadata.  Bit 0 tags the +1
 eigenvector except in Bob's y basis, where the labels are inverted so
 that the Bell reference state correlates positively in every basis and
 the depolarized family shows error probability e in each.
@@ -43,25 +43,14 @@ class InconsistentDataError(ValueError):
     """No state can reproduce the observed probabilities."""
 
 
-def _key_metadata(bases, bits, n, who):
-    """Per-outcome (basis, bit) metadata as (str tuple, int tuple), or
-    (None, None); both present or both absent, one entry per outcome."""
-    if (bases is None) != (bits is None):
-        raise ValueError(f"{who}: bases and bits must be given together")
-    if bases is None:
-        return None, None
-    if len(bases) != n or len(bits) != n:
-        raise ValueError(f"{who}: bases/bits must have one entry per outcome, "
-                         f"got {len(bases)}/{len(bits)} for {n}")
-    return tuple(str(b) for b in bases), tuple(int(b) for b in bits)
-
-
 @dataclass(frozen=True)
 class Povm:
     """A labeled POVM on one subsystem.
 
     bases/bits are optional per-outcome metadata (basis name, key bit);
-    both present or both absent.
+    both present or both absent, one entry per outcome.  They are the only
+    record of which outcome is which key bit: qber and the matched-basis
+    key map read them from here.
     """
 
     elements: tuple
@@ -88,12 +77,17 @@ class Povm:
             raise ValueError("one label per element required")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique")
-        bases, bits = _key_metadata(self.bases, self.bits, len(mats), "POVM")
+        if (self.bases is None) != (self.bits is None):
+            raise ValueError("POVM: bases and bits must be given together")
+        if self.bases is not None:
+            if len(self.bases) != len(mats) or len(self.bits) != len(mats):
+                raise ValueError("POVM: bases/bits must have one entry per outcome, "
+                                 f"got {len(self.bases)}/{len(self.bits)} for {len(mats)}")
+            object.__setattr__(self, "bases", tuple(str(b) for b in self.bases))
+            object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
         stack.setflags(write=False)
         object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "bits", bits)
 
     @functools.cached_property
     def stack(self):
@@ -167,18 +161,15 @@ class ObservedData:
     """Joint outcome probabilities for one pair of POVMs.
 
     probs[i, j] is the probability of Alice label i with Bob label j.
-    Each party's labels are those of its POVM, in any order;
-    assemble_class matches them by label.  bases/bits are optional
-    per-label key metadata, as on Povm.
+    Each party's labels are those of its POVM, in any order; every reader
+    (assemble_class, qber, matched_key_distribution) matches them to the
+    POVMs by label.  Which outcome is which key bit is a property of the
+    POVMs, so the table carries no key metadata.
     """
 
     probs: np.ndarray
     alice_labels: tuple
     bob_labels: tuple
-    alice_bases: tuple | None = None
-    alice_bits: tuple | None = None
-    bob_bases: tuple | None = None
-    bob_bits: tuple | None = None
 
     def __post_init__(self):
         p = _finite(np.asarray(self.probs, dtype=float), "probs")
@@ -191,13 +182,8 @@ class ObservedData:
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        for party in ("alice", "bob"):
-            labels = tuple(getattr(self, f"{party}_labels"))
-            bases, bits = _key_metadata(getattr(self, f"{party}_bases"),
-                                        getattr(self, f"{party}_bits"), len(labels), party)
-            object.__setattr__(self, f"{party}_labels", labels)
-            object.__setattr__(self, f"{party}_bases", bases)
-            object.__setattr__(self, f"{party}_bits", bits)
+        object.__setattr__(self, "alice_labels", tuple(self.alice_labels))
+        object.__setattr__(self, "bob_labels", tuple(self.bob_labels))
 
     def entries(self):
         """The table as a dict {(alice label, bob label): probability}."""
@@ -207,18 +193,7 @@ class ObservedData:
 
     def swapped(self):
         """The same data with the two parties exchanged."""
-        return ObservedData(
-            probs=self.probs.T.copy(),
-            alice_labels=self.bob_labels,
-            bob_labels=self.alice_labels,
-            alice_bases=self.bob_bases,
-            alice_bits=self.bob_bits,
-            bob_bases=self.alice_bases,
-            bob_bits=self.alice_bits,
-        )
-
-    def has_key_metadata(self):
-        return self.alice_bases is not None and self.bob_bases is not None
+        return ObservedData(self.probs.T.copy(), self.bob_labels, self.alice_labels)
 
 
 def simulate_observed_data(state, povms):
@@ -237,47 +212,48 @@ def simulate_observed_data(state, povms):
     # kron, then @, then trace: the arithmetic of Tr(np.kron(a, b) @ mat)
     na, nb, d = len(alice), len(bob), mat.shape[0]
     krons = np.einsum("aij,bkl->abikjl", alice.stack, bob.stack).reshape(na, nb, d, d)
-    return _table_for(np.trace(krons @ mat, axis1=2, axis2=3).real, alice, bob)
+    return ObservedData(np.trace(krons @ mat, axis1=2, axis2=3).real,
+                        alice.labels, bob.labels)
 
 
-def _table_for(probs, alice, bob):
-    """ObservedData of a table in the label order of the two POVMs, with
-    their key metadata."""
-    return ObservedData(probs, alice.labels, bob.labels, alice.bases, alice.bits,
-                        bob.bases, bob.bits)
-
-
-def _matched_rounds(data):
-    """(mask of matched-basis label pairs, their total probability,
-    Alice's bits, Bob's bits)."""
-    if not data.has_key_metadata():
-        raise ValueError("observed data carries no basis metadata")
-    mask = np.equal.outer(np.array(data.alice_bases), np.array(data.bob_bases))
-    matched = float(data.probs[mask].sum())
+def _matched_rounds(data, povms):
+    """(table in the POVMs' label order, mask of its matched-basis label
+    pairs, their total probability, Alice's bits, Bob's bits)."""
+    alice, bob = povms
+    if alice.bases is None or bob.bases is None:
+        raise ValueError("the POVMs carry no basis metadata")
+    probs = _in_povm_order(data, alice, bob).probs
+    mask = np.equal.outer(np.array(alice.bases), np.array(bob.bases))
+    matched = float(probs[mask].sum())
     if matched <= 0.0:
         raise ValueError("no matched-basis probability mass")
-    return mask, matched, np.array(data.alice_bits), np.array(data.bob_bits)
+    return probs, mask, matched, np.array(alice.bits), np.array(bob.bits)
 
 
-def qber(data):
-    """Probability that matched-basis bits disagree, given they matched."""
-    mask, matched, abits, bbits = _matched_rounds(data)
+def qber(data, povms):
+    """Probability that matched-basis bits disagree, given they matched.
+
+    Bases and bits come from the POVMs (Alice's, Bob's); the table is
+    matched to them by label.
+    """
+    probs, mask, matched, abits, bbits = _matched_rounds(data, povms)
     differ = mask & np.not_equal.outer(abits, bbits)
-    return float(data.probs[differ].sum()) / matched
+    return float(probs[differ].sum()) / matched
 
 
-def matched_key_distribution(data):
+def matched_key_distribution(data, povms):
     """Joint bit distribution after pooling all matched-basis rounds.
 
-    Mismatched-basis rounds are discarded and the rest renormalized, the
-    usual bookkeeping when one basis is used almost always.
+    Bases and bits come from the POVMs, as in qber.  Mismatched-basis
+    rounds are discarded and the rest renormalized, the usual
+    bookkeeping when one basis is used almost always.
     """
-    mask, matched, abits, bbits = _matched_rounds(data)
+    probs, mask, matched, abits, bbits = _matched_rounds(data, povms)
     nbits = int(max(abits.max(), bbits.max())) + 1
     table = np.zeros((nbits, nbits))
     i, j = np.nonzero(mask)
     # row-major order, as the rounds are listed: the sums keep their order
-    np.add.at(table, (abits[i], bbits[j]), data.probs[i, j])
+    np.add.at(table, (abits[i], bbits[j]), probs[i, j])
     return JointDistribution(table / matched)
 
 
@@ -508,8 +484,7 @@ def assemble_class(povms, data, spec=None):
 
 
 def _in_povm_order(data, alice, bob):
-    """data with its rows, columns and key metadata in the label order of
-    the POVMs."""
+    """data with its rows and columns in the label order of the POVMs."""
     idx = {}
     for party, povm in (("alice", alice), ("bob", bob)):
         have = getattr(data, f"{party}_labels")
@@ -517,14 +492,8 @@ def _in_povm_order(data, alice, bob):
             raise ValueError(f"observed {party} labels {list(have)} do not match "
                              f"the POVM labels {list(povm.labels)}")
         idx[party] = [have.index(label) for label in povm.labels]
-
-    def pick(party, key):
-        meta = getattr(data, f"{party}_{key}")
-        return None if meta is None else [meta[k] for k in idx[party]]
-
     return ObservedData(data.probs[np.ix_(idx["alice"], idx["bob"])], alice.labels,
-                        bob.labels, pick("alice", "bases"), pick("alice", "bits"),
-                        pick("bob", "bases"), pick("bob", "bits"))
+                        bob.labels)
 
 
 def class_from_state(state):
@@ -558,6 +527,15 @@ def _matrix_from_json(obj, what):
     return re + 1.0j * im
 
 
+def _json_number(convert, value, what):
+    """convert(value), or ValueError naming the field when value is not a
+    number (null, an object, ...)."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
 def _povm_from_json(items, dim, party):
     elements = []
     for idx, item in enumerate(items):
@@ -574,7 +552,8 @@ def _povm_from_json(items, dim, party):
     bases = bits = None
     if any(has_meta):
         bases = [item["basis"] for item in items]
-        bits = [item["bit"] for item in items]
+        bits = [_json_number(int, item["bit"], f"{party} element {idx}: 'bit'")
+                for idx, item in enumerate(items)]
     return Povm(tuple(elements), tuple(item["label"] for item in items), bases, bits)
 
 
@@ -611,7 +590,7 @@ def load_protocol(source):
             raise ValueError(f"protocol file is missing {field_name!r}")
     dims = doc["dims"]
     if (not isinstance(dims, (list, tuple)) or len(dims) != 2
-            or any(int(d) < 2 for d in dims)):
+            or any(_json_number(int, d, "dims") < 2 for d in dims)):
         raise ValueError("dims must be two integers >= 2")
     da, db = int(dims[0]), int(dims[1])
     alice = _povm_from_json(doc["alice_povm"], da, "alice_povm")
@@ -622,6 +601,8 @@ def load_protocol(source):
     a_index = {lab: i for i, lab in enumerate(alice.labels)}
     b_index = {lab: j for j, lab in enumerate(bob.labels)}
     for idx, rec in enumerate(doc["probabilities"]):
+        if not isinstance(rec, dict):
+            raise ValueError(f"probability record {idx}: expected an object, got {rec!r}")
         try:
             i, j = a_index[rec["alice"]], b_index[rec["bob"]]
         except KeyError as exc:
@@ -629,11 +610,11 @@ def load_protocol(source):
         if seen[i, j]:
             raise ValueError(f"probability record {idx}: duplicate pair")
         seen[i, j] = True
-        table[i, j] = float(rec["p"])
+        table[i, j] = _json_number(float, rec.get("p"), f"probability record {idx}: 'p'")
     if not seen.all():
         raise ValueError("probabilities must cover every (alice, bob) label pair")
 
-    data = _table_for(table, alice, bob)
+    data = ObservedData(table, alice.labels, bob.labels)
     marginal = None
     if "alice_marginal" in doc:
         marginal = _matrix_from_json(doc["alice_marginal"], "alice_marginal")

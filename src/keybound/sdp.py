@@ -24,9 +24,12 @@ Nesterov-Todd scaling runs on it from x = 0, y = 0, S = Z = I,
 tau = kappa = 1, with one step length for primal and dual since tau
 couples them, and the iterate divided by tau is what is reported.  When
 the program has an optimal pair, tau stays positive and that iterate
-converges to one; a last primal step at fixed tau then removes the
-primal residual that the embedding leaves.  Otherwise tau -> 0 with kappa > 0, and (y, Z) tends to
-a Farkas certificate (A*(Z) + A^T y = 0, Z >= 0, rhs.y - <F0, Z> > 0)
+converges to one.  A last primal step at fixed tau along the
+affine-scaling direction then shrinks the primal residual that the
+embedding leaves; it is cut to STEP_FRACTION of the distance to the cone
+boundary like every step, so it is seldom full and seldom zeros that
+residual.  Otherwise tau -> 0 with kappa > 0, and (y, Z) tends to a
+Farkas certificate (A*(Z) + A^T y = 0, Z >= 0, rhs.y - <F0, Z> > 0)
 or x to a primal ray (F_lin(x) >= 0, A x = 0, c.x < 0).
 
 Writing W = R R^T for the scaling point of (S, Z), each iteration forms
@@ -118,9 +121,9 @@ class LmiBlock:
         if const.shape != (dim, dim):
             raise ValueError(f"block constant is {const.shape}, declared dim {dim}")
         idx = np.asarray(self.var_idx, dtype=int).ravel()
+        if idx.size == 0:
+            raise ValueError("a block needs at least one variable")
         mats = _finite(np.asarray(self.mats, dtype=complex), "block mats")
-        if mats.size == 0:
-            mats = mats.reshape(0, dim, dim)
         if mats.shape != (idx.size, dim, dim):
             raise ValueError("mats must be (len(var_idx), dim, dim)")
         bad = np.max(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))),
@@ -166,7 +169,7 @@ class SdpProblem:
         t = c.size
         seen = np.zeros(t, dtype=bool)
         for blk in blocks:
-            if blk.var_idx.size and (blk.var_idx.min() < 0 or blk.var_idx.max() >= t):
+            if blk.var_idx.min() < 0 or blk.var_idx.max() >= t:
                 raise ValueError("block variable index out of range")
             seen[blk.var_idx] = True
         if not seen.all():
@@ -245,16 +248,13 @@ def _realify(mat):
 
 
 def _apply_lin(blk, x):
-    if blk.var_idx.size == 0:
-        return np.zeros((blk.real_dim, blk.real_dim))
     return np.einsum("i,ijk->jk", x[blk.var_idx], blk.real_mats)
 
 
 def _adjoint(blocks, Z, t):
     out = np.zeros(t)
     for blk, Zb in zip(blocks, Z):
-        if blk.var_idx.size:
-            out[blk.var_idx] += np.einsum("ijk,jk->i", blk.real_mats, Zb)
+        out[blk.var_idx] += np.einsum("ijk,jk->i", blk.real_mats, Zb)
     return out
 
 
@@ -428,8 +428,7 @@ def solve(problem, settings=None):
             Ls_inv = solve_triangular(Ls, np.eye(blk.real_dim), lower=True)
             R = Ls @ (Vt.T / np.sqrt(d)[None, :])
             Rinv = np.sqrt(d)[:, None] * (Vt @ Ls_inv)
-            Q = np.matmul(np.matmul(Rinv, blk.real_mats), Rinv.T) if blk.var_idx.size \
-                else np.zeros((0, blk.real_dim, blk.real_dim))
+            Q = np.matmul(np.matmul(Rinv, blk.real_mats), Rinv.T)
             Rs.append(R)
             Rinvs.append(Rinv)
             ds.append(d)
@@ -442,10 +441,9 @@ def solve(problem, settings=None):
         M = np.zeros((t, t))
         f0 = np.zeros(t)
         for blk, Q, F0t in zip(blocks, Qs, F0ts):
-            if blk.var_idx.size:
-                Qf = Q.reshape(blk.var_idx.size, -1)
-                M[np.ix_(blk.var_idx, blk.var_idx)] += Qf @ Qf.T
-                f0[blk.var_idx] += Qf @ F0t.ravel()
+            Qf = Q.reshape(blk.var_idx.size, -1)
+            M[np.ix_(blk.var_idx, blk.var_idx)] += Qf @ Qf.T
+            f0[blk.var_idx] += Qf @ F0t.ravel()
         Mf = _chol_ridge(M)
         if Mf is None:
             status = "numerical-failure"
@@ -474,16 +472,13 @@ def solve(problem, settings=None):
         def scaled_adjoint(Ks):
             h = np.zeros(t)
             for blk, Q, Kb in zip(blocks, Qs, Ks):
-                if blk.var_idx.size:
-                    h[blk.var_idx] += np.einsum("ijk,jk->i", Q, Kb)
+                h[blk.var_idx] += np.einsum("ijk,jk->i", Q, Kb)
             return h
 
         def directions(dx, dtau, Ks):
             dSp, dZp = [], []
             for blk, Q, Kb, rppb, F0t in zip(blocks, Qs, Ks, rpps, F0ts):
-                lin_b = dtau * F0t
-                if blk.var_idx.size:
-                    lin_b = lin_b + np.einsum("i,ijk->jk", dx[blk.var_idx], Q)
+                lin_b = dtau * F0t + np.einsum("i,ijk->jk", dx[blk.var_idx], Q)
                 dSp.append(lin_b + rppb)
                 dZp.append(Kb - lin_b)
             return dSp, dZp
@@ -592,8 +587,7 @@ def feasibility_problem(problem):
     t = problem.num_vars
     blocks = []
     for blk in problem.blocks:
-        mats = np.concatenate([blk.mats, np.eye(blk.dim, dtype=complex)[None]]) \
-            if blk.var_idx.size else np.eye(blk.dim, dtype=complex)[None]
+        mats = np.concatenate([blk.mats, np.eye(blk.dim, dtype=complex)[None]])
         idx = np.append(blk.var_idx, t)
         blocks.append(LmiBlock(dim=blk.dim, const=blk.const, var_idx=idx, mats=mats))
     blocks.append(LmiBlock(dim=1, const=np.array([[1.0]]),

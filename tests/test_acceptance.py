@@ -202,7 +202,7 @@ def test_criterion_7_consistency(grids):
         spec = ProtocolSpec.six_state(p.e)
         povms, _ = realize_protocol(spec)
         data = simulate_observed_data(depolarized_bell(p.e), povms)
-        raw = mutual_information(matched_key_distribution(data))
+        raw = mutual_information(matched_key_distribution(data, povms))
         predicted = max(0.0, 1.0 - p.e / CUT6) - (1.0 - h(p.e))
         rows.append((p.upper_bound - raw, predicted, p.e))
     diff_worst = max(abs(gap - predicted) for gap, predicted, _ in rows)

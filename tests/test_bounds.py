@@ -66,7 +66,7 @@ def test_raw_information_crossing():
         spec = ProtocolSpec.six_state(e)
         povms, _ = realize_protocol(spec)
         data = simulate_observed_data(depolarized_bell(e), povms)
-        return mutual_information(matched_key_distribution(data))
+        return mutual_information(matched_key_distribution(data, povms))
 
     for e in (0.01, 0.02):
         p = one_way_upper_bound(ProtocolSpec.six_state(e))

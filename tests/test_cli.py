@@ -149,6 +149,39 @@ def test_custom_protocol_with_nan_probability_exits_2(tmp_path, capsys):
     assert "probs has a non-finite entry" in captured.err
 
 
+def _custom_doc():
+    alice, bob = four_state_povms()
+    data = simulate_observed_data(depolarized_bell(0.05), (alice, bob))
+
+    def povm_json(p):
+        return [{"label": l, "basis": ba, "bit": bi,
+                 "matrix": {"re": m.real.tolist(), "im": m.imag.tolist()}}
+                for l, ba, bi, m in zip(p.labels, p.bases, p.bits, p.elements)]
+
+    return {"dims": [2, 2], "alice_povm": povm_json(alice), "bob_povm": povm_json(bob),
+            "probabilities": [{"alice": la, "bob": lb, "p": p}
+                              for (la, lb), p in data.entries().items()]}
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (lambda doc: doc["probabilities"][3].update(p=None), "probability record 3: 'p'"),
+    (lambda doc: doc["probabilities"].__setitem__(3, ["X0", "Z1", 0.1]),
+     "probability record 3"),
+    (lambda doc: doc["bob_povm"][2].update(bit=None), "bob_povm element 2: 'bit'"),
+    (lambda doc: doc.update(dims=[2, None]), "dims"),
+], ids=["null-p", "record-not-object", "null-bit", "null-dim"])
+def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
+    doc = _custom_doc()
+    corrupt(doc)
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    code = main(["bound", "--protocol", "custom", "--custom-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert field in captured.err
+    assert captured.out == ""
+
+
 def test_custom_without_file_errors():
     with pytest.raises(ValueError):
         run(build_parser().parse_args(["bound", "--protocol", "custom"]))

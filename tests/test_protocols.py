@@ -73,12 +73,12 @@ def test_six_state_error_rate_uniform_over_bases(e):
 def test_qber_matches_error_parameter(e):
     for povms in (four_state_povms(), six_state_povms()):
         data = simulate_observed_data(depolarized_bell(e), povms)
-        assert qber(data) == pytest.approx(e, abs=1e-12)
+        assert qber(data, povms) == pytest.approx(e, abs=1e-12)
 
 
 def test_matched_key_distribution_perfect_at_zero():
     data = simulate_observed_data(depolarized_bell(0.0), six_state_povms())
-    dist = matched_key_distribution(data)
+    dist = matched_key_distribution(data, six_state_povms())
     assert mutual_information(dist) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(dist.probabilities, np.diag([0.5, 0.5]), atol=1e-12)
 
@@ -146,9 +146,7 @@ def test_inconsistent_data_raises():
     bad[0, 0] += 0.01
     bad[0, 1] -= 0.01  # keeps the total normalized but breaks marginals
     tampered = ObservedData(probs=bad, alice_labels=data.alice_labels,
-                            bob_labels=data.bob_labels,
-                            alice_bases=data.alice_bases, alice_bits=data.alice_bits,
-                            bob_bases=data.bob_bases, bob_bits=data.bob_bits)
+                            bob_labels=data.bob_labels)
     with pytest.raises(InconsistentDataError):
         assemble_class((alice, bob), tampered,
                        ProtocolSpec.four_state(0.1, source_constraint=True))
@@ -169,7 +167,7 @@ def test_reverse_direction_swaps_parties():
     povms, data = realize_protocol(spec)
     fwd_povms, fwd_data = realize_protocol(ProtocolSpec.six_state(0.08))
     assert np.allclose(data.probs, fwd_data.probs.T, atol=1e-12)
-    assert qber(data) == pytest.approx(0.08, abs=1e-12)
+    assert qber(data, povms) == pytest.approx(0.08, abs=1e-12)
     cls = assemble_class(povms, data, spec)
     # the swapped class still contains the (symmetric) generating state
     assert cls.residual(depolarized_bell(0.08)) < 1e-10
@@ -269,9 +267,7 @@ def test_data_matched_to_povms_by_label(povms):
     mat = 0.93 * depolarized_bell(0.02).matrix + 0.07 * noise / np.trace(noise).real
     data = simulate_observed_data(DensityOperator(mat, (2, 2)), povms)
     # the same table with Bob's labels listed in reverse
-    rev = ObservedData(data.probs[:, ::-1], data.alice_labels, data.bob_labels[::-1],
-                       data.alice_bases, data.alice_bits,
-                       data.bob_bases[::-1], data.bob_bits[::-1])
+    rev = ObservedData(data.probs[:, ::-1], data.alice_labels, data.bob_labels[::-1])
     assert rev.entries() == data.entries()
     want = one_way_upper_bound(ProtocolSpec.custom(povms, data))
     for direction in ("direct", "reverse"):
@@ -293,12 +289,32 @@ def test_data_with_other_labels_rejected():
 
 
 @pytest.mark.parametrize("meta", [
-    {"alice_bases": ("X", "X", "Z", "Z")},
-    {"alice_bases": ("X", "X", "Z"), "alice_bits": (0, 1, 0)},
-    {"bob_bits": (0, 1)},
-    {"bob_bases": ("X", "X", "Z"), "bob_bits": (0, 1, 0, 1)},
+    {"bases": ("X", "X", "Z", "Z")},
+    {"bases": ("X", "X", "Z"), "bits": (0, 1, 0)},
+    {"bits": (0, 1)},
+    {"bases": ("X", "X", "Z"), "bits": (0, 1, 0, 1)},
 ])
-def test_observed_data_rejects_malformed_key_metadata(meta):
+def test_povm_rejects_malformed_key_metadata(meta):
+    alice, _ = four_state_povms()
     with pytest.raises(ValueError, match="bases"):
+        Povm(alice.elements, alice.labels, **meta)
+
+
+def test_observed_data_carries_no_key_metadata():
+    with pytest.raises(TypeError):
         ObservedData(np.full((4, 4), 1 / 16), ("X0", "X1", "Z0", "Z1"),
-                     ("X0", "X1", "Z0", "Z1"), **meta)
+                     ("X0", "X1", "Z0", "Z1"), bob_bases=("X", "X", "Z", "Z"),
+                     bob_bits=(1, 0, 1, 0))
+
+
+@pytest.mark.parametrize("povms", [four_state_povms(), six_state_povms()],
+                         ids=["four-state", "six-state"])
+def test_key_readers_match_table_to_povms_by_label(povms):
+    data = simulate_observed_data(depolarized_bell(0.07), povms)
+    # the same table with both parties' labels listed in reverse
+    rev = ObservedData(data.probs[::-1, ::-1], data.alice_labels[::-1],
+                       data.bob_labels[::-1])
+    assert rev.entries() == data.entries()
+    assert qber(rev, povms) == qber(data, povms)
+    assert np.array_equal(matched_key_distribution(rev, povms).probabilities,
+                          matched_key_distribution(data, povms).probabilities)

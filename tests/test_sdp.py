@@ -200,6 +200,11 @@ def test_non_hermitian_block_matrix_named_by_index():
         LmiBlock(dim=2, const=np.zeros((2, 2)), var_idx=range(4), mats=mats)
 
 
+def test_block_without_variables_rejected():
+    with pytest.raises(ValueError, match="at least one variable"):
+        LmiBlock(dim=2, const=np.eye(2), var_idx=(), mats=np.zeros((0, 2, 2)))
+
+
 def _valid_problem_parts():
     return {"const": np.zeros((1, 1)), "mats": np.ones((1, 1, 1)),
             "c": np.array([1.0]), "eq_rows": np.ones((1, 1)),
