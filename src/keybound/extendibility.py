@@ -202,10 +202,11 @@ def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
     The family is interpolated from its classes at the bracket ends
     (lo, hi): at t its rows are the common rows, its right-hand side
     rhs(lo) + (t - lo) * slope with slope = (rhs(hi) - rhs(lo)) / (hi - lo).
-    The program is the joint SDP plus one variable t, last: 1x1 blocks
-    hold lo <= t <= hi and f_000 >= 1 - lam_tol, and the objective is
-    min t.  lam_tol must be finite and in [0, 0.5) (ValueError before
-    any solve).  Returns the SdpSolution whatever its status; t is x[-1].
+    The program is the joint SDP plus one variable t, last: one diagonal
+    3x3 block holds lo <= t <= hi and f_000 >= 1 - lam_tol, and the
+    objective is min t.  lam_tol must be finite and in [0, 0.5)
+    (ValueError before any solve).  Returns the SdpSolution whatever its
+    status; t is x[-1].
     """
     _check_lam_tol(lam_tol)
     lo, hi = bracket
@@ -216,13 +217,10 @@ def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
     problem, layout = build_sdp(cls_lo)
     n = layout.total
     slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
-    one = np.ones((1, 1, 1))
-    blocks = problem.blocks + (
-        LmiBlock(dim=1, const=[[-lo]], var_idx=[n], mats=one),
-        LmiBlock(dim=1, const=[[hi]], var_idx=[n], mats=-one),
-        LmiBlock(dim=1, const=[[lam_tol - 1.0]],
-                 var_idx=[layout.e_index(0, 0)], mats=one),
-    )
+    bounds = LmiBlock(dim=3, const=np.diag([-lo, hi, lam_tol - 1.0]),
+                      var_idx=[n, layout.e_index(0, 0)],
+                      mats=[np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
+    blocks = problem.blocks + (bounds,)
     c = np.zeros(n + 1)
     c[n] = 1.0
     threshold = SdpProblem(c=c, blocks=blocks,

@@ -536,10 +536,19 @@ def _json_number(convert, value, what):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
+def _json_list(value, what):
+    """value, or ValueError naming the field when it is not a JSON list."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _povm_from_json(items, dim, party):
     elements = []
-    for idx, item in enumerate(items):
+    for idx, item in enumerate(_json_list(items, party)):
         what = f"{party} element {idx}"
+        if not isinstance(item, dict):
+            raise ValueError(f"{what}: expected an object, got {item!r}")
         if "label" not in item or "matrix" not in item:
             raise ValueError(f"{what}: needs 'label' and 'matrix'")
         m = _matrix_from_json(item["matrix"], what)
@@ -585,6 +594,8 @@ def load_protocol(source):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
 
+    if not isinstance(doc, dict):
+        raise ValueError(f"a protocol file holds a JSON object, got {doc!r}")
     for field_name in ("dims", "alice_povm", "bob_povm", "probabilities"):
         if field_name not in doc:
             raise ValueError(f"protocol file is missing {field_name!r}")
@@ -600,7 +611,7 @@ def load_protocol(source):
     seen = np.zeros(table.shape, dtype=bool)
     a_index = {lab: i for i, lab in enumerate(alice.labels)}
     b_index = {lab: j for j, lab in enumerate(bob.labels)}
-    for idx, rec in enumerate(doc["probabilities"]):
+    for idx, rec in enumerate(_json_list(doc["probabilities"], "probabilities")):
         if not isinstance(rec, dict):
             raise ValueError(f"probability record {idx}: expected an object, got {rec!r}")
         try:

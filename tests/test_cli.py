@@ -169,7 +169,11 @@ def _custom_doc():
      "probability record 3"),
     (lambda doc: doc["bob_povm"][2].update(bit=None), "bob_povm element 2: 'bit'"),
     (lambda doc: doc.update(dims=[2, None]), "dims"),
-], ids=["null-p", "record-not-object", "null-bit", "null-dim"])
+    (lambda doc: doc["alice_povm"].__setitem__(0, 5), "alice_povm element 0"),
+    (lambda doc: doc.update(bob_povm=None), "bob_povm"),
+    (lambda doc: doc.update(probabilities=None), "probabilities"),
+], ids=["null-p", "record-not-object", "null-bit", "null-dim", "element-not-object",
+        "null-povm", "null-probabilities"])
 def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     doc = _custom_doc()
     corrupt(doc)

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -206,6 +207,12 @@ def test_load_protocol_rejects_incomplete():
     doc = {"dims": [2, 2], "alice_povm": [], "bob_povm": [], "probabilities": []}
     with pytest.raises(ValueError):
         load_protocol(doc)
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
+def test_load_protocol_rejects_non_object_document(text):
+    with pytest.raises(ValueError, match="JSON object"):
+        load_protocol(io.StringIO(text))
 
 
 def _random_povm(rng, d, n):

@@ -2,10 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from keybound.sdp import (
-    LmiBlock, SdpProblem, SolverSettings, check_feasible, feasibility_problem,
-    solve, write_sdpa,
+    LmiBlock, SdpProblem, SolverSettings, _chol_ridge, _potrs, _trtrs,
+    check_feasible, feasibility_problem, solve, write_sdpa,
 )
 from helpers import grid_search_minimum, random_box_sdp, random_hermitian
 
@@ -231,6 +232,39 @@ def test_iteration_cap_returns_last_iterate():
     assert sol.status == "numerical-failure"
     assert sol.x.shape == (prob.num_vars,)
     assert len(sol.history) >= 1
+
+
+def test_overflowing_gram_matrix_is_a_numerical_failure():
+    # (1e200)^2 overflows the Gram matrix M on the first iteration
+    prob = SdpProblem(c=[1.0], blocks=(LmiBlock(dim=1, const=[[1.0]], var_idx=[0],
+                                                mats=[[[1e200]]]),))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        sol = solve(prob)
+    assert sol.status == "numerical-failure"
+    assert "Gram" in sol.message and "non-finite" in sol.message
+
+
+def test_lapack_helpers_match_scipy_wrappers():
+    # solve() calls potrf/potrs/trtrs directly; its output bytes rest on
+    # these giving exactly the bits of the scipy wrappers they replace.
+    rng = np.random.default_rng(0)
+    for n in range(2, 61):
+        G = rng.standard_normal((n, n))
+        spd = G @ G.T + n * np.eye(n)
+        B = rng.standard_normal((n, 3))
+        ref = cho_factor(spd, lower=True)
+        L = _chol_ridge(spd)
+        assert np.array_equal(L, np.tril(ref[0]))
+        for rhs in (B, B[:, 0]):
+            assert np.array_equal(_potrs(L, rhs, lower=1)[0], cho_solve(ref, rhs))
+        assert np.array_equal(_trtrs(L, B, lower=1)[0],
+                              solve_triangular(ref[0], B, lower=True))
+        assert np.array_equal(_trtrs(L, B, lower=1, trans=1)[0],
+                              solve_triangular(ref[0], B, lower=True, trans="T"))
+        # the C-ordered numpy factor of the Nesterov-Todd scaling
+        Lc = np.linalg.cholesky(spd)
+        assert np.array_equal(_trtrs(Lc.T, np.eye(n), trans=1)[0],
+                              solve_triangular(Lc, np.eye(n), lower=True))
 
 
 def test_feasibility_problem_shape():
