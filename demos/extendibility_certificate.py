@@ -48,7 +48,7 @@ def main():
     rho = res.rho_star.matrix
     mix = (1 - lam) * res.rho_ne.matrix + lam * res.sigma_ext.matrix
     chi = res.chi.matrix
-    swap = swap_last_two((2, 2)).matrix
+    swap = swap_last_two((2, 2))
     print("\ndirect matrix checks:")
     print(f"  |rho - (1-l) rho_ne - l sigma| = {np.abs(rho - mix).max():.2e}")
     print(f"  |chi - V chi V|                = "
@@ -88,7 +88,7 @@ def rank_deficient():
     print(f"  verify_extension = {verify_extension(res).passed}")
 
     sigma, rho_ne, chi = res.sigma_ext.matrix, res.rho_ne.matrix, res.chi.matrix
-    swap = swap_last_two((2, 2)).matrix
+    swap = swap_last_two((2, 2))
     # chi must vanish on ker(rho) (x) C^2: the face reduction is exact
     w, V = np.linalg.eigh(rho)
     ker = V[:, w < 1e-9]

@@ -1,7 +1,7 @@
 """Upper bounds on one-way secret-key rates via best extendible
 approximations, computed with a built-in semidefinite-program solver."""
 
-from .basis import CoefficientVector, OperatorBasis, build_basis, expand, reconstruct
+from .basis import OperatorBasis, build_basis, expand, reconstruct
 from .bounds import (BoundPoint, bound_points_to_csv, bound_points_to_json,
                      find_cutoff, one_way_upper_bound, sweep)
 from .extendibility import (ExtendibilityResult, ExtensionReport, VariableLayout,
@@ -12,28 +12,27 @@ from .protocols import (EquivalenceClassSpec, InconsistentDataError, ObservedDat
                         Povm, ProtocolSpec, assemble_class, class_from_state,
                         four_state_povms, full_joint, load_protocol,
                         matched_key_distribution, qber, realize_protocol,
-                        simulate_observed_data, six_state_povms, trivial_class)
+                        simulate_observed_data, six_state_povms)
 from .sdp import (LmiBlock, SdpProblem, SdpSolution, SolverError, SolverSettings,
                   check_feasible, solve, write_sdpa)
-from .states import (DensityOperator, SwapOperator, bell_psi_plus,
-                     depolarized_bell, partial_trace, partial_trace_matrix,
-                     permute_subsystems, swap_last_two)
+from .states import (DensityOperator, bell_psi_plus, depolarized_bell,
+                     partial_trace_matrix, swap_last_two)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundPoint", "CoefficientVector", "DensityOperator", "EquivalenceClassSpec",
+    "BoundPoint", "DensityOperator", "EquivalenceClassSpec",
     "ExtendibilityResult", "ExtensionReport", "InconsistentDataError",
     "JointDistribution", "LmiBlock", "ObservedData", "OperatorBasis", "Povm",
-    "ProtocolSpec", "SdpProblem", "SdpSolution", "SolverError", "SolverSettings",
-    "SwapOperator", "VariableLayout", "assemble_class",
-    "bell_psi_plus", "best_extendible_decomposition", "bound_points_to_csv",
+    "ProtocolSpec", "SdpProblem", "SdpSolution", "SolverError",
+    "SolverSettings", "VariableLayout", "assemble_class", "bell_psi_plus",
+    "best_extendible_decomposition", "bound_points_to_csv",
     "bound_points_to_json", "build_basis", "build_sdp", "check_feasible",
     "class_from_state", "depolarized_bell", "expand", "find_cutoff",
     "four_state_povms", "full_joint", "is_extendible", "load_protocol",
     "matched_key_distribution", "mutual_information", "one_way_upper_bound",
-    "partial_trace", "partial_trace_matrix", "permute_subsystems",
-    "pinned_problem", "qber", "realize_protocol", "reconstruct",
-    "shannon_entropy", "simulate_observed_data", "six_state_povms", "solve",
-    "swap_last_two", "sweep", "trivial_class", "verify_extension", "write_sdpa",
+    "partial_trace_matrix", "pinned_problem", "qber", "realize_protocol",
+    "reconstruct", "shannon_entropy", "simulate_observed_data",
+    "six_state_povms", "solve", "swap_last_two", "sweep", "verify_extension",
+    "write_sdpa",
 ]

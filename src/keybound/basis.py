@@ -91,21 +91,6 @@ def build_basis(dim):
     return OperatorBasis(dim=dim, elements=tuple(stack))
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Real expansion coefficients of a multipartite Hermitian operator.
-
-    ``coeffs`` has one axis per subsystem, axis t running over the
-    n_t^2 basis elements of that subsystem.
-    """
-
-    coeffs: np.ndarray
-    dims: tuple
-
-    def ravel(self):
-        return self.coeffs.ravel()
-
-
 def expand(op, bases):
     """Expand a Hermitian operator over tensor products of basis elements.
 
@@ -118,8 +103,10 @@ def expand(op, bases):
 
     Returns
     -------
-    CoefficientVector
-        coeffs[k, l, ...] = Tr((S_k (x) S_l (x) ...) op), real.
+    ndarray
+        Read-only real coefficients, one axis per subsystem (axis t runs
+        over the n_t^2 elements of bases[t]):
+        coeffs[k, l, ...] = Tr((S_k (x) S_l (x) ...) op).
     """
     bases = list(bases)
     dims = tuple(b.dim for b in bases)
@@ -138,18 +125,12 @@ def expand(op, bases):
         T = np.moveaxis(T, 0, t)
     coeffs = np.ascontiguousarray(T.real)
     coeffs.setflags(write=False)
-    return CoefficientVector(coeffs=coeffs, dims=dims)
+    return coeffs
 
 
 def reconstruct(coeffs, bases):
-    """Rebuild the operator from expansion coefficients (inverse of expand).
-
-    Accepts a CoefficientVector or a bare array shaped like one.
-    """
-    if isinstance(coeffs, CoefficientVector):
-        arr = coeffs.coeffs
-    else:
-        arr = np.asarray(coeffs)
+    """Rebuild the operator from expansion coefficients (inverse of expand)."""
+    arr = np.asarray(coeffs)
     bases = list(bases)
     dims = tuple(b.dim for b in bases)
     d = math.prod(dims)

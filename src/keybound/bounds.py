@@ -7,7 +7,7 @@ remainder rho_ne with the protocol POVMs, and reports
 
     K  <=  (1 - lambda) * I(A;B | rho_ne),
 
-zero when lambda is 1 within tolerance.  The headline mutual
+zero when lambda is within LAMBDA_TOL of 1.  The headline mutual
 information is computed on the matched-basis pooled bit distribution
 (the sifted-key bookkeeping appropriate in the asymmetric-basis limit);
 the full-POVM variant is carried alongside for reference.
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .extendibility import (LAMBDA_TOL, best_extendible_decomposition,
-                            extendibility_threshold)
+from .extendibility import best_extendible_decomposition, extendibility_threshold
 from .infotheory import mutual_information
 from .protocols import (ProtocolSpec, assemble_class, full_joint,
                         matched_key_distribution, qber, realize_protocol,
@@ -54,25 +53,9 @@ class BoundPoint:
     direction: str = "direct"
 
 
-def _failed_point(spec, err):
-    sol = getattr(err, "solution", None)
-    return BoundPoint(
-        e=spec.e if spec.e is not None else math.nan,
-        qber=math.nan,
-        lambda_max=math.nan,
-        mutual_info_ne=None,
-        upper_bound=math.nan,
-        duality_gap=sol.duality_gap if sol is not None else math.nan,
-        status="failed",
-        mutual_info_ne_full=None,
-        iterations=sol.iterations if sol is not None else 0,
-        protocol=spec.kind,
-        direction=spec.direction,
-    )
-
-
-def one_way_upper_bound(spec, settings=None, lam_tol=LAMBDA_TOL):
-    """Evaluate the bound for one ProtocolSpec.
+def one_way_upper_bound(spec):
+    """Evaluate the bound for one ProtocolSpec, at LAMBDA_TOL and the
+    solver's default settings.
 
     Solver breakdowns are not raised: the returned point carries
     status "failed" with NaN numbers.
@@ -87,70 +70,54 @@ def one_way_upper_bound(spec, settings=None, lam_tol=LAMBDA_TOL):
         qber_val = qber(cls.data, povms) if keyed else math.nan
     except ValueError:
         qber_val = math.nan
+    lam = bound = math.nan
+    info = info_full = None
     try:
-        res = best_extendible_decomposition(cls, settings=settings, lam_tol=lam_tol)
+        res = best_extendible_decomposition(cls)
     except SolverError as err:
-        return _failed_point(spec, err)
-    lam = res.lambda_max
-    if res.rho_ne is None:
-        return BoundPoint(
-            e=spec.e if spec.e is not None else math.nan,
-            qber=qber_val, lambda_max=lam, mutual_info_ne=None,
-            upper_bound=0.0, duality_gap=res.solution.duality_gap,
-            status=res.solution.status, mutual_info_ne_full=None,
-            iterations=res.solution.iterations, protocol=spec.kind,
-            direction=spec.direction)
-    data_ne = simulate_observed_data(res.rho_ne, povms)
-    info_full = mutual_information(full_joint(data_ne))
-    info = mutual_information(matched_key_distribution(data_ne, povms)) \
-        if keyed else info_full
+        sol, status, qber_val = err.solution, "failed", math.nan
+    else:
+        sol, lam, bound = res.solution, res.lambda_max, 0.0
+        status = sol.status
+        if res.rho_ne is not None:
+            data_ne = simulate_observed_data(res.rho_ne, povms)
+            info_full = mutual_information(full_joint(data_ne))
+            info = mutual_information(matched_key_distribution(data_ne, povms)) \
+                if keyed else info_full
+            bound = (1.0 - lam) * info
     return BoundPoint(
         e=spec.e if spec.e is not None else math.nan,
         qber=qber_val,
         lambda_max=lam,
         mutual_info_ne=info,
-        upper_bound=(1.0 - lam) * info,
-        duality_gap=res.solution.duality_gap,
-        status=res.solution.status,
+        upper_bound=bound,
+        duality_gap=sol.duality_gap if sol is not None else math.nan,
+        status=status,
         mutual_info_ne_full=info_full,
-        iterations=res.solution.iterations,
+        iterations=sol.iterations if sol is not None else 0,
         protocol=spec.kind,
         direction=spec.direction,
     )
 
 
-def _base_spec(protocol, direction, source_constraint):
-    if isinstance(protocol, ProtocolSpec):
-        if protocol.kind == "custom":
-            raise ValueError("error-rate sweeps need a built-in protocol kind")
-        return replace(protocol, direction=direction,
-                       source_constraint=source_constraint
-                       if source_constraint is not None
-                       else protocol.source_constraint)
-    return ProtocolSpec(str(protocol), e=0.0, direction=direction,
-                        source_constraint=source_constraint)
-
-
-def sweep(protocol, e_grid, direction="direct", source_constraint=None,
-          settings=None, lam_tol=LAMBDA_TOL):
+def sweep(protocol, e_grid, direction="direct", source_constraint=None):
     """Evaluate the bound over a grid of error rates, in grid order.
 
-    protocol: "four-state", "six-state", or a built-in ProtocolSpec to
-    use as a template.  Failed points stay in the output with status
-    "failed"; the sweep continues.
+    protocol: "four-state" or "six-state".  Failed points stay in the
+    output with status "failed"; the sweep continues.
     """
-    base = _base_spec(protocol, direction, source_constraint)
-    return [one_way_upper_bound(replace(base, e=float(e)), settings=settings,
-                                lam_tol=lam_tol)
-            for e in e_grid]
+    base = ProtocolSpec(protocol, e=0.0, direction=direction,
+                        source_constraint=source_constraint)
+    return [one_way_upper_bound(replace(base, e=float(e))) for e in e_grid]
 
 
 def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
-                source_constraint=None, settings=None, lam_tol=LAMBDA_TOL):
+                source_constraint=None):
     """Smallest error rate at which the class turns extendible, as one SDP.
 
-    The threshold is the least e in bracket whose class contains a state
-    with lambda_max >= 1 - lam_tol (extendibility_threshold).  The
+    protocol: "four-state" or "six-state".  The threshold is the least e
+    in bracket whose class contains a state with
+    lambda_max >= 1 - LAMBDA_TOL (extendibility_threshold).  The
     built-in family depolarized_bell(e) is affine in e, so its classes
     are interpolated from the two bracket ends; the class re-assembled
     at the answer must match that interpolation within 1e-9, or
@@ -161,7 +128,8 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    base = _base_spec(protocol, direction, source_constraint)
+    base = ProtocolSpec(protocol, e=0.0, direction=direction,
+                        source_constraint=source_constraint)
 
     def class_at(e):
         cls_spec = replace(base, e=float(e))
@@ -171,10 +139,8 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must be an increasing pair")
-    st = settings or SolverSettings()
     cls_lo, cls_hi = class_at(lo), class_at(hi)
-    sol = extendibility_threshold(cls_lo, cls_hi, (lo, hi), settings=st,
-                                  lam_tol=lam_tol)
+    sol = extendibility_threshold(cls_lo, cls_hi, (lo, hi))
     if sol.status == "infeasible":
         raise ValueError(f"upper bracket e={hi} is not extendible")
     if sol.status != "optimal":
@@ -182,7 +148,7 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
                           f"{sol.message}", solution=sol)
     cut = float(sol.x[-1])
     gap = abs(sol.objective - sol.dual_objective)
-    if cut - lo <= max(gap, st.feas_tol):
+    if cut - lo <= max(gap, SolverSettings().feas_tol):
         raise ValueError(f"lower bracket e={lo} is already extendible")
     if gap > tol:
         raise SolverError(f"threshold duality gap {gap:.3e} exceeds tol {tol:.3e}",
@@ -215,27 +181,10 @@ def bound_points_to_csv(points):
 
 
 def bound_points_to_json(points):
-    """Render points as JSON, including the full-POVM mutual information."""
-    def none_if_nan(v):
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            return None
-        return v
-
-    out = []
-    for p in points:
-        out.append({
-            "e": none_if_nan(p.e),
-            "qber": none_if_nan(p.qber),
-            "lambda_max": none_if_nan(p.lambda_max),
-            "mutual_info_ne": none_if_nan(p.mutual_info_ne),
-            "mutual_info_ne_full": none_if_nan(p.mutual_info_ne_full),
-            "upper_bound": none_if_nan(p.upper_bound),
-            "duality_gap": none_if_nan(p.duality_gap),
-            "status": p.status,
-            "iterations": p.iterations,
-            "protocol": p.protocol,
-            "direction": p.direction,
-        })
+    """Render points as JSON, including the full-POVM mutual information;
+    NaN becomes null."""
+    out = [{k: None if isinstance(v, float) and math.isnan(v) else v
+            for k, v in asdict(p).items()} for p in points]
     return json.dumps({"points": out}, indent=2, sort_keys=True) + "\n"
 
 

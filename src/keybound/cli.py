@@ -23,7 +23,7 @@ from .bounds import (bound_points_to_csv, bound_points_to_json, find_cutoff,
                      gnuplot_script, one_way_upper_bound, sweep)
 from .extendibility import LAMBDA_TOL
 from .protocols import InconsistentDataError, ProtocolSpec, load_protocol
-from .sdp import SolverError, SolverSettings
+from .sdp import SolverError
 
 OUTPUT_DIR_ENV = "KEYBOUND_OUTPUT_DIR"
 
@@ -67,11 +67,6 @@ def _write_atomic(path, text):
         raise
 
 
-def _settings(args):
-    return SolverSettings(gap_tol=args.gap_tol, feas_tol=args.feas_tol,
-                          max_iter=args.max_iter)
-
-
 def _spec_from_args(args, need_e=True):
     if args.protocol == "custom":
         if not args.custom_file:
@@ -103,10 +98,6 @@ def _add_common(sub, with_e=True):
                      action=argparse.BooleanOptionalAction,
                      help="pin the preparer's marginal (default: on for "
                           "four-state, off otherwise)")
-    sub.add_argument("--gap-tol", type=float, default=1e-8)
-    sub.add_argument("--feas-tol", type=float, default=1e-8)
-    sub.add_argument("--max-iter", type=int, default=200)
-    sub.add_argument("--lambda-tol", type=float, default=LAMBDA_TOL)
 
 
 def build_parser():
@@ -187,11 +178,8 @@ def _emit_points(points, args):
 
 
 def run(args):
-    settings = _settings(args)
     if args.command == "bound":
-        spec = _spec_from_args(args)
-        point = one_way_upper_bound(spec, settings=settings,
-                                    lam_tol=args.lambda_tol)
+        point = one_way_upper_bound(_spec_from_args(args))
         for line in _point_lines(point):
             print(line)
         if args.out:
@@ -203,8 +191,7 @@ def run(args):
             raise ValueError("sweep needs a built-in protocol kind")
         grid = _parse_grid(args.grid)
         points = sweep(args.protocol, grid, direction=args.direction or "direct",
-                       source_constraint=args.source_constraint,
-                       settings=settings, lam_tol=args.lambda_tol)
+                       source_constraint=args.source_constraint)
         _emit_points(points, args)
         return 1 if any(p.status == "failed" for p in points) else 0
 
@@ -214,8 +201,7 @@ def run(args):
         bracket = _parse_bracket(args.bracket)
         value = find_cutoff(args.protocol, tol=args.tol, bracket=bracket,
                             direction=args.direction or "direct",
-                            source_constraint=args.source_constraint,
-                            settings=settings, lam_tol=args.lambda_tol)
+                            source_constraint=args.source_constraint)
         print(f"{value:.10g}")
         return 0
 
@@ -226,9 +212,8 @@ def run(args):
         spec = _spec_from_args(args)
         povms, data = realize_protocol(spec)
         cls = assemble_class(povms, data, spec)
-        res = best_extendible_decomposition(cls, settings=settings,
-                                            lam_tol=args.lambda_tol)
-        verdict = res.lambda_max >= 1.0 - args.lambda_tol
+        res = best_extendible_decomposition(cls)
+        verdict = res.lambda_max >= 1.0 - LAMBDA_TOL
         print("extendible" if verdict else "not extendible")
         print(f"lambda_max: {res.lambda_max:.10g}")
         return 0

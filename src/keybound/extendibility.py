@@ -56,12 +56,6 @@ VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
                      "marginal": 1e-8, "psd_floor": -1e-9}
 
 
-def _check_lam_tol(lam_tol):
-    # At 0.5 the "lambda ~ 0" and "lambda ~ 1" conventions overlap.
-    if not (math.isfinite(lam_tol) and 0.0 <= lam_tol < 0.5):
-        raise ValueError(f"lam_tol must be finite and in [0, 0.5), got {lam_tol}")
-
-
 @dataclass(frozen=True, eq=False)
 class VariableLayout:
     """The data-independent part of the joint decomposition SDP for one
@@ -193,22 +187,19 @@ def pinned_problem(cls, lam):
                       eq_rows=rows, eq_rhs=rhs), layout
 
 
-def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
-                            lam_tol=LAMBDA_TOL):
+def extendibility_threshold(cls_lo, cls_hi, bracket):
     """Solve for the smallest parameter t of an affine family of classes
     whose class contains a state with extendible weight
-    lambda >= 1 - lam_tol.
+    lambda >= 1 - LAMBDA_TOL.
 
     The family is interpolated from its classes at the bracket ends
     (lo, hi): at t its rows are the common rows, its right-hand side
     rhs(lo) + (t - lo) * slope with slope = (rhs(hi) - rhs(lo)) / (hi - lo).
     The program is the joint SDP plus one variable t, last: one diagonal
-    3x3 block holds lo <= t <= hi and f_000 >= 1 - lam_tol, and the
-    objective is min t.  lam_tol must be finite and in [0, 0.5)
-    (ValueError before any solve).  Returns the SdpSolution whatever its
-    status; t is x[-1].
+    3x3 block holds lo <= t <= hi and f_000 >= 1 - LAMBDA_TOL, and the
+    objective is min t.  Returns the SdpSolution whatever its status; t
+    is x[-1].
     """
-    _check_lam_tol(lam_tol)
     lo, hi = bracket
     if cls_hi.dims != cls_lo.dims or cls_hi.rows.shape != cls_lo.rows.shape \
             or np.max(np.abs(cls_hi.rows - cls_lo.rows), initial=0.0) > 1e-9:
@@ -217,7 +208,7 @@ def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
     problem, layout = build_sdp(cls_lo)
     n = layout.total
     slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
-    bounds = LmiBlock(dim=3, const=np.diag([-lo, hi, lam_tol - 1.0]),
+    bounds = LmiBlock(dim=3, const=np.diag([-lo, hi, LAMBDA_TOL - 1.0]),
                       var_idx=[n, layout.e_index(0, 0)],
                       mats=[np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
     blocks = problem.blocks + (bounds,)
@@ -226,7 +217,7 @@ def extendibility_threshold(cls_lo, cls_hi, bracket, settings=None,
     threshold = SdpProblem(c=c, blocks=blocks,
                            eq_rows=np.column_stack([problem.eq_rows, -slope]),
                            eq_rhs=problem.eq_rhs - lo * slope)
-    return solve(threshold, settings or SolverSettings())
+    return solve(threshold)
 
 
 @dataclass(frozen=True)
@@ -263,7 +254,7 @@ def _to_density(mat, dims, diagnostics, name):
     return DensityOperator(mat / tr, dims)
 
 
-def _pinned_support(cls, layout, settings):
+def _pinned_support(cls, layout):
     """(r, w, S) when the class rows pin rho (full column rank, consistent
     within the solver's feasibility tolerance) to a state whose smallest
     eigenvalue lies in [-SUPPORT_TOL, SUPPORT_TOL]: w its eigenvalues
@@ -273,7 +264,7 @@ def _pinned_support(cls, layout, settings):
     if rank < layout.n_r:
         return None
     resid = np.linalg.norm(cls.rows @ r - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs))
-    if resid > settings.feas_tol:
+    if resid > SolverSettings().feas_tol:
         return None
     da, db = layout.dims
     bases = (build_basis(da), build_basis(db))
@@ -297,7 +288,7 @@ def _face_basis(S, dims):
     projector onto S (x) C^{d_B} and half = (1 +- P) / 2."""
     db = dims[1]
     Q = np.kron(S @ S.conj().T, np.eye(db))
-    P = swap_last_two(dims).matrix
+    P = swap_last_two(dims)
     eye = np.eye(P.shape[0])
     parts = []
     for sign in (1.0, -1.0):
@@ -319,7 +310,7 @@ def _hermitian_stack(n):
     return out
 
 
-def _solve_on_face(r, w, S, layout, settings):
+def _solve_on_face(r, w, S, layout):
     """The decomposition program restricted to the face of a pinned,
     rank-deficient rho, solved and mapped back to the full (r, f) vector.
 
@@ -360,7 +351,7 @@ def _solve_on_face(r, w, S, layout, settings):
                          mats=-sigma_mats),
                 LmiBlock(dim=k, const=np.zeros((k, k)), var_idx=g_idx,
                          mats=ys)))
-    sol = solve(problem, settings)
+    sol = solve(problem)
     # chi_mats is an orthogonal basis of the swap-symmetric operators,
     # so f_i = Tr(chi_mats[i] chi~) / Tr(chi_mats[i]^2).
     chi = U @ np.tensordot(sol.x, ys, 1) @ U.conj().T
@@ -371,15 +362,14 @@ def _solve_on_face(r, w, S, layout, settings):
                    dual_objective=sol.dual_objective + r00), k
 
 
-def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
+def best_extendible_decomposition(cls):
     """Solve the joint SDP and unpack the optimal decomposition.
 
-    Degenerate conventions: when lambda is within lam_tol of 0 no
+    Degenerate conventions: when lambda is within LAMBDA_TOL of 0 no
     extendible part is reported (sigma_ext and chi are None); within
-    lam_tol of 1 no rho_ne is reported.  Reported parts are renormalized
-    to unit trace.  lam_tol must be finite and in [0, 0.5) (ValueError
-    before any solve).  Solver failure raises SolverError with the
-    solution attached.
+    LAMBDA_TOL of 1 no rho_ne is reported.  Reported parts are
+    renormalized to unit trace.  Solver failure raises SolverError with
+    the solution attached.
 
     A class whose rows pin rho to a rank-deficient state (see
     _pinned_support) is solved on its face by _solve_on_face; the
@@ -387,15 +377,13 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     (None for both when the full program ran).  The solution, the
     unpack and verify_extension stay in the full (r, f) coordinates.
     """
-    _check_lam_tol(lam_tol)
-    settings = settings or SolverSettings()
     layout = layout_for(tuple(cls.dims))
-    pinned = _pinned_support(cls, layout, settings)
+    pinned = _pinned_support(cls, layout)
     support_rank = face_dim = None
     if pinned is None:
-        sol = solve(build_sdp(cls)[0], settings)
+        sol = solve(build_sdp(cls)[0])
     else:
-        sol, face_dim = _solve_on_face(*pinned, layout, settings)
+        sol, face_dim = _solve_on_face(*pinned, layout)
         support_rank = pinned[1].size
     if sol.status != "optimal":
         raise SolverError(
@@ -421,12 +409,12 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
     rho_star = _to_density(reconstruct(r, (basis_a, basis_b)), (da, db),
                            diagnostics, "rho_star")
     sigma_ext = rho_ne = chi = None
-    if lam > lam_tol:
+    if lam > LAMBDA_TOL:
         sigma_ext = _to_density(reconstruct(e, (basis_a, basis_b)) / lam,
                                 (da, db), diagnostics, "sigma_ext")
         chi = _to_density(np.tensordot(f, layout.chi_mats, 1) / lam,
                           (da, db, db), diagnostics, "chi")
-    if lam < 1.0 - lam_tol:
+    if lam < 1.0 - LAMBDA_TOL:
         resid = (reconstruct(r, (basis_a, basis_b))
                  - reconstruct(e, (basis_a, basis_b))) / (1.0 - lam)
         rho_ne = _to_density(resid, (da, db), diagnostics, "rho_ne")
@@ -437,11 +425,10 @@ def best_extendible_decomposition(cls, settings=None, lam_tol=LAMBDA_TOL):
         diagnostics=diagnostics)
 
 
-def is_extendible(cls, settings=None, lam_tol=LAMBDA_TOL):
+def is_extendible(cls):
     """Whether the class contains a state with a two-copy symmetric
-    extension: lambda_max within lam_tol of 1."""
-    return best_extendible_decomposition(cls, settings=settings,
-                                         lam_tol=lam_tol).lambda_max >= 1.0 - lam_tol
+    extension: lambda_max within LAMBDA_TOL of 1."""
+    return best_extendible_decomposition(cls).lambda_max >= 1.0 - LAMBDA_TOL
 
 
 @dataclass(frozen=True)
@@ -494,7 +481,7 @@ def verify_extension(result):
     decomp = float(np.max(np.abs(sigma_part + ne_part - result.rho_star.matrix)))
 
     P = swap_last_two((da, db))
-    swap_res = float(np.max(np.abs(P.conjugate(chi_mat) - chi_mat)))
+    swap_res = float(np.max(np.abs(P @ chi_mat @ P - chi_mat)))
 
     marg_bp = partial_trace_matrix(chi_part, (da, db, db), keep=(0, 1))
     marg_b = partial_trace_matrix(chi_part, (da, db, db), keep=(0, 2))

@@ -505,16 +505,6 @@ def class_from_state(state):
                                 rhs=coeffs.ravel().copy(), n_raw_rows=n)
 
 
-def trivial_class(dims):
-    """The class of all states on the given dimensions (normalization only)."""
-    da, db = dims
-    n = da * da * db * db
-    row = np.zeros((1, n))
-    row[0, 0] = 1.0
-    return EquivalenceClassSpec(dims=(int(da), int(db)), rows=row,
-                                rhs=np.array([1.0]), n_raw_rows=1)
-
-
 def _matrix_from_json(obj, what):
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{what}: expected an object with 're' (and optional 'im')")

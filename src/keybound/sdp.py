@@ -30,7 +30,9 @@ embedding leaves; it is cut to STEP_FRACTION of the distance to the cone
 boundary like every step, so it is seldom full and seldom zeros that
 residual.  Otherwise tau -> 0 with kappa > 0, and (y, Z) tends to a
 Farkas certificate (A*(Z) + A^T y = 0, Z >= 0, rhs.y - <F0, Z> > 0)
-or x to a primal ray (F_lin(x) >= 0, A x = 0, c.x < 0).
+or x to a primal ray (F_lin(x) >= 0, A x = 0, c.x < 0).  A run whose
+tau would fall below TAU_FLOOR before either one forms ends as
+numerical-failure; some moderately infeasible programs end so.
 
 Writing W = R R^T for the scaling point of (S, Z), each iteration forms
 the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> and solves
@@ -83,6 +85,8 @@ HERM_TOL = 1e-12
 STEP_FRACTION = 0.98
 # check_feasible calls a problem feasible when its phase-I slack is at most this.
 FEASIBLE_MARGIN = 1e-8
+# Below this tau, tau ** 2 (which the metrics divide by) leaves the normal floats.
+TAU_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 log = logging.getLogger(__name__)
 
@@ -230,7 +234,6 @@ class IterateRecord:
     primal_obj: float
     dual_obj: float
     inner: float            # sum_b <S_b, Z_b>
-    min_block_inner: float  # min_b <S_b, Z_b>
     kappa: float            # infeasibility budget for weak duality
     mu: float
     primal_res: float
@@ -345,8 +348,7 @@ def solve(problem, settings=None):
         rg = kappa + float(c @ x) - float(b @ y) + F0Z
         inner = [float(np.vdot(Sb, Zb)) for Sb, Zb in zip(S, Z)]
         mu = max((sum(inner) + tau * kappa) / (ntot + 1), 1e-300)
-        inners = [v / tau ** 2 for v in inner]
-        gap_inner = sum(inners)
+        gap_inner = sum(v / tau ** 2 for v in inner)
 
         # --- metrics of the tau-normalized iterate ---
         pobj = float(c @ x) / tau
@@ -375,7 +377,7 @@ def solve(problem, settings=None):
                      + float(np.linalg.norm(rd)) * float(np.linalg.norm(x))) / tau ** 2
         history.append(IterateRecord(
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
-            min_block_inner=min(inners), kappa=wd_budget, mu=gap_inner / ntot,
+            kappa=wd_budget, mu=gap_inner / ntot,
             primal_res=pres, dual_res=dres, eq_res=eres))
         log.debug("it %3d  pobj %+.6e  dobj %+.6e  gap %.2e  pres %.2e  "
                   "dres %.2e  eres %.2e  tau %.2e  hsd-kappa %.2e",
@@ -582,6 +584,14 @@ def solve(problem, settings=None):
                 break
         else:
             stall = 0
+        if tau + alpha * dtau < TAU_FLOOR:
+            # Only a certificate may end a run with tau -> 0; without one
+            # the iterate is kept and the solve reports that it broke down.
+            status = "numerical-failure"
+            message = (f"tau underflow: the step would take tau from {tau:.2e} "
+                       f"below {TAU_FLOOR:.2e} with no Farkas certificate or "
+                       "primal ray")
+            break
 
         x = x + alpha * dx
         y = y + alpha * dy

@@ -3,6 +3,7 @@ and permutation operators the bound construction needs."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,46 +78,12 @@ def partial_trace_matrix(mat, dims, keep):
     return T.reshape(dk, dk)
 
 
-def partial_trace(state, keep):
-    """Partial trace of a DensityOperator; returns a DensityOperator."""
-    reduced = partial_trace_matrix(state.matrix, state.dims, keep)
-    kept = sorted(set(int(k) for k in keep))
-    return DensityOperator(reduced, tuple(state.dims[t] for t in kept))
-
-
-def permute_subsystems(mat, dims, perm):
-    """Conjugate a matrix by the permutation that reorders tensor factors.
-
-    perm[t] gives the old position of the factor that lands at new
-    position t, matching np.transpose conventions.
-    """
-    dims = tuple(dims)
-    s = len(dims)
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(s)):
-        raise ValueError(f"{perm} is not a permutation of {list(range(s))}")
-    d = math.prod(dims)
-    T = np.asarray(mat).reshape(dims + dims)
-    T = T.transpose(perm + [p + s for p in perm])
-    return T.reshape(d, d)
-
-
-@dataclass(frozen=True)
-class SwapOperator:
-    """The unitary that exchanges the last two factors of A (x) B (x) B'."""
-
-    matrix: np.ndarray
-    dims: tuple
-
-    def conjugate(self, mat):
-        """Return P mat P (P is its own inverse)."""
-        return self.matrix @ mat @ self.matrix
-
-
+@functools.lru_cache(maxsize=8)
 def swap_last_two(dims):
-    """Swap operator on A (x) B (x) B' with dims (d_A, d_B).
+    """The read-only swap operator P on A (x) B (x) B' for dims (d_A, d_B),
+    built once per dims.
 
-    Acts as P |i,j,k> = |i,k,j>.
+    P |i,j,k> = |i,k,j>; P is real, symmetric and its own inverse.
     """
     da, db = (int(n) for n in dims)
     d = da * db * db
@@ -124,7 +91,7 @@ def swap_last_two(dims):
     P = eye.reshape(da, db, db, da, db, db).transpose(0, 2, 1, 3, 4, 5).reshape(d, d)
     P = np.ascontiguousarray(P)
     P.setflags(write=False)
-    return SwapOperator(matrix=P, dims=(da, db))
+    return P
 
 
 def bell_psi_plus():

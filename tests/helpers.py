@@ -13,6 +13,7 @@ import numpy as np
 from keybound import bounds
 from keybound.basis import build_basis
 from keybound.extendibility import LAMBDA_TOL, pinned_problem
+from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
 from keybound.sdp import LmiBlock, SdpProblem, SolverSettings, check_feasible
 
 
@@ -44,13 +45,12 @@ def lambda_bisection_oracle(cls, tol=5e-5, settings=None):
 
 
 def cutoff_bisection_oracle(protocol, tol=1e-3, bracket=(0.0, 0.25),
-                            direction="direct", source_constraint=None,
-                            settings=None, lam_tol=LAMBDA_TOL):
+                            direction="direct", source_constraint=None):
     """Smallest error rate at which the class turns extendible, by bisection.
 
     Independent of the threshold program: each probe solves the plain
     decomposition at one error rate and asks only whether
-    lambda_max >= 1 - lam_tol.  The predicate must be False at bracket[0]
+    lambda_max >= 1 - LAMBDA_TOL.  The predicate must be False at bracket[0]
     and True at bracket[1]; monotonicity of the depolarized family makes
     the bisection sound.  The answer is the bracket midpoint once its
     width is below tol, or once the bracket has narrowed to adjacent
@@ -59,15 +59,15 @@ def cutoff_bisection_oracle(protocol, tol=1e-3, bracket=(0.0, 0.25),
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    base = bounds._base_spec(protocol, direction, source_constraint)
+    base = ProtocolSpec(protocol, e=0.0, direction=direction,
+                        source_constraint=source_constraint)
 
     def extendible_at(e):
         cls_spec = replace(base, e=float(e))
         povms, data = bounds.realize_protocol(cls_spec)
         cls = bounds.assemble_class(povms, data, cls_spec)
-        res = bounds.best_extendible_decomposition(cls, settings=settings,
-                                                   lam_tol=lam_tol)
-        return res.lambda_max >= 1.0 - lam_tol
+        res = bounds.best_extendible_decomposition(cls)
+        return res.lambda_max >= 1.0 - LAMBDA_TOL
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -209,6 +209,29 @@ def random_density(rng, dim):
 def random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def trivial_class(dims):
+    """The class of all states on the given dimensions (normalization only)."""
+    da, db = dims
+    n = da * da * db * db
+    row = np.zeros((1, n))
+    row[0, 0] = 1.0
+    return EquivalenceClassSpec(dims=(int(da), int(db)), rows=row,
+                                rhs=np.array([1.0]), n_raw_rows=1)
+
+
+def permute_subsystems(mat, dims, perm):
+    """Conjugate a matrix by the permutation that reorders tensor factors,
+    by transposing its tensor axes; an oracle for swap_last_two.
+
+    perm[t] gives the old position of the factor that lands at new
+    position t, matching np.transpose conventions.
+    """
+    s = len(dims)
+    d = math.prod(dims)
+    T = np.asarray(mat).reshape(tuple(dims) * 2)
+    return T.transpose(list(perm) + [p + s for p in perm]).reshape(d, d)
 
 
 def _chi_terms(dims):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from keybound.basis import build_basis, expand, reconstruct, CoefficientVector
+from keybound.basis import build_basis, expand, reconstruct
 from helpers import random_hermitian
 
 PAULI = {
@@ -61,8 +61,8 @@ def test_expand_reconstruct_roundtrip(dims):
     op = random_hermitian(rng, total)
     bases = tuple(build_basis(n) for n in dims)
     coeffs = expand(op, bases)
-    assert isinstance(coeffs, CoefficientVector)
-    assert coeffs.coeffs.shape == tuple(n * n for n in dims)
+    assert coeffs.shape == tuple(n * n for n in dims)
+    assert coeffs.dtype == float and not coeffs.flags.writeable
     back = reconstruct(coeffs, bases)
     assert np.allclose(back, op, atol=1e-11)
 
@@ -71,7 +71,7 @@ def test_expand_known_product():
     # coefficients of a product operator factor
     bases = (build_basis(2), build_basis(2))
     op = np.kron(PAULI["X"], PAULI["Z"])
-    coeffs = expand(op, bases).coeffs
+    coeffs = expand(op, bases)
     want = np.zeros((4, 4))
     want[1, 3] = 4.0  # Tr((X (x) Z) (X (x) Z)) = 4
     assert np.allclose(coeffs, want, atol=1e-13)
@@ -80,7 +80,7 @@ def test_expand_known_product():
 def test_expand_identity_normalization():
     bases = (build_basis(2), build_basis(2))
     rho = np.eye(4) / 4
-    coeffs = expand(rho, bases).coeffs
+    coeffs = expand(rho, bases)
     assert abs(coeffs[0, 0] - 1.0) < 1e-13
     assert np.abs(coeffs).sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -95,7 +95,7 @@ def test_coefficient_vector_ravel():
     rng = np.random.default_rng(3)
     bases = (build_basis(2), build_basis(2))
     op = random_hermitian(rng, 4)
-    cv = expand(op, bases)
-    flat = cv.ravel()
+    coeffs = expand(op, bases)
+    flat = coeffs.ravel()
     assert flat.shape == (16,)
-    assert flat[5] == cv.coeffs[1, 1]
+    assert flat[5] == coeffs[1, 1]

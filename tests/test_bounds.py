@@ -155,20 +155,6 @@ def test_find_cutoff_rejects_bad_tol_before_solving(tol, monkeypatch):
         find_cutoff("six-state", tol=tol)
 
 
-@pytest.mark.parametrize("lam_tol", [math.nan, math.inf, -1e-3, 0.5])
-def test_bad_lam_tol_rejected_before_solving(lam_tol, monkeypatch):
-    # Unchecked, a lam_tol at or above 1 - lambda reports a bound of 0 as
-    # optimal.
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before validating lam_tol")
-
-    monkeypatch.setattr(extendibility, "solve", no_solve)
-    with pytest.raises(ValueError, match="lam_tol"):
-        one_way_upper_bound(ProtocolSpec.six_state(0.05), lam_tol=lam_tol)
-    with pytest.raises(ValueError, match="lam_tol"):
-        find_cutoff("six-state", lam_tol=lam_tol)
-
-
 def test_find_cutoff_stops_at_float_resolution(monkeypatch):
     # A tol below the float spacing near the threshold cannot be met; the
     # bisection must still end once the bracket is two adjacent floats.
@@ -176,7 +162,7 @@ def test_find_cutoff_stops_at_float_resolution(monkeypatch):
     # fails on the call count instead of hanging.
     calls = []
 
-    def step_at_one_sixth(e, settings=None, lam_tol=None):
+    def step_at_one_sixth(e):
         calls.append(e)
         assert len(calls) < 200, "bisection did not stop"
         return SimpleNamespace(lambda_max=1.0 if e >= 1 / 6 else 0.0)
@@ -224,6 +210,24 @@ def test_failed_points_render_as_nan():
                    upper_bound=math.nan, duality_gap=math.nan, status="failed")
     text = bound_points_to_csv([p])
     assert text.splitlines()[1] == "0.1,nan,nan,nan,nan,nan,failed"
+
+
+@pytest.mark.parametrize("solution", [None, SimpleNamespace(duality_gap=0.25,
+                                                            iterations=7)])
+def test_solver_failure_gives_a_failed_point(solution, monkeypatch):
+    def breakdown(cls):
+        raise SolverError("breakdown", solution=solution)
+
+    monkeypatch.setattr(bounds, "best_extendible_decomposition", breakdown)
+    p = one_way_upper_bound(ProtocolSpec.six_state(0.05))
+    assert (p.e, p.status, p.protocol, p.direction) == (0.05, "failed", "six-state",
+                                                         "direct")
+    assert math.isnan(p.qber) and math.isnan(p.lambda_max) and math.isnan(p.upper_bound)
+    assert p.mutual_info_ne is None and p.mutual_info_ne_full is None
+    assert p.iterations == (0 if solution is None else 7)
+    (doc,) = json.loads(bound_points_to_json([p]))["points"]
+    assert doc["duality_gap"] == (None if solution is None else 0.25)
+    assert doc["qber"] is None and doc["upper_bound"] is None
 
 
 def test_gnuplot_script_mentions_csv():

@@ -36,13 +36,21 @@ def test_cutoff_bad_tol_exits_2(capsys):
     assert captured.out == ""
 
 
-def test_bound_bad_lambda_tol_exits_2(capsys):
-    code = main(["bound", "--protocol", "six-state", "--e", "0.05",
-                 "--lambda-tol", "nan"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "lam_tol" in captured.err
-    assert captured.out == ""
+@pytest.mark.parametrize("flag", ["--gap-tol", "--feas-tol", "--max-iter",
+                                  "--lambda-tol"])
+def test_removed_tuning_flag_exits_2(flag, capsys):
+    # The bound pipeline runs at one set of tolerances; argparse refuses
+    # the old tuning flags on every subcommand.
+    for argv in (["bound", "--protocol", "six-state", "--e", "0.05"],
+                 ["sweep", "--protocol", "six-state", "--grid", "0:0.25:2"],
+                 ["cutoff", "--protocol", "six-state"],
+                 ["check-extendible", "--protocol", "six-state", "--e", "0.05"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1e-6"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
 
 
 def test_cutoff_gap_above_tol_exits_1(capsys):
@@ -50,6 +58,19 @@ def test_cutoff_gap_above_tol_exits_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "exceeds tol" in captured.err
+    assert captured.out == ""
+
+
+def test_cutoff_tau_underflow_exits_1(capsys):
+    # The threshold program over a bracket ending just below the six-state
+    # cutoff 1/6 is infeasible, but its solve breaks down before any
+    # certificate; that is a solver failure, not a bad bracket.
+    code = main(["cutoff", "--protocol", "six-state", "--bracket", "0:0.1666",
+                 "--tol", "1e-4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("solver failure:")
+    assert "tau underflow" in captured.err
     assert captured.out == ""
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from keybound.extendibility import pinned_problem
+from keybound.protocols import ProtocolSpec, assemble_class, realize_protocol
 from keybound.sdp import (
     LmiBlock, SdpProblem, SolverSettings, _chol_ridge, _potrs, _trtrs,
     check_feasible, feasibility_problem, solve, write_sdpa,
@@ -242,6 +244,23 @@ def test_overflowing_gram_matrix_is_a_numerical_failure():
         sol = solve(prob)
     assert sol.status == "numerical-failure"
     assert "Gram" in sol.message and "non-finite" in sol.message
+
+
+@pytest.mark.parametrize("lam", [0.3001, 0.31])
+def test_tau_underflow_is_a_numerical_failure(lam):
+    # Six-state at e = 0.05 has lambda_max = 0.3, so pinning the weight a
+    # little above it gives an infeasible program.  The embedding drives
+    # tau towards 0 there without reaching a Farkas certificate; the solve
+    # must end before tau ** 2 underflows instead of dividing by zero.
+    spec = ProtocolSpec.six_state(0.05)
+    povms, data = realize_protocol(spec)
+    problem = pinned_problem(assemble_class(povms, data, spec), lam)[0]
+    sol = solve(problem)
+    assert sol.status == "numerical-failure"
+    assert sol.message.startswith("tau underflow")
+    assert sol.certificate is None
+    assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+    assert check_feasible(problem).status == "infeasible"
 
 
 def test_lapack_helpers_match_scipy_wrappers():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from keybound.states import (
-    DensityOperator, bell_psi_plus, depolarized_bell, partial_trace,
-    partial_trace_matrix, permute_subsystems, swap_last_two,
+    DensityOperator, bell_psi_plus, depolarized_bell, partial_trace_matrix,
+    swap_last_two,
 )
-from helpers import random_density
+from helpers import permute_subsystems, random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -35,9 +35,9 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(11)
     a = random_density(rng, 2)
     b = random_density(rng, 3)
-    joint = DensityOperator(np.kron(a, b), dims=(2, 3))
-    assert np.allclose(partial_trace(joint, keep=(0,)).matrix, a, atol=1e-12)
-    assert np.allclose(partial_trace(joint, keep=(1,)).matrix, b, atol=1e-12)
+    joint = np.kron(a, b)
+    assert np.allclose(partial_trace_matrix(joint, (2, 3), keep=(0,)), a, atol=1e-12)
+    assert np.allclose(partial_trace_matrix(joint, (2, 3), keep=(1,)), b, atol=1e-12)
 
 
 def test_partial_trace_matrix_three_parties():
@@ -84,17 +84,28 @@ def test_permute_subsystems_swaps_kron():
 def test_swap_last_two_conjugation():
     rng = np.random.default_rng(9)
     a, b, c = (random_density(rng, 2) for _ in range(3))
-    op = swap_last_two((2, 2))
+    P = swap_last_two((2, 2))
     joint = np.kron(np.kron(a, b), c)
-    got = op.conjugate(joint)
+    got = P @ joint @ P
     assert np.allclose(got, np.kron(np.kron(a, c), b), atol=1e-12)
     # involution
-    assert np.allclose(op.conjugate(got), joint, atol=1e-12)
+    assert np.allclose(P @ got @ P, joint, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_swap_last_two_matches_subsystem_permutation(dims):
+    da, db = dims
+    m = random_density(np.random.default_rng(6), da * db * db)
+    P = swap_last_two(dims)
+    assert np.array_equal(P @ m @ P, permute_subsystems(m, (da, db, db), (0, 2, 1)))
+    # built once per dims and shared, so it must be read-only
+    assert swap_last_two(dims) is P
+    assert not P.flags.writeable
 
 
 def test_swap_last_two_fixes_symmetric_part():
-    op = swap_last_two((2, 2))
+    P = swap_last_two((2, 2))
     rng = np.random.default_rng(4)
     m = random_density(rng, 8)
-    sym = 0.5 * (m + op.conjugate(m))
-    assert np.allclose(op.conjugate(sym), sym, atol=1e-12)
+    sym = 0.5 * (m + P @ m @ P)
+    assert np.allclose(P @ sym @ P, sym, atol=1e-12)
