@@ -17,7 +17,7 @@ from keybound import LmiBlock, SdpProblem, check_feasible, solve, write_sdpa
 def lambda_min_problem(mat):
     """min -t  s.t.  mat - t I >= 0, i.e. the smallest eigenvalue."""
     dim = mat.shape[0]
-    block = LmiBlock(dim=dim, const=mat, var_idx=(0,), mats=-np.eye(dim)[None])
+    block = LmiBlock(const=mat, var_idx=(0,), mats=-np.eye(dim)[None])
     return SdpProblem(c=np.array([-1.0]), blocks=[block])
 
 
@@ -41,8 +41,8 @@ def main():
     print("\nstop 2: infeasibility certificate")
     one = np.ones((1, 1))
     infeas = SdpProblem(c=np.array([1.0]), blocks=[
-        LmiBlock(dim=1, const=-one, var_idx=(0,), mats=one[None]),
-        LmiBlock(dim=1, const=0 * one, var_idx=(0,), mats=-one[None]),
+        LmiBlock(const=-one, var_idx=(0,), mats=one[None]),
+        LmiBlock(const=0 * one, var_idx=(0,), mats=-one[None]),
     ])
     # solve reads the verdict from the embedding (tau -> 0, kappa > 0);
     # check_feasible reads it from the dual of a phase-I slack program

@@ -13,8 +13,8 @@ from .protocols import (EquivalenceClassSpec, InconsistentDataError, ObservedDat
                         four_state_povms, full_joint, load_protocol,
                         matched_key_distribution, qber, realize_protocol,
                         simulate_observed_data, six_state_povms)
-from .sdp import (LmiBlock, SdpProblem, SdpSolution, SolverError, SolverSettings,
-                  check_feasible, solve, write_sdpa)
+from .sdp import (LmiBlock, SdpProblem, SdpSolution, SolverError, check_feasible,
+                  solve, write_sdpa)
 from .states import (DensityOperator, bell_psi_plus, depolarized_bell,
                      partial_trace_matrix, swap_last_two)
 
@@ -25,7 +25,7 @@ __all__ = [
     "ExtendibilityResult", "ExtensionReport", "InconsistentDataError",
     "JointDistribution", "LmiBlock", "ObservedData", "OperatorBasis", "Povm",
     "ProtocolSpec", "SdpProblem", "SdpSolution", "SolverError",
-    "SolverSettings", "VariableLayout", "assemble_class", "bell_psi_plus",
+    "VariableLayout", "assemble_class", "bell_psi_plus",
     "best_extendible_decomposition", "bound_points_to_csv",
     "bound_points_to_json", "build_basis", "build_sdp", "check_feasible",
     "class_from_state", "depolarized_bell", "expand", "find_cutoff",

@@ -21,12 +21,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .extendibility import best_extendible_decomposition, extendibility_threshold
+from .extendibility import (best_extendible_decomposition, extendibility_threshold,
+                            is_extendible)
 from .infotheory import mutual_information
 from .protocols import (ProtocolSpec, assemble_class, full_joint,
                         matched_key_distribution, qber, realize_protocol,
                         simulate_observed_data)
-from .sdp import SolverError, SolverSettings
+from .sdp import FEAS_TOL, SolverError
 
 CSV_COLUMNS = ("e", "qber", "lambda_max", "mutual_info_ne", "upper_bound",
                "duality_gap", "status")
@@ -55,10 +56,11 @@ class BoundPoint:
 
 def one_way_upper_bound(spec):
     """Evaluate the bound for one ProtocolSpec, at LAMBDA_TOL and the
-    solver's default settings.
+    solver's fixed tolerances.
 
     Solver breakdowns are not raised: the returned point carries
-    status "failed" with NaN numbers.
+    status "failed" with NaN numbers.  POVMs with key metadata but no
+    matched-basis probability mass raise ValueError before any solve.
     """
     povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
@@ -66,10 +68,7 @@ def one_way_upper_bound(spec):
     # of the POVMs, in the class's (possibly swapped) party order.
     povms = (cls.alice, cls.bob)
     keyed = cls.alice.bases is not None and cls.bob.bases is not None
-    try:
-        qber_val = qber(cls.data, povms) if keyed else math.nan
-    except ValueError:
-        qber_val = math.nan
+    qber_val = qber(cls.data, povms) if keyed else math.nan
     lam = bound = math.nan
     info = info_full = None
     try:
@@ -141,14 +140,17 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
         raise ValueError("bracket must be an increasing pair")
     cls_lo, cls_hi = class_at(lo), class_at(hi)
     sol = extendibility_threshold(cls_lo, cls_hi, (lo, hi))
-    if sol.status == "infeasible":
+    # just below the cutoff the solve can break down before certifying a
+    # bad bracket; one decomposition at hi then tells the two apart
+    if sol.status == "infeasible" or (sol.status == "numerical-failure"
+                                      and not is_extendible(cls_hi)):
         raise ValueError(f"upper bracket e={hi} is not extendible")
     if sol.status != "optimal":
         raise SolverError(f"threshold solve ended with status {sol.status}: "
                           f"{sol.message}", solution=sol)
     cut = float(sol.x[-1])
     gap = abs(sol.objective - sol.dual_objective)
-    if cut - lo <= max(gap, SolverSettings().feas_tol):
+    if cut - lo <= max(gap, FEAS_TOL):
         raise ValueError(f"lower bracket e={lo} is already extendible")
     if gap > tol:
         raise SolverError(f"threshold duality gap {gap:.3e} exceeds tol {tol:.3e}",

@@ -43,8 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import build_basis, expand, reconstruct
-from .sdp import (LmiBlock, SdpProblem, SdpSolution, SolverError,
-                  SolverSettings, solve)
+from .sdp import FEAS_TOL, LmiBlock, SdpProblem, SdpSolution, SolverError, solve
 from .states import DensityOperator, partial_trace_matrix, swap_last_two
 
 LAMBDA_TOL = 1e-6
@@ -140,12 +139,12 @@ def layout_for(dims):
                                     ls * (ls + 1) // 2)).ravel()
     blocks = (
         # rho - sigma~ >= 0
-        LmiBlock(dim=dab, const=np.zeros((dab, dab)),
+        LmiBlock(const=np.zeros((dab, dab)),
                  var_idx=np.concatenate([np.arange(n_r), sigma_idx]),
                  mats=np.concatenate([rho_mats, -rho_mats])),
         # chi~ >= 0 (sigma~ >= 0 and rho >= 0 follow)
-        LmiBlock(dim=dabb, const=np.zeros((dabb, dabb)),
-                 var_idx=n_r + np.arange(n_f), mats=chi_mats),
+        LmiBlock(const=np.zeros((dabb, dabb)), var_idx=n_r + np.arange(n_f),
+                 mats=chi_mats),
     )
     c = np.zeros(n_r + n_f)
     c[0] = 1.0       # r_00
@@ -208,7 +207,7 @@ def extendibility_threshold(cls_lo, cls_hi, bracket):
     problem, layout = build_sdp(cls_lo)
     n = layout.total
     slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
-    bounds = LmiBlock(dim=3, const=np.diag([-lo, hi, LAMBDA_TOL - 1.0]),
+    bounds = LmiBlock(const=np.diag([-lo, hi, LAMBDA_TOL - 1.0]),
                       var_idx=[n, layout.e_index(0, 0)],
                       mats=[np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
     blocks = problem.blocks + (bounds,)
@@ -264,7 +263,7 @@ def _pinned_support(cls, layout):
     if rank < layout.n_r:
         return None
     resid = np.linalg.norm(cls.rows @ r - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs))
-    if resid > SolverSettings().feas_tol:
+    if resid > FEAS_TOL:
         return None
     da, db = layout.dims
     bases = (build_basis(da), build_basis(db))
@@ -347,10 +346,8 @@ def _solve_on_face(r, w, S, layout):
     g_idx = np.arange(ys.shape[0])
     problem = SdpProblem(
         c=-np.trace(ys, axis1=1, axis2=2).real,
-        blocks=(LmiBlock(dim=w.size, const=np.diag(w), var_idx=g_idx,
-                         mats=-sigma_mats),
-                LmiBlock(dim=k, const=np.zeros((k, k)), var_idx=g_idx,
-                         mats=ys)))
+        blocks=(LmiBlock(const=np.diag(w), var_idx=g_idx, mats=-sigma_mats),
+                LmiBlock(const=np.zeros((k, k)), var_idx=g_idx, mats=ys)))
     sol = solve(problem)
     # chi_mats is an orthogonal basis of the swap-symmetric operators,
     # so f_i = Tr(chi_mats[i] chi~) / Tr(chi_mats[i]^2).

@@ -335,14 +335,13 @@ class EquivalenceClassSpec:
 
     rows @ r = rhs over the flattened coefficient grid r_{kl} (Alice
     index major).  After assembly the party to be extended is always the
-    second subsystem; ``direction`` records whether that required a
-    relabeling of the inputs.
+    second subsystem: for reverse processing assemble_class relabels the
+    parties, and alice, bob and data are stored in that relabeled order.
     """
 
     dims: tuple
     rows: np.ndarray
     rhs: np.ndarray
-    direction: str = "direct"
     alice: Povm | None = None
     bob: Povm | None = None
     data: ObservedData | None = None
@@ -475,7 +474,6 @@ def assemble_class(povms, data, spec=None):
         dims=(da, db),
         rows=A[kept],
         rhs=b[kept],
-        direction=direction,
         alice=alice,
         bob=bob,
         data=data,

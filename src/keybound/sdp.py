@@ -32,7 +32,9 @@ residual.  Otherwise tau -> 0 with kappa > 0, and (y, Z) tends to a
 Farkas certificate (A*(Z) + A^T y = 0, Z >= 0, rhs.y - <F0, Z> > 0)
 or x to a primal ray (F_lin(x) >= 0, A x = 0, c.x < 0).  A run whose
 tau would fall below TAU_FLOOR before either one forms ends as
-numerical-failure; some moderately infeasible programs end so.
+numerical-failure; some moderately infeasible programs end so.  solve
+and check_feasible take no options: they stop on the module constants
+GAP_TOL, FEAS_TOL and MAX_ITER, read when they run.
 
 Writing W = R R^T for the scaling point of (S, Z), each iteration forms
 the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> and solves
@@ -81,6 +83,10 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 HERM_TOL = 1e-12
+# solve stops on these: relative gap; relative residuals and certificates; iterations
+GAP_TOL = 1e-8
+FEAS_TOL = 1e-8
+MAX_ITER = 200
 # Share of the distance to the cone boundary that one step may travel.
 STEP_FRACTION = 0.98
 # check_feasible calls a problem feasible when its phase-I slack is at most this.
@@ -120,26 +126,24 @@ def _as_herm(mat, what):
 
 @dataclass(frozen=True)
 class LmiBlock:
-    """One linear matrix inequality F0 + sum_i x[var_idx[i]] * mats[i] >= 0.
+    """One linear matrix inequality const + sum_i x[var_idx[i]] * mats[i] >= 0.
 
-    real_dim, real_const and real_mats hold the real symmetric embedding
-    the solver iterates on: the block itself when every matrix is real,
-    [[Re, -Im], [Im, Re]] otherwise.
+    dim is read from const.  real_dim, real_const and real_mats hold the
+    real symmetric embedding the solver iterates on: the block itself
+    when every matrix is real, [[Re, -Im], [Im, Re]] otherwise.
     """
 
-    dim: int
     const: np.ndarray
     var_idx: np.ndarray
     mats: np.ndarray
+    dim: int = field(init=False)
     real_dim: int = field(init=False, repr=False, compare=False)
     real_const: np.ndarray = field(init=False, repr=False, compare=False)
     real_mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dim = int(self.dim)
         const = _as_herm(self.const, "block const")
-        if const.shape != (dim, dim):
-            raise ValueError(f"block constant is {const.shape}, declared dim {dim}")
+        dim = const.shape[0]
         idx = np.asarray(self.var_idx, dtype=int).ravel()
         if idx.size == 0:
             raise ValueError("a block needs at least one variable")
@@ -217,13 +221,6 @@ class SdpProblem:
     @property
     def num_vars(self):
         return self.c.size
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
 
 
 @dataclass(frozen=True)
@@ -313,9 +310,9 @@ def _step_bound(d, *deltas):
     return 1.0 / (-lo)
 
 
-def solve(problem, settings=None):
-    """Run the interior-point method; always returns an SdpSolution."""
-    st = settings or SolverSettings()
+def solve(problem):
+    """Run the interior-point method at GAP_TOL, FEAS_TOL and MAX_ITER;
+    always returns an SdpSolution."""
     blocks = problem.blocks
     c = problem.c
     t = problem.num_vars
@@ -358,8 +355,8 @@ def solve(problem, settings=None):
         eres = float(np.linalg.norm(re_vec)) / (tau * e_scale)
         dres = float(np.linalg.norm(rd)) / (tau * d_scale)
         relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
-        if m and relgap <= st.gap_tol and pres <= st.feas_tol \
-                and eres <= st.feas_tol and dres > st.feas_tol:
+        if m and relgap <= GAP_TOL and pres <= FEAS_TOL \
+                and eres <= FEAS_TOL and dres > FEAS_TOL:
             # y is unconstrained, so replacing it with the least-squares
             # minimizer of the dual residual is always admissible and leaves
             # the gap (a function of S and Z only) untouched.
@@ -383,23 +380,23 @@ def solve(problem, settings=None):
                   "dres %.2e  eres %.2e  tau %.2e  hsd-kappa %.2e",
                   it, pobj, dobj, relgap, pres, dres, eres, tau, kappa)
 
-        converged = relgap <= st.gap_tol and pres <= st.feas_tol and eres <= st.feas_tol
-        accept, message = converged and dres <= st.feas_tol, ""
+        converged = relgap <= GAP_TOL and pres <= FEAS_TOL and eres <= FEAS_TOL
+        accept, message = converged and dres <= FEAS_TOL, ""
         # Degenerate optimal faces can leave the dual residual pinned at a
-        # numerical floor a couple of decades above feas_tol while the gap
-        # keeps shrinking far below gap_tol.  Once the gap has overshot the
+        # numerical floor a couple of decades above FEAS_TOL while the gap
+        # keeps shrinking far below GAP_TOL.  Once the gap has overshot the
         # request by 100x and the floor has persisted, accept the iterate and
         # report the floored residual honestly.
-        if converged and not accept and dres <= 1e3 * st.feas_tol:
+        if converged and not accept and dres <= 1e3 * FEAS_TOL:
             floored += 1
-            if floored >= 3 and (relgap <= 1e-2 * st.gap_tol or floored >= 10):
+            if floored >= 3 and (relgap <= 1e-2 * GAP_TOL or floored >= 10):
                 accept = True
                 message = (f"dual residual floored at {dres:.2e} "
                            "(degenerate optimal face); gap and primal "
                            "residuals fully converged")
         elif not accept:
             floored = 0
-        if accept and (polished or it >= st.max_iter):
+        if accept and (polished or it >= MAX_ITER):
             status = "optimal"
             break
 
@@ -407,7 +404,7 @@ def solve(problem, settings=None):
         if tau < kappa and not accept:
             violation = float(b @ y) - F0Z
             station = float(np.linalg.norm(AZ + A.T @ y))
-            if violation > 0.0 and station <= st.feas_tol * violation:
+            if violation > 0.0 and station <= FEAS_TOL * violation:
                 status = "infeasible"
                 certificate = {"kind": "farkas", "y": y / violation,
                                "z_blocks": [Zb / violation for Zb in Z],
@@ -419,7 +416,7 @@ def solve(problem, settings=None):
             ray_res = max(float(np.linalg.norm(Lb - Sb, "fro"))
                           for Lb, Sb in zip(lin, S))
             eq_ray = float(np.linalg.norm(A @ x))
-            if slope > 0.0 and max(ray_res, eq_ray) <= st.feas_tol * slope:
+            if slope > 0.0 and max(ray_res, eq_ray) <= FEAS_TOL * slope:
                 status = "unbounded"
                 certificate = {"kind": "primal-ray", "x": x / slope,
                                "objective_slope": -1.0,
@@ -428,9 +425,9 @@ def solve(problem, settings=None):
                 message = "primal ray: tau -> 0 with c.x < 0"
                 break
 
-        if it >= st.max_iter:
+        if it >= MAX_ITER:
             status = "numerical-failure"
-            message = f"no convergence within {st.max_iter} iterations"
+            message = f"no convergence within {MAX_ITER} iterations"
             break
 
         # --- Nesterov-Todd scaling per block ---
@@ -621,9 +618,9 @@ def feasibility_problem(problem):
     for blk in problem.blocks:
         mats = np.concatenate([blk.mats, np.eye(blk.dim, dtype=complex)[None]])
         idx = np.append(blk.var_idx, t)
-        blocks.append(LmiBlock(dim=blk.dim, const=blk.const, var_idx=idx, mats=mats))
-    blocks.append(LmiBlock(dim=1, const=np.array([[1.0]]),
-                           var_idx=np.array([t]), mats=np.array([[[1.0]]])))
+        blocks.append(LmiBlock(const=blk.const, var_idx=idx, mats=mats))
+    blocks.append(LmiBlock(const=np.array([[1.0]]), var_idx=np.array([t]),
+                           mats=np.array([[[1.0]]])))
     c = np.zeros(t + 1)
     c[t] = 1.0
     m = problem.eq_rows.shape[0]
@@ -632,7 +629,7 @@ def feasibility_problem(problem):
     return SdpProblem(c=c, blocks=tuple(blocks), eq_rows=rows, eq_rhs=rhs)
 
 
-def check_feasible(problem, settings=None):
+def check_feasible(problem):
     """Decide feasibility of an SdpProblem by phase-I slack minimization.
 
     Returns an SdpSolution whose status is 'optimal' (x is a point with
@@ -658,7 +655,7 @@ def check_feasible(problem, settings=None):
                              "stationarity_residual": float(np.linalg.norm(A.T @ y))},
                 message="equality system is inconsistent")
     aux = feasibility_problem(problem)
-    sol = solve(aux, settings)
+    sol = solve(aux)
     if sol.status != "optimal":
         sol.message = f"phase-I solve ended with {sol.status}: {sol.message}"
         if sol.status != "infeasible":

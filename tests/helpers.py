@@ -14,20 +14,18 @@ from keybound import bounds
 from keybound.basis import build_basis
 from keybound.extendibility import LAMBDA_TOL, pinned_problem
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
-from keybound.sdp import LmiBlock, SdpProblem, SolverSettings, check_feasible
+from keybound.sdp import LmiBlock, SdpProblem, check_feasible
 
 
-def lambda_bisection_oracle(cls, tol=5e-5, settings=None):
+def lambda_bisection_oracle(cls, tol=5e-5):
     """Largest extendible weight, found by bisecting pinned feasibility.
 
     Independent of the joint optimization: each probe pins the weight to a
     candidate value and asks only "is the constraint system feasible".
     The feasible weights form an interval [0, lambda_max].
     """
-    st = settings or SolverSettings(max_iter=300)
-
     def feasible(lam):
-        verdict = check_feasible(pinned_problem(cls, lam)[0], settings=st)
+        verdict = check_feasible(pinned_problem(cls, lam)[0])
         return verdict.status == "optimal"
 
     if feasible(1.0):
@@ -99,12 +97,11 @@ def random_box_sdp(rng, num_vars=3, block_dim=4, box=2.0):
         mats.append(0.5 * (g + g.T))
     g = rng.normal(size=(block_dim, block_dim))
     f0 = g @ g.T + np.eye(block_dim)
-    blocks = [LmiBlock(dim=block_dim, const=f0,
-                       var_idx=tuple(range(num_vars)), mats=np.array(mats))]
+    blocks = [LmiBlock(const=f0, var_idx=tuple(range(num_vars)), mats=np.array(mats))]
     for i in range(num_vars):
         one = np.ones((1, 1))
-        blocks.append(LmiBlock(dim=1, const=box * one, var_idx=(i,), mats=one[None]))
-        blocks.append(LmiBlock(dim=1, const=box * one, var_idx=(i,), mats=-one[None]))
+        blocks.append(LmiBlock(const=box * one, var_idx=(i,), mats=one[None]))
+        blocks.append(LmiBlock(const=box * one, var_idx=(i,), mats=-one[None]))
     c = rng.normal(size=num_vars)
     return SdpProblem(c=c, blocks=blocks)
 
@@ -284,10 +281,10 @@ def three_block_reference(cls):
     e_idx = n_r + r_idx
     zero = np.zeros((da * db, da * db))
     blocks = (
-        LmiBlock(dim=da * db, const=zero, var_idx=r_idx, mats=rho_mats),
-        LmiBlock(dim=da * db, const=zero, var_idx=np.concatenate([r_idx, e_idx]),
+        LmiBlock(const=zero, var_idx=r_idx, mats=rho_mats),
+        LmiBlock(const=zero, var_idx=np.concatenate([r_idx, e_idx]),
                  mats=np.concatenate([rho_mats, -rho_mats])),
-        LmiBlock(dim=da * db * db, const=np.zeros((da * db * db,) * 2),
+        LmiBlock(const=np.zeros((da * db * db,) * 2),
                  var_idx=2 * n_r + np.arange(n_f), mats=np.stack(chi_mats)),
     )
     coupling = np.zeros((n_r, 2 * n_r + n_f))

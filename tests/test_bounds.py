@@ -11,8 +11,10 @@ from keybound.bounds import (
     BoundPoint, bound_points_to_csv, bound_points_to_json, find_cutoff,
     gnuplot_script, one_way_upper_bound, sweep,
 )
-from keybound.protocols import ProtocolSpec
+from keybound.protocols import (Povm, ProtocolSpec, four_state_povms,
+                                simulate_observed_data)
 from keybound.sdp import SolverError
+from keybound.states import depolarized_bell
 
 CUT4 = 0.5 * (1.0 - 1.0 / math.sqrt(2.0))
 E_STAR = {"four-state": CUT4, "six-state": 1.0 / 6.0}
@@ -126,6 +128,24 @@ def test_find_cutoff_bracket_edges(kind):
         find_cutoff(kind, tol=1e-4, bracket=(0.0, 0.1))
 
 
+@pytest.mark.parametrize("kind, hi", [("four-state", 0.14644), ("six-state", 0.1666)])
+def test_find_cutoff_names_upper_bracket_just_below_cutoff(kind, hi, monkeypatch):
+    # The threshold program over these brackets is infeasible, but its
+    # solve breaks down (tau underflow) before a Farkas certificate forms;
+    # the bad bracket is still named, not reported as a solver failure.
+    statuses = []
+
+    def threshold(*args):
+        sol = extendibility.extendibility_threshold(*args)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(bounds, "extendibility_threshold", threshold)
+    with pytest.raises(ValueError, match=f"upper bracket e={hi} is not extendible"):
+        find_cutoff(kind, tol=1e-4, bracket=(0.0, hi))
+    assert statuses == ["numerical-failure"]
+
+
 def test_find_cutoff_gap_above_tol_raises():
     with pytest.raises(SolverError, match="exceeds tol"):
         find_cutoff("six-state", tol=1e-300)
@@ -172,6 +192,31 @@ def test_find_cutoff_stops_at_float_resolution(monkeypatch):
     monkeypatch.setattr(bounds, "best_extendible_decomposition", step_at_one_sixth)
     cut = cutoff_bisection_oracle("six-state", tol=1e-300)
     assert cut == pytest.approx(1 / 6, abs=1e-15)
+
+
+def _unmatched_key_povms(bob_bases):
+    """Four-state POVMs whose Bob shares no basis name with Alice."""
+    alice, bob = four_state_povms()
+    if bob_bases == "renamed":
+        bases = tuple({"X": "U", "Z": "V"}[b] for b in bob.bases)
+        return alice, Povm(bob.elements, bob.labels, bases, bob.bits)
+    # Bob measures only in the Y basis; this class is extendible
+    s = 1.0 / math.sqrt(2.0)
+    y = tuple(np.outer(v, np.conj(v)) for v in ([s, 1j * s], [s, -1j * s]))
+    return alice, Povm(y, ("Y0", "Y1"), ("Y", "Y"), (0, 1))
+
+
+@pytest.mark.parametrize("bob_bases", ["renamed", "y-only"])
+def test_unmatched_key_bases_refused_before_solving(bob_bases, monkeypatch):
+    povms = _unmatched_key_povms(bob_bases)
+    data = simulate_observed_data(depolarized_bell(0.02), povms)
+
+    def no_solve(*args):
+        raise AssertionError("one_way_upper_bound solved before checking the key bases")
+
+    monkeypatch.setattr(extendibility, "solve", no_solve)
+    with pytest.raises(ValueError, match="no matched-basis probability mass"):
+        one_way_upper_bound(ProtocolSpec.custom(povms, data))
 
 
 def test_csv_contract():

@@ -61,16 +61,15 @@ def test_cutoff_gap_above_tol_exits_1(capsys):
     assert captured.out == ""
 
 
-def test_cutoff_tau_underflow_exits_1(capsys):
+def test_cutoff_bracket_just_below_cutoff_exits_2(capsys):
     # The threshold program over a bracket ending just below the six-state
-    # cutoff 1/6 is infeasible, but its solve breaks down before any
-    # certificate; that is a solver failure, not a bad bracket.
+    # cutoff 1/6 is infeasible, and its solve breaks down (tau underflow)
+    # before any certificate; the upper end is still named as a bad bracket.
     code = main(["cutoff", "--protocol", "six-state", "--bracket", "0:0.1666",
                  "--tol", "1e-4"])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("solver failure:")
-    assert "tau underflow" in captured.err
+    assert code == 2
+    assert "upper bracket e=0.1666 is not extendible" in captured.err
     assert captured.out == ""
 
 
@@ -184,6 +183,11 @@ def _custom_doc():
                               for (la, lb), p in data.entries().items()]}
 
 
+def _rename_bob_bases(doc):
+    for element in doc["bob_povm"]:
+        element["basis"] = {"X": "U", "Z": "V"}[element["basis"]]
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (lambda doc: doc["probabilities"][3].update(p=None), "probability record 3: 'p'"),
     (lambda doc: doc["probabilities"].__setitem__(3, ["X0", "Z1", 0.1]),
@@ -193,8 +197,9 @@ def _custom_doc():
     (lambda doc: doc["alice_povm"].__setitem__(0, 5), "alice_povm element 0"),
     (lambda doc: doc.update(bob_povm=None), "bob_povm"),
     (lambda doc: doc.update(probabilities=None), "probabilities"),
+    (_rename_bob_bases, "no matched-basis probability mass"),
 ], ids=["null-p", "record-not-object", "null-bit", "null-dim", "element-not-object",
-        "null-povm", "null-probabilities"])
+        "null-povm", "null-probabilities", "no-shared-basis"])
 def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     doc = _custom_doc()
     corrupt(doc)

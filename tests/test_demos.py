@@ -19,7 +19,9 @@ def test_demo_runs(name, tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=src + os.pathsep + path if path else src)
-    cmd = [sys.executable, str(ROOT / "demos" / name), *ARGS.get(name, [])]
+    # the suite's error::RuntimeWarning filter does not reach a subprocess
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / name),
+           *ARGS.get(name, [])]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

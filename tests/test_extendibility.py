@@ -18,7 +18,7 @@ from keybound.protocols import (
     EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
     realize_protocol,
 )
-from keybound.sdp import SolverError, SolverSettings, check_feasible, solve
+from keybound.sdp import SolverError, check_feasible, solve
 from keybound.states import DensityOperator, bell_psi_plus, depolarized_bell
 from helpers import (chi_reference, lambda_bisection_oracle,
                      three_block_reference, trivial_class)
@@ -171,9 +171,8 @@ def test_verification_catches_broken_swap_symmetry():
 
 def test_pinned_feasibility_brackets_optimum():
     cls = six_state_class(0.06)
-    st = SolverSettings(max_iter=300)
-    below = check_feasible(pinned_problem(cls, 0.30)[0], settings=st)
-    above = check_feasible(pinned_problem(cls, 0.42)[0], settings=st)
+    below = check_feasible(pinned_problem(cls, 0.30)[0])
+    above = check_feasible(pinned_problem(cls, 0.42)[0])
     assert below.status == "optimal"
     assert above.status == "infeasible"
 
@@ -408,7 +407,7 @@ def test_threshold_certifies_non_extendible_upper_bracket(hi, direction,
 
 def reference_lambda(cls):
     problem, lam_idx = three_block_reference(cls)
-    sol = solve(problem, SolverSettings())
+    sol = solve(problem)
     assert sol.status == "optimal", sol.message
     return min(max(float(sol.x[lam_idx]), 0.0), 1.0)
 

@@ -173,7 +173,6 @@ def test_reverse_direction_swaps_parties():
     cls = assemble_class(povms, data, spec)
     # the swapped class still contains the (symmetric) generating state
     assert cls.residual(depolarized_bell(0.08)) < 1e-10
-    assert cls.direction == "reverse"
 
 
 def test_load_protocol_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from keybound.extendibility import pinned_problem
 from keybound.protocols import ProtocolSpec, assemble_class, realize_protocol
 from keybound.sdp import (
-    LmiBlock, SdpProblem, SolverSettings, _chol_ridge, _potrs, _trtrs,
+    LmiBlock, SdpProblem, _chol_ridge, _potrs, _trtrs,
     check_feasible, feasibility_problem, solve, write_sdpa,
 )
 from helpers import grid_search_minimum, random_box_sdp, random_hermitian
@@ -16,7 +16,7 @@ ONE = np.ones((1, 1))
 
 
 def scalar_block(const, coeff, var=0):
-    return LmiBlock(dim=1, const=const * ONE, var_idx=(var,), mats=coeff * ONE[None])
+    return LmiBlock(const=const * ONE, var_idx=(var,), mats=coeff * ONE[None])
 
 
 def test_scalar_bound():
@@ -44,7 +44,7 @@ def test_largest_eigenvalue_real():
     a = rng.normal(size=(5, 5))
     a = 0.5 * (a + a.T)
     # min t subject to t I - A >= 0
-    blk = LmiBlock(dim=5, const=-a, var_idx=(0,), mats=np.eye(5)[None])
+    blk = LmiBlock(const=-a, var_idx=(0,), mats=np.eye(5)[None])
     sol = solve(SdpProblem(c=np.array([1.0]), blocks=[blk]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-7)
@@ -53,7 +53,7 @@ def test_largest_eigenvalue_real():
 def test_largest_eigenvalue_complex():
     rng = np.random.default_rng(1)
     a = random_hermitian(rng, 4)
-    blk = LmiBlock(dim=4, const=-a, var_idx=(0,), mats=np.eye(4, dtype=complex)[None])
+    blk = LmiBlock(const=-a, var_idx=(0,), mats=np.eye(4, dtype=complex)[None])
     sol = solve(SdpProblem(c=np.array([1.0]), blocks=[blk]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-7)
@@ -193,19 +193,19 @@ def test_every_variable_must_touch_a_block():
 def test_blocks_must_be_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        LmiBlock(dim=2, const=bad, var_idx=(0,), mats=np.eye(2)[None])
+        LmiBlock(const=bad, var_idx=(0,), mats=np.eye(2)[None])
 
 
 def test_non_hermitian_block_matrix_named_by_index():
     mats = np.stack([np.eye(2)] * 4).astype(complex)
     mats[2, 0, 1] = 1j  # only matrix 2 breaks M = M^+
     with pytest.raises(ValueError, match=r"block matrix 2 is not Hermitian"):
-        LmiBlock(dim=2, const=np.zeros((2, 2)), var_idx=range(4), mats=mats)
+        LmiBlock(const=np.zeros((2, 2)), var_idx=range(4), mats=mats)
 
 
 def test_block_without_variables_rejected():
     with pytest.raises(ValueError, match="at least one variable"):
-        LmiBlock(dim=2, const=np.eye(2), var_idx=(), mats=np.zeros((0, 2, 2)))
+        LmiBlock(const=np.eye(2), var_idx=(), mats=np.zeros((0, 2, 2)))
 
 
 def _valid_problem_parts():
@@ -221,16 +221,16 @@ def test_non_finite_data_rejected(field, bad):
     parts[field] = parts[field].copy()
     parts[field].flat[0] = bad
     with pytest.raises(ValueError, match=rf"\b{field}\b.*non-finite"):
-        blk = LmiBlock(dim=1, const=parts["const"], var_idx=(0,),
-                       mats=parts["mats"])
+        blk = LmiBlock(const=parts["const"], var_idx=(0,), mats=parts["mats"])
         SdpProblem(c=parts["c"], blocks=[blk], eq_rows=parts["eq_rows"],
                    eq_rhs=parts["eq_rhs"])
 
 
-def test_iteration_cap_returns_last_iterate():
+def test_iteration_cap_returns_last_iterate(monkeypatch):
+    monkeypatch.setattr("keybound.sdp.MAX_ITER", 2)
     rng = np.random.default_rng(8)
     prob = random_box_sdp(rng)
-    sol = solve(prob, SolverSettings(max_iter=2))
+    sol = solve(prob)
     assert sol.status == "numerical-failure"
     assert sol.x.shape == (prob.num_vars,)
     assert len(sol.history) >= 1
@@ -238,7 +238,7 @@ def test_iteration_cap_returns_last_iterate():
 
 def test_overflowing_gram_matrix_is_a_numerical_failure():
     # (1e200)^2 overflows the Gram matrix M on the first iteration
-    prob = SdpProblem(c=[1.0], blocks=(LmiBlock(dim=1, const=[[1.0]], var_idx=[0],
+    prob = SdpProblem(c=[1.0], blocks=(LmiBlock(const=[[1.0]], var_idx=[0],
                                                 mats=[[[1e200]]]),))
     with pytest.warns(RuntimeWarning, match="overflow"):
         sol = solve(prob)
@@ -318,7 +318,7 @@ def test_sdpa_dump_golden_bytes(tmp_path):
     f0 = np.array([[2.0, 0.0], [0.0, 1.0]])
     prob = SdpProblem(
         c=np.array([1.0, 2.0]),
-        blocks=[LmiBlock(dim=2, const=f0, var_idx=(0, 1), mats=np.array([f1, f2]))],
+        blocks=[LmiBlock(const=f0, var_idx=(0, 1), mats=np.array([f1, f2]))],
         eq_rows=np.array([[1.0, -1.0]]), eq_rhs=np.array([0.5]))
     path = tmp_path / "dump.dat-s"
     text = write_sdpa(prob, path)
@@ -330,7 +330,7 @@ def test_sdpa_dump_complex_block_realifies(tmp_path):
     y = np.array([[0, -1j], [1j, 0]])
     prob = SdpProblem(
         c=np.array([1.0]),
-        blocks=[LmiBlock(dim=2, const=-y, var_idx=(0,), mats=np.eye(2, dtype=complex)[None])])
+        blocks=[LmiBlock(const=-y, var_idx=(0,), mats=np.eye(2, dtype=complex)[None])])
     text = write_sdpa(prob, tmp_path / "c.dat-s")
     sizes = text.splitlines()[3]
     assert sizes.strip() == "4"  # 2x2 Hermitian becomes one 4x4 real block
@@ -338,7 +338,7 @@ def test_sdpa_dump_complex_block_realifies(tmp_path):
 
 def test_solver_tolerances_are_respected():
     prob = SdpProblem(c=np.array([1.0]), blocks=[scalar_block(-1.0, 1.0)])
-    sol = solve(prob, SolverSettings(gap_tol=1e-10, feas_tol=1e-10))
+    sol = solve(prob)
     assert sol.status == "optimal"
     assert sol.duality_gap <= 1e-10
 
