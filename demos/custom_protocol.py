@@ -61,7 +61,7 @@ def main():
     print(f"  lambda_max  = {point.lambda_max:.9f}")
     print(f"  upper bound = {point.upper_bound:.9f}")
 
-    builtin = one_way_upper_bound(ProtocolSpec.four_state(E))
+    builtin = one_way_upper_bound(ProtocolSpec("four-state", e=E))
     print(f"\nbuilt-in four-state at the same e:")
     print(f"  lambda_max  = {builtin.lambda_max:.9f}")
     print(f"  upper bound = {builtin.upper_bound:.9f}")

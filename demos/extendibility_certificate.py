@@ -23,7 +23,7 @@ E = 0.10
 
 
 def main():
-    spec = ProtocolSpec.six_state(E)
+    spec = ProtocolSpec("six-state", e=E)
     povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     res = best_extendible_decomposition(cls)
@@ -64,7 +64,7 @@ def main():
     # extendibility flips across the cutoff at 1/6
     print()
     for e_probe in (0.16, 0.17):
-        probe = ProtocolSpec.six_state(e_probe)
+        probe = ProtocolSpec("six-state", e=e_probe)
         p_povms, p_data = realize_protocol(probe)
         flag = is_extendible(assemble_class(p_povms, p_data, probe))
         print(f"is_extendible(six-state, e={e_probe}) = {flag}")

@@ -1,7 +1,7 @@
 """Upper bounds on one-way secret-key rates via best extendible
 approximations, computed with a built-in semidefinite-program solver."""
 
-from .basis import OperatorBasis, build_basis, expand, reconstruct
+from .basis import build_basis, expand, reconstruct
 from .bounds import (BoundPoint, bound_points_to_csv, bound_points_to_json,
                      find_cutoff, one_way_upper_bound, sweep)
 from .extendibility import (ExtendibilityResult, ExtensionReport, VariableLayout,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundPoint", "DensityOperator", "EquivalenceClassSpec",
     "ExtendibilityResult", "ExtensionReport", "InconsistentDataError",
-    "JointDistribution", "LmiBlock", "ObservedData", "OperatorBasis", "Povm",
+    "JointDistribution", "LmiBlock", "ObservedData", "Povm",
     "ProtocolSpec", "SdpProblem", "SdpSolution", "SolverError",
     "VariableLayout", "assemble_class", "bell_psi_plus",
     "best_extendible_decomposition", "bound_points_to_csv",

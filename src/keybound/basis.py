@@ -19,40 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 # Largest tolerated entry of op - op^dagger in expand.
 HERM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Hermitian operator basis for one subsystem.
-
-    Attributes
-    ----------
-    dim : int
-        Hilbert-space dimension n (>= 2).
-    elements : tuple of ndarray
-        n^2 Hermitian matrices, elements[0] = identity, ordered as
-        identity, symmetric off-diagonal pairs, antisymmetric off-diagonal
-        pairs, diagonal generators, each group in row-major index order.
-    """
-
-    dim: int
-    elements: tuple = field(repr=False)
-
-    def __len__(self):
-        return len(self.elements)
-
-    @functools.cached_property
-    def stack(self):
-        """All elements as one read-only (n^2, n, n) array."""
-        stack = np.stack(self.elements)
-        stack.setflags(write=False)
-        return stack
 
 
 @functools.lru_cache(maxsize=8)
@@ -63,11 +34,15 @@ def build_basis(dim):
     Parameters
     ----------
     dim : int
-        Hilbert-space dimension, at least 2.
+        Hilbert-space dimension n, at least 2.
 
     Returns
     -------
-    OperatorBasis
+    ndarray
+        Read-only (n^2, n, n) stack of Hermitian matrices: the identity,
+        then the symmetric off-diagonal pairs, the antisymmetric
+        off-diagonal pairs and the diagonal generators, each group in
+        row-major index order.
     """
     if dim < 2:
         raise ValueError(f"basis needs dimension >= 2, got {dim}")
@@ -88,7 +63,7 @@ def build_basis(dim):
         v[l] = -l
         stack[2 * len(j) + l] = scale * (np.diag(v) * math.sqrt(2.0 / (l * (l + 1))))
     stack.setflags(write=False)
-    return OperatorBasis(dim=dim, elements=tuple(stack))
+    return stack
 
 
 def expand(op, bases):
@@ -98,8 +73,8 @@ def expand(op, bases):
     ----------
     op : ndarray
         Square matrix on the tensor product of the given subsystems.
-    bases : sequence of OperatorBasis
-        One basis per tensor factor, in order.
+    bases : sequence of ndarray
+        One basis (as built by build_basis) per tensor factor, in order.
 
     Returns
     -------
@@ -109,7 +84,7 @@ def expand(op, bases):
         coeffs[k, l, ...] = Tr((S_k (x) S_l (x) ...) op).
     """
     bases = list(bases)
-    dims = tuple(b.dim for b in bases)
+    dims = tuple(b.shape[1] for b in bases)
     d = math.prod(dims)
     op = np.asarray(op, dtype=complex)
     if op.shape != (d, d):
@@ -121,7 +96,7 @@ def expand(op, bases):
     for t in range(s):
         # Tr(S_k A) = sum_{j,i} S_k[j,i] A[i,j]; after t contractions the
         # current subsystem's i axis sits at position t and its j axis at s.
-        T = np.tensordot(bases[t].stack, T, axes=((1, 2), (s, t)))
+        T = np.tensordot(bases[t], T, axes=((1, 2), (s, t)))
         T = np.moveaxis(T, 0, t)
     coeffs = np.ascontiguousarray(T.real)
     coeffs.setflags(write=False)
@@ -132,16 +107,16 @@ def reconstruct(coeffs, bases):
     """Rebuild the operator from expansion coefficients (inverse of expand)."""
     arr = np.asarray(coeffs)
     bases = list(bases)
-    dims = tuple(b.dim for b in bases)
+    dims = tuple(b.shape[1] for b in bases)
     d = math.prod(dims)
-    shape = tuple(b.dim ** 2 for b in bases)
+    shape = tuple(len(b) for b in bases)
     if arr.shape != shape:
         raise ValueError(f"coefficient shape {arr.shape} does not match {shape}")
     s = len(dims)
     T = arr.astype(complex)
     for t in range(s):
         # consume the leading coefficient axis, appending (row, col) axes
-        T = np.tensordot(T, bases[t].stack, axes=((0,), (0,)))
+        T = np.tensordot(T, bases[t], axes=((0,), (0,)))
     # axes now (r_1, c_1, r_2, c_2, ...) -> (r_1..r_s, c_1..c_s)
     order = list(range(0, 2 * s, 2)) + list(range(1, 2 * s, 2))
     return T.transpose(order).reshape(d, d) / d

@@ -13,13 +13,13 @@ KEYBOUND_OUTPUT_DIR is set, output lands there.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .bounds import (bound_points_to_csv, bound_points_to_json, find_cutoff,
+from .bounds import (_fmt, bound_points_to_csv, bound_points_to_json, find_cutoff,
                      gnuplot_script, one_way_upper_bound, sweep)
 from .extendibility import LAMBDA_TOL
 from .protocols import InconsistentDataError, ProtocolSpec, load_protocol
@@ -73,9 +73,8 @@ def _spec_from_args(args, need_e=True):
             raise ValueError("--protocol custom needs --custom-file")
         spec = load_protocol(args.custom_file)
         if args.direction:
-            spec = spec.with_direction(args.direction)
+            spec = replace(spec, direction=args.direction)
         if args.source_constraint is not None:
-            from dataclasses import replace
             spec = replace(spec, source_constraint=args.source_constraint)
         return spec
     if need_e and args.e is None:
@@ -133,27 +132,12 @@ def build_parser():
     return parser
 
 
+POINT_FIELDS = ("protocol", "direction", "e", "qber", "lambda_max", "mutual_info_ne",
+                "mutual_info_ne_full", "upper_bound", "duality_gap", "status")
+
+
 def _point_lines(point):
-    fields = [
-        ("protocol", point.protocol),
-        ("direction", point.direction),
-        ("e", point.e),
-        ("qber", point.qber),
-        ("lambda_max", point.lambda_max),
-        ("mutual_info_ne", point.mutual_info_ne),
-        ("mutual_info_ne_full", point.mutual_info_ne_full),
-        ("upper_bound", point.upper_bound),
-        ("duality_gap", point.duality_gap),
-        ("status", point.status),
-    ]
-    out = []
-    for name, value in fields:
-        if isinstance(value, float):
-            value = "nan" if math.isnan(value) else f"{value:.10g}"
-        elif value is None:
-            value = "nan"
-        out.append(f"{name:>20}: {value}")
-    return out
+    return [f"{name:>20}: {_fmt(getattr(point, name))}" for name in POINT_FIELDS]
 
 
 def _emit_points(points, args):
@@ -164,20 +148,22 @@ def _emit_points(points, args):
         _write_atomic(path, text)
         written = [path]
         if getattr(args, "emit_gnuplot", False):
-            if args.format != "csv":
-                raise ValueError("--emit-gnuplot needs --format csv")
             gp = path + ".gp"
             _write_atomic(gp, gnuplot_script(os.path.basename(path)))
             written.append(gp)
         for w in written:
             print(f"wrote {w}")
     else:
-        if getattr(args, "emit_gnuplot", False):
-            raise ValueError("--emit-gnuplot needs --out")
         sys.stdout.write(text)
 
 
 def run(args):
+    # refuse bad flag combinations before any solve, so they write nothing
+    if getattr(args, "emit_gnuplot", False):
+        if not args.out:
+            raise ValueError("--emit-gnuplot needs --out")
+        if args.format != "csv":
+            raise ValueError("--emit-gnuplot needs --format csv")
     if args.command == "bound":
         point = one_way_upper_bound(_spec_from_args(args))
         for line in _point_lines(point):

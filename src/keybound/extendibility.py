@@ -114,7 +114,7 @@ def layout_for(dims):
     """The VariableLayout of the joint SDP for dims = (d_A, d_B)."""
     da, db = dims
     na, nb = da * da, db * db
-    sa, sb = build_basis(da).elements, build_basis(db).elements
+    sa, sb = build_basis(da), build_basis(db)
     dab = da * db
     dabb = da * db * db
 

@@ -23,14 +23,15 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import build_basis, expand
 from .infotheory import JointDistribution
 from .sdp import _finite
-from .states import DensityOperator, depolarized_bell
+from .states import depolarized_bell
 
 PSD_ATOL = 1e-10
 COMPLETE_ATOL = 1e-10
@@ -47,13 +48,14 @@ class InconsistentDataError(ValueError):
 class Povm:
     """A labeled POVM on one subsystem.
 
-    bases/bits are optional per-outcome metadata (basis name, key bit);
-    both present or both absent, one entry per outcome.  They are the only
-    record of which outcome is which key bit: qber and the matched-basis
-    key map read them from here.
+    elements is stored as one read-only (n, d, d) array.  bases/bits are
+    optional per-outcome metadata (basis name, key bit, a non-negative
+    integer); both present or both absent, one entry per outcome.  They
+    are the only record of which outcome is which key bit: qber and the
+    matched-basis key map read them from here.
     """
 
-    elements: tuple
+    elements: np.ndarray
     labels: tuple
     bases: tuple | None = None
     bits: tuple | None = None
@@ -83,22 +85,18 @@ class Povm:
             if len(self.bases) != len(mats) or len(self.bits) != len(mats):
                 raise ValueError("POVM: bases/bits must have one entry per outcome, "
                                  f"got {len(self.bases)}/{len(self.bits)} for {len(mats)}")
+            bits = tuple(self.bits)
+            if not all(isinstance(b, numbers.Integral) and b >= 0 for b in bits):
+                raise ValueError(f"POVM: bits must be non-negative integers, got {bits}")
             object.__setattr__(self, "bases", tuple(str(b) for b in self.bases))
-            object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+            object.__setattr__(self, "bits", tuple(int(b) for b in bits))
         stack.setflags(write=False)
-        object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "labels", labels)
-
-    @functools.cached_property
-    def stack(self):
-        """All elements as one read-only (n, d, d) array."""
-        stack = np.stack(self.elements)
-        stack.setflags(write=False)
-        return stack
 
     @property
     def dim(self):
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self):
         return len(self.elements)
@@ -197,21 +195,17 @@ class ObservedData:
 
 
 def simulate_observed_data(state, povms):
-    """Born-rule probabilities p_ij = Tr((A_i (x) B_j) rho)."""
+    """Born-rule probabilities p_ij = Tr((A_i (x) B_j) rho) of a
+    DensityOperator rho."""
     alice, bob = povms
-    if isinstance(state, DensityOperator):
-        if state.dims != (alice.dim, bob.dim):
-            raise ValueError(
-                f"state dims {state.dims} do not match POVMs ({alice.dim}, {bob.dim})"
-            )
-        mat = state.matrix
-    else:
-        mat = np.asarray(state, dtype=complex)
-        if mat.shape != (alice.dim * bob.dim,) * 2:
-            raise ValueError("state matrix does not match POVM dimensions")
+    if state.dims != (alice.dim, bob.dim):
+        raise ValueError(
+            f"state dims {state.dims} do not match POVMs ({alice.dim}, {bob.dim})"
+        )
+    mat = state.matrix
     # kron, then @, then trace: the arithmetic of Tr(np.kron(a, b) @ mat)
     na, nb, d = len(alice), len(bob), mat.shape[0]
-    krons = np.einsum("aij,bkl->abikjl", alice.stack, bob.stack).reshape(na, nb, d, d)
+    krons = np.einsum("aij,bkl->abikjl", alice.elements, bob.elements).reshape(na, nb, d, d)
     return ObservedData(np.trace(krons @ mat, axis1=2, axis2=3).real,
                         alice.labels, bob.labels)
 
@@ -268,7 +262,8 @@ class ProtocolSpec:
 
     source_constraint None means the protocol default (on for four-state,
     where it encodes the prepare-and-measure source, off otherwise).
-    Custom protocols carry their POVMs and data explicitly.
+    Custom protocols carry their POVMs and data explicitly.  e is stored
+    as a float and povms as a tuple.
     """
 
     kind: str
@@ -289,32 +284,15 @@ class ProtocolSpec:
                 raise ValueError("custom protocols need povms and data")
         elif self.e is None:
             raise ValueError(f"{self.kind} protocol needs an error rate e")
-
-    @staticmethod
-    def four_state(e, direction="direct", source_constraint=None):
-        return ProtocolSpec("four-state", e=float(e), direction=direction,
-                            source_constraint=source_constraint)
-
-    @staticmethod
-    def six_state(e, direction="direct", source_constraint=None):
-        return ProtocolSpec("six-state", e=float(e), direction=direction,
-                            source_constraint=source_constraint)
-
-    @staticmethod
-    def custom(povms, data, direction="direct", source_constraint=None,
-               alice_marginal=None):
-        return ProtocolSpec("custom", direction=direction,
-                            source_constraint=source_constraint,
-                            povms=tuple(povms), data=data,
-                            alice_marginal=alice_marginal)
+        if self.e is not None:
+            object.__setattr__(self, "e", float(self.e))
+        if self.povms is not None:
+            object.__setattr__(self, "povms", tuple(self.povms))
 
     def resolved_source_constraint(self):
         if self.source_constraint is not None:
             return bool(self.source_constraint)
         return self.kind == "four-state"
-
-    def with_direction(self, direction):
-        return replace(self, direction=direction)
 
 
 def realize_protocol(spec):
@@ -361,15 +339,10 @@ class EquivalenceClassSpec:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
-    @property
-    def n_rows(self):
-        return self.rows.shape[0]
-
     def residual(self, state):
-        """Largest violation of the constraints by a given state."""
+        """Largest violation of the constraints by a DensityOperator."""
         da, db = self.dims
-        coeffs = expand(state.matrix if isinstance(state, DensityOperator) else state,
-                        (build_basis(da), build_basis(db)))
+        coeffs = expand(state.matrix, (build_basis(da), build_basis(db)))
         return float(np.max(np.abs(self.rows @ coeffs.ravel() - self.rhs)))
 
 
@@ -390,7 +363,7 @@ def _independent_rows(rows):
 
 def povm_coefficients(povm, basis):
     """Expansion weights c_ik = Tr(E_i S_k) / d for each POVM element."""
-    prods = povm.stack[:, None] @ basis.stack[None]
+    prods = povm.elements[:, None] @ basis[None]
     return np.trace(prods, axis1=2, axis2=3).real / povm.dim
 
 
@@ -401,10 +374,8 @@ def assemble_class(povms, data, spec=None):
     ----------
     povms : (Povm, Povm)
         Alice's and Bob's POVMs.
-    data : ObservedData or None
-        Outcome probabilities, matched to the POVM elements by label;
-        None adds no probability rows, leaving the class of all states
-        (plus any source rows).
+    data : ObservedData
+        Outcome probabilities, matched to the POVM elements by label.
     spec : ProtocolSpec, optional
         Supplies direction and source-constraint options; defaults to
         direct processing with no source constraint.
@@ -422,8 +393,7 @@ def assemble_class(povms, data, spec=None):
     ValueError when the data's labels are not the POVMs' labels.
     """
     alice, bob = povms
-    if data is not None:
-        data = _in_povm_order(data, alice, bob)
+    data = _in_povm_order(data, alice, bob)
     direction = spec.direction if spec is not None else "direct"
     use_source = spec.resolved_source_constraint() if spec is not None else False
     marginal = spec.alice_marginal if spec is not None else None
@@ -436,7 +406,7 @@ def assemble_class(povms, data, spec=None):
     source_slot = 0
     if direction == "reverse":
         alice, bob = bob, alice
-        data = data.swapped() if data is not None else None
+        data = data.swapped()
         source_slot = 1
 
     da, db = alice.dim, bob.dim
@@ -449,15 +419,14 @@ def assemble_class(povms, data, spec=None):
     if use_source:
         srcb = basis_a if source_slot == 0 else basis_b
         marginal = np.asarray(marginal)
-        if marginal.shape != (srcb.dim, srcb.dim):
+        if marginal.shape != srcb.shape[1:]:
             raise ValueError("alice_marginal shape does not match the preparer")
         rows.append(unit[::nb] if source_slot == 0 else unit[:nb])
-        rhs.append(np.trace(marginal @ srcb.stack, axis1=1, axis2=2).real)
-    if data is not None:
-        ca = povm_coefficients(alice, basis_a)
-        cb = povm_coefficients(bob, basis_b)
-        rows.append(np.einsum("ik,jl->ijkl", ca, cb).reshape(-1, na * nb))
-        rhs.append(data.probs.ravel())
+        rhs.append(np.trace(marginal @ srcb, axis1=1, axis2=2).real)
+    ca = povm_coefficients(alice, basis_a)
+    cb = povm_coefficients(bob, basis_b)
+    rows.append(np.einsum("ik,jl->ijkl", ca, cb).reshape(-1, na * nb))
+    rhs.append(data.probs.ravel())
 
     A = np.concatenate(rows)
     b = np.concatenate(rhs)
@@ -549,8 +518,11 @@ def _povm_from_json(items, dim, party):
     bases = bits = None
     if any(has_meta):
         bases = [item["basis"] for item in items]
-        bits = [_json_number(int, item["bit"], f"{party} element {idx}: 'bit'")
-                for idx, item in enumerate(items)]
+        bits = [item["bit"] for item in items]
+        for idx, bit in enumerate(bits):
+            if isinstance(bit, bool) or not isinstance(bit, int):
+                raise ValueError(f"{party} element {idx}: 'bit' must be an integer, "
+                                 f"got {bit!r}")
     return Povm(tuple(elements), tuple(item["label"] for item in items), bases, bits)
 
 
@@ -572,7 +544,8 @@ def load_protocol(source):
         }
 
     basis/bit metadata is optional but required for error-rate reporting
-    and for the matched-basis key map; 'im' defaults to zero.
+    and for the matched-basis key map; a bit is a non-negative JSON
+    integer.  'im' defaults to zero.
     """
     if isinstance(source, dict):
         doc = source
@@ -619,10 +592,10 @@ def load_protocol(source):
         marginal = _matrix_from_json(doc["alice_marginal"], "alice_marginal")
         if marginal.shape != (da, da):
             raise ValueError("alice_marginal does not match dims")
-    direction = doc.get("direction", "direct")
     source_constraint = doc.get("source_constraint")
-    if source_constraint is not None:
-        source_constraint = bool(source_constraint)
-    return ProtocolSpec.custom((alice, bob), data, direction=direction,
-                               source_constraint=source_constraint,
-                               alice_marginal=marginal)
+    if "source_constraint" in doc and not isinstance(source_constraint, bool):
+        raise ValueError("source_constraint must be true or false, "
+                         f"got {source_constraint!r}")
+    return ProtocolSpec("custom", direction=doc.get("direction", "direct"),
+                        source_constraint=source_constraint, povms=(alice, bob),
+                        data=data, alice_marginal=marginal)

@@ -46,10 +46,6 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self):
-        return math.prod(self.dims)
-
 
 def partial_trace_matrix(mat, dims, keep):
     """Trace out all subsystems not in ``keep`` (works on any matrix).

@@ -236,7 +236,7 @@ def _chi_terms(dims):
     operator S_k (x) sym(S_l (x) S_m) / d built with explicit Kronecker
     products."""
     da, db = dims
-    sa, sb = build_basis(da).elements, build_basis(db).elements
+    sa, sb = build_basis(da), build_basis(db)
     dabb = da * db * db
     triples = [(k, l, m) for k in range(da * da)
                for l in range(db * db) for m in range(l + 1)]
@@ -272,7 +272,7 @@ def three_block_reference(cls):
     """
     da, db = cls.dims
     na, nb = da * da, db * db
-    sa, sb = build_basis(da).elements, build_basis(db).elements
+    sa, sb = build_basis(da), build_basis(db)
     rho_mats = np.stack([np.kron(sa[k], sb[l]) / (da * db)
                          for k in range(na) for l in range(nb)])
     triples, chi_mats = _chi_terms((da, db))

@@ -66,8 +66,8 @@ def test_criterion_2_six_state_cutoff():
 
 
 def test_criterion_3_zero_error_endpoint():
-    b4 = one_way_upper_bound(ProtocolSpec.four_state(0.0))
-    b6 = one_way_upper_bound(ProtocolSpec.six_state(0.0))
+    b4 = one_way_upper_bound(ProtocolSpec("four-state", e=0.0))
+    b6 = one_way_upper_bound(ProtocolSpec("six-state", e=0.0))
     ok = (b4.status == "optimal" and b6.status == "optimal"
           and abs(b4.upper_bound - 1.0) <= 1e-4 and abs(b6.upper_bound - 1.0) <= 1e-4)
     report(3, "zero-error bound",
@@ -80,12 +80,11 @@ def test_criterion_4_grid_solves_verified(grids):
     worst_identity = 0.0
     failures = []
     for kind, pts in grids.items():
-        fac = ProtocolSpec.four_state if kind == "four-state" else ProtocolSpec.six_state
         for p in pts:
             if p.status != "optimal":
                 failures.append(f"{kind}@{p.e:.3f}:{p.status}")
                 continue
-            res = best_extendible_decomposition(class_for(fac(p.e)))
+            res = best_extendible_decomposition(class_for(ProtocolSpec(kind, e=p.e)))
             rep = verify_extension(res)
             if not rep.passed:
                 failures.append(f"{kind}@{p.e:.3f}:verify")
@@ -107,7 +106,7 @@ def test_criterion_4_grid_solves_verified(grids):
 def test_criterion_5_oracle_agreement():
     worst = 0.0
     for e in (0.05, 0.10, 0.14):
-        cls = class_for(ProtocolSpec.six_state(e))
+        cls = class_for(ProtocolSpec("six-state", e=e))
         lam_oracle = lambda_bisection_oracle(cls, tol=5e-5)
         lam = best_extendible_decomposition(cls).lambda_max
         worst = max(worst, abs(lam - lam_oracle))
@@ -177,11 +176,10 @@ def test_criterion_7_consistency(grids):
     mono_ok = all(lam4[e] >= lam6[e] - 1e-6 for e in lam4)
 
     dir_worst = 0.0
-    for kind, fac in (("four-state", ProtocolSpec.four_state),
-                      ("six-state", ProtocolSpec.six_state)):
+    for kind in ("four-state", "six-state"):
         for e in (0.05, 0.12):
-            d = one_way_upper_bound(fac(e, direction="direct"))
-            r = one_way_upper_bound(fac(e, direction="reverse"))
+            d = one_way_upper_bound(ProtocolSpec(kind, e=e, direction="direct"))
+            r = one_way_upper_bound(ProtocolSpec(kind, e=e, direction="reverse"))
             dir_worst = max(dir_worst, abs(d.upper_bound - r.upper_bound))
     dir_ok = dir_worst <= 1e-6
 
@@ -199,7 +197,7 @@ def test_criterion_7_consistency(grids):
 
     rows = []
     for p in grids["six-state"]:
-        spec = ProtocolSpec.six_state(p.e)
+        spec = ProtocolSpec("six-state", e=p.e)
         povms, _ = realize_protocol(spec)
         data = simulate_observed_data(depolarized_bell(p.e), povms)
         raw = mutual_information(matched_key_distribution(data, povms))
@@ -221,7 +219,7 @@ def test_criterion_7_consistency(grids):
 def test_criterion_8_positive_before_cutoff():
     vals = {}
     for e in (0.155, 0.160, 0.165):
-        p = one_way_upper_bound(ProtocolSpec.six_state(e))
+        p = one_way_upper_bound(ProtocolSpec("six-state", e=e))
         vals[e] = p.upper_bound
     ok = all(v > 0.0 for v in vals.values())
     report(8, "positive up to cutoff", ok,

@@ -14,14 +14,14 @@ PAULI = {
 
 def test_qubit_basis_is_pauli():
     b = build_basis(2)
-    for got, name in zip(b.elements, "IXYZ"):
+    for got, name in zip(b, "IXYZ"):
         assert np.allclose(got, PAULI[name], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orthogonality(n):
     b = build_basis(n)
-    stack = b.stack.reshape(n * n, -1)
+    stack = b.reshape(n * n, -1)
     gram = (stack @ stack.conj().T).real
     assert np.allclose(gram, n * np.eye(n * n), atol=1e-12)
 
@@ -29,7 +29,7 @@ def test_orthogonality(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_trace_normalization(n):
     b = build_basis(n)
-    traces = np.array([np.trace(s) for s in b.elements])
+    traces = np.array([np.trace(s) for s in b])
     want = np.zeros(n * n, dtype=complex)
     want[0] = n
     assert np.allclose(traces, want, atol=1e-12)
@@ -38,19 +38,19 @@ def test_trace_normalization(n):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_hermitian_elements(n):
     b = build_basis(n)
-    for s in b.elements:
+    for s in b:
         assert np.allclose(s, s.conj().T, atol=1e-14)
 
 
 def test_element_count_and_order():
     b = build_basis(3)
-    assert b.dim == 3
-    assert len(b.elements) == 9
+    assert b.shape[1] == 3
+    assert len(b) == 9
     # identity first, then symmetric pairs, antisymmetric pairs, diagonal
-    assert np.allclose(b.elements[0], np.eye(3), atol=1e-14)
-    sym = b.elements[1]
+    assert np.allclose(b[0], np.eye(3), atol=1e-14)
+    sym = b[1]
     assert abs(sym[0, 1] - sym[1, 0]) < 1e-14
-    anti = b.elements[4]
+    anti = b[4]
     assert abs(anti[0, 1] + anti[1, 0]) < 1e-14
 
 

@@ -21,8 +21,8 @@ E_STAR = {"four-state": CUT4, "six-state": 1.0 / 6.0}
 
 
 def test_zero_error_bound_is_one():
-    for fac in (ProtocolSpec.four_state, ProtocolSpec.six_state):
-        p = one_way_upper_bound(fac(0.0))
+    for kind in ("four-state", "six-state"):
+        p = one_way_upper_bound(ProtocolSpec(kind, e=0.0))
         assert p.status == "optimal"
         assert p.upper_bound == pytest.approx(1.0, abs=1e-6)
         assert p.lambda_max == pytest.approx(0.0, abs=1e-6)
@@ -30,14 +30,14 @@ def test_zero_error_bound_is_one():
 
 def test_six_state_linear_law():
     for e in (0.03, 0.09, 0.14):
-        p = one_way_upper_bound(ProtocolSpec.six_state(e))
+        p = one_way_upper_bound(ProtocolSpec("six-state", e=e))
         assert p.lambda_max == pytest.approx(6 * e, abs=2e-6)
         assert p.upper_bound == pytest.approx(1 - 6 * e, abs=1e-5)
         assert p.qber == pytest.approx(e, abs=1e-12)
 
 
 def test_beyond_cutoff_bound_vanishes():
-    p = one_way_upper_bound(ProtocolSpec.six_state(0.20))
+    p = one_way_upper_bound(ProtocolSpec("six-state", e=0.20))
     assert p.status == "optimal"
     assert p.lambda_max == pytest.approx(1.0, abs=1e-6)
     assert p.upper_bound == 0.0
@@ -46,7 +46,7 @@ def test_beyond_cutoff_bound_vanishes():
 
 def test_bound_point_identity():
     for e in (0.02, 0.07, 0.12):
-        p = one_way_upper_bound(ProtocolSpec.six_state(e))
+        p = one_way_upper_bound(ProtocolSpec("six-state", e=e))
         assert abs(p.upper_bound - (1 - p.lambda_max) * p.mutual_info_ne) <= 1e-9
 
 
@@ -65,19 +65,19 @@ def test_raw_information_crossing():
     from keybound.states import depolarized_bell
 
     def raw_info(e):
-        spec = ProtocolSpec.six_state(e)
+        spec = ProtocolSpec("six-state", e=e)
         povms, _ = realize_protocol(spec)
         data = simulate_observed_data(depolarized_bell(e), povms)
         return mutual_information(matched_key_distribution(data, povms))
 
     for e in (0.01, 0.02):
-        p = one_way_upper_bound(ProtocolSpec.six_state(e))
+        p = one_way_upper_bound(ProtocolSpec("six-state", e=e))
         assert p.upper_bound > raw_info(e) + 1e-3
     for e in (0.05, 0.11):
-        p = one_way_upper_bound(ProtocolSpec.six_state(e))
+        p = one_way_upper_bound(ProtocolSpec("six-state", e=e))
         assert p.upper_bound < raw_info(e) - 1e-3
     # at e = 0 the two coincide exactly: both equal one bit
-    p0 = one_way_upper_bound(ProtocolSpec.six_state(0.0))
+    p0 = one_way_upper_bound(ProtocolSpec("six-state", e=0.0))
     assert abs(p0.upper_bound - raw_info(0.0)) <= 1e-6
 
 
@@ -216,7 +216,7 @@ def test_unmatched_key_bases_refused_before_solving(bob_bases, monkeypatch):
 
     monkeypatch.setattr(extendibility, "solve", no_solve)
     with pytest.raises(ValueError, match="no matched-basis probability mass"):
-        one_way_upper_bound(ProtocolSpec.custom(povms, data))
+        one_way_upper_bound(ProtocolSpec("custom", povms=povms, data=data))
 
 
 def test_csv_contract():
@@ -264,7 +264,7 @@ def test_solver_failure_gives_a_failed_point(solution, monkeypatch):
         raise SolverError("breakdown", solution=solution)
 
     monkeypatch.setattr(bounds, "best_extendible_decomposition", breakdown)
-    p = one_way_upper_bound(ProtocolSpec.six_state(0.05))
+    p = one_way_upper_bound(ProtocolSpec("six-state", e=0.05))
     assert (p.e, p.status, p.protocol, p.direction) == (0.05, "failed", "six-state",
                                                          "direct")
     assert math.isnan(p.qber) and math.isnan(p.lambda_max) and math.isnan(p.upper_bound)

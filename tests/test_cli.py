@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from keybound import bounds
 from keybound.cli import OUTPUT_DIR_ENV, build_parser, main, run
-from keybound.protocols import four_state_povms, simulate_observed_data
+from keybound.protocols import four_state_povms, load_protocol, simulate_observed_data
 from keybound.states import depolarized_bell
 
 
@@ -210,6 +211,66 @@ def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     assert code == 2
     assert field in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("bit, field", [
+    (1.5, "bob_povm element 1: 'bit'"),
+    (True, "bob_povm element 1: 'bit'"),
+    ("1", "bob_povm element 1: 'bit'"),
+    (-1, "bits must be non-negative integers"),
+], ids=["fractional", "boolean", "string", "negative"])
+def test_custom_protocol_bit_must_be_a_non_negative_json_integer(tmp_path, capsys, bit,
+                                                                 field):
+    doc = _custom_doc()
+    doc["bob_povm"][1]["bit"] = bit
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    code = main(["bound", "--protocol", "custom", "--custom-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert field in captured.err
+    assert captured.out == ""
+
+
+def test_custom_protocol_source_constraint_must_be_json_boolean(tmp_path, capsys):
+    doc = _custom_doc()
+    assert load_protocol(doc).source_constraint is None
+    for value in (True, False):
+        doc["source_constraint"] = value
+        assert load_protocol(doc).source_constraint is value
+    path = tmp_path / "proto.json"
+    for value in ("false", "no", 0, None):
+        doc["source_constraint"] = value
+        path.write_text(json.dumps(doc))
+        code = main(["bound", "--protocol", "custom", "--custom-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, value
+        assert "source_constraint must be true or false" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra", [["--format", "json", "--out", "s.json"], []],
+                         ids=["json-out", "no-out"])
+def test_emit_gnuplot_flag_error_solves_and_writes_nothing(tmp_path, capsys,
+                                                          monkeypatch, extra):
+    calls = []
+    real = bounds.one_way_upper_bound
+
+    def spy(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(bounds, "one_way_upper_bound", spy)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep", "--protocol", "six-state", "--grid", "0:0.2:3",
+                 "--emit-gnuplot"] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--emit-gnuplot needs" in captured.err
+    assert captured.out == ""
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_custom_without_file_errors():

@@ -25,7 +25,7 @@ from helpers import (chi_reference, lambda_bisection_oracle,
 
 
 def six_state_class(e):
-    spec = ProtocolSpec.six_state(e)
+    spec = ProtocolSpec("six-state", e=e)
     povms, data = realize_protocol(spec)
     return assemble_class(povms, data, spec)
 
@@ -128,7 +128,7 @@ def test_six_state_weight_law(e, lam):
 
 def test_four_state_dominates_six_state():
     for e in (0.04, 0.1):
-        spec4 = ProtocolSpec.four_state(e)
+        spec4 = ProtocolSpec("four-state", e=e)
         povms, data = realize_protocol(spec4)
         cls4 = assemble_class(povms, data, spec4)
         lam4 = best_extendible_decomposition(cls4).lambda_max
@@ -359,7 +359,7 @@ def test_full_rank_and_unpinned_classes_run_the_full_program():
 
 
 def test_threshold_rejects_classes_with_different_rows():
-    four = ProtocolSpec.four_state(0.0)
+    four = ProtocolSpec("four-state", e=0.0)
     povms, data = realize_protocol(four)
     with pytest.raises(ValueError, match="different rows"):
         extendibility_threshold(assemble_class(povms, data, four),

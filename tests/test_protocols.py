@@ -113,8 +113,8 @@ def test_class_row_counts():
         ("four-state", False, 9, 17),
         ("six-state", None, 16, 37),
     ):
-        spec = (ProtocolSpec.four_state(0.08, source_constraint=src)
-                if kind == "four-state" else ProtocolSpec.six_state(0.08))
+        spec = (ProtocolSpec("four-state", e=0.08, source_constraint=src)
+                if kind == "four-state" else ProtocolSpec("six-state", e=0.08))
         povms, data = realize_protocol(spec)
         cls = assemble_class(povms, data, spec)
         assert cls.rows.shape == (n_rows, 16)
@@ -124,7 +124,7 @@ def test_class_row_counts():
 
 @pytest.mark.parametrize("e", [0.0, 0.06, 0.15])
 def test_class_residual_vanishes_on_generating_state(e):
-    spec = ProtocolSpec.six_state(e)
+    spec = ProtocolSpec("six-state", e=e)
     povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     assert cls.residual(depolarized_bell(e)) < 1e-12
@@ -132,7 +132,7 @@ def test_class_residual_vanishes_on_generating_state(e):
 
 def test_six_state_class_pins_state_completely():
     # 16 independent rows on a 16-dim coefficient space: unique solution
-    spec = ProtocolSpec.six_state(0.09)
+    spec = ProtocolSpec("six-state", e=0.09)
     povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)
     sol, *_ = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)
@@ -151,7 +151,7 @@ def test_inconsistent_data_raises():
                             bob_labels=data.bob_labels)
     with pytest.raises(InconsistentDataError):
         assemble_class((alice, bob), tampered,
-                       ProtocolSpec.four_state(0.1, source_constraint=True))
+                       ProtocolSpec("four-state", e=0.1, source_constraint=True))
 
 
 def test_class_from_state_and_trivial():
@@ -165,9 +165,9 @@ def test_class_from_state_and_trivial():
 
 
 def test_reverse_direction_swaps_parties():
-    spec = ProtocolSpec.six_state(0.08, direction="reverse")
+    spec = ProtocolSpec("six-state", e=0.08, direction="reverse")
     povms, data = realize_protocol(spec)
-    fwd_povms, fwd_data = realize_protocol(ProtocolSpec.six_state(0.08))
+    fwd_povms, fwd_data = realize_protocol(ProtocolSpec("six-state", e=0.08))
     assert np.allclose(data.probs, fwd_data.probs.T, atol=1e-12)
     assert qber(data, povms) == pytest.approx(0.08, abs=1e-12)
     cls = assemble_class(povms, data, spec)
@@ -240,7 +240,7 @@ def test_array_protocol_layer_matches_elementwise_traces():
         coeffs = povm_coefficients(povm, basis)
         assert coeffs.shape == (len(povm), len(basis))
         for i, m in enumerate(povm.elements):
-            for k, s in enumerate(basis.elements):
+            for k, s in enumerate(basis):
                 assert abs(coeffs[i, k] - np.trace(m @ s).real / povm.dim) <= 1e-14
 
 
@@ -249,13 +249,13 @@ def test_builtin_povms_and_bases_are_built_once():
         povms = make()
         assert make() is povms
         for p in povms:
-            assert not p.stack.flags.writeable
+            assert not p.elements.flags.writeable
             assert not any(m.flags.writeable for m in p.elements)
     for d in (2, 3):
         basis = build_basis(d)
         assert build_basis(d) is basis
-        assert not basis.stack.flags.writeable
-        assert not any(m.flags.writeable for m in basis.elements)
+        assert not basis.flags.writeable
+        assert not any(m.flags.writeable for m in basis)
 
 
 def test_povm_weights_given_as_a_list():
@@ -276,11 +276,12 @@ def test_data_matched_to_povms_by_label(povms):
     # the same table with Bob's labels listed in reverse
     rev = ObservedData(data.probs[:, ::-1], data.alice_labels, data.bob_labels[::-1])
     assert rev.entries() == data.entries()
-    want = one_way_upper_bound(ProtocolSpec.custom(povms, data))
+    want = one_way_upper_bound(ProtocolSpec("custom", povms=povms, data=data))
     for direction in ("direct", "reverse"):
-        got = one_way_upper_bound(ProtocolSpec.custom(povms, rev, direction=direction))
+        got = one_way_upper_bound(ProtocolSpec("custom", povms=povms, data=rev,
+                                               direction=direction))
         ref = want if direction == "direct" else one_way_upper_bound(
-            ProtocolSpec.custom(povms, data, direction=direction))
+            ProtocolSpec("custom", povms=povms, data=data, direction=direction))
         assert got.status == ref.status == "optimal"
         assert got.upper_bound == ref.upper_bound
         assert got.qber == ref.qber
@@ -305,6 +306,24 @@ def test_povm_rejects_malformed_key_metadata(meta):
     alice, _ = four_state_povms()
     with pytest.raises(ValueError, match="bases"):
         Povm(alice.elements, alice.labels, **meta)
+
+
+@pytest.mark.parametrize("bits", [(-1, 0, -1, 0), (0, 1.5, 0, 1), (0, "1", 0, 1),
+                                  (0, None, 0, 1)],
+                         ids=["negative", "fractional", "string", "none"])
+def test_povm_refuses_bits_that_are_not_non_negative_integers(bits):
+    # bits -1/0 used to wrap onto the last row of the key table and give a
+    # bound of 0 with status optimal; bit 1.5 used to be truncated to 1
+    for povm in four_state_povms():
+        with pytest.raises(ValueError, match="bits"):
+            Povm(povm.elements, povm.labels, povm.bases, bits)
+
+
+def test_povm_stores_integer_bits_as_ints():
+    alice, _ = four_state_povms()
+    povm = Povm(alice.elements, alice.labels, alice.bases, (0, 1, np.int64(0), np.int64(1)))
+    assert povm.bits == (0, 1, 0, 1)
+    assert all(type(b) is int for b in povm.bits)
 
 
 def test_observed_data_carries_no_key_metadata():

@@ -252,7 +252,7 @@ def test_tau_underflow_is_a_numerical_failure(lam):
     # little above it gives an infeasible program.  The embedding drives
     # tau towards 0 there without reaching a Farkas certificate; the solve
     # must end before tau ** 2 underflows instead of dividing by zero.
-    spec = ProtocolSpec.six_state(0.05)
+    spec = ProtocolSpec("six-state", e=0.05)
     povms, data = realize_protocol(spec)
     problem = pinned_problem(assemble_class(povms, data, spec), lam)[0]
     sol = solve(problem)
