@@ -16,7 +16,7 @@ import numpy as np
 
 from keybound import (DensityOperator, ProtocolSpec, assemble_class,
                       bell_psi_plus, best_extendible_decomposition, build_sdp,
-                      class_from_state, is_extendible, partial_trace_matrix,
+                      class_from_state, partial_trace_matrix,
                       realize_protocol, solve, swap_last_two, verify_extension)
 
 E = 0.10
@@ -32,9 +32,9 @@ def main():
     print(f"six-state at e = {E}")
     print(f"  lambda_max       = {lam:.9f}   (6e = {6 * E:.6f})")
     print(f"  certified bound  = {1 - lam:.9f}")
-    print(f"  solver status    = {res.diagnostics['status']}, "
-          f"{res.diagnostics['iterations']} iterations, "
-          f"gap {res.diagnostics['duality_gap']:.1e}")
+    print(f"  solver status    = {res.solution.status}, "
+          f"{res.solution.iterations} iterations, "
+          f"gap {res.solution.duality_gap:.1e}")
 
     # library residuals first
     rep = verify_extension(res)
@@ -66,8 +66,9 @@ def main():
     for e_probe in (0.16, 0.17):
         probe = ProtocolSpec("six-state", e=e_probe)
         p_povms, p_data = realize_protocol(probe)
-        flag = is_extendible(assemble_class(p_povms, p_data, probe))
-        print(f"is_extendible(six-state, e={e_probe}) = {flag}")
+        flag = best_extendible_decomposition(
+            assemble_class(p_povms, p_data, probe)).extendible
+        print(f"extendible(six-state, e={e_probe}) = {flag}")
 
     rank_deficient()
 
@@ -82,7 +83,7 @@ def rank_deficient():
     print("\nrank-2 state 0.7 Phi+ + 0.3 |01><01|, pinned by class_from_state")
     print(f"  lambda_max       = {lam:.9f}")
     print(f"  support rank {diag['support_rank']}, face dimension "
-          f"{diag['face_dim']}, {diag['iterations']} iterations")
+          f"{diag['face_dim']}, {res.solution.iterations} iterations")
     full = solve(build_sdp(cls)[0])
     print(f"  full program     = {full.status} after {full.iterations} iterations")
     print(f"  verify_extension = {verify_extension(res).passed}")

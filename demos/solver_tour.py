@@ -29,10 +29,10 @@ def main():
     prob = lambda_min_problem(sym)
     sol = solve(prob)
     print("stop 1: smallest eigenvalue of a random symmetric 5x5")
-    print(f"  {'it':>3} {'primal':>12} {'dual':>12} {'mu':>9}")
+    print(f"  {'it':>3} {'primal':>12} {'dual':>12} {'<S,Z>':>9}")
     for rec in sol.history:
         print(f"  {rec.iteration:3d} {rec.primal_obj:12.8f}"
-              f" {rec.dual_obj:12.8f} {rec.mu:9.2e}")
+              f" {rec.dual_obj:12.8f} {rec.inner:9.2e}")
     truth = float(np.linalg.eigvalsh(sym)[0])
     print(f"  solver {-sol.objective:.10f} vs eigvalsh {truth:.10f}"
           f"  (diff {abs(-sol.objective - truth):.1e})")

@@ -6,13 +6,12 @@ from .bounds import (BoundPoint, bound_points_to_csv, bound_points_to_json,
                      find_cutoff, one_way_upper_bound, sweep)
 from .extendibility import (ExtendibilityResult, ExtensionReport, VariableLayout,
                             best_extendible_decomposition, build_sdp,
-                            is_extendible, pinned_problem, verify_extension)
+                            pinned_problem, verify_extension)
 from .infotheory import JointDistribution, mutual_information, shannon_entropy
 from .protocols import (EquivalenceClassSpec, InconsistentDataError, ObservedData,
                         Povm, ProtocolSpec, assemble_class, class_from_state,
-                        four_state_povms, full_joint, load_protocol,
-                        matched_key_distribution, qber, realize_protocol,
-                        simulate_observed_data, six_state_povms)
+                        four_state_povms, load_protocol, matched_key_distribution,
+                        qber, realize_protocol, simulate_observed_data, six_state_povms)
 from .sdp import (LmiBlock, SdpProblem, SdpSolution, SolverError, check_feasible,
                   solve, write_sdpa)
 from .states import (DensityOperator, bell_psi_plus, depolarized_bell,
@@ -29,10 +28,9 @@ __all__ = [
     "best_extendible_decomposition", "bound_points_to_csv",
     "bound_points_to_json", "build_basis", "build_sdp", "check_feasible",
     "class_from_state", "depolarized_bell", "expand", "find_cutoff",
-    "four_state_povms", "full_joint", "is_extendible", "load_protocol",
-    "matched_key_distribution", "mutual_information", "one_way_upper_bound",
-    "partial_trace_matrix", "pinned_problem", "qber", "realize_protocol",
-    "reconstruct", "shannon_entropy", "simulate_observed_data",
-    "six_state_povms", "solve", "swap_last_two", "sweep", "verify_extension",
-    "write_sdpa",
+    "four_state_povms", "load_protocol", "matched_key_distribution",
+    "mutual_information", "one_way_upper_bound", "partial_trace_matrix",
+    "pinned_problem", "qber", "realize_protocol", "reconstruct",
+    "shannon_entropy", "simulate_observed_data", "six_state_povms", "solve",
+    "swap_last_two", "sweep", "verify_extension", "write_sdpa",
 ]

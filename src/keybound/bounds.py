@@ -21,12 +21,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .extendibility import (best_extendible_decomposition, extendibility_threshold,
-                            is_extendible)
-from .infotheory import mutual_information
-from .protocols import (ProtocolSpec, assemble_class, full_joint,
-                        matched_key_distribution, qber, realize_protocol,
-                        simulate_observed_data)
+from .extendibility import best_extendible_decomposition, extendibility_threshold
+from .infotheory import JointDistribution, mutual_information
+from .protocols import (ProtocolSpec, assemble_class, matched_key_distribution, qber,
+                        realize_protocol, simulate_observed_data)
 from .sdp import FEAS_TOL, SolverError
 
 CSV_COLUMNS = ("e", "qber", "lambda_max", "mutual_info_ne", "upper_bound",
@@ -80,7 +78,7 @@ def one_way_upper_bound(spec):
         status = sol.status
         if res.rho_ne is not None:
             data_ne = simulate_observed_data(res.rho_ne, povms)
-            info_full = mutual_information(full_joint(data_ne))
+            info_full = mutual_information(JointDistribution(data_ne.probs))
             info = mutual_information(matched_key_distribution(data_ne, povms)) \
                 if keyed else info_full
             bound = (1.0 - lam) * info
@@ -142,8 +140,9 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     sol = extendibility_threshold(cls_lo, cls_hi, (lo, hi))
     # just below the cutoff the solve can break down before certifying a
     # bad bracket; one decomposition at hi then tells the two apart
-    if sol.status == "infeasible" or (sol.status == "numerical-failure"
-                                      and not is_extendible(cls_hi)):
+    if sol.status == "infeasible" or (
+            sol.status == "numerical-failure"
+            and not best_extendible_decomposition(cls_hi).extendible):
         raise ValueError(f"upper bracket e={hi} is not extendible")
     if sol.status != "optimal":
         raise SolverError(f"threshold solve ended with status {sol.status}: "

@@ -21,8 +21,9 @@ import numpy as np
 
 from .bounds import (_fmt, bound_points_to_csv, bound_points_to_json, find_cutoff,
                      gnuplot_script, one_way_upper_bound, sweep)
-from .extendibility import LAMBDA_TOL
-from .protocols import InconsistentDataError, ProtocolSpec, load_protocol
+from .extendibility import best_extendible_decomposition
+from .protocols import (InconsistentDataError, ProtocolSpec, assemble_class,
+                        load_protocol, realize_protocol)
 from .sdp import SolverError
 
 OUTPUT_DIR_ENV = "KEYBOUND_OUTPUT_DIR"
@@ -192,15 +193,10 @@ def run(args):
         return 0
 
     if args.command == "check-extendible":
-        from .extendibility import best_extendible_decomposition
-        from .protocols import assemble_class, realize_protocol
-
         spec = _spec_from_args(args)
         povms, data = realize_protocol(spec)
-        cls = assemble_class(povms, data, spec)
-        res = best_extendible_decomposition(cls)
-        verdict = res.lambda_max >= 1.0 - LAMBDA_TOL
-        print("extendible" if verdict else "not extendible")
+        res = best_extendible_decomposition(assemble_class(povms, data, spec))
+        print("extendible" if res.extendible else "not extendible")
         print(f"lambda_max: {res.lambda_max:.10g}")
         return 0
 

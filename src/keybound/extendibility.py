@@ -61,7 +61,8 @@ class VariableLayout:
     dims pair: variable indexing over the two groups r and f, the two LMI
     blocks rho - sigma~ >= 0 and chi~ >= 0, the objective c, sigma_idx,
     the indices of the f_{k,l,0} that are sigma~'s coefficients in
-    (k, l) order, and chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack of
+    (k, l) order (the first, n_r, is f_000, the extendible weight), and
+    chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack of
     swap-symmetric extension operators with chi~ = sum_i f_i chi_mats[i].
     The class rows, the only equalities, come with each problem.
 
@@ -95,13 +96,6 @@ class VariableLayout:
     def total(self):
         return self.n_r + self.n_f
 
-    def r_index(self, k, l):
-        return k * self.nb + l
-
-    def e_index(self, k, l):
-        """Index of sigma~'s coefficient e_kl, which is f_{k,l,0}."""
-        return int(self.sigma_idx[k * self.nb + l])
-
     def f_index(self, k, l, m):
         """Index of f_klm; the f variables run over k, then l, then m <= l."""
         if m > l:
@@ -131,6 +125,7 @@ def layout_for(dims):
                            + np.kron(sa[k], np.kron(sb[m], sb[l])))
                 chi_mats.append(mat / dabb)
     chi_mats = np.stack(chi_mats)
+    chi_mats.setflags(write=False)
 
     n_r = na * nb
     n_f = chi_mats.shape[0]
@@ -152,7 +147,7 @@ def layout_for(dims):
     c.setflags(write=False)
     sigma_idx.setflags(write=False)
     return VariableLayout(dims=(da, db), blocks=blocks, c=c,
-                          sigma_idx=sigma_idx, chi_mats=blocks[1].mats)
+                          sigma_idx=sigma_idx, chi_mats=chi_mats)
 
 
 def build_sdp(cls):
@@ -179,7 +174,7 @@ def pinned_problem(cls, lam):
     """
     problem, layout = build_sdp(cls)
     row = np.zeros((1, layout.total))
-    row[0, layout.e_index(0, 0)] = 1.0
+    row[0, layout.n_r] = 1.0
     rows = np.concatenate([problem.eq_rows, row], axis=0)
     rhs = np.concatenate([problem.eq_rhs, [float(lam)]])
     return SdpProblem(c=problem.c, blocks=problem.blocks,
@@ -208,7 +203,7 @@ def extendibility_threshold(cls_lo, cls_hi, bracket):
     n = layout.total
     slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
     bounds = LmiBlock(const=np.diag([-lo, hi, LAMBDA_TOL - 1.0]),
-                      var_idx=[n, layout.e_index(0, 0)],
+                      var_idx=[n, layout.n_r],
                       mats=[np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
     blocks = problem.blocks + (bounds,)
     c = np.zeros(n + 1)
@@ -231,6 +226,12 @@ class ExtendibilityResult:
     solution: object
     layout: VariableLayout
     diagnostics: dict
+
+    @property
+    def extendible(self):
+        """Whether the class contains a state with a two-copy symmetric
+        extension: lambda_max within LAMBDA_TOL of 1."""
+        return self.lambda_max >= 1.0 - LAMBDA_TOL
 
 
 def _to_density(mat, dims, diagnostics, name):
@@ -387,7 +388,7 @@ def best_extendible_decomposition(cls):
             f"decomposition solve ended with status {sol.status}: {sol.message}",
             solution=sol)
 
-    raw_lam = float(sol.x[layout.e_index(0, 0)])
+    raw_lam = float(sol.x[layout.n_r])
     if raw_lam < -1e-6 or raw_lam > 1.0 + 1e-6:
         raise SolverError(f"extendible weight {raw_lam} escapes [0, 1]",
                           solution=sol)
@@ -399,10 +400,8 @@ def best_extendible_decomposition(cls):
     e = sol.x[layout.sigma_idx].reshape(layout.na, layout.nb)
     f = sol.x[layout.n_r:]
 
-    diagnostics = {"raw_lambda": raw_lam, "status": sol.status,
-                   "duality_gap": sol.duality_gap,
-                   "iterations": sol.iterations,
-                   "support_rank": support_rank, "face_dim": face_dim}
+    diagnostics = {"raw_lambda": raw_lam, "support_rank": support_rank,
+                   "face_dim": face_dim}
     rho_star = _to_density(reconstruct(r, (basis_a, basis_b)), (da, db),
                            diagnostics, "rho_star")
     sigma_ext = rho_ne = chi = None
@@ -420,12 +419,6 @@ def best_extendible_decomposition(cls):
         lambda_max=lam, rho_star=rho_star, sigma_ext=sigma_ext,
         rho_ne=rho_ne, chi=chi, solution=sol, layout=layout,
         diagnostics=diagnostics)
-
-
-def is_extendible(cls):
-    """Whether the class contains a state with a two-copy symmetric
-    extension: lambda_max within LAMBDA_TOL of 1."""
-    return best_extendible_decomposition(cls).lambda_max >= 1.0 - LAMBDA_TOL
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,7 @@ def shannon_entropy(p):
 
 
 def mutual_information(joint):
-    """I(A;B) in bits of a JointDistribution (or raw 2-d array)."""
-    if not isinstance(joint, JointDistribution):
-        joint = JointDistribution(np.asarray(joint, dtype=float))
+    """I(A;B) in bits of a JointDistribution."""
     ha = shannon_entropy(joint.marginal_a())
     hb = shannon_entropy(joint.marginal_b())
     hab = shannon_entropy(joint.probabilities)

@@ -251,11 +251,6 @@ def matched_key_distribution(data, povms):
     return JointDistribution(table / matched)
 
 
-def full_joint(data):
-    """The raw outcome table as a JointDistribution (no pooling)."""
-    return JointDistribution(np.array(data.probs))
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """What to run: protocol kind, error rate, direction, option flags.
@@ -323,7 +318,6 @@ class EquivalenceClassSpec:
     alice: Povm | None = None
     bob: Povm | None = None
     data: ObservedData | None = None
-    n_raw_rows: int = 0
 
     def __post_init__(self):
         rows = _finite(np.asarray(self.rows, dtype=float), "rows")
@@ -446,7 +440,6 @@ def assemble_class(povms, data, spec=None):
         alice=alice,
         bob=bob,
         data=data,
-        n_raw_rows=A.shape[0],
     )
 
 
@@ -469,26 +462,27 @@ def class_from_state(state):
     coeffs = expand(state.matrix, (build_basis(da), build_basis(db)))
     n = coeffs.ravel().size
     return EquivalenceClassSpec(dims=(da, db), rows=np.eye(n),
-                                rhs=coeffs.ravel().copy(), n_raw_rows=n)
+                                rhs=coeffs.ravel().copy())
 
 
 def _matrix_from_json(obj, what):
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{what}: expected an object with 're' (and optional 'im')")
-    re = np.asarray(obj["re"], dtype=float)
+    re = _finite(np.asarray(obj["re"], dtype=float), f"{what}: 're'")
     if re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"{what}: 're' must be a square matrix")
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    im = _finite(np.asarray(obj.get("im", np.zeros_like(re)), dtype=float),
+                 f"{what}: 'im'")
     if im.shape != re.shape:
         raise ValueError(f"{what}: 'im' shape differs from 're'")
     return re + 1.0j * im
 
 
-def _json_number(convert, value, what):
-    """convert(value), or ValueError naming the field when value is not a
+def _json_float(value, what):
+    """float(value), or ValueError naming the field when value is not a
     number (null, an object, ...)."""
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
 
@@ -526,10 +520,9 @@ def _povm_from_json(items, dim, party):
     return Povm(tuple(elements), tuple(item["label"] for item in items), bases, bits)
 
 
-def load_protocol(source):
-    """Load a custom protocol description from JSON.
+def load_protocol(path):
+    """Load a custom protocol description from the JSON file at path.
 
-    ``source`` is a path, a file object, or an already-parsed dict.
     Schema (see README for a worked example)::
 
         {
@@ -543,17 +536,13 @@ def load_protocol(source):
           "alice_marginal": {"re": [[...]], "im": ...}  (optional)
         }
 
-    basis/bit metadata is optional but required for error-rate reporting
-    and for the matched-basis key map; a bit is a non-negative JSON
-    integer.  'im' defaults to zero.
+    Each dims entry is a JSON integer >= 2.  basis/bit metadata is
+    optional but required for error-rate reporting and for the
+    matched-basis key map; a bit is a non-negative JSON integer.  'im'
+    defaults to zero, and matrix entries must be finite.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
 
     if not isinstance(doc, dict):
         raise ValueError(f"a protocol file holds a JSON object, got {doc!r}")
@@ -561,10 +550,11 @@ def load_protocol(source):
         if field_name not in doc:
             raise ValueError(f"protocol file is missing {field_name!r}")
     dims = doc["dims"]
-    if (not isinstance(dims, (list, tuple)) or len(dims) != 2
-            or any(_json_number(int, d, "dims") < 2 for d in dims)):
-        raise ValueError("dims must be two integers >= 2")
-    da, db = int(dims[0]), int(dims[1])
+    if (not isinstance(dims, list) or len(dims) != 2
+            or any(isinstance(d, bool) or not isinstance(d, int) or d < 2
+                   for d in dims)):
+        raise ValueError(f"dims must be two integers >= 2, got {dims!r}")
+    da, db = dims
     alice = _povm_from_json(doc["alice_povm"], da, "alice_povm")
     bob = _povm_from_json(doc["bob_povm"], db, "bob_povm")
 
@@ -582,7 +572,7 @@ def load_protocol(source):
         if seen[i, j]:
             raise ValueError(f"probability record {idx}: duplicate pair")
         seen[i, j] = True
-        table[i, j] = _json_number(float, rec.get("p"), f"probability record {idx}: 'p'")
+        table[i, j] = _json_float(rec.get("p"), f"probability record {idx}: 'p'")
     if not seen.all():
         raise ValueError("probabilities must cover every (alice, bob) label pair")
 

@@ -6,11 +6,11 @@ Problem form::
     subject to  F^(b)(x) = F0^(b) + sum_i x_i Fi^(b)  >= 0   for each block b
                 A x = rhs
 
-with Hermitian F matrices and real data elsewhere.  Each LmiBlock embeds
-itself once, at construction, as a real symmetric block; a complex one
-becomes [[Re, -Im], [Im, Re]] of twice the size, which preserves the
-spectrum (doubled multiplicities) and hence the feasible set.  The
-iteration itself is all-real and reads only that embedding.
+with Hermitian F matrices and real data elsewhere.  Each LmiBlock stores
+only a real symmetric embedding of its matrices: a complex block becomes
+[[Re, -Im], [Im, Re]] of twice the size, which preserves the spectrum
+(doubled multiplicities) and hence the feasible set.  The iteration is
+all-real.
 
 The algorithm is the homogeneous self-dual embedding (Ye, Todd & Mizuno
 1994; for SDP de Klerk, Roos & Terlaky 1997): F0, rhs and c are scaled
@@ -53,11 +53,7 @@ the routines behind cho_factor, cho_solve and solve_triangular, called
 with the same arguments, so they give the same bits; at these sizes (M
 is 56 x 56 for a qubit point) the wrappers' input checks cost more than
 the routines.  The one check that mattered, finiteness, is made on M: a
-non-finite M (an overflow) ends the solve with numerical-failure.  With
-the step bound's one eigensolve per block and the Gram indices built
-once per solve, this took a points-qubit iteration from 2.16-2.18 ms to
-1.59-1.68 ms (traced sdp.ms_per_iter, 2-vCPU host, BLAS pinned) at the
-same 9.33 iterations per solve.
+non-finite M (an overflow) ends the solve with numerical-failure.
 
 Weak duality bookkeeping: with rp, re, rd the primal, equality and dual
 residuals of the normalized iterate, every iterate satisfies the identity
@@ -128,18 +124,16 @@ def _as_herm(mat, what):
 class LmiBlock:
     """One linear matrix inequality const + sum_i x[var_idx[i]] * mats[i] >= 0.
 
-    dim is read from const.  real_dim, real_const and real_mats hold the
-    real symmetric embedding the solver iterates on: the block itself
-    when every matrix is real, [[Re, -Im], [Im, Re]] otherwise.
+    The Hermitian input is stored as the real symmetric embedding the
+    solver iterates on: as given when every matrix is real,
+    [[Re, -Im], [Im, Re]] otherwise.  const and mats hold that embedding,
+    read-only, and dim is its size.
     """
 
     const: np.ndarray
     var_idx: np.ndarray
     mats: np.ndarray
     dim: int = field(init=False)
-    real_dim: int = field(init=False, repr=False, compare=False)
-    real_const: np.ndarray = field(init=False, repr=False, compare=False)
-    real_mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         const = _as_herm(self.const, "block const")
@@ -158,20 +152,17 @@ class LmiBlock:
         if len(set(idx.tolist())) != idx.size:
             raise ValueError("var_idx entries must be distinct")
         if const.imag.any() or mats.imag.any():
-            F0, rmats = _realify(const), _realify(mats)
+            const, mats = _realify(const), _realify(mats)
         else:
-            F0, rmats = const.real.copy(), mats.real.copy()
-        F0 = 0.5 * (F0 + F0.T)
-        rmats = 0.5 * (rmats + np.transpose(rmats, (0, 2, 1)))
-        for arr in (const, mats, idx, F0, rmats):
+            const, mats = const.real, mats.real
+        const = 0.5 * (const + const.T)
+        mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+        for arr in (const, mats, idx):
             arr.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", const.shape[0])
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "var_idx", idx)
         object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "real_dim", F0.shape[0])
-        object.__setattr__(self, "real_const", F0)
-        object.__setattr__(self, "real_mats", rmats)
 
 
 @dataclass(frozen=True)
@@ -232,7 +223,6 @@ class IterateRecord:
     dual_obj: float
     inner: float            # sum_b <S_b, Z_b>
     kappa: float            # infeasibility budget for weak duality
-    mu: float
     primal_res: float
     dual_res: float
     eq_res: float
@@ -264,13 +254,13 @@ def _realify(mat):
 
 
 def _apply_lin(blk, x):
-    return np.einsum("i,ijk->jk", x[blk.var_idx], blk.real_mats)
+    return np.einsum("i,ijk->jk", x[blk.var_idx], blk.mats)
 
 
 def _adjoint(blocks, Z, t):
     out = np.zeros(t)
     for blk, Zb in zip(blocks, Z):
-        out[blk.var_idx] += np.einsum("ijk,jk->i", blk.real_mats, Zb)
+        out[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats, Zb)
     return out
 
 
@@ -318,16 +308,16 @@ def solve(problem):
     t = problem.num_vars
     A, b = problem.eq_rows, problem.eq_rhs
     m = A.shape[0]
-    ntot = sum(blk.real_dim for blk in blocks)
-    F0s = [blk.real_const for blk in blocks]
+    ntot = sum(blk.dim for blk in blocks)
+    F0s = [blk.const for blk in blocks]
     p_scale = [1.0 + float(np.linalg.norm(F0, "fro")) for F0 in F0s]
     e_scale = 1.0 + float(np.linalg.norm(b))
     d_scale = 1.0 + float(np.linalg.norm(c))
     gram_idx = [np.ix_(blk.var_idx, blk.var_idx) for blk in blocks]
 
     x, y = np.zeros(t), np.zeros(m)
-    S = [np.eye(blk.real_dim) for blk in blocks]
-    Z = [np.eye(blk.real_dim) for blk in blocks]
+    S = [np.eye(blk.dim) for blk in blocks]
+    Z = [np.eye(blk.dim) for blk in blocks]
     tau = kappa = 1.0
     history = []
     status, message, certificate = None, "", None
@@ -374,8 +364,7 @@ def solve(problem):
                      + float(np.linalg.norm(rd)) * float(np.linalg.norm(x))) / tau ** 2
         history.append(IterateRecord(
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
-            kappa=wd_budget, mu=gap_inner / ntot,
-            primal_res=pres, dual_res=dres, eq_res=eres))
+            kappa=wd_budget, primal_res=pres, dual_res=dres, eq_res=eres))
         log.debug("it %3d  pobj %+.6e  dobj %+.6e  gap %.2e  pres %.2e  "
                   "dres %.2e  eres %.2e  tau %.2e  hsd-kappa %.2e",
                   it, pobj, dobj, relgap, pres, dres, eres, tau, kappa)
@@ -443,16 +432,16 @@ def solve(problem):
             d = np.maximum(d, 1e-150)
             # Ls^-1 as Ls^T (upper, Fortran-ordered) solved transposed: the
             # C-ordered numpy factor is passed without a copy
-            Ls_inv = _trtrs(Ls.T, np.eye(blk.real_dim), trans=1)[0]
+            Ls_inv = _trtrs(Ls.T, np.eye(blk.dim), trans=1)[0]
             R = Ls @ (Vt.T / np.sqrt(d)[None, :])
             Rinv = np.sqrt(d)[:, None] * (Vt @ Ls_inv)
-            Q = np.matmul(np.matmul(Rinv, blk.real_mats), Rinv.T)
+            Q = np.matmul(np.matmul(Rinv, blk.mats), Rinv.T)
             Rs.append(R)
             Rinvs.append(Rinv)
             ds.append(d)
             Qs.append(Q)
             rpps.append(Rinv @ rpb @ Rinv.T)
-            F0ts.append(Rinv @ blk.real_const @ Rinv.T)
+            F0ts.append(Rinv @ blk.const @ Rinv.T)
         if status:
             break
 
@@ -616,7 +605,7 @@ def feasibility_problem(problem):
     t = problem.num_vars
     blocks = []
     for blk in problem.blocks:
-        mats = np.concatenate([blk.mats, np.eye(blk.dim, dtype=complex)[None]])
+        mats = np.concatenate([blk.mats, np.eye(blk.dim)[None]])
         idx = np.append(blk.var_idx, t)
         blocks.append(LmiBlock(const=blk.const, var_idx=idx, mats=mats))
     blocks.append(LmiBlock(const=np.array([[1.0]]), var_idx=np.array([t]),
@@ -669,7 +658,7 @@ def check_feasible(problem):
     y = sol.y
     zs = sol.z_blocks[:nblk]
     station = _adjoint(problem.blocks, zs, problem.num_vars) + A.T @ y
-    violation = float(b @ y) - sum(float(np.vdot(blk.real_const, Zb))
+    violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb))
                                    for blk, Zb in zip(problem.blocks, zs))
     return replace(
         sol, status="infeasible", x=sol.x[:-1].copy(), z_blocks=zs, objective=tstar,
@@ -697,7 +686,7 @@ def write_sdpa(problem, path):
     A, b = problem.eq_rows, problem.eq_rhs
     meq = A.shape[0]
     t = problem.num_vars
-    sizes = [blk.real_dim for blk in blocks]
+    sizes = [blk.dim for blk in blocks]
     if meq:
         sizes += [-meq, -meq]
 
@@ -706,15 +695,15 @@ def write_sdpa(problem, path):
         for bi, blk in enumerate(blocks, start=1):
             mat = None
             if matno == 0:
-                mat = -blk.real_const
+                mat = -blk.const
             else:
                 pos = np.flatnonzero(blk.var_idx == matno - 1)
                 if pos.size:
-                    mat = blk.real_mats[pos[0]]
+                    mat = blk.mats[pos[0]]
             if mat is None:
                 continue
-            for i in range(blk.real_dim):
-                for j in range(i, blk.real_dim):
+            for i in range(blk.dim):
+                for j in range(i, blk.dim):
                     v = float(mat[i, j])
                     if v != 0.0:
                         yield bi, i + 1, j + 1, v
@@ -740,9 +729,6 @@ def write_sdpa(problem, path):
         for bi, i, j, v in entries_for(matno):
             lines.append(f"{matno} {bi} {i} {j} {v:.17g}")
     text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return text

@@ -215,7 +215,7 @@ def trivial_class(dims):
     row = np.zeros((1, n))
     row[0, 0] = 1.0
     return EquivalenceClassSpec(dims=(int(da), int(db)), rows=row,
-                                rhs=np.array([1.0]), n_raw_rows=1)
+                                rhs=np.array([1.0]))
 
 
 def permute_subsystems(mat, dims, perm):

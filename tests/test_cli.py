@@ -195,11 +195,21 @@ def _rename_bob_bases(doc):
      "probability record 3"),
     (lambda doc: doc["bob_povm"][2].update(bit=None), "bob_povm element 2: 'bit'"),
     (lambda doc: doc.update(dims=[2, None]), "dims"),
+    (lambda doc: doc.update(dims=[2.7, 2]), "dims"),
+    (lambda doc: doc.update(dims=["2", 2]), "dims"),
+    # a non-finite matrix entry is named by its JSON field, not by the
+    # internal array it feeds
+    (lambda doc: doc.update(source_constraint=True,
+                            alice_marginal={"re": [[0.5, 0.0], [0.0, float("nan")]]}),
+     "alice_marginal: 're' has a non-finite entry"),
+    (lambda doc: doc["bob_povm"][2]["matrix"]["im"][0].__setitem__(1, float("inf")),
+     "bob_povm element 2: 'im' has a non-finite entry"),
     (lambda doc: doc["alice_povm"].__setitem__(0, 5), "alice_povm element 0"),
     (lambda doc: doc.update(bob_povm=None), "bob_povm"),
     (lambda doc: doc.update(probabilities=None), "probabilities"),
     (_rename_bob_bases, "no matched-basis probability mass"),
-], ids=["null-p", "record-not-object", "null-bit", "null-dim", "element-not-object",
+], ids=["null-p", "record-not-object", "null-bit", "null-dim", "fractional-dim",
+        "string-dim", "nan-marginal", "inf-povm-entry", "element-not-object",
         "null-povm", "null-probabilities", "no-shared-basis"])
 def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     doc = _custom_doc()
@@ -234,11 +244,13 @@ def test_custom_protocol_bit_must_be_a_non_negative_json_integer(tmp_path, capsy
 
 def test_custom_protocol_source_constraint_must_be_json_boolean(tmp_path, capsys):
     doc = _custom_doc()
-    assert load_protocol(doc).source_constraint is None
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    assert load_protocol(path).source_constraint is None
     for value in (True, False):
         doc["source_constraint"] = value
-        assert load_protocol(doc).source_constraint is value
-    path = tmp_path / "proto.json"
+        path.write_text(json.dumps(doc))
+        assert load_protocol(path).source_constraint is value
     for value in ("false", "no", 0, None):
         doc["source_constraint"] = value
         path.write_text(json.dumps(doc))

@@ -11,7 +11,7 @@ from keybound import extendibility
 from keybound.basis import build_basis, expand
 from keybound.extendibility import (
     SUPPORT_TOL, best_extendible_decomposition, build_sdp,
-    extendibility_threshold, is_extendible, layout_for, pinned_problem,
+    extendibility_threshold, layout_for, pinned_problem,
     verify_extension,
 )
 from keybound.protocols import (
@@ -55,7 +55,7 @@ def test_variable_layout_symmetry():
         assert lay.sigma_idx.tolist() == [lay.f_index(k, l, 0)
                                           for k in range(lay.na)
                                           for l in range(lay.nb)]
-        assert lay.e_index(2, 3) == lay.f_index(2, 3, 0)
+        assert lay.sigma_idx[0] == lay.n_r == lay.f_index(0, 0, 0)
 
 
 @pytest.mark.parametrize("dims", sorted(LAYOUT_SIZES))
@@ -82,7 +82,7 @@ def test_cached_structure_is_read_only():
     lay = layout_for((2, 2))
     arrays = [lay.c, lay.sigma_idx, lay.chi_mats]
     for blk in lay.blocks:
-        arrays += [blk.const, blk.mats, blk.var_idx, blk.real_const, blk.real_mats]
+        arrays += [blk.const, blk.mats, blk.var_idx]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
@@ -91,12 +91,12 @@ def test_cached_structure_is_read_only():
 def test_sdp_structure():
     cls = six_state_class(0.05)
     prob, lay = build_sdp(cls)
-    assert [b.dim for b in prob.blocks] == [4, 8]
+    assert [b.dim for b in prob.blocks] == [8, 16]
     # equalities: the class rows only, on r
     assert prob.eq_rows.shape == (cls.rows.shape[0], 56)
     assert not prob.eq_rows[:, lay.n_r:].any()
     # objective rewards the non-extendible weight only
-    assert prob.c[lay.r_index(0, 0)] == 1.0
+    assert prob.c[0] == 1.0
     assert prob.c[lay.f_index(0, 0, 0)] == -1.0
     assert np.count_nonzero(prob.c) == 2
 
@@ -108,7 +108,7 @@ def test_bell_state_not_extendible():
     assert res.sigma_ext is None
     assert res.chi is None
     assert np.allclose(res.rho_ne.matrix, bell_psi_plus().matrix, atol=1e-6)
-    assert not is_extendible(cls)
+    assert not res.extendible
 
 
 def test_maximally_mixed_is_extendible():
@@ -116,7 +116,7 @@ def test_maximally_mixed_is_extendible():
     res = best_extendible_decomposition(cls)
     assert res.lambda_max == pytest.approx(1.0, abs=1e-6)
     assert res.rho_ne is None
-    assert is_extendible(cls)
+    assert res.extendible
 
 
 @pytest.mark.parametrize("e,lam", [(0.05, 0.30), (0.10, 0.60), (0.15, 0.90)])
@@ -192,8 +192,8 @@ def test_trivial_class_is_extendible():
 def test_solution_diagnostics_recorded():
     res = best_extendible_decomposition(six_state_class(0.05))
     d = res.diagnostics
-    assert d["status"] == "optimal"
-    assert d["iterations"] > 0
+    assert res.solution.status == "optimal"
+    assert res.solution.iterations > 0
     assert abs(d["raw_lambda"] - res.lambda_max) <= 2e-6
     assert d["rho_star_clip"] <= 1e-7
 
@@ -317,7 +317,7 @@ def test_face_program_matches_full_program_where_it_converges():
     assert res.diagnostics["face_dim"] is not None
     full = solve(build_sdp(cls)[0])
     assert full.status == "optimal"
-    full_lam = float(full.x[res.layout.e_index(0, 0)])
+    full_lam = float(full.x[res.layout.n_r])
     assert full_lam == pytest.approx(1.0, abs=1e-6)
     assert res.lambda_max == pytest.approx(full_lam, abs=1e-6)
 
@@ -398,9 +398,9 @@ def test_threshold_certifies_non_extendible_upper_bracket(hi, direction,
     assert min(float(np.linalg.eigvalsh(zb)[0]) for zb in zs) >= -1e-9
     station = problem.eq_rows.T @ y
     for blk, zb in zip(problem.blocks, zs):
-        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.real_mats, zb)
+        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats, zb)
     assert np.linalg.norm(station) <= 1e-6
-    violation = problem.eq_rhs @ y - sum(np.vdot(blk.real_const, zb)
+    violation = problem.eq_rhs @ y - sum(np.vdot(blk.const, zb)
                                          for blk, zb in zip(problem.blocks, zs))
     assert violation > 0.0
 

@@ -4,11 +4,17 @@ Hypothesis draws every case from a fixed seed and keeps no example
 database, so each run checks the same cases.
 """
 
+import functools
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from keybound.extendibility import best_extendible_decomposition
-from keybound.protocols import class_from_state
+from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
+                                realize_protocol)
+from keybound.sdp import LmiBlock, SdpProblem, solve, write_sdpa
 from keybound.states import DensityOperator
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
@@ -50,3 +56,57 @@ def test_lambda_max_invariant_under_local_unitaries(case):
         best_extendible_decomposition(class_from_state(DensityOperator(m, dims))).lambda_max
         for m in (mat, rotated))
     assert abs(lam - lam_rot) <= 1e-8
+
+
+def realify(mat):
+    """[[Re, -Im], [Im, Re]] of a matrix or of a stack of matrices."""
+    return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
+
+
+def random_hermitian(rng, *shape):
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
+@DERANDOMIZED
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_complex_block_stores_its_real_embedding(n, k, seed):
+    # a complex block and its realification given as real input are one
+    # block: the same stored arrays, SDPA bytes and solve
+    rng = np.random.default_rng(seed)
+    const = random_hermitian(rng, n, n)
+    const = const @ const + 0.1 * np.eye(n)
+    mats = random_hermitian(rng, k, n, n)
+    w = random_hermitian(rng, n, n)
+    w = w @ w + 0.1 * np.eye(n)
+    # c_i = <mats_i, W> with W > 0 bounds c.x below by -<const, W>
+    c = np.einsum("ijk,kj->i", mats, w).real
+    blocks = [LmiBlock(const=const, var_idx=np.arange(k), mats=mats),
+              LmiBlock(const=realify(const), var_idx=np.arange(k), mats=realify(mats))]
+    assert blocks[0].dim == blocks[1].dim == 2 * n
+    assert np.array_equal(blocks[0].const, blocks[1].const)
+    assert np.array_equal(blocks[0].mats, blocks[1].mats)
+    problems = [SdpProblem(c=c, blocks=[blk]) for blk in blocks]
+    with tempfile.TemporaryDirectory() as tmp:
+        texts = [write_sdpa(prob, os.path.join(tmp, "p.dat-s")) for prob in problems]
+    assert texts[0] == texts[1]
+    sols = [solve(prob) for prob in problems]
+    assert sols[0].status == sols[1].status == "optimal"
+    assert sols[0].objective == sols[1].objective
+
+
+@functools.lru_cache(maxsize=None)
+def depolarized_lambda_max(kind, direction, e):
+    spec = ProtocolSpec(kind, e=e, direction=direction)
+    povms, data = realize_protocol(spec)
+    return best_extendible_decomposition(assemble_class(povms, data, spec)).lambda_max
+
+
+@DERANDOMIZED
+@given(st.sampled_from(["four-state", "six-state"]), st.sampled_from(["direct", "reverse"]),
+       st.floats(0.0, 0.25), st.floats(0.0, 0.25))
+def test_lambda_max_monotone_in_error_rate(kind, direction, e1, e2):
+    # more depolarizing noise never makes the class harder to extend
+    lo, hi = sorted((e1, e2))
+    assert (depolarized_lambda_max(kind, direction, lo)
+            <= depolarized_lambda_max(kind, direction, hi) + 1e-7)

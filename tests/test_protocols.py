@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -10,7 +9,7 @@ from keybound.infotheory import mutual_information
 from keybound.protocols import (
     EquivalenceClassSpec, InconsistentDataError, ObservedData, Povm,
     ProtocolSpec, assemble_class,
-    class_from_state, four_state_povms, full_joint, load_protocol,
+    class_from_state, four_state_povms, load_protocol,
     matched_key_distribution, povm_coefficients, qber, realize_protocol,
     simulate_observed_data, six_state_povms,
 )
@@ -85,13 +84,6 @@ def test_matched_key_distribution_perfect_at_zero():
     assert np.allclose(dist.probabilities, np.diag([0.5, 0.5]), atol=1e-12)
 
 
-def test_full_joint_shape():
-    data = simulate_observed_data(depolarized_bell(0.1), four_state_povms())
-    j = full_joint(data)
-    assert j.probabilities.shape == (4, 4)
-    assert j.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_povm_coefficients_recover_born_rule():
     rng = np.random.default_rng(1)
     basis = build_basis(2)
@@ -108,17 +100,16 @@ def test_povm_coefficients_recover_born_rule():
 
 
 def test_class_row_counts():
-    for kind, src, n_rows, n_raw in (
-        ("four-state", True, 10, 21),
-        ("four-state", False, 9, 17),
-        ("six-state", None, 16, 37),
+    for kind, src, n_rows in (
+        ("four-state", True, 10),
+        ("four-state", False, 9),
+        ("six-state", None, 16),
     ):
         spec = (ProtocolSpec("four-state", e=0.08, source_constraint=src)
                 if kind == "four-state" else ProtocolSpec("six-state", e=0.08))
         povms, data = realize_protocol(spec)
         cls = assemble_class(povms, data, spec)
         assert cls.rows.shape == (n_rows, 16)
-        assert cls.n_raw_rows == n_raw
         assert cls.rows.shape[0] == np.linalg.matrix_rank(cls.rows)
 
 
@@ -203,16 +194,20 @@ def test_load_protocol_roundtrip(tmp_path):
     assert cls.residual(depolarized_bell(0.08)) < 1e-10
 
 
-def test_load_protocol_rejects_incomplete():
+def test_load_protocol_rejects_incomplete(tmp_path):
     doc = {"dims": [2, 2], "alice_povm": [], "bob_povm": [], "probabilities": []}
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
-        load_protocol(doc)
+        load_protocol(path)
 
 
 @pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
-def test_load_protocol_rejects_non_object_document(text):
+def test_load_protocol_rejects_non_object_document(tmp_path, text):
+    path = tmp_path / "proto.json"
+    path.write_text(text)
     with pytest.raises(ValueError, match="JSON object"):
-        load_protocol(io.StringIO(text))
+        load_protocol(path)
 
 
 def _random_povm(rng, d, n):
