@@ -44,7 +44,7 @@ class InconsistentDataError(ValueError):
     """No state can reproduce the observed probabilities."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A labeled POVM on one subsystem.
 
@@ -154,7 +154,7 @@ def six_state_povms(weights=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)):
     return _qubit_povms(("X", "Y", "Z"), tuple(weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedData:
     """Joint outcome probabilities for one pair of POVMs.
 
@@ -302,7 +302,7 @@ def realize_protocol(spec):
     return povms, simulate_observed_data(depolarized_bell(spec.e), povms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceClassSpec:
     """Linear constraints pinning the equivalence class of joint states.
 
@@ -468,11 +468,10 @@ def class_from_state(state):
 def _matrix_from_json(obj, what):
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{what}: expected an object with 're' (and optional 'im')")
-    re = _finite(np.asarray(obj["re"], dtype=float), f"{what}: 're'")
+    re = _json_floats(obj["re"], f"{what}: 're'")
     if re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"{what}: 're' must be a square matrix")
-    im = _finite(np.asarray(obj.get("im", np.zeros_like(re)), dtype=float),
-                 f"{what}: 'im'")
+    im = _json_floats(obj["im"], f"{what}: 'im'") if "im" in obj else np.zeros_like(re)
     if im.shape != re.shape:
         raise ValueError(f"{what}: 'im' shape differs from 're'")
     return re + 1.0j * im
@@ -480,11 +479,22 @@ def _matrix_from_json(obj, what):
 
 def _json_float(value, what):
     """float(value), or ValueError naming the field when value is not a
-    number (null, an object, ...)."""
+    JSON number (a string, a bool, null, an object, ...) or is an integer
+    beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{what} must be a number in float range") from None
+
+
+def _json_floats(value, what):
+    """Nested JSON lists of numbers as a float array, or ValueError naming
+    the field when an entry is not a finite JSON number."""
+    arr = np.asarray(value, dtype=object)
+    return _finite(np.array([_json_float(v, what) for v in arr.flat],
+                            dtype=float).reshape(arr.shape), what)
 
 
 def _json_list(value, what):

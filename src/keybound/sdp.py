@@ -47,13 +47,18 @@ the tau column is one more right-hand side of the same system.  Every
 variable must appear in at least one block, otherwise M is singular by
 construction and the problem is rejected up front.
 
-The factorizations and triangular solves call LAPACK's potrf, potrs and
-trtrs directly, fetched once with scipy's get_lapack_funcs.  They are
-the routines behind cho_factor, cho_solve and solve_triangular, called
-with the same arguments, so they give the same bits; at these sizes (M
-is 56 x 56 for a qubit point) the wrappers' input checks cost more than
-the routines.  The one check that mattered, finiteness, is made on M: a
-non-finite M (an overflow) ends the solve with numerical-failure.
+The factorizations and triangular solves call LAPACK's dpotrf, dpotrs
+and dtrtrs directly.  They are taken from scipy's compiled _flapack
+extension, loaded from its file in scipy/linalg without running scipy's
+or scipy.linalg's __init__, which would be most of the import time of
+this package; if that file is missing or does not load, they come from
+scipy.linalg.get_lapack_funcs, which returns the same routines.  They
+are the routines behind cho_factor, cho_solve and solve_triangular,
+called with the same arguments, so they give the same bits; at these
+sizes (M is 56 x 56 for a qubit point) the wrappers' input checks cost
+more than the routines.  The one check that mattered, finiteness, is
+made on M: a non-finite M (an overflow) ends the solve with
+numerical-failure.
 
 Weak duality bookkeeping: with rp, re, rd the primal, equality and dual
 residuals of the normalized iterate, every iterate satisfies the identity
@@ -71,12 +76,14 @@ sum <S,Z> / (1 + |pobj| + |dobj|).
 
 from __future__ import annotations
 
+import importlib.util
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 HERM_TOL = 1e-12
 # solve stops on these: relative gap; relative residuals and certificates; iterations
@@ -92,9 +99,36 @@ TAU_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 log = logging.getLogger(__name__)
 
+
+def _load_lapack(linalg_dir):
+    """dpotrf, dpotrs and dtrtrs from the _flapack extension in linalg_dir.
+
+    The extension file is loaded on its own, under its scipy name, so
+    neither scipy nor scipy.linalg is imported (see the module
+    docstring).  When linalg_dir holds no loadable _flapack, the same
+    routines come from scipy.linalg.get_lapack_funcs.
+    """
+    for suffix in EXTENSION_SUFFIXES:
+        path = Path(linalg_dir, "_flapack" + suffix)
+        if not path.is_file():
+            continue
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        try:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+        except ImportError:
+            break
+        return flapack.dpotrf, flapack.dpotrs, flapack.dtrtrs
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.zeros((1, 1)),))
+
+
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None:
+    raise ModuleNotFoundError("keybound needs scipy", name="scipy")
 # called directly, without scipy's wrappers (see the module docstring)
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"),
-                                          (np.zeros((1, 1)),))
+_potrf, _potrs, _trtrs = _load_lapack(
+    Path(_scipy.submodule_search_locations[0], "linalg"))
 
 
 class SolverError(RuntimeError):
@@ -120,7 +154,7 @@ def _as_herm(mat, what):
     return mat.astype(complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmiBlock:
     """One linear matrix inequality const + sum_i x[var_idx[i]] * mats[i] >= 0.
 
@@ -165,7 +199,7 @@ class LmiBlock:
         object.__setattr__(self, "mats", mats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpProblem:
     """Objective, LMI blocks and equality constraints over one variable vector."""
 

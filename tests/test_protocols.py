@@ -166,7 +166,8 @@ def test_reverse_direction_swaps_parties():
     assert cls.residual(depolarized_bell(0.08)) < 1e-10
 
 
-def test_load_protocol_roundtrip(tmp_path):
+def _four_state_doc():
+    """The four-state protocol at e = 0.08 as a custom-protocol document."""
     alice, bob = four_state_povms()
     data = simulate_observed_data(depolarized_bell(0.08), (alice, bob))
 
@@ -184,6 +185,11 @@ def test_load_protocol_roundtrip(tmp_path):
         ],
         "source_constraint": False,
     }
+    return doc, data
+
+
+def test_load_protocol_roundtrip(tmp_path):
+    doc, data = _four_state_doc()
     path = tmp_path / "proto.json"
     path.write_text(json.dumps(doc))
     spec = load_protocol(path)
@@ -199,6 +205,38 @@ def test_load_protocol_rejects_incomplete(tmp_path):
     path = tmp_path / "proto.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_protocol(path)
+
+
+def _entry_as(kind, field):
+    """Write one matrix entry of Alice's first element as another JSON type."""
+    def corrupt(doc):
+        row = doc["alice_povm"][0]["matrix"][field][0]
+        row[0] = kind(row[0])
+    return corrupt
+
+
+def _p_as(kind):
+    """Write the first probability as another JSON type."""
+    def corrupt(doc):
+        doc["probabilities"][0]["p"] = kind(doc["probabilities"][0]["p"])
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_p_as(str), "probability record 0: 'p'"),
+    (_p_as(lambda p: 10 ** 400), "probability record 0: 'p'"),
+    (_entry_as(str, "re"), "alice_povm element 0: 're'"),
+    (_entry_as(bool, "im"), "alice_povm element 0: 'im'"),
+], ids=["string-p", "huge-integer-p", "string-entry", "boolean-entry"])
+def test_load_protocol_accepts_only_json_numbers(tmp_path, corrupt, field):
+    # a string or bool converts to the float it replaces, so only the type
+    # is wrong; an integer beyond the float range used to raise OverflowError
+    doc = _four_state_doc()[0]
+    corrupt(doc)
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
         load_protocol(path)
 
 

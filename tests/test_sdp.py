@@ -1,15 +1,24 @@
 import logging
+import os
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from keybound.extendibility import pinned_problem
-from keybound.protocols import ProtocolSpec, assemble_class, realize_protocol
+from keybound.protocols import (
+    Povm, ProtocolSpec, assemble_class, realize_protocol, simulate_observed_data,
+    six_state_povms,
+)
 from keybound.sdp import (
-    LmiBlock, SdpProblem, _chol_ridge, _potrs, _trtrs,
+    LmiBlock, SdpProblem, _chol_ridge, _load_lapack, _potrs, _trtrs,
     check_feasible, feasibility_problem, solve, write_sdpa,
 )
+from keybound.states import depolarized_bell
 from helpers import grid_search_minimum, random_box_sdp, random_hermitian
 
 ONE = np.ones((1, 1))
@@ -284,6 +293,53 @@ def test_lapack_helpers_match_scipy_wrappers():
         Lc = np.linalg.cholesky(spd)
         assert np.array_equal(_trtrs(Lc.T, np.eye(n), trans=1)[0],
                               solve_triangular(Lc, np.eye(n), lower=True))
+
+
+def test_import_leaves_scipy_linalg_unimported():
+    # the LAPACK routines are loaded from scipy's _flapack file alone;
+    # importing scipy.linalg would be most of keybound's import time
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, keybound, keybound.cli; "
+            "print(sorted({'scipy', 'scipy.linalg'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("unloadable", [False, True], ids=["absent", "unloadable"])
+def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
+    # no loadable _flapack in the directory: the routines come from scipy.linalg
+    if unloadable:
+        (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
+    potrf, potrs, trtrs = _load_lapack(tmp_path)
+    spd = np.array([[4.0, 2.0], [2.0, 3.0]])
+    L, info = potrf(spd, lower=1)
+    assert info == 0
+    L = np.tril(L)
+    assert np.allclose(L @ L.T, spd)
+    b = np.array([1.0, 2.0])
+    assert np.allclose(spd @ potrs(L, b, lower=1)[0], b)
+    assert np.allclose(L @ trtrs(L, b, lower=1)[0], b)
+
+
+SIX_STATE = ProtocolSpec("six-state", e=0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scalar_block(-1.0, 1.0),
+    lambda: SdpProblem(c=np.array([1.0]), blocks=[scalar_block(-1.0, 1.0)]),
+    lambda: Povm(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), ("0", "1")),
+    lambda: simulate_observed_data(depolarized_bell(0.1), six_state_povms()),
+    lambda: assemble_class(*realize_protocol(SIX_STATE), SIX_STATE),
+], ids=["LmiBlock", "SdpProblem", "Povm", "ObservedData", "EquivalenceClassSpec"])
+def test_equality_of_array_records_is_a_bool(build):
+    # these records hold arrays, so they compare by identity; a field-wise
+    # == would raise "truth value of an array ... is ambiguous"
+    a, b = build(), build()
+    assert (a == b) is False
+    assert (a == a) is True
 
 
 def test_feasibility_problem_shape():
