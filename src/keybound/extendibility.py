@@ -214,7 +214,7 @@ def extendibility_threshold(cls_lo, cls_hi, bracket):
     return solve(threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendibilityResult:
     """Outcome of the joint decomposition solve."""
 

@@ -21,7 +21,7 @@ def _clean_probs(p, name="probabilities"):
     return np.clip(p, 0.0, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint distribution over two finite outcome sets, entry [i, j] being
     the probability of (Alice outcome i, Bob outcome j)."""

@@ -6,79 +6,68 @@ Problem form::
     subject to  F^(b)(x) = F0^(b) + sum_i x_i Fi^(b)  >= 0   for each block b
                 A x = rhs
 
-with Hermitian F matrices and real data elsewhere.  Each LmiBlock stores
-only a real symmetric embedding of its matrices: a complex block becomes
-[[Re, -Im], [Im, Re]] of twice the size, which preserves the spectrum
-(doubled multiplicities) and hence the feasible set.  The iteration is
-all-real.
+with Hermitian F matrices and real data elsewhere.  The iteration is
+all-real: each LmiBlock stores the real symmetric embedding of its
+matrices, which preserves the feasible set.
+
+solve first substitutes the equality rows away.  One SVD of the columns
+they touch, cached per set of rows, gives x0, the least-squares solution
+of the rows, and an orthonormal basis of their null space; with P those
+columns plus unit vectors for the variables the rows leave free,
+x = x0 + P w.  Rows that x0 misses by more than FEAS_TOL (relative to
+1 + ||rhs||) have no solution: the solve ends at once as infeasible with
+an equality-ray certificate.  Otherwise it runs on the program in w,
+with consts F0 + F_lin(x0), objective P^T c and no equality rows, and
+maps the answer back: x = x0 + P w, and y is the least-squares solution
+of A^T y = c - A*(Z) (of A^T y = -A*(Z) for a Farkas certificate), with
+A*(Z)_i = <Fi, Z>.  So the SdpSolution, its certificate and history are
+in the caller's coordinates, and residuals use the caller's scales.
 
 The algorithm is the homogeneous self-dual embedding (Ye, Todd & Mizuno
-1994; for SDP de Klerk, Roos & Terlaky 1997): F0, rhs and c are scaled
-by a scalar tau >= 0, and a scalar kappa >= 0 joins the system
+1994; for SDP de Klerk, Roos & Terlaky 1997): F0 and c are scaled by a
+scalar tau >= 0, and a scalar kappa >= 0 joins the system
 
-    F_lin(x) + tau F0 = S,  A x = tau rhs,  A*(Z) + A^T y = tau c,
-    c.x - rhs.y + <F0, Z> + kappa = 0,  <S, Z> + tau kappa = 0,
+    F_lin(w) + tau F0 = S,  A*(Z) = tau c,  c.w + <F0, Z> + kappa = 0,
+    <S, Z> + tau kappa = 0.
 
-with A*(Z)_i = <Fi, Z>.  A Mehrotra predictor-corrector with
-Nesterov-Todd scaling runs on it from x = 0, y = 0, S = Z = I,
-tau = kappa = 1, with one step length for primal and dual since tau
-couples them, and the iterate divided by tau is what is reported.  When
-the program has an optimal pair, tau stays positive and that iterate
-converges to one.  A last primal step at fixed tau along the
-affine-scaling direction then shrinks the primal residual that the
-embedding leaves; it is cut to STEP_FRACTION of the distance to the cone
-boundary like every step, so it is seldom full and seldom zeros that
-residual.  Otherwise tau -> 0 with kappa > 0, and (y, Z) tends to a
-Farkas certificate (A*(Z) + A^T y = 0, Z >= 0, rhs.y - <F0, Z> > 0)
-or x to a primal ray (F_lin(x) >= 0, A x = 0, c.x < 0).  A run whose
-tau would fall below TAU_FLOOR before either one forms ends as
-numerical-failure; some moderately infeasible programs end so.  solve
-and check_feasible take no options: they stop on the module constants
+A Mehrotra predictor-corrector with Nesterov-Todd scaling runs on it
+from w = 0, S = Z = I, tau = kappa = 1, with one step length for primal
+and dual since tau couples them; the iterate divided by tau is what is
+reported.  When the program has an optimal pair, tau stays positive and
+that iterate converges to one; a last primal step at fixed tau then
+zeros the primal residual the embedding leaves and moves toward the
+optimal face.  Otherwise tau -> 0 with kappa > 0, and Z tends to a
+Farkas certificate (A*(Z) = 0, Z >= 0, -<F0, Z> > 0) or w to a primal
+ray (F_lin(w) >= 0, c.w < 0).  A run whose tau would fall below
+TAU_FLOOR before either forms ends as numerical-failure.  solve and
+check_feasible take no options: they stop on the module constants
 GAP_TOL, FEAS_TOL and MAX_ITER, read when they run.
 
-Writing W = R R^T for the scaling point of (S, Z), each iteration forms
-the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> and solves
+With W = R R^T the scaling point of (S, Z), each iteration solves
+M dw = h for the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> by its Cholesky
+factor (LAPACK, see _load_lapack); the tau column is one more
+right-hand side.  A variable in no block would make M singular, so
+SdpProblem rejects it.
 
-    [ M  -A^T ] [dx]   [h ]
-    [ A   0   ] [dy] = [re]
+Weak duality: with rp and rd the primal and dual residuals of the
+normalized iterate, pobj = c.x and dobj = c.x0 - <F0 + F_lin(x0), Z>
+(which is rhs.y - <F0, Z> once the residuals vanish), every iterate has
 
-by Cholesky factorizations of M and of the Schur complement A M^-1 A^T;
-the tau column is one more right-hand side of the same system.  Every
-variable must appear in at least one block, otherwise M is singular by
-construction and the problem is rejected up front.
+    pobj - dobj = sum_b <S_b, Z_b> + rd.w + sum_b <rp_b, Z_b>
 
-The factorizations and triangular solves call LAPACK's dpotrf, dpotrs
-and dtrtrs directly.  They are taken from scipy's compiled _flapack
-extension, loaded from its file in scipy/linalg without running scipy's
-or scipy.linalg's __init__, which would be most of the import time of
-this package; if that file is missing or does not load, they come from
-scipy.linalg.get_lapack_funcs, which returns the same routines.  They
-are the routines behind cho_factor, cho_solve and solve_triangular,
-called with the same arguments, so they give the same bits; at these
-sizes (M is 56 x 56 for a qubit point) the wrappers' input checks cost
-more than the routines.  The one check that mattered, finiteness, is
-made on M: a non-finite M (an overflow) ends the solve with
-numerical-failure.
-
-Weak duality bookkeeping: with rp, re, rd the primal, equality and dual
-residuals of the normalized iterate, every iterate satisfies the identity
-
-    pobj - dobj = sum_b <S_b, Z_b> + rd.x + sum_b <rp_b, Z_b> - re.y
-
-so pobj - dobj >= -budget with the Cauchy-Schwarz budget (the kappa of
-IterateRecord, not the embedding's)
-sum_b ||rp_b||_F ||Z_b||_F + ||re|| ||y|| + ||rd|| ||x||; the first term
-is nonnegative because S and Z stay in the cone.  The per-iterate
-history records both sides so tests can assert this exactly; the
-reported duality_gap is the nonnegative relative gap
-sum <S,Z> / (1 + |pobj| + |dobj|).
+so pobj - dobj >= -(sum_b ||rp_b||_F ||Z_b||_F + ||rd|| ||w||), the
+budget the history records as kappa (not the embedding's kappa).  ||rd||
+is the caller's dual residual at the least-squares y, ||w|| = ||x - x0||.
+duality_gap is the relative gap sum <S,Z> / (1 + |pobj| + |dobj|).
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -104,9 +93,12 @@ def _load_lapack(linalg_dir):
     """dpotrf, dpotrs and dtrtrs from the _flapack extension in linalg_dir.
 
     The extension file is loaded on its own, under its scipy name, so
-    neither scipy nor scipy.linalg is imported (see the module
-    docstring).  When linalg_dir holds no loadable _flapack, the same
-    routines come from scipy.linalg.get_lapack_funcs.
+    neither scipy nor scipy.linalg (most of this package's import time) is
+    imported; when linalg_dir holds no loadable _flapack, the same routines
+    come from scipy.linalg.get_lapack_funcs.  solve calls them as
+    cho_factor, cho_solve and solve_triangular would, so with the same
+    bits; at its sizes those wrappers' input checks cost more than the
+    routines, and the one that mattered, finiteness, is made on M.
     """
     for suffix in EXTENSION_SUFFIXES:
         path = Path(linalg_dir, "_flapack" + suffix)
@@ -126,7 +118,7 @@ def _load_lapack(linalg_dir):
 _scipy = importlib.util.find_spec("scipy")
 if _scipy is None:
     raise ModuleNotFoundError("keybound needs scipy", name="scipy")
-# called directly, without scipy's wrappers (see the module docstring)
+# called directly, without scipy's wrappers (see _load_lapack)
 _potrf, _potrs, _trtrs = _load_lapack(
     Path(_scipy.submodule_search_locations[0], "linalg"))
 
@@ -259,7 +251,6 @@ class IterateRecord:
     kappa: float            # infeasibility budget for weak duality
     primal_res: float
     dual_res: float
-    eq_res: float
 
 
 @dataclass
@@ -285,6 +276,10 @@ def _realify(mat):
     re, im = mat.real, mat.imag
     return np.concatenate([np.concatenate([re, -im], axis=-1),
                            np.concatenate([im, re], axis=-1)], axis=-2)
+
+
+# An LmiBlock's fields, after solve substitutes the equality rows away.
+_Lmi = namedtuple("_Lmi", "const var_idx mats dim")
 
 
 def _apply_lin(blk, x):
@@ -334,117 +329,132 @@ def _step_bound(d, *deltas):
     return 1.0 / (-lo)
 
 
+@functools.lru_cache(maxsize=8)
+def _row_factors(key, shape):
+    """For equality rows A given by bytes and shape: K, the columns A touches,
+    the mask free of the others, pos (a free column's index among them, a
+    touched one's in K), and from one SVD the pseudo-inverse of A[:, K]
+    and an orthonormal basis N of its null space.  Cached: a sweep's points
+    share their rows, as do a cutoff's threshold programs."""
+    A = np.frombuffer(key).reshape(shape)
+    K = np.flatnonzero(A.any(axis=0))
+    free = np.ones(shape[1], dtype=bool)
+    free[K] = False
+    pos = np.empty(shape[1], dtype=int)
+    pos[free], pos[K] = np.arange(shape[1] - K.size), np.arange(K.size)
+    U, s, Vt = np.linalg.svd(A[:, K])
+    r = np.count_nonzero(s > max(shape[0], K.size) * np.finfo(float).eps * s.max(initial=0.0))
+    out = K, free, pos, (Vt[:r].T / s[:r]) @ U[:, :r].T, Vt[r:].T.copy()
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def solve(problem):
     """Run the interior-point method at GAP_TOL, FEAS_TOL and MAX_ITER;
     always returns an SdpSolution."""
-    blocks = problem.blocks
-    c = problem.c
-    t = problem.num_vars
-    A, b = problem.eq_rows, problem.eq_rhs
-    m = A.shape[0]
+    c, A, b, t = problem.c, problem.eq_rows, problem.eq_rhs, problem.num_vars
+    K, free, pos, pinv, N = _row_factors(A.tobytes(), A.shape)
+    x0 = np.zeros(t)
+    x0[K] = pinv @ b
+    re0 = b - A @ x0
+    e_scale = 1.0 + float(np.linalg.norm(b))
+    eres0 = float(np.linalg.norm(re0)) / e_scale
+    if eres0 > FEAS_TOL:
+        y = re0 / float(np.linalg.norm(re0))
+        return SdpSolution(
+            status="infeasible", x=x0, y=y, z_blocks=[], objective=math.nan,
+            dual_objective=math.nan, duality_gap=math.nan,
+            primal_residual=math.nan, dual_residual=math.nan,
+            equality_residual=eres0, iterations=0,
+            certificate={"kind": "equality-ray", "y": y, "violation": float(b @ y),
+                         "stationarity_residual": float(np.linalg.norm(A.T @ y))},
+            message="equality system is inconsistent")
+
+    # x = x0 + P w: w holds the free variables (those the rows leave alone),
+    # then coordinates along N; P's columns are orthonormal.
+    n_free, nw = t - K.size, t - K.size + N.shape[1]
+    blocks = []
+    for blk in problem.blocks:
+        hit = ~free[blk.var_idx]
+        if not hit.any():
+            blocks.append(_Lmi(blk.const, pos[blk.var_idx], blk.mats, blk.dim))
+            continue
+        rows, mats = pos[blk.var_idx[hit]], blk.mats[hit]
+        blocks.append(_Lmi(
+            blk.const + np.einsum("i,ijk->jk", x0[blk.var_idx[hit]], mats),
+            np.concatenate([pos[blk.var_idx[~hit]], np.arange(n_free, nw)]),
+            np.concatenate([blk.mats[~hit], np.einsum("ia,ijk->ajk", N[rows], mats)]),
+            blk.dim))
+
+    def lift(w):
+        x = np.zeros(t)
+        x[free], x[K] = w[:n_free], N @ w[n_free:]
+        return x
+
+    c_obj, c = float(c @ x0), np.concatenate([c[free], N.T @ c[K]])
     ntot = sum(blk.dim for blk in blocks)
     F0s = [blk.const for blk in blocks]
-    p_scale = [1.0 + float(np.linalg.norm(F0, "fro")) for F0 in F0s]
-    e_scale = 1.0 + float(np.linalg.norm(b))
-    d_scale = 1.0 + float(np.linalg.norm(c))
+    # residual scales of the caller's program, not of the shifted consts
+    p_scale = [1.0 + float(np.linalg.norm(blk.const, "fro")) for blk in problem.blocks]
+    d_scale = 1.0 + float(np.linalg.norm(problem.c))
     gram_idx = [np.ix_(blk.var_idx, blk.var_idx) for blk in blocks]
 
-    x, y = np.zeros(t), np.zeros(m)
+    w = np.zeros(nw)
     S = [np.eye(blk.dim) for blk in blocks]
     Z = [np.eye(blk.dim) for blk in blocks]
     tau = kappa = 1.0
     history = []
     status, message, certificate = None, "", None
-    stall = floored = it = 0
+    stall = it = 0
     polished = False
 
     while True:
         # --- residuals of the embedding (all vanish at its solutions) ---
-        lin = [_apply_lin(blk, x) for blk in blocks]
+        lin = [_apply_lin(blk, w) for blk in blocks]
         rp = [Lb + tau * F0 - Sb for Lb, F0, Sb in zip(lin, F0s, S)]
-        re_vec = tau * b - A @ x
-        AZ = _adjoint(blocks, Z, t)
-        rd = tau * c - AZ - A.T @ y
+        AZ = _adjoint(blocks, Z, nw)
+        rd = tau * c - AZ
         F0Z = sum(float(np.vdot(F0, Zb)) for F0, Zb in zip(F0s, Z))
-        rg = kappa + float(c @ x) - float(b @ y) + F0Z
+        rg = kappa + float(c @ w) + F0Z
         inner = [float(np.vdot(Sb, Zb)) for Sb, Zb in zip(S, Z)]
         mu = max((sum(inner) + tau * kappa) / (ntot + 1), 1e-300)
         gap_inner = sum(v / tau ** 2 for v in inner)
 
         # --- metrics of the tau-normalized iterate ---
-        pobj = float(c @ x) / tau
-        dobj = (float(b @ y) - F0Z) / tau
+        pobj = c_obj + float(c @ w) / tau
+        dobj = c_obj - F0Z / tau
         pres = max(float(np.linalg.norm(rpb, "fro")) / (tau * sc)
                    for rpb, sc in zip(rp, p_scale))
-        eres = float(np.linalg.norm(re_vec)) / (tau * e_scale)
         dres = float(np.linalg.norm(rd)) / (tau * d_scale)
         relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
-        if m and relgap <= GAP_TOL and pres <= FEAS_TOL \
-                and eres <= FEAS_TOL and dres > FEAS_TOL:
-            # y is unconstrained, so replacing it with the least-squares
-            # minimizer of the dual residual is always admissible and leaves
-            # the gap (a function of S and Z only) untouched.
-            y_fit = np.linalg.lstsq(A.T, c - AZ / tau, rcond=None)[0]
-            rd_fit = tau * c - AZ - tau * (A.T @ y_fit)
-            dres_fit = float(np.linalg.norm(rd_fit)) / (tau * d_scale)
-            if dres_fit < dres:
-                y, rd, dres = tau * y_fit, rd_fit, dres_fit
-                rg = kappa + float(c @ x) - float(b @ y) + F0Z
-                dobj = float(b @ y_fit) - F0Z / tau
-                relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
         wd_budget = (sum(float(np.linalg.norm(rpb, "fro")) * float(np.linalg.norm(Zb, "fro"))
                          for rpb, Zb in zip(rp, Z))
-                     + float(np.linalg.norm(re_vec)) * float(np.linalg.norm(y))
-                     + float(np.linalg.norm(rd)) * float(np.linalg.norm(x))) / tau ** 2
+                     + float(np.linalg.norm(rd)) * float(np.linalg.norm(w))) / tau ** 2
         history.append(IterateRecord(
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
-            kappa=wd_budget, primal_res=pres, dual_res=dres, eq_res=eres))
+            kappa=wd_budget, primal_res=pres, dual_res=dres))
         log.debug("it %3d  pobj %+.6e  dobj %+.6e  gap %.2e  pres %.2e  "
-                  "dres %.2e  eres %.2e  tau %.2e  hsd-kappa %.2e",
-                  it, pobj, dobj, relgap, pres, dres, eres, tau, kappa)
+                  "dres %.2e  tau %.2e  hsd-kappa %.2e",
+                  it, pobj, dobj, relgap, pres, dres, tau, kappa)
 
-        converged = relgap <= GAP_TOL and pres <= FEAS_TOL and eres <= FEAS_TOL
-        accept, message = converged and dres <= FEAS_TOL, ""
-        # Degenerate optimal faces can leave the dual residual pinned at a
-        # numerical floor a couple of decades above FEAS_TOL while the gap
-        # keeps shrinking far below GAP_TOL.  Once the gap has overshot the
-        # request by 100x and the floor has persisted, accept the iterate and
-        # report the floored residual honestly.
-        if converged and not accept and dres <= 1e3 * FEAS_TOL:
-            floored += 1
-            if floored >= 3 and (relgap <= 1e-2 * GAP_TOL or floored >= 10):
-                accept = True
-                message = (f"dual residual floored at {dres:.2e} "
-                           "(degenerate optimal face); gap and primal "
-                           "residuals fully converged")
-        elif not accept:
-            floored = 0
+        accept = relgap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL
         if accept and (polished or it >= MAX_ITER):
             status = "optimal"
             break
 
         # --- certificates: tau -> 0 while kappa stays positive ---
         if tau < kappa and not accept:
-            violation = float(b @ y) - F0Z
-            station = float(np.linalg.norm(AZ + A.T @ y))
-            if violation > 0.0 and station <= FEAS_TOL * violation:
+            violation = -F0Z
+            if violation > 0.0 and float(np.linalg.norm(AZ)) <= FEAS_TOL * violation:
                 status = "infeasible"
-                certificate = {"kind": "farkas", "y": y / violation,
-                               "z_blocks": [Zb / violation for Zb in Z],
-                               "violation": 1.0,
-                               "stationarity_residual": station / violation}
                 message = "Farkas certificate: tau -> 0 with b.y - <F0, Z> > 0"
                 break
-            slope = -float(c @ x)
+            slope = -float(c @ w)
             ray_res = max(float(np.linalg.norm(Lb - Sb, "fro"))
                           for Lb, Sb in zip(lin, S))
-            eq_ray = float(np.linalg.norm(A @ x))
-            if slope > 0.0 and max(ray_res, eq_ray) <= FEAS_TOL * slope:
+            if slope > 0.0 and ray_res <= FEAS_TOL * slope:
                 status = "unbounded"
-                certificate = {"kind": "primal-ray", "x": x / slope,
-                               "objective_slope": -1.0,
-                               "eq_residual": eq_ray / slope,
-                               "psd_violation": ray_res / slope}
                 message = "primal ray: tau -> 0 with c.x < 0"
                 break
 
@@ -479,10 +489,10 @@ def solve(problem):
         if status:
             break
 
-        M = np.zeros((t, t))
-        f0 = np.zeros(t)
+        M = np.zeros((nw, nw))
+        f0 = np.zeros(nw)
         for blk, ix, Q, F0t in zip(blocks, gram_idx, Qs, F0ts):
-            Qf = Q.reshape(blk.var_idx.size, -1)
+            Qf = Q.reshape(blk.var_idx.size, blk.dim * blk.dim)
             M[ix] += Qf @ Qf.T
             f0[blk.var_idx] += Qf @ F0t.ravel()
         if not np.isfinite(M).all():
@@ -494,36 +504,24 @@ def solve(problem):
             status = "numerical-failure"
             message = "scaled normal matrix is numerically singular"
             break
-        # L^-1 and M^-1 of [A^T, c, f0] in one pass: the Schur complement
-        # of the equality rows is G^T G with G = L^-1 A^T, PSD as computed,
-        # and the tau column below needs the other two.
-        half = _trtrs(Mf, np.column_stack([A.T, c, f0]), lower=1)[0]
-        cols = _trtrs(Mf, half, lower=1, trans=1)[0]
-        V, mc, mf = cols[:, :m], cols[:, m], cols[:, m + 1]
-        if m:
-            Schurf = _chol_ridge(half[:, :m].T @ half[:, :m])
-            if Schurf is None:
-                status = "numerical-failure"
-                message = "equality Schur complement is numerically singular"
-                break
+        # L^-1 and M^-1 of [c, f0] for the tau column (LAPACK refuses size 0)
+        cf = np.column_stack([c, f0])
+        half = _trtrs(Mf, cf, lower=1)[0] if nw else cf
+        mc, mf = (_trtrs(Mf, half, lower=1, trans=1)[0] if nw else cf).T
 
-        def fixed_tau_step(h, r):
-            u = _potrs(Mf, h, lower=1)[0]
-            if m:
-                v = _potrs(Schurf, r - A @ u, lower=1)[0]
-                return u + V @ v, v
-            return u, np.zeros(0)
+        def fixed_tau_step(h):
+            return _potrs(Mf, h, lower=1)[0] if nw else h
 
         def scaled_adjoint(Ks):
-            h = np.zeros(t)
+            h = np.zeros(nw)
             for blk, Q, Kb in zip(blocks, Qs, Ks):
                 h[blk.var_idx] += np.einsum("ijk,jk->i", Q, Kb)
             return h
 
-        def directions(dx, dtau, Ks):
+        def directions(dw, dtau, Ks):
             dSp, dZp = [], []
             for blk, Q, Kb, rppb, F0t in zip(blocks, Qs, Ks, rpps, F0ts):
-                lin_b = dtau * F0t + np.einsum("i,ijk->jk", dx[blk.var_idx], Q)
+                lin_b = dtau * F0t + np.einsum("i,ijk->jk", dw[blk.var_idx], Q)
                 dSp.append(lin_b + rppb)
                 dZp.append(Kb - lin_b)
             return dSp, dZp
@@ -531,45 +529,42 @@ def solve(problem):
         # the affine-scaling target S~ Z~ = 0, so dS~ + dZ~ = -D
         Ks_aff = [-np.diag(d) - rppb for d, rppb in zip(ds, rpps)]
         if accept:
-            # The residuals of the embedding shrink with mu but never vanish,
-            # so x/tau still violates the blocks by about pres.  A last step
-            # moves x and S alone along the affine-scaling direction at fixed
-            # tau: a full step zeros the primal and equality residuals, and
-            # the move toward the optimal face sharpens the primal solution.
-            dx = fixed_tau_step(scaled_adjoint(Ks_aff) - rd, re_vec)[0]
-            dSp = directions(dx, 0.0, Ks_aff)[0]
+            # w/tau still violates the blocks by about pres, so a last step
+            # moves w and S alone at fixed tau.  The affine-scaling direction
+            # dw heads for the optimal face on the cone boundary and is cut
+            # to STEP_FRACTION of the distance there, but its part fix, the
+            # least-squares move that zeros the primal residual, is taken in
+            # full when the result stays in the cone.
+            fix = -fixed_tau_step(scaled_adjoint(rpps))
+            dw = fixed_tau_step(scaled_adjoint(Ks_aff) - rd)
+            dSp = directions(dw, 0.0, Ks_aff)[0]
             ap = min(1.0, STEP_FRACTION * min(_step_bound(d, dS) for d, dS in zip(ds, dSp)))
-            x = x + ap * dx
+            dw_full = fix + ap * (dw - fix)
+            dS_full = directions(dw_full, 0.0, Ks_aff)[0]
+            if min(_step_bound(d, dS) for d, dS in zip(ds, dS_full)) >= 1.0:
+                dw, dSp, ap = dw_full, dS_full, 1.0
+            w = w + ap * dw
             S = [R @ (np.diag(d) + ap * dS) @ R.T for R, d, dS in zip(Rs, ds, dSp)]
             polished = True
             it += 1
             continue
 
-        # The tau column: [dx; dy] = [u; v] + dtau [p; q] with [u; v] the
-        # Newton step at fixed tau and [p; q] solving the same system for
-        # the right-hand side [-(c + f0); b].  The pivot den is negative and
-        # is summed from its sign-definite parts: near a degenerate optimum
+        # The tau column: dw = u + dtau p with u the Newton step at fixed
+        # tau and p = -M^-1 (c + f0).  The pivot den is negative and is
+        # summed from its sign-definite parts: near a degenerate optimum
         # ||F0~||^2 and f0^T M^-1 f0 grow large and nearly equal, and their
         # difference alone can round to exactly 0.
-        quad_c = float(half[:, m] @ half[:, m])
+        quad_c = float(half[:, 0] @ half[:, 0])
         quad_f = max(sum(float(np.vdot(F0t, F0t)) for F0t in F0ts)
-                     - float(half[:, m + 1] @ half[:, m + 1]), 0.0)
-        if m:
-            Amc, bf = A @ mc, b + A @ mf
-            qc, qb = _potrs(Schurf, np.column_stack([Amc, bf]), lower=1)[0].T
-            quad_c = max(quad_c - float(Amc @ qc), 0.0)
-            quad_f += max(float(bf @ qb), 0.0)
-            q = qc + qb
-        else:
-            q = np.zeros(0)
-        p = V @ q - mc - mf
+                     - float(half[:, 1] @ half[:, 1]), 0.0)
+        p = -mc - mf
         den = -(quad_c + quad_f + kappa / tau)
 
         def kkt_solve(Ks, rtk):
-            u, v = fixed_tau_step(scaled_adjoint(Ks) - rd, re_vec)
+            u = fixed_tau_step(scaled_adjoint(Ks) - rd)
             r4 = -rg - sum(float(np.vdot(F0t, Kb)) for F0t, Kb in zip(F0ts, Ks)) - rtk / tau
-            dtau = (r4 - float((c - f0) @ u) + float(b @ v)) / den
-            return u + dtau * p, v + dtau * q, dtau, (rtk - kappa * dtau) / tau
+            dtau = (r4 - float((c - f0) @ u)) / den
+            return u + dtau * p, dtau, (rtk - kappa * dtau) / tau
 
         def step_bound(dSp, dZp, dtau, dkappa):
             return min(min(_step_bound(d, dS, dZ) for d, dS, dZ in zip(ds, dSp, dZp)),
@@ -577,8 +572,8 @@ def solve(problem):
                        -kappa / dkappa if dkappa < 0.0 else np.inf)
 
         # predictor
-        dx_a, dy_a, dt_a, dk_a = kkt_solve(Ks_aff, -tau * kappa)
-        dSp_a, dZp_a = directions(dx_a, dt_a, Ks_aff)
+        dw_a, dt_a, dk_a = kkt_solve(Ks_aff, -tau * kappa)
+        dSp_a, dZp_a = directions(dw_a, dt_a, Ks_aff)
         a_a = min(1.0, step_bound(dSp_a, dZp_a, dt_a, dk_a))
         mu_aff = (sum(float(np.vdot(np.diag(d) + a_a * dS, np.diag(d) + a_a * dZ))
                       for d, dS, dZ in zip(ds, dSp_a, dZp_a))
@@ -592,8 +587,8 @@ def solve(problem):
             Rc = sigma * mu * np.eye(d.size) - np.diag(d * d) - cross
             G = 2.0 * Rc / np.add.outer(d, d)
             Ks.append(G - rppb)
-        dx, dy, dtau, dkappa = kkt_solve(Ks, sigma * mu - tau * kappa - dt_a * dk_a)
-        dSp, dZp = directions(dx, dtau, Ks)
+        dw, dtau, dkappa = kkt_solve(Ks, sigma * mu - tau * kappa - dt_a * dk_a)
+        dSp, dZp = directions(dw, dtau, Ks)
         alpha = min(1.0, STEP_FRACTION * step_bound(dSp, dZp, dtau, dkappa))
 
         if alpha < 1e-10:
@@ -613,8 +608,7 @@ def solve(problem):
                        "primal ray")
             break
 
-        x = x + alpha * dx
-        y = y + alpha * dy
+        w = w + alpha * dw
         tau += alpha * dtau
         kappa += alpha * dkappa
         S_new, Z_new = [], []
@@ -626,10 +620,28 @@ def solve(problem):
         S, Z = S_new, Z_new
         it += 1
 
+    # --- back to the caller's coordinates (see the module docstring) ---
+    Z = [Zb / tau for Zb in Z]
+    x = x0 + lift(w / tau)
+    AZ = _adjoint(problem.blocks, Z, t)
+    if status == "infeasible":
+        y = -pinv.T @ AZ[K]
+        violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb))
+                                       for blk, Zb in zip(problem.blocks, Z))
+        station = float(np.linalg.norm(AZ + A.T @ y))
+        certificate = {"kind": "farkas", "y": y / violation,
+                       "z_blocks": [Zb / violation for Zb in Z], "violation": 1.0,
+                       "stationarity_residual": station / violation}
+    elif status == "unbounded":
+        ray = lift(w) / slope
+        certificate = {"kind": "primal-ray", "x": ray, "objective_slope": -1.0,
+                       "eq_residual": float(np.linalg.norm(A @ ray)),
+                       "psd_violation": ray_res / slope}
     return SdpSolution(
-        status=status, x=x / tau, y=y / tau, z_blocks=[Zb / tau for Zb in Z],
+        status=status, x=x, y=pinv.T @ (problem.c - AZ)[K], z_blocks=Z,
         objective=pobj, dual_objective=dobj, duality_gap=relgap,
-        primal_residual=pres, dual_residual=dres, equality_residual=eres,
+        primal_residual=pres, dual_residual=dres,
+        equality_residual=float(np.linalg.norm(b - A @ x)) / e_scale,
         iterations=it, history=history, certificate=certificate, message=message)
 
 
@@ -657,26 +669,11 @@ def check_feasible(problem):
 
     Returns an SdpSolution whose status is 'optimal' (x is a point with
     every block >= -FEASIBLE_MARGIN) or 'infeasible' (certificate attached:
-    multipliers with A*(Z) + A^T y = 0, Z >= 0 and <F0, Z> - rhs.y < 0),
-    or 'numerical-failure' if the phase-I solve broke down.
+    multipliers with A*(Z) + A^T y = 0, Z >= 0 and <F0, Z> - rhs.y < 0;
+    an 'equality-ray' one, from solve, when the rows alone are
+    inconsistent), or 'numerical-failure' if the phase-I solve broke down.
     """
     A, b = problem.eq_rows, problem.eq_rhs
-    m = A.shape[0]
-    if m:
-        xh, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = b - A @ xh
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm > 1e-8 * (1.0 + float(np.linalg.norm(b))):
-            y = resid / rnorm
-            return SdpSolution(
-                status="infeasible", x=xh, y=y, z_blocks=[],
-                objective=math.nan, dual_objective=math.nan, duality_gap=math.nan,
-                primal_residual=rnorm, dual_residual=0.0, equality_residual=rnorm,
-                iterations=0,
-                certificate={"kind": "equality-ray", "y": y,
-                             "violation": float(b @ y),
-                             "stationarity_residual": float(np.linalg.norm(A.T @ y))},
-                message="equality system is inconsistent")
     aux = feasibility_problem(problem)
     sol = solve(aux)
     if sol.status != "optimal":

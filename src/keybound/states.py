@@ -16,7 +16,7 @@ TRACE_ATOL = 1e-10
 EIG_FLOOR = -1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated density matrix with a declared tensor factorization.
 

@@ -9,9 +9,10 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from keybound.extendibility import best_extendible_decomposition
+from keybound.extendibility import best_extendible_decomposition, verify_extension
 from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
                                 realize_protocol)
 from keybound.sdp import LmiBlock, SdpProblem, solve, write_sdpa
@@ -27,6 +28,14 @@ def haar_unitary(rng, n):
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def random_state(rng, dims, rank):
+    """A random density matrix of the given rank on dims."""
+    d = dims[0] * dims[1]
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = g @ g.conj().T
+    return 0.5 * (mat + mat.conj().T) / np.trace(mat).real
 
 
 @st.composite
@@ -45,10 +54,7 @@ def test_lambda_max_invariant_under_local_unitaries(case):
     # ranks below d run the face program, rank d the full one
     dims, rank, seed = case
     rng = np.random.default_rng(seed)
-    d = dims[0] * dims[1]
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    mat = g @ g.conj().T
-    mat = 0.5 * (mat + mat.conj().T) / np.trace(mat).real
+    mat = random_state(rng, dims, rank)
     u = np.kron(haar_unitary(rng, dims[0]), haar_unitary(rng, dims[1]))
     rotated = u @ mat @ u.conj().T
     rotated = 0.5 * (rotated + rotated.conj().T)
@@ -56,6 +62,21 @@ def test_lambda_max_invariant_under_local_unitaries(case):
         best_extendible_decomposition(class_from_state(DensityOperator(m, dims))).lambda_max
         for m in (mat, rotated))
     assert abs(lam - lam_rot) <= 1e-8
+
+
+PINNED_CASES = [((2, 2), r) for r in range(1, 5)] + [((2, 3), r) for r in range(1, 7)]
+
+
+@pytest.mark.parametrize("dims, rank", PINNED_CASES,
+                         ids=[f"{a}x{b}-rank{r}" for (a, b), r in PINNED_CASES])
+@settings(DERANDOMIZED, max_examples=3)
+@given(st.integers(0, 2**32 - 1))
+def test_pinned_state_decomposition_verifies(dims, rank, seed):
+    # ranks below d take the face program, rank d the full program with
+    # its class rows substituted away; both must give a decomposition that
+    # verify_extension accepts
+    state = DensityOperator(random_state(np.random.default_rng(seed), dims, rank), dims)
+    assert verify_extension(best_extendible_decomposition(class_from_state(state))).passed
 
 
 def realify(mat):

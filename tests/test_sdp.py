@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from keybound.extendibility import pinned_problem
+from keybound.extendibility import best_extendible_decomposition, build_sdp, pinned_problem
+from keybound.infotheory import JointDistribution
 from keybound.protocols import (
     Povm, ProtocolSpec, assemble_class, realize_protocol, simulate_observed_data,
     six_state_povms,
@@ -18,7 +19,7 @@ from keybound.sdp import (
     LmiBlock, SdpProblem, _chol_ridge, _load_lapack, _potrs, _trtrs,
     check_feasible, feasibility_problem, solve, write_sdpa,
 )
-from keybound.states import depolarized_bell
+from keybound.states import DensityOperator, depolarized_bell
 from helpers import grid_search_minimum, random_box_sdp, random_hermitian
 
 ONE = np.ones((1, 1))
@@ -255,21 +256,121 @@ def test_overflowing_gram_matrix_is_a_numerical_failure():
     assert "Gram" in sol.message and "non-finite" in sol.message
 
 
-@pytest.mark.parametrize("lam", [0.3001, 0.31])
-def test_tau_underflow_is_a_numerical_failure(lam):
-    # Six-state at e = 0.05 has lambda_max = 0.3, so pinning the weight a
-    # little above it gives an infeasible program.  The embedding drives
-    # tau towards 0 there without reaching a Farkas certificate; the solve
-    # must end before tau ** 2 underflows instead of dividing by zero.
+def six_state_pinned(lam):
+    # Six-state at e = 0.05 has lambda_max = 0.3, so pinning the weight
+    # above it gives an infeasible program.
     spec = ProtocolSpec("six-state", e=0.05)
     povms, data = realize_protocol(spec)
-    problem = pinned_problem(assemble_class(povms, data, spec), lam)[0]
+    return pinned_problem(assemble_class(povms, data, spec), lam)[0]
+
+
+@pytest.mark.parametrize("lam", [0.3001])
+def test_tau_underflow_is_a_numerical_failure(lam):
+    # Just above lambda_max the embedding drives tau towards 0 without
+    # reaching a Farkas certificate; the solve must end before tau ** 2
+    # underflows instead of dividing by zero.
+    problem = six_state_pinned(lam)
     sol = solve(problem)
     assert sol.status == "numerical-failure"
     assert sol.message.startswith("tau underflow")
     assert sol.certificate is None
     assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
     assert check_feasible(problem).status == "infeasible"
+
+
+def farkas_violation(problem, cert):
+    """(stationarity norm, violation) of a Farkas pair on the caller's program."""
+    y, zs = cert["y"], cert["z_blocks"]
+    station = problem.eq_rows.T @ y
+    for blk, zb in zip(problem.blocks, zs):
+        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats, zb)
+    violation = problem.eq_rhs @ y - sum(np.vdot(blk.const, zb)
+                                         for blk, zb in zip(problem.blocks, zs))
+    return float(np.linalg.norm(station)), float(violation)
+
+
+def test_pinned_weight_above_lambda_max_is_certified_infeasible():
+    # Pinned at 0.31 the program is infeasible by a margin solve certifies;
+    # the certificate holds on the pinned program, equality rows included.
+    problem = six_state_pinned(0.31)
+    sol = solve(problem)
+    assert sol.status == "infeasible", sol.message
+    assert sol.certificate["kind"] == "farkas"
+    assert min(float(np.linalg.eigvalsh(zb)[0]) for zb in sol.certificate["z_blocks"]) >= -1e-9
+    station, violation = farkas_violation(problem, sol.certificate)
+    assert station <= 1e-6
+    assert violation > 0.0
+
+
+def test_duplicated_equality_rows_give_the_deduplicated_optimum():
+    # rank-deficient rows: every class row twice, plus the sum of two of them
+    spec = ProtocolSpec("four-state", e=0.05)
+    problem = build_sdp(assemble_class(*realize_protocol(spec), spec))[0]
+    A, b = problem.eq_rows, problem.eq_rhs
+    dup = SdpProblem(c=problem.c, blocks=problem.blocks,
+                     eq_rows=np.vstack([A, A, A[:1] + A[1:2]]),
+                     eq_rhs=np.concatenate([b, b, b[:1] + b[1:2]]))
+    ref, sol = solve(problem), solve(dup)
+    assert ref.status == sol.status == "optimal"
+    assert abs(sol.objective - ref.objective) <= 1e-9
+    assert np.max(np.abs(sol.x - ref.x)) <= 1e-7
+    assert sol.equality_residual <= 1e-12
+
+
+def test_inconsistent_rows_end_at_once_with_an_equality_ray():
+    prob = SdpProblem(
+        c=np.array([1.0]), blocks=[scalar_block(0.0, 1.0)],
+        eq_rows=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
+    sol = solve(prob)
+    assert sol.status == "infeasible"
+    assert sol.iterations == 0 and sol.history == []
+    cert = sol.certificate
+    assert cert["kind"] == "equality-ray"
+    # y is a ray of the rows alone: A^T y = 0 and rhs.y > 0
+    assert np.linalg.norm(prob.eq_rows.T @ cert["y"]) <= 1e-12
+    assert cert["violation"] == pytest.approx(prob.eq_rhs @ cert["y"]) and cert["violation"] > 0.0
+
+
+def test_weak_duality_holds_in_the_callers_coordinates():
+    # solve substitutes the rows away, yet the history, objectives, x and y
+    # it reports are those of the program as given, rows included
+    rng = np.random.default_rng(17)
+    box = random_box_sdp(rng, num_vars=4)
+    rows = rng.normal(size=(2, 4))
+    rhs = rows @ rng.uniform(-0.1, 0.1, size=4)
+    prob = SdpProblem(c=box.c, blocks=box.blocks, eq_rows=rows, eq_rhs=rhs)
+    sol = solve(prob)
+    assert sol.status == "optimal"
+    assert len(sol.history) == sol.iterations + 1
+    for rec in sol.history:
+        assert rec.primal_obj - rec.dual_obj >= -rec.kappa - 1e-9 * (
+            1 + abs(rec.primal_obj) + abs(rec.dual_obj))
+    assert sol.objective == pytest.approx(float(prob.c @ sol.x), abs=1e-12)
+    assert np.linalg.norm(rows @ sol.x - rhs) <= 1e-12
+    station = prob.c - rows.T @ sol.y
+    for blk, zb in zip(prob.blocks, sol.z_blocks):
+        station[blk.var_idx] -= np.einsum("ijk,jk->i", blk.mats, zb)
+    assert np.linalg.norm(station) <= 1e-8 * (1 + np.linalg.norm(prob.c))
+    dual = rhs @ sol.y - sum(np.vdot(blk.const, zb) for blk, zb in zip(prob.blocks, sol.z_blocks))
+    assert sol.dual_objective == pytest.approx(dual, abs=1e-8)
+    assert sol.dual_objective <= sol.objective + 1e-8
+
+
+@pytest.mark.parametrize("pin", [0.5, 3.0])
+def test_rows_that_fix_every_variable(pin):
+    # x = pin with 0 <= x <= 2: no variable is left once the row is
+    # substituted away, and the iteration decides F(pin) >= 0 alone
+    prob = SdpProblem(c=np.array([1.0]),
+                      blocks=[scalar_block(0.0, 1.0), scalar_block(2.0, -1.0)],
+                      eq_rows=np.array([[1.0]]), eq_rhs=np.array([pin]))
+    sol = solve(prob)
+    if pin <= 2.0:
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([pin]) and sol.objective == pytest.approx(pin)
+    else:
+        assert sol.status == "infeasible", sol.message
+        station, violation = farkas_violation(prob, sol.certificate)
+        assert station <= 1e-8 and violation > 0.0
 
 
 def test_lapack_helpers_match_scipy_wrappers():
@@ -333,7 +434,12 @@ SIX_STATE = ProtocolSpec("six-state", e=0.1)
     lambda: Povm(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), ("0", "1")),
     lambda: simulate_observed_data(depolarized_bell(0.1), six_state_povms()),
     lambda: assemble_class(*realize_protocol(SIX_STATE), SIX_STATE),
-], ids=["LmiBlock", "SdpProblem", "Povm", "ObservedData", "EquivalenceClassSpec"])
+    lambda: DensityOperator(np.eye(4) / 4, (2, 2)),
+    lambda: JointDistribution(np.full((2, 2), 0.25)),
+    lambda: best_extendible_decomposition(
+        assemble_class(*realize_protocol(SIX_STATE), SIX_STATE)),
+], ids=["LmiBlock", "SdpProblem", "Povm", "ObservedData", "EquivalenceClassSpec",
+        "DensityOperator", "JointDistribution", "ExtendibilityResult"])
 def test_equality_of_array_records_is_a_bool(build):
     # these records hold arrays, so they compare by identity; a field-wise
     # == would raise "truth value of an array ... is ambiguous"
