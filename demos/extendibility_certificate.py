@@ -15,9 +15,10 @@ on, and the same hand checks apply to the decomposition it returns.
 import numpy as np
 
 from keybound import (DensityOperator, ProtocolSpec, assemble_class,
-                      bell_psi_plus, best_extendible_decomposition, build_sdp,
+                      bell_psi_plus, best_extendible_decomposition,
                       class_from_state, partial_trace_matrix,
                       realize_protocol, solve, swap_last_two, verify_extension)
+from keybound.extendibility import extension_sdp
 
 E = 0.10
 
@@ -84,7 +85,7 @@ def rank_deficient():
     print(f"  lambda_max       = {lam:.9f}")
     print(f"  support rank {diag['support_rank']}, face dimension "
           f"{diag['face_dim']}, {res.solution.iterations} iterations")
-    full = solve(build_sdp(cls)[0])
+    full = solve(extension_sdp(cls)[0])
     print(f"  full program     = {full.status} after {full.iterations} iterations")
     print(f"  verify_extension = {verify_extension(res).passed}")
 

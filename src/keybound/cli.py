@@ -198,6 +198,8 @@ def run(args):
         res = best_extendible_decomposition(assemble_class(povms, data, spec))
         print("extendible" if res.extendible else "not extendible")
         print(f"lambda_max: {res.lambda_max:.10g}")
+        print(f"program: {res.diagnostics['program']}")
+        print(f"class_residual: {res.diagnostics['class_residual']:.3e}")
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

@@ -10,28 +10,51 @@ with sigma_ext admitting a two-copy symmetric extension on A (x) B (x) B'
 (swap-invariant, PSD, with the correct marginal) and rho_ne an arbitrary
 state.  lambda = 1 exactly when the class contains an extendible state.
 
-Variables, in one real vector: the coefficients r_kl of rho over the
-operator basis, then the swap-symmetric coefficients f_klm (l >= m) of
-the unnormalized extension chi~.  The partial trace over B' of
+The extension program (extension_sdp) states this directly.  Variables,
+in one real vector: the coefficients r_kl of rho over the operator
+basis, then the swap-symmetric coefficients f_klm (l >= m) of the
+unnormalized extension chi~.  The partial trace over B' of
 S_k (x) sym(S_l (x) S_m) / d_A d_B^2 is delta_m0 S_k (x) S_l / d_A d_B,
 so sigma~ = Tr_B'(chi~) = lambda * sigma_ext has the coefficients
 f_{k,l,0} and needs no variables of its own.  The two blocks demand
 rho - sigma~ >= 0 and chi~ >= 0 (rho >= sigma~ >= 0 follows), and the
-class rows on r are the only equalities.  Because
+class rows A r = b are the only equalities.  Because
 Tr(chi~) = f_000 = Tr(sigma~), the objective min r_00 - f_000 returns
 1 - lambda_max.
+
+best_extendible_decomposition solves its conic dual instead, the witness
+program (build_sdp): one variable y_j per class row, with the observed
+operators O_j = sum_kl A[j, kl] S_k (x) S_l, so Tr(O_j rho) = (A r)_j,
+
+    minimize  -b.y   s.t.  W(y) = I_AB - sum_j y_j O_j >= 0,
+                           sym(W(y) (x) I_B') - I >= 0,
+
+with sym(X) = (X + P X P) / 2 and P = swap_last_two.  It has no
+equality rows, and its optimum is -(1 - lambda_max): b.y <= 1 - lambda
+for every decomposition, so a feasible y is a proof that the class holds
+no state closer to the extendible set, written on the observed
+statistics.  The solver's dual blocks are the decomposition itself:
+T = rho - sigma~ and chi~ (a realified block of size 2n holds the
+complex (Z11 + Z22) + i (Z21 - Z12)), and rho* = T + Tr_B'(chi~).  Both
+are divided by Tr(rho*), which the solve meets only to its dual
+residual, and mapped to the (r, f) vector above, so the unpack and
+verify_extension see the same coordinates on every path.  lambda is
+the f_000 of that decomposition, not b.y.  When the witness solve does
+not end optimal (its dual residual can stall near 1e-7 at error rates
+close to 0, and inconsistent rows make it unbounded), the extension
+program is solved instead.
 
 When the class rows pin rho to one rank-deficient state, the program
 has no strictly feasible point: every v in ker(rho) has
 v^+ sigma~ v = 0, so chi~ vanishes off the face
 F = (supp(rho) (x) C^{d_B}) intersected with its B <-> B' swap.
-best_extendible_decomposition then solves the same program on that
+best_extendible_decomposition then solves the extension program on that
 face, in coordinates of chi~ on F, and maps the solution back to the
 full (r, f) vector; an empty face gives lambda_max = 0 with no solve.
 
-extendibility_threshold reuses the same program for a family of classes
-affine in one parameter: the parameter becomes a variable, lambda is
-held near 1, and the parameter is minimized.
+extendibility_threshold reuses the extension program for a family of
+classes affine in one parameter: the parameter becomes a variable,
+lambda is held near 1, and the parameter is minimized.
 """
 
 from __future__ import annotations
@@ -57,8 +80,8 @@ VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
 
 @dataclass(frozen=True, eq=False)
 class VariableLayout:
-    """The data-independent part of the joint decomposition SDP for one
-    dims pair: variable indexing over the two groups r and f, the two LMI
+    """The data-independent part of the extension program for one dims
+    pair: variable indexing over the two groups r and f, the two LMI
     blocks rho - sigma~ >= 0 and chi~ >= 0, the objective c, sigma_idx,
     the indices of the f_{k,l,0} that are sigma~'s coefficients in
     (k, l) order (the first, n_r, is f_000, the extendible weight), and
@@ -105,7 +128,7 @@ class VariableLayout:
 
 @functools.lru_cache(maxsize=8)
 def layout_for(dims):
-    """The VariableLayout of the joint SDP for dims = (d_A, d_B)."""
+    """The VariableLayout of the extension program for dims = (d_A, d_B)."""
     da, db = dims
     na, nb = da * da, db * db
     sa, sb = build_basis(da), build_basis(db)
@@ -150,8 +173,8 @@ def layout_for(dims):
                           sigma_idx=sigma_idx, chi_mats=chi_mats)
 
 
-def build_sdp(cls):
-    """The joint decomposition SDP for an EquivalenceClassSpec.
+def extension_sdp(cls):
+    """The extension program over (r, f) for an EquivalenceClassSpec.
 
     Only the class rows and their right-hand side are built here; the
     rest comes from the cached layout_for(cls.dims).
@@ -165,14 +188,56 @@ def build_sdp(cls):
     return problem, layout
 
 
+@functools.lru_cache(maxsize=8)
+def _product_ops(dims):
+    """The (n_r, d_A d_B, d_A d_B) stack of S_k (x) S_l and the
+    (n_r, d_A d_B^2, d_A d_B^2) stack of sym(S_k (x) S_l (x) I_B'), in
+    (k, l) order; built on the first witness program of these dims."""
+    da, db = dims
+    sa, sb = build_basis(da), build_basis(db)
+    dab, dabb = da * db, da * db * db
+    ops = np.einsum("aij,bkl->abikjl", sa, sb).reshape(-1, dab, dab)
+    ext = np.einsum("nij,kl->nikjl", ops, np.eye(db)).reshape(-1, dabb, dabb)
+    P = swap_last_two(dims)
+    ext = 0.5 * (ext + P @ ext @ P)
+    for arr in (ops, ext):
+        arr.setflags(write=False)
+    return ops, ext
+
+
+@functools.lru_cache(maxsize=8)
+def _witness_blocks(key, shape, dims):
+    """The blocks W(y) >= 0 and sym(W(y) (x) I_B') - I >= 0 for class rows
+    given by bytes and shape; cached per row set, like sdp._row_factors."""
+    rows = np.frombuffer(key).reshape(shape)
+    ops, ext = _product_ops(dims)
+    idx = np.arange(shape[0])
+    return (LmiBlock(const=np.eye(ops.shape[1]), var_idx=idx,
+                     mats=-np.tensordot(rows, ops, 1)),
+            LmiBlock(const=np.zeros(ext.shape[1:]), var_idx=idx,
+                     mats=-np.tensordot(rows, ext, 1)))
+
+
+def build_sdp(cls):
+    """The witness program for an EquivalenceClassSpec: one variable y_j
+    per class row, minimize -b.y with the blocks W(y) >= 0 and
+    sym(W(y) (x) I_B') - I >= 0 (see the module docstring).
+
+    Returns (SdpProblem, VariableLayout).
+    """
+    layout = layout_for(tuple(cls.dims))
+    blocks = _witness_blocks(cls.rows.tobytes(), cls.rows.shape, layout.dims)
+    return SdpProblem(c=-cls.rhs, blocks=blocks), layout
+
+
 def pinned_problem(cls, lam):
-    """The same SDP with the extendible weight pinned: f_000 = lam.
+    """The extension program with the extendible weight pinned: f_000 = lam.
 
     Feasibility of this problem (for lam in [0, 1]) is the question
     "does the class admit a decomposition with weight exactly lam";
     useful as an independent route to lambda_max via bisection.
     """
-    problem, layout = build_sdp(cls)
+    problem, layout = extension_sdp(cls)
     row = np.zeros((1, layout.total))
     row[0, layout.n_r] = 1.0
     rows = np.concatenate([problem.eq_rows, row], axis=0)
@@ -189,17 +254,17 @@ def extendibility_threshold(cls_lo, cls_hi, bracket):
     The family is interpolated from its classes at the bracket ends
     (lo, hi): at t its rows are the common rows, its right-hand side
     rhs(lo) + (t - lo) * slope with slope = (rhs(hi) - rhs(lo)) / (hi - lo).
-    The program is the joint SDP plus one variable t, last: one diagonal
-    3x3 block holds lo <= t <= hi and f_000 >= 1 - LAMBDA_TOL, and the
-    objective is min t.  Returns the SdpSolution whatever its status; t
-    is x[-1].
+    The program is the extension program plus one variable t, last: one
+    diagonal 3x3 block holds lo <= t <= hi and f_000 >= 1 - LAMBDA_TOL,
+    and the objective is min t.  Returns the SdpSolution whatever its
+    status; t is x[-1].
     """
     lo, hi = bracket
     if cls_hi.dims != cls_lo.dims or cls_hi.rows.shape != cls_lo.rows.shape \
             or np.max(np.abs(cls_hi.rows - cls_lo.rows), initial=0.0) > 1e-9:
         raise ValueError("the classes at the bracket ends have different rows; "
                          "the family is not affine")
-    problem, layout = build_sdp(cls_lo)
+    problem, layout = extension_sdp(cls_lo)
     n = layout.total
     slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
     bounds = LmiBlock(const=np.diag([-lo, hi, LAMBDA_TOL - 1.0]),
@@ -350,18 +415,56 @@ def _solve_on_face(r, w, S, layout):
         blocks=(LmiBlock(const=np.diag(w), var_idx=g_idx, mats=-sigma_mats),
                 LmiBlock(const=np.zeros((k, k)), var_idx=g_idx, mats=ys)))
     sol = solve(problem)
-    # chi_mats is an orthogonal basis of the swap-symmetric operators,
-    # so f_i = Tr(chi_mats[i] chi~) / Tr(chi_mats[i]^2).
-    chi = U @ np.tensordot(sol.x, ys, 1) @ U.conj().T
-    mats = layout.chi_mats
-    x[layout.n_r:] = (np.einsum("ijk,kj->i", mats, chi).real
-                      / np.einsum("ijk,ikj->i", mats, mats).real)
+    x[layout.n_r:] = _chi_coefficients(U @ np.tensordot(sol.x, ys, 1) @ U.conj().T,
+                                       layout)
     return replace(sol, x=x, objective=sol.objective + r00,
                    dual_objective=sol.dual_objective + r00), k
 
 
+def _chi_coefficients(chi, layout):
+    """The f of chi~'s projection onto the swap-symmetric operators:
+    chi_mats is an orthogonal basis of them, so
+    f_i = Tr(chi_mats[i] chi~) / Tr(chi_mats[i]^2)."""
+    mats = layout.chi_mats
+    return (np.einsum("ijk,kj->i", mats, chi).real
+            / np.einsum("ijk,ikj->i", mats, mats).real)
+
+
+def _complex_block(Z, n):
+    """The n x n Hermitian matrix a solver block holds: Z itself, or
+    (Z11 + Z22) + i (Z21 - Z12) when Z is the realified 2n x 2n block."""
+    if Z.shape[0] == n:
+        return Z
+    return (Z[:n, :n] + Z[n:, n:]) + 1j * (Z[n:, :n] - Z[:n, n:])
+
+
+def _witness_decomposition(sol, cls, layout):
+    """The optimal witness solve mapped to the extension program's
+    (r, f) coordinates.
+
+    Its dual blocks are T = rho - sigma~ and chi~; f is chi~'s
+    swap-symmetric projection, sigma~'s coefficients are the f_{k,l,0},
+    and rho* = T + sigma~.  Both parts are divided by Tr(rho*), which the
+    solve meets only to its dual residual.  The objective and the
+    equality residual are then the extension program's (1 - f_000 and
+    the class residual); the dual objective is the witness value
+    b.y <= 1 - lambda_max, and y is the witness.  The rest (z_blocks,
+    residuals, gap, history) is the witness solve's.
+    """
+    da, db = layout.dims
+    T = _complex_block(sol.z_blocks[0], da * db)
+    f = _chi_coefficients(_complex_block(sol.z_blocks[1], da * db * db), layout)
+    r = expand(T, (build_basis(da), build_basis(db))).ravel() \
+        + f[layout.sigma_idx - layout.n_r]
+    x = np.concatenate([r, f]) / r[0]
+    resid = np.linalg.norm(cls.rows @ x[:layout.n_r] - cls.rhs)
+    return replace(sol, x=x, y=sol.x, objective=float(layout.c @ x),
+                   dual_objective=float(cls.rhs @ sol.x),
+                   equality_residual=float(resid / (1.0 + np.linalg.norm(cls.rhs))))
+
+
 def best_extendible_decomposition(cls):
-    """Solve the joint SDP and unpack the optimal decomposition.
+    """Solve for the best decomposition and unpack it.
 
     Degenerate conventions: when lambda is within LAMBDA_TOL of 0 no
     extendible part is reported (sigma_ext and chi are None); within
@@ -369,19 +472,27 @@ def best_extendible_decomposition(cls):
     renormalized to unit trace.  Solver failure raises SolverError with
     the solution attached.
 
-    A class whose rows pin rho to a rank-deficient state (see
-    _pinned_support) is solved on its face by _solve_on_face; the
-    diagnostics then carry rho's support rank and the face dimension
-    (None for both when the full program ran).  The solution, the
-    unpack and verify_extension stay in the full (r, f) coordinates.
+    The program that ran is diagnostics["program"].  A class whose rows
+    pin rho to a rank-deficient state (see _pinned_support) is solved on
+    its face by _solve_on_face ("face"); the diagnostics then carry rho's
+    support rank and the face dimension (None for both otherwise).  Every
+    other class runs the witness program ("witness"), and the extension
+    program ("extension") when the witness solve does not end optimal.
+    The solution, the unpack and verify_extension stay in the full (r, f)
+    coordinates; diagnostics["class_residual"] is
+    ||A r* - b|| / (1 + ||b||) at the reported rho*.
     """
     layout = layout_for(tuple(cls.dims))
     pinned = _pinned_support(cls, layout)
     support_rank = face_dim = None
     if pinned is None:
-        sol = solve(build_sdp(cls)[0])
+        program, sol = "witness", solve(build_sdp(cls)[0])
+        if sol.status == "optimal":
+            sol = _witness_decomposition(sol, cls, layout)
+        else:
+            program, sol = "extension", solve(extension_sdp(cls)[0])
     else:
-        sol, face_dim = _solve_on_face(*pinned, layout)
+        program, (sol, face_dim) = "face", _solve_on_face(*pinned, layout)
         support_rank = pinned[1].size
     if sol.status != "optimal":
         raise SolverError(
@@ -400,10 +511,13 @@ def best_extendible_decomposition(cls):
     e = sol.x[layout.sigma_idx].reshape(layout.na, layout.nb)
     f = sol.x[layout.n_r:]
 
-    diagnostics = {"raw_lambda": raw_lam, "support_rank": support_rank,
-                   "face_dim": face_dim}
+    diagnostics = {"program": program, "raw_lambda": raw_lam,
+                   "support_rank": support_rank, "face_dim": face_dim}
     rho_star = _to_density(reconstruct(r, (basis_a, basis_b)), (da, db),
                            diagnostics, "rho_star")
+    resid = cls.rows @ expand(rho_star.matrix, (basis_a, basis_b)).ravel() - cls.rhs
+    diagnostics["class_residual"] = float(np.linalg.norm(resid)
+                                          / (1.0 + np.linalg.norm(cls.rhs)))
     sigma_ext = rho_ne = chi = None
     if lam > LAMBDA_TOL:
         sigma_ext = _to_density(reconstruct(e, (basis_a, basis_b)) / lam,

@@ -81,6 +81,12 @@ def test_check_extendible_subcommand(capsys):
     code, out = invoke(["check-extendible", "--protocol", "six-state", "--e", "0.1"], capsys)
     assert code == 0
     assert out.startswith("not extendible")
+    # the verdict stays first; the program and class residual follow lambda_max
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "lambda_max", "program", "class_residual"]
+    assert lines[2] == "program: witness"
+    assert float(lines[3].split(":")[1]) <= 1e-8
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

@@ -11,7 +11,7 @@ from keybound import extendibility
 from keybound.basis import build_basis, expand
 from keybound.extendibility import (
     SUPPORT_TOL, best_extendible_decomposition, build_sdp,
-    extendibility_threshold, layout_for, pinned_problem,
+    extendibility_threshold, extension_sdp, layout_for, pinned_problem,
     verify_extension,
 )
 from keybound.protocols import (
@@ -19,7 +19,8 @@ from keybound.protocols import (
     realize_protocol,
 )
 from keybound.sdp import SolverError, check_feasible, solve
-from keybound.states import DensityOperator, bell_psi_plus, depolarized_bell
+from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
+                             partial_trace_matrix, swap_last_two)
 from helpers import (chi_reference, lambda_bisection_oracle,
                      three_block_reference, trivial_class)
 
@@ -69,11 +70,12 @@ def test_chi_stack_matches_kronecker_reference(dims):
 
 
 def test_build_sdp_shares_structure_per_dims():
+    # the witness blocks depend only on the rows, the objective -b on the data
     p1, lay1 = build_sdp(six_state_class(0.05))
     p2, lay2 = build_sdp(six_state_class(0.10))
     assert lay1 is lay2
     assert all(a is b for a, b in zip(p1.blocks, p2.blocks))
-    assert not np.array_equal(p1.eq_rhs, p2.eq_rhs)
+    assert not np.array_equal(p1.c, p2.c)
     _, lay3 = build_sdp(trivial_class((2, 3)))
     assert lay3 is not lay1
 
@@ -90,7 +92,7 @@ def test_cached_structure_is_read_only():
 
 def test_sdp_structure():
     cls = six_state_class(0.05)
-    prob, lay = build_sdp(cls)
+    prob, lay = extension_sdp(cls)
     assert [b.dim for b in prob.blocks] == [8, 16]
     # equalities: the class rows only, on r
     assert prob.eq_rows.shape == (cls.rows.shape[0], 56)
@@ -99,6 +101,34 @@ def test_sdp_structure():
     assert prob.c[0] == 1.0
     assert prob.c[lay.f_index(0, 0, 0)] == -1.0
     assert np.count_nonzero(prob.c) == 2
+
+
+def test_witness_program_structure():
+    cls = six_state_class(0.05)
+    prob, lay = build_sdp(cls)
+    m = cls.rows.shape[0]
+    # one variable per class row, no equalities, objective -b.y
+    assert prob.num_vars == m and prob.eq_rows.shape == (0, m)
+    assert np.array_equal(prob.c, -cls.rhs)
+    # realified blocks W(y) >= 0 on A B and sym(W(y) (x) I_B') - I >= 0 on A B B'
+    assert [b.dim for b in prob.blocks] == [8, 16]
+    assert np.array_equal(prob.blocks[0].const, np.eye(8))
+    assert not prob.blocks[1].const.any()
+    # Tr(O_j rho) = (A r)_j, read through the real embedding of O_j
+    rho = depolarized_bell(0.05).matrix
+    r = expand(rho, (build_basis(2),) * 2).ravel()
+    emb = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
+    traces = -np.einsum("jkl,lk->j", prob.blocks[0].mats, emb) / 2
+    assert np.max(np.abs(traces - cls.rows @ r)) <= 1e-12
+    # on a swap-symmetric X, sym(O_j (x) I_B') pairs as O_j with Tr_B'(X)
+    P = swap_last_two((2, 2))
+    X = np.kron(rho, np.eye(2))
+    X = X + P @ X @ P
+    marginal = partial_trace_matrix(X, (2, 2, 2), keep=(0, 1))
+    r = expand(marginal, (build_basis(2),) * 2).ravel()
+    emb = np.block([[X.real, -X.imag], [X.imag, X.real]])
+    traces = -np.einsum("jkl,lk->j", prob.blocks[1].mats, emb) / 2
+    assert np.max(np.abs(traces - cls.rows @ r)) <= 1e-12
 
 
 def test_bell_state_not_extendible():
@@ -228,7 +258,7 @@ def rank_deficient_outcome(seed, rank):
     except Exception as err:
         outcome = type(err).__name__
     try:
-        full = type(solve(build_sdp(cls)[0])).__name__
+        full = type(solve(extension_sdp(cls)[0])).__name__
     except Exception as err:
         full = type(err).__name__
     return f"{outcome} {full}"
@@ -315,7 +345,7 @@ def test_face_program_matches_full_program_where_it_converges():
     cls = class_from_state(DensityOperator(mat, (2, 2)))
     res = best_extendible_decomposition(cls)
     assert res.diagnostics["face_dim"] is not None
-    full = solve(build_sdp(cls)[0])
+    full = solve(extension_sdp(cls)[0])
     assert full.status == "optimal"
     full_lam = float(full.x[res.layout.n_r])
     assert full_lam == pytest.approx(1.0, abs=1e-6)
@@ -337,19 +367,21 @@ def _inconsistent_pinned_class():
 @pytest.mark.parametrize("make", [_negative_pinned_class, _inconsistent_pinned_class],
                          ids=["eigenvalue-below-support-tol", "inconsistent-rows"])
 def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
+    # the witness program (one variable per row) runs first; it does not
+    # end optimal on either class, so the extension program runs after it
     cls = make()
-    sizes = []
+    runs = []
 
     def spy(problem):
-        sizes.append(problem.num_vars)
-        return solve(problem)
+        sol = solve(problem)
+        runs.append((problem.num_vars, sol.status))
+        return sol
 
     monkeypatch.setattr(extendibility, "solve", spy)
-    try:
+    with pytest.raises(SolverError):
         best_extendible_decomposition(cls)
-    except SolverError:
-        pass
-    assert sizes == [layout_for((2, 2)).total]
+    assert [n for n, _ in runs] == [cls.rows.shape[0], layout_for((2, 2)).total]
+    assert runs[0][1] != "optimal"
 
 
 def test_full_rank_and_unpinned_classes_run_the_full_program():

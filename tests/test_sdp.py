@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from keybound.extendibility import best_extendible_decomposition, build_sdp, pinned_problem
+from keybound.extendibility import best_extendible_decomposition, extension_sdp, pinned_problem
 from keybound.infotheory import JointDistribution
 from keybound.protocols import (
     Povm, ProtocolSpec, assemble_class, realize_protocol, simulate_observed_data,
@@ -305,7 +305,7 @@ def test_pinned_weight_above_lambda_max_is_certified_infeasible():
 def test_duplicated_equality_rows_give_the_deduplicated_optimum():
     # rank-deficient rows: every class row twice, plus the sum of two of them
     spec = ProtocolSpec("four-state", e=0.05)
-    problem = build_sdp(assemble_class(*realize_protocol(spec), spec))[0]
+    problem = extension_sdp(assemble_class(*realize_protocol(spec), spec))[0]
     A, b = problem.eq_rows, problem.eq_rhs
     dup = SdpProblem(c=problem.c, blocks=problem.blocks,
                      eq_rows=np.vstack([A, A, A[:1] + A[1:2]]),

@@ -1,0 +1,140 @@
+"""The witness program against the extension program it is the dual of,
+and the fallback from one to the other."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from keybound import extendibility
+from keybound.bounds import one_way_upper_bound
+from keybound.extendibility import (best_extendible_decomposition, build_sdp,
+                                    extension_sdp, verify_extension)
+from keybound.protocols import (EquivalenceClassSpec, ProtocolSpec, assemble_class,
+                                class_from_state, realize_protocol)
+from keybound.sdp import SolverError, solve
+from keybound.states import DensityOperator
+
+# lambda_max of the two programs, each within GAP_TOL (1 + |pobj| + |dobj|)
+AGREE_TOL = 3e-8
+
+
+def protocol_class(kind, e, direction="direct"):
+    spec = ProtocolSpec(kind, e=e, direction=direction)
+    return assemble_class(*realize_protocol(spec), spec)
+
+
+def full_rank_class(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mat = g @ g.conj().T
+    return class_from_state(DensityOperator(mat / np.trace(mat).real, dims))
+
+
+def extension_lambda(cls):
+    problem, layout = extension_sdp(cls)
+    sol = solve(problem)
+    assert sol.status == "optimal", sol.message
+    return float(sol.x[layout.n_r])
+
+
+def assert_witness_agrees(cls):
+    res = best_extendible_decomposition(cls)
+    assert res.diagnostics["program"] == "witness"
+    assert res.solution.status == "optimal"
+    assert verify_extension(res).passed
+    assert abs(res.lambda_max - extension_lambda(cls)) <= AGREE_TOL
+    # the witness value is a lower bound on 1 - lambda_max
+    assert res.solution.dual_objective <= 1.0 - res.lambda_max + AGREE_TOL
+    assert res.diagnostics["class_residual"] <= 1e-8
+    return res
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), s) for s in range(4)]
+                         + [((2, 3), s) for s in range(3)])
+def test_witness_matches_extension_program_on_full_rank_states(dims, seed):
+    assert_witness_agrees(full_rank_class(dims, seed))
+
+
+@pytest.mark.parametrize("e", [0.02, 0.08, 0.14, 0.2])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_witness_matches_extension_program_on_grid_classes(kind, direction, e):
+    assert_witness_agrees(protocol_class(kind, e, direction))
+
+
+def test_duplicated_consistent_rows_solve_optimal():
+    cls = protocol_class("six-state", 0.05)
+    dup = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows]),
+                               rhs=np.concatenate([cls.rhs, cls.rhs]))
+    res = assert_witness_agrees(dup)
+    assert res.lambda_max == pytest.approx(
+        best_extendible_decomposition(cls).lambda_max, abs=AGREE_TOL)
+
+
+def test_solution_keeps_the_extension_programs_meaning():
+    cls = protocol_class("four-state", 0.05)
+    res = best_extendible_decomposition(cls)
+    sol, layout = res.solution, res.layout
+    # x is the (r, f) vector of a unit-trace decomposition, y the witness
+    assert sol.x.shape == (layout.total,) and sol.x[0] == pytest.approx(1.0, abs=1e-15)
+    assert sol.objective == pytest.approx(float(layout.c @ sol.x), abs=1e-15)
+    assert sol.objective == pytest.approx(1.0 - res.lambda_max, abs=1e-12)
+    assert sol.y.shape == (cls.rows.shape[0],)
+    assert sol.dual_objective == pytest.approx(float(cls.rhs @ sol.y), abs=1e-15)
+    assert 0.0 < sol.equality_residual <= 1e-8
+    # the witness is feasible: W(y) >= 0 and sym(W(y) (x) I_B') - I >= 0
+    for blk in build_sdp(cls)[0].blocks:
+        slack = blk.const + np.einsum("i,ijk->jk", sol.y, blk.mats)
+        assert np.linalg.eigvalsh(slack)[0] >= -1e-9
+
+
+@pytest.mark.parametrize("e", [1e-8, 1e-7])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_points_near_zero_error_end_optimal(kind, direction, e):
+    # the witness solve's dual residual can stall here; the extension
+    # program then gives the point
+    point = one_way_upper_bound(ProtocolSpec(kind, e=e, direction=direction))
+    assert point.status == "optimal"
+
+
+def test_non_optimal_witness_solve_falls_back(monkeypatch):
+    cls = protocol_class("six-state", 0.05)
+    runs = []
+
+    def failing_witness(problem):
+        sol = solve(problem)
+        runs.append(problem.num_vars)
+        if problem.eq_rows.shape[0] == 0:
+            sol = replace(sol, status="numerical-failure")
+        return sol
+
+    monkeypatch.setattr(extendibility, "solve", failing_witness)
+    res = best_extendible_decomposition(cls)
+    assert runs == [cls.rows.shape[0], res.layout.total]
+    assert res.diagnostics["program"] == "extension"
+    assert verify_extension(res).passed
+    assert res.lambda_max == pytest.approx(0.3, abs=AGREE_TOL)
+
+
+def test_inconsistent_rows_raise_infeasible(monkeypatch):
+    cls = protocol_class("six-state", 0.05)
+    bad = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows[:1]]),
+                               rhs=np.concatenate([cls.rhs, [cls.rhs[0] + 1e-3]]))
+    runs = []
+
+    def spy(problem):
+        sol = solve(problem)
+        runs.append(sol)
+        return sol
+
+    monkeypatch.setattr(extendibility, "solve", spy)
+    with pytest.raises(SolverError) as err:
+        best_extendible_decomposition(bad)
+    # the witness program is unbounded along a primal ray; only the
+    # extension program's typed infeasibility reaches the caller
+    assert [sol.status for sol in runs] == ["unbounded", "infeasible"]
+    assert runs[0].certificate["kind"] == "primal-ray"
+    assert err.value.solution.status == "infeasible"
