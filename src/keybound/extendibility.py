@@ -48,9 +48,11 @@ When the class rows pin rho to one rank-deficient state, the program
 has no strictly feasible point: every v in ker(rho) has
 v^+ sigma~ v = 0, so chi~ vanishes off the face
 F = (supp(rho) (x) C^{d_B}) intersected with its B <-> B' swap.
-best_extendible_decomposition then solves the extension program on that
-face, in coordinates of chi~ on F, and maps the solution back to the
-full (r, f) vector; an empty face gives lambda_max = 0 with no solve.
+best_extendible_decomposition then solves the dual of the extension
+program on that face, the face witness program of _solve_on_face.  It
+and its dual are strictly feasible, so it needs no fallback, and its
+dual blocks map to the (r, f) vector as above.  An empty face gives
+lambda_max = 0 with no solve.
 
 extendibility_threshold reuses the extension program for a family of
 classes affine in one parameter: the parameter becomes a variable,
@@ -375,50 +377,42 @@ def _hermitian_stack(n):
     return out
 
 
-def _solve_on_face(r, w, S, layout):
-    """The decomposition program restricted to the face of a pinned,
-    rank-deficient rho, solved and mapped back to the full (r, f) vector.
+def _solve_on_face(cls, r, w, S, layout):
+    """The face witness program of a pinned, rank-deficient rho, solved
+    and mapped to the full (r, f) vector.
 
-    chi~ = U Y U^+ with U = [sym, anti] a basis of the face and Y
-    block-diagonal Hermitian, which makes chi~ swap-symmetric; the
-    variables g are Y's coordinates over _hermitian_stack of each block.
-    The blocks are S^+ (rho - sigma~) S >= 0, with S^+ rho S = diag(w),
-    and Y >= 0; the objective is min -Tr(Y) = -f_000, and there are no
-    equality rows.  Returns (SdpSolution, face dimension).
+    The variables are the coordinates of a Hermitian X on supp(rho) over
+    _hermitian_stack: minimize Tr(diag(w) X), S^+ rho S = diag(w), with
+    X >= 0 and sum_b' W_b'^+ X W_b' >= I, W_b' = (S^+ (x) <b'|) V, for
+    each nonempty swap part V of the face.  Its dual blocks give
+    T = S Z_0 S^+ and chi~ = sum_V V Z_V V^+.  Returns (SdpSolution, face
+    dimension); a solve that does not end optimal is returned as it ended.
     """
-    sym, anti = _face_basis(S, layout.dims)
-    n_sym, n_anti = sym.shape[1], anti.shape[1]
-    k = n_sym + n_anti
-    x = np.concatenate([r, np.zeros(layout.n_f)])
-    r00 = float(r[0])   # the objective's constant part, Tr(rho)
+    parts = [V for V in _face_basis(S, layout.dims) if V.shape[1]]
+    k = sum(V.shape[1] for V in parts)
+    r00 = float(r[0])   # Tr(rho)
     if k == 0:
         return SdpSolution(
-            status="optimal", x=x, y=np.zeros(0), z_blocks=[],
-            objective=r00, dual_objective=r00, duality_gap=0.0,
-            primal_residual=0.0, dual_residual=0.0, equality_residual=0.0,
-            iterations=0,
-            message=(f"empty face: supp(rho) (x) C^d_B (support rank "
-                     f"{w.size}) meets its swap only in 0, so "
-                     "lambda_max = 0 without a solve")), 0
-    U = np.hstack([sym, anti])
-    ys = np.zeros((n_sym ** 2 + n_anti ** 2, k, k), dtype=complex)
-    ys[:n_sym ** 2, :n_sym, :n_sym] = _hermitian_stack(n_sym)
-    ys[n_sym ** 2:, n_sym:, n_sym:] = _hermitian_stack(n_anti)
-    # (S^+ (x) <b'|) U for each b', so S^+ Tr_B'(U Y U^+) S is
-    # sum_b' W_b' Y W_b'^+.
-    da, db = layout.dims
-    W = np.einsum("as,abk->bsk", S.conj(), U.reshape(da * db, db, k))
-    sigma_mats = np.einsum("bsk,jkl,btl->jst", W, ys, W.conj())
-    g_idx = np.arange(ys.shape[0])
-    problem = SdpProblem(
-        c=-np.trace(ys, axis1=1, axis2=2).real,
-        blocks=(LmiBlock(const=np.diag(w), var_idx=g_idx, mats=-sigma_mats),
-                LmiBlock(const=np.zeros((k, k)), var_idx=g_idx, mats=ys)))
-    sol = solve(problem)
-    x[layout.n_r:] = _chi_coefficients(U @ np.tensordot(sol.x, ys, 1) @ U.conj().T,
-                                       layout)
-    return replace(sol, x=x, objective=sol.objective + r00,
-                   dual_objective=sol.dual_objective + r00), k
+            status="optimal", x=np.concatenate([r, np.zeros(layout.n_f)]),
+            y=np.zeros(0), z_blocks=[], objective=r00, dual_objective=r00,
+            duality_gap=0.0, primal_residual=0.0, dual_residual=0.0,
+            equality_residual=0.0, iterations=0,
+            message=(f"empty face: supp(rho) (x) C^d_B (support rank {w.size}) "
+                     "meets its swap only in 0, so lambda_max = 0 without a solve")), 0
+    xs = _hermitian_stack(w.size)
+    idx = np.arange(xs.shape[0])
+    blocks = [LmiBlock(const=np.zeros(xs.shape[1:]), var_idx=idx, mats=xs)]
+    for V in parts:
+        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, layout.dims[1], V.shape[1]))
+        blocks.append(LmiBlock(const=-np.eye(V.shape[1]), var_idx=idx,
+                               mats=np.einsum("bsk,jst,btl->jkl", W.conj(), xs, W)))
+    sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
+    if sol.status != "optimal":
+        return sol, k
+    T = S @ _complex_block(sol.z_blocks[0], w.size) @ S.conj().T
+    chi = sum(V @ _complex_block(Z, V.shape[1]) @ V.conj().T
+              for V, Z in zip(parts, sol.z_blocks[1:]))
+    return _witness_decomposition(sol, T, chi, r00 - sol.objective, cls, layout), k
 
 
 def _chi_coefficients(chi, layout):
@@ -438,28 +432,26 @@ def _complex_block(Z, n):
     return (Z[:n, :n] + Z[n:, n:]) + 1j * (Z[n:, :n] - Z[:n, n:])
 
 
-def _witness_decomposition(sol, cls, layout):
-    """The optimal witness solve mapped to the extension program's
-    (r, f) coordinates.
+def _witness_decomposition(sol, T, chi, witness_value, cls, layout):
+    """An optimal witness solve mapped to the extension program's (r, f)
+    coordinates, from T = rho - sigma~ and chi~, each a complex matrix or
+    the realified solver block that holds it.
 
-    Its dual blocks are T = rho - sigma~ and chi~; f is chi~'s
-    swap-symmetric projection, sigma~'s coefficients are the f_{k,l,0},
-    and rho* = T + sigma~.  Both parts are divided by Tr(rho*), which the
-    solve meets only to its dual residual.  The objective and the
-    equality residual are then the extension program's (1 - f_000 and
-    the class residual); the dual objective is the witness value
-    b.y <= 1 - lambda_max, and y is the witness.  The rest (z_blocks,
-    residuals, gap, history) is the witness solve's.
+    f is chi~'s swap-symmetric projection, sigma~'s coefficients are the
+    f_{k,l,0}, and rho* = T + sigma~; both are divided by Tr(rho*), which
+    the solve meets only to its dual residual.  objective and
+    equality_residual are the extension program's (1 - f_000, the class
+    residual), dual_objective is witness_value <= 1 - lambda_max, y is the
+    witness, and the rest is the witness solve's.
     """
     da, db = layout.dims
-    T = _complex_block(sol.z_blocks[0], da * db)
-    f = _chi_coefficients(_complex_block(sol.z_blocks[1], da * db * db), layout)
-    r = expand(T, (build_basis(da), build_basis(db))).ravel() \
+    f = _chi_coefficients(_complex_block(chi, da * db * db), layout)
+    r = expand(_complex_block(T, da * db), tuple(map(build_basis, layout.dims))).ravel() \
         + f[layout.sigma_idx - layout.n_r]
     x = np.concatenate([r, f]) / r[0]
     resid = np.linalg.norm(cls.rows @ x[:layout.n_r] - cls.rhs)
     return replace(sol, x=x, y=sol.x, objective=float(layout.c @ x),
-                   dual_objective=float(cls.rhs @ sol.x),
+                   dual_objective=float(witness_value),
                    equality_residual=float(resid / (1.0 + np.linalg.norm(cls.rhs))))
 
 
@@ -488,11 +480,11 @@ def best_extendible_decomposition(cls):
     if pinned is None:
         program, sol = "witness", solve(build_sdp(cls)[0])
         if sol.status == "optimal":
-            sol = _witness_decomposition(sol, cls, layout)
+            sol = _witness_decomposition(sol, *sol.z_blocks, cls.rhs @ sol.x, cls, layout)
         else:
             program, sol = "extension", solve(extension_sdp(cls)[0])
     else:
-        program, (sol, face_dim) = "face", _solve_on_face(*pinned, layout)
+        program, (sol, face_dim) = "face", _solve_on_face(cls, *pinned, layout)
         support_rank = pinned[1].size
     if sol.status != "optimal":
         raise SolverError(

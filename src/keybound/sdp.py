@@ -39,9 +39,10 @@ zeros the primal residual the embedding leaves and moves toward the
 optimal face.  Otherwise tau -> 0 with kappa > 0, and Z tends to a
 Farkas certificate (A*(Z) = 0, Z >= 0, -<F0, Z> > 0) or w to a primal
 ray (F_lin(w) >= 0, c.w < 0).  A run whose tau would fall below
-TAU_FLOOR before either forms ends as numerical-failure.  solve and
-check_feasible take no options: they stop on the module constants
-GAP_TOL, FEAS_TOL and MAX_ITER, read when they run.
+TAU_FLOOR before either forms ends as numerical-failure, as does one
+whose gap and primal residual are met but not its dual residual, for
+DUAL_STALL_ITERS iterations in a row.  solve and check_feasible take no
+options: they stop on these module constants, read when they run.
 
 With W = R R^T the scaling point of (S, Z), each iteration solves
 M dw = h for the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> by its Cholesky
@@ -79,6 +80,7 @@ HERM_TOL = 1e-12
 GAP_TOL = 1e-8
 FEAS_TOL = 1e-8
 MAX_ITER = 200
+DUAL_STALL_ITERS = 10   # in a row with gap and primal residual met, dual not
 # Share of the distance to the cone boundary that one step may travel.
 STEP_FRACTION = 0.98
 # check_feasible calls a problem feasible when its phase-I slack is at most this.
@@ -406,7 +408,7 @@ def solve(problem):
     tau = kappa = 1.0
     history = []
     status, message, certificate = None, "", None
-    stall = it = 0
+    stall = dual_stall = it = 0
     polished = False
 
     while True:
@@ -458,6 +460,11 @@ def solve(problem):
                 message = "primal ray: tau -> 0 with c.x < 0"
                 break
 
+        dual_stall = dual_stall + 1 if relgap <= GAP_TOL and pres <= FEAS_TOL < dres else 0
+        if dual_stall >= DUAL_STALL_ITERS:
+            status = "numerical-failure"
+            message = f"dual residual stalled at {dres:.2e} with gap and primal residual met"
+            break
         if it >= MAX_ITER:
             status = "numerical-failure"
             message = f"no convergence within {MAX_ITER} iterations"

@@ -12,9 +12,11 @@ import numpy as np
 
 from keybound import bounds
 from keybound.basis import build_basis
-from keybound.extendibility import LAMBDA_TOL, pinned_problem
+from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
+                                    _pinned_support, layout_for, pinned_problem)
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
-from keybound.sdp import LmiBlock, SdpProblem, check_feasible
+from keybound.sdp import LmiBlock, SdpProblem, check_feasible, solve
+from keybound.states import DensityOperator
 
 
 def lambda_bisection_oracle(cls, tol=5e-5):
@@ -40,6 +42,58 @@ def lambda_bisection_oracle(cls, tol=5e-5):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def face_primal_oracle(cls):
+    """lambda_max of a class that pins rho to a rank-deficient state, from
+    the primal program on its face, the conic dual of the face witness
+    program that best_extendible_decomposition solves.
+
+    chi~ = U Y U^+ with U = [sym, anti] a basis of the face and Y
+    block-diagonal Hermitian, which makes chi~ swap-symmetric; the
+    variables are Y's coordinates over _hermitian_stack of each block.
+    The blocks are S^+ (rho - sigma~) S >= 0, with S^+ rho S = diag(w),
+    and Y >= 0; the objective is min -Tr(Y), and lambda_max = Tr(Y) at
+    the optimum (Tr(rho) = 1).  Returns (lambda_max, SdpSolution).
+    """
+    layout = layout_for(tuple(cls.dims))
+    _, w, S = _pinned_support(cls, layout)
+    sym, anti = _face_basis(S, layout.dims)
+    n_sym, n_anti = sym.shape[1], anti.shape[1]
+    k = n_sym + n_anti
+    U = np.hstack([sym, anti])
+    ys = np.zeros((n_sym ** 2 + n_anti ** 2, k, k), dtype=complex)
+    ys[:n_sym ** 2, :n_sym, :n_sym] = _hermitian_stack(n_sym)
+    ys[n_sym ** 2:, n_sym:, n_sym:] = _hermitian_stack(n_anti)
+    # (S^+ (x) <b'|) U for each b', so S^+ Tr_B'(U Y U^+) S is
+    # sum_b' W_b' Y W_b'^+.
+    da, db = layout.dims
+    W = np.einsum("as,abk->bsk", S.conj(), U.reshape(da * db, db, k))
+    sigma_mats = np.einsum("bsk,jkl,btl->jst", W, ys, W.conj())
+    g_idx = np.arange(ys.shape[0])
+    c = -np.trace(ys, axis1=1, axis2=2).real
+    sol = solve(SdpProblem(
+        c=c, blocks=(LmiBlock(const=np.diag(w), var_idx=g_idx, mats=-sigma_mats),
+                     LmiBlock(const=np.zeros((k, k)), var_idx=g_idx, mats=ys))))
+    assert sol.status == "optimal", sol.message
+    return float(-c @ sol.x), sol
+
+
+def extend_qutrit_stream_state(cycle, rank):
+    """The rank-`rank` state of cycle `cycle` (counted from 0) of the
+    extend-qutrit benchmark's state stream: from default_rng(0), each
+    cycle draws ranks 1..6 in turn, each state G G^+ / Tr with G a
+    6 x rank complex Gaussian, as a qubit-qutrit state."""
+    rng = np.random.default_rng(0)
+    for _ in range(cycle):
+        for r in range(1, 7):
+            rng.standard_normal((6, r))
+            rng.standard_normal((6, r))
+    for r in range(1, rank + 1):
+        g = rng.standard_normal((6, r)) + 1j * rng.standard_normal((6, r))
+    mat = g @ g.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    return DensityOperator(mat / np.trace(mat).real, (2, 3))
 
 
 def cutoff_bisection_oracle(protocol, tol=1e-3, bracket=(0.0, 0.25),

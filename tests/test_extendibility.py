@@ -21,8 +21,8 @@ from keybound.protocols import (
 from keybound.sdp import SolverError, check_feasible, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              partial_trace_matrix, swap_last_two)
-from helpers import (chi_reference, lambda_bisection_oracle,
-                     three_block_reference, trivial_class)
+from helpers import (chi_reference, extend_qutrit_stream_state,
+                     lambda_bisection_oracle, three_block_reference, trivial_class)
 
 
 def six_state_class(e):
@@ -302,6 +302,39 @@ def test_low_rank_pinned_state_verified(dims, rank):
     face = FACE_DIMS[dims][rank - 1]
     assert res.diagnostics["face_dim"] == face
     assert res.diagnostics["support_rank"] == (None if face is None else rank)
+
+
+@pytest.mark.parametrize("rank, num_vars, block_dims", [
+    (3, 9, [6, 6]), (4, 16, [8, 12]), (5, 25, [10, 18, 6])])
+def test_face_witness_program_size(rank, num_vars, block_dims, monkeypatch):
+    # one variable per coordinate of X on supp(rho), the realified X >= 0
+    # block, then one block per nonempty swap part of the face
+    problems = []
+
+    def spy(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(extendibility, "solve", spy)
+    state = random_qutrit_state(np.random.default_rng(5), rank)
+    res = best_extendible_decomposition(class_from_state(state))
+    (problem,) = problems
+    assert problem.num_vars == num_vars == res.solution.y.size
+    assert [blk.dim for blk in problem.blocks] == block_dims
+    assert problem.eq_rows.shape[0] == 0
+    # the reported y is a feasible witness
+    for blk in problem.blocks:
+        slack = blk.const + np.einsum("i,ijk->jk", res.solution.y, blk.mats)
+        assert np.linalg.eigvalsh(slack)[0] >= -1e-9
+
+
+def test_rank_four_stream_state_decomposes():
+    # the primal face program ended this state "step sizes collapsed"
+    state = extend_qutrit_stream_state(cycle=20, rank=4)
+    res = best_extendible_decomposition(class_from_state(state))
+    assert res.diagnostics["program"] == "face"
+    assert verify_extension(res).passed
+    assert np.max(np.abs(res.rho_star.matrix - state.matrix)) <= 1e-6
 
 
 def _pure(vec):

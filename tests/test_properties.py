@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from keybound.extendibility import best_extendible_decomposition, verify_extension
 from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
                                 realize_protocol)
-from keybound.sdp import LmiBlock, SdpProblem, solve, write_sdpa
+from keybound.sdp import GAP_TOL, LmiBlock, SdpProblem, solve, write_sdpa
 from keybound.states import DensityOperator
+from helpers import face_primal_oracle
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
                         max_examples=30)
@@ -77,6 +78,28 @@ def test_pinned_state_decomposition_verifies(dims, rank, seed):
     # verify_extension accepts
     state = DensityOperator(random_state(np.random.default_rng(seed), dims, rank), dims)
     assert verify_extension(best_extendible_decomposition(class_from_state(state))).passed
+
+
+FACE_CASES = [((2, 2), r) for r in (2, 3)] + [((2, 3), r) for r in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("dims, rank", FACE_CASES,
+                         ids=[f"{a}x{b}-rank{r}" for (a, b), r in FACE_CASES])
+@settings(DERANDOMIZED, max_examples=3)
+@given(st.integers(0, 2**32 - 1))
+def test_face_witness_matches_primal_face_oracle(dims, rank, seed):
+    # the face witness program and the primal face program are a strictly
+    # feasible dual pair, so they share lambda_max; the witness value
+    # Tr(rho) - Tr(diag(w) X) bounds 1 - lambda from below
+    state = DensityOperator(random_state(np.random.default_rng(seed), dims, rank), dims)
+    cls = class_from_state(state)
+    res = best_extendible_decomposition(cls)
+    assert res.diagnostics["program"] == "face"
+    assert abs(res.lambda_max - face_primal_oracle(cls)[0]) <= 1e-7
+    assert verify_extension(res).passed
+    sol = res.solution
+    assert sol.dual_objective <= sol.objective + GAP_TOL * (
+        1.0 + abs(sol.objective) + abs(sol.dual_objective))
 
 
 def realify(mat):

@@ -100,6 +100,32 @@ def test_points_near_zero_error_end_optimal(kind, direction, e):
     assert point.status == "optimal"
 
 
+@pytest.mark.parametrize("e", [1e-8, 1e-7])
+@pytest.mark.parametrize("source_constraint", [None, True])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_stalled_witness_solve_falls_back_early(kind, direction, source_constraint,
+                                                e, monkeypatch):
+    # a witness solve whose dual residual stalls ends after
+    # DUAL_STALL_ITERS iterations in the stall, not at MAX_ITER
+    runs = []
+
+    def spy(problem):
+        sol = solve(problem)
+        runs.append(sol)
+        return sol
+
+    monkeypatch.setattr(extendibility, "solve", spy)
+    point = one_way_upper_bound(ProtocolSpec(kind, e=e, direction=direction,
+                                             source_constraint=source_constraint))
+    assert point.status == "optimal"
+    witness = runs[0]
+    if witness.status != "optimal":
+        assert witness.iterations <= 30
+        assert "dual residual stalled" in witness.message
+        assert [sol.status for sol in runs[1:]] == ["optimal"]
+
+
 def test_non_optimal_witness_solve_falls_back(monkeypatch):
     cls = protocol_class("six-state", 0.05)
     runs = []
