@@ -340,8 +340,12 @@ class EquivalenceClassSpec:
         return float(np.max(np.abs(self.rows @ coeffs.ravel() - self.rhs)))
 
 
-def _independent_rows(rows):
-    """Indices of rows kept by sequential orthogonal projection."""
+@functools.lru_cache(maxsize=8)
+def _independent_rows(key, shape):
+    """Indices of the rows (given by bytes and shape) kept by sequential
+    orthogonal projection, as a read-only array.  Cached: a sweep's points
+    share their rows, as do both ends of a cutoff bracket."""
+    rows = np.frombuffer(key).reshape(shape)
     kept = []
     ortho = np.empty((0, rows.shape[1]))
     for idx, row in enumerate(rows):
@@ -352,6 +356,8 @@ def _independent_rows(rows):
         if norm > DEDUP_TOL * max(1.0, float(np.linalg.norm(row))):
             kept.append(idx)
             ortho = np.vstack([ortho, resid / norm])
+    kept = np.array(kept, dtype=int)
+    kept.setflags(write=False)
     return kept
 
 
@@ -432,7 +438,7 @@ def assemble_class(povms, data, spec=None):
         raise InconsistentDataError(
             f"no state reproduces the data: residual {gap:.3e} after projection")
 
-    kept = _independent_rows(A)
+    kept = _independent_rows(A.tobytes(), A.shape)
     return EquivalenceClassSpec(
         dims=(da, db),
         rows=A[kept],

@@ -46,9 +46,12 @@ options: they stop on these module constants, read when they run.
 
 With W = R R^T the scaling point of (S, Z), each iteration solves
 M dw = h for the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> by its Cholesky
-factor (LAPACK, see _load_lapack); the tau column is one more
-right-hand side.  A variable in no block would make M singular, so
-SdpProblem rejects it.
+factor; the tau column is one more right-hand side.  R and R^-1 come
+from the Cholesky factors of S and Z and one SVD, with no triangular
+solve (_nt_scaling), and a step's distance to the cone boundary from
+the lowest eigenvalue of each scaled direction alone (_step_bound).
+Every factorization is a direct LAPACK call (see _load_lapack).  A
+variable in no block would make M singular, so SdpProblem rejects it.
 
 Weak duality: with rp and rd the primal and dual residuals of the
 normalized iterate, pobj = c.x and dobj = c.x0 - <F0 + F_lin(x0), Z>
@@ -92,16 +95,19 @@ log = logging.getLogger(__name__)
 
 
 def _load_lapack(linalg_dir):
-    """dpotrf, dpotrs and dtrtrs from the _flapack extension in linalg_dir.
+    """dpotrf, dpotrs, dtrtrs, dgesdd and dsyevr from the _flapack
+    extension in linalg_dir.
 
     The extension file is loaded on its own, under its scipy name, so
     neither scipy nor scipy.linalg (most of this package's import time) is
     imported; when linalg_dir holds no loadable _flapack, the same routines
-    come from scipy.linalg.get_lapack_funcs.  solve calls them as
-    cho_factor, cho_solve and solve_triangular would, so with the same
-    bits; at its sizes those wrappers' input checks cost more than the
-    routines, and the one that mattered, finiteness, is made on M.
+    come from scipy.linalg.get_lapack_funcs.  solve calls the first three
+    as cho_factor, cho_solve and solve_triangular would, so with the same
+    bits.  At its sizes the input checks of those wrappers, and of
+    numpy.linalg's cholesky, svd and eigvalsh, cost more than the
+    routines; the one that mattered, finiteness, is made on M.
     """
+    names = ("potrf", "potrs", "trtrs", "gesdd", "syevr")
     for suffix in EXTENSION_SUFFIXES:
         path = Path(linalg_dir, "_flapack" + suffix)
         if not path.is_file():
@@ -112,16 +118,16 @@ def _load_lapack(linalg_dir):
             spec.loader.exec_module(flapack)
         except ImportError:
             break
-        return flapack.dpotrf, flapack.dpotrs, flapack.dtrtrs
+        return tuple(getattr(flapack, "d" + name) for name in names)
     from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.zeros((1, 1)),))
+    return get_lapack_funcs(names, (np.zeros((1, 1)),))
 
 
 _scipy = importlib.util.find_spec("scipy")
 if _scipy is None:
     raise ModuleNotFoundError("keybound needs scipy", name="scipy")
 # called directly, without scipy's wrappers (see _load_lapack)
-_potrf, _potrs, _trtrs = _load_lapack(
+_potrf, _potrs, _trtrs, _gesdd, _syevr = _load_lapack(
     Path(_scipy.submodule_search_locations[0], "linalg"))
 
 
@@ -284,28 +290,25 @@ def _realify(mat):
 _Lmi = namedtuple("_Lmi", "const var_idx mats dim")
 
 
+def _flat(blk):
+    """blk.mats as (number of variables, dim * dim), also with no variables."""
+    return blk.mats.reshape(blk.var_idx.size, blk.dim * blk.dim)
+
+
 def _apply_lin(blk, x):
-    return np.einsum("i,ijk->jk", x[blk.var_idx], blk.mats)
+    return (x[blk.var_idx] @ _flat(blk)).reshape(blk.dim, blk.dim)
 
 
 def _adjoint(blocks, Z, t):
     out = np.zeros(t)
     for blk, Zb in zip(blocks, Z):
-        out[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats, Zb)
+        out[blk.var_idx] += _flat(blk) @ Zb.ravel()
     return out
 
 
-def _chol_jitter(mat):
-    """Cholesky with escalating diagonal jitter; None if hopeless."""
-    n = mat.shape[0]
-    jitter = 0.0
-    for _ in range(4):
-        try:
-            return np.linalg.cholesky(mat + jitter * np.eye(n) if jitter else mat)
-        except np.linalg.LinAlgError:
-            jitter = max(float(np.trace(mat)) / n, 1e-30) * 1e-12 if jitter == 0.0 \
-                else jitter * 1e4
-    return None
+def _norm(a):
+    """Frobenius norm of a vector or matrix."""
+    return math.sqrt(float(np.vdot(a, a)))
 
 
 def _chol_ridge(mat):
@@ -321,11 +324,36 @@ def _chol_ridge(mat):
     return None
 
 
-def _step_bound(d, *deltas):
-    """Largest alpha with diag(d) + alpha * delta >= 0 for every delta."""
+def _nt_scaling(S, Z):
+    """Nesterov-Todd scaling of S, Z > 0: (R, Rinv, d) with Rinv = R^-1 and
+    R^T Z R = diag(d) = Rinv S Rinv^T.
+
+    With S = Ls Ls^T, Z = Lz Lz^T and Lz^T Ls = U diag(d) V^T,
+    R = Ls V D^-1/2 and Rinv = D^-1/2 U^T Lz^T (Todd, Toh & Tutuncu 1998),
+    so no triangular solve.  Raises LinAlgError when a factorization fails.
+    """
+    Ls, Lz = _chol_ridge(S), _chol_ridge(Z)
+    if Ls is None or Lz is None:
+        raise np.linalg.LinAlgError("lost positive definiteness of an iterate")
+    U, d, Vt, info = _gesdd(Lz.T @ Ls)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"SVD of the Nesterov-Todd scaling did not converge (dgesdd info {info})")
+    d = np.maximum(d, 1e-150)
     sd = np.sqrt(d)
-    N = np.stack(deltas) / np.outer(sd, sd)
-    lo = float(np.linalg.eigvalsh(N)[:, 0].min())
+    return Ls @ (Vt.T / sd), (Lz @ (U / sd)).T, d
+
+
+def _step_bound(isd, *deltas):
+    """Largest alpha with diag(d) + alpha * delta >= 0 for every delta,
+    given isd = 1 / outer(sqrt d, sqrt d)."""
+    lo = np.inf
+    for delta in deltas:
+        w, _, _, _, info = _syevr(delta * isd, compute_v=0, range="I", il=1, iu=1,
+                                  lower=1)
+        if info:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        lo = min(lo, float(w[0]))
     if lo >= -1e-300:
         return np.inf
     return 1.0 / (-lo)
@@ -426,13 +454,12 @@ def solve(problem):
         # --- metrics of the tau-normalized iterate ---
         pobj = c_obj + float(c @ w) / tau
         dobj = c_obj - F0Z / tau
-        pres = max(float(np.linalg.norm(rpb, "fro")) / (tau * sc)
-                   for rpb, sc in zip(rp, p_scale))
-        dres = float(np.linalg.norm(rd)) / (tau * d_scale)
+        rp_norm, rd_norm = [_norm(rpb) for rpb in rp], _norm(rd)
+        pres = max(n / (tau * sc) for n, sc in zip(rp_norm, p_scale))
+        dres = rd_norm / (tau * d_scale)
         relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
-        wd_budget = (sum(float(np.linalg.norm(rpb, "fro")) * float(np.linalg.norm(Zb, "fro"))
-                         for rpb, Zb in zip(rp, Z))
-                     + float(np.linalg.norm(rd)) * float(np.linalg.norm(w))) / tau ** 2
+        wd_budget = (sum(n * _norm(Zb) for n, Zb in zip(rp_norm, Z))
+                     + rd_norm * _norm(w)) / tau ** 2
         history.append(IterateRecord(
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
             kappa=wd_budget, primal_res=pres, dual_res=dres))
@@ -448,13 +475,12 @@ def solve(problem):
         # --- certificates: tau -> 0 while kappa stays positive ---
         if tau < kappa and not accept:
             violation = -F0Z
-            if violation > 0.0 and float(np.linalg.norm(AZ)) <= FEAS_TOL * violation:
+            if violation > 0.0 and _norm(AZ) <= FEAS_TOL * violation:
                 status = "infeasible"
                 message = "Farkas certificate: tau -> 0 with b.y - <F0, Z> > 0"
                 break
             slope = -float(c @ w)
-            ray_res = max(float(np.linalg.norm(Lb - Sb, "fro"))
-                          for Lb, Sb in zip(lin, S))
+            ray_res = max(_norm(Lb - Sb) for Lb, Sb in zip(lin, S))
             if slope > 0.0 and ray_res <= FEAS_TOL * slope:
                 status = "unbounded"
                 message = "primal ray: tau -> 0 with c.x < 0"
@@ -471,37 +497,30 @@ def solve(problem):
             break
 
         # --- Nesterov-Todd scaling per block ---
-        Rs, Rinvs, ds, Qs, rpps, F0ts = [], [], [], [], [], []
-        for blk, Sb, Zb, rpb in zip(blocks, S, Z, rp):
-            Ls = _chol_jitter(Sb)
-            Lz = _chol_jitter(Zb)
-            if Ls is None or Lz is None:
-                status = "numerical-failure"
-                message = "lost positive definiteness of an iterate"
-                break
-            U, d, Vt = np.linalg.svd(Lz.T @ Ls)
-            d = np.maximum(d, 1e-150)
-            # Ls^-1 as Ls^T (upper, Fortran-ordered) solved transposed: the
-            # C-ordered numpy factor is passed without a copy
-            Ls_inv = _trtrs(Ls.T, np.eye(blk.dim), trans=1)[0]
-            R = Ls @ (Vt.T / np.sqrt(d)[None, :])
-            Rinv = np.sqrt(d)[:, None] * (Vt @ Ls_inv)
-            Q = np.matmul(np.matmul(Rinv, blk.mats), Rinv.T)
-            Rs.append(R)
-            Rinvs.append(Rinv)
-            ds.append(d)
-            Qs.append(Q)
-            rpps.append(Rinv @ rpb @ Rinv.T)
-            F0ts.append(Rinv @ blk.const @ Rinv.T)
-        if status:
+        Rs, Rinvs, ds, Ds, isds, Qs, rpps, F0ts = [], [], [], [], [], [], [], []
+        try:
+            for blk, Sb, Zb, rpb in zip(blocks, S, Z, rp):
+                R, Rinv, d = _nt_scaling(Sb, Zb)
+                sd = np.sqrt(d)
+                Q = np.matmul(np.matmul(Rinv, blk.mats), Rinv.T)
+                Rs.append(R)
+                Rinvs.append(Rinv)
+                ds.append(d)
+                Ds.append(np.diag(d))
+                isds.append(1.0 / np.outer(sd, sd))
+                Qs.append(Q.reshape(blk.var_idx.size, blk.dim * blk.dim))
+                rpps.append(Rinv @ rpb @ Rinv.T)
+                F0ts.append(Rinv @ blk.const @ Rinv.T)
+        except np.linalg.LinAlgError as err:
+            status = "numerical-failure"
+            message = str(err)
             break
 
         M = np.zeros((nw, nw))
         f0 = np.zeros(nw)
         for blk, ix, Q, F0t in zip(blocks, gram_idx, Qs, F0ts):
-            Qf = Q.reshape(blk.var_idx.size, blk.dim * blk.dim)
-            M[ix] += Qf @ Qf.T
-            f0[blk.var_idx] += Qf @ F0t.ravel()
+            M[ix] += Q @ Q.T
+            f0[blk.var_idx] += Q @ F0t.ravel()
         if not np.isfinite(M).all():
             status = "numerical-failure"
             message = "scaled normal (Gram) matrix M has a non-finite entry"
@@ -522,19 +541,19 @@ def solve(problem):
         def scaled_adjoint(Ks):
             h = np.zeros(nw)
             for blk, Q, Kb in zip(blocks, Qs, Ks):
-                h[blk.var_idx] += np.einsum("ijk,jk->i", Q, Kb)
+                h[blk.var_idx] += Q @ Kb.ravel()
             return h
 
         def directions(dw, dtau, Ks):
             dSp, dZp = [], []
             for blk, Q, Kb, rppb, F0t in zip(blocks, Qs, Ks, rpps, F0ts):
-                lin_b = dtau * F0t + np.einsum("i,ijk->jk", dw[blk.var_idx], Q)
+                lin_b = dtau * F0t + (dw[blk.var_idx] @ Q).reshape(blk.dim, blk.dim)
                 dSp.append(lin_b + rppb)
                 dZp.append(Kb - lin_b)
             return dSp, dZp
 
         # the affine-scaling target S~ Z~ = 0, so dS~ + dZ~ = -D
-        Ks_aff = [-np.diag(d) - rppb for d, rppb in zip(ds, rpps)]
+        Ks_aff = [-D - rppb for D, rppb in zip(Ds, rpps)]
         if accept:
             # w/tau still violates the blocks by about pres, so a last step
             # moves w and S alone at fixed tau.  The affine-scaling direction
@@ -545,13 +564,13 @@ def solve(problem):
             fix = -fixed_tau_step(scaled_adjoint(rpps))
             dw = fixed_tau_step(scaled_adjoint(Ks_aff) - rd)
             dSp = directions(dw, 0.0, Ks_aff)[0]
-            ap = min(1.0, STEP_FRACTION * min(_step_bound(d, dS) for d, dS in zip(ds, dSp)))
+            ap = min(1.0, STEP_FRACTION * min(_step_bound(isd, dS) for isd, dS in zip(isds, dSp)))
             dw_full = fix + ap * (dw - fix)
             dS_full = directions(dw_full, 0.0, Ks_aff)[0]
-            if min(_step_bound(d, dS) for d, dS in zip(ds, dS_full)) >= 1.0:
+            if min(_step_bound(isd, dS) for isd, dS in zip(isds, dS_full)) >= 1.0:
                 dw, dSp, ap = dw_full, dS_full, 1.0
             w = w + ap * dw
-            S = [R @ (np.diag(d) + ap * dS) @ R.T for R, d, dS in zip(Rs, ds, dSp)]
+            S = [R @ (D + ap * dS) @ R.T for R, D, dS in zip(Rs, Ds, dSp)]
             polished = True
             it += 1
             continue
@@ -574,7 +593,7 @@ def solve(problem):
             return u + dtau * p, dtau, (rtk - kappa * dtau) / tau
 
         def step_bound(dSp, dZp, dtau, dkappa):
-            return min(min(_step_bound(d, dS, dZ) for d, dS, dZ in zip(ds, dSp, dZp)),
+            return min(min(_step_bound(isd, dS, dZ) for isd, dS, dZ in zip(isds, dSp, dZp)),
                        -tau / dtau if dtau < 0.0 else np.inf,
                        -kappa / dkappa if dkappa < 0.0 else np.inf)
 
@@ -582,16 +601,16 @@ def solve(problem):
         dw_a, dt_a, dk_a = kkt_solve(Ks_aff, -tau * kappa)
         dSp_a, dZp_a = directions(dw_a, dt_a, Ks_aff)
         a_a = min(1.0, step_bound(dSp_a, dZp_a, dt_a, dk_a))
-        mu_aff = (sum(float(np.vdot(np.diag(d) + a_a * dS, np.diag(d) + a_a * dZ))
-                      for d, dS, dZ in zip(ds, dSp_a, dZp_a))
+        mu_aff = (sum(float(np.vdot(D + a_a * dS, D + a_a * dZ))
+                      for D, dS, dZ in zip(Ds, dSp_a, dZp_a))
                   + (tau + a_a * dt_a) * (kappa + a_a * dk_a)) / (ntot + 1)
         sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
         # corrector
         Ks = []
-        for d, rppb, dS_a, dZ_a in zip(ds, rpps, dSp_a, dZp_a):
+        for d, D, rppb, dS_a, dZ_a in zip(ds, Ds, rpps, dSp_a, dZp_a):
             cross = 0.5 * (dS_a @ dZ_a + dZ_a @ dS_a)
-            Rc = sigma * mu * np.eye(d.size) - np.diag(d * d) - cross
+            Rc = sigma * mu * np.eye(d.size) - D * D - cross
             G = 2.0 * Rc / np.add.outer(d, d)
             Ks.append(G - rppb)
         dw, dtau, dkappa = kkt_solve(Ks, sigma * mu - tau * kappa - dt_a * dk_a)
@@ -619,9 +638,9 @@ def solve(problem):
         tau += alpha * dtau
         kappa += alpha * dkappa
         S_new, Z_new = [], []
-        for R, Rinv, d, dS, dZ in zip(Rs, Rinvs, ds, dSp, dZp):
-            Sb = R @ (np.diag(d) + alpha * dS) @ R.T
-            Zb = Rinv.T @ (np.diag(d) + alpha * dZ) @ Rinv
+        for R, Rinv, D, dS, dZ in zip(Rs, Rinvs, Ds, dSp, dZp):
+            Sb = R @ (D + alpha * dS) @ R.T
+            Zb = Rinv.T @ (D + alpha * dZ) @ Rinv
             S_new.append(0.5 * (Sb + Sb.T))
             Z_new.append(0.5 * (Zb + Zb.T))
         S, Z = S_new, Z_new

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from keybound.extendibility import best_extendible_decomposition, verify_extension
 from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
                                 realize_protocol)
-from keybound.sdp import GAP_TOL, LmiBlock, SdpProblem, solve, write_sdpa
+from keybound.sdp import (GAP_TOL, LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve,
+                          write_sdpa)
 from keybound.states import DensityOperator
 from helpers import face_primal_oracle
 
@@ -137,6 +138,55 @@ def test_complex_block_stores_its_real_embedding(n, k, seed):
     sols = [solve(prob) for prob in problems]
     assert sols[0].status == sols[1].status == "optimal"
     assert sols[0].objective == sols[1].objective
+
+
+def random_spd(rng, n, log_cond):
+    """A random n x n SPD matrix with condition number 10 ** log_cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    ev = np.logspace(0.0, -log_cond, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return (q * ev) @ q.T
+
+
+@DERANDOMIZED
+@given(st.integers(1, 36), st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+       st.integers(0, 2**32 - 1))
+def test_nesterov_todd_scaling(n, log_cond_s, log_cond_z, seed):
+    # R^T Z R = diag(d) = R^-1 S R^-T, with R^-1 built from the SVD alone
+    rng = np.random.default_rng(seed)
+    S, Z = random_spd(rng, n, log_cond_s), random_spd(rng, n, log_cond_z)
+    R, Rinv, d = _nt_scaling(S, Z)
+    assert np.abs(R @ Rinv - np.eye(n)).max() <= 1e-8
+    for scaled in (R.T @ Z @ R, Rinv @ S @ Rinv.T):
+        assert np.abs(scaled - np.diag(d)).max() <= 1e-8 * d.max()
+
+
+def step_bound_reference(d, *deltas):
+    """The step bound from the lowest eigenvalue of every scaled direction."""
+    sd = np.sqrt(d)
+    lo = float(np.linalg.eigvalsh(np.stack(deltas) / np.outer(sd, sd))[:, 0].min())
+    return np.inf if lo >= -1e-300 else 1.0 / (-lo)
+
+
+@DERANDOMIZED
+@given(st.integers(1, 36), st.floats(0.0, 10.0), st.lists(st.booleans(), min_size=1, max_size=2),
+       st.integers(0, 2**32 - 1))
+def test_step_bound_matches_eigvalsh(n, log_cond, psd, seed):
+    # each direction is sqrt(d) N sqrt(d) with N of spectrum in [0.1, 1]
+    # (psd) or [-1, 1], so the bound is inf exactly when all are psd
+    rng = np.random.default_rng(seed)
+    d = np.logspace(0.0, -log_cond, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    sd = np.sqrt(d)
+    deltas = []
+    for is_psd in psd:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        ev = rng.uniform(0.1, 1.0, n) if is_psd else np.append(-1.0, rng.uniform(-1.0, 1.0, n - 1))
+        N = (q * ev) @ q.T
+        deltas.append(np.outer(sd, sd) * 0.5 * (N + N.T))
+    got, want = _step_bound(1.0 / np.outer(sd, sd), *deltas), step_bound_reference(d, *deltas)
+    if all(psd):
+        assert got == want == np.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs, solve_triangular
 
 from keybound.extendibility import best_extendible_decomposition, extension_sdp, pinned_problem
 from keybound.infotheory import JointDistribution
@@ -16,7 +16,7 @@ from keybound.protocols import (
     six_state_povms,
 )
 from keybound.sdp import (
-    LmiBlock, SdpProblem, _chol_ridge, _load_lapack, _potrs, _trtrs,
+    LmiBlock, SdpProblem, _chol_ridge, _gesdd, _load_lapack, _potrs, _syevr, _trtrs,
     check_feasible, feasibility_problem, solve, write_sdpa,
 )
 from keybound.states import DensityOperator, depolarized_bell
@@ -374,8 +374,12 @@ def test_rows_that_fix_every_variable(pin):
 
 
 def test_lapack_helpers_match_scipy_wrappers():
-    # solve() calls potrf/potrs/trtrs directly; its output bytes rest on
-    # these giving exactly the bits of the scipy wrappers they replace.
+    # solve() calls potrf/potrs/trtrs/gesdd/syevr directly; its output bytes
+    # rest on these giving exactly the bits of the scipy wrappers.  gesdd
+    # is compared with scipy's routine wrapper at the same (default)
+    # workspace: scipy.linalg.svd queries a smaller one, with which dgesdd
+    # takes another path at some sizes (n = 33..42 with scipy 1.17).
+    gesdd = get_lapack_funcs("gesdd", (np.zeros((1, 1)),))
     rng = np.random.default_rng(0)
     for n in range(2, 61):
         G = rng.standard_normal((n, n))
@@ -390,10 +394,13 @@ def test_lapack_helpers_match_scipy_wrappers():
                               solve_triangular(ref[0], B, lower=True))
         assert np.array_equal(_trtrs(L, B, lower=1, trans=1)[0],
                               solve_triangular(ref[0], B, lower=True, trans="T"))
-        # the C-ordered numpy factor of the Nesterov-Todd scaling
-        Lc = np.linalg.cholesky(spd)
-        assert np.array_equal(_trtrs(Lc.T, np.eye(n), trans=1)[0],
-                              solve_triangular(Lc, np.eye(n), lower=True))
+        for got, want in zip(_gesdd(G), gesdd(G)):
+            assert np.array_equal(got, want)
+        sym = G + G.T
+        w, _, m, _, info = _syevr(sym, compute_v=0, range="I", il=1, iu=1, lower=1)
+        assert info == 0 and m == 1
+        assert np.array_equal(w[:1], eigh(sym, eigvals_only=True, subset_by_index=[0, 0],
+                                          driver="evr", lower=True))
 
 
 def test_import_leaves_scipy_linalg_unimported():
@@ -414,7 +421,7 @@ def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
     # no loadable _flapack in the directory: the routines come from scipy.linalg
     if unloadable:
         (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
-    potrf, potrs, trtrs = _load_lapack(tmp_path)
+    potrf, potrs, trtrs, gesdd, syevr = _load_lapack(tmp_path)
     spd = np.array([[4.0, 2.0], [2.0, 3.0]])
     L, info = potrf(spd, lower=1)
     assert info == 0
@@ -423,6 +430,12 @@ def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
     b = np.array([1.0, 2.0])
     assert np.allclose(spd @ potrs(L, b, lower=1)[0], b)
     assert np.allclose(L @ trtrs(L, b, lower=1)[0], b)
+    U, s, Vt, info = gesdd(spd)
+    assert info == 0
+    assert np.allclose((U * s) @ Vt, spd)
+    w, _, m, _, info = syevr(spd, compute_v=0, range="I", il=1, iu=1, lower=1)
+    assert info == m - 1 == 0
+    assert w[0] == pytest.approx((7.0 - np.sqrt(17.0)) / 2.0)
 
 
 SIX_STATE = ProtocolSpec("six-state", e=0.1)
