@@ -1,17 +1,12 @@
 """Tour of the built-in semidefinite-program solver on small problems.
 
-Three stops: a solve with the per-iteration trace printed, an
-infeasible system and its certificates from solve and from
-check_feasible, and an SDPA-sparse dump of the problem for
-cross-checking with external solvers.
+Two stops: a solve with the per-iteration trace printed, and an
+infeasible system with the Farkas certificate solve returns for it.
 """
-
-import os
-import tempfile
 
 import numpy as np
 
-from keybound import LmiBlock, SdpProblem, check_feasible, solve, write_sdpa
+from keybound import LmiBlock, SdpProblem, solve
 
 
 def lambda_min_problem(mat):
@@ -44,24 +39,13 @@ def main():
         LmiBlock(const=-one, var_idx=(0,), mats=one[None]),
         LmiBlock(const=0 * one, var_idx=(0,), mats=-one[None]),
     ])
-    # solve reads the verdict from the embedding (tau -> 0, kappa > 0);
-    # check_feasible reads it from the dual of a phase-I slack program
-    for name, verdict in (("solve", solve(infeas)),
-                          ("check_feasible", check_feasible(infeas))):
-        print(f"  {name}: status {verdict.status}")
-        if verdict.certificate:
-            cert = verdict.certificate
-            print(f"    certificate kind={cert['kind']}"
-                  f"  violation={cert['violation']:.3e}"
-                  f"  stationarity={cert['stationarity_residual']:.1e}")
-
-    print("\nstop 3: SDPA-sparse dump")
-    path = os.path.join(tempfile.mkdtemp(), "lambda_min.dat-s")
-    write_sdpa(prob, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh.read().splitlines()[:8]:
-            print(f"  {line}")
-    print(f"  ... written to {path}")
+    # solve reads the verdict from the embedding (tau -> 0, kappa > 0)
+    verdict = solve(infeas)
+    cert = verdict.certificate
+    print(f"  solve: status {verdict.status}")
+    print(f"    certificate kind={cert['kind']}"
+          f"  violation={cert['violation']:.3e}"
+          f"  stationarity={cert['stationarity_residual']:.1e}")
 
 
 if __name__ == "__main__":

@@ -232,22 +232,6 @@ def build_sdp(cls):
     return SdpProblem(c=-cls.rhs, blocks=blocks), layout
 
 
-def pinned_problem(cls, lam):
-    """The extension program with the extendible weight pinned: f_000 = lam.
-
-    Feasibility of this problem (for lam in [0, 1]) is the question
-    "does the class admit a decomposition with weight exactly lam";
-    useful as an independent route to lambda_max via bisection.
-    """
-    problem, layout = extension_sdp(cls)
-    row = np.zeros((1, layout.total))
-    row[0, layout.n_r] = 1.0
-    rows = np.concatenate([problem.eq_rows, row], axis=0)
-    rhs = np.concatenate([problem.eq_rhs, [float(lam)]])
-    return SdpProblem(c=problem.c, blocks=problem.blocks,
-                      eq_rows=rows, eq_rhs=rhs), layout
-
-
 def extendibility_threshold(cls_lo, cls_hi, bracket):
     """Solve for the smallest parameter t of an affine family of classes
     whose class contains a state with extendible weight

@@ -471,9 +471,18 @@ def class_from_state(state):
                                 rhs=coeffs.ravel().copy())
 
 
+def _known_keys(obj, keys, what):
+    """ValueError naming the first key of obj outside keys: a misspelt
+    optional key would otherwise read as absent."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{what}: unknown key {key!r}")
+
+
 def _matrix_from_json(obj, what):
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{what}: expected an object with 're' (and optional 'im')")
+    _known_keys(obj, ("re", "im"), what)
     re = _json_floats(obj["re"], f"{what}: 're'")
     if re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"{what}: 're' must be a square matrix")
@@ -516,13 +525,16 @@ def _povm_from_json(items, dim, party):
         what = f"{party} element {idx}"
         if not isinstance(item, dict):
             raise ValueError(f"{what}: expected an object, got {item!r}")
+        _known_keys(item, ("label", "basis", "bit", "matrix"), what)
         if "label" not in item or "matrix" not in item:
             raise ValueError(f"{what}: needs 'label' and 'matrix'")
+        if ("basis" in item) != ("bit" in item):
+            raise ValueError(f"{what}: give both 'basis' and 'bit' or neither")
         m = _matrix_from_json(item["matrix"], what)
         if m.shape != (dim, dim):
             raise ValueError(f"{what}: matrix is {m.shape}, expected {(dim, dim)}")
         elements.append(m)
-    has_meta = ["basis" in item and "bit" in item for item in items]
+    has_meta = ["basis" in item for item in items]
     if any(has_meta) and not all(has_meta):
         raise ValueError(f"{party}: give basis/bit on every element or on none")
     bases = bits = None
@@ -554,14 +566,18 @@ def load_protocol(path):
 
     Each dims entry is a JSON integer >= 2.  basis/bit metadata is
     optional but required for error-rate reporting and for the
-    matched-basis key map; a bit is a non-negative JSON integer.  'im'
-    defaults to zero, and matrix entries must be finite.
+    matched-basis key map; an element gives both or neither, and a bit is
+    a non-negative JSON integer.  'im' defaults to zero, and matrix
+    entries must be finite.  A key outside this schema, in any object,
+    is refused.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
     if not isinstance(doc, dict):
         raise ValueError(f"a protocol file holds a JSON object, got {doc!r}")
+    _known_keys(doc, ("dims", "alice_povm", "bob_povm", "probabilities", "direction",
+                      "source_constraint", "alice_marginal"), "protocol file")
     for field_name in ("dims", "alice_povm", "bob_povm", "probabilities"):
         if field_name not in doc:
             raise ValueError(f"protocol file is missing {field_name!r}")
@@ -581,6 +597,7 @@ def load_protocol(path):
     for idx, rec in enumerate(_json_list(doc["probabilities"], "probabilities")):
         if not isinstance(rec, dict):
             raise ValueError(f"probability record {idx}: expected an object, got {rec!r}")
+        _known_keys(rec, ("alice", "bob", "p"), f"probability record {idx}")
         try:
             i, j = a_index[rec["alice"]], b_index[rec["bob"]]
         except KeyError as exc:

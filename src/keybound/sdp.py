@@ -41,8 +41,8 @@ Farkas certificate (A*(Z) = 0, Z >= 0, -<F0, Z> > 0) or w to a primal
 ray (F_lin(w) >= 0, c.w < 0).  A run whose tau would fall below
 TAU_FLOOR before either forms ends as numerical-failure, as does one
 whose gap and primal residual are met but not its dual residual, for
-DUAL_STALL_ITERS iterations in a row.  solve and check_feasible take no
-options: they stop on these module constants, read when they run.
+DUAL_STALL_ITERS iterations in a row.  solve takes no options: it stops
+on these module constants, read when it runs.
 
 With W = R R^T the scaling point of (S, Z), each iteration solves
 M dw = h for the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> by its Cholesky
@@ -72,7 +72,7 @@ import importlib.util
 import logging
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -86,8 +86,6 @@ MAX_ITER = 200
 DUAL_STALL_ITERS = 10   # in a row with gap and primal residual met, dual not
 # Share of the distance to the cone boundary that one step may travel.
 STEP_FRACTION = 0.98
-# check_feasible calls a problem feasible when its phase-I slack is at most this.
-FEASIBLE_MARGIN = 1e-8
 # Below this tau, tau ** 2 (which the metrics divide by) leaves the normal floats.
 TAU_FLOOR = math.sqrt(np.finfo(float).tiny)
 
@@ -670,122 +668,3 @@ def solve(problem):
         equality_residual=float(np.linalg.norm(b - A @ x)) / e_scale,
         iterations=it, history=history, certificate=certificate, message=message)
 
-
-def feasibility_problem(problem):
-    """Phase-I companion: minimize the uniform slack t with every block
-    shifted to F(x) + t I >= 0 and t >= -1 capping the objective below."""
-    t = problem.num_vars
-    blocks = []
-    for blk in problem.blocks:
-        mats = np.concatenate([blk.mats, np.eye(blk.dim)[None]])
-        idx = np.append(blk.var_idx, t)
-        blocks.append(LmiBlock(const=blk.const, var_idx=idx, mats=mats))
-    blocks.append(LmiBlock(const=np.array([[1.0]]), var_idx=np.array([t]),
-                           mats=np.array([[[1.0]]])))
-    c = np.zeros(t + 1)
-    c[t] = 1.0
-    m = problem.eq_rows.shape[0]
-    rows = np.hstack([problem.eq_rows, np.zeros((m, 1))]) if m else None
-    rhs = problem.eq_rhs if m else None
-    return SdpProblem(c=c, blocks=tuple(blocks), eq_rows=rows, eq_rhs=rhs)
-
-
-def check_feasible(problem):
-    """Decide feasibility of an SdpProblem by phase-I slack minimization.
-
-    Returns an SdpSolution whose status is 'optimal' (x is a point with
-    every block >= -FEASIBLE_MARGIN) or 'infeasible' (certificate attached:
-    multipliers with A*(Z) + A^T y = 0, Z >= 0 and <F0, Z> - rhs.y < 0;
-    an 'equality-ray' one, from solve, when the rows alone are
-    inconsistent), or 'numerical-failure' if the phase-I solve broke down.
-    """
-    A, b = problem.eq_rows, problem.eq_rhs
-    aux = feasibility_problem(problem)
-    sol = solve(aux)
-    if sol.status != "optimal":
-        sol.message = f"phase-I solve ended with {sol.status}: {sol.message}"
-        if sol.status != "infeasible":
-            sol.status = "numerical-failure"
-        return sol
-    tstar = float(sol.x[-1])
-    if tstar <= FEASIBLE_MARGIN:
-        return replace(sol, x=sol.x[:-1].copy(), objective=tstar,
-                       message=f"feasible with uniform margin {-tstar:.3e}")
-    nblk = len(problem.blocks)
-    y = sol.y
-    zs = sol.z_blocks[:nblk]
-    station = _adjoint(problem.blocks, zs, problem.num_vars) + A.T @ y
-    violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb))
-                                   for blk, Zb in zip(problem.blocks, zs))
-    return replace(
-        sol, status="infeasible", x=sol.x[:-1].copy(), z_blocks=zs, objective=tstar,
-        certificate={"kind": "farkas", "y": y, "z_blocks": zs,
-                     "violation": violation,
-                     "stationarity_residual": float(np.max(np.abs(station))),
-                     "margin": tstar},
-        message=f"infeasible: best uniform slack {tstar:.3e}")
-
-
-def write_sdpa(problem, path):
-    """Dump a problem in sparse SDPA format (.dat-s) for cross-checking.
-
-    Layout (fixed, so identical problems give identical bytes): one
-    comment line, then m, nblocks, the block size list (LMI blocks in
-    order, complex ones realified to twice their size, then two diagonal
-    blocks carrying the equalities as paired inequalities), then the
-    objective, then entries.  SDPA's constraint reads
-    sum_i x_i F_i - F0 >= 0, so constants are negated on output.  Entries
-    are emitted for matrix 0, 1, ..., m in order, within a matrix by
-    block, within a block by upper-triangle row-major position, skipping
-    exact zeros, with 17 significant digits.
-    """
-    blocks = problem.blocks
-    A, b = problem.eq_rows, problem.eq_rhs
-    meq = A.shape[0]
-    t = problem.num_vars
-    sizes = [blk.dim for blk in blocks]
-    if meq:
-        sizes += [-meq, -meq]
-
-    def entries_for(matno):
-        # yields (blkno, i, j, value) 1-based, upper triangle
-        for bi, blk in enumerate(blocks, start=1):
-            mat = None
-            if matno == 0:
-                mat = -blk.const
-            else:
-                pos = np.flatnonzero(blk.var_idx == matno - 1)
-                if pos.size:
-                    mat = blk.mats[pos[0]]
-            if mat is None:
-                continue
-            for i in range(blk.dim):
-                for j in range(i, blk.dim):
-                    v = float(mat[i, j])
-                    if v != 0.0:
-                        yield bi, i + 1, j + 1, v
-        if meq:
-            plus, minus = len(blocks) + 1, len(blocks) + 2
-            for k in range(meq):
-                if matno == 0:
-                    vp, vm = float(b[k]), float(-b[k])
-                else:
-                    vp = float(A[k, matno - 1])
-                    vm = -vp
-                if vp != 0.0:
-                    yield plus, k + 1, k + 1, vp
-                if vm != 0.0:
-                    yield minus, k + 1, k + 1, vm
-
-    lines = ["* keybound sdpa-sparse dump"]
-    lines.append(f"{t}")
-    lines.append(f"{len(sizes)}")
-    lines.append(" ".join(str(s) for s in sizes))
-    lines.append(" ".join(f"{v:.17g}" for v in problem.c))
-    for matno in range(t + 1):
-        for bi, i, j, v in entries_for(matno):
-            lines.append(f"{matno} {bi} {i} {j} {v:.17g}")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text

@@ -2,7 +2,12 @@
 
 The oracles here are deliberately independent of the solver internals:
 the bisection oracles only consume feasibility or extendibility
-verdicts, and the grid oracle evaluates eigenvalues directly.
+verdicts, and the grid oracle evaluates eigenvalues directly.  The
+feasibility oracle is a phase-I program: check_feasible minimizes a
+uniform slack over feasibility_problem and reads infeasibility from its
+dual; pinned_problem fixes the extendible weight of extension_sdp, so
+that check_feasible on it answers "is weight lam attainable" without the
+decomposition program.
 """
 
 import math
@@ -13,10 +18,84 @@ import numpy as np
 from keybound import bounds
 from keybound.basis import build_basis
 from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
-                                    _pinned_support, layout_for, pinned_problem)
+                                    _pinned_support, extension_sdp, layout_for)
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
-from keybound.sdp import LmiBlock, SdpProblem, check_feasible, solve
+from keybound.sdp import LmiBlock, SdpProblem, _adjoint, solve
 from keybound.states import DensityOperator
+
+# check_feasible calls a problem feasible when its phase-I slack is at most this.
+FEASIBLE_MARGIN = 1e-8
+
+
+def feasibility_problem(problem):
+    """Phase-I companion: minimize the uniform slack t with every block
+    shifted to F(x) + t I >= 0 and t >= -1 capping the objective below."""
+    t = problem.num_vars
+    blocks = []
+    for blk in problem.blocks:
+        mats = np.concatenate([blk.mats, np.eye(blk.dim)[None]])
+        idx = np.append(blk.var_idx, t)
+        blocks.append(LmiBlock(const=blk.const, var_idx=idx, mats=mats))
+    blocks.append(LmiBlock(const=np.array([[1.0]]), var_idx=np.array([t]),
+                           mats=np.array([[[1.0]]])))
+    c = np.zeros(t + 1)
+    c[t] = 1.0
+    m = problem.eq_rows.shape[0]
+    rows = np.hstack([problem.eq_rows, np.zeros((m, 1))]) if m else None
+    rhs = problem.eq_rhs if m else None
+    return SdpProblem(c=c, blocks=tuple(blocks), eq_rows=rows, eq_rhs=rhs)
+
+
+def check_feasible(problem):
+    """Decide feasibility of an SdpProblem by phase-I slack minimization.
+
+    Returns an SdpSolution whose status is 'optimal' (x is a point with
+    every block >= -FEASIBLE_MARGIN) or 'infeasible' (certificate attached:
+    multipliers with A*(Z) + A^T y = 0, Z >= 0 and <F0, Z> - rhs.y < 0;
+    an 'equality-ray' one, from solve, when the rows alone are
+    inconsistent), or 'numerical-failure' if the phase-I solve broke down.
+    """
+    A, b = problem.eq_rows, problem.eq_rhs
+    aux = feasibility_problem(problem)
+    sol = solve(aux)
+    if sol.status != "optimal":
+        sol.message = f"phase-I solve ended with {sol.status}: {sol.message}"
+        if sol.status != "infeasible":
+            sol.status = "numerical-failure"
+        return sol
+    tstar = float(sol.x[-1])
+    if tstar <= FEASIBLE_MARGIN:
+        return replace(sol, x=sol.x[:-1].copy(), objective=tstar,
+                       message=f"feasible with uniform margin {-tstar:.3e}")
+    nblk = len(problem.blocks)
+    y = sol.y
+    zs = sol.z_blocks[:nblk]
+    station = _adjoint(problem.blocks, zs, problem.num_vars) + A.T @ y
+    violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb))
+                                   for blk, Zb in zip(problem.blocks, zs))
+    return replace(
+        sol, status="infeasible", x=sol.x[:-1].copy(), z_blocks=zs, objective=tstar,
+        certificate={"kind": "farkas", "y": y, "z_blocks": zs,
+                     "violation": violation,
+                     "stationarity_residual": float(np.max(np.abs(station))),
+                     "margin": tstar},
+        message=f"infeasible: best uniform slack {tstar:.3e}")
+
+
+def pinned_problem(cls, lam):
+    """The extension program with the extendible weight pinned: f_000 = lam.
+
+    Feasibility of this problem (for lam in [0, 1]) is the question
+    "does the class admit a decomposition with weight exactly lam";
+    useful as an independent route to lambda_max via bisection.
+    """
+    problem, layout = extension_sdp(cls)
+    row = np.zeros((1, layout.total))
+    row[0, layout.n_r] = 1.0
+    rows = np.concatenate([problem.eq_rows, row], axis=0)
+    rhs = np.concatenate([problem.eq_rhs, [float(lam)]])
+    return SdpProblem(c=problem.c, blocks=problem.blocks,
+                      eq_rows=rows, eq_rhs=rhs), layout
 
 
 def lambda_bisection_oracle(cls, tol=5e-5):

@@ -17,9 +17,10 @@ from keybound.protocols import (
     ProtocolSpec, assemble_class, matched_key_distribution, realize_protocol,
     simulate_observed_data,
 )
-from keybound.sdp import LmiBlock, SdpProblem, check_feasible, solve
+from keybound.sdp import LmiBlock, SdpProblem, solve
 from keybound.states import depolarized_bell
-from helpers import grid_search_minimum, lambda_bisection_oracle, random_box_sdp
+from helpers import (check_feasible, grid_search_minimum, lambda_bisection_oracle,
+                     random_box_sdp)
 
 CUT4 = 0.5 * (1.0 - 1.0 / math.sqrt(2.0))
 CUT6 = 1.0 / 6.0

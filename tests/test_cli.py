@@ -195,6 +195,19 @@ def _rename_bob_bases(doc):
         element["basis"] = {"X": "U", "Z": "V"}[element["basis"]]
 
 
+def _rename_key(elements, old, new):
+    """Rename key old to new in each element, as a misspelt key would be."""
+    def corrupt(doc):
+        for element in elements(doc):
+            element[new] = element.pop(old)
+    return corrupt
+
+
+def _drop_bits(doc):
+    for element in doc["bob_povm"]:
+        del element["bit"]
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (lambda doc: doc["probabilities"][3].update(p=None), "probability record 3: 'p'"),
     (lambda doc: doc["probabilities"].__setitem__(3, ["X0", "Z1", 0.1]),
@@ -214,9 +227,25 @@ def _rename_bob_bases(doc):
     (lambda doc: doc.update(bob_povm=None), "bob_povm"),
     (lambda doc: doc.update(probabilities=None), "probabilities"),
     (_rename_bob_bases, "no matched-basis probability mass"),
+    # a misspelt or missing optional key used to read as absent: no key
+    # metadata, the default source constraint, a real matrix
+    (_rename_key(lambda doc: doc["alice_povm"], "bit", "bits"),
+     "alice_povm element 0: unknown key 'bits'"),
+    (_drop_bits, "bob_povm element 0: give both 'basis' and 'bit' or neither"),
+    (lambda doc: doc.update(source_constrant=True),
+     "protocol file: unknown key 'source_constrant'"),
+    (_rename_key(lambda doc: [doc["bob_povm"][1]["matrix"]], "im", "imag"),
+     "bob_povm element 1: unknown key 'imag'"),
+    (lambda doc: doc.update(alice_marginal={"re": [[0.5, 0.0], [0.0, 0.5]],
+                                            "imag": [[0.0, 0.0], [0.0, 0.0]]}),
+     "alice_marginal: unknown key 'imag'"),
+    (lambda doc: doc["probabilities"][2].update(q=0.1),
+     "probability record 2: unknown key 'q'"),
 ], ids=["null-p", "record-not-object", "null-bit", "null-dim", "fractional-dim",
         "string-dim", "nan-marginal", "inf-povm-entry", "element-not-object",
-        "null-povm", "null-probabilities", "no-shared-basis"])
+        "null-povm", "null-probabilities", "no-shared-basis", "misspelt-bit",
+        "basis-without-bit", "misspelt-top-level-key", "misspelt-im",
+        "misspelt-marginal-im", "extra-record-key"])
 def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     doc = _custom_doc()
     corrupt(doc)

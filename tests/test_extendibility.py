@@ -11,18 +11,18 @@ from keybound import extendibility
 from keybound.basis import build_basis, expand
 from keybound.extendibility import (
     SUPPORT_TOL, best_extendible_decomposition, build_sdp,
-    extendibility_threshold, extension_sdp, layout_for, pinned_problem,
-    verify_extension,
+    extendibility_threshold, extension_sdp, layout_for, verify_extension,
 )
 from keybound.protocols import (
     EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
     realize_protocol,
 )
-from keybound.sdp import SolverError, check_feasible, solve
+from keybound.sdp import SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              partial_trace_matrix, swap_last_two)
-from helpers import (chi_reference, extend_qutrit_stream_state,
-                     lambda_bisection_oracle, three_block_reference, trivial_class)
+from helpers import (check_feasible, chi_reference, extend_qutrit_stream_state,
+                     lambda_bisection_oracle, pinned_problem, three_block_reference,
+                     trivial_class)
 
 
 def six_state_class(e):

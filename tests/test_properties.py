@@ -5,18 +5,15 @@ database, so each run checks the same cases.
 """
 
 import functools
-import os
-import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from keybound.extendibility import best_extendible_decomposition, verify_extension
 from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
                                 realize_protocol)
-from keybound.sdp import (GAP_TOL, LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve,
-                          write_sdpa)
+from keybound.sdp import GAP_TOL, LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve
 from keybound.states import DensityOperator
 from helpers import face_primal_oracle
 
@@ -64,6 +61,27 @@ def test_lambda_max_invariant_under_local_unitaries(case):
         best_extendible_decomposition(class_from_state(DensityOperator(m, dims))).lambda_max
         for m in (mat, rotated))
     assert abs(lam - lam_rot) <= 1e-8
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_two_qubit_verdict_matches_closed_form(rank, mixed, seed):
+    # a two-qubit state has a symmetric extension on B exactly when
+    # Tr(rho_B^2) >= Tr(rho_AB^2) - 4 sqrt(det rho_AB) (Chen, Ji, Kribs,
+    # Lutkenhaus & Zeng, PRA 90, 032318 (2014)), a check with no SDP in it;
+    # unmixed ranks 1-3 take the face program, the rest the witness program
+    rng = np.random.default_rng(seed)
+    mat = random_state(rng, (2, 2), rank)
+    if mixed:
+        weight = rng.uniform()
+        mat = (1.0 - weight) * mat + weight * np.eye(4) / 4.0
+    rho_b = np.einsum("abac->bc", mat.reshape(2, 2, 2, 2))
+    margin = (np.vdot(rho_b, rho_b).real - np.vdot(mat, mat).real
+              + 4.0 * np.sqrt(max(np.linalg.det(mat).real, 0.0)))
+    # near the boundary 1 - lambda_max is about 2 |margin|, within LAMBDA_TOL
+    assume(abs(margin) >= 1e-4)
+    res = best_extendible_decomposition(class_from_state(DensityOperator(mat, (2, 2))))
+    assert res.extendible == (margin >= 0.0)
 
 
 PINNED_CASES = [((2, 2), r) for r in range(1, 5)] + [((2, 3), r) for r in range(1, 7)]
@@ -117,7 +135,7 @@ def random_hermitian(rng, *shape):
 @given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_complex_block_stores_its_real_embedding(n, k, seed):
     # a complex block and its realification given as real input are one
-    # block: the same stored arrays, SDPA bytes and solve
+    # block: the same stored arrays and solve
     rng = np.random.default_rng(seed)
     const = random_hermitian(rng, n, n)
     const = const @ const + 0.1 * np.eye(n)
@@ -132,9 +150,6 @@ def test_complex_block_stores_its_real_embedding(n, k, seed):
     assert np.array_equal(blocks[0].const, blocks[1].const)
     assert np.array_equal(blocks[0].mats, blocks[1].mats)
     problems = [SdpProblem(c=c, blocks=[blk]) for blk in blocks]
-    with tempfile.TemporaryDirectory() as tmp:
-        texts = [write_sdpa(prob, os.path.join(tmp, "p.dat-s")) for prob in problems]
-    assert texts[0] == texts[1]
     sols = [solve(prob) for prob in problems]
     assert sols[0].status == sols[1].status == "optimal"
     assert sols[0].objective == sols[1].objective

@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs, solve_triangular
 
-from keybound.extendibility import best_extendible_decomposition, extension_sdp, pinned_problem
+from keybound.extendibility import best_extendible_decomposition, extension_sdp
 from keybound.infotheory import JointDistribution
 from keybound.protocols import (
     Povm, ProtocolSpec, assemble_class, realize_protocol, simulate_observed_data,
     six_state_povms,
 )
 from keybound.sdp import (
-    LmiBlock, SdpProblem, _chol_ridge, _gesdd, _load_lapack, _potrs, _syevr, _trtrs,
-    check_feasible, feasibility_problem, solve, write_sdpa,
+    LmiBlock, SdpProblem, _chol_ridge, _gesdd, _load_lapack, _potrs, _syevr, _trtrs, solve,
 )
 from keybound.states import DensityOperator, depolarized_bell
-from helpers import grid_search_minimum, random_box_sdp, random_hermitian
+from helpers import (check_feasible, feasibility_problem, grid_search_minimum, pinned_problem,
+                     random_box_sdp, random_hermitian)
 
 ONE = np.ones((1, 1))
 
@@ -466,49 +466,6 @@ def test_feasibility_problem_shape():
     ph1 = feasibility_problem(prob)
     assert ph1.num_vars == prob.num_vars + 1
     assert len(ph1.blocks) == len(prob.blocks) + 1
-
-
-GOLDEN_SDPA = """* keybound sdpa-sparse dump
-2
-3
-2 -1 -1
-1 2
-0 1 1 1 -2
-0 1 2 2 -1
-0 2 1 1 0.5
-0 3 1 1 -0.5
-1 1 1 1 1
-1 1 1 2 0.5
-1 2 1 1 1
-1 3 1 1 -1
-2 1 2 2 1
-2 2 1 1 -1
-2 3 1 1 1
-"""
-
-
-def test_sdpa_dump_golden_bytes(tmp_path):
-    f1 = np.array([[1.0, 0.5], [0.5, 0.0]])
-    f2 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    f0 = np.array([[2.0, 0.0], [0.0, 1.0]])
-    prob = SdpProblem(
-        c=np.array([1.0, 2.0]),
-        blocks=[LmiBlock(const=f0, var_idx=(0, 1), mats=np.array([f1, f2]))],
-        eq_rows=np.array([[1.0, -1.0]]), eq_rhs=np.array([0.5]))
-    path = tmp_path / "dump.dat-s"
-    text = write_sdpa(prob, path)
-    assert text == GOLDEN_SDPA
-    assert path.read_text() == GOLDEN_SDPA
-
-
-def test_sdpa_dump_complex_block_realifies(tmp_path):
-    y = np.array([[0, -1j], [1j, 0]])
-    prob = SdpProblem(
-        c=np.array([1.0]),
-        blocks=[LmiBlock(const=-y, var_idx=(0,), mats=np.eye(2, dtype=complex)[None])])
-    text = write_sdpa(prob, tmp_path / "c.dat-s")
-    sizes = text.splitlines()[3]
-    assert sizes.strip() == "4"  # 2x2 Hermitian becomes one 4x4 real block
 
 
 def test_solver_tolerances_are_respected():
