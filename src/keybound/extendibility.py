@@ -35,14 +35,15 @@ for every decomposition, so a feasible y is a proof that the class holds
 no state closer to the extendible set, written on the observed
 statistics.  The solver's dual blocks are the decomposition itself:
 T = rho - sigma~ and chi~ (a realified block of size 2n holds the
-complex (Z11 + Z22) + i (Z21 - Z12)), and rho* = T + Tr_B'(chi~).  Both
-are divided by Tr(rho*), which the solve meets only to its dual
-residual, and mapped to the (r, f) vector above, so the unpack and
-verify_extension see the same coordinates on every path.  lambda is
-the f_000 of that decomposition, not b.y.  When the witness solve does
+complex (Z11 + Z22) + i (Z21 - Z12)).  _decomposition turns such a pair
+into the reported matrices: it symmetrizes chi~ under P, sets
+sigma~ = Tr_B'(chi~) and rho* = T + sigma~, and divides all three by
+Tr(rho*), which the solve meets only to its dual residual.  lambda is
+Tr(chi~) of that decomposition, not b.y.  When the witness solve does
 not end optimal (its dual residual can stall near 1e-7 at error rates
 close to 0, and inconsistent rows make it unbounded), the extension
-program is solved instead.
+program is solved instead, and its (r, f) is mapped once to
+chi~ = sum_i f_i chi_mats[i] and T = rho - Tr_B'(chi~).
 
 When the class rows pin rho to one rank-deficient state, the program
 has no strictly feasible point: every v in ker(rho) has
@@ -51,8 +52,8 @@ F = (supp(rho) (x) C^{d_B}) intersected with its B <-> B' swap.
 best_extendible_decomposition then solves the dual of the extension
 program on that face, the face witness program of _solve_on_face.  It
 and its dual are strictly feasible, so it needs no fallback, and its
-dual blocks map to the (r, f) vector as above.  An empty face gives
-lambda_max = 0 with no solve.
+dual blocks give T and chi~ as above.  An empty face gives
+lambda_max = 0 with no solve: T = rho and chi~ = 0.
 
 extendibility_threshold reuses the extension program for a family of
 classes affine in one parameter: the parameter becomes a variable,
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,12 +84,11 @@ VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
 @dataclass(frozen=True, eq=False)
 class VariableLayout:
     """The data-independent part of the extension program for one dims
-    pair: variable indexing over the two groups r and f, the two LMI
-    blocks rho - sigma~ >= 0 and chi~ >= 0, the objective c, sigma_idx,
-    the indices of the f_{k,l,0} that are sigma~'s coefficients in
-    (k, l) order (the first, n_r, is f_000, the extendible weight), and
-    chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack of
-    swap-symmetric extension operators with chi~ = sum_i f_i chi_mats[i].
+    pair: variable indexing over the two groups r and f (the first f,
+    at n_r, is f_000, the extendible weight), the two LMI blocks
+    rho - sigma~ >= 0 and chi~ >= 0, the objective c, and chi_mats, the
+    (n_f, d_A d_B^2, d_A d_B^2) stack of swap-symmetric extension
+    operators with chi~ = sum_i f_i chi_mats[i].
     The class rows, the only equalities, come with each problem.
 
     Built once per dims by layout_for and shared by every problem of that
@@ -98,7 +98,6 @@ class VariableLayout:
     dims: tuple
     blocks: tuple = field(repr=False)
     c: np.ndarray = field(repr=False)
-    sigma_idx: np.ndarray = field(repr=False)
     chi_mats: np.ndarray = field(repr=False)
 
     @property
@@ -120,12 +119,6 @@ class VariableLayout:
     @property
     def total(self):
         return self.n_r + self.n_f
-
-    def f_index(self, k, l, m):
-        """Index of f_klm; the f variables run over k, then l, then m <= l."""
-        if m > l:
-            l, m = m, l
-        return self.n_r + k * self.nb * (self.nb + 1) // 2 + l * (l + 1) // 2 + m
 
 
 @functools.lru_cache(maxsize=8)
@@ -155,6 +148,7 @@ def layout_for(dims):
     n_r = na * nb
     n_f = chi_mats.shape[0]
     ls = np.arange(nb)
+    # sigma~'s coefficients: the f_{k,l,0}, in (k, l) order
     sigma_idx = (n_r + np.add.outer(np.arange(na) * (nb * (nb + 1) // 2),
                                     ls * (ls + 1) // 2)).ravel()
     blocks = (
@@ -170,9 +164,7 @@ def layout_for(dims):
     c[0] = 1.0       # r_00
     c[n_r] = -1.0    # f_000
     c.setflags(write=False)
-    sigma_idx.setflags(write=False)
-    return VariableLayout(dims=(da, db), blocks=blocks, c=c,
-                          sigma_idx=sigma_idx, chi_mats=chi_mats)
+    return VariableLayout(dims=(da, db), blocks=blocks, c=c, chi_mats=chi_mats)
 
 
 def extension_sdp(cls):
@@ -267,7 +259,12 @@ def extendibility_threshold(cls_lo, cls_hi, bracket):
 
 @dataclass(frozen=True, eq=False)
 class ExtendibilityResult:
-    """Outcome of the joint decomposition solve."""
+    """Outcome of the joint decomposition solve.
+
+    sigma_tilde and chi_tilde are sigma~ = lambda sigma_ext and
+    chi~ = lambda chi as solved, before clipping, with trace
+    diagnostics["raw_lambda"]; solution is the solve of the program
+    named by diagnostics["program"], as it ended."""
 
     lambda_max: float
     rho_star: DensityOperator
@@ -275,7 +272,8 @@ class ExtendibilityResult:
     rho_ne: DensityOperator | None
     chi: DensityOperator | None
     solution: object
-    layout: VariableLayout
+    sigma_tilde: np.ndarray
+    chi_tilde: np.ndarray
     diagnostics: dict
 
     @property
@@ -306,11 +304,12 @@ def _to_density(mat, dims, diagnostics, name):
 
 
 def _pinned_support(cls, layout):
-    """(r, w, S) when the class rows pin rho (full column rank, consistent
+    """(w, S) when the class rows pin rho (full column rank, consistent
     within the solver's feasibility tolerance) to a state whose smallest
     eigenvalue lies in [-SUPPORT_TOL, SUPPORT_TOL]: w its eigenvalues
-    above SUPPORT_TOL, S their orthonormal eigenvectors and r the
-    coefficients of S diag(w) S^+.  None for every other class."""
+    above SUPPORT_TOL and S their orthonormal eigenvectors, so
+    S diag(w) S^+ is rho with its kernel eigenvalues, rounding, set to
+    exactly zero.  None for every other class."""
     r, _, rank, _ = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)
     if rank < layout.n_r:
         return None
@@ -323,10 +322,7 @@ def _pinned_support(cls, layout):
     if abs(w[0]) > SUPPORT_TOL:
         return None
     keep = w > SUPPORT_TOL
-    w, S = w[keep], V[:, keep]
-    # kernel eigenvalues are rounding: set them to exactly zero
-    r = expand((S * w) @ S.conj().T, bases).ravel()
-    return r, w, S
+    return w[keep], V[:, keep]
 
 
 def _face_basis(S, dims):
@@ -361,51 +357,45 @@ def _hermitian_stack(n):
     return out
 
 
-def _solve_on_face(cls, r, w, S, layout):
-    """The face witness program of a pinned, rank-deficient rho, solved
-    and mapped to the full (r, f) vector.
+def _solve_on_face(w, S, dims):
+    """The face witness program of a pinned, rank-deficient
+    rho = S diag(w) S^+, solved.
 
     The variables are the coordinates of a Hermitian X on supp(rho) over
-    _hermitian_stack: minimize Tr(diag(w) X), S^+ rho S = diag(w), with
-    X >= 0 and sum_b' W_b'^+ X W_b' >= I, W_b' = (S^+ (x) <b'|) V, for
-    each nonempty swap part V of the face.  Its dual blocks give
-    T = S Z_0 S^+ and chi~ = sum_V V Z_V V^+.  Returns (SdpSolution, face
-    dimension); a solve that does not end optimal is returned as it ended.
+    _hermitian_stack: minimize Tr(diag(w) X) with X >= 0 and
+    sum_b' W_b'^+ X W_b' >= I, W_b' = (S^+ (x) <b'|) V, for each nonempty
+    swap part V of the face.  Its dual blocks give T = S Z_0 S^+ and
+    chi~ = sum_V V Z_V V^+.  Returns (SdpSolution, face dimension,
+    (T, chi~)); a solve that does not end optimal is returned as it
+    ended, with None for the pair.  An empty face needs no solve: X = 0,
+    T = rho and chi~ = 0.
     """
-    parts = [V for V in _face_basis(S, layout.dims) if V.shape[1]]
+    parts = [V for V in _face_basis(S, dims) if V.shape[1]]
     k = sum(V.shape[1] for V in parts)
-    r00 = float(r[0])   # Tr(rho)
     if k == 0:
+        n = S.shape[0] * dims[1]
         return SdpSolution(
-            status="optimal", x=np.concatenate([r, np.zeros(layout.n_f)]),
-            y=np.zeros(0), z_blocks=[], objective=r00, dual_objective=r00,
-            duality_gap=0.0, primal_residual=0.0, dual_residual=0.0,
-            equality_residual=0.0, iterations=0,
+            status="optimal", x=np.zeros(0), y=np.zeros(0), z_blocks=[],
+            objective=0.0, dual_objective=0.0, duality_gap=0.0,
+            primal_residual=0.0, dual_residual=0.0, equality_residual=0.0,
+            iterations=0,
             message=(f"empty face: supp(rho) (x) C^d_B (support rank {w.size}) "
-                     "meets its swap only in 0, so lambda_max = 0 without a solve")), 0
+                     "meets its swap only in 0, so lambda_max = 0 without a solve")
+        ), 0, ((S * w) @ S.conj().T, np.zeros((n, n)))
     xs = _hermitian_stack(w.size)
     idx = np.arange(xs.shape[0])
     blocks = [LmiBlock(const=np.zeros(xs.shape[1:]), var_idx=idx, mats=xs)]
     for V in parts:
-        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, layout.dims[1], V.shape[1]))
+        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, dims[1], V.shape[1]))
         blocks.append(LmiBlock(const=-np.eye(V.shape[1]), var_idx=idx,
                                mats=np.einsum("bsk,jst,btl->jkl", W.conj(), xs, W)))
     sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
     if sol.status != "optimal":
-        return sol, k
+        return sol, k, None
     T = S @ _complex_block(sol.z_blocks[0], w.size) @ S.conj().T
     chi = sum(V @ _complex_block(Z, V.shape[1]) @ V.conj().T
               for V, Z in zip(parts, sol.z_blocks[1:]))
-    return _witness_decomposition(sol, T, chi, r00 - sol.objective, cls, layout), k
-
-
-def _chi_coefficients(chi, layout):
-    """The f of chi~'s projection onto the swap-symmetric operators:
-    chi_mats is an orthogonal basis of them, so
-    f_i = Tr(chi_mats[i] chi~) / Tr(chi_mats[i]^2)."""
-    mats = layout.chi_mats
-    return (np.einsum("ijk,kj->i", mats, chi).real
-            / np.einsum("ijk,ikj->i", mats, mats).real)
+    return sol, k, (T, chi)
 
 
 def _complex_block(Z, n):
@@ -416,27 +406,17 @@ def _complex_block(Z, n):
     return (Z[:n, :n] + Z[n:, n:]) + 1j * (Z[n:, :n] - Z[:n, n:])
 
 
-def _witness_decomposition(sol, T, chi, witness_value, cls, layout):
-    """An optimal witness solve mapped to the extension program's (r, f)
-    coordinates, from T = rho - sigma~ and chi~, each a complex matrix or
-    the realified solver block that holds it.
-
-    f is chi~'s swap-symmetric projection, sigma~'s coefficients are the
-    f_{k,l,0}, and rho* = T + sigma~; both are divided by Tr(rho*), which
-    the solve meets only to its dual residual.  objective and
-    equality_residual are the extension program's (1 - f_000, the class
-    residual), dual_objective is witness_value <= 1 - lambda_max, y is the
-    witness, and the rest is the witness solve's.
-    """
-    da, db = layout.dims
-    f = _chi_coefficients(_complex_block(chi, da * db * db), layout)
-    r = expand(_complex_block(T, da * db), tuple(map(build_basis, layout.dims))).ravel() \
-        + f[layout.sigma_idx - layout.n_r]
-    x = np.concatenate([r, f]) / r[0]
-    resid = np.linalg.norm(cls.rows @ x[:layout.n_r] - cls.rhs)
-    return replace(sol, x=x, y=sol.x, objective=float(layout.c @ x),
-                   dual_objective=float(witness_value),
-                   equality_residual=float(resid / (1.0 + np.linalg.norm(cls.rhs))))
+def _decomposition(T, chi, dims):
+    """(rho*, sigma~, chi~) from T = rho - sigma~ and an extension chi~:
+    chi~ symmetrized as (chi~ + P chi~ P) / 2, sigma~ = Tr_B'(chi~) and
+    rho* = T + sigma~, all three divided by Tr(rho*), which a solve meets
+    only to its residuals.  lambda = Tr(chi~)."""
+    P = swap_last_two(dims)
+    chi = 0.5 * (chi + P @ chi @ P)
+    sigma = partial_trace_matrix(chi, (*dims, dims[1]), keep=(0, 1))
+    rho = T + sigma
+    tr = np.trace(rho).real
+    return rho / tr, sigma / tr, chi / tr
 
 
 def best_extendible_decomposition(cls):
@@ -454,72 +434,75 @@ def best_extendible_decomposition(cls):
     support rank and the face dimension (None for both otherwise).  Every
     other class runs the witness program ("witness"), and the extension
     program ("extension") when the witness solve does not end optimal.
-    The solution, the unpack and verify_extension stay in the full (r, f)
-    coordinates; diagnostics["class_residual"] is
-    ||A r* - b|| / (1 + ||b||) at the reported rho*.
+    Every path gives a pair (T, chi~) that _decomposition turns into the
+    result's matrices.  diagnostics["witness_value"] is the solve's lower
+    bound on 1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) on a face;
+    None for the extension program), and diagnostics["class_residual"]
+    is ||A r* - b|| / (1 + ||b||) at the reported rho*.
     """
     layout = layout_for(tuple(cls.dims))
+    da, db = dims = layout.dims
     pinned = _pinned_support(cls, layout)
     support_rank = face_dim = None
     if pinned is None:
         program, sol = "witness", solve(build_sdp(cls)[0])
-        if sol.status == "optimal":
-            sol = _witness_decomposition(sol, *sol.z_blocks, cls.rhs @ sol.x, cls, layout)
-        else:
+        if sol.status != "optimal":
             program, sol = "extension", solve(extension_sdp(cls)[0])
     else:
-        program, (sol, face_dim) = "face", _solve_on_face(cls, *pinned, layout)
-        support_rank = pinned[1].size
+        program, support_rank = "face", pinned[0].size
+        sol, face_dim, pair = _solve_on_face(*pinned, dims)
     if sol.status != "optimal":
         raise SolverError(
             f"decomposition solve ended with status {sol.status}: {sol.message}",
             solution=sol)
 
-    raw_lam = float(sol.x[layout.n_r])
+    bases = (build_basis(da), build_basis(db))
+    if program == "witness":
+        witness_value = float(cls.rhs @ sol.x)
+        pair = (_complex_block(sol.z_blocks[0], da * db),
+                _complex_block(sol.z_blocks[1], da * db * db))
+    elif program == "extension":
+        witness_value = None
+        chi = np.tensordot(sol.x[layout.n_r:], layout.chi_mats, 1)
+        rho = reconstruct(sol.x[:layout.n_r].reshape(layout.na, layout.nb), bases)
+        pair = (rho - partial_trace_matrix(chi, (da, db, db), keep=(0, 1)), chi)
+    else:
+        witness_value = float(pinned[0].sum() - sol.objective)
+    rho, sigma, chi = _decomposition(*pair, dims)
+
+    raw_lam = float(np.trace(chi).real)
     if raw_lam < -1e-6 or raw_lam > 1.0 + 1e-6:
         raise SolverError(f"extendible weight {raw_lam} escapes [0, 1]",
                           solution=sol)
     lam = min(max(raw_lam, 0.0), 1.0)
 
-    da, db = layout.dims
-    basis_a, basis_b = build_basis(da), build_basis(db)
-    r = sol.x[:layout.n_r].reshape(layout.na, layout.nb)
-    e = sol.x[layout.sigma_idx].reshape(layout.na, layout.nb)
-    f = sol.x[layout.n_r:]
-
     diagnostics = {"program": program, "raw_lambda": raw_lam,
+                   "witness_value": witness_value,
                    "support_rank": support_rank, "face_dim": face_dim}
-    rho_star = _to_density(reconstruct(r, (basis_a, basis_b)), (da, db),
-                           diagnostics, "rho_star")
-    resid = cls.rows @ expand(rho_star.matrix, (basis_a, basis_b)).ravel() - cls.rhs
+    rho_star = _to_density(rho, dims, diagnostics, "rho_star")
+    resid = cls.rows @ expand(rho_star.matrix, bases).ravel() - cls.rhs
     diagnostics["class_residual"] = float(np.linalg.norm(resid)
                                           / (1.0 + np.linalg.norm(cls.rhs)))
-    sigma_ext = rho_ne = chi = None
+    sigma_ext = rho_ne = chi_ext = None
     if lam > LAMBDA_TOL:
-        sigma_ext = _to_density(reconstruct(e, (basis_a, basis_b)) / lam,
-                                (da, db), diagnostics, "sigma_ext")
-        chi = _to_density(np.tensordot(f, layout.chi_mats, 1) / lam,
-                          (da, db, db), diagnostics, "chi")
+        sigma_ext = _to_density(sigma / lam, dims, diagnostics, "sigma_ext")
+        chi_ext = _to_density(chi / lam, (da, db, db), diagnostics, "chi")
     if lam < 1.0 - LAMBDA_TOL:
-        resid = (reconstruct(r, (basis_a, basis_b))
-                 - reconstruct(e, (basis_a, basis_b))) / (1.0 - lam)
-        rho_ne = _to_density(resid, (da, db), diagnostics, "rho_ne")
+        rho_ne = _to_density((rho - sigma) / (1.0 - lam), dims, diagnostics, "rho_ne")
 
     return ExtendibilityResult(
         lambda_max=lam, rho_star=rho_star, sigma_ext=sigma_ext,
-        rho_ne=rho_ne, chi=chi, solution=sol, layout=layout,
-        diagnostics=diagnostics)
+        rho_ne=rho_ne, chi=chi_ext, solution=sol, sigma_tilde=sigma,
+        chi_tilde=chi, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
 class ExtensionReport:
     """Residuals certifying a reported decomposition.
 
-    Most equalities hold by construction (the swap symmetry is built
-    into the chi parameterization, and sigma~ is read from chi~'s
-    f_{k,l,0}, the coefficients of its partial trace); the residuals
-    confirm the numerics survived reconstruction, clipping and
-    renormalization.
+    Most equalities hold by construction (chi~ is symmetrized under the
+    swap, and sigma~ is its partial trace over B'); the residuals confirm
+    the numerics survived clipping and renormalization.
     """
 
     lambda_max: float
@@ -534,29 +517,19 @@ class ExtensionReport:
 
 def verify_extension(result):
     """Check the reported decomposition against its defining equations."""
-    layout = result.layout
-    da, db = layout.dims
-    basis_a, basis_b = build_basis(da), build_basis(db)
-    sol = result.solution
+    da, db = result.rho_star.dims
     lam = result.lambda_max
-
-    e = sol.x[layout.sigma_idx].reshape(layout.na, layout.nb)
-    f = sol.x[layout.n_r:]
-    sigma_raw = reconstruct(e, (basis_a, basis_b))
-    chi_raw = np.tensordot(f, layout.chi_mats, 1)
-
     if result.sigma_ext is not None:
-        sigma_part = lam * result.sigma_ext.matrix
-        chi_mat = result.chi.matrix
-        chi_part = lam * chi_mat
+        sigma_mat, chi_mat = result.sigma_ext.matrix, result.chi.matrix
+        sigma_part, chi_part = lam * sigma_mat, lam * chi_mat
     else:
-        sigma_part = sigma_raw
-        chi_mat = chi_raw
-        chi_part = chi_raw
+        sigma_mat = sigma_part = result.sigma_tilde
+        chi_mat = chi_part = result.chi_tilde
     if result.rho_ne is not None:
-        ne_part = (1.0 - lam) * result.rho_ne.matrix
+        ne_mat = result.rho_ne.matrix
+        ne_part = (1.0 - lam) * ne_mat
     else:
-        ne_part = result.rho_star.matrix - sigma_raw
+        ne_mat = ne_part = result.rho_star.matrix - result.sigma_tilde
 
     decomp = float(np.max(np.abs(sigma_part + ne_part - result.rho_star.matrix)))
 
@@ -568,16 +541,9 @@ def verify_extension(result):
     ptrace_res = float(np.max(np.abs(marg_bp - sigma_part)))
     marginal_res = float(np.max(np.abs(marg_bp - marg_b)))
 
-    eigs = {
-        "rho_star": float(np.linalg.eigvalsh(result.rho_star.matrix)[0]),
-        "sigma": float(np.linalg.eigvalsh(
-            result.sigma_ext.matrix if result.sigma_ext is not None
-            else sigma_raw)[0]),
-        "rho_ne": float(np.linalg.eigvalsh(
-            result.rho_ne.matrix if result.rho_ne is not None
-            else ne_part)[0]),
-        "chi": float(np.linalg.eigvalsh(chi_mat)[0]),
-    }
+    eigs = {name: float(np.linalg.eigvalsh(mat)[0]) for name, mat in (
+        ("rho_star", result.rho_star.matrix), ("sigma", sigma_mat),
+        ("rho_ne", ne_mat), ("chi", chi_mat))}
     tol = VERIFY_TOLERANCES
     passed = (decomp <= tol["decomposition"] and swap_res <= tol["swap"]
               and ptrace_res <= tol["partial_trace"]

@@ -479,6 +479,17 @@ def _known_keys(obj, keys, what):
             raise ValueError(f"{what}: unknown key {key!r}")
 
 
+def _label_index(rec, party, index, what):
+    """index[rec[party]], or ValueError naming a missing key or a label
+    that no POVM element has (a JSON list or object never does)."""
+    if party not in rec:
+        raise ValueError(f"{what}: missing key {party!r}")
+    try:
+        return index[rec[party]]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what}: unknown label {rec[party]!r}") from None
+
+
 def _matrix_from_json(obj, what):
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{what}: expected an object with 're' (and optional 'im')")
@@ -598,10 +609,8 @@ def load_protocol(path):
         if not isinstance(rec, dict):
             raise ValueError(f"probability record {idx}: expected an object, got {rec!r}")
         _known_keys(rec, ("alice", "bob", "p"), f"probability record {idx}")
-        try:
-            i, j = a_index[rec["alice"]], b_index[rec["bob"]]
-        except KeyError as exc:
-            raise ValueError(f"probability record {idx}: unknown label {exc}") from None
+        i, j = (_label_index(rec, party, index, f"probability record {idx}")
+                for party, index in (("alice", a_index), ("bob", b_index)))
         if seen[i, j]:
             raise ValueError(f"probability record {idx}: duplicate pair")
         seen[i, j] = True

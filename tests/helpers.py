@@ -136,7 +136,7 @@ def face_primal_oracle(cls):
     the optimum (Tr(rho) = 1).  Returns (lambda_max, SdpSolution).
     """
     layout = layout_for(tuple(cls.dims))
-    _, w, S = _pinned_support(cls, layout)
+    w, S = _pinned_support(cls, layout)
     sym, anti = _face_basis(S, layout.dims)
     n_sym, n_anti = sym.shape[1], anti.shape[1]
     k = n_sym + n_anti

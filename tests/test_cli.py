@@ -241,11 +241,20 @@ def _drop_bits(doc):
      "alice_marginal: unknown key 'imag'"),
     (lambda doc: doc["probabilities"][2].update(q=0.1),
      "probability record 2: unknown key 'q'"),
+    (lambda doc: doc["probabilities"][0].pop("alice"),
+     "probability record 0: missing key 'alice'"),
+    (lambda doc: doc["probabilities"][1].pop("bob"),
+     "probability record 1: missing key 'bob'"),
+    (lambda doc: doc["probabilities"][0].update(alice=[0]),
+     "probability record 0: unknown label [0]"),
+    (lambda doc: doc["probabilities"][0].update(bob={"label": "Z0"}),
+     "probability record 0: unknown label {'label': 'Z0'}"),
 ], ids=["null-p", "record-not-object", "null-bit", "null-dim", "fractional-dim",
         "string-dim", "nan-marginal", "inf-povm-entry", "element-not-object",
         "null-povm", "null-probabilities", "no-shared-basis", "misspelt-bit",
         "basis-without-bit", "misspelt-top-level-key", "misspelt-im",
-        "misspelt-marginal-im", "extra-record-key"])
+        "misspelt-marginal-im", "extra-record-key", "record-without-alice",
+        "record-without-bob", "list-label", "object-label"])
 def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     doc = _custom_doc()
     corrupt(doc)

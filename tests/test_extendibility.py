@@ -43,22 +43,6 @@ def test_variable_layout_counts():
         assert not hasattr(lay, "n_e") and not hasattr(lay, "coupling")
 
 
-def test_variable_layout_symmetry():
-    for dims in LAYOUT_SIZES:
-        _, lay = build_sdp(trivial_class(dims))
-        assert lay.f_index(1, 3, 2) == lay.f_index(1, 2, 3)
-        assert lay.f_index(0, 0, 0) == lay.n_r
-        # the closed form walks the f block in (k, l, m <= l) order, no gaps
-        order = [lay.f_index(k, l, m) for k in range(lay.na)
-                 for l in range(lay.nb) for m in range(l + 1)]
-        assert order == list(range(lay.n_r, lay.total))
-        # sigma~'s coefficients are the f_{k,l,0}, in (k, l) order
-        assert lay.sigma_idx.tolist() == [lay.f_index(k, l, 0)
-                                          for k in range(lay.na)
-                                          for l in range(lay.nb)]
-        assert lay.sigma_idx[0] == lay.n_r == lay.f_index(0, 0, 0)
-
-
 @pytest.mark.parametrize("dims", sorted(LAYOUT_SIZES))
 def test_chi_stack_matches_kronecker_reference(dims):
     lay = layout_for(dims)
@@ -82,7 +66,7 @@ def test_build_sdp_shares_structure_per_dims():
 
 def test_cached_structure_is_read_only():
     lay = layout_for((2, 2))
-    arrays = [lay.c, lay.sigma_idx, lay.chi_mats]
+    arrays = [lay.c, lay.chi_mats]
     for blk in lay.blocks:
         arrays += [blk.const, blk.mats, blk.var_idx]
     for arr in arrays:
@@ -99,7 +83,7 @@ def test_sdp_structure():
     assert not prob.eq_rows[:, lay.n_r:].any()
     # objective rewards the non-extendible weight only
     assert prob.c[0] == 1.0
-    assert prob.c[lay.f_index(0, 0, 0)] == -1.0
+    assert prob.c[lay.n_r] == -1.0   # f_000
     assert np.count_nonzero(prob.c) == 2
 
 
@@ -319,12 +303,12 @@ def test_face_witness_program_size(rank, num_vars, block_dims, monkeypatch):
     state = random_qutrit_state(np.random.default_rng(5), rank)
     res = best_extendible_decomposition(class_from_state(state))
     (problem,) = problems
-    assert problem.num_vars == num_vars == res.solution.y.size
+    assert problem.num_vars == num_vars == res.solution.x.size
     assert [blk.dim for blk in problem.blocks] == block_dims
     assert problem.eq_rows.shape[0] == 0
-    # the reported y is a feasible witness
+    # the reported x is a feasible witness
     for blk in problem.blocks:
-        slack = blk.const + np.einsum("i,ijk->jk", res.solution.y, blk.mats)
+        slack = blk.const + np.einsum("i,ijk->jk", res.solution.x, blk.mats)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
 
 
@@ -380,7 +364,7 @@ def test_face_program_matches_full_program_where_it_converges():
     assert res.diagnostics["face_dim"] is not None
     full = solve(extension_sdp(cls)[0])
     assert full.status == "optimal"
-    full_lam = float(full.x[res.layout.n_r])
+    full_lam = float(full.x[layout_for(cls.dims).n_r])
     assert full_lam == pytest.approx(1.0, abs=1e-6)
     assert res.lambda_max == pytest.approx(full_lam, abs=1e-6)
 

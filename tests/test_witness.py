@@ -9,7 +9,7 @@ import pytest
 from keybound import extendibility
 from keybound.bounds import one_way_upper_bound
 from keybound.extendibility import (best_extendible_decomposition, build_sdp,
-                                    extension_sdp, verify_extension)
+                                    extension_sdp, layout_for, verify_extension)
 from keybound.protocols import (EquivalenceClassSpec, ProtocolSpec, assemble_class,
                                 class_from_state, realize_protocol)
 from keybound.sdp import SolverError, solve
@@ -46,7 +46,7 @@ def assert_witness_agrees(cls):
     assert verify_extension(res).passed
     assert abs(res.lambda_max - extension_lambda(cls)) <= AGREE_TOL
     # the witness value is a lower bound on 1 - lambda_max
-    assert res.solution.dual_objective <= 1.0 - res.lambda_max + AGREE_TOL
+    assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + AGREE_TOL
     assert res.diagnostics["class_residual"] <= 1e-8
     return res
 
@@ -73,20 +73,23 @@ def test_duplicated_consistent_rows_solve_optimal():
         best_extendible_decomposition(cls).lambda_max, abs=AGREE_TOL)
 
 
-def test_solution_keeps_the_extension_programs_meaning():
+def test_solution_is_the_witness_solve():
     cls = protocol_class("four-state", 0.05)
     res = best_extendible_decomposition(cls)
-    sol, layout = res.solution, res.layout
-    # x is the (r, f) vector of a unit-trace decomposition, y the witness
-    assert sol.x.shape == (layout.total,) and sol.x[0] == pytest.approx(1.0, abs=1e-15)
-    assert sol.objective == pytest.approx(float(layout.c @ sol.x), abs=1e-15)
-    assert sol.objective == pytest.approx(1.0 - res.lambda_max, abs=1e-12)
-    assert sol.y.shape == (cls.rows.shape[0],)
-    assert sol.dual_objective == pytest.approx(float(cls.rhs @ sol.y), abs=1e-15)
-    assert 0.0 < sol.equality_residual <= 1e-8
+    sol, d = res.solution, res.diagnostics
+    # x is the witness y, one entry per class row, and b.y is its value
+    assert sol.x.shape == (cls.rows.shape[0],)
+    assert d["witness_value"] == pytest.approx(float(cls.rhs @ sol.x), abs=1e-15)
+    assert sol.objective == pytest.approx(-d["witness_value"], abs=1e-15)
+    assert d["witness_value"] == pytest.approx(1.0 - res.lambda_max, abs=AGREE_TOL)
+    # the record is a unit-trace decomposition whose Tr(chi~) is lambda
+    assert d["rho_star_trace_shift"] <= 1e-12
+    assert np.trace(res.sigma_tilde).real == pytest.approx(d["raw_lambda"], abs=1e-15)
+    assert np.trace(res.chi_tilde).real == d["raw_lambda"]
+    assert 0.0 < d["class_residual"] <= 1e-8
     # the witness is feasible: W(y) >= 0 and sym(W(y) (x) I_B') - I >= 0
     for blk in build_sdp(cls)[0].blocks:
-        slack = blk.const + np.einsum("i,ijk->jk", sol.y, blk.mats)
+        slack = blk.const + np.einsum("i,ijk->jk", sol.x, blk.mats)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
 
 
@@ -126,8 +129,9 @@ def test_stalled_witness_solve_falls_back_early(kind, direction, source_constrai
         assert [sol.status for sol in runs[1:]] == ["optimal"]
 
 
-def test_non_optimal_witness_solve_falls_back(monkeypatch):
-    cls = protocol_class("six-state", 0.05)
+def fail_witness_solves(monkeypatch):
+    """Make every witness solve (the program with no equality rows) end
+    numerical-failure; returns the list of variable counts solved."""
     runs = []
 
     def failing_witness(problem):
@@ -138,11 +142,40 @@ def test_non_optimal_witness_solve_falls_back(monkeypatch):
         return sol
 
     monkeypatch.setattr(extendibility, "solve", failing_witness)
+    return runs
+
+
+def test_non_optimal_witness_solve_falls_back(monkeypatch):
+    cls = protocol_class("six-state", 0.05)
+    runs = fail_witness_solves(monkeypatch)
     res = best_extendible_decomposition(cls)
-    assert runs == [cls.rows.shape[0], res.layout.total]
+    assert runs == [cls.rows.shape[0], layout_for(cls.dims).total]
     assert res.diagnostics["program"] == "extension"
     assert verify_extension(res).passed
     assert res.lambda_max == pytest.approx(0.3, abs=AGREE_TOL)
+
+
+@pytest.mark.parametrize("e", [0.02, 0.08, 0.14, 0.2])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypatch):
+    # the extension program's (r, f) is mapped once to the same matrices
+    # the witness solve's dual blocks give
+    cls = protocol_class(kind, e, direction)
+    witness = best_extendible_decomposition(cls)
+    fail_witness_solves(monkeypatch)
+    res = best_extendible_decomposition(cls)
+    assert res.diagnostics["program"] == "extension"
+    assert res.diagnostics["witness_value"] is None
+    assert np.trace(res.chi_tilde).real == res.diagnostics["raw_lambda"]
+    assert res.lambda_max == pytest.approx(witness.lambda_max, abs=AGREE_TOL)
+    assert verify_extension(res).passed
+    # an extendible class (e = 0.2) has many decompositions with lambda = 1
+    # (four-state leaves rho* free, and sigma~ has many extensions), and
+    # the two solves may end at different ones
+    if not witness.extendible:
+        assert np.max(np.abs(res.sigma_tilde - witness.sigma_tilde)) <= 1e-6
+        assert np.max(np.abs(res.chi_tilde - witness.chi_tilde)) <= 1e-6
 
 
 def test_inconsistent_rows_raise_infeasible(monkeypatch):
