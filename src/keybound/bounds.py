@@ -16,19 +16,23 @@ the full-POVM variant is carried alongside for reference.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .extendibility import best_extendible_decomposition, extendibility_threshold
+from .basis import build_basis, expand
+from .extendibility import LAMBDA_TOL, best_extendible_decomposition, verify_extension
 from .infotheory import JointDistribution, mutual_information
 from .protocols import (ProtocolSpec, assemble_class, matched_key_distribution, qber,
                         realize_protocol, simulate_observed_data)
-from .sdp import FEAS_TOL, SolverError
+from .sdp import SolverError
 
 CSV_COLUMNS = ("e", "qber", "lambda_max", "mutual_info_ne", "upper_bound",
                "duality_gap", "status")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -110,18 +114,22 @@ def sweep(protocol, e_grid, direction="direct", source_constraint=None):
 
 def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
                 source_constraint=None):
-    """Smallest error rate at which the class turns extendible, as one SDP.
+    """Smallest error rate at which the class turns extendible, certified
+    by one witness solve.
 
-    protocol: "four-state" or "six-state".  The threshold is the least e
-    in bracket whose class contains a state with
-    lambda_max >= 1 - LAMBDA_TOL (extendibility_threshold).  The
-    built-in family depolarized_bell(e) is affine in e, so its classes
-    are interpolated from the two bracket ends; the class re-assembled
-    at the answer must match that interpolation within 1e-9, or
-    ValueError.  The class must be extendible at bracket[1] and not at
-    bracket[0] (ValueError otherwise).  tol is the certified accuracy:
-    tol must be finite and positive, and a solve whose duality gap
-    objective - dual objective exceeds tol raises SolverError.
+    protocol: "four-state" or "six-state".  The cutoff is the least e in
+    bracket whose class holds a state with lambda_max >= 1 - LAMBDA_TOL.
+    The classes, affine in e, are interpolated from the bracket ends, which
+    must share their rows, as b(e) = b(lo) + (e - lo) slope; the class at
+    the answer must match b within 1e-9 (ValueError otherwise).  One
+    decomposition runs at lo + (hi - lo) / 8, or at lo when that point is
+    extendible.  Its witness y has b(e).y <= 1 - lambda_max(e) for every
+    e, so the root L of b(L).y = LAMBDA_TOL bounds the cutoff from below;
+    its sigma_ext and rho_ne, which must pass verify_extension, lie on the
+    family at e_s and e_n, so U = (1 - LAMBDA_TOL) e_s + LAMBDA_TOL e_n
+    holds a state of extendible weight 1 - LAMBDA_TOL.  Returns L.  tol must be
+    finite and positive; an interval [L, U] wider than tol, or none, raises
+    SolverError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -130,37 +138,57 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
 
     def class_at(e):
         cls_spec = replace(base, e=float(e))
-        povms, data = realize_protocol(cls_spec)
-        return assemble_class(povms, data, cls_spec)
+        return assemble_class(*realize_protocol(cls_spec), cls_spec)
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must be an increasing pair")
     cls_lo, cls_hi = class_at(lo), class_at(hi)
-    sol = extendibility_threshold(cls_lo, cls_hi, (lo, hi))
-    # just below the cutoff the solve can break down before certifying a
-    # bad bracket; one decomposition at hi then tells the two apart
-    if sol.status == "infeasible" or (
-            sol.status == "numerical-failure"
-            and not best_extendible_decomposition(cls_hi).extendible):
+    if cls_hi.rows.shape != cls_lo.rows.shape \
+            or np.max(np.abs(cls_hi.rows - cls_lo.rows), initial=0.0) > 1e-9:
+        raise ValueError("the classes at the bracket ends have different rows; "
+                         "the family is not affine")
+    slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
+    e_w = lo + (hi - lo) / 8
+    res = best_extendible_decomposition(
+        replace(cls_lo, rhs=cls_lo.rhs + (e_w - lo) * slope))
+    solves = [(e_w, res.solution.iterations)]
+    if res.extendible:
+        e_w, res = lo, best_extendible_decomposition(cls_lo)
+        solves.append((lo, res.solution.iterations))
+        if res.extendible:
+            raise ValueError(f"lower bracket e={lo} is already extendible")
+    # the extension fallback's witness is its dual y; a face solve has none
+    y = {"witness": res.solution.x, "extension": res.solution.y}.get(
+        res.diagnostics["program"], np.zeros_like(slope))
+    at_lo, rate = float(cls_lo.rhs @ y), float(slope @ y)
+    if at_lo + (hi - lo) * rate > LAMBDA_TOL:
         raise ValueError(f"upper bracket e={hi} is not extendible")
-    if sol.status != "optimal":
-        raise SolverError(f"threshold solve ended with status {sol.status}: "
-                          f"{sol.message}", solution=sol)
-    cut = float(sol.x[-1])
-    gap = abs(sol.objective - sol.dual_objective)
-    if cut - lo <= max(gap, FEAS_TOL):
-        raise ValueError(f"lower bracket e={lo} is already extendible")
-    if gap > tol:
-        raise SolverError(f"threshold duality gap {gap:.3e} exceeds tol {tol:.3e}",
-                          solution=sol)
+    if at_lo <= LAMBDA_TOL or res.sigma_ext is None or not verify_extension(res).passed:
+        raise SolverError(f"the decomposition at e={e_w} certifies no cutoff",
+                          solution=res.solution)
+    cut = lo + (LAMBDA_TOL - at_lo) / rate
+
+    def place(state):   # the e at which state's statistics lie on the family
+        stats = cls_lo.rows @ expand(state.matrix, map(build_basis, state.dims)).ravel()
+        e = lo + float(slope @ (stats - cls_lo.rhs) / (slope @ slope))
+        if np.max(np.abs(cls_lo.rhs + (e - lo) * slope - stats)) > 1e-9:
+            raise SolverError(f"the decomposition at e={e_w} has a part off the "
+                              "family", solution=res.solution)
+        return e
+
+    upper = (1.0 - LAMBDA_TOL) * place(res.sigma_ext) + LAMBDA_TOL * place(res.rho_ne)
+    log.debug("cutoff in [%.12g, %.12g], width %.3e; solves (e, iterations): %s",
+              cut, upper, upper - cut, solves)
+    if abs(upper - cut) > tol:
+        raise SolverError(f"certified interval [{cut!r}, {upper!r}] exceeds tol "
+                          f"{tol:.3e}", solution=res.solution)
     cls_cut = class_at(cut)
-    expected = cls_lo.rhs + (cut - lo) * (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
     if cls_cut.rows.shape != cls_lo.rows.shape \
             or np.max(np.abs(cls_cut.rows - cls_lo.rows), initial=0.0) > 1e-9 \
-            or np.max(np.abs(cls_cut.rhs - expected), initial=0.0) > 1e-9:
+            or np.max(np.abs(cls_cut.rhs - cls_lo.rhs - (cut - lo) * slope)) > 1e-9:
         raise ValueError(f"the class at e={cut} is not affine in e over the "
-                         "bracket; the threshold program does not apply")
+                         "bracket; the cutoff certificate does not apply")
     return cut
 
 

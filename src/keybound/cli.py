@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: bound (one point), sweep (a grid of points), cutoff
-(the extendibility threshold, as one SDP; --tol is its certified
-accuracy), check-extendible (yes/no at one error rate).  Exit codes: 0
-on success, 1 when a solve fails or a point comes back failed, 2 on
-invalid input or an unwritable output path.  Output files are written
-whole via a temporary file and atomic rename, so a failed run leaves
-nothing partial behind.  When --out is a relative path and
+Subcommands: bound (one point), sweep (a grid of points), cutoff (the
+extendibility threshold from one witness solve; --tol bounds its
+certified interval), check-extendible (yes/no at one error rate).  Exit
+codes: 0 on success, 1 when a solve fails or a point comes back failed,
+2 on invalid input or an unwritable output path.  Output files are
+written whole via a temporary file and atomic rename, so a failed run
+leaves nothing partial behind.  When --out is a relative path and
 KEYBOUND_OUTPUT_DIR is set, output lands there.
 """
 
@@ -124,7 +124,7 @@ def build_parser():
     p_cut = subs.add_parser("cutoff", help="solve for the extendibility threshold")
     _add_common(p_cut, with_e=False)
     p_cut.add_argument("--tol", type=float, default=1e-3,
-                       help="certified accuracy: a larger duality gap exits 1")
+                       help="certified interval width: a wider interval exits 1")
     p_cut.add_argument("--bracket", default="0:0.25")
 
     p_chk = subs.add_parser("check-extendible",

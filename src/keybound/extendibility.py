@@ -30,20 +30,18 @@ operators O_j = sum_kl A[j, kl] S_k (x) S_l, so Tr(O_j rho) = (A r)_j,
                            sym(W(y) (x) I_B') - I >= 0,
 
 with sym(X) = (X + P X P) / 2 and P = swap_last_two.  It has no
-equality rows, and its optimum is -(1 - lambda_max): b.y <= 1 - lambda
-for every decomposition, so a feasible y is a proof that the class holds
-no state closer to the extendible set, written on the observed
-statistics.  The solver's dual blocks are the decomposition itself:
-T = rho - sigma~ and chi~ (a realified block of size 2n holds the
-complex (Z11 + Z22) + i (Z21 - Z12)).  _decomposition turns such a pair
-into the reported matrices: it symmetrizes chi~ under P, sets
-sigma~ = Tr_B'(chi~) and rho* = T + sigma~, and divides all three by
-Tr(rho*), which the solve meets only to its dual residual.  lambda is
-Tr(chi~) of that decomposition, not b.y.  When the witness solve does
-not end optimal (its dual residual can stall near 1e-7 at error rates
-close to 0, and inconsistent rows make it unbounded), the extension
-program is solved instead, and its (r, f) is mapped once to
-chi~ = sum_i f_i chi_mats[i] and T = rho - Tr_B'(chi~).
+equality rows, and its blocks do not depend on b: a feasible y has
+b'.y <= 1 - lambda_max for every class with rows A, whatever its b', so
+one y proves on the observed statistics that none of those classes holds
+a state closer to the extendible set (bounds.find_cutoff certifies a
+cutoff so).  Its optimum is -(1 - lambda_max), and the solver's dual
+blocks are the decomposition: T = rho - sigma~ and chi~, which
+_decomposition turns into the reported matrices, with lambda = Tr(chi~)
+rather than b.y.  When the witness solve does not end optimal (its dual
+residual can stall near 1e-7 at error rates close to 0, and inconsistent
+rows make it unbounded), the extension program is solved instead, and
+its (r, f) is mapped once to chi~ = sum_i f_i chi_mats[i] and
+T = rho - Tr_B'(chi~).
 
 When the class rows pin rho to one rank-deficient state, the program
 has no strictly feasible point: every v in ker(rho) has
@@ -54,10 +52,6 @@ program on that face, the face witness program of _solve_on_face.  It
 and its dual are strictly feasible, so it needs no fallback, and its
 dual blocks give T and chi~ as above.  An empty face gives
 lambda_max = 0 with no solve: T = rho and chi~ = 0.
-
-extendibility_threshold reuses the extension program for a family of
-classes affine in one parameter: the parameter becomes a variable,
-lambda is held near 1, and the parameter is minimized.
 """
 
 from __future__ import annotations
@@ -222,39 +216,6 @@ def build_sdp(cls):
     layout = layout_for(tuple(cls.dims))
     blocks = _witness_blocks(cls.rows.tobytes(), cls.rows.shape, layout.dims)
     return SdpProblem(c=-cls.rhs, blocks=blocks), layout
-
-
-def extendibility_threshold(cls_lo, cls_hi, bracket):
-    """Solve for the smallest parameter t of an affine family of classes
-    whose class contains a state with extendible weight
-    lambda >= 1 - LAMBDA_TOL.
-
-    The family is interpolated from its classes at the bracket ends
-    (lo, hi): at t its rows are the common rows, its right-hand side
-    rhs(lo) + (t - lo) * slope with slope = (rhs(hi) - rhs(lo)) / (hi - lo).
-    The program is the extension program plus one variable t, last: one
-    diagonal 3x3 block holds lo <= t <= hi and f_000 >= 1 - LAMBDA_TOL,
-    and the objective is min t.  Returns the SdpSolution whatever its
-    status; t is x[-1].
-    """
-    lo, hi = bracket
-    if cls_hi.dims != cls_lo.dims or cls_hi.rows.shape != cls_lo.rows.shape \
-            or np.max(np.abs(cls_hi.rows - cls_lo.rows), initial=0.0) > 1e-9:
-        raise ValueError("the classes at the bracket ends have different rows; "
-                         "the family is not affine")
-    problem, layout = extension_sdp(cls_lo)
-    n = layout.total
-    slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
-    bounds = LmiBlock(const=np.diag([-lo, hi, LAMBDA_TOL - 1.0]),
-                      var_idx=[n, layout.n_r],
-                      mats=[np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
-    blocks = problem.blocks + (bounds,)
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    threshold = SdpProblem(c=c, blocks=blocks,
-                           eq_rows=np.column_stack([problem.eq_rows, -slope]),
-                           eq_rhs=problem.eq_rhs - lo * slope)
-    return solve(threshold)
 
 
 @dataclass(frozen=True, eq=False)

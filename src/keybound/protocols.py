@@ -479,14 +479,20 @@ def _known_keys(obj, keys, what):
             raise ValueError(f"{what}: unknown key {key!r}")
 
 
+def _json_label(value):
+    """str(value), as Povm keeps a label, for a JSON string or integer;
+    None for any other JSON value."""
+    return str(value) if isinstance(value, str) or type(value) is int else None
+
+
 def _label_index(rec, party, index, what):
-    """index[rec[party]], or ValueError naming a missing key or a label
-    that no POVM element has (a JSON list or object never does)."""
+    """index[str(rec[party])], or ValueError naming a missing key or a
+    label that no POVM element has (a JSON list or object never does)."""
     if party not in rec:
         raise ValueError(f"{what}: missing key {party!r}")
     try:
-        return index[rec[party]]
-    except (KeyError, TypeError):
+        return index[_json_label(rec[party])]
+    except KeyError:
         raise ValueError(f"{what}: unknown label {rec[party]!r}") from None
 
 
@@ -539,6 +545,9 @@ def _povm_from_json(items, dim, party):
         _known_keys(item, ("label", "basis", "bit", "matrix"), what)
         if "label" not in item or "matrix" not in item:
             raise ValueError(f"{what}: needs 'label' and 'matrix'")
+        if _json_label(item["label"]) is None:
+            raise ValueError(f"{what}: 'label' must be a string or an integer, "
+                             f"got {item['label']!r}")
         if ("basis" in item) != ("bit" in item):
             raise ValueError(f"{what}: give both 'basis' and 'bit' or neither")
         m = _matrix_from_json(item["matrix"], what)
@@ -578,9 +587,10 @@ def load_protocol(path):
     Each dims entry is a JSON integer >= 2.  basis/bit metadata is
     optional but required for error-rate reporting and for the
     matched-basis key map; an element gives both or neither, and a bit is
-    a non-negative JSON integer.  'im' defaults to zero, and matrix
-    entries must be finite.  A key outside this schema, in any object,
-    is refused.
+    a non-negative JSON integer.  A label is a JSON string or integer, and
+    records match it by its string form.  'im' defaults to zero, and
+    matrix entries must be finite.  A key outside this schema, in any
+    object, is refused.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

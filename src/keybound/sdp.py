@@ -362,8 +362,8 @@ def _row_factors(key, shape):
     """For equality rows A given by bytes and shape: K, the columns A touches,
     the mask free of the others, pos (a free column's index among them, a
     touched one's in K), and from one SVD the pseudo-inverse of A[:, K]
-    and an orthonormal basis N of its null space.  Cached: a sweep's points
-    share their rows, as do a cutoff's threshold programs."""
+    and an orthonormal basis N of its null space.  Cached: the extension
+    fallback, the one program here with rows, meets a protocol's rows again."""
     A = np.frombuffer(key).reshape(shape)
     K = np.flatnonzero(A.any(axis=0))
     free = np.ones(shape[1], dtype=bool)

@@ -179,7 +179,7 @@ def cutoff_bisection_oracle(protocol, tol=1e-3, bracket=(0.0, 0.25),
                             direction="direct", source_constraint=None):
     """Smallest error rate at which the class turns extendible, by bisection.
 
-    Independent of the threshold program: each probe solves the plain
+    Independent of find_cutoff's certificate: each probe solves the plain
     decomposition at one error rate and asks only whether
     lambda_max >= 1 - LAMBDA_TOL.  The predicate must be False at bracket[0]
     and True at bracket[1]; monotonicity of the depolarized family makes
@@ -239,13 +239,17 @@ def random_box_sdp(rng, num_vars=3, block_dim=4, box=2.0):
     return SdpProblem(c=c, blocks=blocks)
 
 
-def _feasible(problem, x, slack):
+def min_block_eigenvalue(problem, x):
+    """The smallest eigenvalue of problem's blocks at the point x."""
+    lows = []
     for blk in problem.blocks:
         mat = blk.const + np.tensordot(x[list(blk.var_idx)], blk.mats, axes=1)
-        mat = 0.5 * (mat + np.conj(mat.T))
-        if float(np.linalg.eigvalsh(mat)[0]) < -slack:
-            return False
-    return True
+        lows.append(float(np.linalg.eigvalsh(0.5 * (mat + np.conj(mat.T)))[0]))
+    return min(lows)
+
+
+def _feasible(problem, x, slack):
+    return min_block_eigenvalue(problem, x) >= -slack
 
 
 def _window_candidates(problem, center, half, points, keep, slack):

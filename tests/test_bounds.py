@@ -1,19 +1,22 @@
 import json
+import logging
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import cutoff_bisection_oracle
+from helpers import cutoff_bisection_oracle, min_block_eigenvalue
 from keybound import bounds, extendibility
+from keybound.basis import build_basis, expand
 from keybound.bounds import (
     BoundPoint, bound_points_to_csv, bound_points_to_json, find_cutoff,
     gnuplot_script, one_way_upper_bound, sweep,
 )
-from keybound.protocols import (Povm, ProtocolSpec, four_state_povms,
-                                simulate_observed_data)
-from keybound.sdp import SolverError
+from keybound.extendibility import LAMBDA_TOL, verify_extension
+from keybound.protocols import (Povm, ProtocolSpec, assemble_class, four_state_povms,
+                                realize_protocol, simulate_observed_data)
+from keybound.sdp import SolverError, solve
 from keybound.states import depolarized_bell
 
 CUT4 = 0.5 * (1.0 - 1.0 / math.sqrt(2.0))
@@ -113,6 +116,10 @@ def test_find_cutoff_validates_bracket():
         find_cutoff("six-state", bracket=(0.2, 0.25))  # already extendible at lo
     with pytest.raises(ValueError):
         find_cutoff("six-state", bracket=(0.0, 0.1))  # not extendible at hi
+    # the witness solve at e0 = 1.25e-6 falls back to the extension
+    # program, whose dual y refuses the upper end
+    with pytest.raises(ValueError, match="upper bracket e=1e-05"):
+        find_cutoff("six-state", bracket=(0.0, 1e-5))
 
 
 @pytest.mark.parametrize("kind", ["four-state", "six-state"])
@@ -122,28 +129,101 @@ def test_find_cutoff_bracket_edges(kind):
     assert abs(cut - e_star) <= 1e-6
     with pytest.raises(ValueError, match="lower bracket"):
         find_cutoff(kind, tol=1e-4, bracket=(e_star + 1e-5, 0.25))
-    # The threshold solve ends in a Farkas certificate here, and the
-    # bracket must be named from it.
+    # The witness of the one solve at e0 refuses the upper end here.
     with pytest.raises(ValueError, match="upper bracket"):
         find_cutoff(kind, tol=1e-4, bracket=(0.0, 0.1))
 
 
 @pytest.mark.parametrize("kind, hi", [("four-state", 0.14644), ("six-state", 0.1666)])
 def test_find_cutoff_names_upper_bracket_just_below_cutoff(kind, hi, monkeypatch):
-    # The threshold program over these brackets is infeasible, but its
-    # solve breaks down (tau underflow) before a Farkas certificate forms;
-    # the bad bracket is still named, not reported as a solver failure.
-    statuses = []
+    # These upper ends lie just below the cutoff; the witness of the one
+    # solve, which ends optimal, refuses them.
+    runs = []
 
-    def threshold(*args):
-        sol = extendibility.extendibility_threshold(*args)
-        statuses.append(sol.status)
+    def spy(problem):
+        sol = solve(problem)
+        runs.append((problem.eq_rows.shape[0], sol.status))
         return sol
 
-    monkeypatch.setattr(bounds, "extendibility_threshold", threshold)
+    monkeypatch.setattr(extendibility, "solve", spy)
     with pytest.raises(ValueError, match=f"upper bracket e={hi} is not extendible"):
         find_cutoff(kind, tol=1e-4, bracket=(0.0, hi))
-    assert statuses == ["numerical-failure"]
+    assert runs == [(0, "optimal")]   # the witness program has no equality rows
+
+
+def family_class(kind, direction, source_constraint, e):
+    """The class of the built-in family at e."""
+    spec = ProtocolSpec(kind, e=e, direction=direction,
+                        source_constraint=source_constraint)
+    return assemble_class(*realize_protocol(spec), spec)
+
+
+def place_on_family(cls_lo, cls_hi, state):
+    """(e, residual): the e of the default bracket (0, 0.25) at which
+    state's class statistics lie on the interpolated family."""
+    bases = [build_basis(d) for d in state.dims]
+    stats = cls_lo.rows @ expand(state.matrix, bases).ravel()
+    slope = (cls_hi.rhs - cls_lo.rhs) / 0.25
+    e = float(slope @ (stats - cls_lo.rhs) / (slope @ slope))
+    return e, float(np.max(np.abs(cls_lo.rhs + e * slope - stats)))
+
+
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("source_constraint", [None, False, True])
+def test_find_cutoff_certificate(kind, direction, source_constraint, monkeypatch):
+    # One witness solve brackets the cutoff in [L, U]: its y is feasible
+    # for every class of the family, so no e with b(e).y > LAMBDA_TOL is
+    # extendible, and the decomposition of that solve mixes to an
+    # extendible-weight-(1 - LAMBDA_TOL) state of the class at U.
+    runs, results = [], []
+
+    def spy_solve(problem):
+        sol = solve(problem)
+        runs.append((problem, sol))
+        return sol
+
+    def spy_decomposition(cls):
+        res = extendibility.best_extendible_decomposition(cls)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(extendibility, "solve", spy_solve)
+    monkeypatch.setattr(bounds, "best_extendible_decomposition", spy_decomposition)
+    cut = find_cutoff(kind, tol=1e-4, direction=direction,
+                      source_constraint=source_constraint)
+    ((problem, sol),), (res,) = runs, results
+    assert min_block_eigenvalue(problem, sol.x) >= -1e-9
+    cls_lo, cls_hi = (family_class(kind, direction, source_constraint, e)
+                      for e in (0.0, 0.25))
+    at_cut = cls_lo.rhs + cut * (cls_hi.rhs - cls_lo.rhs) / 0.25
+    assert abs(at_cut @ sol.x - LAMBDA_TOL) <= 1e-12
+    assert verify_extension(res).passed
+    (e_s, off_s), (e_n, off_n) = (place_on_family(cls_lo, cls_hi, state)
+                                  for state in (res.sigma_ext, res.rho_ne))
+    assert max(off_s, off_n) <= 1e-9
+    upper = e_s - LAMBDA_TOL * (e_s - e_n)
+    assert 0.0 <= upper - cut <= 1e-8
+    assert abs(cut - E_STAR[kind] * (1.0 - LAMBDA_TOL)) <= 1e-9
+
+
+def test_find_cutoff_logs_its_interval(caplog):
+    e_star = E_STAR["six-state"]
+    with caplog.at_level(logging.DEBUG, logger="keybound.bounds"):
+        cuts = [find_cutoff("six-state", tol=1e-4),
+                find_cutoff("six-state", tol=1e-4, bracket=(e_star - 1e-3, 0.25))]
+    records = [r for r in caplog.records if r.name == "keybound.bounds"]
+    assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
+    for rec, cut in zip(records, cuts):
+        low, upper, width, _ = rec.args
+        assert low == cut and 0.0 <= upper - cut == width <= 1e-8
+        assert "cutoff in [" in rec.getMessage()
+    # e0 = lo + (hi - lo) / 8 is extendible for the second bracket, which
+    # therefore solves once more at lo
+    e0 = e_star - 1e-3 + (0.25 - e_star + 1e-3) / 8
+    assert [e for e, _ in records[0].args[3]] == [0.03125]
+    assert [e for e, _ in records[1].args[3]] == [e0, e_star - 1e-3]
+    assert all(n > 0 for rec in records for _, n in rec.args[3])
 
 
 def test_find_cutoff_gap_above_tol_raises():

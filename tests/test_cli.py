@@ -63,9 +63,8 @@ def test_cutoff_gap_above_tol_exits_1(capsys):
 
 
 def test_cutoff_bracket_just_below_cutoff_exits_2(capsys):
-    # The threshold program over a bracket ending just below the six-state
-    # cutoff 1/6 is infeasible, and its solve breaks down (tau underflow)
-    # before any certificate; the upper end is still named as a bad bracket.
+    # A bracket ending just below the six-state cutoff 1/6: the witness of
+    # the one solve names the upper end as a bad bracket.
     code = main(["cutoff", "--protocol", "six-state", "--bracket", "0:0.1666",
                  "--tol", "1e-4"])
     captured = capsys.readouterr()
@@ -249,12 +248,18 @@ def _drop_bits(doc):
      "probability record 0: unknown label [0]"),
     (lambda doc: doc["probabilities"][0].update(bob={"label": "Z0"}),
      "probability record 0: unknown label {'label': 'Z0'}"),
+    # Povm keeps str(label), which only a string or an integer round-trips
+    (lambda doc: doc["alice_povm"][1].update(label=1.5),
+     "alice_povm element 1: 'label' must be a string or an integer, got 1.5"),
+    (lambda doc: doc["bob_povm"][0].update(label=True),
+     "bob_povm element 0: 'label' must be a string or an integer, got True"),
 ], ids=["null-p", "record-not-object", "null-bit", "null-dim", "fractional-dim",
         "string-dim", "nan-marginal", "inf-povm-entry", "element-not-object",
         "null-povm", "null-probabilities", "no-shared-basis", "misspelt-bit",
         "basis-without-bit", "misspelt-top-level-key", "misspelt-im",
         "misspelt-marginal-im", "extra-record-key", "record-without-alice",
-        "record-without-bob", "list-label", "object-label"])
+        "record-without-bob", "list-label", "object-label", "float-element-label",
+        "boolean-element-label"])
 def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     doc = _custom_doc()
     corrupt(doc)
@@ -265,6 +270,27 @@ def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     assert code == 2
     assert field in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("label, record_label", [(7, 7), ("7", 7), (7, "7")],
+                         ids=["integer-both", "integer-record", "integer-element"])
+def test_custom_protocol_matches_integer_labels_as_strings(tmp_path, capsys, label,
+                                                           record_label):
+    # Povm stores str(label), so records naming an element by the JSON
+    # integer 7 or the string "7" both find it.
+    doc = _custom_doc()
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    argv = ["bound", "--protocol", "custom", "--custom-file", str(path)]
+    code, expected = invoke(argv, capsys)
+    assert code == 0
+    old = doc["alice_povm"][0]["label"]
+    doc["alice_povm"][0]["label"] = label
+    for rec in doc["probabilities"]:
+        if rec["alice"] == old:
+            rec["alice"] = record_label
+    path.write_text(json.dumps(doc))
+    assert invoke(argv, capsys) == (0, expected)
 
 
 @pytest.mark.parametrize("bit, field", [

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from keybound import extendibility
+from keybound import bounds, extendibility
 from keybound.basis import build_basis, expand
+from keybound.bounds import find_cutoff
 from keybound.extendibility import (
-    SUPPORT_TOL, best_extendible_decomposition, build_sdp,
-    extendibility_threshold, extension_sdp, layout_for, verify_extension,
+    LAMBDA_TOL, SUPPORT_TOL, best_extendible_decomposition, build_sdp,
+    extension_sdp, layout_for, verify_extension,
 )
 from keybound.protocols import (
     EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
@@ -21,8 +22,8 @@ from keybound.sdp import SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              partial_trace_matrix, swap_last_two)
 from helpers import (check_feasible, chi_reference, extend_qutrit_stream_state,
-                     lambda_bisection_oracle, pinned_problem, three_block_reference,
-                     trivial_class)
+                     lambda_bisection_oracle, min_block_eigenvalue, pinned_problem,
+                     three_block_reference, trivial_class)
 
 
 def six_state_class(e):
@@ -407,12 +408,17 @@ def test_full_rank_and_unpinned_classes_run_the_full_program():
         assert d["support_rank"] is None and d["face_dim"] is None
 
 
-def test_threshold_rejects_classes_with_different_rows():
-    four = ProtocolSpec("four-state", e=0.0)
-    povms, data = realize_protocol(four)
+def test_threshold_rejects_classes_with_different_rows(monkeypatch):
+    # find_cutoff interpolates the family between its bracket ends, which
+    # must share their rows; here the upper end measures six-state POVMs.
+    real = bounds.realize_protocol
+    monkeypatch.setattr(bounds, "realize_protocol", lambda spec: real(
+        dataclasses.replace(spec, kind="six-state") if spec.e == 0.25 else spec))
+    problems = []
+    monkeypatch.setattr(extendibility, "solve", problems.append)
     with pytest.raises(ValueError, match="different rows"):
-        extendibility_threshold(assemble_class(povms, data, four),
-                                six_state_class(0.25), (0.0, 0.25))
+        find_cutoff("four-state", bracket=(0.0, 0.25))
+    assert problems == []
 
 
 def four_state_class(e, direction, source_constraint):
@@ -429,29 +435,23 @@ def test_threshold_certifies_non_extendible_upper_bracket(hi, direction,
                                                           source_constraint,
                                                           monkeypatch):
     # Every four-state class below the cutoff (~0.146) is non-extendible,
-    # so the threshold program over (0, hi) is infeasible; its certificate
-    # must check against the program that was solved.
-    problems = []
+    # so find_cutoff over (0, hi) must refuse the upper end after its one
+    # witness solve; the witness must check against the program solved.
+    runs = []
 
     def spy(problem):
-        problems.append(problem)
-        return solve(problem)
+        sol = solve(problem)
+        runs.append((problem, sol))
+        return sol
 
     monkeypatch.setattr(extendibility, "solve", spy)
-    sol = extendibility_threshold(four_state_class(0.0, direction, source_constraint),
-                                  four_state_class(hi, direction, source_constraint),
-                                  (0.0, hi))
-    assert sol.status == "infeasible", sol.message
-    (problem,) = problems
-    y, zs = sol.certificate["y"], sol.certificate["z_blocks"]
-    assert min(float(np.linalg.eigvalsh(zb)[0]) for zb in zs) >= -1e-9
-    station = problem.eq_rows.T @ y
-    for blk, zb in zip(problem.blocks, zs):
-        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats, zb)
-    assert np.linalg.norm(station) <= 1e-6
-    violation = problem.eq_rhs @ y - sum(np.vdot(blk.const, zb)
-                                         for blk, zb in zip(problem.blocks, zs))
-    assert violation > 0.0
+    with pytest.raises(ValueError, match=f"upper bracket e={hi} is not extendible"):
+        find_cutoff("four-state", bracket=(0.0, hi), direction=direction,
+                    source_constraint=source_constraint)
+    ((problem, sol),) = runs
+    assert sol.status == "optimal", sol.message
+    assert min_block_eigenvalue(problem, sol.x) >= -1e-9
+    assert four_state_class(hi, direction, source_constraint).rhs @ sol.x > LAMBDA_TOL
 
 
 def reference_lambda(cls):
