@@ -35,7 +35,8 @@ b'.y <= 1 - lambda_max for every class with rows A, whatever its b', so
 one y proves on the observed statistics that none of those classes holds
 a state closer to the extendible set (bounds.find_cutoff certifies a
 cutoff so).  Its optimum is -(1 - lambda_max), and the solver's dual
-blocks are the decomposition: T = rho - sigma~ and chi~, which
+blocks, complex matrices of the blocks' own sizes d_A d_B and d_A d_B^2,
+are the decomposition as they come: T = rho - sigma~ and chi~, which
 _decomposition turns into the reported matrices, with lambda = Tr(chi~)
 rather than b.y.  When the witness solve does not end optimal (its dual
 residual can stall near 1e-7 at error rates close to 0, and inconsistent
@@ -353,18 +354,9 @@ def _solve_on_face(w, S, dims):
     sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
     if sol.status != "optimal":
         return sol, k, None
-    T = S @ _complex_block(sol.z_blocks[0], w.size) @ S.conj().T
-    chi = sum(V @ _complex_block(Z, V.shape[1]) @ V.conj().T
-              for V, Z in zip(parts, sol.z_blocks[1:]))
+    T = S @ sol.z_blocks[0] @ S.conj().T
+    chi = sum(V @ Z @ V.conj().T for V, Z in zip(parts, sol.z_blocks[1:]))
     return sol, k, (T, chi)
-
-
-def _complex_block(Z, n):
-    """The n x n Hermitian matrix a solver block holds: Z itself, or
-    (Z11 + Z22) + i (Z21 - Z12) when Z is the realified 2n x 2n block."""
-    if Z.shape[0] == n:
-        return Z
-    return (Z[:n, :n] + Z[n:, n:]) + 1j * (Z[n:, :n] - Z[:n, n:])
 
 
 def _decomposition(T, chi, dims):
@@ -420,8 +412,7 @@ def best_extendible_decomposition(cls):
     bases = (build_basis(da), build_basis(db))
     if program == "witness":
         witness_value = float(cls.rhs @ sol.x)
-        pair = (_complex_block(sol.z_blocks[0], da * db),
-                _complex_block(sol.z_blocks[1], da * db * db))
+        pair = tuple(sol.z_blocks)
     elif program == "extension":
         witness_value = None
         chi = np.tensordot(sol.x[layout.n_r:], layout.chi_mats, 1)

@@ -6,9 +6,14 @@ Problem form::
     subject to  F^(b)(x) = F0^(b) + sum_i x_i Fi^(b)  >= 0   for each block b
                 A x = rhs
 
-with Hermitian F matrices and real data elsewhere.  The iteration is
-all-real: each LmiBlock stores the real symmetric embedding of its
-matrices, which preserves the feasible set.
+with Hermitian F matrices and real data elsewhere.  Each block is
+stored and iterated at its own size n: a block with complex data in
+complex arithmetic, counted twice in every inner product and in the
+barrier degree, so the iterates are those of its real symmetric
+embedding [[Re, -Im], [Im, Re]] of size 2n; a real block once.  Below,
+<X, Y> = Re Tr(X^H Y) on the stored blocks, and the z_blocks returned
+are duals for it: a complex block's is twice its iterate, as its real
+embedding's dual reads back.
 
 solve first substitutes the equality rows away.  One SVD of the columns
 they touch, cached per set of rows, gives x0, the least-squares solution
@@ -44,14 +49,20 @@ whose gap and primal residual are met but not its dual residual, for
 DUAL_STALL_ITERS iterations in a row.  solve takes no options: it stops
 on these module constants, read when it runs.
 
-With W = R R^T the scaling point of (S, Z), each iteration solves
+With W = R R^H the scaling point of (S, Z), each iteration solves
 M dw = h for the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> by its Cholesky
-factor; the tau column is one more right-hand side.  R and R^-1 come
-from the Cholesky factors of S and Z and one SVD, with no triangular
-solve (_nt_scaling), and a step's distance to the cone boundary from
-the lowest eigenvalue of each scaled direction alone (_step_bound).
-Every factorization is a direct LAPACK call (see _load_lapack).  A
-variable in no block would make M singular, so SdpProblem rejects it.
+factor; the tau column is one more right-hand side.  Every block's
+S, Z, residual and scaled matrices sit in one packed vector, so that
+with Q_i the packed R^-1 Fi R^-H, M = Re(Q Q^H) is one product and the
+directions and inner products are single vector operations.  Only what
+needs a block's matrix runs per block: R and R^-1 from the Cholesky
+factors of S and Z and one SVD, with no triangular solve (_nt_scaling),
+the step's distance to the cone boundary from the lowest eigenvalue of
+each scaled direction (_step_bound), the corrector's product dS dZ and
+the update R (.) R^H.  Every factorization is a direct LAPACK call (see
+_load_lapack), and solve runs with the BLAS pools at one thread (see
+_one_blas_thread).  A variable in no block would make M singular, so
+SdpProblem rejects it.
 
 Weak duality: with rp and rd the primal and dual residuals of the
 normalized iterate, pobj = c.x and dobj = c.x0 - <F0 + F_lin(x0), Z>
@@ -67,10 +78,13 @@ duality_gap is the relative gap sum <S,Z> / (1 + |pobj| + |dobj|).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import importlib.util
 import logging
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -92,20 +106,23 @@ TAU_FLOOR = math.sqrt(np.finfo(float).tiny)
 log = logging.getLogger(__name__)
 
 
+_LAPACK = ("dpotrf", "dpotrs", "dtrtrs", "zpotrf", "zgesdd", "zheevr")
+
+
 def _load_lapack(linalg_dir):
-    """dpotrf, dpotrs, dtrtrs, dgesdd and dsyevr from the _flapack
-    extension in linalg_dir.
+    """The routines named in _LAPACK, from the _flapack extension in
+    linalg_dir: the real ones for the Gram matrix M, the complex ones for
+    the blocks.
 
     The extension file is loaded on its own, under its scipy name, so
     neither scipy nor scipy.linalg (most of this package's import time) is
     imported; when linalg_dir holds no loadable _flapack, the same routines
-    come from scipy.linalg.get_lapack_funcs.  solve calls the first three
+    come from scipy.linalg.lapack.  solve calls dpotrf, dpotrs and dtrtrs
     as cho_factor, cho_solve and solve_triangular would, so with the same
     bits.  At its sizes the input checks of those wrappers, and of
     numpy.linalg's cholesky, svd and eigvalsh, cost more than the
     routines; the one that mattered, finiteness, is made on M.
     """
-    names = ("potrf", "potrs", "trtrs", "gesdd", "syevr")
     for suffix in EXTENSION_SUFFIXES:
         path = Path(linalg_dir, "_flapack" + suffix)
         if not path.is_file():
@@ -116,17 +133,62 @@ def _load_lapack(linalg_dir):
             spec.loader.exec_module(flapack)
         except ImportError:
             break
-        return tuple(getattr(flapack, "d" + name) for name in names)
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(names, (np.zeros((1, 1)),))
+        return tuple(getattr(flapack, name) for name in _LAPACK)
+    from scipy.linalg import lapack
+    return tuple(getattr(lapack, name) for name in _LAPACK)
 
 
 _scipy = importlib.util.find_spec("scipy")
 if _scipy is None:
     raise ModuleNotFoundError("keybound needs scipy", name="scipy")
 # called directly, without scipy's wrappers (see _load_lapack)
-_potrf, _potrs, _trtrs, _gesdd, _syevr = _load_lapack(
+_potrf, _potrs, _trtrs, _zpotrf, _zgesdd, _zheevr = _load_lapack(
     Path(_scipy.submodule_search_locations[0], "linalg"))
+
+
+@functools.cache
+def _blas_pools():
+    """(get, set) of the thread count of each OpenBLAS build that numpy
+    and _flapack load from their wheels' .libs directories; empty for
+    other BLAS builds."""
+    pools = []
+    for pkg in ("numpy", "scipy"):
+        libs = Path(importlib.util.find_spec(pkg).submodule_search_locations[0])
+        for lib in sorted(libs.parent.glob(f"{pkg}.libs/*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                                   ("openblas", "64_"), ("openblas", "")):
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    return tuple(pools)
+
+
+_blas_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every pool of _blas_pools at one thread, then
+    give the caller's counts back; one body at a time, since the counts
+    are process-wide.
+
+    On matrices this small a second thread costs more in handoffs than it
+    saves, and OpenBLAS's threaded kernels round differently, so pinned
+    iterates are also the same on every host."""
+    with _blas_lock:
+        counts = [get() for get, _ in _blas_pools()]
+        for _, put in _blas_pools():
+            put(1)
+        try:
+            yield
+        finally:
+            for (_, put), count in zip(_blas_pools(), counts):
+                put(count)
 
 
 class SolverError(RuntimeError):
@@ -156,10 +218,11 @@ def _as_herm(mat, what):
 class LmiBlock:
     """One linear matrix inequality const + sum_i x[var_idx[i]] * mats[i] >= 0.
 
-    The Hermitian input is stored as the real symmetric embedding the
-    solver iterates on: as given when every matrix is real,
-    [[Re, -Im], [Im, Re]] otherwise.  const and mats hold that embedding,
-    read-only, and dim is its size.
+    const and mats hold the Hermitian input at its own size dim,
+    read-only: real arrays when every matrix is real, complex ones
+    otherwise.  solve iterates on a complex block in complex arithmetic
+    and counts it twice in its inner products and barrier degree, as it
+    would count the block's real embedding [[Re, -Im], [Im, Re]].
     """
 
     const: np.ndarray
@@ -183,15 +246,13 @@ class LmiBlock:
                              "is not Hermitian within 1e-12")
         if len(set(idx.tolist())) != idx.size:
             raise ValueError("var_idx entries must be distinct")
-        if const.imag.any() or mats.imag.any():
-            const, mats = _realify(const), _realify(mats)
-        else:
+        if not (const.imag.any() or mats.imag.any()):
             const, mats = const.real, mats.real
-        const = 0.5 * (const + const.T)
-        mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+        const = 0.5 * (const + const.conj().T)
+        mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
         for arr in (const, mats, idx):
             arr.setflags(write=False)
-        object.__setattr__(self, "dim", const.shape[0])
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "var_idx", idx)
         object.__setattr__(self, "mats", mats)
@@ -277,13 +338,6 @@ class SdpSolution:
     message: str = ""
 
 
-def _realify(mat):
-    """[[Re, -Im], [Im, Re]] of one matrix or of a stack of matrices."""
-    re, im = mat.real, mat.imag
-    return np.concatenate([np.concatenate([re, -im], axis=-1),
-                           np.concatenate([im, re], axis=-1)], axis=-2)
-
-
 # An LmiBlock's fields, after solve substitutes the equality rows away.
 _Lmi = namedtuple("_Lmi", "const var_idx mats dim")
 
@@ -293,68 +347,73 @@ def _flat(blk):
     return blk.mats.reshape(blk.var_idx.size, blk.dim * blk.dim)
 
 
-def _apply_lin(blk, x):
-    return (x[blk.var_idx] @ _flat(blk)).reshape(blk.dim, blk.dim)
-
-
 def _adjoint(blocks, Z, t):
+    """A*(Z): sum over blocks of Re <Fi, Z_b> for each of the t variables."""
     out = np.zeros(t)
     for blk, Zb in zip(blocks, Z):
-        out[blk.var_idx] += _flat(blk) @ Zb.ravel()
+        out[blk.var_idx] += (_flat(blk) @ Zb.ravel().conj()).real
     return out
 
 
 def _norm(a):
     """Frobenius norm of a vector or matrix."""
-    return math.sqrt(float(np.vdot(a, a)))
+    return math.sqrt(float(np.vdot(a, a).real))
 
 
-def _chol_ridge(mat):
+def _chol_ridge(mat, potrf=_potrf):
     """Lower Cholesky factor with an escalating diagonal ridge; None if hopeless."""
     n = mat.shape[0]
     ridge = 0.0
     for _ in range(3):
-        L, info = _potrf(mat + ridge * np.eye(n) if ridge else mat, lower=1)
+        L, info = potrf(mat + ridge * np.eye(n) if ridge else mat, lower=1)
         if info == 0:
             return L
-        ridge = 1e-12 * max(1.0, float(np.max(np.diag(mat)))) if ridge == 0.0 \
+        ridge = 1e-12 * max(1.0, float(np.max(np.diag(mat).real))) if ridge == 0.0 \
             else ridge * 1e4
     return None
 
 
 def _nt_scaling(S, Z):
-    """Nesterov-Todd scaling of S, Z > 0: (R, Rinv, d) with Rinv = R^-1 and
-    R^T Z R = diag(d) = Rinv S Rinv^T.
+    """Nesterov-Todd scaling of Hermitian S, Z > 0: (R, Rinv, d) with
+    Rinv = R^-1 and R^H Z R = diag(d) = Rinv S Rinv^H.
 
-    With S = Ls Ls^T, Z = Lz Lz^T and Lz^T Ls = U diag(d) V^T,
-    R = Ls V D^-1/2 and Rinv = D^-1/2 U^T Lz^T (Todd, Toh & Tutuncu 1998),
+    With S = Ls Ls^H, Z = Lz Lz^H and Lz^H Ls = U diag(d) V^H,
+    R = Ls V D^-1/2 and Rinv = D^-1/2 U^H Lz^H (Todd, Toh & Tutuncu 1998),
     so no triangular solve.  Raises LinAlgError when a factorization fails.
     """
-    Ls, Lz = _chol_ridge(S), _chol_ridge(Z)
+    Ls, Lz = _chol_ridge(S, _zpotrf), _chol_ridge(Z, _zpotrf)
     if Ls is None or Lz is None:
         raise np.linalg.LinAlgError("lost positive definiteness of an iterate")
-    U, d, Vt, info = _gesdd(Lz.T @ Ls)
+    U, d, Vh, info = _zgesdd(Lz.conj().T @ Ls)
     if info:
         raise np.linalg.LinAlgError(
-            f"SVD of the Nesterov-Todd scaling did not converge (dgesdd info {info})")
+            f"SVD of the Nesterov-Todd scaling did not converge (zgesdd info {info})")
     d = np.maximum(d, 1e-150)
     sd = np.sqrt(d)
-    return Ls @ (Vt.T / sd), (Lz @ (U / sd)).T, d
+    return Ls @ (Vh.conj().T / sd), (Lz @ (U / sd)).conj().T, d
 
 
-def _step_bound(isd, *deltas):
-    """Largest alpha with diag(d) + alpha * delta >= 0 for every delta,
-    given isd = 1 / outer(sqrt d, sqrt d)."""
+def _step_bound(*scaled):
+    """Largest alpha with I + alpha * X >= 0 for every Hermitian X given:
+    for a block, X = diag(d)^-1/2 delta diag(d)^-1/2 of a direction delta."""
     lo = np.inf
-    for delta in deltas:
-        w, _, _, _, info = _syevr(delta * isd, compute_v=0, range="I", il=1, iu=1,
-                                  lower=1)
+    for X in scaled:
+        w, _, _, _, info = _zheevr(X, compute_v=0, range="I", il=1, iu=1, lower=1)
         if info:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         lo = min(lo, float(w[0]))
     if lo >= -1e-300:
         return np.inf
     return 1.0 / (-lo)
+
+
+def _congruence(L, G):
+    """L G_j L^H for each Hermitian G_j of the stack G, as (len(G), n * n):
+    with X_j = G_j L^H, X_j^H L^H = L G_j L^H, so two products in all."""
+    n = L.shape[0]
+    LH = L.conj().T
+    X = (G.reshape(-1, n) @ LH).reshape(-1, n, n)
+    return (np.conj(X.transpose(0, 2, 1)).reshape(-1, n) @ LH).reshape(-1, n * n)
 
 
 @functools.lru_cache(maxsize=8)
@@ -379,8 +438,13 @@ def _row_factors(key, shape):
 
 
 def solve(problem):
-    """Run the interior-point method at GAP_TOL, FEAS_TOL and MAX_ITER;
-    always returns an SdpSolution."""
+    """Run the interior-point method at GAP_TOL, FEAS_TOL and MAX_ITER,
+    with the BLAS pools at one thread; always returns an SdpSolution."""
+    with _one_blas_thread():
+        return _solve(problem)
+
+
+def _solve(problem):
     c, A, b, t = problem.c, problem.eq_rows, problem.eq_rhs, problem.num_vars
     K, free, pos, pinv, N = _row_factors(A.tobytes(), A.shape)
     x0 = np.zeros(t)
@@ -421,16 +485,66 @@ def solve(problem):
         return x
 
     c_obj, c = float(c @ x0), np.concatenate([c[free], N.T @ c[K]])
-    ntot = sum(blk.dim for blk in blocks)
-    F0s = [blk.const for blk in blocks]
+
+    # Every block matrix lives in one packed vector: block b's n x n
+    # entries, row-major, at spans[b] of a complex array of length npk.
+    # Its float view, of length 2 npk, carries all the vector algebra:
+    # there Re <X, Y> is a dot product, and wt weighs a complex block's
+    # entries by 2, as its real embedding would count them.
+    dims = np.array([blk.dim for blk in blocks])
+    ends = np.cumsum(dims * dims)
+    starts = ends - dims * dims
+    npk = int(ends[-1])
+    spans = [slice(s, e) for s, e in zip(starts, ends)]
+    weight = np.array([2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in problem.blocks])
+    wt = np.repeat(weight, 2 * dims * dims)
+    sqrt_wt = np.sqrt(wt)
+    ntot = float(weight @ dims)
+    # the row and column of each float-view entry in the stacked diagonals d
+    first = np.cumsum(dims) - dims
+    ii = np.repeat(np.concatenate([f + np.repeat(np.arange(n), n) for f, n in zip(first, dims)]), 2)
+    jj = np.repeat(np.concatenate([f + np.tile(np.arange(n), n) for f, n in zip(first, dims)]), 2)
+    diag = np.flatnonzero(ii == jj)[::2]
+    eye = np.zeros(2 * npk)
+    eye[diag] = 1.0
+
+    F = np.zeros((nw, npk), dtype=complex)
+    F0 = np.empty(npk, dtype=complex)
+    # per block: its matrices, then rp_b and F0_b, congruence-scaled
+    # together into the rows var_idx, nw and nw + 1 of Q
+    stacks, q_rows = [], []
+    for blk, sp in zip(blocks, spans):
+        F[blk.var_idx, sp] = _flat(blk)
+        F0[sp] = blk.const.ravel()
+        stacks.append(np.concatenate([blk.mats, blk.const[None], blk.const[None]])
+                      .astype(complex))
+        q_rows.append(np.concatenate([blk.var_idx, [nw, nw + 1]]))
+    F, F0 = F.view(float), F0.view(float)
+    Q = np.zeros((nw + 2, npk), dtype=complex)
+    Qr = Q.view(float)
+    rpp, F0t = Qr[nw], Qr[nw + 1]
     # residual scales of the caller's program, not of the shifted consts
-    p_scale = [1.0 + float(np.linalg.norm(blk.const, "fro")) for blk in problem.blocks]
+    p_scale = 1.0 + np.sqrt(weight) * np.array(
+        [float(np.linalg.norm(blk.const, "fro")) for blk in problem.blocks])
     d_scale = 1.0 + float(np.linalg.norm(problem.c))
-    gram_idx = [np.ix_(blk.var_idx, blk.var_idx) for blk in blocks]
+
+    def block_norms(v):
+        return np.sqrt(np.add.reduceat(wt * v * v, 2 * starts))
+
+    def blocks_of(v):
+        v = v.view(complex)
+        return [v[sp].reshape(n, n) for sp, n in zip(spans, dims)]
+
+    def congruent(Ls, Xs):
+        """The packed L_b X_b L_b^H, made exactly Hermitian."""
+        out = np.empty(npk, dtype=complex)
+        for L, X, sp in zip(Ls, Xs, spans):
+            Y = L @ X @ L.conj().T
+            out[sp] = (0.5 * (Y + Y.conj().T)).ravel()
+        return out.view(float)
 
     w = np.zeros(nw)
-    S = [np.eye(blk.dim) for blk in blocks]
-    Z = [np.eye(blk.dim) for blk in blocks]
+    S, Z = eye.copy(), eye.copy()
     tau = kappa = 1.0
     history = []
     status, message, certificate = None, "", None
@@ -439,25 +553,25 @@ def solve(problem):
 
     while True:
         # --- residuals of the embedding (all vanish at its solutions) ---
-        lin = [_apply_lin(blk, w) for blk in blocks]
-        rp = [Lb + tau * F0 - Sb for Lb, F0, Sb in zip(lin, F0s, S)]
-        AZ = _adjoint(blocks, Z, nw)
+        lin = w @ F
+        rp = lin + tau * F0 - S
+        wZ = wt * Z
+        AZ = F @ wZ
         rd = tau * c - AZ
-        F0Z = sum(float(np.vdot(F0, Zb)) for F0, Zb in zip(F0s, Z))
+        F0Z = float(F0 @ wZ)
         rg = kappa + float(c @ w) + F0Z
-        inner = [float(np.vdot(Sb, Zb)) for Sb, Zb in zip(S, Z)]
-        mu = max((sum(inner) + tau * kappa) / (ntot + 1), 1e-300)
-        gap_inner = sum(v / tau ** 2 for v in inner)
+        inner = float(S @ wZ)
+        mu = max((inner + tau * kappa) / (ntot + 1), 1e-300)
+        gap_inner = inner / tau ** 2
 
         # --- metrics of the tau-normalized iterate ---
         pobj = c_obj + float(c @ w) / tau
         dobj = c_obj - F0Z / tau
-        rp_norm, rd_norm = [_norm(rpb) for rpb in rp], _norm(rd)
-        pres = max(n / (tau * sc) for n, sc in zip(rp_norm, p_scale))
+        rp_norm, rd_norm = block_norms(rp), _norm(rd)
+        pres = float(np.max(rp_norm / (tau * p_scale)))
         dres = rd_norm / (tau * d_scale)
         relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
-        wd_budget = (sum(n * _norm(Zb) for n, Zb in zip(rp_norm, Z))
-                     + rd_norm * _norm(w)) / tau ** 2
+        wd_budget = (float(rp_norm @ block_norms(Z)) + rd_norm * _norm(w)) / tau ** 2
         history.append(IterateRecord(
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
             kappa=wd_budget, primal_res=pres, dual_res=dres))
@@ -478,7 +592,7 @@ def solve(problem):
                 message = "Farkas certificate: tau -> 0 with b.y - <F0, Z> > 0"
                 break
             slope = -float(c @ w)
-            ray_res = max(_norm(Lb - Sb) for Lb, Sb in zip(lin, S))
+            ray_res = float(np.max(block_norms(lin - S)))
             if slope > 0.0 and ray_res <= FEAS_TOL * slope:
                 status = "unbounded"
                 message = "primal ray: tau -> 0 with c.x < 0"
@@ -494,32 +608,33 @@ def solve(problem):
             message = f"no convergence within {MAX_ITER} iterations"
             break
 
-        # --- Nesterov-Todd scaling per block ---
-        Rs, Rinvs, ds, Ds, isds, Qs, rpps, F0ts = [], [], [], [], [], [], [], []
+        # --- Nesterov-Todd scaling per block, into Q = [Q_i; rp~; F0~] ---
+        Rs, RinvHs, ds = [], [], []
         try:
-            for blk, Sb, Zb, rpb in zip(blocks, S, Z, rp):
+            for Sb, Zb, rpb, G, rows, sp in zip(blocks_of(S), blocks_of(Z), blocks_of(rp),
+                                                stacks, q_rows, spans):
                 R, Rinv, d = _nt_scaling(Sb, Zb)
-                sd = np.sqrt(d)
-                Q = np.matmul(np.matmul(Rinv, blk.mats), Rinv.T)
+                G[-2] = rpb
+                Q[rows, sp] = _congruence(Rinv, G)
                 Rs.append(R)
-                Rinvs.append(Rinv)
+                RinvHs.append(Rinv.conj().T)
                 ds.append(d)
-                Ds.append(np.diag(d))
-                isds.append(1.0 / np.outer(sd, sd))
-                Qs.append(Q.reshape(blk.var_idx.size, blk.dim * blk.dim))
-                rpps.append(Rinv @ rpb @ Rinv.T)
-                F0ts.append(Rinv @ blk.const @ Rinv.T)
         except np.linalg.LinAlgError as err:
             status = "numerical-failure"
             message = str(err)
             break
+        d = np.concatenate(ds)
+        sd = np.sqrt(d)
+        isd = 1.0 / (sd[ii] * sd[jj])
+        D = np.zeros(2 * npk)
+        D[diag] = d
 
-        M = np.zeros((nw, nw))
-        f0 = np.zeros(nw)
-        for blk, ix, Q, F0t in zip(blocks, gram_idx, Qs, F0ts):
-            M[ix] += Q @ Q.T
-            f0[blk.var_idx] += Q @ F0t.ravel()
-        if not np.isfinite(M).all():
+        # with every row weighted by sqrt(wt), one symmetric product gives
+        # M, Q.rp~, Q.F0~ = f0 and ||F0~||^2
+        Qs = Qr * sqrt_wt
+        gram = Qs @ Qs.T
+        M, f0 = gram[:nw, :nw], gram[:nw, nw + 1]
+        if not np.isfinite(gram).all():
             status = "numerical-failure"
             message = "scaled normal (Gram) matrix M has a non-finite entry"
             break
@@ -536,22 +651,17 @@ def solve(problem):
         def fixed_tau_step(h):
             return _potrs(Mf, h, lower=1)[0] if nw else h
 
-        def scaled_adjoint(Ks):
-            h = np.zeros(nw)
-            for blk, Q, Kb in zip(blocks, Qs, Ks):
-                h[blk.var_idx] += Q @ Kb.ravel()
-            return h
+        def directions(dw, dtau, Kp):
+            lin_d = dw @ Qr[:nw] + dtau * F0t
+            return lin_d + rpp, Kp - lin_d
 
-        def directions(dw, dtau, Ks):
-            dSp, dZp = [], []
-            for blk, Q, Kb, rppb, F0t in zip(blocks, Qs, Ks, rpps, F0ts):
-                lin_b = dtau * F0t + (dw[blk.var_idx] @ Q).reshape(blk.dim, blk.dim)
-                dSp.append(lin_b + rppb)
-                dZp.append(Kb - lin_b)
-            return dSp, dZp
+        def cone_step(*deltas):
+            """Largest step along every packed direction that keeps each
+            block's D + alpha delta >= 0."""
+            return _step_bound(*(X for delta in deltas for X in blocks_of(delta * isd)))
 
         # the affine-scaling target S~ Z~ = 0, so dS~ + dZ~ = -D
-        Ks_aff = [-D - rppb for D, rppb in zip(Ds, rpps)]
+        K_aff = -D - rpp
         if accept:
             # w/tau still violates the blocks by about pres, so a last step
             # moves w and S alone at fixed tau.  The affine-scaling direction
@@ -559,16 +669,16 @@ def solve(problem):
             # to STEP_FRACTION of the distance there, but its part fix, the
             # least-squares move that zeros the primal residual, is taken in
             # full when the result stays in the cone.
-            fix = -fixed_tau_step(scaled_adjoint(rpps))
-            dw = fixed_tau_step(scaled_adjoint(Ks_aff) - rd)
-            dSp = directions(dw, 0.0, Ks_aff)[0]
-            ap = min(1.0, STEP_FRACTION * min(_step_bound(isd, dS) for isd, dS in zip(isds, dSp)))
+            fix = -fixed_tau_step(gram[:nw, nw])
+            dw = fixed_tau_step(Qs[:nw] @ (sqrt_wt * K_aff) - rd)
+            dS = directions(dw, 0.0, K_aff)[0]
+            ap = min(1.0, STEP_FRACTION * cone_step(dS))
             dw_full = fix + ap * (dw - fix)
-            dS_full = directions(dw_full, 0.0, Ks_aff)[0]
-            if min(_step_bound(isd, dS) for isd, dS in zip(isds, dS_full)) >= 1.0:
-                dw, dSp, ap = dw_full, dS_full, 1.0
+            dS_full = directions(dw_full, 0.0, K_aff)[0]
+            if cone_step(dS_full) >= 1.0:
+                dw, dS, ap = dw_full, dS_full, 1.0
             w = w + ap * dw
-            S = [R @ (D + ap * dS) @ R.T for R, D, dS in zip(Rs, Ds, dSp)]
+            S = congruent(Rs, blocks_of(D + ap * dS))
             polished = True
             it += 1
             continue
@@ -579,41 +689,39 @@ def solve(problem):
         # ||F0~||^2 and f0^T M^-1 f0 grow large and nearly equal, and their
         # difference alone can round to exactly 0.
         quad_c = float(half[:, 0] @ half[:, 0])
-        quad_f = max(sum(float(np.vdot(F0t, F0t)) for F0t in F0ts)
-                     - float(half[:, 1] @ half[:, 1]), 0.0)
+        quad_f = max(float(gram[nw + 1, nw + 1]) - float(half[:, 1] @ half[:, 1]), 0.0)
         p = -mc - mf
         den = -(quad_c + quad_f + kappa / tau)
 
-        def kkt_solve(Ks, rtk):
-            u = fixed_tau_step(scaled_adjoint(Ks) - rd)
-            r4 = -rg - sum(float(np.vdot(F0t, Kb)) for F0t, Kb in zip(F0ts, Ks)) - rtk / tau
+        def kkt_solve(Kp, rtk):
+            QK = Qs @ (sqrt_wt * Kp)
+            u = fixed_tau_step(QK[:nw] - rd)
+            r4 = -rg - float(QK[nw + 1]) - rtk / tau
             dtau = (r4 - float((c - f0) @ u)) / den
             return u + dtau * p, dtau, (rtk - kappa * dtau) / tau
 
-        def step_bound(dSp, dZp, dtau, dkappa):
-            return min(min(_step_bound(isd, dS, dZ) for isd, dS, dZ in zip(isds, dSp, dZp)),
+        def step_bound(dS, dZ, dtau, dkappa):
+            return min(cone_step(dS, dZ),
                        -tau / dtau if dtau < 0.0 else np.inf,
                        -kappa / dkappa if dkappa < 0.0 else np.inf)
 
         # predictor
-        dw_a, dt_a, dk_a = kkt_solve(Ks_aff, -tau * kappa)
-        dSp_a, dZp_a = directions(dw_a, dt_a, Ks_aff)
-        a_a = min(1.0, step_bound(dSp_a, dZp_a, dt_a, dk_a))
-        mu_aff = (sum(float(np.vdot(D + a_a * dS, D + a_a * dZ))
-                      for D, dS, dZ in zip(Ds, dSp_a, dZp_a))
+        dw_a, dt_a, dk_a = kkt_solve(K_aff, -tau * kappa)
+        dS_a, dZ_a = directions(dw_a, dt_a, K_aff)
+        a_a = min(1.0, step_bound(dS_a, dZ_a, dt_a, dk_a))
+        mu_aff = (float((wt * (D + a_a * dS_a)) @ (D + a_a * dZ_a))
                   + (tau + a_a * dt_a) * (kappa + a_a * dk_a)) / (ntot + 1)
         sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
-        # corrector
-        Ks = []
-        for d, D, rppb, dS_a, dZ_a in zip(ds, Ds, rpps, dSp_a, dZp_a):
-            cross = 0.5 * (dS_a @ dZ_a + dZ_a @ dS_a)
-            Rc = sigma * mu * np.eye(d.size) - D * D - cross
-            G = 2.0 * Rc / np.add.outer(d, d)
-            Ks.append(G - rppb)
-        dw, dtau, dkappa = kkt_solve(Ks, sigma * mu - tau * kappa - dt_a * dk_a)
-        dSp, dZp = directions(dw, dtau, Ks)
-        alpha = min(1.0, STEP_FRACTION * step_bound(dSp, dZp, dtau, dkappa))
+        # corrector: the cross term (dS~ dZ~ + dZ~ dS~) / 2 of each block
+        cross = np.empty(npk, dtype=complex)
+        for dS_b, dZ_b, sp in zip(blocks_of(dS_a), blocks_of(dZ_a), spans):
+            P = dS_b @ dZ_b
+            cross[sp] = (0.5 * (P + P.conj().T)).ravel()
+        Kc = 2.0 * (sigma * mu * eye - D * D - cross.view(float)) / (d[ii] + d[jj]) - rpp
+        dw, dtau, dkappa = kkt_solve(Kc, sigma * mu - tau * kappa - dt_a * dk_a)
+        dS, dZ = directions(dw, dtau, Kc)
+        alpha = min(1.0, STEP_FRACTION * step_bound(dS, dZ, dtau, dkappa))
 
         if alpha < 1e-10:
             stall += 1
@@ -635,22 +743,19 @@ def solve(problem):
         w = w + alpha * dw
         tau += alpha * dtau
         kappa += alpha * dkappa
-        S_new, Z_new = [], []
-        for R, Rinv, D, dS, dZ in zip(Rs, Rinvs, Ds, dSp, dZp):
-            Sb = R @ (D + alpha * dS) @ R.T
-            Zb = Rinv.T @ (D + alpha * dZ) @ Rinv
-            S_new.append(0.5 * (Sb + Sb.T))
-            Z_new.append(0.5 * (Zb + Zb.T))
-        S, Z = S_new, Z_new
+        S = congruent(Rs, blocks_of(D + alpha * dS))
+        Z = congruent(RinvHs, blocks_of(D + alpha * dZ))
         it += 1
 
     # --- back to the caller's coordinates (see the module docstring) ---
-    Z = [Zb / tau for Zb in Z]
+    # A complex block's dual is weight * Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
+    Z = [wb * Zb / tau if wb == 2.0 else Zb.real / tau
+         for wb, Zb in zip(weight, blocks_of(Z))]
     x = x0 + lift(w / tau)
     AZ = _adjoint(problem.blocks, Z, t)
     if status == "infeasible":
         y = -pinv.T @ AZ[K]
-        violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb))
+        violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb).real)
                                        for blk, Zb in zip(problem.blocks, Z))
         station = float(np.linalg.norm(AZ + A.T @ y))
         certificate = {"kind": "farkas", "y": y / violation,
@@ -667,4 +772,3 @@ def solve(problem):
         primal_residual=pres, dual_residual=dres,
         equality_residual=float(np.linalg.norm(b - A @ x)) / e_scale,
         iterations=it, history=history, certificate=certificate, message=message)
-

@@ -71,7 +71,7 @@ def check_feasible(problem):
     y = sol.y
     zs = sol.z_blocks[:nblk]
     station = _adjoint(problem.blocks, zs, problem.num_vars) + A.T @ y
-    violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb))
+    violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb).real)
                                    for blk, Zb in zip(problem.blocks, zs))
     return replace(
         sol, status="infeasible", x=sol.x[:-1].copy(), z_blocks=zs, objective=tstar,

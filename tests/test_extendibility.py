@@ -78,7 +78,7 @@ def test_cached_structure_is_read_only():
 def test_sdp_structure():
     cls = six_state_class(0.05)
     prob, lay = extension_sdp(cls)
-    assert [b.dim for b in prob.blocks] == [8, 16]
+    assert [b.dim for b in prob.blocks] == [4, 8]
     # equalities: the class rows only, on r
     assert prob.eq_rows.shape == (cls.rows.shape[0], 56)
     assert not prob.eq_rows[:, lay.n_r:].any()
@@ -95,15 +95,14 @@ def test_witness_program_structure():
     # one variable per class row, no equalities, objective -b.y
     assert prob.num_vars == m and prob.eq_rows.shape == (0, m)
     assert np.array_equal(prob.c, -cls.rhs)
-    # realified blocks W(y) >= 0 on A B and sym(W(y) (x) I_B') - I >= 0 on A B B'
-    assert [b.dim for b in prob.blocks] == [8, 16]
-    assert np.array_equal(prob.blocks[0].const, np.eye(8))
+    # complex blocks W(y) >= 0 on A B and sym(W(y) (x) I_B') - I >= 0 on A B B'
+    assert [b.dim for b in prob.blocks] == [4, 8]
+    assert np.array_equal(prob.blocks[0].const, np.eye(4))
     assert not prob.blocks[1].const.any()
-    # Tr(O_j rho) = (A r)_j, read through the real embedding of O_j
+    # Tr(O_j rho) = (A r)_j
     rho = depolarized_bell(0.05).matrix
     r = expand(rho, (build_basis(2),) * 2).ravel()
-    emb = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
-    traces = -np.einsum("jkl,lk->j", prob.blocks[0].mats, emb) / 2
+    traces = -np.einsum("jkl,lk->j", prob.blocks[0].mats, rho).real
     assert np.max(np.abs(traces - cls.rows @ r)) <= 1e-12
     # on a swap-symmetric X, sym(O_j (x) I_B') pairs as O_j with Tr_B'(X)
     P = swap_last_two((2, 2))
@@ -111,8 +110,7 @@ def test_witness_program_structure():
     X = X + P @ X @ P
     marginal = partial_trace_matrix(X, (2, 2, 2), keep=(0, 1))
     r = expand(marginal, (build_basis(2),) * 2).ravel()
-    emb = np.block([[X.real, -X.imag], [X.imag, X.real]])
-    traces = -np.einsum("jkl,lk->j", prob.blocks[1].mats, emb) / 2
+    traces = -np.einsum("jkl,lk->j", prob.blocks[1].mats, X).real
     assert np.max(np.abs(traces - cls.rows @ r)) <= 1e-12
 
 
@@ -290,10 +288,10 @@ def test_low_rank_pinned_state_verified(dims, rank):
 
 
 @pytest.mark.parametrize("rank, num_vars, block_dims", [
-    (3, 9, [6, 6]), (4, 16, [8, 12]), (5, 25, [10, 18, 6])])
+    (3, 9, [3, 3]), (4, 16, [4, 6]), (5, 25, [5, 9, 3])])
 def test_face_witness_program_size(rank, num_vars, block_dims, monkeypatch):
-    # one variable per coordinate of X on supp(rho), the realified X >= 0
-    # block, then one block per nonempty swap part of the face
+    # one variable per coordinate of X on supp(rho), the X >= 0 block at
+    # the support rank, then one block per nonempty swap part of the face
     problems = []
 
     def spy(problem):

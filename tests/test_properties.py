@@ -5,6 +5,7 @@ database, so each run checks the same cases.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from keybound.extendibility import best_extendible_decomposition, verify_extension
 from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
                                 realize_protocol)
-from keybound.sdp import LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve
+from keybound.sdp import GAP_TOL, LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve
 from keybound.states import DensityOperator
 from helpers import face_primal_oracle
 
@@ -131,9 +132,13 @@ def random_hermitian(rng, *shape):
 
 @DERANDOMIZED
 @given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_complex_block_stores_its_real_embedding(n, k, seed):
-    # a complex block and its realification given as real input are one
-    # block: the same stored arrays and solve
+def test_complex_block_and_its_real_embedding_solve_alike(n, k, seed):
+    # a complex block, stored at its size n, and its realification given
+    # as real input, stored at 2n, are one constraint: the two solves take
+    # the same steps in exact arithmetic, so end alike to rounding.  At a
+    # rank-deficient optimum rounding moves x by up to about
+    # sqrt(GAP_TOL), as between a block and a unitary rotation of it, and
+    # can move the last acceptance test by one iteration
     rng = np.random.default_rng(seed)
     const = random_hermitian(rng, n, n)
     const = const @ const + 0.1 * np.eye(n)
@@ -144,32 +149,36 @@ def test_complex_block_stores_its_real_embedding(n, k, seed):
     c = np.einsum("ijk,kj->i", mats, w).real
     blocks = [LmiBlock(const=const, var_idx=np.arange(k), mats=mats),
               LmiBlock(const=realify(const), var_idx=np.arange(k), mats=realify(mats))]
-    assert blocks[0].dim == blocks[1].dim == 2 * n
-    assert np.array_equal(blocks[0].const, blocks[1].const)
-    assert np.array_equal(blocks[0].mats, blocks[1].mats)
+    assert (blocks[0].dim, blocks[1].dim) == (n, 2 * n)
+    assert np.array_equal(realify(blocks[0].const), blocks[1].const)
+    assert np.array_equal(realify(blocks[0].mats), blocks[1].mats)
     problems = [SdpProblem(c=c, blocks=[blk]) for blk in blocks]
     sols = [solve(prob) for prob in problems]
     assert sols[0].status == sols[1].status == "optimal"
-    assert sols[0].objective == sols[1].objective
+    assert abs(sols[0].iterations - sols[1].iterations) <= 1
+    assert sols[0].objective == pytest.approx(sols[1].objective, rel=1e-9)
+    assert np.abs(sols[0].x - sols[1].x).max() <= math.sqrt(GAP_TOL) * np.abs(sols[1].x).max()
 
 
-def random_spd(rng, n, log_cond):
-    """A random n x n SPD matrix with condition number 10 ** log_cond."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+def random_spd(rng, n, log_cond, hermitian=False):
+    """A random n x n SPD matrix with condition number 10 ** log_cond, or
+    a Hermitian positive definite one."""
+    q = haar_unitary(rng, n) if hermitian else np.linalg.qr(rng.standard_normal((n, n)))[0]
     ev = np.logspace(0.0, -log_cond, n) * 10.0 ** rng.uniform(-3.0, 3.0)
-    return (q * ev) @ q.T
+    return (q * ev) @ q.conj().T
 
 
 @DERANDOMIZED
-@given(st.integers(1, 36), st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+@given(st.integers(1, 36), st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.booleans(),
        st.integers(0, 2**32 - 1))
-def test_nesterov_todd_scaling(n, log_cond_s, log_cond_z, seed):
-    # R^T Z R = diag(d) = R^-1 S R^-T, with R^-1 built from the SVD alone
+def test_nesterov_todd_scaling(n, log_cond_s, log_cond_z, hermitian, seed):
+    # R^H Z R = diag(d) = R^-1 S R^-H, with R^-1 built from the SVD alone,
+    # for real symmetric and complex Hermitian pairs
     rng = np.random.default_rng(seed)
-    S, Z = random_spd(rng, n, log_cond_s), random_spd(rng, n, log_cond_z)
+    S, Z = (random_spd(rng, n, log_cond, hermitian) for log_cond in (log_cond_s, log_cond_z))
     R, Rinv, d = _nt_scaling(S, Z)
     assert np.abs(R @ Rinv - np.eye(n)).max() <= 1e-8
-    for scaled in (R.T @ Z @ R, Rinv @ S @ Rinv.T):
+    for scaled in (R.conj().T @ Z @ R, Rinv @ S @ Rinv.conj().T):
         assert np.abs(scaled - np.diag(d)).max() <= 1e-8 * d.max()
 
 
@@ -182,20 +191,22 @@ def step_bound_reference(d, *deltas):
 
 @DERANDOMIZED
 @given(st.integers(1, 36), st.floats(0.0, 10.0), st.lists(st.booleans(), min_size=1, max_size=2),
-       st.integers(0, 2**32 - 1))
-def test_step_bound_matches_eigvalsh(n, log_cond, psd, seed):
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_step_bound_matches_eigvalsh(n, log_cond, psd, hermitian, seed):
     # each direction is sqrt(d) N sqrt(d) with N of spectrum in [0.1, 1]
-    # (psd) or [-1, 1], so the bound is inf exactly when all are psd
+    # (psd) or [-1, 1], real symmetric or complex Hermitian, so the bound
+    # is inf exactly when all are psd
     rng = np.random.default_rng(seed)
     d = np.logspace(0.0, -log_cond, n) * 10.0 ** rng.uniform(-3.0, 3.0)
     sd = np.sqrt(d)
     deltas = []
     for is_psd in psd:
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q = haar_unitary(rng, n) if hermitian else np.linalg.qr(rng.standard_normal((n, n)))[0]
         ev = rng.uniform(0.1, 1.0, n) if is_psd else np.append(-1.0, rng.uniform(-1.0, 1.0, n - 1))
-        N = (q * ev) @ q.T
-        deltas.append(np.outer(sd, sd) * 0.5 * (N + N.T))
-    got, want = _step_bound(1.0 / np.outer(sd, sd), *deltas), step_bound_reference(d, *deltas)
+        N = (q * ev) @ q.conj().T
+        deltas.append(np.outer(sd, sd) * 0.5 * (N + N.conj().T))
+    got = _step_bound(*(delta / np.outer(sd, sd) for delta in deltas))
+    want = step_bound_reference(d, *deltas)
     if all(psd):
         assert got == want == np.inf
     else:

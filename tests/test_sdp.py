@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs, solve_triangular
+import scipy.linalg
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_triangular
 
+from keybound import sdp
 from keybound.extendibility import best_extendible_decomposition, extension_sdp
 from keybound.infotheory import JointDistribution
 from keybound.protocols import (
@@ -16,7 +18,8 @@ from keybound.protocols import (
     six_state_povms,
 )
 from keybound.sdp import (
-    LmiBlock, SdpProblem, _chol_ridge, _gesdd, _load_lapack, _potrs, _syevr, _trtrs, solve,
+    LmiBlock, SdpProblem, _chol_ridge, _load_lapack, _potrs, _trtrs, _zgesdd, _zheevr,
+    _zpotrf, solve,
 )
 from keybound.states import DensityOperator, depolarized_bell
 from helpers import (check_feasible, feasibility_problem, grid_search_minimum, pinned_problem,
@@ -67,6 +70,34 @@ def test_largest_eigenvalue_complex():
     sol = solve(SdpProblem(c=np.array([1.0]), blocks=[blk]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-7)
+
+
+def test_solve_runs_blas_at_one_thread_and_restores_the_count(monkeypatch):
+    # the OpenBLAS pools numpy and scipy load run the solve at one thread,
+    # and the caller's count is back afterwards
+    pools = sdp._blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS build with a thread-count setter is loaded")
+    saved = [get() for get, _ in pools]
+    seen = []
+    scaling = sdp._nt_scaling
+
+    def spy(S, Z):
+        seen.append([get() for get, _ in pools])
+        return scaling(S, Z)
+
+    monkeypatch.setattr(sdp, "_nt_scaling", spy)
+    blk = LmiBlock(const=-random_hermitian(np.random.default_rng(2), 4), var_idx=(0,),
+                   mats=np.eye(4)[None])
+    try:
+        for _, put in pools:
+            put(2)
+        assert solve(SdpProblem(c=np.array([1.0]), blocks=[blk])).status == "optimal"
+        assert [get() for get, _ in pools] == [2] * len(pools)
+    finally:
+        for (_, put), count in zip(pools, saved):
+            put(count)
+    assert seen and all(counts == [1] * len(pools) for counts in seen)
 
 
 def test_equality_constrained():
@@ -283,8 +314,8 @@ def farkas_violation(problem, cert):
     y, zs = cert["y"], cert["z_blocks"]
     station = problem.eq_rows.T @ y
     for blk, zb in zip(problem.blocks, zs):
-        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats, zb)
-    violation = problem.eq_rhs @ y - sum(np.vdot(blk.const, zb)
+        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats.conj(), zb).real
+    violation = problem.eq_rhs @ y - sum(np.vdot(blk.const, zb).real
                                          for blk, zb in zip(problem.blocks, zs))
     return float(np.linalg.norm(station)), float(violation)
 
@@ -374,12 +405,14 @@ def test_rows_that_fix_every_variable(pin):
 
 
 def test_lapack_helpers_match_scipy_wrappers():
-    # solve() calls potrf/potrs/trtrs/gesdd/syevr directly; its output bytes
-    # rest on these giving exactly the bits of the scipy wrappers.  gesdd
-    # is compared with scipy's routine wrapper at the same (default)
-    # workspace: scipy.linalg.svd queries a smaller one, with which dgesdd
-    # takes another path at some sizes (n = 33..42 with scipy 1.17).
-    gesdd = get_lapack_funcs("gesdd", (np.zeros((1, 1)),))
+    # solve() calls potrf/potrs/trtrs on M and zpotrf/zgesdd/zheevr on
+    # the blocks directly; its output bytes rest on these giving exactly
+    # the bits of the scipy wrappers.  zgesdd and zheevr are compared with
+    # scipy's routine wrappers at the same (default) workspace:
+    # scipy.linalg.svd and eigh query other sizes, with which the routines
+    # take other paths at some sizes (with scipy 1.17: real gesdd at
+    # n = 33..42, heevr at n = 35 and above).
+    gesdd, heevr = get_lapack_funcs(("gesdd", "heevr"), (np.zeros((1, 1), dtype=complex),))
     rng = np.random.default_rng(0)
     for n in range(2, 61):
         G = rng.standard_normal((n, n))
@@ -394,13 +427,17 @@ def test_lapack_helpers_match_scipy_wrappers():
                               solve_triangular(ref[0], B, lower=True))
         assert np.array_equal(_trtrs(L, B, lower=1, trans=1)[0],
                               solve_triangular(ref[0], B, lower=True, trans="T"))
-        for got, want in zip(_gesdd(G), gesdd(G)):
+        H = G + 1j * rng.standard_normal((n, n))
+        hpd = H @ H.conj().T + n * np.eye(n)
+        assert np.array_equal(_chol_ridge(hpd, _zpotrf),
+                              np.tril(cho_factor(hpd, lower=True)[0]))
+        for got, want in zip(_zgesdd(H), gesdd(H)):
             assert np.array_equal(got, want)
-        sym = G + G.T
-        w, _, m, _, info = _syevr(sym, compute_v=0, range="I", il=1, iu=1, lower=1)
+        herm = H + H.conj().T
+        w, _, m, _, info = _zheevr(herm, compute_v=0, range="I", il=1, iu=1, lower=1)
         assert info == 0 and m == 1
-        assert np.array_equal(w[:1], eigh(sym, eigvals_only=True, subset_by_index=[0, 0],
-                                          driver="evr", lower=True))
+        assert np.array_equal(w[:1], heevr(herm, compute_v=0, range="I", il=1, iu=1,
+                                           lower=1)[0][:1])
 
 
 def test_import_leaves_scipy_linalg_unimported():
@@ -416,12 +453,14 @@ def test_import_leaves_scipy_linalg_unimported():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("unloadable", [False, True], ids=["absent", "unloadable"])
+@pytest.mark.parametrize("unloadable", [False, True, None], ids=["absent", "unloadable", "loaded"])
 def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
-    # no loadable _flapack in the directory: the routines come from scipy.linalg
+    # no loadable _flapack in the directory: the routines come from
+    # scipy.linalg; the same checks hold for those of scipy's own _flapack
     if unloadable:
         (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
-    potrf, potrs, trtrs, gesdd, syevr = _load_lapack(tmp_path)
+    linalg_dir = Path(scipy.linalg.__file__).parent if unloadable is None else tmp_path
+    potrf, potrs, trtrs, zpotrf, zgesdd, zheevr = _load_lapack(linalg_dir)
     spd = np.array([[4.0, 2.0], [2.0, 3.0]])
     L, info = potrf(spd, lower=1)
     assert info == 0
@@ -430,12 +469,17 @@ def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
     b = np.array([1.0, 2.0])
     assert np.allclose(spd @ potrs(L, b, lower=1)[0], b)
     assert np.allclose(L @ trtrs(L, b, lower=1)[0], b)
-    U, s, Vt, info = gesdd(spd)
+    hpd = np.array([[4.0, 2.0 - 1.0j], [2.0 + 1.0j, 3.0]])
+    Lc, info = zpotrf(hpd, lower=1)
     assert info == 0
-    assert np.allclose((U * s) @ Vt, spd)
-    w, _, m, _, info = syevr(spd, compute_v=0, range="I", il=1, iu=1, lower=1)
+    Lc = np.tril(Lc)
+    assert np.allclose(Lc @ Lc.conj().T, hpd)
+    U, s, Vh, info = zgesdd(hpd)
+    assert info == 0
+    assert np.allclose((U * s) @ Vh, hpd)
+    w, _, m, _, info = zheevr(hpd, compute_v=0, range="I", il=1, iu=1, lower=1)
     assert info == m - 1 == 0
-    assert w[0] == pytest.approx((7.0 - np.sqrt(17.0)) / 2.0)
+    assert w[0] == pytest.approx((7.0 - np.sqrt(21.0)) / 2.0)
 
 
 SIX_STATE = ProtocolSpec("six-state", e=0.1)
