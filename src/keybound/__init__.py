@@ -4,9 +4,8 @@ approximations, computed with a built-in semidefinite-program solver."""
 from .basis import build_basis, expand, reconstruct
 from .bounds import (BoundPoint, bound_points_to_csv, bound_points_to_json,
                      find_cutoff, one_way_upper_bound, sweep)
-from .extendibility import (ExtendibilityResult, ExtensionReport, VariableLayout,
-                            best_extendible_decomposition, build_sdp,
-                            verify_extension)
+from .extendibility import (ExtendibilityResult, ExtensionReport,
+                            best_extendible_decomposition, build_sdp, verify_extension)
 from .infotheory import JointDistribution, mutual_information, shannon_entropy
 from .protocols import (EquivalenceClassSpec, InconsistentDataError, ObservedData,
                         Povm, ProtocolSpec, assemble_class, class_from_state,
@@ -23,7 +22,7 @@ __all__ = [
     "ExtendibilityResult", "ExtensionReport", "InconsistentDataError",
     "JointDistribution", "LmiBlock", "ObservedData", "Povm",
     "ProtocolSpec", "SdpProblem", "SdpSolution", "SolverError",
-    "VariableLayout", "assemble_class", "bell_psi_plus",
+    "assemble_class", "bell_psi_plus",
     "best_extendible_decomposition", "bound_points_to_csv",
     "bound_points_to_json", "build_basis", "build_sdp",
     "class_from_state", "depolarized_bell", "expand", "find_cutoff",

@@ -123,13 +123,15 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     must share their rows, as b(e) = b(lo) + (e - lo) slope; the class at
     the answer must match b within 1e-9 (ValueError otherwise).  One
     decomposition runs at lo + (hi - lo) / 8, or at lo when that point is
-    extendible.  Its witness y has b(e).y <= 1 - lambda_max(e) for every
-    e, so the root L of b(L).y = LAMBDA_TOL bounds the cutoff from below;
+    extendible.  Its witness y (diagnostics["witness"]: the witness
+    solve's x, or the extension fallback's dual y) has
+    b(e).y <= 1 - lambda_max(e) for every e, so the root L of
+    b(L).y = LAMBDA_TOL bounds the cutoff from below;
     its sigma_ext and rho_ne, which must pass verify_extension, lie on the
     family at e_s and e_n, so U = (1 - LAMBDA_TOL) e_s + LAMBDA_TOL e_n
     holds a state of extendible weight 1 - LAMBDA_TOL.  Returns L.  tol must be
-    finite and positive; an interval [L, U] wider than tol, or none, raises
-    SolverError.
+    finite and positive; an interval [L, U] wider than tol, or none (a face
+    solve carries no witness), raises SolverError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -158,9 +160,9 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
         solves.append((lo, res.solution.iterations))
         if res.extendible:
             raise ValueError(f"lower bracket e={lo} is already extendible")
-    # the extension fallback's witness is its dual y; a face solve has none
-    y = {"witness": res.solution.x, "extension": res.solution.y}.get(
-        res.diagnostics["program"], np.zeros_like(slope))
+    y = res.diagnostics["witness"]
+    if y is None:   # a face solve: no witness, so no interval below
+        y = np.zeros_like(slope)
     at_lo, rate = float(cls_lo.rhs @ y), float(slope @ y)
     if at_lo + (hi - lo) * rate > LAMBDA_TOL:
         raise ValueError(f"upper bracket e={hi} is not extendible")

@@ -38,11 +38,14 @@ cutoff so).  Its optimum is -(1 - lambda_max), and the solver's dual
 blocks, complex matrices of the blocks' own sizes d_A d_B and d_A d_B^2,
 are the decomposition as they come: T = rho - sigma~ and chi~, which
 _decomposition turns into the reported matrices, with lambda = Tr(chi~)
-rather than b.y.  When the witness solve does not end optimal (its dual
-residual can stall near 1e-7 at error rates close to 0, and inconsistent
-rows make it unbounded), the extension program is solved instead, and
-its (r, f) is mapped once to chi~ = sum_i f_i chi_mats[i] and
-T = rho - Tr_B'(chi~).
+rather than b.y.  Rows that no state meets make it unbounded: its
+primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which proves the class
+empty, so that solve is raised as it ended.  When the witness solve ends
+numerical-failure (its dual residual can stall near 1e-7 at error rates
+close to 0), the extension program is solved instead, its objective and
+blocks built once per dims on the first such fallback; its (r, f) is
+mapped once to chi~ = sum_i f_i chi_mats[i] and T = rho - Tr_B'(chi~),
+and its dual y, on the same class rows, is the witness.
 
 When the class rows pin rho to one rank-deficient state, the program
 has no strictly feasible point: every v in ker(rho) has
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,69 +79,25 @@ VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
                      "marginal": 1e-8, "psd_floor": -1e-9}
 
 
-@dataclass(frozen=True, eq=False)
-class VariableLayout:
-    """The data-independent part of the extension program for one dims
-    pair: variable indexing over the two groups r and f (the first f,
-    at n_r, is f_000, the extendible weight), the two LMI blocks
-    rho - sigma~ >= 0 and chi~ >= 0, the objective c, and chi_mats, the
-    (n_f, d_A d_B^2, d_A d_B^2) stack of swap-symmetric extension
-    operators with chi~ = sum_i f_i chi_mats[i].
-    The class rows, the only equalities, come with each problem.
-
-    Built once per dims by layout_for and shared by every problem of that
-    size, so every array in it is read-only.
-    """
-
-    dims: tuple
-    blocks: tuple = field(repr=False)
-    c: np.ndarray = field(repr=False)
-    chi_mats: np.ndarray = field(repr=False)
-
-    @property
-    def na(self):
-        return self.dims[0] ** 2
-
-    @property
-    def nb(self):
-        return self.dims[1] ** 2
-
-    @property
-    def n_r(self):
-        return self.na * self.nb
-
-    @property
-    def n_f(self):
-        return self.na * self.nb * (self.nb + 1) // 2
-
-    @property
-    def total(self):
-        return self.n_r + self.n_f
-
-
 @functools.lru_cache(maxsize=8)
-def layout_for(dims):
-    """The VariableLayout of the extension program for dims = (d_A, d_B)."""
+def _extension_structure(dims):
+    """The objective c and the two blocks rho - sigma~ >= 0 and chi~ >= 0
+    of the extension program for dims = (d_A, d_B), over the n_r r, then
+    the n_f f (f_000, at n_r, is the extendible weight).  The chi~
+    block's mats are chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack with
+    chi~ = sum_i f_i chi_mats[i].  Built on the first extension program
+    of these dims and shared by every later one, so it is read-only."""
     da, db = dims
     na, nb = da * da, db * db
+    dab, dabb = da * db, da * db * db
     sa, sb = build_basis(da), build_basis(db)
-    dab = da * db
-    dabb = da * db * db
-
-    rho_mats = np.stack([np.kron(sa[k], sb[l]) / dab
-                         for k in range(na) for l in range(nb)])
-    chi_mats = []
-    for k in range(na):
-        for l in range(nb):
-            for m in range(l + 1):
-                if l == m:
-                    mat = np.kron(sa[k], np.kron(sb[l], sb[l]))
-                else:
-                    mat = (np.kron(sa[k], np.kron(sb[l], sb[m]))
-                           + np.kron(sa[k], np.kron(sb[m], sb[l])))
-                chi_mats.append(mat / dabb)
-    chi_mats = np.stack(chi_mats)
-    chi_mats.setflags(write=False)
+    rho_mats = _product_ops(dims)[0] / dab
+    # S_k (x) sym(S_l (x) S_m) for m <= l: S_l (x) S_m + S_m (x) S_l, or
+    # S_l (x) S_l when l = m, in (k, l, m) order
+    bb = np.einsum("lij,mkn->lmikjn", sb, sb).reshape(nb, nb, nb, nb)
+    l, m = np.tril_indices(nb)
+    sym = np.where((l == m)[:, None, None], bb[l, m], bb[l, m] + bb[m, l])
+    chi_mats = np.einsum("kij,pab->kpiajb", sa, sym).reshape(-1, dabb, dabb) / dabb
 
     n_r = na * nb
     n_f = chi_mats.shape[0]
@@ -159,22 +118,20 @@ def layout_for(dims):
     c[0] = 1.0       # r_00
     c[n_r] = -1.0    # f_000
     c.setflags(write=False)
-    return VariableLayout(dims=(da, db), blocks=blocks, c=c, chi_mats=chi_mats)
+    return c, blocks
 
 
 def extension_sdp(cls):
-    """The extension program over (r, f) for an EquivalenceClassSpec.
+    """The extension program over (r, f) for an EquivalenceClassSpec, the
+    fallback of best_extendible_decomposition.
 
     Only the class rows and their right-hand side are built here; the
-    rest comes from the cached layout_for(cls.dims).
-
-    Returns (SdpProblem, VariableLayout).
+    rest comes from _extension_structure(cls.dims), cached per dims.
+    Returns the SdpProblem.
     """
-    layout = layout_for(tuple(cls.dims))
-    class_rows = np.pad(cls.rows, ((0, 0), (0, layout.n_f)))
-    problem = SdpProblem(c=layout.c, blocks=layout.blocks,
-                         eq_rows=class_rows, eq_rhs=cls.rhs)
-    return problem, layout
+    c, blocks = _extension_structure(tuple(cls.dims))
+    class_rows = np.pad(cls.rows, ((0, 0), (0, c.size - cls.rows.shape[1])))
+    return SdpProblem(c=c, blocks=blocks, eq_rows=class_rows, eq_rhs=cls.rhs)
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,11 +169,12 @@ def build_sdp(cls):
     per class row, minimize -b.y with the blocks W(y) >= 0 and
     sym(W(y) (x) I_B') - I >= 0 (see the module docstring).
 
-    Returns (SdpProblem, VariableLayout).
+    Returns (SdpProblem, dims): a pair, because perfbench/spans.py, which
+    wraps this function by name, unpacks it so.
     """
-    layout = layout_for(tuple(cls.dims))
-    blocks = _witness_blocks(cls.rows.tobytes(), cls.rows.shape, layout.dims)
-    return SdpProblem(c=-cls.rhs, blocks=blocks), layout
+    dims = tuple(cls.dims)
+    blocks = _witness_blocks(cls.rows.tobytes(), cls.rows.shape, dims)
+    return SdpProblem(c=-cls.rhs, blocks=blocks), dims
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +223,7 @@ def _to_density(mat, dims, diagnostics, name):
     return DensityOperator(mat / tr, dims)
 
 
-def _pinned_support(cls, layout):
+def _pinned_support(cls):
     """(w, S) when the class rows pin rho (full column rank, consistent
     within the solver's feasibility tolerance) to a state whose smallest
     eigenvalue lies in [-SUPPORT_TOL, SUPPORT_TOL]: w its eigenvalues
@@ -273,14 +231,14 @@ def _pinned_support(cls, layout):
     S diag(w) S^+ is rho with its kernel eigenvalues, rounding, set to
     exactly zero.  None for every other class."""
     r, _, rank, _ = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)
-    if rank < layout.n_r:
+    if rank < cls.rows.shape[1]:
         return None
     resid = np.linalg.norm(cls.rows @ r - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs))
     if resid > FEAS_TOL:
         return None
-    da, db = layout.dims
+    da, db = cls.dims
     bases = (build_basis(da), build_basis(db))
-    w, V = np.linalg.eigh(reconstruct(r.reshape(layout.na, layout.nb), bases))
+    w, V = np.linalg.eigh(reconstruct(r.reshape(da * da, db * db), bases))
     if abs(w[0]) > SUPPORT_TOL:
         return None
     keep = w > SUPPORT_TOL
@@ -386,21 +344,26 @@ def best_extendible_decomposition(cls):
     its face by _solve_on_face ("face"); the diagnostics then carry rho's
     support rank and the face dimension (None for both otherwise).  Every
     other class runs the witness program ("witness"), and the extension
-    program ("extension") when the witness solve does not end optimal.
-    Every path gives a pair (T, chi~) that _decomposition turns into the
-    result's matrices.  diagnostics["witness_value"] is the solve's lower
-    bound on 1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) on a face;
-    None for the extension program), and diagnostics["class_residual"]
-    is ||A r* - b|| / (1 + ||b||) at the reported rho*.
+    program ("extension") only when the witness solve ends
+    numerical-failure.  A witness solve that ends unbounded has a primal
+    ray d with sum_j d_j O_j <= 0 and b.d > 0, which proves that no state
+    meets the class rows, so it raises at once.  Every path gives a pair
+    (T, chi~) that _decomposition turns into the result's matrices.
+    diagnostics["witness"] is the witness y in class-row coordinates (the
+    witness solve's x, the extension program's dual y, None on a face),
+    and diagnostics["witness_value"] the solve's lower bound on
+    1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) on a face).
+    diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
+    reported rho*.
     """
-    layout = layout_for(tuple(cls.dims))
-    da, db = dims = layout.dims
-    pinned = _pinned_support(cls, layout)
+    da, db = dims = tuple(cls.dims)
+    pinned = _pinned_support(cls)
     support_rank = face_dim = None
     if pinned is None:
         program, sol = "witness", solve(build_sdp(cls)[0])
-        if sol.status != "optimal":
-            program, sol = "extension", solve(extension_sdp(cls)[0])
+        if sol.status == "numerical-failure":
+            problem = extension_sdp(cls)
+            program, sol = "extension", solve(problem)
     else:
         program, support_rank = "face", pinned[0].size
         sol, face_dim, pair = _solve_on_face(*pinned, dims)
@@ -410,16 +373,17 @@ def best_extendible_decomposition(cls):
             solution=sol)
 
     bases = (build_basis(da), build_basis(db))
+    witness = None
     if program == "witness":
-        witness_value = float(cls.rhs @ sol.x)
-        pair = tuple(sol.z_blocks)
+        witness, pair = sol.x, tuple(sol.z_blocks)
     elif program == "extension":
-        witness_value = None
-        chi = np.tensordot(sol.x[layout.n_r:], layout.chi_mats, 1)
-        rho = reconstruct(sol.x[:layout.n_r].reshape(layout.na, layout.nb), bases)
+        # the class rows are its equality rows, so its dual y is a witness
+        witness, n_r = sol.y, cls.rows.shape[1]
+        chi = np.tensordot(sol.x[n_r:], problem.blocks[1].mats, 1)   # chi_mats
+        rho = reconstruct(sol.x[:n_r].reshape(da * da, db * db), bases)
         pair = (rho - partial_trace_matrix(chi, (da, db, db), keep=(0, 1)), chi)
-    else:
-        witness_value = float(pinned[0].sum() - sol.objective)
+    witness_value = (float(pinned[0].sum() - sol.objective) if witness is None
+                     else float(cls.rhs @ witness))
     rho, sigma, chi = _decomposition(*pair, dims)
 
     raw_lam = float(np.trace(chi).real)
@@ -428,7 +392,7 @@ def best_extendible_decomposition(cls):
                           solution=sol)
     lam = min(max(raw_lam, 0.0), 1.0)
 
-    diagnostics = {"program": program, "raw_lambda": raw_lam,
+    diagnostics = {"program": program, "raw_lambda": raw_lam, "witness": witness,
                    "witness_value": witness_value,
                    "support_rank": support_rank, "face_dim": face_dim}
     rho_star = _to_density(rho, dims, diagnostics, "rho_star")

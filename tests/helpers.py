@@ -18,7 +18,7 @@ import numpy as np
 from keybound import bounds
 from keybound.basis import build_basis
 from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
-                                    _pinned_support, extension_sdp, layout_for)
+                                    _pinned_support, build_sdp, extension_sdp)
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
 from keybound.sdp import LmiBlock, SdpProblem, _adjoint, solve
 from keybound.states import DensityOperator
@@ -89,13 +89,12 @@ def pinned_problem(cls, lam):
     "does the class admit a decomposition with weight exactly lam";
     useful as an independent route to lambda_max via bisection.
     """
-    problem, layout = extension_sdp(cls)
-    row = np.zeros((1, layout.total))
-    row[0, layout.n_r] = 1.0
+    problem = extension_sdp(cls)
+    row = np.zeros((1, problem.num_vars))
+    row[0, cls.rows.shape[1]] = 1.0
     rows = np.concatenate([problem.eq_rows, row], axis=0)
     rhs = np.concatenate([problem.eq_rhs, [float(lam)]])
-    return SdpProblem(c=problem.c, blocks=problem.blocks,
-                      eq_rows=rows, eq_rhs=rhs), layout
+    return SdpProblem(c=problem.c, blocks=problem.blocks, eq_rows=rows, eq_rhs=rhs)
 
 
 def lambda_bisection_oracle(cls, tol=5e-5):
@@ -106,7 +105,7 @@ def lambda_bisection_oracle(cls, tol=5e-5):
     The feasible weights form an interval [0, lambda_max].
     """
     def feasible(lam):
-        verdict = check_feasible(pinned_problem(cls, lam)[0])
+        verdict = check_feasible(pinned_problem(cls, lam))
         return verdict.status == "optimal"
 
     if feasible(1.0):
@@ -135,9 +134,8 @@ def face_primal_oracle(cls):
     and Y >= 0; the objective is min -Tr(Y), and lambda_max = Tr(Y) at
     the optimum (Tr(rho) = 1).  Returns (lambda_max, SdpSolution).
     """
-    layout = layout_for(tuple(cls.dims))
-    w, S = _pinned_support(cls, layout)
-    sym, anti = _face_basis(S, layout.dims)
+    w, S = _pinned_support(cls)
+    sym, anti = _face_basis(S, cls.dims)
     n_sym, n_anti = sym.shape[1], anti.shape[1]
     k = n_sym + n_anti
     U = np.hstack([sym, anti])
@@ -146,7 +144,7 @@ def face_primal_oracle(cls):
     ys[n_sym ** 2:, n_sym:, n_sym:] = _hermitian_stack(n_anti)
     # (S^+ (x) <b'|) U for each b', so S^+ Tr_B'(U Y U^+) S is
     # sum_b' W_b' Y W_b'^+.
-    da, db = layout.dims
+    da, db = cls.dims
     W = np.einsum("as,abk->bsk", S.conj(), U.reshape(da * db, db, k))
     sigma_mats = np.einsum("bsk,jkl,btl->jst", W, ys, W.conj())
     g_idx = np.arange(ys.shape[0])
@@ -156,6 +154,19 @@ def face_primal_oracle(cls):
                      LmiBlock(const=np.zeros((k, k)), var_idx=g_idx, mats=ys))))
     assert sol.status == "optimal", sol.message
     return float(-c @ sol.x), sol
+
+
+def assert_ray_proves_no_state(cls, sol):
+    """sol, the witness solve of cls, ended unbounded, and its primal ray
+    d proves that no state meets the class rows: every block of
+    F_lin(d) = sum_j d_j mats_j is PSD within 1e-9 (sum_j d_j O_j <= 0)
+    and b.d > 0, so b.y grows without bound over feasible witnesses."""
+    assert sol.status == "unbounded"
+    assert sol.certificate["kind"] == "primal-ray"
+    d = sol.certificate["x"]
+    for blk in build_sdp(cls)[0].blocks:
+        assert np.linalg.eigvalsh(np.tensordot(d[blk.var_idx], blk.mats, 1))[0] >= -1e-9
+    assert float(cls.rhs @ d) > 0.0
 
 
 def extend_qutrit_stream_state(cycle, rank):
@@ -403,7 +414,7 @@ def three_block_reference(cls):
     rho >= 0, rho - sigma~ >= 0 and chi~ >= 0; equalities the class rows
     on r and the coupling rows e_kl = f_{k,l,0} that make sigma~ the
     partial trace of chi~ over B'; objective min r_00 - e_00.  Built
-    from the operator basis alone, independently of layout_for.
+    from the operator basis alone, independently of extension_sdp.
 
     Returns (SdpProblem, index of e_00), so lambda_max = x[index].
     """

@@ -11,8 +11,8 @@ from keybound import bounds, extendibility
 from keybound.basis import build_basis, expand
 from keybound.bounds import find_cutoff
 from keybound.extendibility import (
-    LAMBDA_TOL, SUPPORT_TOL, best_extendible_decomposition, build_sdp,
-    extension_sdp, layout_for, verify_extension,
+    LAMBDA_TOL, SUPPORT_TOL, _extension_structure, best_extendible_decomposition,
+    build_sdp, extension_sdp, verify_extension,
 )
 from keybound.protocols import (
     EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
@@ -21,9 +21,10 @@ from keybound.protocols import (
 from keybound.sdp import SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              partial_trace_matrix, swap_last_two)
-from helpers import (check_feasible, chi_reference, extend_qutrit_stream_state,
-                     lambda_bisection_oracle, min_block_eigenvalue, pinned_problem,
-                     three_block_reference, trivial_class)
+from helpers import (assert_ray_proves_no_state, check_feasible, chi_reference,
+                     extend_qutrit_stream_state, lambda_bisection_oracle,
+                     min_block_eigenvalue, pinned_problem, three_block_reference,
+                     trivial_class)
 
 
 def six_state_class(e):
@@ -37,38 +38,45 @@ LAYOUT_SIZES = {(2, 2): (16, 40, 56), (2, 3): (36, 180, 216)}
 
 def test_variable_layout_counts():
     for dims, (n_r, n_f, total) in LAYOUT_SIZES.items():
-        _, lay = build_sdp(trivial_class(dims))
-        assert lay.n_r == n_r
-        assert lay.n_f == n_f
-        assert lay.total == total
-        assert not hasattr(lay, "n_e") and not hasattr(lay, "coupling")
+        cls = trivial_class(dims)
+        prob = extension_sdp(cls)
+        c, blocks = _extension_structure(dims)
+        assert cls.rows.shape[1] == n_r
+        assert blocks[1].mats.shape[0] == n_f
+        assert c.size == prob.num_vars == total
+        # r then f, and the class rows are the only equalities
+        assert np.array_equal(blocks[1].var_idx, n_r + np.arange(n_f))
+        assert prob.eq_rows.shape[0] == cls.rows.shape[0]
 
 
 @pytest.mark.parametrize("dims", sorted(LAYOUT_SIZES))
 def test_chi_stack_matches_kronecker_reference(dims):
-    lay = layout_for(dims)
+    chi_mats = _extension_structure(dims)[1][1].mats
     rng = np.random.default_rng(sum(dims))
     for _ in range(3):
-        f = rng.normal(size=lay.n_f)
-        stacked = np.tensordot(f, lay.chi_mats, 1)
+        f = rng.normal(size=chi_mats.shape[0])
+        stacked = np.tensordot(f, chi_mats, 1)
         assert np.max(np.abs(stacked - chi_reference(f, dims))) <= 1e-12
 
 
 def test_build_sdp_shares_structure_per_dims():
     # the witness blocks depend only on the rows, the objective -b on the data
-    p1, lay1 = build_sdp(six_state_class(0.05))
-    p2, lay2 = build_sdp(six_state_class(0.10))
-    assert lay1 is lay2
+    p1, dims1 = build_sdp(six_state_class(0.05))
+    p2, dims2 = build_sdp(six_state_class(0.10))
+    assert dims1 == dims2 == (2, 2)
     assert all(a is b for a, b in zip(p1.blocks, p2.blocks))
     assert not np.array_equal(p1.c, p2.c)
-    _, lay3 = build_sdp(trivial_class((2, 3)))
-    assert lay3 is not lay1
+    # the extension program's objective and blocks are one structure per dims
+    e1, e2 = extension_sdp(six_state_class(0.05)), extension_sdp(six_state_class(0.10))
+    assert all(a is b for a, b in zip(e1.blocks, e2.blocks))
+    assert _extension_structure((2, 2)) is _extension_structure((2, 2))
+    assert _extension_structure((2, 3)) is not _extension_structure((2, 2))
 
 
 def test_cached_structure_is_read_only():
-    lay = layout_for((2, 2))
-    arrays = [lay.c, lay.chi_mats]
-    for blk in lay.blocks:
+    c, blocks = _extension_structure((2, 2))
+    arrays = [c, blocks[1].mats]
+    for blk in blocks:
         arrays += [blk.const, blk.mats, blk.var_idx]
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -77,20 +85,21 @@ def test_cached_structure_is_read_only():
 
 def test_sdp_structure():
     cls = six_state_class(0.05)
-    prob, lay = extension_sdp(cls)
+    prob = extension_sdp(cls)
+    n_r = cls.rows.shape[1]
     assert [b.dim for b in prob.blocks] == [4, 8]
     # equalities: the class rows only, on r
     assert prob.eq_rows.shape == (cls.rows.shape[0], 56)
-    assert not prob.eq_rows[:, lay.n_r:].any()
+    assert not prob.eq_rows[:, n_r:].any()
     # objective rewards the non-extendible weight only
     assert prob.c[0] == 1.0
-    assert prob.c[lay.n_r] == -1.0   # f_000
+    assert prob.c[n_r] == -1.0   # f_000
     assert np.count_nonzero(prob.c) == 2
 
 
 def test_witness_program_structure():
     cls = six_state_class(0.05)
-    prob, lay = build_sdp(cls)
+    prob, _ = build_sdp(cls)
     m = cls.rows.shape[0]
     # one variable per class row, no equalities, objective -b.y
     assert prob.num_vars == m and prob.eq_rows.shape == (0, m)
@@ -184,8 +193,8 @@ def test_verification_catches_broken_swap_symmetry():
 
 def test_pinned_feasibility_brackets_optimum():
     cls = six_state_class(0.06)
-    below = check_feasible(pinned_problem(cls, 0.30)[0])
-    above = check_feasible(pinned_problem(cls, 0.42)[0])
+    below = check_feasible(pinned_problem(cls, 0.30))
+    above = check_feasible(pinned_problem(cls, 0.42))
     assert below.status == "optimal"
     assert above.status == "infeasible"
 
@@ -241,7 +250,7 @@ def rank_deficient_outcome(seed, rank):
     except Exception as err:
         outcome = type(err).__name__
     try:
-        full = type(solve(extension_sdp(cls)[0])).__name__
+        full = type(solve(extension_sdp(cls))).__name__
     except Exception as err:
         full = type(err).__name__
     return f"{outcome} {full}"
@@ -361,9 +370,9 @@ def test_face_program_matches_full_program_where_it_converges():
     cls = class_from_state(DensityOperator(mat, (2, 2)))
     res = best_extendible_decomposition(cls)
     assert res.diagnostics["face_dim"] is not None
-    full = solve(extension_sdp(cls)[0])
+    full = solve(extension_sdp(cls))
     assert full.status == "optimal"
-    full_lam = float(full.x[layout_for(cls.dims).n_r])
+    full_lam = float(full.x[cls.rows.shape[1]])
     assert full_lam == pytest.approx(1.0, abs=1e-6)
     assert res.lambda_max == pytest.approx(full_lam, abs=1e-6)
 
@@ -383,21 +392,29 @@ def _inconsistent_pinned_class():
 @pytest.mark.parametrize("make", [_negative_pinned_class, _inconsistent_pinned_class],
                          ids=["eigenvalue-below-support-tol", "inconsistent-rows"])
 def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
-    # the witness program (one variable per row) runs first; it does not
-    # end optimal on either class, so the extension program runs after it
+    # the witness program (one variable per row) runs first.  On the
+    # class pinned to a matrix with eigenvalue -1e-8 it ends
+    # numerical-failure, so the extension program runs after it; on
+    # inconsistent rows it ends unbounded, and its primal ray refuses the
+    # class with no second solve
     cls = make()
     runs = []
 
     def spy(problem):
         sol = solve(problem)
-        runs.append((problem.num_vars, sol.status))
+        runs.append((problem.num_vars, sol))
         return sol
 
     monkeypatch.setattr(extendibility, "solve", spy)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError) as err:
         best_extendible_decomposition(cls)
-    assert [n for n, _ in runs] == [cls.rows.shape[0], layout_for((2, 2)).total]
-    assert runs[0][1] != "optimal"
+    if make is _inconsistent_pinned_class:
+        assert [n for n, _ in runs] == [cls.rows.shape[0]]
+        assert err.value.solution is runs[0][1]
+        assert_ray_proves_no_state(cls, runs[0][1])
+    else:
+        assert [n for n, _ in runs] == [cls.rows.shape[0], 56]
+        assert runs[0][1].status == "numerical-failure"
 
 
 def test_full_rank_and_unpinned_classes_run_the_full_program():

@@ -292,7 +292,7 @@ def six_state_pinned(lam):
     # above it gives an infeasible program.
     spec = ProtocolSpec("six-state", e=0.05)
     povms, data = realize_protocol(spec)
-    return pinned_problem(assemble_class(povms, data, spec), lam)[0]
+    return pinned_problem(assemble_class(povms, data, spec), lam)
 
 
 @pytest.mark.parametrize("lam", [0.3001])
@@ -336,7 +336,7 @@ def test_pinned_weight_above_lambda_max_is_certified_infeasible():
 def test_duplicated_equality_rows_give_the_deduplicated_optimum():
     # rank-deficient rows: every class row twice, plus the sum of two of them
     spec = ProtocolSpec("four-state", e=0.05)
-    problem = extension_sdp(assemble_class(*realize_protocol(spec), spec))[0]
+    problem = extension_sdp(assemble_class(*realize_protocol(spec), spec))
     A, b = problem.eq_rows, problem.eq_rhs
     dup = SdpProblem(c=problem.c, blocks=problem.blocks,
                      eq_rows=np.vstack([A, A, A[:1] + A[1:2]]),

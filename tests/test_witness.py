@@ -9,11 +9,12 @@ import pytest
 from keybound import extendibility
 from keybound.bounds import one_way_upper_bound
 from keybound.extendibility import (best_extendible_decomposition, build_sdp,
-                                    extension_sdp, layout_for, verify_extension)
+                                    extension_sdp, verify_extension)
 from keybound.protocols import (EquivalenceClassSpec, ProtocolSpec, assemble_class,
                                 class_from_state, realize_protocol)
 from keybound.sdp import SolverError, solve
 from keybound.states import DensityOperator
+from helpers import assert_ray_proves_no_state, extend_qutrit_stream_state
 
 # lambda_max of the two programs, each within GAP_TOL (1 + |pobj| + |dobj|)
 AGREE_TOL = 3e-8
@@ -33,10 +34,9 @@ def full_rank_class(dims, seed):
 
 
 def extension_lambda(cls):
-    problem, layout = extension_sdp(cls)
-    sol = solve(problem)
+    sol = solve(extension_sdp(cls))
     assert sol.status == "optimal", sol.message
-    return float(sol.x[layout.n_r])
+    return float(sol.x[cls.rows.shape[1]])
 
 
 def assert_witness_agrees(cls):
@@ -149,7 +149,7 @@ def test_non_optimal_witness_solve_falls_back(monkeypatch):
     cls = protocol_class("six-state", 0.05)
     runs = fail_witness_solves(monkeypatch)
     res = best_extendible_decomposition(cls)
-    assert runs == [cls.rows.shape[0], layout_for(cls.dims).total]
+    assert runs == [cls.rows.shape[0], extension_sdp(cls).num_vars]
     assert res.diagnostics["program"] == "extension"
     assert verify_extension(res).passed
     assert res.lambda_max == pytest.approx(0.3, abs=AGREE_TOL)
@@ -166,7 +166,10 @@ def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypa
     fail_witness_solves(monkeypatch)
     res = best_extendible_decomposition(cls)
     assert res.diagnostics["program"] == "extension"
-    assert res.diagnostics["witness_value"] is None
+    # its witness is the extension program's dual y, in class-row coordinates
+    assert np.array_equal(res.diagnostics["witness"], res.solution.y)
+    assert res.diagnostics["witness_value"] == float(cls.rhs @ res.solution.y)
+    assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + AGREE_TOL
     assert np.trace(res.chi_tilde).real == res.diagnostics["raw_lambda"]
     assert res.lambda_max == pytest.approx(witness.lambda_max, abs=AGREE_TOL)
     assert verify_extension(res).passed
@@ -192,8 +195,26 @@ def test_inconsistent_rows_raise_infeasible(monkeypatch):
     monkeypatch.setattr(extendibility, "solve", spy)
     with pytest.raises(SolverError) as err:
         best_extendible_decomposition(bad)
-    # the witness program is unbounded along a primal ray; only the
-    # extension program's typed infeasibility reaches the caller
-    assert [sol.status for sol in runs] == ["unbounded", "infeasible"]
-    assert runs[0].certificate["kind"] == "primal-ray"
-    assert err.value.solution.status == "infeasible"
+    # the witness program is unbounded along a primal ray, which proves
+    # that no state meets the rows; that solve is what reaches the caller
+    assert [sol.status for sol in runs] == ["unbounded"]
+    assert err.value.solution is runs[0]
+    assert_ray_proves_no_state(bad, runs[0])
+
+
+def test_extension_structure_is_built_only_on_a_fallback():
+    # the four 26-point sweeps and the extend-qutrit stream states all end
+    # on the witness or face program, so none builds the (r, f) structure
+    extendibility._extension_structure.cache_clear()
+    for kind in ("four-state", "six-state"):
+        for direction in ("direct", "reverse"):
+            for e in np.linspace(0.0, 0.25, 26):
+                best_extendible_decomposition(protocol_class(kind, float(e), direction))
+    for rank in range(1, 7):
+        best_extendible_decomposition(class_from_state(extend_qutrit_stream_state(0, rank)))
+    assert extendibility._extension_structure.cache_info().misses == 0
+    # a stalled witness solve near e = 0 builds it once and reads its witness
+    res = best_extendible_decomposition(protocol_class("six-state", 1e-8))
+    assert res.diagnostics["program"] == "extension"
+    assert res.diagnostics["witness"] is not None
+    assert extendibility._extension_structure.cache_info().misses == 1
