@@ -123,8 +123,8 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     must share their rows, as b(e) = b(lo) + (e - lo) slope; the class at
     the answer must match b within 1e-9 (ValueError otherwise).  One
     decomposition runs at lo + (hi - lo) / 8, or at lo when that point is
-    extendible.  Its witness y (diagnostics["witness"]: the witness
-    solve's x, or the extension fallback's dual y) has
+    extendible.  Its witness y (diagnostics["witness"]: the witness solve's
+    x, or the extension fallback's least-squares row multipliers) has
     b(e).y <= 1 - lambda_max(e) for every e, so the root L of
     b(L).y = LAMBDA_TOL bounds the cutoff from below;
     its sigma_ext and rho_ne, which must pass verify_extension, lie on the

@@ -10,15 +10,16 @@ with sigma_ext admitting a two-copy symmetric extension on A (x) B (x) B'
 (swap-invariant, PSD, with the correct marginal) and rho_ne an arbitrary
 state.  lambda = 1 exactly when the class contains an extendible state.
 
-The extension program (extension_sdp) states this directly.  Variables,
-in one real vector: the coefficients r_kl of rho over the operator
-basis, then the swap-symmetric coefficients f_klm (l >= m) of the
-unnormalized extension chi~.  The partial trace over B' of
-S_k (x) sym(S_l (x) S_m) / d_A d_B^2 is delta_m0 S_k (x) S_l / d_A d_B,
-so sigma~ = Tr_B'(chi~) = lambda * sigma_ext has the coefficients
-f_{k,l,0} and needs no variables of its own.  The two blocks demand
-rho - sigma~ >= 0 and chi~ >= 0 (rho >= sigma~ >= 0 follows), and the
-class rows A r = b are the only equalities.  Because
+The extension program (extension_sdp) states this directly, over the
+coefficients r_kl of rho in the operator basis and the swap-symmetric
+coefficients f_klm (l >= m) of the unnormalized extension chi~.  The
+partial trace over B' of S_k (x) sym(S_l (x) S_m) / d_A d_B^2 is
+delta_m0 S_k (x) S_l / d_A d_B, so sigma~ = Tr_B'(chi~) = lambda *
+sigma_ext has the coefficients f_{k,l,0} and needs no variables of its
+own.  The two blocks demand rho - sigma~ >= 0 and chi~ >= 0 (rho >=
+sigma~ >= 0 follows), and the class rows A r = b are substituted away:
+r = r0 + N w, with r0 their least-squares solution and N an orthonormal
+basis of their null space, so the variables are (f, w).  Because
 Tr(chi~) = f_000 = Tr(sigma~), the objective min r_00 - f_000 returns
 1 - lambda_max.
 
@@ -42,10 +43,12 @@ rather than b.y.  Rows that no state meets make it unbounded: its
 primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which proves the class
 empty, so that solve is raised as it ended.  When the witness solve ends
 numerical-failure (its dual residual can stall near 1e-7 at error rates
-close to 0), the extension program is solved instead, its objective and
-blocks built once per dims on the first such fallback; its (r, f) is
-mapped once to chi~ = sum_i f_i chi_mats[i] and T = rho - Tr_B'(chi~),
-and its dual y, on the same class rows, is the witness.
+close to 0), the extension program is solved instead, its chi~ block
+built once per dims on the first such fallback; its (f, w) is mapped once
+to chi~ = sum_i f_i chi_mats[i], r = r0 + N w and T = rho - Tr_B'(chi~),
+and its witness is the least-squares multipliers y of the class rows,
+A^T y = e_00 - A_r*(Z_T) with A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
+and Z_T the dual block of rho - sigma~ >= 0.
 
 When the class rows pin rho to one rank-deficient state, the program
 has no strictly feasible point: every v in ker(rho) has
@@ -81,57 +84,67 @@ VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
 
 @functools.lru_cache(maxsize=8)
 def _extension_structure(dims):
-    """The objective c and the two blocks rho - sigma~ >= 0 and chi~ >= 0
-    of the extension program for dims = (d_A, d_B), over the n_r r, then
-    the n_f f (f_000, at n_r, is the extendible weight).  The chi~
-    block's mats are chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack with
+    """The data-free parts of the extension program for dims = (d_A, d_B),
+    over its n_f f first (f_000, at 0, is the extendible weight):
+    rho_mats, the (n_r, d_A d_B, d_A d_B) stack S_k (x) S_l / d_A d_B with
+    rho = sum_kl r_kl rho_mats[kl]; sigma_idx, the f_{k,l,0} that are
+    sigma~'s coefficients, in (k, l) order; and the block chi~ >= 0, whose
+    mats are chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack with
     chi~ = sum_i f_i chi_mats[i].  Built on the first extension program
     of these dims and shared by every later one, so it is read-only."""
     da, db = dims
     na, nb = da * da, db * db
-    dab, dabb = da * db, da * db * db
+    dabb = da * db * db
     sa, sb = build_basis(da), build_basis(db)
-    rho_mats = _product_ops(dims)[0] / dab
+    rho_mats = _product_ops(dims)[0] / (da * db)
     # S_k (x) sym(S_l (x) S_m) for m <= l: S_l (x) S_m + S_m (x) S_l, or
     # S_l (x) S_l when l = m, in (k, l, m) order
     bb = np.einsum("lij,mkn->lmikjn", sb, sb).reshape(nb, nb, nb, nb)
     l, m = np.tril_indices(nb)
     sym = np.where((l == m)[:, None, None], bb[l, m], bb[l, m] + bb[m, l])
     chi_mats = np.einsum("kij,pab->kpiajb", sa, sym).reshape(-1, dabb, dabb) / dabb
-
-    n_r = na * nb
-    n_f = chi_mats.shape[0]
     ls = np.arange(nb)
-    # sigma~'s coefficients: the f_{k,l,0}, in (k, l) order
-    sigma_idx = (n_r + np.add.outer(np.arange(na) * (nb * (nb + 1) // 2),
-                                    ls * (ls + 1) // 2)).ravel()
-    blocks = (
-        # rho - sigma~ >= 0
-        LmiBlock(const=np.zeros((dab, dab)),
-                 var_idx=np.concatenate([np.arange(n_r), sigma_idx]),
-                 mats=np.concatenate([rho_mats, -rho_mats])),
-        # chi~ >= 0 (sigma~ >= 0 and rho >= 0 follow)
-        LmiBlock(const=np.zeros((dabb, dabb)), var_idx=n_r + np.arange(n_f),
-                 mats=chi_mats),
-    )
-    c = np.zeros(n_r + n_f)
-    c[0] = 1.0       # r_00
-    c[n_r] = -1.0    # f_000
-    c.setflags(write=False)
-    return c, blocks
+    sigma_idx = np.add.outer(np.arange(na) * (nb * (nb + 1) // 2), ls * (ls + 1) // 2).ravel()
+    for arr in (rho_mats, sigma_idx):
+        arr.setflags(write=False)
+    # chi~ >= 0 (sigma~ >= 0 and rho >= 0 follow)
+    chi_block = LmiBlock(const=np.zeros((dabb, dabb)), var_idx=np.arange(chi_mats.shape[0]),
+                         mats=chi_mats)
+    return rho_mats, sigma_idx, chi_block
 
 
 def extension_sdp(cls):
-    """The extension program over (r, f) for an EquivalenceClassSpec, the
-    fallback of best_extendible_decomposition.
+    """The extension program for an EquivalenceClassSpec, the fallback of
+    best_extendible_decomposition, with its class rows substituted away.
 
-    Only the class rows and their right-hand side are built here; the
-    rest comes from _extension_structure(cls.dims), cached per dims.
-    Returns the SdpProblem.
+    One SVD of the rows A gives their pseudo-inverse pinv and an
+    orthonormal basis N of their null space, so the r that meet them are
+    r = r0 + N w with r0 = pinv b.  The variables are (f, w); the blocks
+    are rho - sigma~ >= 0, built here with rho = sum_kl r_kl rho_mats[kl],
+    and chi~ >= 0 from _extension_structure(cls.dims); the objective is
+    r_00 - f_000 less its constant r0_00.  Raises SolverError when r0
+    misses the rows by more than FEAS_TOL (relative to 1 + ||b||): then
+    no r meets them.  Returns (SdpProblem, pinv, N).
     """
-    c, blocks = _extension_structure(tuple(cls.dims))
-    class_rows = np.pad(cls.rows, ((0, 0), (0, c.size - cls.rows.shape[1])))
-    return SdpProblem(c=c, blocks=blocks, eq_rows=class_rows, eq_rhs=cls.rhs)
+    rho_mats, sigma_idx, chi_block = _extension_structure(tuple(cls.dims))
+    A, b = cls.rows, cls.rhs
+    U, s, Vt = np.linalg.svd(A)
+    rank = np.count_nonzero(s > max(A.shape) * np.finfo(float).eps * s.max(initial=0.0))
+    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    N = Vt[rank:].T
+    r0 = pinv @ b
+    miss = float(np.linalg.norm(A @ r0 - b))
+    if miss > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
+        raise SolverError(f"the class rows are inconsistent: their least-squares "
+                          f"solution misses them by {miss:.3e}")
+    n_f = chi_block.var_idx.size
+    c = np.concatenate([np.zeros(n_f), N[0]])
+    c[0] = -1.0      # f_000
+    # rho - sigma~ >= 0
+    block = LmiBlock(const=np.tensordot(r0, rho_mats, 1),
+                     var_idx=np.concatenate([sigma_idx, n_f + np.arange(N.shape[1])]),
+                     mats=np.concatenate([-rho_mats, np.tensordot(N.T, rho_mats, 1)]))
+    return SdpProblem(c=c, blocks=(block, chi_block)), pinv, N
 
 
 @functools.lru_cache(maxsize=8)
@@ -154,7 +167,7 @@ def _product_ops(dims):
 @functools.lru_cache(maxsize=8)
 def _witness_blocks(key, shape, dims):
     """The blocks W(y) >= 0 and sym(W(y) (x) I_B') - I >= 0 for class rows
-    given by bytes and shape; cached per row set, like sdp._row_factors."""
+    given by bytes and shape; cached per row set."""
     rows = np.frombuffer(key).reshape(shape)
     ops, ext = _product_ops(dims)
     idx = np.arange(shape[0])
@@ -295,10 +308,9 @@ def _solve_on_face(w, S, dims):
     if k == 0:
         n = S.shape[0] * dims[1]
         return SdpSolution(
-            status="optimal", x=np.zeros(0), y=np.zeros(0), z_blocks=[],
-            objective=0.0, dual_objective=0.0, duality_gap=0.0,
-            primal_residual=0.0, dual_residual=0.0, equality_residual=0.0,
-            iterations=0,
+            status="optimal", x=np.zeros(0), z_blocks=[], objective=0.0,
+            dual_objective=0.0, duality_gap=0.0, primal_residual=0.0,
+            dual_residual=0.0, iterations=0,
             message=(f"empty face: supp(rho) (x) C^d_B (support rank {w.size}) "
                      "meets its swap only in 0, so lambda_max = 0 without a solve")
         ), 0, ((S * w) @ S.conj().T, np.zeros((n, n)))
@@ -350,7 +362,8 @@ def best_extendible_decomposition(cls):
     meets the class rows, so it raises at once.  Every path gives a pair
     (T, chi~) that _decomposition turns into the result's matrices.
     diagnostics["witness"] is the witness y in class-row coordinates (the
-    witness solve's x, the extension program's dual y, None on a face),
+    witness solve's x, the least-squares multipliers of the class rows
+    after an extension solve, None on a face),
     and diagnostics["witness_value"] the solve's lower bound on
     1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) on a face).
     diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
@@ -362,7 +375,7 @@ def best_extendible_decomposition(cls):
     if pinned is None:
         program, sol = "witness", solve(build_sdp(cls)[0])
         if sol.status == "numerical-failure":
-            problem = extension_sdp(cls)
+            problem, pinv, N = extension_sdp(cls)
             program, sol = "extension", solve(problem)
     else:
         program, support_rank = "face", pinned[0].size
@@ -377,11 +390,16 @@ def best_extendible_decomposition(cls):
     if program == "witness":
         witness, pair = sol.x, tuple(sol.z_blocks)
     elif program == "extension":
-        # the class rows are its equality rows, so its dual y is a witness
-        witness, n_r = sol.y, cls.rows.shape[1]
-        chi = np.tensordot(sol.x[n_r:], problem.blocks[1].mats, 1)   # chi_mats
-        rho = reconstruct(sol.x[:n_r].reshape(da * da, db * db), bases)
+        rho_mats, _, chi_block = _extension_structure(dims)
+        n_f = chi_block.var_idx.size
+        chi = np.tensordot(sol.x[:n_f], chi_block.mats, 1)
+        rho = np.tensordot(pinv @ cls.rhs + N @ sol.x[n_f:], rho_mats, 1)
         pair = (rho - partial_trace_matrix(chi, (da, db, db), keep=(0, 1)), chi)
+        # the least-squares multipliers of the class rows:
+        # A^T y = e_00 - A_r*(Z_T), A_r*(Z)_kl = Re <rho_mats[kl], Z>
+        dual = -np.einsum("kij,ij->k", rho_mats.conj(), sol.z_blocks[0]).real
+        dual[0] += 1.0
+        witness = pinv.T @ dual
     witness_value = (float(pinned[0].sum() - sol.objective) if witness is None
                      else float(cls.rhs @ witness))
     rho, sigma, chi = _decomposition(*pair, dims)

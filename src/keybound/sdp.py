@@ -4,45 +4,34 @@ Problem form::
 
     minimize    c^T x
     subject to  F^(b)(x) = F0^(b) + sum_i x_i Fi^(b)  >= 0   for each block b
-                A x = rhs
 
-with Hermitian F matrices and real data elsewhere.  Each block is
-stored and iterated at its own size n: a block with complex data in
-complex arithmetic, counted twice in every inner product and in the
-barrier degree, so the iterates are those of its real symmetric
-embedding [[Re, -Im], [Im, Re]] of size 2n; a real block once.  Below,
-<X, Y> = Re Tr(X^H Y) on the stored blocks, and the z_blocks returned
-are duals for it: a complex block's is twice its iterate, as its real
-embedding's dual reads back.
-
-solve first substitutes the equality rows away.  One SVD of the columns
-they touch, cached per set of rows, gives x0, the least-squares solution
-of the rows, and an orthonormal basis of their null space; with P those
-columns plus unit vectors for the variables the rows leave free,
-x = x0 + P w.  Rows that x0 misses by more than FEAS_TOL (relative to
-1 + ||rhs||) have no solution: the solve ends at once as infeasible with
-an equality-ray certificate.  Otherwise it runs on the program in w,
-with consts F0 + F_lin(x0), objective P^T c and no equality rows, and
-maps the answer back: x = x0 + P w, and y is the least-squares solution
-of A^T y = c - A*(Z) (of A^T y = -A*(Z) for a Farkas certificate), with
-A*(Z)_i = <Fi, Z>.  So the SdpSolution, its certificate and history are
-in the caller's coordinates, and residuals use the caller's scales.
+with Hermitian F matrices and real c.  Each block is stored and iterated
+at its own size n: a block with complex data in complex arithmetic,
+counted twice in every inner product and in the barrier degree, so the
+iterates are those of its real symmetric embedding [[Re, -Im], [Im, Re]]
+of size 2n; a real block once.  Below, <X, Y> = Re Tr(X^H Y) on the
+stored blocks, and the z_blocks returned are duals for it: a complex
+block's is twice its iterate, as its real embedding's dual reads back.
+A program with equality constraints is stated over a parametrization
+of their solutions (extendibility.extension_sdp does so).
 
 The algorithm is the homogeneous self-dual embedding (Ye, Todd & Mizuno
 1994; for SDP de Klerk, Roos & Terlaky 1997): F0 and c are scaled by a
 scalar tau >= 0, and a scalar kappa >= 0 joins the system
 
     F_lin(w) + tau F0 = S,  A*(Z) = tau c,  c.w + <F0, Z> + kappa = 0,
-    <S, Z> + tau kappa = 0.
+    <S, Z> + tau kappa = 0,
+
+with A*(Z)_i = <Fi, Z>.
 
 A Mehrotra predictor-corrector with Nesterov-Todd scaling runs on it
 from w = 0, S = Z = I, tau = kappa = 1, with one step length for primal
-and dual since tau couples them; the iterate divided by tau is what is
-reported.  When the program has an optimal pair, tau stays positive and
-that iterate converges to one; a last primal step at fixed tau then
-zeros the primal residual the embedding leaves and moves toward the
-optimal face.  Otherwise tau -> 0 with kappa > 0, and Z tends to a
-Farkas certificate (A*(Z) = 0, Z >= 0, -<F0, Z> > 0) or w to a primal
+and dual since tau couples them; the iterate divided by tau, x = w / tau,
+is what is reported.  When the program has an optimal pair, tau stays
+positive and that iterate converges to one; a last primal step at
+fixed tau then zeros the primal residual the embedding leaves and moves
+toward the optimal face.  Otherwise tau -> 0 with kappa > 0, and Z tends
+to a Farkas certificate (A*(Z) = 0, Z >= 0, -<F0, Z> > 0) or w to a primal
 ray (F_lin(w) >= 0, c.w < 0).  A run whose tau would fall below
 TAU_FLOOR before either forms ends as numerical-failure, as does one
 whose gap and primal residual are met but not its dual residual, for
@@ -65,14 +54,12 @@ _one_blas_thread).  A variable in no block would make M singular, so
 SdpProblem rejects it.
 
 Weak duality: with rp and rd the primal and dual residuals of the
-normalized iterate, pobj = c.x and dobj = c.x0 - <F0 + F_lin(x0), Z>
-(which is rhs.y - <F0, Z> once the residuals vanish), every iterate has
+normalized iterate, pobj = c.x and dobj = -<F0, Z>, every iterate has
 
-    pobj - dobj = sum_b <S_b, Z_b> + rd.w + sum_b <rp_b, Z_b>
+    pobj - dobj = sum_b <S_b, Z_b> + rd.x + sum_b <rp_b, Z_b>
 
-so pobj - dobj >= -(sum_b ||rp_b||_F ||Z_b||_F + ||rd|| ||w||), the
-budget the history records as kappa (not the embedding's kappa).  ||rd||
-is the caller's dual residual at the least-squares y, ||w|| = ||x - x0||.
+so pobj - dobj >= -(sum_b ||rp_b||_F ||Z_b||_F + ||rd|| ||x||), the
+budget the history records as kappa (not the embedding's kappa).
 duality_gap is the relative gap sum <S,Z> / (1 + |pobj| + |dobj|).
 """
 
@@ -85,7 +72,6 @@ import importlib.util
 import logging
 import math
 import threading
-from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -260,12 +246,10 @@ class LmiBlock:
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Objective, LMI blocks and equality constraints over one variable vector."""
+    """Objective and LMI blocks over one variable vector."""
 
     c: np.ndarray
     blocks: tuple
-    eq_rows: np.ndarray = None
-    eq_rhs: np.ndarray = None
 
     def __post_init__(self):
         c = _finite(np.asarray(self.c, dtype=float).ravel(), "c")
@@ -285,26 +269,19 @@ class SdpProblem:
             raise ValueError(
                 f"variable {missing} appears in no block; the reduced system "
                 "would be singular")
-        rows = self.eq_rows
-        rhs = self.eq_rhs
-        if rows is None:
-            rows = np.zeros((0, t))
-            rhs = np.zeros(0)
-        rows = _finite(np.asarray(rows, dtype=float).reshape(-1, t), "eq_rows")
-        rhs = _finite(np.asarray(rhs, dtype=float).ravel(), "eq_rhs")
-        if rhs.size != rows.shape[0]:
-            raise ValueError("one right-hand side per equality row required")
         c.setflags(write=False)
-        rows.setflags(write=False)
-        rhs.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "eq_rows", rows)
-        object.__setattr__(self, "eq_rhs", rhs)
 
     @property
     def num_vars(self):
         return self.c.size
+
+    @property
+    def eq_rows(self):
+        """No equality rows, as a (0, num_vars) array: perfbench/spans.py
+        counts the rows of each program build_sdp returns."""
+        return np.zeros((0, self.c.size))
 
 
 @dataclass(frozen=True)
@@ -324,35 +301,16 @@ class IterateRecord:
 class SdpSolution:
     status: str             # optimal | infeasible | unbounded | numerical-failure
     x: np.ndarray
-    y: np.ndarray
     z_blocks: list
     objective: float
     dual_objective: float
     duality_gap: float      # nonnegative relative gap
     primal_residual: float
     dual_residual: float
-    equality_residual: float
     iterations: int
     history: list = field(default_factory=list)
     certificate: dict | None = None
     message: str = ""
-
-
-# An LmiBlock's fields, after solve substitutes the equality rows away.
-_Lmi = namedtuple("_Lmi", "const var_idx mats dim")
-
-
-def _flat(blk):
-    """blk.mats as (number of variables, dim * dim), also with no variables."""
-    return blk.mats.reshape(blk.var_idx.size, blk.dim * blk.dim)
-
-
-def _adjoint(blocks, Z, t):
-    """A*(Z): sum over blocks of Re <Fi, Z_b> for each of the t variables."""
-    out = np.zeros(t)
-    for blk, Zb in zip(blocks, Z):
-        out[blk.var_idx] += (_flat(blk) @ Zb.ravel().conj()).real
-    return out
 
 
 def _norm(a):
@@ -416,27 +374,6 @@ def _congruence(L, G):
     return (np.conj(X.transpose(0, 2, 1)).reshape(-1, n) @ LH).reshape(-1, n * n)
 
 
-@functools.lru_cache(maxsize=8)
-def _row_factors(key, shape):
-    """For equality rows A given by bytes and shape: K, the columns A touches,
-    the mask free of the others, pos (a free column's index among them, a
-    touched one's in K), and from one SVD the pseudo-inverse of A[:, K]
-    and an orthonormal basis N of its null space.  Cached: the extension
-    fallback, the one program here with rows, meets a protocol's rows again."""
-    A = np.frombuffer(key).reshape(shape)
-    K = np.flatnonzero(A.any(axis=0))
-    free = np.ones(shape[1], dtype=bool)
-    free[K] = False
-    pos = np.empty(shape[1], dtype=int)
-    pos[free], pos[K] = np.arange(shape[1] - K.size), np.arange(K.size)
-    U, s, Vt = np.linalg.svd(A[:, K])
-    r = np.count_nonzero(s > max(shape[0], K.size) * np.finfo(float).eps * s.max(initial=0.0))
-    out = K, free, pos, (Vt[:r].T / s[:r]) @ U[:, :r].T, Vt[r:].T.copy()
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def solve(problem):
     """Run the interior-point method at GAP_TOL, FEAS_TOL and MAX_ITER,
     with the BLAS pools at one thread; always returns an SdpSolution."""
@@ -445,46 +382,7 @@ def solve(problem):
 
 
 def _solve(problem):
-    c, A, b, t = problem.c, problem.eq_rows, problem.eq_rhs, problem.num_vars
-    K, free, pos, pinv, N = _row_factors(A.tobytes(), A.shape)
-    x0 = np.zeros(t)
-    x0[K] = pinv @ b
-    re0 = b - A @ x0
-    e_scale = 1.0 + float(np.linalg.norm(b))
-    eres0 = float(np.linalg.norm(re0)) / e_scale
-    if eres0 > FEAS_TOL:
-        y = re0 / float(np.linalg.norm(re0))
-        return SdpSolution(
-            status="infeasible", x=x0, y=y, z_blocks=[], objective=math.nan,
-            dual_objective=math.nan, duality_gap=math.nan,
-            primal_residual=math.nan, dual_residual=math.nan,
-            equality_residual=eres0, iterations=0,
-            certificate={"kind": "equality-ray", "y": y, "violation": float(b @ y),
-                         "stationarity_residual": float(np.linalg.norm(A.T @ y))},
-            message="equality system is inconsistent")
-
-    # x = x0 + P w: w holds the free variables (those the rows leave alone),
-    # then coordinates along N; P's columns are orthonormal.
-    n_free, nw = t - K.size, t - K.size + N.shape[1]
-    blocks = []
-    for blk in problem.blocks:
-        hit = ~free[blk.var_idx]
-        if not hit.any():
-            blocks.append(_Lmi(blk.const, pos[blk.var_idx], blk.mats, blk.dim))
-            continue
-        rows, mats = pos[blk.var_idx[hit]], blk.mats[hit]
-        blocks.append(_Lmi(
-            blk.const + np.einsum("i,ijk->jk", x0[blk.var_idx[hit]], mats),
-            np.concatenate([pos[blk.var_idx[~hit]], np.arange(n_free, nw)]),
-            np.concatenate([blk.mats[~hit], np.einsum("ia,ijk->ajk", N[rows], mats)]),
-            blk.dim))
-
-    def lift(w):
-        x = np.zeros(t)
-        x[free], x[K] = w[:n_free], N @ w[n_free:]
-        return x
-
-    c_obj, c = float(c @ x0), np.concatenate([c[free], N.T @ c[K]])
+    c, blocks, nw = problem.c, problem.blocks, problem.num_vars
 
     # Every block matrix lives in one packed vector: block b's n x n
     # entries, row-major, at spans[b] of a complex array of length npk.
@@ -496,7 +394,7 @@ def _solve(problem):
     starts = ends - dims * dims
     npk = int(ends[-1])
     spans = [slice(s, e) for s, e in zip(starts, ends)]
-    weight = np.array([2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in problem.blocks])
+    weight = np.array([2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in blocks])
     wt = np.repeat(weight, 2 * dims * dims)
     sqrt_wt = np.sqrt(wt)
     ntot = float(weight @ dims)
@@ -514,7 +412,7 @@ def _solve(problem):
     # together into the rows var_idx, nw and nw + 1 of Q
     stacks, q_rows = [], []
     for blk, sp in zip(blocks, spans):
-        F[blk.var_idx, sp] = _flat(blk)
+        F[blk.var_idx, sp] = blk.mats.reshape(blk.var_idx.size, -1)
         F0[sp] = blk.const.ravel()
         stacks.append(np.concatenate([blk.mats, blk.const[None], blk.const[None]])
                       .astype(complex))
@@ -523,10 +421,9 @@ def _solve(problem):
     Q = np.zeros((nw + 2, npk), dtype=complex)
     Qr = Q.view(float)
     rpp, F0t = Qr[nw], Qr[nw + 1]
-    # residual scales of the caller's program, not of the shifted consts
     p_scale = 1.0 + np.sqrt(weight) * np.array(
-        [float(np.linalg.norm(blk.const, "fro")) for blk in problem.blocks])
-    d_scale = 1.0 + float(np.linalg.norm(problem.c))
+        [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
+    d_scale = 1.0 + float(np.linalg.norm(c))
 
     def block_norms(v):
         return np.sqrt(np.add.reduceat(wt * v * v, 2 * starts))
@@ -565,8 +462,8 @@ def _solve(problem):
         gap_inner = inner / tau ** 2
 
         # --- metrics of the tau-normalized iterate ---
-        pobj = c_obj + float(c @ w) / tau
-        dobj = c_obj - F0Z / tau
+        pobj = float(c @ w) / tau
+        dobj = -F0Z / tau
         rp_norm, rd_norm = block_norms(rp), _norm(rd)
         pres = float(np.max(rp_norm / (tau * p_scale)))
         dres = rd_norm / (tau * d_scale)
@@ -589,7 +486,7 @@ def _solve(problem):
             violation = -F0Z
             if violation > 0.0 and _norm(AZ) <= FEAS_TOL * violation:
                 status = "infeasible"
-                message = "Farkas certificate: tau -> 0 with b.y - <F0, Z> > 0"
+                message = "Farkas certificate: tau -> 0 with -<F0, Z> > 0"
                 break
             slope = -float(c @ w)
             ray_res = float(np.max(block_norms(lin - S)))
@@ -643,13 +540,12 @@ def _solve(problem):
             status = "numerical-failure"
             message = "scaled normal matrix is numerically singular"
             break
-        # L^-1 and M^-1 of [c, f0] for the tau column (LAPACK refuses size 0)
-        cf = np.column_stack([c, f0])
-        half = _trtrs(Mf, cf, lower=1)[0] if nw else cf
-        mc, mf = (_trtrs(Mf, half, lower=1, trans=1)[0] if nw else cf).T
+        # L^-1 and M^-1 of [c, f0] for the tau column
+        half = _trtrs(Mf, np.column_stack([c, f0]), lower=1)[0]
+        mc, mf = _trtrs(Mf, half, lower=1, trans=1)[0].T
 
         def fixed_tau_step(h):
-            return _potrs(Mf, h, lower=1)[0] if nw else h
+            return _potrs(Mf, h, lower=1)[0]
 
         def directions(dw, dtau, Kp):
             lin_d = dw @ Qr[:nw] + dtau * F0t
@@ -747,28 +643,18 @@ def _solve(problem):
         Z = congruent(RinvHs, blocks_of(D + alpha * dZ))
         it += 1
 
-    # --- back to the caller's coordinates (see the module docstring) ---
     # A complex block's dual is weight * Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
     Z = [wb * Zb / tau if wb == 2.0 else Zb.real / tau
          for wb, Zb in zip(weight, blocks_of(Z))]
-    x = x0 + lift(w / tau)
-    AZ = _adjoint(problem.blocks, Z, t)
     if status == "infeasible":
-        y = -pinv.T @ AZ[K]
-        violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb).real)
-                                       for blk, Zb in zip(problem.blocks, Z))
-        station = float(np.linalg.norm(AZ + A.T @ y))
-        certificate = {"kind": "farkas", "y": y / violation,
-                       "z_blocks": [Zb / violation for Zb in Z], "violation": 1.0,
-                       "stationarity_residual": station / violation}
+        # scaled to -<F0, Z> = 1; AZ and violation are those of the last iterate
+        certificate = {"kind": "farkas", "z_blocks": [Zb * (tau / violation) for Zb in Z],
+                       "violation": 1.0, "stationarity_residual": _norm(AZ) / violation}
     elif status == "unbounded":
-        ray = lift(w) / slope
-        certificate = {"kind": "primal-ray", "x": ray, "objective_slope": -1.0,
-                       "eq_residual": float(np.linalg.norm(A @ ray)),
+        certificate = {"kind": "primal-ray", "x": w / slope, "objective_slope": -1.0,
                        "psd_violation": ray_res / slope}
     return SdpSolution(
-        status=status, x=x, y=pinv.T @ (problem.c - AZ)[K], z_blocks=Z,
+        status=status, x=w / tau, z_blocks=Z,
         objective=pobj, dual_objective=dobj, duality_gap=relgap,
         primal_residual=pres, dual_residual=dres,
-        equality_residual=float(np.linalg.norm(b - A @ x)) / e_scale,
         iterations=it, history=history, certificate=certificate, message=message)

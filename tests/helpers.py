@@ -5,9 +5,9 @@ the bisection oracles only consume feasibility or extendibility
 verdicts, and the grid oracle evaluates eigenvalues directly.  The
 feasibility oracle is a phase-I program: check_feasible minimizes a
 uniform slack over feasibility_problem and reads infeasibility from its
-dual; pinned_problem fixes the extendible weight of extension_sdp, so
-that check_feasible on it answers "is weight lam attainable" without the
-decomposition program.
+dual; pinned_problem substitutes a fixed extendible weight into
+extension_sdp, so that check_feasible on it answers "is weight lam
+attainable" without the decomposition program.
 """
 
 import math
@@ -20,7 +20,7 @@ from keybound.basis import build_basis
 from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
                                     _pinned_support, build_sdp, extension_sdp)
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
-from keybound.sdp import LmiBlock, SdpProblem, _adjoint, solve
+from keybound.sdp import LmiBlock, SdpProblem, solve
 from keybound.states import DensityOperator
 
 # check_feasible calls a problem feasible when its phase-I slack is at most this.
@@ -40,10 +40,7 @@ def feasibility_problem(problem):
                            mats=np.array([[[1.0]]])))
     c = np.zeros(t + 1)
     c[t] = 1.0
-    m = problem.eq_rows.shape[0]
-    rows = np.hstack([problem.eq_rows, np.zeros((m, 1))]) if m else None
-    rhs = problem.eq_rhs if m else None
-    return SdpProblem(c=c, blocks=tuple(blocks), eq_rows=rows, eq_rhs=rhs)
+    return SdpProblem(c=c, blocks=tuple(blocks))
 
 
 def check_feasible(problem):
@@ -51,11 +48,9 @@ def check_feasible(problem):
 
     Returns an SdpSolution whose status is 'optimal' (x is a point with
     every block >= -FEASIBLE_MARGIN) or 'infeasible' (certificate attached:
-    multipliers with A*(Z) + A^T y = 0, Z >= 0 and <F0, Z> - rhs.y < 0;
-    an 'equality-ray' one, from solve, when the rows alone are
-    inconsistent), or 'numerical-failure' if the phase-I solve broke down.
+    blocks Z with A*(Z) = 0, Z >= 0 and <F0, Z> < 0), or
+    'numerical-failure' if the phase-I solve broke down.
     """
-    A, b = problem.eq_rows, problem.eq_rhs
     aux = feasibility_problem(problem)
     sol = solve(aux)
     if sol.status != "optimal":
@@ -67,15 +62,15 @@ def check_feasible(problem):
     if tstar <= FEASIBLE_MARGIN:
         return replace(sol, x=sol.x[:-1].copy(), objective=tstar,
                        message=f"feasible with uniform margin {-tstar:.3e}")
-    nblk = len(problem.blocks)
-    y = sol.y
-    zs = sol.z_blocks[:nblk]
-    station = _adjoint(problem.blocks, zs, problem.num_vars) + A.T @ y
-    violation = float(b @ y) - sum(float(np.vdot(blk.const, Zb).real)
-                                   for blk, Zb in zip(problem.blocks, zs))
+    zs = sol.z_blocks[:len(problem.blocks)]
+    station = np.zeros(problem.num_vars)
+    for blk, Zb in zip(problem.blocks, zs):
+        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats.conj(), Zb).real
+    violation = -sum(float(np.vdot(blk.const, Zb).real)
+                     for blk, Zb in zip(problem.blocks, zs))
     return replace(
         sol, status="infeasible", x=sol.x[:-1].copy(), z_blocks=zs, objective=tstar,
-        certificate={"kind": "farkas", "y": y, "z_blocks": zs,
+        certificate={"kind": "farkas", "z_blocks": zs,
                      "violation": violation,
                      "stationarity_residual": float(np.max(np.abs(station))),
                      "margin": tstar},
@@ -83,18 +78,20 @@ def check_feasible(problem):
 
 
 def pinned_problem(cls, lam):
-    """The extension program with the extendible weight pinned: f_000 = lam.
+    """The extension program with the extendible weight pinned: f_000 = lam,
+    substituted into the block consts, so f_000 leaves the variables.
 
     Feasibility of this problem (for lam in [0, 1]) is the question
     "does the class admit a decomposition with weight exactly lam";
     useful as an independent route to lambda_max via bisection.
     """
-    problem = extension_sdp(cls)
-    row = np.zeros((1, problem.num_vars))
-    row[0, cls.rows.shape[1]] = 1.0
-    rows = np.concatenate([problem.eq_rows, row], axis=0)
-    rhs = np.concatenate([problem.eq_rhs, [float(lam)]])
-    return SdpProblem(c=problem.c, blocks=problem.blocks, eq_rows=rows, eq_rhs=rhs)
+    problem = extension_sdp(cls)[0]
+    blocks = []
+    for blk in problem.blocks:
+        pin = blk.var_idx == 0   # f_000
+        blocks.append(LmiBlock(const=blk.const + lam * blk.mats[pin].sum(axis=0),
+                               var_idx=blk.var_idx[~pin] - 1, mats=blk.mats[~pin]))
+    return SdpProblem(c=problem.c[1:], blocks=blocks)
 
 
 def lambda_bisection_oracle(cls, tol=5e-5):
@@ -410,13 +407,16 @@ def chi_reference(f_vec, dims):
 def three_block_reference(cls):
     """The decomposition SDP in its redundant three-block form.
 
-    Variables r_kl (rho), e_kl (sigma~) and f_klm (chi~); blocks
-    rho >= 0, rho - sigma~ >= 0 and chi~ >= 0; equalities the class rows
-    on r and the coupling rows e_kl = f_{k,l,0} that make sigma~ the
-    partial trace of chi~ over B'; objective min r_00 - e_00.  Built
-    from the operator basis alone, independently of extension_sdp.
+    Variables f_klm (chi~), then w, with rho's coefficients
+    r = r0 + N w: r0 the least-squares solution of the class rows and N
+    an orthonormal basis of their null space, from numpy's lstsq and
+    null-space SVD; sigma~'s coefficients are the f_{k,l,0}, since
+    sigma~ is the partial trace of chi~ over B'.  Blocks rho - sigma~ >= 0,
+    chi~ >= 0 and, when the rows leave rho free coefficients, rho >= 0;
+    objective min r_00 - f_000 (less its constant).  Built from the
+    operator basis alone, independently of extension_sdp.
 
-    Returns (SdpProblem, index of e_00), so lambda_max = x[index].
+    Returns (SdpProblem, index of f_000), so lambda_max = x[index].
     """
     da, db = cls.dims
     na, nb = da * da, db * db
@@ -424,24 +424,20 @@ def three_block_reference(cls):
     rho_mats = np.stack([np.kron(sa[k], sb[l]) / (da * db)
                          for k in range(na) for l in range(nb)])
     triples, chi_mats = _chi_terms((da, db))
-    n_r, n_f = na * nb, len(triples)
-    r_idx = np.arange(n_r)
-    e_idx = n_r + r_idx
-    zero = np.zeros((da * db, da * db))
-    blocks = (
-        LmiBlock(const=zero, var_idx=r_idx, mats=rho_mats),
-        LmiBlock(const=zero, var_idx=np.concatenate([r_idx, e_idx]),
-                 mats=np.concatenate([rho_mats, -rho_mats])),
-        LmiBlock(const=np.zeros((da * db * db,) * 2),
-                 var_idx=2 * n_r + np.arange(n_f), mats=np.stack(chi_mats)),
-    )
-    coupling = np.zeros((n_r, 2 * n_r + n_f))
-    for k in range(na):
-        for l in range(nb):
-            coupling[k * nb + l, n_r + k * nb + l] = 1.0
-            coupling[k * nb + l, 2 * n_r + triples.index((k, l, 0))] = -1.0
-    c = np.zeros(2 * n_r + n_f)
-    c[0], c[n_r] = 1.0, -1.0
-    rows = np.concatenate([np.pad(cls.rows, ((0, 0), (0, n_r + n_f))), coupling])
-    rhs = np.concatenate([cls.rhs, np.zeros(n_r)])
-    return SdpProblem(c=c, blocks=blocks, eq_rows=rows, eq_rhs=rhs), n_r
+    r0 = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)[0]
+    _, s, Vt = np.linalg.svd(cls.rows)
+    N = Vt[np.count_nonzero(s > 1e-10 * s[0]):].T
+    n_f, n_w = len(triples), N.shape[1]
+    w_idx = n_f + np.arange(n_w)
+    sigma_idx = [triples.index((k, l, 0)) for k in range(na) for l in range(nb)]
+    rho0 = np.tensordot(r0, rho_mats, 1)
+    rho_w = np.tensordot(N.T, rho_mats, 1)
+    blocks = [LmiBlock(const=rho0, var_idx=np.concatenate([sigma_idx, w_idx]),
+                       mats=np.concatenate([-rho_mats, rho_w])),
+              LmiBlock(const=np.zeros((da * db * db,) * 2), var_idx=np.arange(n_f),
+                       mats=np.stack(chi_mats))]
+    if n_w:
+        blocks.append(LmiBlock(const=rho0, var_idx=w_idx, mats=rho_w))
+    c = np.concatenate([np.zeros(n_f), N[0]])
+    c[0] = -1.0
+    return SdpProblem(c=c, blocks=blocks), 0

@@ -142,13 +142,15 @@ def test_find_cutoff_names_upper_bracket_just_below_cutoff(kind, hi, monkeypatch
 
     def spy(problem):
         sol = solve(problem)
-        runs.append((problem.eq_rows.shape[0], sol.status))
+        runs.append((problem.num_vars, sol.status))
         return sol
 
     monkeypatch.setattr(extendibility, "solve", spy)
     with pytest.raises(ValueError, match=f"upper bracket e={hi} is not extendible"):
         find_cutoff(kind, tol=1e-4, bracket=(0.0, hi))
-    assert runs == [(0, "optimal")]   # the witness program has no equality rows
+    # one witness solve: the witness program has one variable per class row
+    spec = ProtocolSpec(kind, e=hi)
+    assert runs == [(assemble_class(*realize_protocol(spec), spec).rows.shape[0], "optimal")]
 
 
 def family_class(kind, direction, source_constraint, e):

@@ -33,25 +33,31 @@ def six_state_class(e):
     return assemble_class(povms, data, spec)
 
 
-LAYOUT_SIZES = {(2, 2): (16, 40, 56), (2, 3): (36, 180, 216)}
+LAYOUT_SIZES = {(2, 2): (16, 40), (2, 3): (36, 180)}
 
 
 def test_variable_layout_counts():
-    for dims, (n_r, n_f, total) in LAYOUT_SIZES.items():
-        cls = trivial_class(dims)
-        prob = extension_sdp(cls)
-        c, blocks = _extension_structure(dims)
-        assert cls.rows.shape[1] == n_r
-        assert blocks[1].mats.shape[0] == n_f
-        assert c.size == prob.num_vars == total
-        # r then f, and the class rows are the only equalities
-        assert np.array_equal(blocks[1].var_idx, n_r + np.arange(n_f))
-        assert prob.eq_rows.shape[0] == cls.rows.shape[0]
+    # rows that pin rho leave no w: f alone, and no equality rows
+    for dims, (n_r, n_f) in LAYOUT_SIZES.items():
+        rng = np.random.default_rng(sum(dims))
+        d = dims[0] * dims[1]
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mat = g @ g.conj().T
+        cls = class_from_state(DensityOperator(mat / np.trace(mat).real, dims))
+        prob, pinv, N = extension_sdp(cls)
+        rho_mats, sigma_idx, chi_block = _extension_structure(dims)
+        assert cls.rows.shape[1] == rho_mats.shape[0] == n_r
+        assert N.shape == (n_r, 0) and pinv.shape == cls.rows.shape[::-1]
+        assert chi_block.mats.shape[0] == n_f == prob.num_vars
+        # f first, and sigma~'s coefficients are among them
+        assert np.array_equal(chi_block.var_idx, np.arange(n_f))
+        assert np.array_equal(prob.blocks[0].var_idx, sigma_idx)
+        assert prob.eq_rows.shape == (0, n_f)
 
 
 @pytest.mark.parametrize("dims", sorted(LAYOUT_SIZES))
 def test_chi_stack_matches_kronecker_reference(dims):
-    chi_mats = _extension_structure(dims)[1][1].mats
+    chi_mats = _extension_structure(dims)[2].mats
     rng = np.random.default_rng(sum(dims))
     for _ in range(3):
         f = rng.normal(size=chi_mats.shape[0])
@@ -66,35 +72,40 @@ def test_build_sdp_shares_structure_per_dims():
     assert dims1 == dims2 == (2, 2)
     assert all(a is b for a, b in zip(p1.blocks, p2.blocks))
     assert not np.array_equal(p1.c, p2.c)
-    # the extension program's objective and blocks are one structure per dims
-    e1, e2 = extension_sdp(six_state_class(0.05)), extension_sdp(six_state_class(0.10))
-    assert all(a is b for a, b in zip(e1.blocks, e2.blocks))
+    # the extension program's chi~ block is one structure per dims; its
+    # rho - sigma~ block carries the class's r0 and N
+    e1, e2 = extension_sdp(six_state_class(0.05))[0], extension_sdp(six_state_class(0.10))[0]
+    assert e1.blocks[1] is e2.blocks[1]
+    assert e1.blocks[0] is not e2.blocks[0]
     assert _extension_structure((2, 2)) is _extension_structure((2, 2))
     assert _extension_structure((2, 3)) is not _extension_structure((2, 2))
 
 
 def test_cached_structure_is_read_only():
-    c, blocks = _extension_structure((2, 2))
-    arrays = [c, blocks[1].mats]
-    for blk in blocks:
-        arrays += [blk.const, blk.mats, blk.var_idx]
+    rho_mats, sigma_idx, chi_block = _extension_structure((2, 2))
+    arrays = [rho_mats, sigma_idx, chi_block.const, chi_block.mats, chi_block.var_idx]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
 
 
 def test_sdp_structure():
-    cls = six_state_class(0.05)
-    prob = extension_sdp(cls)
-    n_r = cls.rows.shape[1]
-    assert [b.dim for b in prob.blocks] == [4, 8]
-    # equalities: the class rows only, on r
-    assert prob.eq_rows.shape == (cls.rows.shape[0], 56)
-    assert not prob.eq_rows[:, n_r:].any()
-    # objective rewards the non-extendible weight only
-    assert prob.c[0] == 1.0
-    assert prob.c[n_r] == -1.0   # f_000
-    assert np.count_nonzero(prob.c) == 2
+    for kind, n_w in (("four-state", 6), ("six-state", 0)):
+        spec = ProtocolSpec(kind, e=0.05)
+        cls = assemble_class(*realize_protocol(spec), spec)
+        prob, pinv, N = extension_sdp(cls)
+        # the class rows leave n_w of rho's 16 coefficients free: the 40
+        # f, then w, and no equality rows
+        assert N.shape == (16, n_w) and prob.num_vars == 40 + n_w
+        assert prob.eq_rows.shape == (0, 40 + n_w)
+        assert [b.dim for b in prob.blocks] == [4, 8]
+        # every r0 + N w meets the class rows
+        w = np.random.default_rng(0).normal(size=n_w)
+        assert np.max(np.abs(cls.rows @ (pinv @ cls.rhs + N @ w) - cls.rhs)) <= 1e-12
+        # objective rewards the non-extendible weight only: -f_000, as the
+        # rows pin r_00
+        assert prob.c[0] == -1.0   # f_000
+        assert not prob.c[1:].any()
 
 
 def test_witness_program_structure():
@@ -250,7 +261,7 @@ def rank_deficient_outcome(seed, rank):
     except Exception as err:
         outcome = type(err).__name__
     try:
-        full = type(solve(extension_sdp(cls))).__name__
+        full = type(solve(extension_sdp(cls)[0])).__name__
     except Exception as err:
         full = type(err).__name__
     return f"{outcome} {full}"
@@ -370,9 +381,9 @@ def test_face_program_matches_full_program_where_it_converges():
     cls = class_from_state(DensityOperator(mat, (2, 2)))
     res = best_extendible_decomposition(cls)
     assert res.diagnostics["face_dim"] is not None
-    full = solve(extension_sdp(cls))
+    full = solve(extension_sdp(cls)[0])
     assert full.status == "optimal"
-    full_lam = float(full.x[cls.rows.shape[1]])
+    full_lam = float(full.x[0])   # f_000
     assert full_lam == pytest.approx(1.0, abs=1e-6)
     assert res.lambda_max == pytest.approx(full_lam, abs=1e-6)
 
@@ -413,7 +424,8 @@ def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
         assert err.value.solution is runs[0][1]
         assert_ray_proves_no_state(cls, runs[0][1])
     else:
-        assert [n for n, _ in runs] == [cls.rows.shape[0], 56]
+        # the rows pin rho, so the extension program has the 40 f alone
+        assert [n for n, _ in runs] == [cls.rows.shape[0], 40]
         assert runs[0][1].status == "numerical-failure"
 
 

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from keybound.bounds import one_way_upper_bound
 from keybound.extendibility import best_extendible_decomposition, verify_extension
 from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
-                                realize_protocol)
+                                four_state_povms, realize_protocol, simulate_observed_data,
+                                six_state_povms)
 from keybound.sdp import GAP_TOL, LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve
 from keybound.states import DensityOperator
 from helpers import face_primal_oracle
@@ -44,6 +46,27 @@ def pinned_states(draw):
     dims = draw(st.sampled_from([(2, 2), (2, 3)]))
     rank = draw(st.integers(1, dims[0] * dims[1]))
     return dims, rank, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(DERANDOMIZED, max_examples=24)
+@given(st.sampled_from([four_state_povms, six_state_povms]), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_direct_and_reverse_agree_on_swap_symmetric_data(povms, rank, seed):
+    # with the same POVM for both parties, a swap-symmetric state gives
+    # data that reverse processing relabels into itself, so both
+    # directions bound the same class
+    rng = np.random.default_rng(seed)
+    m = random_state(rng, (2, 2), rank)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    state = DensityOperator(0.5 * (m + swap @ m @ swap), (2, 2))
+    povm = povms()[0]
+    data = simulate_observed_data(state, (povm, povm))
+    direct = one_way_upper_bound(ProtocolSpec("custom", povms=(povm, povm), data=data))
+    reverse = one_way_upper_bound(ProtocolSpec("custom", povms=(povm, povm), data=data,
+                                               direction="reverse"))
+    assert direct.status == reverse.status
+    assert abs(direct.lambda_max - reverse.lambda_max) <= 1e-6
+    assert abs(direct.upper_bound - reverse.upper_bound) <= 1e-6
 
 
 @DERANDOMIZED

@@ -14,16 +14,16 @@ from keybound import sdp
 from keybound.extendibility import best_extendible_decomposition, extension_sdp
 from keybound.infotheory import JointDistribution
 from keybound.protocols import (
-    Povm, ProtocolSpec, assemble_class, realize_protocol, simulate_observed_data,
-    six_state_povms,
+    EquivalenceClassSpec, Povm, ProtocolSpec, assemble_class, realize_protocol,
+    simulate_observed_data, six_state_povms,
 )
 from keybound.sdp import (
-    LmiBlock, SdpProblem, _chol_ridge, _load_lapack, _potrs, _trtrs, _zgesdd, _zheevr,
-    _zpotrf, solve,
+    LmiBlock, SdpProblem, SolverError, _chol_ridge, _load_lapack, _potrs, _trtrs, _zgesdd,
+    _zheevr, _zpotrf, solve,
 )
 from keybound.states import DensityOperator, depolarized_bell
 from helpers import (check_feasible, feasibility_problem, grid_search_minimum, pinned_problem,
-                     random_box_sdp, random_hermitian)
+                     random_box_sdp, random_hermitian, trivial_class)
 
 ONE = np.ones((1, 1))
 
@@ -100,22 +100,6 @@ def test_solve_runs_blas_at_one_thread_and_restores_the_count(monkeypatch):
     assert seen and all(counts == [1] * len(pools) for counts in seen)
 
 
-def test_equality_constrained():
-    # min x + y subject to x + y + z = 1, z = 0.25, all in [0, 2]
-    blocks = []
-    for i in range(3):
-        blocks.append(scalar_block(0.0, 1.0, i))
-        blocks.append(scalar_block(2.0, -1.0, i))
-    prob = SdpProblem(
-        c=np.array([1.0, 1.0, 0.0]), blocks=blocks,
-        eq_rows=np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]),
-        eq_rhs=np.array([1.0, 0.25]))
-    sol = solve(prob)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(0.75, abs=1e-7)
-    assert sol.equality_residual <= 1e-8
-
-
 def test_dual_objective_sandwiches_primal():
     rng = np.random.default_rng(5)
     prob = random_box_sdp(rng)
@@ -177,14 +161,14 @@ def test_infeasible_gives_certificate():
 
 
 def test_solve_certifies_infeasibility_directly():
-    # x >= 1 and -x >= 0: tau -> 0 in the embedding and (y, Z) becomes a
-    # Farkas pair, in the format check_feasible reports
+    # x >= 1 and -x >= 0: tau -> 0 in the embedding and Z becomes a
+    # Farkas certificate, in the format check_feasible reports
     blocks = [scalar_block(-1.0, 1.0), scalar_block(0.0, -1.0)]
     sol = solve(SdpProblem(c=np.array([1.0]), blocks=blocks))
     assert sol.status == "infeasible"
     cert = sol.certificate
     assert cert["kind"] == "farkas"
-    assert set(cert) >= {"y", "z_blocks", "violation", "stationarity_residual"}
+    assert set(cert) >= {"z_blocks", "violation", "stationarity_residual"}
     z = [float(zb[0, 0]) for zb in cert["z_blocks"]]
     assert min(z) >= 0.0
     assert abs(z[0] - z[1]) <= 1e-6  # A*(Z) = z0 - z1
@@ -196,15 +180,6 @@ def test_feasible_returns_strict_point():
     verdict = check_feasible(prob)
     assert verdict.status == "optimal"
     assert float(verdict.x[0]) > 1.0
-
-
-def test_inconsistent_equalities_detected():
-    prob = SdpProblem(
-        c=np.array([1.0]), blocks=[scalar_block(0.0, 1.0)],
-        eq_rows=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
-    verdict = check_feasible(prob)
-    assert verdict.status == "infeasible"
-    assert verdict.certificate["kind"] == "equality-ray"
 
 
 def test_unbounded_detected():
@@ -251,20 +226,18 @@ def test_block_without_variables_rejected():
 
 def _valid_problem_parts():
     return {"const": np.zeros((1, 1)), "mats": np.ones((1, 1, 1)),
-            "c": np.array([1.0]), "eq_rows": np.ones((1, 1)),
-            "eq_rhs": np.array([1.0])}
+            "c": np.array([1.0])}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["const", "mats", "c", "eq_rows", "eq_rhs"])
+@pytest.mark.parametrize("field", ["const", "mats", "c"])
 def test_non_finite_data_rejected(field, bad):
     parts = _valid_problem_parts()
     parts[field] = parts[field].copy()
     parts[field].flat[0] = bad
     with pytest.raises(ValueError, match=rf"\b{field}\b.*non-finite"):
         blk = LmiBlock(const=parts["const"], var_idx=(0,), mats=parts["mats"])
-        SdpProblem(c=parts["c"], blocks=[blk], eq_rows=parts["eq_rows"],
-                   eq_rhs=parts["eq_rhs"])
+        SdpProblem(c=parts["c"], blocks=[blk])
 
 
 def test_iteration_cap_returns_last_iterate(monkeypatch):
@@ -305,24 +278,23 @@ def test_tau_underflow_is_a_numerical_failure(lam):
     assert sol.status == "numerical-failure"
     assert sol.message.startswith("tau underflow")
     assert sol.certificate is None
-    assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+    assert np.isfinite(sol.x).all()
     assert check_feasible(problem).status == "infeasible"
 
 
 def farkas_violation(problem, cert):
-    """(stationarity norm, violation) of a Farkas pair on the caller's program."""
-    y, zs = cert["y"], cert["z_blocks"]
-    station = problem.eq_rows.T @ y
+    """(||A*(Z)||, -<F0, Z>) of a Farkas certificate on the program."""
+    zs = cert["z_blocks"]
+    station = np.zeros(problem.num_vars)
     for blk, zb in zip(problem.blocks, zs):
         station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats.conj(), zb).real
-    violation = problem.eq_rhs @ y - sum(np.vdot(blk.const, zb).real
-                                         for blk, zb in zip(problem.blocks, zs))
+    violation = -sum(np.vdot(blk.const, zb).real for blk, zb in zip(problem.blocks, zs))
     return float(np.linalg.norm(station)), float(violation)
 
 
 def test_pinned_weight_above_lambda_max_is_certified_infeasible():
     # Pinned at 0.31 the program is infeasible by a margin solve certifies;
-    # the certificate holds on the pinned program, equality rows included.
+    # the certificate holds on the pinned program.
     problem = six_state_pinned(0.31)
     sol = solve(problem)
     assert sol.status == "infeasible", sol.message
@@ -334,74 +306,32 @@ def test_pinned_weight_above_lambda_max_is_certified_infeasible():
 
 
 def test_duplicated_equality_rows_give_the_deduplicated_optimum():
-    # rank-deficient rows: every class row twice, plus the sum of two of them
+    # rank-deficient rows: every class row twice, plus the sum of two of
+    # them, which extension_sdp substitutes away by one SVD
     spec = ProtocolSpec("four-state", e=0.05)
-    problem = extension_sdp(assemble_class(*realize_protocol(spec), spec))
-    A, b = problem.eq_rows, problem.eq_rhs
-    dup = SdpProblem(c=problem.c, blocks=problem.blocks,
-                     eq_rows=np.vstack([A, A, A[:1] + A[1:2]]),
-                     eq_rhs=np.concatenate([b, b, b[:1] + b[1:2]]))
-    ref, sol = solve(problem), solve(dup)
+    cls = assemble_class(*realize_protocol(spec), spec)
+    A, b = cls.rows, cls.rhs
+    dup = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([A, A, A[:1] + A[1:2]]),
+                               rhs=np.concatenate([b, b, b[:1] + b[1:2]]))
+    (problem, pinv, N), (dup_problem, dup_pinv, dup_N) = extension_sdp(cls), extension_sdp(dup)
+    assert dup_problem.num_vars == problem.num_vars
+    ref, sol = solve(problem), solve(dup_problem)
     assert ref.status == sol.status == "optimal"
     assert abs(sol.objective - ref.objective) <= 1e-9
-    assert np.max(np.abs(sol.x - ref.x)) <= 1e-7
-    assert sol.equality_residual <= 1e-12
+    # the same (f, r), though N may be another basis of the same null space
+    n_f = problem.num_vars - N.shape[1]
+    r_ref, r_dup = pinv @ b + N @ ref.x[n_f:], dup_pinv @ dup.rhs + dup_N @ sol.x[n_f:]
+    assert np.max(np.abs(sol.x[:n_f] - ref.x[:n_f])) <= 1e-7
+    assert np.max(np.abs(r_dup - r_ref)) <= 1e-7
+    assert np.linalg.norm(dup.rows @ r_dup - dup.rhs) <= 1e-12
 
 
-def test_inconsistent_rows_end_at_once_with_an_equality_ray():
-    prob = SdpProblem(
-        c=np.array([1.0]), blocks=[scalar_block(0.0, 1.0)],
-        eq_rows=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
-    sol = solve(prob)
-    assert sol.status == "infeasible"
-    assert sol.iterations == 0 and sol.history == []
-    cert = sol.certificate
-    assert cert["kind"] == "equality-ray"
-    # y is a ray of the rows alone: A^T y = 0 and rhs.y > 0
-    assert np.linalg.norm(prob.eq_rows.T @ cert["y"]) <= 1e-12
-    assert cert["violation"] == pytest.approx(prob.eq_rhs @ cert["y"]) and cert["violation"] > 0.0
-
-
-def test_weak_duality_holds_in_the_callers_coordinates():
-    # solve substitutes the rows away, yet the history, objectives, x and y
-    # it reports are those of the program as given, rows included
-    rng = np.random.default_rng(17)
-    box = random_box_sdp(rng, num_vars=4)
-    rows = rng.normal(size=(2, 4))
-    rhs = rows @ rng.uniform(-0.1, 0.1, size=4)
-    prob = SdpProblem(c=box.c, blocks=box.blocks, eq_rows=rows, eq_rhs=rhs)
-    sol = solve(prob)
-    assert sol.status == "optimal"
-    assert len(sol.history) == sol.iterations + 1
-    for rec in sol.history:
-        assert rec.primal_obj - rec.dual_obj >= -rec.kappa - 1e-9 * (
-            1 + abs(rec.primal_obj) + abs(rec.dual_obj))
-    assert sol.objective == pytest.approx(float(prob.c @ sol.x), abs=1e-12)
-    assert np.linalg.norm(rows @ sol.x - rhs) <= 1e-12
-    station = prob.c - rows.T @ sol.y
-    for blk, zb in zip(prob.blocks, sol.z_blocks):
-        station[blk.var_idx] -= np.einsum("ijk,jk->i", blk.mats, zb)
-    assert np.linalg.norm(station) <= 1e-8 * (1 + np.linalg.norm(prob.c))
-    dual = rhs @ sol.y - sum(np.vdot(blk.const, zb) for blk, zb in zip(prob.blocks, sol.z_blocks))
-    assert sol.dual_objective == pytest.approx(dual, abs=1e-8)
-    assert sol.dual_objective <= sol.objective + 1e-8
-
-
-@pytest.mark.parametrize("pin", [0.5, 3.0])
-def test_rows_that_fix_every_variable(pin):
-    # x = pin with 0 <= x <= 2: no variable is left once the row is
-    # substituted away, and the iteration decides F(pin) >= 0 alone
-    prob = SdpProblem(c=np.array([1.0]),
-                      blocks=[scalar_block(0.0, 1.0), scalar_block(2.0, -1.0)],
-                      eq_rows=np.array([[1.0]]), eq_rhs=np.array([pin]))
-    sol = solve(prob)
-    if pin <= 2.0:
-        assert sol.status == "optimal"
-        assert sol.x == pytest.approx([pin]) and sol.objective == pytest.approx(pin)
-    else:
-        assert sol.status == "infeasible", sol.message
-        station, violation = farkas_violation(prob, sol.certificate)
-        assert station <= 1e-8 and violation > 0.0
+def test_inconsistent_class_rows_raise():
+    cls = trivial_class((2, 2))
+    bad = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows]),
+                               rhs=np.array([1.0, 0.5]))
+    with pytest.raises(SolverError, match="inconsistent"):
+        extension_sdp(bad)
 
 
 def test_lapack_helpers_match_scipy_wrappers():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from keybound import extendibility
+from keybound.basis import build_basis
 from keybound.bounds import one_way_upper_bound
 from keybound.extendibility import (best_extendible_decomposition, build_sdp,
                                     extension_sdp, verify_extension)
@@ -34,9 +35,9 @@ def full_rank_class(dims, seed):
 
 
 def extension_lambda(cls):
-    sol = solve(extension_sdp(cls))
+    sol = solve(extension_sdp(cls)[0])
     assert sol.status == "optimal", sol.message
-    return float(sol.x[cls.rows.shape[1]])
+    return float(sol.x[0])   # f_000
 
 
 def assert_witness_agrees(cls):
@@ -130,14 +131,14 @@ def test_stalled_witness_solve_falls_back_early(kind, direction, source_constrai
 
 
 def fail_witness_solves(monkeypatch):
-    """Make every witness solve (the program with no equality rows) end
-    numerical-failure; returns the list of variable counts solved."""
+    """Make the next solve, the witness solve of the next decomposition,
+    end numerical-failure; returns the list of variable counts solved."""
     runs = []
 
     def failing_witness(problem):
         sol = solve(problem)
         runs.append(problem.num_vars)
-        if problem.eq_rows.shape[0] == 0:
+        if len(runs) == 1:
             sol = replace(sol, status="numerical-failure")
         return sol
 
@@ -149,26 +150,38 @@ def test_non_optimal_witness_solve_falls_back(monkeypatch):
     cls = protocol_class("six-state", 0.05)
     runs = fail_witness_solves(monkeypatch)
     res = best_extendible_decomposition(cls)
-    assert runs == [cls.rows.shape[0], extension_sdp(cls).num_vars]
+    assert runs == [cls.rows.shape[0], extension_sdp(cls)[0].num_vars]
     assert res.diagnostics["program"] == "extension"
     assert verify_extension(res).passed
     assert res.lambda_max == pytest.approx(0.3, abs=AGREE_TOL)
+
+
+def row_multipliers(cls, Z):
+    """The least-squares y of A^T y = e_00 - A_r*(Z), by numpy's lstsq."""
+    da, db = cls.dims
+    sa, sb = build_basis(da), build_basis(db)
+    target = -np.array([np.vdot(np.kron(sa[k], sb[l]), Z).real / (da * db)
+                        for k in range(da * da) for l in range(db * db)])
+    target[0] += 1.0
+    return np.linalg.lstsq(cls.rows.T, target, rcond=None)[0]
 
 
 @pytest.mark.parametrize("e", [0.02, 0.08, 0.14, 0.2])
 @pytest.mark.parametrize("direction", ["direct", "reverse"])
 @pytest.mark.parametrize("kind", ["four-state", "six-state"])
 def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypatch):
-    # the extension program's (r, f) is mapped once to the same matrices
+    # the extension program's (f, w) is mapped once to the same matrices
     # the witness solve's dual blocks give
     cls = protocol_class(kind, e, direction)
     witness = best_extendible_decomposition(cls)
     fail_witness_solves(monkeypatch)
     res = best_extendible_decomposition(cls)
     assert res.diagnostics["program"] == "extension"
-    # its witness is the extension program's dual y, in class-row coordinates
-    assert np.array_equal(res.diagnostics["witness"], res.solution.y)
-    assert res.diagnostics["witness_value"] == float(cls.rhs @ res.solution.y)
+    # its witness is the least-squares multipliers of the class rows:
+    # A^T y = e_00 - A_r*(Z_T), A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
+    y = res.diagnostics["witness"]
+    assert np.max(np.abs(y - row_multipliers(cls, res.solution.z_blocks[0]))) <= 1e-9
+    assert res.diagnostics["witness_value"] == float(cls.rhs @ y)
     assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + AGREE_TOL
     assert np.trace(res.chi_tilde).real == res.diagnostics["raw_lambda"]
     assert res.lambda_max == pytest.approx(witness.lambda_max, abs=AGREE_TOL)
@@ -179,6 +192,31 @@ def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypa
     if not witness.extendible:
         assert np.max(np.abs(res.sigma_tilde - witness.sigma_tilde)) <= 1e-6
         assert np.max(np.abs(res.chi_tilde - witness.chi_tilde)) <= 1e-6
+
+
+def test_fallback_witness_is_a_proof():
+    # near e = 0 the witness solve stalls and the extension program gives
+    # the point; its witness y must still be feasible for the witness
+    # program, so that b.y is a lower bound on 1 - lambda_max (find_cutoff
+    # reads it as one)
+    fallbacks = 0
+    for kind in ("four-state", "six-state"):
+        for direction in ("direct", "reverse"):
+            for source_constraint in (None, True, False):
+                for e in (1e-8, 1e-7, 1e-6):
+                    spec = ProtocolSpec(kind, e=e, direction=direction,
+                                        source_constraint=source_constraint)
+                    cls = assemble_class(*realize_protocol(spec), spec)
+                    res = best_extendible_decomposition(cls)
+                    if res.diagnostics["program"] != "extension":
+                        continue
+                    fallbacks += 1
+                    y = res.diagnostics["witness"]
+                    for blk in build_sdp(cls)[0].blocks:
+                        slack = blk.const + np.tensordot(y[blk.var_idx], blk.mats, 1)
+                        assert np.linalg.eigvalsh(slack)[0] >= -1e-9, spec
+                    assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + 1e-9, spec
+    assert fallbacks > 0
 
 
 def test_inconsistent_rows_raise_infeasible(monkeypatch):
@@ -204,7 +242,7 @@ def test_inconsistent_rows_raise_infeasible(monkeypatch):
 
 def test_extension_structure_is_built_only_on_a_fallback():
     # the four 26-point sweeps and the extend-qutrit stream states all end
-    # on the witness or face program, so none builds the (r, f) structure
+    # on the witness or face program, so none builds the extension structure
     extendibility._extension_structure.cache_clear()
     for kind in ("four-state", "six-state"):
         for direction in ("direct", "reverse"):
