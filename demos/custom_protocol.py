@@ -14,11 +14,20 @@ import tempfile
 
 import numpy as np
 
-from keybound import (ProtocolSpec, four_state_povms, load_protocol,
+from keybound import (Povm, ProtocolSpec, four_state_povms, load_protocol,
                       one_way_upper_bound, simulate_observed_data,
                       depolarized_bell)
 
 E = 0.08
+BASIS_WEIGHTS = {"X": 0.3, "Z": 0.7}
+
+
+def biased(povm, weights):
+    """The built-in four-state POVM (each basis at 1/2) with each basis
+    measured at its weight in weights instead."""
+    return Povm(tuple(2.0 * weights[basis] * mat
+                      for mat, basis in zip(povm.elements, povm.bases)),
+                povm.labels, povm.bases, povm.bits)
 
 
 def povm_to_json(povm):
@@ -34,7 +43,7 @@ def povm_to_json(povm):
 
 
 def main():
-    alice, bob = four_state_povms(weights=(0.3, 0.7))
+    alice, bob = (biased(povm, BASIS_WEIGHTS) for povm in four_state_povms())
     data = simulate_observed_data(depolarized_bell(E), (alice, bob))
 
     doc = {

@@ -2,6 +2,8 @@
 
 Two stops: a solve with the per-iteration trace printed, and an
 infeasible system with the Farkas certificate solve returns for it.
+Each block holds one matrix per variable of its program, so these
+one-variable blocks hold one each.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from keybound import LmiBlock, SdpProblem, solve
 def lambda_min_problem(mat):
     """min -t  s.t.  mat - t I >= 0, i.e. the smallest eigenvalue."""
     dim = mat.shape[0]
-    block = LmiBlock(const=mat, var_idx=(0,), mats=-np.eye(dim)[None])
+    block = LmiBlock(const=mat, mats=-np.eye(dim)[None])
     return SdpProblem(c=np.array([-1.0]), blocks=[block])
 
 
@@ -36,8 +38,8 @@ def main():
     print("\nstop 2: infeasibility certificate")
     one = np.ones((1, 1))
     infeas = SdpProblem(c=np.array([1.0]), blocks=[
-        LmiBlock(const=-one, var_idx=(0,), mats=one[None]),
-        LmiBlock(const=0 * one, var_idx=(0,), mats=-one[None]),
+        LmiBlock(const=-one, mats=one[None]),
+        LmiBlock(const=0 * one, mats=-one[None]),
     ])
     # solve reads the verdict from the embedding (tau -> 0, kappa > 0)
     verdict = solve(infeas)

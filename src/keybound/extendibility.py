@@ -43,9 +43,10 @@ rather than b.y.  Rows that no state meets make it unbounded: its
 primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which proves the class
 empty, so that solve is raised as it ended.  When the witness solve ends
 numerical-failure (its dual residual can stall near 1e-7 at error rates
-close to 0), the extension program is solved instead, its chi~ block
-built once per dims on the first such fallback; its (f, w) is mapped once
-to chi~ = sum_i f_i chi_mats[i], r = r0 + N w and T = rho - Tr_B'(chi~),
+close to 0), the extension program is solved instead, the f parts of
+its blocks built once per dims on the first such fallback and only its
+w parts per class; its (f, w) is mapped once to
+chi~ = sum_i f_i chi_mats[i], r = r0 + N w and T = rho - Tr_B'(chi~),
 and its witness is the least-squares multipliers y of the class rows,
 A^T y = e_00 - A_r*(Z_T) with A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
 and Z_T the dual block of rho - sigma~ >= 0.
@@ -87,30 +88,30 @@ def _extension_structure(dims):
     """The data-free parts of the extension program for dims = (d_A, d_B),
     over its n_f f first (f_000, at 0, is the extendible weight):
     rho_mats, the (n_r, d_A d_B, d_A d_B) stack S_k (x) S_l / d_A d_B with
-    rho = sum_kl r_kl rho_mats[kl]; sigma_idx, the f_{k,l,0} that are
-    sigma~'s coefficients, in (k, l) order; and the block chi~ >= 0, whose
-    mats are chi_mats, the (n_f, d_A d_B^2, d_A d_B^2) stack with
-    chi~ = sum_i f_i chi_mats[i].  Built on the first extension program
-    of these dims and shared by every later one, so it is read-only."""
+    rho = sum_kl r_kl rho_mats[kl]; sigma_mats, the f part of the block
+    rho - sigma~ >= 0, which is -rho_mats[kl] at the f_{k,l,0} that are
+    sigma~'s coefficients and zero at every other f; and chi_mats, the
+    (n_f, d_A d_B^2, d_A d_B^2) stack with chi~ = sum_i f_i chi_mats[i],
+    the f part of the block chi~ >= 0.  Built on the first extension
+    program of these dims and shared by every later one, so it is
+    read-only."""
     da, db = dims
     na, nb = da * da, db * db
-    dabb = da * db * db
+    dab, dabb = da * db, da * db * db
     sa, sb = build_basis(da), build_basis(db)
-    rho_mats = _product_ops(dims)[0] / (da * db)
+    rho_mats = _product_ops(dims)[0] / dab
     # S_k (x) sym(S_l (x) S_m) for m <= l: S_l (x) S_m + S_m (x) S_l, or
     # S_l (x) S_l when l = m, in (k, l, m) order
     bb = np.einsum("lij,mkn->lmikjn", sb, sb).reshape(nb, nb, nb, nb)
     l, m = np.tril_indices(nb)
     sym = np.where((l == m)[:, None, None], bb[l, m], bb[l, m] + bb[m, l])
     chi_mats = np.einsum("kij,pab->kpiajb", sa, sym).reshape(-1, dabb, dabb) / dabb
-    ls = np.arange(nb)
-    sigma_idx = np.add.outer(np.arange(na) * (nb * (nb + 1) // 2), ls * (ls + 1) // 2).ravel()
-    for arr in (rho_mats, sigma_idx):
+    sigma_mats = np.zeros((na, l.size, dab, dab), dtype=complex)
+    sigma_mats[:, m == 0] = -rho_mats.reshape(na, nb, dab, dab)
+    sigma_mats = sigma_mats.reshape(-1, dab, dab)
+    for arr in (rho_mats, sigma_mats, chi_mats):
         arr.setflags(write=False)
-    # chi~ >= 0 (sigma~ >= 0 and rho >= 0 follow)
-    chi_block = LmiBlock(const=np.zeros((dabb, dabb)), var_idx=np.arange(chi_mats.shape[0]),
-                         mats=chi_mats)
-    return rho_mats, sigma_idx, chi_block
+    return rho_mats, sigma_mats, chi_mats
 
 
 def extension_sdp(cls):
@@ -120,13 +121,15 @@ def extension_sdp(cls):
     One SVD of the rows A gives their pseudo-inverse pinv and an
     orthonormal basis N of their null space, so the r that meet them are
     r = r0 + N w with r0 = pinv b.  The variables are (f, w); the blocks
-    are rho - sigma~ >= 0, built here with rho = sum_kl r_kl rho_mats[kl],
-    and chi~ >= 0 from _extension_structure(cls.dims); the objective is
-    r_00 - f_000 less its constant r0_00.  Raises SolverError when r0
-    misses the rows by more than FEAS_TOL (relative to 1 + ||b||): then
-    no r meets them.  Returns (SdpProblem, pinv, N).
+    are rho - sigma~ >= 0 and chi~ >= 0, their f parts from
+    _extension_structure(cls.dims), with the w part N^T rho_mats of the
+    first (rho = sum_kl r_kl rho_mats[kl]) and zeros in the second
+    appended here; the objective is r_00 - f_000 less its constant r0_00.
+    Raises SolverError when r0 misses the rows by more than FEAS_TOL
+    (relative to 1 + ||b||): then no r meets them.  Returns
+    (SdpProblem, pinv, N).
     """
-    rho_mats, sigma_idx, chi_block = _extension_structure(tuple(cls.dims))
+    rho_mats, sigma_mats, chi_mats = _extension_structure(tuple(cls.dims))
     A, b = cls.rows, cls.rhs
     U, s, Vt = np.linalg.svd(A)
     rank = np.count_nonzero(s > max(A.shape) * np.finfo(float).eps * s.max(initial=0.0))
@@ -137,14 +140,14 @@ def extension_sdp(cls):
     if miss > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
         raise SolverError(f"the class rows are inconsistent: their least-squares "
                           f"solution misses them by {miss:.3e}")
-    n_f = chi_block.var_idx.size
+    n_f, dabb = chi_mats.shape[:2]
     c = np.concatenate([np.zeros(n_f), N[0]])
     c[0] = -1.0      # f_000
-    # rho - sigma~ >= 0
-    block = LmiBlock(const=np.tensordot(r0, rho_mats, 1),
-                     var_idx=np.concatenate([sigma_idx, n_f + np.arange(N.shape[1])]),
-                     mats=np.concatenate([-rho_mats, np.tensordot(N.T, rho_mats, 1)]))
-    return SdpProblem(c=c, blocks=(block, chi_block)), pinv, N
+    blocks = (LmiBlock(const=np.tensordot(r0, rho_mats, 1),
+                       mats=np.concatenate([sigma_mats, np.tensordot(N.T, rho_mats, 1)])),
+              LmiBlock(const=np.zeros((dabb, dabb)),
+                       mats=np.concatenate([chi_mats, np.zeros((N.shape[1], dabb, dabb))])))
+    return SdpProblem(c=c, blocks=blocks), pinv, N
 
 
 @functools.lru_cache(maxsize=8)
@@ -170,11 +173,8 @@ def _witness_blocks(key, shape, dims):
     given by bytes and shape; cached per row set."""
     rows = np.frombuffer(key).reshape(shape)
     ops, ext = _product_ops(dims)
-    idx = np.arange(shape[0])
-    return (LmiBlock(const=np.eye(ops.shape[1]), var_idx=idx,
-                     mats=-np.tensordot(rows, ops, 1)),
-            LmiBlock(const=np.zeros(ext.shape[1:]), var_idx=idx,
-                     mats=-np.tensordot(rows, ext, 1)))
+    return (LmiBlock(const=np.eye(ops.shape[1]), mats=-np.tensordot(rows, ops, 1)),
+            LmiBlock(const=np.zeros(ext.shape[1:]), mats=-np.tensordot(rows, ext, 1)))
 
 
 def build_sdp(cls):
@@ -315,11 +315,10 @@ def _solve_on_face(w, S, dims):
                      "meets its swap only in 0, so lambda_max = 0 without a solve")
         ), 0, ((S * w) @ S.conj().T, np.zeros((n, n)))
     xs = _hermitian_stack(w.size)
-    idx = np.arange(xs.shape[0])
-    blocks = [LmiBlock(const=np.zeros(xs.shape[1:]), var_idx=idx, mats=xs)]
+    blocks = [LmiBlock(const=np.zeros(xs.shape[1:]), mats=xs)]
     for V in parts:
         W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, dims[1], V.shape[1]))
-        blocks.append(LmiBlock(const=-np.eye(V.shape[1]), var_idx=idx,
+        blocks.append(LmiBlock(const=-np.eye(V.shape[1]),
                                mats=np.einsum("bsk,jst,btl->jkl", W.conj(), xs, W)))
     sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
     if sol.status != "optimal":
@@ -390,9 +389,9 @@ def best_extendible_decomposition(cls):
     if program == "witness":
         witness, pair = sol.x, tuple(sol.z_blocks)
     elif program == "extension":
-        rho_mats, _, chi_block = _extension_structure(dims)
-        n_f = chi_block.var_idx.size
-        chi = np.tensordot(sol.x[:n_f], chi_block.mats, 1)
+        rho_mats, _, chi_mats = _extension_structure(dims)
+        n_f = chi_mats.shape[0]
+        chi = np.tensordot(sol.x[:n_f], chi_mats, 1)
         rho = np.tensordot(pinv @ cls.rhs + N @ sol.x[n_f:], rho_mats, 1)
         pair = (rho - partial_trace_matrix(chi, (da, db, db), keep=(0, 1)), chi)
         # the least-squares multipliers of the class rows:

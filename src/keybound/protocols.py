@@ -114,10 +114,11 @@ def _qubit_states():
     }
 
 
-def _binary_povm(basis_names, weights, flip_y_bits):
+def _binary_povm(basis_names, flip_y_bits):
     vecs = _qubit_states()
+    w = 1.0 / len(basis_names)
     elements, labels, bases, bits = [], [], [], []
-    for name, w in zip(basis_names, weights):
+    for name in basis_names:
         for bit in (0, 1):
             sign = 1 - bit if (flip_y_bits and name == "Y") else bit
             v = vecs[(name, sign)]
@@ -128,30 +129,31 @@ def _binary_povm(basis_names, weights, flip_y_bits):
     return Povm(tuple(elements), tuple(labels), tuple(bases), tuple(bits))
 
 
-@functools.lru_cache(maxsize=8)
-def _qubit_povms(basis_names, weights):
-    if (len(weights) != len(basis_names) or abs(sum(weights) - 1.0) > 1e-12
-            or min(weights) <= 0):
-        raise ValueError(f"need {len(basis_names)} positive basis weights summing to 1")
-    return (_binary_povm(basis_names, weights, flip_y_bits=False),
-            _binary_povm(basis_names, weights, flip_y_bits=True))
+@functools.cache
+def _qubit_povms(basis_names):
+    """Alice's and Bob's POVMs, each basis of basis_names measured with
+    probability 1 / len(basis_names)."""
+    return (_binary_povm(basis_names, flip_y_bits=False),
+            _binary_povm(basis_names, flip_y_bits=True))
 
 
-def four_state_povms(weights=(0.5, 0.5)):
-    """Alice and Bob POVMs for the four-state (x/z bases) protocol, built
-    once per weights; every caller shares the read-only result."""
-    return _qubit_povms(("X", "Z"), tuple(weights))
+def four_state_povms():
+    """Alice and Bob POVMs for the four-state (x/z bases) protocol, each
+    basis measured with probability 1/2; built once, and every caller
+    shares the read-only result."""
+    return _qubit_povms(("X", "Z"))
 
 
-def six_state_povms(weights=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)):
-    """Alice and Bob POVMs for the six-state (x/y/z bases) protocol, built
-    once per weights; every caller shares the read-only result.
+def six_state_povms():
+    """Alice and Bob POVMs for the six-state (x/y/z bases) protocol, each
+    basis measured with probability 1/3; built once, and every caller
+    shares the read-only result.
 
     Bob's y-basis bit labels are inverted (bit 0 tags the -1 eigenvector)
     so matched outcomes on the Bell family correlate rather than
     anticorrelate.
     """
-    return _qubit_povms(("X", "Y", "Z"), tuple(weights))
+    return _qubit_povms(("X", "Y", "Z"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,8 +50,8 @@ the step's distance to the cone boundary from the lowest eigenvalue of
 each scaled direction (_step_bound), the corrector's product dS dZ and
 the update R (.) R^H.  Every factorization is a direct LAPACK call (see
 _load_lapack), and solve runs with the BLAS pools at one thread (see
-_one_blas_thread).  A variable in no block would make M singular, so
-SdpProblem rejects it.
+_one_blas_thread).  A variable whose matrices are zero in every block
+would make M singular, so SdpProblem rejects it.
 
 Weak duality: with rp and rd the primal and dual residuals of the
 normalized iterate, pobj = c.x and dobj = -<F0, Z>, every iterate has
@@ -202,7 +202,9 @@ def _as_herm(mat, what):
 
 @dataclass(frozen=True, eq=False)
 class LmiBlock:
-    """One linear matrix inequality const + sum_i x[var_idx[i]] * mats[i] >= 0.
+    """One linear matrix inequality const + sum_i x[i] * mats[i] >= 0,
+    with one matrix per variable of its program (zero for a variable
+    that does not enter the block).
 
     const and mats hold the Hermitian input at its own size dim,
     read-only: real arrays when every matrix is real, complex ones
@@ -212,35 +214,28 @@ class LmiBlock:
     """
 
     const: np.ndarray
-    var_idx: np.ndarray
     mats: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self):
         const = _as_herm(self.const, "block const")
         dim = const.shape[0]
-        idx = np.asarray(self.var_idx, dtype=int).ravel()
-        if idx.size == 0:
-            raise ValueError("a block needs at least one variable")
         mats = _finite(np.asarray(self.mats, dtype=complex), "block mats")
-        if mats.shape != (idx.size, dim, dim):
-            raise ValueError("mats must be (len(var_idx), dim, dim)")
+        if mats.shape[1:] != (dim, dim):
+            raise ValueError("mats must be (num_vars, dim, dim)")
         bad = np.max(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))),
                      axis=(1, 2), initial=0.0) > HERM_TOL
         if bad.any():
             raise ValueError(f"block matrix {int(np.flatnonzero(bad)[0])} "
                              "is not Hermitian within 1e-12")
-        if len(set(idx.tolist())) != idx.size:
-            raise ValueError("var_idx entries must be distinct")
         if not (const.imag.any() or mats.imag.any()):
             const, mats = const.real, mats.real
         const = 0.5 * (const + const.conj().T)
         mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-        for arr in (const, mats, idx):
+        for arr in (const, mats):
             arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "const", const)
-        object.__setattr__(self, "var_idx", idx)
         object.__setattr__(self, "mats", mats)
 
 
@@ -259,16 +254,13 @@ class SdpProblem:
         if not blocks:
             raise ValueError("need at least one block")
         t = c.size
-        seen = np.zeros(t, dtype=bool)
-        for blk in blocks:
-            if blk.var_idx.min() < 0 or blk.var_idx.max() >= t:
-                raise ValueError("block variable index out of range")
-            seen[blk.var_idx] = True
-        if not seen.all():
-            missing = int(np.flatnonzero(~seen)[0])
+        if any(blk.mats.shape[0] != t for blk in blocks):
+            raise ValueError(f"every block needs one matrix per variable ({t})")
+        unused = ~np.any([blk.mats.reshape(t, -1).any(axis=1) for blk in blocks], axis=0)
+        if unused.any():
             raise ValueError(
-                f"variable {missing} appears in no block; the reduced system "
-                "would be singular")
+                f"variable {int(np.flatnonzero(unused)[0])} is zero in every block; "
+                "the reduced system would be singular")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "blocks", blocks)
@@ -409,14 +401,13 @@ def _solve(problem):
     F = np.zeros((nw, npk), dtype=complex)
     F0 = np.empty(npk, dtype=complex)
     # per block: its matrices, then rp_b and F0_b, congruence-scaled
-    # together into the rows var_idx, nw and nw + 1 of Q
-    stacks, q_rows = [], []
+    # together into Q's columns at its span
+    stacks = []
     for blk, sp in zip(blocks, spans):
-        F[blk.var_idx, sp] = blk.mats.reshape(blk.var_idx.size, -1)
+        F[:, sp] = blk.mats.reshape(nw, -1)
         F0[sp] = blk.const.ravel()
         stacks.append(np.concatenate([blk.mats, blk.const[None], blk.const[None]])
                       .astype(complex))
-        q_rows.append(np.concatenate([blk.var_idx, [nw, nw + 1]]))
     F, F0 = F.view(float), F0.view(float)
     Q = np.zeros((nw + 2, npk), dtype=complex)
     Qr = Q.view(float)
@@ -508,11 +499,11 @@ def _solve(problem):
         # --- Nesterov-Todd scaling per block, into Q = [Q_i; rp~; F0~] ---
         Rs, RinvHs, ds = [], [], []
         try:
-            for Sb, Zb, rpb, G, rows, sp in zip(blocks_of(S), blocks_of(Z), blocks_of(rp),
-                                                stacks, q_rows, spans):
+            for Sb, Zb, rpb, G, sp in zip(blocks_of(S), blocks_of(Z), blocks_of(rp),
+                                          stacks, spans):
                 R, Rinv, d = _nt_scaling(Sb, Zb)
                 G[-2] = rpb
-                Q[rows, sp] = _congruence(Rinv, G)
+                Q[:, sp] = _congruence(Rinv, G)
                 Rs.append(R)
                 RinvHs.append(Rinv.conj().T)
                 ds.append(d)

@@ -31,13 +31,9 @@ def feasibility_problem(problem):
     """Phase-I companion: minimize the uniform slack t with every block
     shifted to F(x) + t I >= 0 and t >= -1 capping the objective below."""
     t = problem.num_vars
-    blocks = []
-    for blk in problem.blocks:
-        mats = np.concatenate([blk.mats, np.eye(blk.dim)[None]])
-        idx = np.append(blk.var_idx, t)
-        blocks.append(LmiBlock(const=blk.const, var_idx=idx, mats=mats))
-    blocks.append(LmiBlock(const=np.array([[1.0]]), var_idx=np.array([t]),
-                           mats=np.array([[[1.0]]])))
+    blocks = [LmiBlock(const=blk.const, mats=np.concatenate([blk.mats, np.eye(blk.dim)[None]]))
+              for blk in problem.blocks]
+    blocks.append(LmiBlock(const=np.array([[1.0]]), mats=np.eye(t + 1)[:, t, None, None]))
     c = np.zeros(t + 1)
     c[t] = 1.0
     return SdpProblem(c=c, blocks=tuple(blocks))
@@ -63,9 +59,8 @@ def check_feasible(problem):
         return replace(sol, x=sol.x[:-1].copy(), objective=tstar,
                        message=f"feasible with uniform margin {-tstar:.3e}")
     zs = sol.z_blocks[:len(problem.blocks)]
-    station = np.zeros(problem.num_vars)
-    for blk, Zb in zip(problem.blocks, zs):
-        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats.conj(), Zb).real
+    station = sum(np.einsum("ijk,jk->i", blk.mats.conj(), Zb).real
+                  for blk, Zb in zip(problem.blocks, zs))
     violation = -sum(float(np.vdot(blk.const, Zb).real)
                      for blk, Zb in zip(problem.blocks, zs))
     return replace(
@@ -86,11 +81,8 @@ def pinned_problem(cls, lam):
     useful as an independent route to lambda_max via bisection.
     """
     problem = extension_sdp(cls)[0]
-    blocks = []
-    for blk in problem.blocks:
-        pin = blk.var_idx == 0   # f_000
-        blocks.append(LmiBlock(const=blk.const + lam * blk.mats[pin].sum(axis=0),
-                               var_idx=blk.var_idx[~pin] - 1, mats=blk.mats[~pin]))
+    blocks = [LmiBlock(const=blk.const + lam * blk.mats[0], mats=blk.mats[1:])   # f_000
+              for blk in problem.blocks]
     return SdpProblem(c=problem.c[1:], blocks=blocks)
 
 
@@ -144,11 +136,10 @@ def face_primal_oracle(cls):
     da, db = cls.dims
     W = np.einsum("as,abk->bsk", S.conj(), U.reshape(da * db, db, k))
     sigma_mats = np.einsum("bsk,jkl,btl->jst", W, ys, W.conj())
-    g_idx = np.arange(ys.shape[0])
     c = -np.trace(ys, axis1=1, axis2=2).real
     sol = solve(SdpProblem(
-        c=c, blocks=(LmiBlock(const=np.diag(w), var_idx=g_idx, mats=-sigma_mats),
-                     LmiBlock(const=np.zeros((k, k)), var_idx=g_idx, mats=ys))))
+        c=c, blocks=(LmiBlock(const=np.diag(w), mats=-sigma_mats),
+                     LmiBlock(const=np.zeros((k, k)), mats=ys))))
     assert sol.status == "optimal", sol.message
     return float(-c @ sol.x), sol
 
@@ -162,7 +153,7 @@ def assert_ray_proves_no_state(cls, sol):
     assert sol.certificate["kind"] == "primal-ray"
     d = sol.certificate["x"]
     for blk in build_sdp(cls)[0].blocks:
-        assert np.linalg.eigvalsh(np.tensordot(d[blk.var_idx], blk.mats, 1))[0] >= -1e-9
+        assert np.linalg.eigvalsh(np.tensordot(d, blk.mats, 1))[0] >= -1e-9
     assert float(cls.rhs @ d) > 0.0
 
 
@@ -238,11 +229,11 @@ def random_box_sdp(rng, num_vars=3, block_dim=4, box=2.0):
         mats.append(0.5 * (g + g.T))
     g = rng.normal(size=(block_dim, block_dim))
     f0 = g @ g.T + np.eye(block_dim)
-    blocks = [LmiBlock(const=f0, var_idx=tuple(range(num_vars)), mats=np.array(mats))]
-    for i in range(num_vars):
-        one = np.ones((1, 1))
-        blocks.append(LmiBlock(const=box * one, var_idx=(i,), mats=one[None]))
-        blocks.append(LmiBlock(const=box * one, var_idx=(i,), mats=-one[None]))
+    blocks = [LmiBlock(const=f0, mats=np.array(mats))]
+    one = np.ones((1, 1))
+    for unit in np.eye(num_vars)[:, :, None, None]:   # e_i, as (num_vars, 1, 1)
+        blocks.append(LmiBlock(const=box * one, mats=unit))
+        blocks.append(LmiBlock(const=box * one, mats=-unit))
     c = rng.normal(size=num_vars)
     return SdpProblem(c=c, blocks=blocks)
 
@@ -251,7 +242,7 @@ def min_block_eigenvalue(problem, x):
     """The smallest eigenvalue of problem's blocks at the point x."""
     lows = []
     for blk in problem.blocks:
-        mat = blk.const + np.tensordot(x[list(blk.var_idx)], blk.mats, axes=1)
+        mat = blk.const + np.tensordot(x, blk.mats, axes=1)
         lows.append(float(np.linalg.eigvalsh(0.5 * (mat + np.conj(mat.T)))[0]))
     return min(lows)
 
@@ -273,8 +264,7 @@ def _window_candidates(problem, center, half, points, keep, slack):
     for blk in sorted(problem.blocks, key=lambda b: b.dim):
         if not alive.size:
             break
-        sub = mesh[alive][:, blk.var_idx]
-        mats = blk.const[None] + np.tensordot(sub, blk.mats, axes=(1, 0))
+        mats = blk.const[None] + np.tensordot(mesh[alive], blk.mats, axes=(1, 0))
         mats = 0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2)))
         lows = np.linalg.eigvalsh(mats)[:, 0].real
         alive = alive[lows >= -slack]
@@ -396,6 +386,14 @@ def _chi_terms(dims):
     return triples, terms
 
 
+def sigma_coefficients(dims):
+    """The positions of sigma~'s coefficients f_{k,l,0} among the f, in
+    (k, l) order."""
+    triples = _chi_terms(dims)[0]
+    da, db = dims
+    return [triples.index((k, l, 0)) for k in range(da * da) for l in range(db * db)]
+
+
 def chi_reference(f_vec, dims):
     """The extension chi~ = sum_klm f_klm (S_k (x) sym(S_l (x) S_m)) / d,
     summed term by term, in the variable order k, then l, then m <= l."""
@@ -428,16 +426,17 @@ def three_block_reference(cls):
     _, s, Vt = np.linalg.svd(cls.rows)
     N = Vt[np.count_nonzero(s > 1e-10 * s[0]):].T
     n_f, n_w = len(triples), N.shape[1]
-    w_idx = n_f + np.arange(n_w)
-    sigma_idx = [triples.index((k, l, 0)) for k in range(na) for l in range(nb)]
     rho0 = np.tensordot(r0, rho_mats, 1)
     rho_w = np.tensordot(N.T, rho_mats, 1)
-    blocks = [LmiBlock(const=rho0, var_idx=np.concatenate([sigma_idx, w_idx]),
-                       mats=np.concatenate([-rho_mats, rho_w])),
-              LmiBlock(const=np.zeros((da * db * db,) * 2), var_idx=np.arange(n_f),
-                       mats=np.stack(chi_mats))]
+    # each block's matrices over (f, w): zero for a variable it lacks
+    sigma_f = np.zeros((n_f, *rho0.shape), dtype=complex)
+    sigma_f[sigma_coefficients((da, db))] = -rho_mats
+    dabb = da * db * db
+    blocks = [LmiBlock(const=rho0, mats=np.concatenate([sigma_f, rho_w])),
+              LmiBlock(const=np.zeros((dabb, dabb)),
+                       mats=np.concatenate([chi_mats, np.zeros((n_w, dabb, dabb))]))]
     if n_w:
-        blocks.append(LmiBlock(const=rho0, var_idx=w_idx, mats=rho_w))
+        blocks.append(LmiBlock(const=rho0, mats=np.concatenate([0 * sigma_f, rho_w])))
     c = np.concatenate([np.zeros(n_f), N[0]])
     c[0] = -1.0
     return SdpProblem(c=c, blocks=blocks), 0

@@ -122,13 +122,13 @@ def test_criterion_6_solver_validation():
     # micro problems with known optima
     one = np.ones((1, 1))
     p1 = SdpProblem(c=np.array([1.0]),
-                    blocks=[LmiBlock(const=-one, var_idx=(0,), mats=one[None])])
+                    blocks=[LmiBlock(const=-one, mats=one[None])])
     s1 = solve(p1)
     micro_ok = s1.status == "optimal" and abs(s1.objective - 1.0) <= 1e-8
     problems.append(s1)
     a = np.array([[2.0, 1.0], [1.0, -1.0]])
     p2 = SdpProblem(c=np.array([1.0]),
-                    blocks=[LmiBlock(const=-a, var_idx=(0,), mats=np.eye(2)[None])])
+                    blocks=[LmiBlock(const=-a, mats=np.eye(2)[None])])
     s2 = solve(p2)
     micro_ok &= abs(s2.objective - np.linalg.eigvalsh(a)[-1]) <= 1e-8
     problems.append(s2)
@@ -153,14 +153,14 @@ def test_criterion_6_solver_validation():
     # typed outcomes for bad inputs
     try:
         SdpProblem(c=np.array([1.0, 1.0]),
-                   blocks=[LmiBlock(const=one, var_idx=(0,), mats=one[None])])
+                   blocks=[LmiBlock(const=one, mats=np.array([one, 0 * one]))])
         typed_ok = False
     except ValueError:
         typed_ok = True
     infeas = check_feasible(SdpProblem(
         c=np.array([1.0]),
-        blocks=[LmiBlock(const=-one, var_idx=(0,), mats=one[None]),
-                LmiBlock(const=0 * one, var_idx=(0,), mats=-one[None])]))
+        blocks=[LmiBlock(const=-one, mats=one[None]),
+                LmiBlock(const=0 * one, mats=-one[None])]))
     typed_ok &= infeas.status == "infeasible" and infeas.certificate["kind"] == "farkas"
 
     ok = micro_ok and rand_ok and wd_ok and typed_ok

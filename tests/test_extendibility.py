@@ -23,8 +23,8 @@ from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              partial_trace_matrix, swap_last_two)
 from helpers import (assert_ray_proves_no_state, check_feasible, chi_reference,
                      extend_qutrit_stream_state, lambda_bisection_oracle,
-                     min_block_eigenvalue, pinned_problem, three_block_reference,
-                     trivial_class)
+                     min_block_eigenvalue, pinned_problem, sigma_coefficients,
+                     three_block_reference, trivial_class)
 
 
 def six_state_class(e):
@@ -36,6 +36,20 @@ def six_state_class(e):
 LAYOUT_SIZES = {(2, 2): (16, 40), (2, 3): (36, 180)}
 
 
+def assert_extension_layout(prob, dims):
+    """The (f, w) layout of an extension program's blocks: rho - sigma~
+    has -rho_mats[kl] at sigma~'s coefficients f_{k,l,0} and exactly zero
+    at every other f, and chi~ has exactly zero at every w."""
+    rho_mats, _, chi_mats = _extension_structure(dims)
+    n_f = chi_mats.shape[0]
+    sigma_idx = sigma_coefficients(dims)
+    rho_block, chi_block = prob.blocks
+    assert np.array_equal(rho_block.mats[sigma_idx], -rho_mats)
+    assert not np.delete(rho_block.mats[:n_f], sigma_idx, axis=0).any()
+    assert np.array_equal(chi_block.mats[:n_f], chi_mats)
+    assert not chi_block.mats[n_f:].any()
+
+
 def test_variable_layout_counts():
     # rows that pin rho leave no w: f alone, and no equality rows
     for dims, (n_r, n_f) in LAYOUT_SIZES.items():
@@ -45,19 +59,18 @@ def test_variable_layout_counts():
         mat = g @ g.conj().T
         cls = class_from_state(DensityOperator(mat / np.trace(mat).real, dims))
         prob, pinv, N = extension_sdp(cls)
-        rho_mats, sigma_idx, chi_block = _extension_structure(dims)
+        rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
         assert cls.rows.shape[1] == rho_mats.shape[0] == n_r
         assert N.shape == (n_r, 0) and pinv.shape == cls.rows.shape[::-1]
-        assert chi_block.mats.shape[0] == n_f == prob.num_vars
+        assert sigma_mats.shape[0] == chi_mats.shape[0] == n_f == prob.num_vars
         # f first, and sigma~'s coefficients are among them
-        assert np.array_equal(chi_block.var_idx, np.arange(n_f))
-        assert np.array_equal(prob.blocks[0].var_idx, sigma_idx)
+        assert_extension_layout(prob, dims)
         assert prob.eq_rows.shape == (0, n_f)
 
 
 @pytest.mark.parametrize("dims", sorted(LAYOUT_SIZES))
 def test_chi_stack_matches_kronecker_reference(dims):
-    chi_mats = _extension_structure(dims)[2].mats
+    chi_mats = _extension_structure(dims)[2]
     rng = np.random.default_rng(sum(dims))
     for _ in range(3):
         f = rng.normal(size=chi_mats.shape[0])
@@ -72,19 +85,18 @@ def test_build_sdp_shares_structure_per_dims():
     assert dims1 == dims2 == (2, 2)
     assert all(a is b for a, b in zip(p1.blocks, p2.blocks))
     assert not np.array_equal(p1.c, p2.c)
-    # the extension program's chi~ block is one structure per dims; its
-    # rho - sigma~ block carries the class's r0 and N
+    # the extension program's f parts are one structure per dims; the
+    # rho - sigma~ block's const carries the class's r0
     e1, e2 = extension_sdp(six_state_class(0.05))[0], extension_sdp(six_state_class(0.10))[0]
-    assert e1.blocks[1] is e2.blocks[1]
-    assert e1.blocks[0] is not e2.blocks[0]
+    for e in (e1, e2):
+        assert_extension_layout(e, (2, 2))
+    assert not np.array_equal(e1.blocks[0].const, e2.blocks[0].const)
     assert _extension_structure((2, 2)) is _extension_structure((2, 2))
     assert _extension_structure((2, 3)) is not _extension_structure((2, 2))
 
 
 def test_cached_structure_is_read_only():
-    rho_mats, sigma_idx, chi_block = _extension_structure((2, 2))
-    arrays = [rho_mats, sigma_idx, chi_block.const, chi_block.mats, chi_block.var_idx]
-    for arr in arrays:
+    for arr in _extension_structure((2, 2)):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
 
@@ -99,6 +111,7 @@ def test_sdp_structure():
         assert N.shape == (16, n_w) and prob.num_vars == 40 + n_w
         assert prob.eq_rows.shape == (0, 40 + n_w)
         assert [b.dim for b in prob.blocks] == [4, 8]
+        assert_extension_layout(prob, (2, 2))
         # every r0 + N w meets the class rows
         w = np.random.default_rng(0).normal(size=n_w)
         assert np.max(np.abs(cls.rows @ (pinv @ cls.rhs + N @ w) - cls.rhs)) <= 1e-12

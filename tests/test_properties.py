@@ -170,8 +170,8 @@ def test_complex_block_and_its_real_embedding_solve_alike(n, k, seed):
     w = w @ w + 0.1 * np.eye(n)
     # c_i = <mats_i, W> with W > 0 bounds c.x below by -<const, W>
     c = np.einsum("ijk,kj->i", mats, w).real
-    blocks = [LmiBlock(const=const, var_idx=np.arange(k), mats=mats),
-              LmiBlock(const=realify(const), var_idx=np.arange(k), mats=realify(mats))]
+    blocks = [LmiBlock(const=const, mats=mats),
+              LmiBlock(const=realify(const), mats=realify(mats))]
     assert (blocks[0].dim, blocks[1].dim) == (n, 2 * n)
     assert np.array_equal(realify(blocks[0].const), blocks[1].const)
     assert np.array_equal(realify(blocks[0].mats), blocks[1].mats)

@@ -310,13 +310,6 @@ def test_builtin_povms_and_bases_are_built_once():
         assert not any(m.flags.writeable for m in basis)
 
 
-def test_povm_weights_given_as_a_list():
-    alice, bob = four_state_povms([0.3, 0.7])
-    assert four_state_povms((0.3, 0.7)) == (alice, bob)  # the same cached pair
-    assert np.allclose(alice.elements[0], 0.3 * np.full((2, 2), 0.5), atol=1e-15)
-    assert six_state_povms([0.2, 0.3, 0.5])[1].labels == ("X0", "X1", "Y0", "Y1", "Z0", "Z1")
-
-
 @pytest.mark.parametrize("povms", [four_state_povms(), six_state_povms()],
                          ids=["four-state", "six-state"])
 def test_data_matched_to_povms_by_label(povms):

@@ -28,8 +28,9 @@ from helpers import (check_feasible, feasibility_problem, grid_search_minimum, p
 ONE = np.ones((1, 1))
 
 
-def scalar_block(const, coeff, var=0):
-    return LmiBlock(const=const * ONE, var_idx=(var,), mats=coeff * ONE[None])
+def scalar_block(const, coeff, var=0, num_vars=1):
+    """const + coeff * x[var] >= 0 in a program of num_vars variables."""
+    return LmiBlock(const=const * ONE, mats=coeff * np.eye(num_vars)[:, var, None, None])
 
 
 def test_scalar_bound():
@@ -43,8 +44,8 @@ def test_scalar_bound():
 
 def test_box_lp():
     # min -x - y inside [0,1]^2: optimum -2 at (1,1)
-    blocks = [scalar_block(0.0, 1.0, 0), scalar_block(1.0, -1.0, 0),
-              scalar_block(0.0, 1.0, 1), scalar_block(1.0, -1.0, 1)]
+    blocks = [scalar_block(0.0, 1.0, 0, 2), scalar_block(1.0, -1.0, 0, 2),
+              scalar_block(0.0, 1.0, 1, 2), scalar_block(1.0, -1.0, 1, 2)]
     prob = SdpProblem(c=np.array([-1.0, -1.0]), blocks=blocks)
     sol = solve(prob)
     assert sol.status == "optimal"
@@ -57,7 +58,7 @@ def test_largest_eigenvalue_real():
     a = rng.normal(size=(5, 5))
     a = 0.5 * (a + a.T)
     # min t subject to t I - A >= 0
-    blk = LmiBlock(const=-a, var_idx=(0,), mats=np.eye(5)[None])
+    blk = LmiBlock(const=-a, mats=np.eye(5)[None])
     sol = solve(SdpProblem(c=np.array([1.0]), blocks=[blk]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-7)
@@ -66,7 +67,7 @@ def test_largest_eigenvalue_real():
 def test_largest_eigenvalue_complex():
     rng = np.random.default_rng(1)
     a = random_hermitian(rng, 4)
-    blk = LmiBlock(const=-a, var_idx=(0,), mats=np.eye(4, dtype=complex)[None])
+    blk = LmiBlock(const=-a, mats=np.eye(4, dtype=complex)[None])
     sol = solve(SdpProblem(c=np.array([1.0]), blocks=[blk]))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-7)
@@ -87,8 +88,7 @@ def test_solve_runs_blas_at_one_thread_and_restores_the_count(monkeypatch):
         return scaling(S, Z)
 
     monkeypatch.setattr(sdp, "_nt_scaling", spy)
-    blk = LmiBlock(const=-random_hermitian(np.random.default_rng(2), 4), var_idx=(0,),
-                   mats=np.eye(4)[None])
+    blk = LmiBlock(const=-random_hermitian(np.random.default_rng(2), 4), mats=np.eye(4)[None])
     try:
         for _, put in pools:
             put(2)
@@ -194,34 +194,50 @@ def test_dual_infeasibility_detected():
     # while constraining nothing dual-side: -x >= 0 and objective +x has
     # optimum 0; instead test an unattainable dual via x free in one block
     prob = SdpProblem(c=np.array([-1.0, 0.0]),
-                      blocks=[scalar_block(0.0, 1.0, 0),
-                              scalar_block(1.0, 1.0, 1),
-                              scalar_block(1.0, -1.0, 1)])
+                      blocks=[scalar_block(0.0, 1.0, 0, 2),
+                              scalar_block(1.0, 1.0, 1, 2),
+                              scalar_block(1.0, -1.0, 1, 2)])
     sol = solve(prob)
     assert sol.status == "unbounded"
 
 
 def test_every_variable_must_touch_a_block():
-    with pytest.raises(ValueError):
-        SdpProblem(c=np.array([1.0, 1.0]), blocks=[scalar_block(0.0, 1.0, 0)])
+    # x_1's matrices are zero in every block, which would make the Gram
+    # matrix M singular
+    for blocks in ([scalar_block(0.0, 1.0, 0, 2)],
+                   [LmiBlock(const=np.eye(2), mats=[np.eye(2), np.zeros((2, 2))])],
+                   [scalar_block(0.0, 1.0, 0, 2), scalar_block(1.0, -1.0, 0, 2)]):
+        with pytest.raises(ValueError, match="variable 1 is zero in every block"):
+            SdpProblem(c=np.array([1.0, 1.0]), blocks=blocks)
+    # a variable needs a nonzero matrix in one block only
+    SdpProblem(c=np.array([1.0, 1.0]),
+               blocks=[scalar_block(0.0, 1.0, 0, 2), scalar_block(1.0, -1.0, 1, 2)])
 
 
 def test_blocks_must_be_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        LmiBlock(const=bad, var_idx=(0,), mats=np.eye(2)[None])
+        LmiBlock(const=bad, mats=np.eye(2)[None])
 
 
 def test_non_hermitian_block_matrix_named_by_index():
     mats = np.stack([np.eye(2)] * 4).astype(complex)
     mats[2, 0, 1] = 1j  # only matrix 2 breaks M = M^+
     with pytest.raises(ValueError, match=r"block matrix 2 is not Hermitian"):
-        LmiBlock(const=np.zeros((2, 2)), var_idx=range(4), mats=mats)
+        LmiBlock(const=np.zeros((2, 2)), mats=mats)
 
 
-def test_block_without_variables_rejected():
-    with pytest.raises(ValueError, match="at least one variable"):
-        LmiBlock(const=np.eye(2), var_idx=(), mats=np.zeros((0, 2, 2)))
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_block_needs_one_matrix_per_variable(count):
+    blk = LmiBlock(const=np.eye(2), mats=np.ones((count, 2, 2)))
+    with pytest.raises(ValueError, match=r"one matrix per variable \(2\)"):
+        SdpProblem(c=np.array([1.0, 1.0]), blocks=[blk])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (1, 3, 3)])
+def test_block_matrices_must_match_the_const(shape):
+    with pytest.raises(ValueError, match=r"mats must be \(num_vars, dim, dim\)"):
+        LmiBlock(const=np.eye(2), mats=np.ones(shape))
 
 
 def _valid_problem_parts():
@@ -236,7 +252,7 @@ def test_non_finite_data_rejected(field, bad):
     parts[field] = parts[field].copy()
     parts[field].flat[0] = bad
     with pytest.raises(ValueError, match=rf"\b{field}\b.*non-finite"):
-        blk = LmiBlock(const=parts["const"], var_idx=(0,), mats=parts["mats"])
+        blk = LmiBlock(const=parts["const"], mats=parts["mats"])
         SdpProblem(c=parts["c"], blocks=[blk])
 
 
@@ -252,8 +268,7 @@ def test_iteration_cap_returns_last_iterate(monkeypatch):
 
 def test_overflowing_gram_matrix_is_a_numerical_failure():
     # (1e200)^2 overflows the Gram matrix M on the first iteration
-    prob = SdpProblem(c=[1.0], blocks=(LmiBlock(const=[[1.0]], var_idx=[0],
-                                                mats=[[[1e200]]]),))
+    prob = SdpProblem(c=[1.0], blocks=(LmiBlock(const=[[1.0]], mats=[[[1e200]]]),))
     with pytest.warns(RuntimeWarning, match="overflow"):
         sol = solve(prob)
     assert sol.status == "numerical-failure"
@@ -285,9 +300,8 @@ def test_tau_underflow_is_a_numerical_failure(lam):
 def farkas_violation(problem, cert):
     """(||A*(Z)||, -<F0, Z>) of a Farkas certificate on the program."""
     zs = cert["z_blocks"]
-    station = np.zeros(problem.num_vars)
-    for blk, zb in zip(problem.blocks, zs):
-        station[blk.var_idx] += np.einsum("ijk,jk->i", blk.mats.conj(), zb).real
+    station = sum(np.einsum("ijk,jk->i", blk.mats.conj(), zb).real
+                  for blk, zb in zip(problem.blocks, zs))
     violation = -sum(np.vdot(blk.const, zb).real for blk, zb in zip(problem.blocks, zs))
     return float(np.linalg.norm(station)), float(violation)
 
