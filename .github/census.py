@@ -1,0 +1,87 @@
+"""Solver census: iterations, fallbacks and program sizes of fixed solves.
+
+Run from the repository root as ``PYTHONPATH=src python .github/census.py``.
+The README's "Tests" section says what each line counts.  solve runs its
+loop at one BLAS thread, so the output must not change with
+OPENBLAS_NUM_THREADS.
+"""
+
+import hashlib
+from itertools import product
+
+import numpy as np
+
+from keybound import (DensityOperator, ProtocolSpec, assemble_class,
+                      best_extendible_decomposition, class_from_state,
+                      extendibility, find_cutoff, realize_protocol)
+
+KINDS, DIRECTIONS = ("four-state", "six-state"), ("direct", "reverse")
+CONFIGS = list(product(KINDS, DIRECTIONS, (None, True, False)))
+values = []   # lambda_max of every decomposition, then the 12 cutoffs
+
+
+def decompose(cls):
+    res = best_extendible_decomposition(cls)
+    values.append(res.lambda_max)
+    return res
+
+
+def protocol_point(kind, direction, source_constraint, e):
+    spec = ProtocolSpec(kind, e=e, direction=direction,
+                        source_constraint=source_constraint)
+    return decompose(assemble_class(*realize_protocol(spec), spec))
+
+
+def qubit_qutrit(rng, rank):
+    g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+    mat = g @ g.conj().T
+    return decompose(class_from_state(
+        DensityOperator(mat / np.trace(mat).real, (2, 3))))
+
+
+def iterations(results):
+    return sum(res.solution.iterations for res in results)
+
+
+sweeps = [protocol_point(kind, direction, None, float(e))
+          for kind, direction in product(KINDS, DIRECTIONS)
+          for e in np.linspace(0.0, 0.25, 26)]
+fallbacks = sum(res.diagnostics["program"] == "extension" for res in sweeps)
+builds = extendibility._extension_structure.cache_info().misses
+print(f"IPM iterations, four 26-point sweeps: {iterations(sweeps)}")
+print(f"points solved by the (r, f) fallback, of 104: {fallbacks}")
+print(f"(r, f) structure builds over the 104 points: {builds}")
+near_zero = [res for res in (protocol_point(*config, e) for config in CONFIGS
+                             for e in (1e-8, 1e-7, 1e-6))
+             if res.diagnostics["program"] == "extension"]
+print(f"near-zero census fallbacks, of 36 points: {len(near_zero)} "
+      f"(expected 25), {iterations(near_zero)} IPM iterations")
+rng = np.random.default_rng(0)
+for rank in (3, 4, 5):
+    face = [qubit_qutrit(rng, rank) for _ in range(5)]
+    print(f"rank-{rank} (2, 3) face program: {face[-1].solution.x.size} "
+          f"variables, {iterations(face)} IPM iterations over 5 states")
+rng = np.random.default_rng(0)
+print("IPM iterations, five (2, 3) states of ranks 2-6: "
+      f"{iterations([qubit_qutrit(rng, rank) for rank in range(2, 7)])}")
+
+solve, cutoff_iters = extendibility.solve, []
+
+
+def counted(problem):
+    sol = solve(problem)
+    cutoff_iters.append(sol.iterations)
+    return sol
+
+
+extendibility.solve = counted
+try:
+    values += [find_cutoff(kind, tol=1e-4, direction=direction,
+                           source_constraint=source_constraint)
+               for kind, direction, source_constraint in CONFIGS]
+finally:
+    extendibility.solve = solve
+print(f"find_cutoff(tol=1e-4), 12 configurations: {len(cutoff_iters)} "
+      f"solves (expected 12), {sum(cutoff_iters)} IPM iterations")
+print("lambda_max and cutoff bytes (sha256):",
+      hashlib.sha256(np.array(values).tobytes()).hexdigest())

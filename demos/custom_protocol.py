@@ -57,13 +57,14 @@ def main():
         ],
         "direction": "direct",
     }
-    path = os.path.join(tempfile.mkdtemp(), "biased_four_state.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    print(f"wrote {path} ({os.path.getsize(path)} bytes, "
-          f"{len(doc['probabilities'])} probability records)")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "biased_four_state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+        print(f"wrote {path} ({os.path.getsize(path)} bytes, "
+              f"{len(doc['probabilities'])} probability records)")
+        spec = load_protocol(path)
 
-    spec = load_protocol(path)
     point = one_way_upper_bound(spec)
     print(f"\nbiased custom protocol at e = {E}:")
     print(f"  qber        = {point.qber:.6f}")

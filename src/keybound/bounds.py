@@ -146,8 +146,12 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     if not lo < hi:
         raise ValueError("bracket must be an increasing pair")
     cls_lo, cls_hi = class_at(lo), class_at(hi)
-    if cls_hi.rows.shape != cls_lo.rows.shape \
-            or np.max(np.abs(cls_hi.rows - cls_lo.rows), initial=0.0) > 1e-9:
+
+    def rows_differ(cls):   # cls's rows are not those of the class at lo
+        return cls.rows.shape != cls_lo.rows.shape \
+            or np.max(np.abs(cls.rows - cls_lo.rows), initial=0.0) > 1e-9
+
+    if rows_differ(cls_hi):
         raise ValueError("the classes at the bracket ends have different rows; "
                          "the family is not affine")
     slope = (cls_hi.rhs - cls_lo.rhs) / (hi - lo)
@@ -186,8 +190,7 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
         raise SolverError(f"certified interval [{cut!r}, {upper!r}] exceeds tol "
                           f"{tol:.3e}", solution=res.solution)
     cls_cut = class_at(cut)
-    if cls_cut.rows.shape != cls_lo.rows.shape \
-            or np.max(np.abs(cls_cut.rows - cls_lo.rows), initial=0.0) > 1e-9 \
+    if rows_differ(cls_cut) \
             or np.max(np.abs(cls_cut.rhs - cls_lo.rhs - (cut - lo) * slope)) > 1e-9:
         raise ValueError(f"the class at e={cut} is not affine in e over the "
                          "bracket; the cutoff certificate does not apply")

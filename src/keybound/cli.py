@@ -68,31 +68,34 @@ def _write_atomic(path, text):
         raise
 
 
-def _spec_from_args(args, need_e=True):
+def _spec_from_args(args):
     if args.protocol == "custom":
         if not args.custom_file:
             raise ValueError("--protocol custom needs --custom-file")
+        if args.e is not None:
+            raise ValueError("--e does not apply to --protocol custom")
         spec = load_protocol(args.custom_file)
         if args.direction:
             spec = replace(spec, direction=args.direction)
         if args.source_constraint is not None:
             spec = replace(spec, source_constraint=args.source_constraint)
         return spec
-    if need_e and args.e is None:
+    if args.e is None:
         raise ValueError(f"--protocol {args.protocol} needs --e")
     return ProtocolSpec(args.protocol, e=args.e,
                         direction=args.direction or "direct",
                         source_constraint=args.source_constraint)
 
 
-def _add_common(sub, with_e=True):
-    sub.add_argument("--protocol", required=True,
-                     choices=["four-state", "six-state", "custom"])
-    if with_e:
+def _add_common(sub, one_point=True):
+    # sweep and cutoff (one_point=False) run the built-in family over e
+    kinds = ["four-state", "six-state"] + (["custom"] if one_point else [])
+    sub.add_argument("--protocol", required=True, choices=kinds)
+    if one_point:
         sub.add_argument("--e", type=float, default=None,
                          help="error rate of the depolarized reference family")
-    sub.add_argument("--custom-file", default=None,
-                     help="protocol description JSON (with --protocol custom)")
+        sub.add_argument("--custom-file", default=None,
+                         help="protocol description JSON (with --protocol custom)")
     sub.add_argument("--direction", choices=["direct", "reverse"], default=None)
     sub.add_argument("--source-constraint", default=None,
                      action=argparse.BooleanOptionalAction,
@@ -113,7 +116,7 @@ def build_parser():
     p_bound.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_sweep = subs.add_parser("sweep", help="evaluate the bound over a grid")
-    _add_common(p_sweep, with_e=False)
+    _add_common(p_sweep, one_point=False)
     p_sweep.add_argument("--grid", required=True,
                          help="error-rate grid as start:stop:count")
     p_sweep.add_argument("--out", default=None)
@@ -122,7 +125,7 @@ def build_parser():
                          help="also write <out>.gp plotting the CSV")
 
     p_cut = subs.add_parser("cutoff", help="solve for the extendibility threshold")
-    _add_common(p_cut, with_e=False)
+    _add_common(p_cut, one_point=False)
     p_cut.add_argument("--tol", type=float, default=1e-3,
                        help="certified interval width: a wider interval exits 1")
     p_cut.add_argument("--bracket", default="0:0.25")
@@ -174,8 +177,6 @@ def run(args):
         return 1 if point.status == "failed" else 0
 
     if args.command == "sweep":
-        if args.protocol == "custom":
-            raise ValueError("sweep needs a built-in protocol kind")
         grid = _parse_grid(args.grid)
         points = sweep(args.protocol, grid, direction=args.direction or "direct",
                        source_constraint=args.source_constraint)
@@ -183,8 +184,6 @@ def run(args):
         return 1 if any(p.status == "failed" for p in points) else 0
 
     if args.command == "cutoff":
-        if args.protocol == "custom":
-            raise ValueError("cutoff needs a built-in protocol kind")
         bracket = _parse_bracket(args.bracket)
         value = find_cutoff(args.protocol, tol=args.tol, bracket=bracket,
                             direction=args.direction or "direct",

@@ -360,6 +360,31 @@ def test_custom_without_file_errors():
         run(build_parser().parse_args(["bound", "--protocol", "custom"]))
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--grid", "0:0.25:2"], ["cutoff"]],
+                         ids=["sweep", "cutoff"])
+def test_family_subcommands_refuse_custom_protocol(argv, tmp_path, capsys):
+    # sweep and cutoff run the built-in family over e; argparse refuses a
+    # custom protocol and its file before any solve
+    for extra in (["--protocol", "custom"],
+                  ["--protocol", "six-state", "--custom-file", str(tmp_path / "p.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["bound", "check-extendible"])
+def test_custom_protocol_refuses_e(command, tmp_path, capsys):
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(_custom_doc()))
+    code = main([command, "--protocol", "custom", "--custom-file", str(path),
+                 "--e", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--e does not apply to --protocol custom" in captured.err
+    assert captured.out == ""
+
+
 def test_grid_syntax_errors():
     with pytest.raises(ValueError):
         run(build_parser().parse_args(

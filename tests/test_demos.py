@@ -17,7 +17,9 @@ ARGS = {"sweep_and_cutoffs.py": ["--points", "3"]}
 def test_demo_runs(name, tmp_path):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir),
                PYTHONPATH=src + os.pathsep + path if path else src)
     # the suite's error::RuntimeWarning filter does not reach a subprocess
     cmd = [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / name),
@@ -25,3 +27,5 @@ def test_demo_runs(name, tmp_path):
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    # a demo cleans up the temporary files it makes
+    assert list(tmpdir.iterdir()) == []
