@@ -13,7 +13,7 @@ import numpy as np
 
 from keybound import (DensityOperator, ProtocolSpec, assemble_class,
                       best_extendible_decomposition, class_from_state,
-                      extendibility, find_cutoff, realize_protocol)
+                      extendibility, find_cutoff, protocols, realize_protocol, sdp)
 
 KINDS, DIRECTIONS = ("four-state", "six-state"), ("direct", "reverse")
 CONFIGS = list(product(KINDS, DIRECTIONS, (None, True, False)))
@@ -48,9 +48,12 @@ sweeps = [protocol_point(kind, direction, None, float(e))
           for e in np.linspace(0.0, 0.25, 26)]
 fallbacks = sum(res.diagnostics["program"] == "extension" for res in sweeps)
 builds = extendibility._extension_structure.cache_info().misses
+packed = sdp._packed.cache_info().misses
+row_sets = protocols._class_rows.cache_info().misses
 print(f"IPM iterations, four 26-point sweeps: {iterations(sweeps)}")
 print(f"points solved by the (r, f) fallback, of 104: {fallbacks}")
 print(f"(r, f) structure builds over the 104 points: {builds}")
+print(f"packed programs and class-row sets built over the 104 points: {packed} and {row_sets}")
 near_zero = [res for res in (protocol_point(*config, e) for config in CONFIGS
                              for e in (1e-8, 1e-7, 1e-6))
              if res.diagnostics["program"] == "extension"]

@@ -80,6 +80,8 @@ def _spec_from_args(args):
         if args.source_constraint is not None:
             spec = replace(spec, source_constraint=args.source_constraint)
         return spec
+    if args.custom_file:
+        raise ValueError("--custom-file applies only to --protocol custom")
     if args.e is None:
         raise ValueError(f"--protocol {args.protocol} needs --e")
     return ProtocolSpec(args.protocol, e=args.e,

@@ -278,8 +278,10 @@ def _face_basis(S, dims):
     return parts
 
 
+@functools.lru_cache(maxsize=8)
 def _hermitian_stack(n):
-    """An orthonormal basis of the n x n Hermitian matrices, (n*n, n, n)."""
+    """An orthonormal basis of the n x n Hermitian matrices, (n*n, n, n),
+    built once per n and read-only."""
     out = np.zeros((n * n, n, n), dtype=complex)
     d = np.arange(n)
     out[d, d, d] = 1.0
@@ -287,6 +289,7 @@ def _hermitian_stack(n):
     re, im = n + np.arange(i.size), n + i.size + np.arange(i.size)
     out[re, i, j] = out[re, j, i] = math.sqrt(0.5)
     out[im, i, j], out[im, j, i] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
+    out.setflags(write=False)
     return out
 
 
@@ -318,8 +321,10 @@ def _solve_on_face(w, S, dims):
     blocks = [LmiBlock(const=np.zeros(xs.shape[1:]), mats=xs)]
     for V in parts:
         W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, dims[1], V.shape[1]))
+        # sum_b' W_b'^+ X_j W_b' for each basis matrix X_j, as stacked products
         blocks.append(LmiBlock(const=-np.eye(V.shape[1]),
-                               mats=np.einsum("bsk,jst,btl->jkl", W.conj(), xs, W)))
+                               mats=(np.conj(W.transpose(0, 2, 1)) @ (xs[:, None] @ W))
+                               .sum(axis=1)))
     sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
     if sol.status != "optimal":
         return sol, k, None

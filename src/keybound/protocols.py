@@ -196,6 +196,17 @@ class ObservedData:
         return ObservedData(self.probs.T.copy(), self.bob_labels, self.alice_labels)
 
 
+@functools.lru_cache(maxsize=8)
+def _born_stack(alice, bob):
+    """The read-only (len(alice), len(bob), d, d) stack of A_i (x) B_j,
+    built once per POVM pair."""
+    d = alice.dim * bob.dim
+    krons = np.einsum("aij,bkl->abikjl", alice.elements, bob.elements).reshape(
+        len(alice), len(bob), d, d)
+    krons.setflags(write=False)
+    return krons
+
+
 def simulate_observed_data(state, povms):
     """Born-rule probabilities p_ij = Tr((A_i (x) B_j) rho) of a
     DensityOperator rho."""
@@ -204,11 +215,9 @@ def simulate_observed_data(state, povms):
         raise ValueError(
             f"state dims {state.dims} do not match POVMs ({alice.dim}, {bob.dim})"
         )
-    mat = state.matrix
     # kron, then @, then trace: the arithmetic of Tr(np.kron(a, b) @ mat)
-    na, nb, d = len(alice), len(bob), mat.shape[0]
-    krons = np.einsum("aij,bkl->abikjl", alice.elements, bob.elements).reshape(na, nb, d, d)
-    return ObservedData(np.trace(krons @ mat, axis1=2, axis2=3).real,
+    krons = _born_stack(alice, bob)
+    return ObservedData(np.trace(krons @ state.matrix, axis1=2, axis2=3).real,
                         alice.labels, bob.labels)
 
 
@@ -342,12 +351,9 @@ class EquivalenceClassSpec:
         return float(np.max(np.abs(self.rows @ coeffs.ravel() - self.rhs)))
 
 
-@functools.lru_cache(maxsize=8)
-def _independent_rows(key, shape):
-    """Indices of the rows (given by bytes and shape) kept by sequential
-    orthogonal projection, as a read-only array.  Cached: a sweep's points
-    share their rows, as do both ends of a cutoff bracket."""
-    rows = np.frombuffer(key).reshape(shape)
+def _independent_rows(rows):
+    """Indices of the rows kept by sequential orthogonal projection, as a
+    read-only array."""
     kept = []
     ortho = np.empty((0, rows.shape[1]))
     for idx, row in enumerate(rows):
@@ -411,26 +417,17 @@ def assemble_class(povms, data, spec=None):
         data = data.swapped()
         source_slot = 1
 
-    da, db = alice.dim, bob.dim
-    basis_a, basis_b = build_basis(da), build_basis(db)
-    na, nb = len(basis_a), len(basis_b)
-
-    # r_00 = 1, then the preparer's local coefficients r_k0 (or r_0k)
-    unit = np.eye(na * nb)
-    rows, rhs = [unit[:1]], [np.ones(1)]
+    # the rows' right-hand sides: r_00 = 1, the preparer's local
+    # coefficients r_k0 (or r_0k), then the outcome probabilities
+    A, rows, kept = _class_rows(alice, bob, source_slot if use_source else None)
+    rhs = [np.ones(1)]
     if use_source:
-        srcb = basis_a if source_slot == 0 else basis_b
+        srcb = build_basis(alice.dim if source_slot == 0 else bob.dim)
         marginal = np.asarray(marginal)
         if marginal.shape != srcb.shape[1:]:
             raise ValueError("alice_marginal shape does not match the preparer")
-        rows.append(unit[::nb] if source_slot == 0 else unit[:nb])
         rhs.append(np.trace(marginal @ srcb, axis1=1, axis2=2).real)
-    ca = povm_coefficients(alice, basis_a)
-    cb = povm_coefficients(bob, basis_b)
-    rows.append(np.einsum("ik,jl->ijkl", ca, cb).reshape(-1, na * nb))
     rhs.append(data.probs.ravel())
-
-    A = np.concatenate(rows)
     b = np.concatenate(rhs)
 
     # consistency: the rows obey linear identities; the rhs must too
@@ -440,15 +437,40 @@ def assemble_class(povms, data, spec=None):
         raise InconsistentDataError(
             f"no state reproduces the data: residual {gap:.3e} after projection")
 
-    kept = _independent_rows(A.tobytes(), A.shape)
     return EquivalenceClassSpec(
-        dims=(da, db),
-        rows=A[kept],
+        dims=(alice.dim, bob.dim),
+        rows=rows,
         rhs=b[kept],
         alice=alice,
         bob=bob,
         data=data,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _class_rows(alice, bob, source_slot):
+    """(A, A[kept], kept): every class row for the POVMs alice and bob,
+    in the order of assemble_class (r_00; the preparer's local
+    coefficients, at source_slot 0 or 1, or none when it is None; one row
+    per outcome pair), the independent ones and their indices (see
+    _independent_rows).  Read-only, and built once per POVM pair and
+    source slot: the points of a sweep share them, as do both ends of a
+    cutoff bracket."""
+    basis_a, basis_b = build_basis(alice.dim), build_basis(bob.dim)
+    na, nb = len(basis_a), len(basis_b)
+    unit = np.eye(na * nb)
+    rows = [unit[:1]]
+    if source_slot is not None:
+        rows.append(unit[::nb] if source_slot == 0 else unit[:nb])
+    ca = povm_coefficients(alice, basis_a)
+    cb = povm_coefficients(bob, basis_b)
+    rows.append(np.einsum("ik,jl->ijkl", ca, cb).reshape(-1, na * nb))
+    A = np.concatenate(rows)
+    kept = _independent_rows(A)
+    independent = A[kept]
+    for arr in (A, independent):
+        arr.setflags(write=False)
+    return A, independent, kept
 
 
 def _in_povm_order(data, alice, bob):

@@ -43,8 +43,11 @@ M dw = h for the Gram matrix M_ij = <Fi, W^-1 Fj W^-1> by its Cholesky
 factor; the tau column is one more right-hand side.  Every block's
 S, Z, residual and scaled matrices sit in one packed vector, so that
 with Q_i the packed R^-1 Fi R^-H, M = Re(Q Q^H) is one product and the
-directions and inner products are single vector operations.  Only what
-needs a block's matrix runs per block: R and R^-1 from the Cholesky
+directions and inner products are single vector operations.  The
+packed data and index arrays are built once per block set (_packed),
+and a solve iterates on buffers it makes once, with their per-block
+views, updating S and Z in place.  Only what needs a block's matrix
+runs per block: R and R^-1 from the Cholesky
 factors of S and Z and one SVD, with no triangular solve (_nt_scaling),
 the step's distance to the cone boundary from the lowest eigenvalue of
 each scaled direction (_step_bound), the corrector's product dS dZ and
@@ -357,13 +360,61 @@ def _step_bound(*scaled):
     return 1.0 / (-lo)
 
 
-def _congruence(L, G):
-    """L G_j L^H for each Hermitian G_j of the stack G, as (len(G), n * n):
-    with X_j = G_j L^H, X_j^H L^H = L G_j L^H, so two products in all."""
+def _congruence(L, G, out):
+    """L G_j L^H for each Hermitian G_j of the stack G, into out
+    (len(G), n, n): with X_j = G_j L^H, X_j^H L^H = L G_j L^H, so two
+    products in all."""
     n = L.shape[0]
     LH = L.conj().T
     X = (G.reshape(-1, n) @ LH).reshape(-1, n, n)
-    return (np.conj(X.transpose(0, 2, 1)).reshape(-1, n) @ LH).reshape(-1, n * n)
+    np.matmul(np.conj(X.transpose(0, 2, 1)).reshape(-1, n, n), LH, out=out)
+
+
+# four: one per built-in sweep configuration (kind x direction)
+@functools.lru_cache(maxsize=4)
+def _packed(blocks):
+    """The packed form of a tuple of LmiBlocks, (dims, starts, spans,
+    weight, wt, sqrt_wt, ntot, ii, jj, diag, eye, F, F0, p_scale), built
+    once per block set and read-only: build_sdp hands every program of
+    one row set the same tuple, so the points of a sweep share one.
+
+    Every block matrix lives in one packed vector: block b's n x n
+    entries, row-major, at spans[b] of a complex array of length npk.
+    Its float view, of length 2 npk, carries all the vector algebra:
+    there Re <X, Y> is a dot product, and wt weighs a complex block's
+    entries by 2, as its real embedding would count them; ntot is the
+    barrier degree.  ii and jj are the row and column of each float-view
+    entry in the stacked diagonals d, diag the float offsets of the
+    diagonal entries and eye the packed identity.  F and F0 are the
+    packed mats and consts (float views), and p_scale the primal
+    residual's scale per block."""
+    dims = np.array([blk.dim for blk in blocks])
+    ends = np.cumsum(dims * dims)
+    starts = ends - dims * dims
+    npk = int(ends[-1])
+    spans = tuple(slice(s, e) for s, e in zip(starts, ends))
+    weight = np.array([2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in blocks])
+    wt = np.repeat(weight, 2 * dims * dims)
+    first = np.cumsum(dims) - dims
+    ii = np.repeat(np.concatenate([f + np.repeat(np.arange(n), n) for f, n in zip(first, dims)]), 2)
+    jj = np.repeat(np.concatenate([f + np.tile(np.arange(n), n) for f, n in zip(first, dims)]), 2)
+    diag = np.flatnonzero(ii == jj)[::2]
+    eye = np.zeros(2 * npk)
+    eye[diag] = 1.0
+    nw = blocks[0].mats.shape[0]
+    F = np.zeros((nw, npk), dtype=complex)
+    F0 = np.empty(npk, dtype=complex)
+    for blk, sp in zip(blocks, spans):
+        F[:, sp] = blk.mats.reshape(nw, -1)
+        F0[sp] = blk.const.ravel()
+    p_scale = 1.0 + np.sqrt(weight) * np.array(
+        [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
+    packed = (dims, starts, spans, weight, wt, np.sqrt(wt), float(weight @ dims),
+              ii, jj, diag, eye, F.view(float), F0.view(float), p_scale)
+    for arr in packed:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return packed
 
 
 def solve(problem):
@@ -374,65 +425,52 @@ def solve(problem):
 
 
 def _solve(problem):
-    c, blocks, nw = problem.c, problem.blocks, problem.num_vars
+    c, nw = problem.c, problem.num_vars
+    (dims, starts, spans, weight, wt, sqrt_wt, ntot, ii, jj, diag, eye, F, F0,
+     p_scale) = _packed(problem.blocks)
+    npk = F0.size // 2
+    d_scale = 1.0 + float(np.linalg.norm(c))
 
-    # Every block matrix lives in one packed vector: block b's n x n
-    # entries, row-major, at spans[b] of a complex array of length npk.
-    # Its float view, of length 2 npk, carries all the vector algebra:
-    # there Re <X, Y> is a dot product, and wt weighs a complex block's
-    # entries by 2, as its real embedding would count them.
-    dims = np.array([blk.dim for blk in blocks])
-    ends = np.cumsum(dims * dims)
-    starts = ends - dims * dims
-    npk = int(ends[-1])
-    spans = [slice(s, e) for s, e in zip(starts, ends)]
-    weight = np.array([2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in blocks])
-    wt = np.repeat(weight, 2 * dims * dims)
-    sqrt_wt = np.sqrt(wt)
-    ntot = float(weight @ dims)
-    # the row and column of each float-view entry in the stacked diagonals d
-    first = np.cumsum(dims) - dims
-    ii = np.repeat(np.concatenate([f + np.repeat(np.arange(n), n) for f, n in zip(first, dims)]), 2)
-    jj = np.repeat(np.concatenate([f + np.tile(np.arange(n), n) for f, n in zip(first, dims)]), 2)
-    diag = np.flatnonzero(ii == jj)[::2]
-    eye = np.zeros(2 * npk)
-    eye[diag] = 1.0
-
-    F = np.zeros((nw, npk), dtype=complex)
-    F0 = np.empty(npk, dtype=complex)
-    # per block: its matrices, then rp_b and F0_b, congruence-scaled
-    # together into Q's columns at its span
-    stacks = []
-    for blk, sp in zip(blocks, spans):
-        F[:, sp] = blk.mats.reshape(nw, -1)
-        F0[sp] = blk.const.ravel()
-        stacks.append(np.concatenate([blk.mats, blk.const[None], blk.const[None]])
-                      .astype(complex))
-    F, F0 = F.view(float), F0.view(float)
+    # Buffers made once per solve, with their per-block complex views: Q
+    # holds the scaled [Q_i; rp~; F0~], each block's stack its
+    # [mats; rp_b; const] (rp_b written per iteration), and the packed
+    # vectors below the iterate, residual, directions and cross term;
+    # step is scratch for the step lengths and the update R (.) R^H.
     Q = np.zeros((nw + 2, npk), dtype=complex)
     Qr = Q.view(float)
     rpp, F0t = Qr[nw], Qr[nw + 1]
-    p_scale = 1.0 + np.sqrt(weight) * np.array(
-        [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
-    d_scale = 1.0 + float(np.linalg.norm(c))
-
-    def block_norms(v):
-        return np.sqrt(np.add.reduceat(wt * v * v, 2 * starts))
+    Qs = np.empty_like(Qr)
+    stacks = []
+    for blk in problem.blocks:
+        G = np.empty((nw + 2, blk.dim, blk.dim), dtype=complex)
+        G[:nw], G[-1] = blk.mats, blk.const
+        stacks.append(G)
+    S, Z, rp, lin, wZ, dS_a, dZ_a, dS, dZ, cross, step = np.empty((11, 2 * npk))
+    D = np.zeros(2 * npk)
+    d = np.empty(int(dims.sum()))
 
     def blocks_of(v):
         v = v.view(complex)
         return [v[sp].reshape(n, n) for sp, n in zip(spans, dims)]
 
-    def congruent(Ls, Xs):
-        """The packed L_b X_b L_b^H, made exactly Hermitian."""
-        out = np.empty(npk, dtype=complex)
-        for L, X, sp in zip(Ls, Xs, spans):
+    S_b, Z_b, rp_b, dSa_b, dZa_b, cross_b, step_b = (
+        blocks_of(v) for v in (S, Z, rp, dS_a, dZ_a, cross, step))
+    Q_b = [Q[:, sp].reshape(nw + 2, n, n) for sp, n in zip(spans, dims)]
+
+    def block_norms(v):
+        return np.sqrt(np.add.reduceat(wt * v * v, 2 * starts))
+
+    def update(Ls, delta, a, out):
+        """out_b = L_b (D + a delta)_b L_b^H, made exactly Hermitian."""
+        np.multiply(a, delta, out=step)
+        np.add(D, step, out=step)
+        for L, X, Y_out in zip(Ls, step_b, out):
             Y = L @ X @ L.conj().T
-            out[sp] = (0.5 * (Y + Y.conj().T)).ravel()
-        return out.view(float)
+            np.add(Y, Y.conj().T, out=Y_out)
+            np.multiply(0.5, Y_out, out=Y_out)
 
     w = np.zeros(nw)
-    S, Z = eye.copy(), eye.copy()
+    S[:], Z[:] = eye, eye
     tau = kappa = 1.0
     history = []
     status, message, certificate = None, "", None
@@ -441,9 +479,11 @@ def _solve(problem):
 
     while True:
         # --- residuals of the embedding (all vanish at its solutions) ---
-        lin = w @ F
-        rp = lin + tau * F0 - S
-        wZ = wt * Z
+        np.matmul(w, F, out=lin)
+        np.multiply(tau, F0, out=rp)
+        np.add(lin, rp, out=rp)
+        np.subtract(rp, S, out=rp)
+        np.multiply(wt, Z, out=wZ)
         AZ = F @ wZ
         rd = tau * c - AZ
         F0Z = float(F0 @ wZ)
@@ -499,27 +539,25 @@ def _solve(problem):
         # --- Nesterov-Todd scaling per block, into Q = [Q_i; rp~; F0~] ---
         Rs, RinvHs, ds = [], [], []
         try:
-            for Sb, Zb, rpb, G, sp in zip(blocks_of(S), blocks_of(Z), blocks_of(rp),
-                                          stacks, spans):
-                R, Rinv, d = _nt_scaling(Sb, Zb)
+            for Sb, Zb, rpb, G, Qb in zip(S_b, Z_b, rp_b, stacks, Q_b):
+                R, Rinv, db = _nt_scaling(Sb, Zb)
                 G[-2] = rpb
-                Q[:, sp] = _congruence(Rinv, G)
+                _congruence(Rinv, G, Qb)
                 Rs.append(R)
                 RinvHs.append(Rinv.conj().T)
-                ds.append(d)
+                ds.append(db)
         except np.linalg.LinAlgError as err:
             status = "numerical-failure"
             message = str(err)
             break
-        d = np.concatenate(ds)
+        np.concatenate(ds, out=d)
         sd = np.sqrt(d)
         isd = 1.0 / (sd[ii] * sd[jj])
-        D = np.zeros(2 * npk)
         D[diag] = d
 
         # with every row weighted by sqrt(wt), one symmetric product gives
         # M, Q.rp~, Q.F0~ = f0 and ||F0~||^2
-        Qs = Qr * sqrt_wt
+        np.multiply(Qr, sqrt_wt, out=Qs)
         gram = Qs @ Qs.T
         M, f0 = gram[:nw, :nw], gram[:nw, nw + 1]
         if not np.isfinite(gram).all():
@@ -538,14 +576,22 @@ def _solve(problem):
         def fixed_tau_step(h):
             return _potrs(Mf, h, lower=1)[0]
 
-        def directions(dw, dtau, Kp):
-            lin_d = dw @ Qr[:nw] + dtau * F0t
-            return lin_d + rpp, Kp - lin_d
+        def directions(dw, dtau, Kp, dS, dZ):
+            """dS = F~_lin(dw) + dtau F0~ + rp~ and dZ = Kp - F~_lin(dw) - dtau F0~."""
+            np.matmul(dw, Qr[:nw], out=dS)
+            np.multiply(dtau, F0t, out=dZ)
+            np.add(dS, dZ, out=dS)
+            np.subtract(Kp, dS, out=dZ)
+            np.add(dS, rpp, out=dS)
 
         def cone_step(*deltas):
             """Largest step along every packed direction that keeps each
             block's D + alpha delta >= 0."""
-            return _step_bound(*(X for delta in deltas for X in blocks_of(delta * isd)))
+            bound = np.inf
+            for delta in deltas:
+                np.multiply(delta, isd, out=step)
+                bound = min(bound, _step_bound(*step_b))
+            return bound
 
         # the affine-scaling target S~ Z~ = 0, so dS~ + dZ~ = -D
         K_aff = -D - rpp
@@ -558,14 +604,15 @@ def _solve(problem):
             # full when the result stays in the cone.
             fix = -fixed_tau_step(gram[:nw, nw])
             dw = fixed_tau_step(Qs[:nw] @ (sqrt_wt * K_aff) - rd)
-            dS = directions(dw, 0.0, K_aff)[0]
-            ap = min(1.0, STEP_FRACTION * cone_step(dS))
+            directions(dw, 0.0, K_aff, dS_a, dZ_a)
+            ap = min(1.0, STEP_FRACTION * cone_step(dS_a))
             dw_full = fix + ap * (dw - fix)
-            dS_full = directions(dw_full, 0.0, K_aff)[0]
-            if cone_step(dS_full) >= 1.0:
-                dw, dS, ap = dw_full, dS_full, 1.0
+            directions(dw_full, 0.0, K_aff, dS, dZ)
+            taken = dS_a
+            if cone_step(dS) >= 1.0:
+                dw, taken, ap = dw_full, dS, 1.0
             w = w + ap * dw
-            S = congruent(Rs, blocks_of(D + ap * dS))
+            update(Rs, taken, ap, S_b)
             polished = True
             it += 1
             continue
@@ -594,20 +641,20 @@ def _solve(problem):
 
         # predictor
         dw_a, dt_a, dk_a = kkt_solve(K_aff, -tau * kappa)
-        dS_a, dZ_a = directions(dw_a, dt_a, K_aff)
+        directions(dw_a, dt_a, K_aff, dS_a, dZ_a)
         a_a = min(1.0, step_bound(dS_a, dZ_a, dt_a, dk_a))
         mu_aff = (float((wt * (D + a_a * dS_a)) @ (D + a_a * dZ_a))
                   + (tau + a_a * dt_a) * (kappa + a_a * dk_a)) / (ntot + 1)
         sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
         # corrector: the cross term (dS~ dZ~ + dZ~ dS~) / 2 of each block
-        cross = np.empty(npk, dtype=complex)
-        for dS_b, dZ_b, sp in zip(blocks_of(dS_a), blocks_of(dZ_a), spans):
+        for dS_b, dZ_b, C_b in zip(dSa_b, dZa_b, cross_b):
             P = dS_b @ dZ_b
-            cross[sp] = (0.5 * (P + P.conj().T)).ravel()
-        Kc = 2.0 * (sigma * mu * eye - D * D - cross.view(float)) / (d[ii] + d[jj]) - rpp
+            np.add(P, P.conj().T, out=C_b)
+            np.multiply(0.5, C_b, out=C_b)
+        Kc = 2.0 * (sigma * mu * eye - D * D - cross) / (d[ii] + d[jj]) - rpp
         dw, dtau, dkappa = kkt_solve(Kc, sigma * mu - tau * kappa - dt_a * dk_a)
-        dS, dZ = directions(dw, dtau, Kc)
+        directions(dw, dtau, Kc, dS, dZ)
         alpha = min(1.0, STEP_FRACTION * step_bound(dS, dZ, dtau, dkappa))
 
         if alpha < 1e-10:
@@ -630,13 +677,13 @@ def _solve(problem):
         w = w + alpha * dw
         tau += alpha * dtau
         kappa += alpha * dkappa
-        S = congruent(Rs, blocks_of(D + alpha * dS))
-        Z = congruent(RinvHs, blocks_of(D + alpha * dZ))
+        update(Rs, dS, alpha, S_b)
+        update(RinvHs, dZ, alpha, Z_b)
         it += 1
 
     # A complex block's dual is weight * Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
     Z = [wb * Zb / tau if wb == 2.0 else Zb.real / tau
-         for wb, Zb in zip(weight, blocks_of(Z))]
+         for wb, Zb in zip(weight, Z_b)]
     if status == "infeasible":
         # scaled to -<F0, Z> = 1; AZ and violation are those of the last iterate
         certificate = {"kind": "farkas", "z_blocks": [Zb * (tau / violation) for Zb in Z],

@@ -90,8 +90,10 @@ def swap_last_two(dims):
     return P
 
 
+@functools.cache
 def bell_psi_plus():
-    """The two-qubit state (|00> + |11>)/sqrt(2) as a DensityOperator."""
+    """The two-qubit state (|00> + |11>)/sqrt(2) as a DensityOperator,
+    built and validated once; every caller shares the read-only result."""
     v = np.zeros(4)
     v[0] = v[3] = 1.0 / math.sqrt(2.0)
     return DensityOperator(np.outer(v, v), (2, 2))

@@ -385,6 +385,21 @@ def test_custom_protocol_refuses_e(command, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["bound", "check-extendible"])
+def test_builtin_protocol_refuses_custom_file(command, tmp_path, capsys):
+    # a built-in kind would ignore the file, so the pair is refused
+    # before any solve, whether or not the file exists
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(_custom_doc()))
+    for custom_file in (str(path), str(tmp_path / "missing.json")):
+        code = main([command, "--protocol", "six-state", "--e", "0.05",
+                     "--custom-file", custom_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--custom-file applies only to --protocol custom" in captured.err
+        assert captured.out == ""
+
+
 def test_grid_syntax_errors():
     with pytest.raises(ValueError):
         run(build_parser().parse_args(

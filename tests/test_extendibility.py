@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -7,16 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from keybound import bounds, extendibility
+from keybound import bounds, extendibility, protocols, sdp, states
 from keybound.basis import build_basis, expand
 from keybound.bounds import find_cutoff
 from keybound.extendibility import (
-    LAMBDA_TOL, SUPPORT_TOL, _extension_structure, best_extendible_decomposition,
-    build_sdp, extension_sdp, verify_extension,
+    LAMBDA_TOL, SUPPORT_TOL, _extension_structure, _face_basis, _hermitian_stack,
+    _pinned_support, best_extendible_decomposition, build_sdp, extension_sdp,
+    verify_extension,
 )
 from keybound.protocols import (
     EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
-    realize_protocol,
+    realize_protocol, six_state_povms,
 )
 from keybound.sdp import SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
@@ -96,9 +98,59 @@ def test_build_sdp_shares_structure_per_dims():
 
 
 def test_cached_structure_is_read_only():
-    for arr in _extension_structure((2, 2)):
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 1
+    # every array a cache hands out is shared by later calls, so none of
+    # them may be written
+    cached = {
+        "extension structure": _extension_structure((2, 2)),
+        "packed program": [arr for arr in sdp._packed(build_sdp(six_state_class(0.05))[0].blocks)
+                           if isinstance(arr, np.ndarray)],
+        "class rows": protocols._class_rows(*six_state_povms(), 0),
+        "Born-rule stack": [protocols._born_stack(*six_state_povms())],
+        "Hermitian basis": [_hermitian_stack(3)],
+        "Bell state": [bell_psi_plus().matrix],
+    }
+    for name, arrays in cached.items():
+        assert arrays, name
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+                pytest.fail(f"a cached {name} array is writable")
+
+
+CACHES = (sdp._packed, protocols._class_rows, protocols._born_stack,
+          extendibility._hermitian_stack, states.bell_psi_plus)
+
+
+def test_cold_and_warm_caches_give_the_same_bits():
+    # A solve or an assembly that wrote into a cached array would change
+    # every later result that reads it: run each case with every cache
+    # cleared, then again warm, and compare bytes.
+    def point(spec):
+        res = best_extendible_decomposition(assemble_class(*realize_protocol(spec), spec))
+        return [repr(bounds.one_way_upper_bound(spec)), repr(res.lambda_max),
+                res.sigma_tilde.tobytes()]
+
+    def qubit_qutrit(rank, program):
+        res = best_extendible_decomposition(
+            class_from_state(extend_qutrit_stream_state(0, rank)))
+        assert res.diagnostics["program"] == program
+        return [repr(res.lambda_max), res.sigma_tilde.tobytes()]
+
+    cases = [functools.partial(point, ProtocolSpec(kind, e=0.05, direction=direction))
+             for kind in ("four-state", "six-state") for direction in ("direct", "reverse")]
+    # a rank-6 (2, 3) state runs the witness program, a rank-5 one its face,
+    # whose blocks are built per class and so are packed again when warm
+    cases += [functools.partial(qubit_qutrit, 6, "witness"),
+              functools.partial(qubit_qutrit, 5, "face")]
+    for case in cases:
+        for cache in CACHES:
+            cache.cache_clear()
+        cold = case()
+        misses = [cache.cache_info().misses for cache in CACHES]
+        warm = case()
+        rebuilt = [cache for cache, n in zip(CACHES, misses) if cache.cache_info().misses > n]
+        assert rebuilt == ([sdp._packed] if case.args[-1] == "face" else [])
+        assert warm == cold
 
 
 def test_sdp_structure():
@@ -342,6 +394,15 @@ def test_face_witness_program_size(rank, num_vars, block_dims, monkeypatch):
     for blk in problem.blocks:
         slack = blk.const + np.einsum("i,ijk->jk", res.solution.x, blk.mats)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
+    # each swap part's matrices sum_b' W_b'^+ X_j W_b' match the
+    # three-operand einsum, which sums the same terms in another order
+    w, S = _pinned_support(class_from_state(state))
+    xs = _hermitian_stack(rank)
+    parts = [V for V in _face_basis(S, (2, 3)) if V.shape[1]]
+    for V, blk in zip(parts, problem.blocks[1:], strict=True):
+        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, 3, V.shape[1]))
+        ref = np.einsum("bsk,jst,btl->jkl", W.conj(), xs, W)
+        assert np.max(np.abs(blk.mats - ref)) <= 1e-13
 
 
 def test_rank_four_stream_state_decomposes():

@@ -8,7 +8,7 @@ from keybound.bounds import one_way_upper_bound
 from keybound.infotheory import mutual_information
 from keybound.protocols import (
     EquivalenceClassSpec, InconsistentDataError, ObservedData, Povm,
-    ProtocolSpec, _independent_rows, assemble_class,
+    ProtocolSpec, _class_rows, _independent_rows, assemble_class,
     class_from_state, four_state_povms, load_protocol,
     matched_key_distribution, povm_coefficients, qber, realize_protocol,
     simulate_observed_data, six_state_povms,
@@ -115,19 +115,20 @@ def test_class_row_counts():
 
 @pytest.mark.parametrize("kind", ["four-state", "six-state"])
 def test_independent_rows_found_once_per_row_set(kind):
-    # the points of a sweep share their rows, so the kept rows are found once
-    _independent_rows.cache_clear()
+    # the points of a sweep share their rows, so the kept rows are found
+    # once, and every class holds the same read-only array
+    _class_rows.cache_clear()
     classes = [assemble_class(*realize_protocol(spec), spec)
                for spec in (ProtocolSpec(kind, e=e) for e in (0.02, 0.1))]
-    info = _independent_rows.cache_info()
+    info = _class_rows.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert np.array_equal(classes[0].rows, classes[1].rows)
+    assert classes[0].rows is classes[1].rows
     assert not any(cls.rows.flags.writeable for cls in classes)
 
 
 def test_independent_rows_keep_the_first_of_dependent_rows():
     rows = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    kept = _independent_rows(rows.tobytes(), rows.shape)
+    kept = _independent_rows(rows)
     assert kept.tolist() == [0, 2]
     assert not kept.flags.writeable
 
