@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from keybound import (DensityOperator, ProtocolSpec, assemble_class,
-                      best_extendible_decomposition, class_from_state,
+                      best_extendible_decomposition, build_sdp, class_from_state,
                       extendibility, find_cutoff, protocols, realize_protocol, sdp)
 
 KINDS, DIRECTIONS = ("four-state", "six-state"), ("direct", "reverse")
@@ -86,5 +86,10 @@ finally:
     extendibility.solve = solve
 print(f"find_cutoff(tol=1e-4), 12 configurations: {len(cutoff_iters)} "
       f"solves (expected 12), {sum(cutoff_iters)} IPM iterations")
+sizes = [[blk.dim for blk in build_sdp(class_from_state(
+    DensityOperator(np.eye(da * db) / (da * db), (da, db))))[0].blocks]
+    for da, db in ((2, 2), (2, 3))]
+print("witness program block sizes, (2, 2) and (2, 3): "
+      + "; ".join(" and ".join(map(str, dims)) for dims in sizes))
 print("lambda_max and cutoff bytes (sha256):",
       hashlib.sha256(np.array(values).tobytes()).hexdigest())

@@ -30,22 +30,29 @@ operators O_j = sum_kl A[j, kl] S_k (x) S_l, so Tr(O_j rho) = (A r)_j,
     minimize  -b.y   s.t.  W(y) = I_AB - sum_j y_j O_j >= 0,
                            sym(W(y) (x) I_B') - I >= 0,
 
-with sym(X) = (X + P X P) / 2 and P = swap_last_two.  It has no
-equality rows, and its blocks do not depend on b: a feasible y has
-b'.y <= 1 - lambda_max for every class with rows A, whatever its b', so
-one y proves on the observed statistics that none of those classes holds
-a state closer to the extendible set (bounds.find_cutoff certifies a
-cutoff so).  Its optimum is -(1 - lambda_max), and the solver's dual
-blocks, complex matrices of the blocks' own sizes d_A d_B and d_A d_B^2,
-are the decomposition as they come: T = rho - sigma~ and chi~, which
-_decomposition turns into the reported matrices, with lambda = Tr(chi~)
-rather than b.y.  Rows that no state meets make it unbounded: its
-primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which proves the class
-empty, so that solve is raised as it ended.  When the witness solve ends
-numerical-failure (its dual residual can stall near 1e-7 at error rates
-close to 0), the extension program is solved instead, the f parts of
-its blocks built once per dims on the first such fallback and only its
-w parts per class; its (f, w) is mapped once to
+with sym(X) = (X + P X P) / 2 and P = swap_last_two.  sym(X) commutes
+with P, so it is block-diagonal over the swap-symmetric and
+-antisymmetric sectors of A (x) B (x) B', with real orthonormal bases
+V_s and V_a (_swap_sectors), where it reads V_s^T (X (x) I_B') V_s and
+V_a^T (X (x) I_B') V_a.  The program states the second inequality so,
+sector by sector, and puts the antisymmetric sector in one block with
+W(y): d_A d_B + d_A d_B (d_B - 1)/2 = d_A d_B (d_B + 1)/2, so both of
+its blocks have that size.  It has no equality rows, and its blocks do
+not depend on b: a feasible y has b'.y <= 1 - lambda_max for every class
+with rows A, whatever its b', so one y proves on the observed statistics
+that none of those classes holds a state closer to the extendible set
+(bounds.find_cutoff certifies a cutoff so).  Its optimum is
+-(1 - lambda_max), and the solver's dual blocks Z_1 and Z_2 are the
+decomposition: T = rho - sigma~ is the W(y) corner of Z_1, and
+chi~ = V_s Z_2 V_s^T + V_a Z_1' V_a^T, with Z_1' its antisymmetric
+corner; _decomposition turns them into the reported matrices, with
+lambda = Tr(chi~) rather than b.y.  Rows that no state meets make it
+unbounded: its primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which
+proves the class empty, so that solve is raised as it ended.  When the
+witness solve ends numerical-failure (its dual residual can stall near
+1e-7 at error rates close to 0), the extension program is solved
+instead, the f parts of its blocks built once per dims on the first such
+fallback and only its w parts per class; its (f, w) is mapped once to
 chi~ = sum_i f_i chi_mats[i], r = r0 + N w and T = rho - Tr_B'(chi~),
 and its witness is the least-squares multipliers y of the class rows,
 A^T y = e_00 - A_r*(Z_T) with A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
@@ -151,36 +158,70 @@ def extension_sdp(cls):
 
 
 @functools.lru_cache(maxsize=8)
+def _swap_sectors(dims):
+    """Real orthonormal bases (V_s, V_a) of the swap-symmetric and
+    -antisymmetric subspaces of A (x) B (x) B', of dimensions
+    d_A d_B (d_B + 1)/2 and d_A d_B (d_B - 1)/2: for each a and each
+    b <= b', the columns |a b b> and (|a b b'> + |a b' b>)/sqrt(2) of V_s
+    and, when b < b', (|a b b'> - |a b' b>)/sqrt(2) of V_a.  Built once per
+    dims and read-only."""
+    da, db = dims
+    idx = np.arange(da * db * db).reshape(da, db, db)
+    b, bp = np.triu_indices(db)
+    eye = np.eye(idx.size)
+    ket, swapped = eye[:, idx[:, b, bp].ravel()], eye[:, idx[:, bp, b].ravel()]
+    pair = np.tile(b != bp, da)
+    V_s = np.where(pair, (ket + swapped) * math.sqrt(0.5), ket)
+    V_a = (ket - swapped)[:, pair] * math.sqrt(0.5)
+    for arr in (V_s, V_a):
+        arr.setflags(write=False)
+    return V_s, V_a
+
+
+@functools.lru_cache(maxsize=8)
 def _product_ops(dims):
-    """The (n_r, d_A d_B, d_A d_B) stack of S_k (x) S_l and the
-    (n_r, d_A d_B^2, d_A d_B^2) stack of sym(S_k (x) S_l (x) I_B'), in
-    (k, l) order; built on the first witness program of these dims."""
+    """(ops, first, second): ops the (n_r, d_A d_B, d_A d_B) stack of
+    O_kl = S_k (x) S_l, in (k, l) order, and the witness program's two
+    stacks, both of size m = d_A d_B (d_B + 1)/2: first the block sum
+    O_kl (+) V_a^T (O_kl (x) I_B') V_a, second V_s^T (O_kl (x) I_B') V_s,
+    with (V_s, V_a) = _swap_sectors(dims).  Built on the first witness
+    program of these dims and read-only."""
     da, db = dims
     sa, sb = build_basis(da), build_basis(db)
-    dab, dabb = da * db, da * db * db
+    dab = da * db
     ops = np.einsum("aij,bkl->abikjl", sa, sb).reshape(-1, dab, dab)
-    ext = np.einsum("nij,kl->nikjl", ops, np.eye(db)).reshape(-1, dabb, dabb)
-    P = swap_last_two(dims)
-    ext = 0.5 * (ext + P @ ext @ P)
-    for arr in (ops, ext):
+    ext = np.einsum("nij,kl->nikjl", ops, np.eye(db)).reshape(-1, dab * db, dab * db)
+    V_s, V_a = _swap_sectors(dims)
+    m = V_s.shape[1]
+    first = np.zeros((ops.shape[0], m, m), dtype=complex)
+    first[:, :dab, :dab] = ops
+    first[:, dab:, dab:] = V_a.T @ ext @ V_a
+    second = V_s.T @ ext @ V_s
+    for arr in (ops, first, second):
         arr.setflags(write=False)
-    return ops, ext
+    return ops, first, second
 
 
 @functools.lru_cache(maxsize=8)
 def _witness_blocks(key, shape, dims):
-    """The blocks W(y) >= 0 and sym(W(y) (x) I_B') - I >= 0 for class rows
-    given by bytes and shape; cached per row set."""
+    """The witness program's two blocks for class rows given by bytes and
+    shape, cached per row set: W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I),
+    with const I (+) 0, and V_s^T (W(y) (x) I_B') V_s - I, with const 0
+    (see _product_ops)."""
     rows = np.frombuffer(key).reshape(shape)
-    ops, ext = _product_ops(dims)
-    return (LmiBlock(const=np.eye(ops.shape[1]), mats=-np.tensordot(rows, ops, 1)),
-            LmiBlock(const=np.zeros(ext.shape[1:]), mats=-np.tensordot(rows, ext, 1)))
+    ops, first, second = _product_ops(dims)
+    n, m = ops.shape[1], first.shape[1]
+    return (LmiBlock(const=np.diag(np.repeat([1.0, 0.0], [n, m - n])),
+                     mats=-np.tensordot(rows, first, 1)),
+            LmiBlock(const=np.zeros((m, m)), mats=-np.tensordot(rows, second, 1)))
 
 
 def build_sdp(cls):
     """The witness program for an EquivalenceClassSpec: one variable y_j
-    per class row, minimize -b.y with the blocks W(y) >= 0 and
-    sym(W(y) (x) I_B') - I >= 0 (see the module docstring).
+    per class row, minimize -b.y with W(y) >= 0 and
+    sym(W(y) (x) I_B') - I >= 0 as two blocks of size d_A d_B (d_B + 1)/2,
+    W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I) and
+    V_s^T (W(y) (x) I_B') V_s - I (see the module docstring).
 
     Returns (SdpProblem, dims): a pair, because perfbench/spans.py, which
     wraps this function by name, unpacks it so.
@@ -300,36 +341,48 @@ def _solve_on_face(w, S, dims):
     The variables are the coordinates of a Hermitian X on supp(rho) over
     _hermitian_stack: minimize Tr(diag(w) X) with X >= 0 and
     sum_b' W_b'^+ X W_b' >= I, W_b' = (S^+ (x) <b'|) V, for each nonempty
-    swap part V of the face.  Its dual blocks give T = S Z_0 S^+ and
-    chi~ = sum_V V Z_V V^+.  Returns (SdpSolution, face dimension,
-    (T, chi~)); a solve that does not end optimal is returned as it
-    ended, with None for the pair.  An empty face needs no solve: X = 0,
-    T = rho and chi~ = 0.
+    swap part V of the face.  X >= 0 shares its block with the
+    antisymmetric part's inequality, as X (+) (sum_b' W_b'^+ X W_b' - I);
+    the symmetric part has a block of its own.  Its dual blocks give
+    T = S Z_0 S^+ and chi~ = sum_V V Z_V V^+, with Z_0 and the
+    antisymmetric part's Z_V the diagonal corners of the first.  Returns
+    (SdpSolution, face dimension, (T, chi~)); a solve that does not end
+    optimal is returned as it ended, with None for the pair.  An empty
+    face needs no solve: X = 0, T = rho and chi~ = 0.
     """
-    parts = [V for V in _face_basis(S, dims) if V.shape[1]]
-    k = sum(V.shape[1] for V in parts)
+    sym, anti = _face_basis(S, dims)
+    r, n_a = w.size, anti.shape[1]
+    k = sym.shape[1] + n_a
     if k == 0:
         n = S.shape[0] * dims[1]
         return SdpSolution(
             status="optimal", x=np.zeros(0), z_blocks=[], objective=0.0,
             dual_objective=0.0, duality_gap=0.0, primal_residual=0.0,
             dual_residual=0.0, iterations=0,
-            message=(f"empty face: supp(rho) (x) C^d_B (support rank {w.size}) "
+            message=(f"empty face: supp(rho) (x) C^d_B (support rank {r}) "
                      "meets its swap only in 0, so lambda_max = 0 without a solve")
         ), 0, ((S * w) @ S.conj().T, np.zeros((n, n)))
-    xs = _hermitian_stack(w.size)
-    blocks = [LmiBlock(const=np.zeros(xs.shape[1:]), mats=xs)]
-    for V in parts:
-        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, dims[1], V.shape[1]))
+    xs = _hermitian_stack(r)
+
+    def lifted(V):
         # sum_b' W_b'^+ X_j W_b' for each basis matrix X_j, as stacked products
-        blocks.append(LmiBlock(const=-np.eye(V.shape[1]),
-                               mats=(np.conj(W.transpose(0, 2, 1)) @ (xs[:, None] @ W))
-                               .sum(axis=1)))
+        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(S.shape[0], dims[1], V.shape[1]))
+        return (np.conj(W.transpose(0, 2, 1)) @ (xs[:, None] @ W)).sum(axis=1)
+
+    first = np.zeros((r * r, r + n_a, r + n_a), dtype=complex)
+    first[:, :r, :r] = xs
+    first[:, r:, r:] = lifted(anti)
+    blocks = [LmiBlock(const=np.diag(np.repeat([0.0, -1.0], [r, n_a])), mats=first)]
+    if sym.shape[1]:
+        blocks.append(LmiBlock(const=-np.eye(sym.shape[1]), mats=lifted(sym)))
     sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
     if sol.status != "optimal":
         return sol, k, None
-    T = S @ sol.z_blocks[0] @ S.conj().T
-    chi = sum(V @ Z @ V.conj().T for V, Z in zip(parts, sol.z_blocks[1:]))
+    Z = sol.z_blocks[0]
+    T = S @ Z[:r, :r] @ S.conj().T
+    chi = anti @ Z[r:, r:] @ anti.conj().T
+    if sym.shape[1]:
+        chi = chi + sym @ sol.z_blocks[1] @ sym.conj().T
     return sol, k, (T, chi)
 
 
@@ -392,7 +445,9 @@ def best_extendible_decomposition(cls):
     bases = (build_basis(da), build_basis(db))
     witness = None
     if program == "witness":
-        witness, pair = sol.x, tuple(sol.z_blocks)
+        V_s, V_a = _swap_sectors(dims)
+        witness, (first, second), n = sol.x, sol.z_blocks, da * db
+        pair = (first[:n, :n], V_s @ second @ V_s.T + V_a @ first[n:, n:] @ V_a.T)
     elif program == "extension":
         rho_mats, _, chi_mats = _extension_structure(dims)
         n_f = chi_mats.shape[0]

@@ -419,7 +419,7 @@ def assemble_class(povms, data, spec=None):
 
     # the rows' right-hand sides: r_00 = 1, the preparer's local
     # coefficients r_k0 (or r_0k), then the outcome probabilities
-    A, rows, kept = _class_rows(alice, bob, source_slot if use_source else None)
+    A, rows, kept, null = _class_rows(alice, bob, source_slot if use_source else None)
     rhs = [np.ones(1)]
     if use_source:
         srcb = build_basis(alice.dim if source_slot == 0 else bob.dim)
@@ -430,9 +430,9 @@ def assemble_class(povms, data, spec=None):
     rhs.append(data.probs.ravel())
     b = np.concatenate(rhs)
 
-    # consistency: the rows obey linear identities; the rhs must too
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    gap = float(np.linalg.norm(A @ x - b))
+    # consistency: the rows obey linear identities; the rhs must too.  Its
+    # part in their left null space is what a least-squares fit misses.
+    gap = float(np.linalg.norm(null.T @ b))
     if gap > CONSISTENCY_TOL * max(1.0, float(np.linalg.norm(b))):
         raise InconsistentDataError(
             f"no state reproduces the data: residual {gap:.3e} after projection")
@@ -449,13 +449,15 @@ def assemble_class(povms, data, spec=None):
 
 @functools.lru_cache(maxsize=8)
 def _class_rows(alice, bob, source_slot):
-    """(A, A[kept], kept): every class row for the POVMs alice and bob,
-    in the order of assemble_class (r_00; the preparer's local
+    """(A, A[kept], kept, null): every class row for the POVMs alice and
+    bob, in the order of assemble_class (r_00; the preparer's local
     coefficients, at source_slot 0 or 1, or none when it is None; one row
     per outcome pair), the independent ones and their indices (see
-    _independent_rows).  Read-only, and built once per POVM pair and
-    source slot: the points of a sweep share them, as do both ends of a
-    cutoff bracket."""
+    _independent_rows), and an orthonormal basis of the left null space
+    of A, the linear identities the rows obey (rank cut as numpy's lstsq
+    cuts it).  Read-only, and built once per POVM pair and source slot:
+    the points of a sweep share them, as do both ends of a cutoff
+    bracket."""
     basis_a, basis_b = build_basis(alice.dim), build_basis(bob.dim)
     na, nb = len(basis_a), len(basis_b)
     unit = np.eye(na * nb)
@@ -468,9 +470,11 @@ def _class_rows(alice, bob, source_slot):
     A = np.concatenate(rows)
     kept = _independent_rows(A)
     independent = A[kept]
-    for arr in (A, independent):
+    U, sv, _ = np.linalg.svd(A)
+    null = U[:, np.count_nonzero(sv > max(A.shape) * np.finfo(float).eps * sv[0]):]
+    for arr in (A, independent, null):
         arr.setflags(write=False)
-    return A, independent, kept
+    return A, independent, kept, null
 
 
 def _in_povm_order(data, alice, bob):

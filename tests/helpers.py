@@ -21,7 +21,7 @@ from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
                                     _pinned_support, build_sdp, extension_sdp)
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
 from keybound.sdp import LmiBlock, SdpProblem, solve
-from keybound.states import DensityOperator
+from keybound.states import DensityOperator, swap_last_two
 
 # check_feasible calls a problem feasible when its phase-I slack is at most this.
 FEASIBLE_MARGIN = 1e-8
@@ -440,3 +440,23 @@ def three_block_reference(cls):
     c = np.concatenate([np.zeros(n_f), N[0]])
     c[0] = -1.0
     return SdpProblem(c=c, blocks=blocks), 0
+
+
+def unsplit_witness_program(cls):
+    """The witness program in its unsplit statement, one variable y_j per
+    class row: minimize -b.y with W(y) = I - sum_j y_j O_j >= 0 on A B and
+    sym(W(y) (x) I_B') - I >= 0 on A B B', sym(X) = (X + P X P) / 2,
+    O_j = sum_kl A[j, kl] S_k (x) S_l; built with explicit Kronecker
+    products.  Its dual blocks are T = rho - sigma~ and chi~ as they
+    come."""
+    da, db = cls.dims
+    sa, sb = build_basis(da), build_basis(db)
+    prods = [np.kron(sa[k], sb[l]) for k in range(da * da) for l in range(db * db)]
+    ops = np.tensordot(cls.rows, np.array(prods), 1)
+    P = swap_last_two((da, db))
+    ext = np.array([np.kron(op, np.eye(db)) for op in ops])
+    ext = 0.5 * (ext + P @ ext @ P)
+    n = da * db * db
+    return SdpProblem(c=-cls.rhs, blocks=(
+        LmiBlock(const=np.eye(da * db), mats=-ops),
+        LmiBlock(const=np.zeros((n, n)), mats=-ext)))

@@ -22,7 +22,7 @@ from keybound.protocols import (
 )
 from keybound.sdp import SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
-                             partial_trace_matrix, swap_last_two)
+                             swap_last_two)
 from helpers import (assert_ray_proves_no_state, check_feasible, chi_reference,
                      extend_qutrit_stream_state, lambda_bisection_oracle,
                      min_block_eigenvalue, pinned_problem, sigma_coefficients,
@@ -104,6 +104,8 @@ def test_cached_structure_is_read_only():
         "extension structure": _extension_structure((2, 2)),
         "packed program": [arr for arr in sdp._packed(build_sdp(six_state_class(0.05))[0].blocks)
                            if isinstance(arr, np.ndarray)],
+        "swap sectors": extendibility._swap_sectors((2, 3)),
+        "witness stacks": extendibility._product_ops((2, 3)),
         "class rows": protocols._class_rows(*six_state_povms(), 0),
         "Born-rule stack": [protocols._born_stack(*six_state_povms())],
         "Hermitian basis": [_hermitian_stack(3)],
@@ -118,7 +120,9 @@ def test_cached_structure_is_read_only():
 
 
 CACHES = (sdp._packed, protocols._class_rows, protocols._born_stack,
-          extendibility._hermitian_stack, states.bell_psi_plus)
+          extendibility._swap_sectors, extendibility._product_ops,
+          extendibility._witness_blocks, extendibility._hermitian_stack,
+          states.bell_psi_plus)
 
 
 def test_cold_and_warm_caches_give_the_same_bits():
@@ -173,30 +177,48 @@ def test_sdp_structure():
         assert not prob.c[1:].any()
 
 
-def test_witness_program_structure():
-    cls = six_state_class(0.05)
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_witness_program_structure(dims):
+    da, db = dims
+    n, m = da * db, da * db * (db + 1) // 2
+    if dims == (2, 2):
+        cls, rho = six_state_class(0.05), depolarized_bell(0.05).matrix
+    else:
+        rho = random_qutrit_state(np.random.default_rng(sum(dims)), n, dims).matrix
+        cls = class_from_state(DensityOperator(np.eye(n) / n, dims))
     prob, _ = build_sdp(cls)
-    m = cls.rows.shape[0]
+    rows = cls.rows.shape[0]
     # one variable per class row, no equalities, objective -b.y
-    assert prob.num_vars == m and prob.eq_rows.shape == (0, m)
+    assert prob.num_vars == rows and prob.eq_rows.shape == (0, rows)
     assert np.array_equal(prob.c, -cls.rhs)
-    # complex blocks W(y) >= 0 on A B and sym(W(y) (x) I_B') - I >= 0 on A B B'
-    assert [b.dim for b in prob.blocks] == [4, 8]
-    assert np.array_equal(prob.blocks[0].const, np.eye(4))
-    assert not prob.blocks[1].const.any()
-    # Tr(O_j rho) = (A r)_j
-    rho = depolarized_bell(0.05).matrix
-    r = expand(rho, (build_basis(2),) * 2).ravel()
-    traces = -np.einsum("jkl,lk->j", prob.blocks[0].mats, rho).real
+    # two blocks of one size: W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I),
+    # const I (+) 0, and V_s^T (W(y) (x) I_B') V_s - I, const 0
+    first, second = prob.blocks
+    assert first.dim == second.dim == m
+    assert np.array_equal(first.const, np.diag(np.arange(m) < n).astype(float))
+    assert not second.const.any()
+    # no matrix couples the W(y) part to the antisymmetric part
+    assert not first.mats[:, :n, n:].any() and not first.mats[:, n:, :n].any()
+    # Tr(O_j rho) = (A r)_j on the W(y) part
+    sa, sb = build_basis(da), build_basis(db)
+    r = expand(rho, (sa, sb)).ravel()
+    traces = -np.einsum("jkl,lk->j", first.mats[:, :n, :n], rho).real
     assert np.max(np.abs(traces - cls.rows @ r)) <= 1e-12
-    # on a swap-symmetric X, sym(O_j (x) I_B') pairs as O_j with Tr_B'(X)
-    P = swap_last_two((2, 2))
-    X = np.kron(rho, np.eye(2))
-    X = X + P @ X @ P
-    marginal = partial_trace_matrix(X, (2, 2, 2), keep=(0, 1))
-    r = expand(marginal, (build_basis(2),) * 2).ravel()
-    traces = -np.einsum("jkl,lk->j", prob.blocks[1].mats, X).real
-    assert np.max(np.abs(traces - cls.rows @ r)) <= 1e-12
+    # the sector bases are orthonormal, real and swap-(anti)symmetric, so
+    # V_s M_s V_s^T + V_a M_a V_a^T is sym(O_j (x) I_B')
+    V_s, V_a = extendibility._swap_sectors(dims)
+    P = swap_last_two(dims)
+    U = np.hstack([V_s, V_a])
+    assert V_s.shape[1] == m and U.shape == (da * db * db,) * 2
+    assert np.max(np.abs(U.T @ U - np.eye(U.shape[0]))) <= 1e-15
+    assert np.array_equal(P @ V_s, V_s) and np.array_equal(P @ V_a, -V_a)
+    prods = np.array([np.kron(sa[k], sb[l])
+                      for k in range(da * da) for l in range(db * db)])
+    for row, M_first, M_s in zip(cls.rows, first.mats, second.mats):
+        ext = np.kron(np.tensordot(row, prods, 1), np.eye(db))
+        ext = 0.5 * (ext + P @ ext @ P)
+        rebuilt = -(V_s @ M_s @ V_s.T + V_a @ M_first[n:, n:] @ V_a.T)
+        assert np.max(np.abs(rebuilt - ext)) <= 1e-12
 
 
 def test_bell_state_not_extendible():
@@ -373,10 +395,11 @@ def test_low_rank_pinned_state_verified(dims, rank):
 
 
 @pytest.mark.parametrize("rank, num_vars, block_dims", [
-    (3, 9, [3, 3]), (4, 16, [4, 6]), (5, 25, [5, 9, 3])])
+    (3, 9, [3, 3]), (4, 16, [4, 6]), (5, 25, [8, 9])])
 def test_face_witness_program_size(rank, num_vars, block_dims, monkeypatch):
-    # one variable per coordinate of X on supp(rho), the X >= 0 block at
-    # the support rank, then one block per nonempty swap part of the face
+    # one variable per coordinate of X on supp(rho); X >= 0 at the support
+    # rank shares its block with the antisymmetric part's inequality (empty
+    # below rank 5), and the symmetric part has its own block
     problems = []
 
     def spy(problem):
@@ -395,14 +418,18 @@ def test_face_witness_program_size(rank, num_vars, block_dims, monkeypatch):
         slack = blk.const + np.einsum("i,ijk->jk", res.solution.x, blk.mats)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
     # each swap part's matrices sum_b' W_b'^+ X_j W_b' match the
-    # three-operand einsum, which sums the same terms in another order
+    # three-operand einsum, which sums the same terms in another order,
+    # and nothing couples X to the antisymmetric part
     w, S = _pinned_support(class_from_state(state))
     xs = _hermitian_stack(rank)
-    parts = [V for V in _face_basis(S, (2, 3)) if V.shape[1]]
-    for V, blk in zip(parts, problem.blocks[1:], strict=True):
-        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(-1, 3, V.shape[1]))
+    sym, anti = _face_basis(S, (2, 3))
+    first = problem.blocks[0].mats
+    assert np.array_equal(first[:, :rank, :rank], xs)
+    assert not first[:, :rank, rank:].any() and not first[:, rank:, :rank].any()
+    for V, mats in ((sym, problem.blocks[1].mats), (anti, first[:, rank:, rank:])):
+        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(6, 3, V.shape[1]))
         ref = np.einsum("bsk,jst,btl->jkl", W.conj(), xs, W)
-        assert np.max(np.abs(blk.mats - ref)) <= 1e-13
+        assert np.max(np.abs(mats - ref), initial=0.0) <= 1e-13
 
 
 def test_rank_four_stream_state_decomposes():

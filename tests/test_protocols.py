@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from keybound.basis import build_basis
+from keybound.basis import build_basis, expand
 from keybound.bounds import one_way_upper_bound
 from keybound.infotheory import mutual_information
 from keybound.protocols import (
-    EquivalenceClassSpec, InconsistentDataError, ObservedData, Povm,
+    CONSISTENCY_TOL, EquivalenceClassSpec, InconsistentDataError, ObservedData, Povm,
     ProtocolSpec, _class_rows, _independent_rows, assemble_class,
     class_from_state, four_state_povms, load_protocol,
     matched_key_distribution, povm_coefficients, qber, realize_protocol,
@@ -163,6 +163,34 @@ def test_inconsistent_data_raises():
     with pytest.raises(InconsistentDataError):
         assemble_class((alice, bob), tampered,
                        ProtocolSpec("four-state", e=0.1, source_constraint=True))
+
+
+@pytest.mark.parametrize("factor, raises", [(0.99, False), (1.01, True)])
+def test_inconsistency_threshold(factor, raises):
+    # Moving probability delta from outcome pair (0, 0) to (0, 1) breaks
+    # the marginals; the least-squares fit of every class row then misses
+    # the data by delta * g, linear in delta.  The data are refused when
+    # that miss exceeds CONSISTENCY_TOL * max(1, ||b||), and only then.
+    alice, bob = four_state_povms()
+    rho = depolarized_bell(0.1)
+    data = simulate_observed_data(rho, (alice, bob))
+    A = _class_rows(alice, bob, 0)[0]
+    u = np.zeros(A.shape[0])
+    u[-data.probs.size:][:2] = (1.0, -1.0)
+    g = np.linalg.norm(A @ np.linalg.lstsq(A, u, rcond=None)[0] - u)
+    b_norm = np.linalg.norm(A @ expand(rho.matrix, (build_basis(2),) * 2).ravel())
+    delta = factor * CONSISTENCY_TOL * max(1.0, b_norm) / g
+    bad = data.probs.copy()
+    bad[0, 0] += delta
+    bad[0, 1] -= delta
+    tampered = ObservedData(probs=bad, alice_labels=data.alice_labels,
+                            bob_labels=data.bob_labels)
+    spec = ProtocolSpec("four-state", e=0.1, source_constraint=True)
+    if raises:
+        with pytest.raises(InconsistentDataError):
+            assemble_class((alice, bob), tampered, spec)
+    else:
+        assemble_class((alice, bob), tampered, spec)
 
 
 def test_class_from_state_and_trivial():

@@ -14,8 +14,9 @@ from keybound.extendibility import (best_extendible_decomposition, build_sdp,
 from keybound.protocols import (EquivalenceClassSpec, ProtocolSpec, assemble_class,
                                 class_from_state, realize_protocol)
 from keybound.sdp import SolverError, solve
-from keybound.states import DensityOperator
-from helpers import assert_ray_proves_no_state, extend_qutrit_stream_state
+from keybound.states import DensityOperator, swap_last_two
+from helpers import (assert_ray_proves_no_state, extend_qutrit_stream_state,
+                     unsplit_witness_program)
 
 # lambda_max of the two programs, each within GAP_TOL (1 + |pobj| + |dobj|)
 AGREE_TOL = 3e-8
@@ -65,6 +66,52 @@ def test_witness_matches_extension_program_on_grid_classes(kind, direction, e):
     assert_witness_agrees(protocol_class(kind, e, direction))
 
 
+def assert_split_matches_unsplit(cls, monkeypatch):
+    # The two equal-size blocks restate W(y) >= 0 and
+    # sym(W(y) (x) I_B') - I >= 0 by an orthogonal change of basis of each
+    # swap sector, so the solve takes the same iterations to the same
+    # witness, T, chi~ and lambda_max, and the chi~ it unpacks is
+    # swap-symmetric before _decomposition symmetrizes it.
+    unpacked = []
+    decomposition = extendibility._decomposition
+
+    def spy(T, chi, dims):
+        unpacked.append((T, chi))
+        return decomposition(T, chi, dims)
+
+    monkeypatch.setattr(extendibility, "_decomposition", spy)
+    res = best_extendible_decomposition(cls)
+    assert res.diagnostics["program"] == "witness"
+    old = solve(unsplit_witness_program(cls))
+    assert old.status == "optimal"
+    chi = decomposition(*old.z_blocks, cls.dims)[2]
+    assert res.solution.iterations == old.iterations
+    assert abs(res.lambda_max - min(max(np.trace(chi).real, 0.0), 1.0)) <= 1e-9
+    assert np.max(np.abs(res.solution.x - old.x)) <= 1e-9
+    ((T, chi),) = unpacked
+    for mat, want in zip((T, chi), old.z_blocks):
+        assert np.max(np.abs(mat - want)) <= 1e-9
+    P = swap_last_two(cls.dims)
+    assert np.max(np.abs(P @ chi @ P - chi)) <= 1e-12
+    # the dual entries coupling T to the antisymmetric sector vanish
+    n = cls.dims[0] * cls.dims[1]
+    assert np.max(np.abs(res.solution.z_blocks[0][:n, n:])) <= 1e-12
+
+
+@pytest.mark.parametrize("e", [0.02, 0.08, 0.14, 0.2])
+@pytest.mark.parametrize("direction", ["direct", "reverse"])
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_split_witness_program_matches_unsplit_on_grid_classes(kind, direction, e,
+                                                                monkeypatch):
+    assert_split_matches_unsplit(protocol_class(kind, e, direction), monkeypatch)
+
+
+@pytest.mark.parametrize("cycle", range(10))
+def test_split_witness_program_matches_unsplit_on_stream_states(cycle, monkeypatch):
+    state = extend_qutrit_stream_state(cycle, 6)
+    assert_split_matches_unsplit(class_from_state(state), monkeypatch)
+
+
 def test_duplicated_consistent_rows_solve_optimal():
     cls = protocol_class("six-state", 0.05)
     dup = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows]),
@@ -88,7 +135,7 @@ def test_solution_is_the_witness_solve():
     assert np.trace(res.sigma_tilde).real == pytest.approx(d["raw_lambda"], abs=1e-15)
     assert np.trace(res.chi_tilde).real == d["raw_lambda"]
     assert 0.0 < d["class_residual"] <= 1e-8
-    # the witness is feasible: W(y) >= 0 and sym(W(y) (x) I_B') - I >= 0
+    # the witness is feasible: both blocks of build_sdp are PSD at y
     for blk in build_sdp(cls)[0].blocks:
         slack = blk.const + np.einsum("i,ijk->jk", sol.x, blk.mats)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
