@@ -11,9 +11,10 @@ from itertools import product
 
 import numpy as np
 
-from keybound import (DensityOperator, ProtocolSpec, assemble_class,
+from keybound import (DensityOperator, ProtocolSpec, SolverError, assemble_class,
                       best_extendible_decomposition, build_sdp, class_from_state,
-                      extendibility, find_cutoff, protocols, realize_protocol, sdp)
+                      extendibility, find_cutoff, protocols, realize_protocol, sdp,
+                      verify_extension)
 
 KINDS, DIRECTIONS = ("four-state", "six-state"), ("direct", "reverse")
 CONFIGS = list(product(KINDS, DIRECTIONS, (None, True, False)))
@@ -39,6 +40,28 @@ def qubit_qutrit(rng, rank):
         DensityOperator(mat / np.trace(mat).real, (2, 3))))
 
 
+def nearly_singular_verified(seed, rank, dims):
+    """Of (1 - eps) rho + eps I/d at eps = 1e-5..1e-8, rho the first
+    G G^+ / Tr drawn from default_rng(seed) (the extend-qutrit recipe on
+    dims), how many decompose with a passing verify_extension and rho*
+    within 1e-6 of the state."""
+    d = dims[0] * dims[1]
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = g @ g.conj().T
+    mat = 0.5 * (mat + mat.conj().T) / np.trace(mat).real
+    verified = 0
+    for eps in (1e-5, 1e-6, 1e-7, 1e-8):
+        state = DensityOperator((1 - eps) * mat + eps * np.eye(d) / d, dims)
+        try:
+            res = best_extendible_decomposition(class_from_state(state))
+        except SolverError:
+            continue
+        verified += (verify_extension(res).passed and
+                     np.max(np.abs(res.rho_star.matrix - state.matrix)) <= 1e-6)
+    return verified
+
+
 def iterations(results):
     return sum(res.solution.iterations for res in results)
 
@@ -54,11 +77,12 @@ print(f"IPM iterations, four 26-point sweeps: {iterations(sweeps)}")
 print(f"points solved by the (r, f) fallback, of 104: {fallbacks}")
 print(f"(r, f) structure builds over the 104 points: {builds}")
 print(f"packed programs and class-row sets built over the 104 points: {packed} and {row_sets}")
-near_zero = [res for res in (protocol_point(*config, e) for config in CONFIGS
-                             for e in (1e-8, 1e-7, 1e-6))
-             if res.diagnostics["program"] == "extension"]
-print(f"near-zero census fallbacks, of 36 points: {len(near_zero)} "
-      f"(expected 25), {iterations(near_zero)} IPM iterations")
+near_zero = [protocol_point(*config, e) for config in CONFIGS for e in (1e-8, 1e-7, 1e-6)]
+stalled = {program: [res for res in near_zero if res.diagnostics["program"] == program]
+           for program in ("extension", "face")}
+print(f"near-zero census fallbacks, of 36 points: {len(stalled['extension'])} (r, f) "
+      f"(expected 8), {iterations(stalled['extension'])} IPM iterations; "
+      f"{len(stalled['face'])} face (expected 17), {iterations(stalled['face'])} IPM iterations")
 rng = np.random.default_rng(0)
 for rank in (3, 4, 5):
     face = [qubit_qutrit(rng, rank) for _ in range(5)]
@@ -67,6 +91,9 @@ for rank in (3, 4, 5):
 rng = np.random.default_rng(0)
 print("IPM iterations, five (2, 3) states of ranks 2-6: "
       f"{iterations([qubit_qutrit(rng, rank) for rank in range(2, 7)])}")
+singular = sum(nearly_singular_verified(*args)
+               for args in ((0, 4, (2, 3)), (0, 3, (2, 2)), (2, 2, (2, 2))))
+print(f"nearly singular pinned states, verified: {singular} of 12")
 
 solve, cutoff_iters = extendibility.solve, []
 

@@ -123,15 +123,15 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     must share their rows, as b(e) = b(lo) + (e - lo) slope; the class at
     the answer must match b within 1e-9 (ValueError otherwise).  One
     decomposition runs at lo + (hi - lo) / 8, or at lo when that point is
-    extendible.  Its witness y (diagnostics["witness"]: the witness solve's
-    x, or the extension fallback's least-squares row multipliers) has
+    extendible.  Its witness y (diagnostics["witness"], from the witness
+    solve or from the program its stall falls back to) has
     b(e).y <= 1 - lambda_max(e) for every e, so the root L of
     b(L).y = LAMBDA_TOL bounds the cutoff from below;
     its sigma_ext and rho_ne, which must pass verify_extension, lie on the
     family at e_s and e_n, so U = (1 - LAMBDA_TOL) e_s + LAMBDA_TOL e_n
     holds a state of extendible weight 1 - LAMBDA_TOL.  Returns L.  tol must be
-    finite and positive; an interval [L, U] wider than tol, or none (a face
-    solve carries no witness), raises SolverError.
+    finite and positive; an interval [L, U] wider than tol, or none (a
+    solve on a rank-deficient face carries no witness), raises SolverError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -165,7 +165,7 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
         if res.extendible:
             raise ValueError(f"lower bracket e={lo} is already extendible")
     y = res.diagnostics["witness"]
-    if y is None:   # a face solve: no witness, so no interval below
+    if y is None:   # a rank-deficient face: no witness, so no interval below
         y = np.zeros_like(slope)
     at_lo, rate = float(cls_lo.rhs @ y), float(slope @ y)
     if at_lo + (hi - lo) * rate > LAMBDA_TOL:

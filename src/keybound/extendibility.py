@@ -45,28 +45,35 @@ that none of those classes holds a state closer to the extendible set
 -(1 - lambda_max), and the solver's dual blocks Z_1 and Z_2 are the
 decomposition: T = rho - sigma~ is the W(y) corner of Z_1, and
 chi~ = V_s Z_2 V_s^T + V_a Z_1' V_a^T, with Z_1' its antisymmetric
-corner; _decomposition turns them into the reported matrices, with
+corner, swap-symmetric to the bit since P V_s = V_s and P V_a = -V_a
+hold exactly; _decomposition turns them into the reported matrices, with
 lambda = Tr(chi~) rather than b.y.  Rows that no state meets make it
 unbounded: its primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which
 proves the class empty, so that solve is raised as it ended.  When the
-witness solve ends numerical-failure (its dual residual can stall near
-1e-7 at error rates close to 0), the extension program is solved
-instead, the f parts of its blocks built once per dims on the first such
-fallback and only its w parts per class; its (f, w) is mapped once to
-chi~ = sum_i f_i chi_mats[i], r = r0 + N w and T = rho - Tr_B'(chi~),
-and its witness is the least-squares multipliers y of the class rows,
+witness solve of a class that does not pin rho ends numerical-failure
+(its dual residual can stall near 1e-7 at error rates close to 0), the
+extension program is solved instead, the f parts of its blocks built
+once per dims on the first such fallback and only its w parts per
+class; its (f, w) is mapped once to chi~ = sum_i f_i chi_mats[i],
+r = r0 + N w and T = rho - Tr_B'(chi~), and its witness is the
+least-squares multipliers y of the class rows,
 A^T y = e_00 - A_r*(Z_T) with A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
-and Z_T the dual block of rho - sigma~ >= 0.
+and Z_T the dual block of rho - sigma~ >= 0, raised along
+sum_j c_j O_j = I until both witness blocks are PSD.
 
-When the class rows pin rho to one rank-deficient state, the program
-has no strictly feasible point: every v in ker(rho) has
-v^+ sigma~ v = 0, so chi~ vanishes off the face
+When the class rows pin rho = S diag(w) S^+, the witness program may be
+stated over W(y) = S X S^+, X Hermitian on supp(rho).  If rho is
+rank-deficient the program has no strictly feasible point: every v in
+ker(rho) has v^+ sigma~ v = 0, so chi~ vanishes off the face
 F = (supp(rho) (x) C^{d_B}) intersected with its B <-> B' swap.
 best_extendible_decomposition then solves the dual of the extension
-program on that face, the face witness program of _solve_on_face.  It
-and its dual are strictly feasible, so it needs no fallback, and its
-dual blocks give T and chi~ as above.  An empty face gives
-lambda_max = 0 with no solve: T = rho and chi~ = 0.
+program on that face, the face witness program of _solve_on_face: the
+witness program over X, with each sector's inequality restricted to the
+part of F in that sector.  It and its dual are strictly feasible, so it
+needs no fallback, and its dual blocks give T and chi~ through V_s and
+V_a as above.  An empty face gives lambda_max = 0 with no solve: T = rho
+and chi~ = 0.  A full-rank pinned rho runs the witness program, and the
+face program over its whole support only when that solve stalls.
 """
 
 from __future__ import annotations
@@ -178,25 +185,31 @@ def _swap_sectors(dims):
     return V_s, V_a
 
 
+def _lift(M, dims):
+    """(V_s^T (M_j (x) I_B') V_s, V_a^T (M_j (x) I_B') V_a) for a stack M
+    on A (x) B, with (V_s, V_a) = _swap_sectors(dims)."""
+    n = M.shape[-1] * dims[1]
+    ext = np.einsum("nij,kl->nikjl", M, np.eye(dims[1])).reshape(-1, n, n)
+    V_s, V_a = _swap_sectors(dims)
+    return V_s.T @ ext @ V_s, V_a.T @ ext @ V_a
+
+
 @functools.lru_cache(maxsize=8)
 def _product_ops(dims):
     """(ops, first, second): ops the (n_r, d_A d_B, d_A d_B) stack of
     O_kl = S_k (x) S_l, in (k, l) order, and the witness program's two
     stacks, both of size m = d_A d_B (d_B + 1)/2: first the block sum
-    O_kl (+) V_a^T (O_kl (x) I_B') V_a, second V_s^T (O_kl (x) I_B') V_s,
-    with (V_s, V_a) = _swap_sectors(dims).  Built on the first witness
-    program of these dims and read-only."""
+    O_kl (+) V_a^T (O_kl (x) I_B') V_a, second V_s^T (O_kl (x) I_B') V_s
+    (see _lift).  Built on the first witness program of these dims and
+    read-only."""
     da, db = dims
     sa, sb = build_basis(da), build_basis(db)
     dab = da * db
     ops = np.einsum("aij,bkl->abikjl", sa, sb).reshape(-1, dab, dab)
-    ext = np.einsum("nij,kl->nikjl", ops, np.eye(db)).reshape(-1, dab * db, dab * db)
-    V_s, V_a = _swap_sectors(dims)
-    m = V_s.shape[1]
-    first = np.zeros((ops.shape[0], m, m), dtype=complex)
+    second, anti = _lift(ops, dims)
+    first = np.zeros((ops.shape[0],) + second.shape[1:], dtype=complex)
     first[:, :dab, :dab] = ops
-    first[:, dab:, dab:] = V_a.T @ ext @ V_a
-    second = V_s.T @ ext @ V_s
+    first[:, dab:, dab:] = anti
     for arr in (ops, first, second):
         arr.setflags(write=False)
     return ops, first, second
@@ -279,11 +292,12 @@ def _to_density(mat, dims, diagnostics, name):
 
 def _pinned_support(cls):
     """(w, S) when the class rows pin rho (full column rank, consistent
-    within the solver's feasibility tolerance) to a state whose smallest
-    eigenvalue lies in [-SUPPORT_TOL, SUPPORT_TOL]: w its eigenvalues
-    above SUPPORT_TOL and S their orthonormal eigenvectors, so
-    S diag(w) S^+ is rho with its kernel eigenvalues, rounding, set to
-    exactly zero.  None for every other class."""
+    within the solver's feasibility tolerance) to a state, one whose
+    smallest eigenvalue is at least -SUPPORT_TOL: w its eigenvalues above
+    SUPPORT_TOL and S their orthonormal eigenvectors, so S diag(w) S^+ is
+    rho with its kernel eigenvalues, rounding, set to exactly zero (the
+    full eigenbasis when rho has full rank).  None for every other
+    class."""
     r, _, rank, _ = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)
     if rank < cls.rows.shape[1]:
         return None
@@ -293,30 +307,27 @@ def _pinned_support(cls):
     da, db = cls.dims
     bases = (build_basis(da), build_basis(db))
     w, V = np.linalg.eigh(reconstruct(r.reshape(da * da, db * db), bases))
-    if abs(w[0]) > SUPPORT_TOL:
+    if w[0] < -SUPPORT_TOL:
         return None
     keep = w > SUPPORT_TOL
     return w[keep], V[:, keep]
 
 
 def _face_basis(S, dims):
-    """Orthonormal bases (sym, anti) of the swap-symmetric and
-    -antisymmetric parts of F = (S (x) C^{d_B}) cap P(S (x) C^{d_B}).
+    """Orthonormal bases (U_s, U_a), in the coordinates of the swap
+    sectors V_s and V_a, of the swap-symmetric and -antisymmetric parts of
+    F = (S (x) C^{d_B}) cap P(S (x) C^{d_B}).
 
-    F is swap-invariant, so it splits into these parts, and a vector v
-    with P v = +-v lies in F exactly when it lies in S (x) C^{d_B}: each
-    part is the eigenvalue-1 eigenspace of half Q half, with Q the
-    projector onto S (x) C^{d_B} and half = (1 +- P) / 2."""
-    db = dims[1]
-    Q = np.kron(S @ S.conj().T, np.eye(db))
-    P = swap_last_two(dims)
-    eye = np.eye(P.shape[0])
-    parts = []
-    for sign in (1.0, -1.0):
-        half = 0.5 * (eye + sign * P)
-        w, V = np.linalg.eigh(half @ Q @ half)
-        parts.append(V[:, w > 1.0 - SUPPORT_TOL])
-    return parts
+    F is swap-invariant, so it splits into these parts, and a vector in a
+    sector lies in F exactly when it lies in S (x) C^{d_B}: each part is
+    the eigenvalue-1 eigenspace of V^T (S S^+ (x) I_B') V (see _lift), the
+    projector onto S (x) C^{d_B} compressed to the sector.  On the full
+    support that is I up to rounding, and its eigenvectors an arbitrary
+    rotation of the sector, so each part is the sector itself, U = I."""
+    if S.shape[1] == S.shape[0]:
+        return [np.eye(V.shape[1]) for V in _swap_sectors(dims)]
+    eigs = [np.linalg.eigh(lifted[0]) for lifted in _lift((S @ S.conj().T)[None], dims)]
+    return [U[:, w > 1.0 - SUPPORT_TOL] for w, U in eigs]
 
 
 @functools.lru_cache(maxsize=8)
@@ -335,64 +346,53 @@ def _hermitian_stack(n):
 
 
 def _solve_on_face(w, S, dims):
-    """The face witness program of a pinned, rank-deficient
-    rho = S diag(w) S^+, solved.
+    """The face witness program of a pinned rho = S diag(w) S^+, solved.
 
     The variables are the coordinates of a Hermitian X on supp(rho) over
     _hermitian_stack: minimize Tr(diag(w) X) with X >= 0 and
-    sum_b' W_b'^+ X W_b' >= I, W_b' = (S^+ (x) <b'|) V, for each nonempty
-    swap part V of the face.  X >= 0 shares its block with the
-    antisymmetric part's inequality, as X (+) (sum_b' W_b'^+ X W_b' - I);
-    the symmetric part has a block of its own.  Its dual blocks give
-    T = S Z_0 S^+ and chi~ = sum_V V Z_V V^+, with Z_0 and the
-    antisymmetric part's Z_V the diagonal corners of the first.  Returns
-    (SdpSolution, face dimension, (T, chi~)); a solve that does not end
-    optimal is returned as it ended, with None for the pair.  An empty
-    face needs no solve: X = 0, T = rho and chi~ = 0.
+    U^+ V^T (S X S^+ (x) I_B') V U >= I for each nonempty part U of the
+    face in its sector V (_face_basis, _lift); X >= 0 shares its block
+    with the antisymmetric part.  Returns (SdpSolution, face dimension,
+    (T, Z_s, Z_a)), T = S Z_0 S^+ and Z_s, Z_a the dual blocks in sector
+    coordinates, U Z_U U^+, with Z_0 and the antisymmetric Z_U the corners
+    of the first; a solve that does not end optimal is returned as it
+    ended, with None for the triple.  An empty face needs no solve: X = 0
+    and Z_0 = diag(w), so T = rho and chi~ = 0.
     """
-    sym, anti = _face_basis(S, dims)
-    r, n_a = w.size, anti.shape[1]
-    k = sym.shape[1] + n_a
+    U_s, U_a = _face_basis(S, dims)
+    r, n_a = w.size, U_a.shape[1]
+    k = U_s.shape[1] + n_a
     if k == 0:
-        n = S.shape[0] * dims[1]
-        return SdpSolution(
-            status="optimal", x=np.zeros(0), z_blocks=[], objective=0.0,
+        sol = SdpSolution(
+            status="optimal", x=np.zeros(0), z_blocks=[np.diag(w)], objective=0.0,
             dual_objective=0.0, duality_gap=0.0, primal_residual=0.0,
             dual_residual=0.0, iterations=0,
             message=(f"empty face: supp(rho) (x) C^d_B (support rank {r}) "
-                     "meets its swap only in 0, so lambda_max = 0 without a solve")
-        ), 0, ((S * w) @ S.conj().T, np.zeros((n, n)))
-    xs = _hermitian_stack(r)
-
-    def lifted(V):
-        # sum_b' W_b'^+ X_j W_b' for each basis matrix X_j, as stacked products
-        W = np.einsum("as,abk->bsk", S.conj(), V.reshape(S.shape[0], dims[1], V.shape[1]))
-        return (np.conj(W.transpose(0, 2, 1)) @ (xs[:, None] @ W)).sum(axis=1)
-
-    first = np.zeros((r * r, r + n_a, r + n_a), dtype=complex)
-    first[:, :r, :r] = xs
-    first[:, r:, r:] = lifted(anti)
-    blocks = [LmiBlock(const=np.diag(np.repeat([0.0, -1.0], [r, n_a])), mats=first)]
-    if sym.shape[1]:
-        blocks.append(LmiBlock(const=-np.eye(sym.shape[1]), mats=lifted(sym)))
-    sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
-    if sol.status != "optimal":
-        return sol, k, None
+                     "meets its swap only in 0, so lambda_max = 0 without a solve"))
+    else:
+        xs = _hermitian_stack(r)
+        lift_s, lift_a = _lift(S @ xs @ S.conj().T, dims)
+        first = np.zeros((r * r, r + n_a, r + n_a), dtype=complex)
+        first[:, :r, :r] = xs
+        first[:, r:, r:] = U_a.conj().T @ lift_a @ U_a
+        blocks = [LmiBlock(const=np.diag(np.repeat([0.0, -1.0], [r, n_a])), mats=first)]
+        if U_s.shape[1]:
+            blocks.append(LmiBlock(const=-np.eye(U_s.shape[1]),
+                                   mats=U_s.conj().T @ lift_s @ U_s))
+        sol = solve(SdpProblem(c=np.einsum("s,jss->j", w, xs).real, blocks=blocks))
+        if sol.status != "optimal":
+            return sol, k, None
     Z = sol.z_blocks[0]
-    T = S @ Z[:r, :r] @ S.conj().T
-    chi = anti @ Z[r:, r:] @ anti.conj().T
-    if sym.shape[1]:
-        chi = chi + sym @ sol.z_blocks[1] @ sym.conj().T
-    return sol, k, (T, chi)
+    Z_s = sol.z_blocks[1] if U_s.shape[1] else np.zeros((0, 0))
+    return sol, k, (S @ Z[:r, :r] @ S.conj().T, U_s @ Z_s @ U_s.conj().T,
+                    U_a @ Z[r:, r:] @ U_a.conj().T)
 
 
 def _decomposition(T, chi, dims):
-    """(rho*, sigma~, chi~) from T = rho - sigma~ and an extension chi~:
-    chi~ symmetrized as (chi~ + P chi~ P) / 2, sigma~ = Tr_B'(chi~) and
-    rho* = T + sigma~, all three divided by Tr(rho*), which a solve meets
-    only to its residuals.  lambda = Tr(chi~)."""
-    P = swap_last_two(dims)
-    chi = 0.5 * (chi + P @ chi @ P)
+    """(rho*, sigma~, chi~) from T = rho - sigma~ and a swap-symmetric
+    extension chi~: sigma~ = Tr_B'(chi~) and rho* = T + sigma~, all three
+    divided by Tr(rho*), which a solve meets only to its residuals.
+    lambda = Tr(chi~)."""
     sigma = partial_trace_matrix(chi, (*dims, dims[1]), keep=(0, 1))
     rho = T + sigma
     tr = np.trace(rho).real
@@ -408,35 +408,40 @@ def best_extendible_decomposition(cls):
     renormalized to unit trace.  Solver failure raises SolverError with
     the solution attached.
 
-    The program that ran is diagnostics["program"].  A class whose rows
-    pin rho to a rank-deficient state (see _pinned_support) is solved on
-    its face by _solve_on_face ("face"); the diagnostics then carry rho's
-    support rank and the face dimension (None for both otherwise).  Every
-    other class runs the witness program ("witness"), and the extension
-    program ("extension") only when the witness solve ends
-    numerical-failure.  A witness solve that ends unbounded has a primal
-    ray d with sum_j d_j O_j <= 0 and b.d > 0, which proves that no state
-    meets the class rows, so it raises at once.  Every path gives a pair
-    (T, chi~) that _decomposition turns into the result's matrices.
-    diagnostics["witness"] is the witness y in class-row coordinates (the
-    witness solve's x, the least-squares multipliers of the class rows
-    after an extension solve, None on a face),
-    and diagnostics["witness_value"] the solve's lower bound on
-    1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) on a face).
+    The program that ran is diagnostics["program"]: "face" for a class
+    whose rows pin rho to a rank-deficient state (see _pinned_support),
+    solved by _solve_on_face, and "witness" for every other class.  When
+    the witness solve ends numerical-failure, a pinned class is solved on
+    its face over its whole support ("face"), any other class by the
+    extension program ("extension").  A witness solve that ends unbounded
+    has a primal ray d with sum_j d_j O_j <= 0 and b.d > 0, which proves
+    that no state meets the class rows, so it raises at once.  A face
+    solve's diagnostics carry rho's support rank and the face dimension
+    (None for both otherwise).  Every path gives a pair (T, chi~) that
+    _decomposition turns into the result's matrices.
+    diagnostics["witness"] is the witness y in class-row coordinates: the
+    witness solve's x; the extension solve's least-squares row
+    multipliers, raised along sum_j c_j O_j = I until both witness blocks
+    are PSD; on a whole support, the y with A^T y = expand(I - S X S^+) /
+    d_A d_B, so that W(y) = S X S^+; None on a rank-deficient face.
+    diagnostics["witness_value"] is the solve's lower bound on
+    1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) without a y), and
     diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
     reported rho*.
     """
     da, db = dims = tuple(cls.dims)
     pinned = _pinned_support(cls)
-    support_rank = face_dim = None
-    if pinned is None:
+    program, support_rank, face_dim = "face", None, None
+    if pinned is None or pinned[0].size == da * db:
         program, sol = "witness", solve(build_sdp(cls)[0])
         if sol.status == "numerical-failure":
-            problem, pinv, N = extension_sdp(cls)
-            program, sol = "extension", solve(problem)
-    else:
-        program, support_rank = "face", pinned[0].size
-        sol, face_dim, pair = _solve_on_face(*pinned, dims)
+            program = "extension" if pinned is None else "face"
+    if program == "extension":
+        problem, pinv, N = extension_sdp(cls)
+        sol = solve(problem)
+    elif program == "face":
+        support_rank = pinned[0].size
+        sol, face_dim, parts = _solve_on_face(*pinned, dims)
     if sol.status != "optimal":
         raise SolverError(
             f"decomposition solve ended with status {sol.status}: {sol.message}",
@@ -445,9 +450,8 @@ def best_extendible_decomposition(cls):
     bases = (build_basis(da), build_basis(db))
     witness = None
     if program == "witness":
-        V_s, V_a = _swap_sectors(dims)
         witness, (first, second), n = sol.x, sol.z_blocks, da * db
-        pair = (first[:n, :n], V_s @ second @ V_s.T + V_a @ first[n:, n:] @ V_a.T)
+        parts = (first[:n, :n], second, first[n:, n:])
     elif program == "extension":
         rho_mats, _, chi_mats = _extension_structure(dims)
         n_f = chi_mats.shape[0]
@@ -459,6 +463,19 @@ def best_extendible_decomposition(cls):
         dual = -np.einsum("kij,ij->k", rho_mats.conj(), sol.z_blocks[0]).real
         dual[0] += 1.0
         witness = pinv.T @ dual
+        # raise both witness blocks by t along c = pinv^T e_00, A^T c = e_00
+        t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(witness, blk.mats, 1))[0]
+                 for blk in build_sdp(cls)[0].blocks)
+        witness = witness - max(t, 0.0) * pinv[0]
+    elif support_rank == da * db:
+        S = pinned[1]
+        W = S @ np.tensordot(sol.x, _hermitian_stack(da * db), 1) @ S.conj().T
+        target = expand(np.eye(da * db) - W, bases).ravel() / (da * db)
+        witness = np.linalg.lstsq(cls.rows.T, target, rcond=None)[0]
+    if program != "extension":
+        V_s, V_a = _swap_sectors(dims)
+        T, Z_s, Z_a = parts
+        pair = (T, V_s @ Z_s @ V_s.T + V_a @ Z_a @ V_a.T)
     witness_value = (float(pinned[0].sum() - sol.objective) if witness is None
                      else float(cls.rhs @ witness))
     rho, sigma, chi = _decomposition(*pair, dims)
@@ -493,8 +510,8 @@ def best_extendible_decomposition(cls):
 class ExtensionReport:
     """Residuals certifying a reported decomposition.
 
-    Most equalities hold by construction (chi~ is symmetrized under the
-    swap, and sigma~ is its partial trace over B'); the residuals confirm
+    Most equalities hold by construction (chi~ is swap-symmetric, and
+    sigma~ is its partial trace over B'); the residuals confirm
     the numerics survived clipping and renormalization.
     """
 

@@ -18,7 +18,8 @@ import numpy as np
 from keybound import bounds
 from keybound.basis import build_basis
 from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
-                                    _pinned_support, build_sdp, extension_sdp)
+                                    _pinned_support, _swap_sectors, build_sdp,
+                                    extension_sdp)
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
 from keybound.sdp import LmiBlock, SdpProblem, solve
 from keybound.states import DensityOperator, swap_last_two
@@ -116,7 +117,8 @@ def face_primal_oracle(cls):
     the primal program on its face, the conic dual of the face witness
     program that best_extendible_decomposition solves.
 
-    chi~ = U Y U^+ with U = [sym, anti] a basis of the face and Y
+    chi~ = U Y U^+ with U = [sym, anti] a basis of the face (_face_basis's
+    parts V_s U_s and V_a U_a in the coordinates of A (x) B (x) B') and Y
     block-diagonal Hermitian, which makes chi~ swap-symmetric; the
     variables are Y's coordinates over _hermitian_stack of each block.
     The blocks are S^+ (rho - sigma~) S >= 0, with S^+ rho S = diag(w),
@@ -124,7 +126,8 @@ def face_primal_oracle(cls):
     the optimum (Tr(rho) = 1).  Returns (lambda_max, SdpSolution).
     """
     w, S = _pinned_support(cls)
-    sym, anti = _face_basis(S, cls.dims)
+    (U_s, U_a), (V_s, V_a) = _face_basis(S, cls.dims), _swap_sectors(cls.dims)
+    sym, anti = V_s @ U_s, V_a @ U_a
     n_sym, n_anti = sym.shape[1], anti.shape[1]
     k = n_sym + n_anti
     U = np.hstack([sym, anti])

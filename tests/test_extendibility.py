@@ -13,8 +13,8 @@ from keybound.basis import build_basis, expand
 from keybound.bounds import find_cutoff
 from keybound.extendibility import (
     LAMBDA_TOL, SUPPORT_TOL, _extension_structure, _face_basis, _hermitian_stack,
-    _pinned_support, best_extendible_decomposition, build_sdp, extension_sdp,
-    verify_extension,
+    _pinned_support, _swap_sectors, best_extendible_decomposition, build_sdp,
+    extension_sdp, verify_extension,
 )
 from keybound.protocols import (
     EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
@@ -417,19 +417,43 @@ def test_face_witness_program_size(rank, num_vars, block_dims, monkeypatch):
     for blk in problem.blocks:
         slack = blk.const + np.einsum("i,ijk->jk", res.solution.x, blk.mats)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
-    # each swap part's matrices sum_b' W_b'^+ X_j W_b' match the
-    # three-operand einsum, which sums the same terms in another order,
-    # and nothing couples X to the antisymmetric part
+    # each swap part's matrices U^+ V^T (S X_j S^+ (x) I_B') V U, with U
+    # the part in the coordinates of its sector V, match the three-operand
+    # einsum sum_b' W_b'^+ X_j W_b' with W_b' = (S^+ (x) <b'|) V U, which
+    # sums the same terms in another order, and nothing couples X to the
+    # antisymmetric part
     w, S = _pinned_support(class_from_state(state))
     xs = _hermitian_stack(rank)
-    sym, anti = _face_basis(S, (2, 3))
+    U_s, U_a = _face_basis(S, (2, 3))
+    V_s, V_a = _swap_sectors((2, 3))
     first = problem.blocks[0].mats
     assert np.array_equal(first[:, :rank, :rank], xs)
     assert not first[:, :rank, rank:].any() and not first[:, rank:, :rank].any()
-    for V, mats in ((sym, problem.blocks[1].mats), (anti, first[:, rank:, rank:])):
+    for V, mats in ((V_s @ U_s, problem.blocks[1].mats),
+                    (V_a @ U_a, first[:, rank:, rank:])):
         W = np.einsum("as,abk->bsk", S.conj(), V.reshape(6, 3, V.shape[1]))
         ref = np.einsum("bsk,jst,btl->jkl", W.conj(), xs, W)
         assert np.max(np.abs(mats - ref), initial=0.0) <= 1e-13
+
+
+def test_nearly_singular_pinned_states_verified():
+    # (1 - eps) rho + eps I/d pins a full-rank state, so the witness
+    # program runs first; near a singular rho it can stall, and the face
+    # program over the whole support then gives the point (5 of these 12
+    # solved when the stall ended in SolverError)
+    verified = 0
+    for seed, rank, dims in ((0, 4, (2, 3)), (0, 3, (2, 2)), (2, 2, (2, 2))):
+        mat = random_qutrit_state(np.random.default_rng(seed), rank, dims).matrix
+        d = dims[0] * dims[1]
+        for eps in (1e-5, 1e-6, 1e-7, 1e-8):
+            state = DensityOperator((1 - eps) * mat + eps * np.eye(d) / d, dims)
+            try:
+                res = best_extendible_decomposition(class_from_state(state))
+            except SolverError:
+                continue
+            verified += (verify_extension(res).passed
+                         and np.max(np.abs(res.rho_star.matrix - state.matrix)) <= 1e-6)
+    assert verified >= 10
 
 
 def test_rank_four_stream_state_decomposes():

@@ -71,7 +71,7 @@ def assert_split_matches_unsplit(cls, monkeypatch):
     # sym(W(y) (x) I_B') - I >= 0 by an orthogonal change of basis of each
     # swap sector, so the solve takes the same iterations to the same
     # witness, T, chi~ and lambda_max, and the chi~ it unpacks is
-    # swap-symmetric before _decomposition symmetrizes it.
+    # swap-symmetric.
     unpacked = []
     decomposition = extendibility._decomposition
 
@@ -194,13 +194,59 @@ def fail_witness_solves(monkeypatch):
 
 
 def test_non_optimal_witness_solve_falls_back(monkeypatch):
-    cls = protocol_class("six-state", 0.05)
-    runs = fail_witness_solves(monkeypatch)
-    res = best_extendible_decomposition(cls)
-    assert runs == [cls.rows.shape[0], extension_sdp(cls)[0].num_vars]
-    assert res.diagnostics["program"] == "extension"
-    assert verify_extension(res).passed
+    # a class that does not pin rho (four-state) falls back to the
+    # extension program; a pinned full-rank one (six-state) is solved on
+    # its face over its whole support, X on all of A (x) B: 16 variables
+    for kind, program in (("four-state", "extension"), ("six-state", "face")):
+        cls = protocol_class(kind, 0.05)
+        lam = best_extendible_decomposition(cls).lambda_max
+        with monkeypatch.context() as patch:
+            runs = fail_witness_solves(patch)
+            res = best_extendible_decomposition(cls)
+        second = extension_sdp(cls)[0].num_vars if program == "extension" else 16
+        assert runs == [cls.rows.shape[0], second]
+        assert res.diagnostics["program"] == program
+        assert verify_extension(res).passed
+        assert res.lambda_max == pytest.approx(lam, abs=AGREE_TOL)
     assert res.lambda_max == pytest.approx(0.3, abs=AGREE_TOL)
+    assert res.diagnostics["support_rank"] == 4
+    assert res.diagnostics["face_dim"] == 8
+
+
+# the program each route runs, from a class that takes it
+ROUTES = {"witness": "witness", "extension": "extension", "rank-5-face": "face",
+          "stalled-six-state-face": "face"}
+
+
+def _route_class(route):
+    if route == "rank-5-face":
+        return class_from_state(extend_qutrit_stream_state(0, 5))
+    return protocol_class("four-state" if route in ("witness", "extension") else "six-state",
+                          0.05)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_unpacks_an_exactly_swap_symmetric_extension(route, monkeypatch):
+    # V_s and V_a are exactly swap-(anti)symmetric, so the chi~ each route
+    # hands to _decomposition is exactly swap-symmetric, and so is the
+    # extension program's sum of swap-symmetric chi_mats: _decomposition
+    # has nothing to symmetrize
+    cls = _route_class(route)
+    if route in ("extension", "stalled-six-state-face"):
+        fail_witness_solves(monkeypatch)
+    unpacked = []
+    decomposition = extendibility._decomposition
+
+    def spy(T, chi, dims):
+        unpacked.append(chi)
+        return decomposition(T, chi, dims)
+
+    monkeypatch.setattr(extendibility, "_decomposition", spy)
+    res = best_extendible_decomposition(cls)
+    assert res.diagnostics["program"] == ROUTES[route]
+    (chi,) = unpacked
+    P = swap_last_two(cls.dims)
+    assert np.array_equal(P @ chi @ P, chi)
 
 
 def row_multipliers(cls, Z):
@@ -217,17 +263,26 @@ def row_multipliers(cls, Z):
 @pytest.mark.parametrize("direction", ["direct", "reverse"])
 @pytest.mark.parametrize("kind", ["four-state", "six-state"])
 def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypatch):
-    # the extension program's (f, w) is mapped once to the same matrices
-    # the witness solve's dual blocks give
+    # the extension program's (f, w) (four-state), or the dual blocks of
+    # the face program over the whole support (six-state, whose rows pin
+    # rho), give the same matrices the witness solve's dual blocks give
     cls = protocol_class(kind, e, direction)
     witness = best_extendible_decomposition(cls)
     fail_witness_solves(monkeypatch)
     res = best_extendible_decomposition(cls)
-    assert res.diagnostics["program"] == "extension"
-    # its witness is the least-squares multipliers of the class rows:
-    # A^T y = e_00 - A_r*(Z_T), A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
     y = res.diagnostics["witness"]
-    assert np.max(np.abs(y - row_multipliers(cls, res.solution.z_blocks[0]))) <= 1e-9
+    if kind == "four-state":
+        assert res.diagnostics["program"] == "extension"
+        # its witness is the least-squares multipliers of the class rows:
+        # A^T y = e_00 - A_r*(Z_T), A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
+        assert np.max(np.abs(y - row_multipliers(cls, res.solution.z_blocks[0]))) <= 1e-9
+    else:
+        assert res.diagnostics["program"] == "face"
+        # its witness is the y with W(y) = S X S^+, so both witness blocks
+        # are PSD at y
+        for blk in build_sdp(cls)[0].blocks:
+            slack = blk.const + np.tensordot(y, blk.mats, 1)
+            assert np.linalg.eigvalsh(slack)[0] >= -1e-12
     assert res.diagnostics["witness_value"] == float(cls.rhs @ y)
     assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + AGREE_TOL
     assert np.trace(res.chi_tilde).real == res.diagnostics["raw_lambda"]
@@ -241,16 +296,21 @@ def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypa
         assert np.max(np.abs(res.chi_tilde - witness.chi_tilde)) <= 1e-6
 
 
+NEAR_ZERO = (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e-3)
+
+
 def test_fallback_witness_is_a_proof():
-    # near e = 0 the witness solve stalls and the extension program gives
-    # the point; its witness y must still be feasible for the witness
-    # program, so that b.y is a lower bound on 1 - lambda_max (find_cutoff
-    # reads it as one)
+    # near e = 0 the witness solve can stall, and the extension program
+    # then gives a point of a class that does not pin rho; its witness y
+    # must still be feasible for the witness program, so that b.y is a
+    # lower bound on 1 - lambda_max (find_cutoff reads it as one).  The
+    # least-squares row multipliers alone missed that by -1.27e-8
+    # (four-state, direct, source_constraint=False, e = 3e-8)
     fallbacks = 0
     for kind in ("four-state", "six-state"):
         for direction in ("direct", "reverse"):
             for source_constraint in (None, True, False):
-                for e in (1e-8, 1e-7, 1e-6):
+                for e in NEAR_ZERO:
                     spec = ProtocolSpec(kind, e=e, direction=direction,
                                         source_constraint=source_constraint)
                     cls = assemble_class(*realize_protocol(spec), spec)
@@ -261,7 +321,7 @@ def test_fallback_witness_is_a_proof():
                     y = res.diagnostics["witness"]
                     for blk in build_sdp(cls)[0].blocks:
                         slack = blk.const + np.tensordot(y, blk.mats, 1)
-                        assert np.linalg.eigvalsh(slack)[0] >= -1e-9, spec
+                        assert np.linalg.eigvalsh(slack)[0] >= -1e-12, spec
                     assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + 1e-9, spec
     assert fallbacks > 0
 
@@ -298,8 +358,9 @@ def test_extension_structure_is_built_only_on_a_fallback():
     for rank in range(1, 7):
         best_extendible_decomposition(class_from_state(extend_qutrit_stream_state(0, rank)))
     assert extendibility._extension_structure.cache_info().misses == 0
-    # a stalled witness solve near e = 0 builds it once and reads its witness
-    res = best_extendible_decomposition(protocol_class("six-state", 1e-8))
+    # a stalled witness solve near e = 0 of a class that does not pin rho
+    # builds it once and reads its witness
+    res = best_extendible_decomposition(protocol_class("four-state", 1e-8))
     assert res.diagnostics["program"] == "extension"
     assert res.diagnostics["witness"] is not None
     assert extendibility._extension_structure.cache_info().misses == 1
