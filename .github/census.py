@@ -13,8 +13,7 @@ import numpy as np
 
 from keybound import (DensityOperator, ProtocolSpec, SolverError, assemble_class,
                       best_extendible_decomposition, build_sdp, class_from_state,
-                      extendibility, find_cutoff, protocols, realize_protocol, sdp,
-                      verify_extension)
+                      extendibility, find_cutoff, realize_protocol, sdp, verify_extension)
 
 KINDS, DIRECTIONS = ("four-state", "six-state"), ("direct", "reverse")
 CONFIGS = list(product(KINDS, DIRECTIONS, (None, True, False)))
@@ -71,12 +70,12 @@ sweeps = [protocol_point(kind, direction, None, float(e))
           for e in np.linspace(0.0, 0.25, 26)]
 fallbacks = sum(res.diagnostics["program"] == "extension" for res in sweeps)
 builds = extendibility._extension_structure.cache_info().misses
-packed = sdp._packed.cache_info().misses
-row_sets = protocols._class_rows.cache_info().misses
+layouts = sdp._layout.cache_info().misses
+row_sets = extendibility._row_set.cache_info().misses
 print(f"IPM iterations, four 26-point sweeps: {iterations(sweeps)}")
 print(f"points solved by the (r, f) fallback, of 104: {fallbacks}")
 print(f"(r, f) structure builds over the 104 points: {builds}")
-print(f"packed programs and class-row sets built over the 104 points: {packed} and {row_sets}")
+print(f"solver layouts and class-row sets built over the 104 points: {layouts} and {row_sets}")
 near_zero = [protocol_point(*config, e) for config in CONFIGS for e in (1e-8, 1e-7, 1e-6)]
 stalled = {program: [res for res in near_zero if res.diagnostics["program"] == program]
            for program in ("extension", "face")}

@@ -56,10 +56,12 @@ extension program is solved instead, the f parts of its blocks built
 once per dims on the first such fallback and only its w parts per
 class; its (f, w) is mapped once to chi~ = sum_i f_i chi_mats[i],
 r = r0 + N w and T = rho - Tr_B'(chi~), and its witness is the
-least-squares multipliers y of the class rows,
-A^T y = e_00 - A_r*(Z_T) with A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
+least-squares multipliers y = pinv^T t of the class rows,
+A^T y = t = e_00 - A_r*(Z_T) with A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
 and Z_T the dual block of rho - sigma~ >= 0, raised along
-sum_j c_j O_j = I until both witness blocks are PSD.
+c = pinv^T e_00, with sum_j c_j O_j = I, until both witness blocks are
+PSD.  pinv and N come from the one SVD of the rows per row set
+(_row_set), which also holds the witness program's blocks.
 
 When the class rows pin rho = S diag(w) S^+, the witness program may be
 stated over W(y) = S X S^+, X Hermitian on supp(rho).  If rho is
@@ -73,7 +75,9 @@ part of F in that sector.  It and its dual are strictly feasible, so it
 needs no fallback, and its dual blocks give T and chi~ through V_s and
 V_a as above.  An empty face gives lambda_max = 0 with no solve: T = rho
 and chi~ = 0.  A full-rank pinned rho runs the witness program, and the
-face program over its whole support only when that solve stalls.
+face program over its whole support only when that solve stalls; its
+witness is the same least-squares y, for t = expand(I - S X S^+) / d_A d_B,
+so that W(y) = S X S^+.
 """
 
 from __future__ import annotations
@@ -132,8 +136,8 @@ def extension_sdp(cls):
     """The extension program for an EquivalenceClassSpec, the fallback of
     best_extendible_decomposition, with its class rows substituted away.
 
-    One SVD of the rows A gives their pseudo-inverse pinv and an
-    orthonormal basis N of their null space, so the r that meet them are
+    The rows' pseudo-inverse pinv and orthonormal null-space basis N,
+    from the one SVD per row set (_row_set), give the r that meet them as
     r = r0 + N w with r0 = pinv b.  The variables are (f, w); the blocks
     are rho - sigma~ >= 0 and chi~ >= 0, their f parts from
     _extension_structure(cls.dims), with the w part N^T rho_mats of the
@@ -143,12 +147,9 @@ def extension_sdp(cls):
     (relative to 1 + ||b||): then no r meets them.  Returns
     (SdpProblem, pinv, N).
     """
-    rho_mats, sigma_mats, chi_mats = _extension_structure(tuple(cls.dims))
-    A, b = cls.rows, cls.rhs
-    U, s, Vt = np.linalg.svd(A)
-    rank = np.count_nonzero(s > max(A.shape) * np.finfo(float).eps * s.max(initial=0.0))
-    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-    N = Vt[rank:].T
+    dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
+    rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
+    _, pinv, N = _row_set(A.tobytes(), A.shape, dims)
     r0 = pinv @ b
     miss = float(np.linalg.norm(A @ r0 - b))
     if miss > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
@@ -216,17 +217,26 @@ def _product_ops(dims):
 
 
 @functools.lru_cache(maxsize=8)
-def _witness_blocks(key, shape, dims):
-    """The witness program's two blocks for class rows given by bytes and
-    shape, cached per row set: W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I),
-    with const I (+) 0, and V_s^T (W(y) (x) I_B') V_s - I, with const 0
-    (see _product_ops)."""
+def _row_set(key, shape, dims):
+    """(blocks, pinv, N) for class rows A given by bytes and shape, built
+    once per row set and read-only: the witness program's two blocks,
+    W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I), with const I (+) 0, and
+    V_s^T (W(y) (x) I_B') V_s - I, with const 0 (see _product_ops), and
+    A's pseudo-inverse and an orthonormal basis of its null space, from
+    one SVD, singular values at most max(A.shape) eps s_max cut as 0."""
     rows = np.frombuffer(key).reshape(shape)
     ops, first, second = _product_ops(dims)
     n, m = ops.shape[1], first.shape[1]
-    return (LmiBlock(const=np.diag(np.repeat([1.0, 0.0], [n, m - n])),
-                     mats=-np.tensordot(rows, first, 1)),
-            LmiBlock(const=np.zeros((m, m)), mats=-np.tensordot(rows, second, 1)))
+    blocks = (LmiBlock(const=np.diag(np.repeat([1.0, 0.0], [n, m - n])),
+                       mats=-np.tensordot(rows, first, 1)),
+              LmiBlock(const=np.zeros((m, m)), mats=-np.tensordot(rows, second, 1)))
+    U, s, Vt = np.linalg.svd(rows)
+    rank = np.count_nonzero(s > max(shape) * np.finfo(float).eps * s.max(initial=0.0))
+    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    N = Vt[rank:].T
+    for arr in (pinv, N):
+        arr.setflags(write=False)
+    return blocks, pinv, N
 
 
 def build_sdp(cls):
@@ -240,7 +250,7 @@ def build_sdp(cls):
     wraps this function by name, unpacks it so.
     """
     dims = tuple(cls.dims)
-    blocks = _witness_blocks(cls.rows.tobytes(), cls.rows.shape, dims)
+    blocks = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)[0]
     return SdpProblem(c=-cls.rhs, blocks=blocks), dims
 
 
@@ -291,18 +301,17 @@ def _to_density(mat, dims, diagnostics, name):
 
 
 def _pinned_support(cls):
-    """(w, S) when the class rows pin rho (full column rank, consistent
-    within the solver's feasibility tolerance) to a state, one whose
-    smallest eigenvalue is at least -SUPPORT_TOL: w its eigenvalues above
-    SUPPORT_TOL and S their orthonormal eigenvectors, so S diag(w) S^+ is
-    rho with its kernel eigenvalues, rounding, set to exactly zero (the
-    full eigenbasis when rho has full rank).  None for every other
-    class."""
-    r, _, rank, _ = np.linalg.lstsq(cls.rows, cls.rhs, rcond=None)
-    if rank < cls.rows.shape[1]:
-        return None
+    """(w, S) when the class rows pin rho (no null space in _row_set, and
+    r = pinv b meets them within the solver's feasibility tolerance) to a
+    state, one whose smallest eigenvalue is at least -SUPPORT_TOL: w its
+    eigenvalues above SUPPORT_TOL and S their orthonormal eigenvectors, so
+    S diag(w) S^+ is rho with its kernel eigenvalues, rounding, set to
+    exactly zero (the full eigenbasis when rho has full rank).  None for
+    every other class."""
+    _, pinv, N = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))
+    r = pinv @ cls.rhs
     resid = np.linalg.norm(cls.rows @ r - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs))
-    if resid > FEAS_TOL:
+    if N.shape[1] or resid > FEAS_TOL:
         return None
     da, db = cls.dims
     bases = (build_basis(da), build_basis(db))
@@ -420,10 +429,9 @@ def best_extendible_decomposition(cls):
     (None for both otherwise).  Every path gives a pair (T, chi~) that
     _decomposition turns into the result's matrices.
     diagnostics["witness"] is the witness y in class-row coordinates: the
-    witness solve's x; the extension solve's least-squares row
-    multipliers, raised along sum_j c_j O_j = I until both witness blocks
-    are PSD; on a whole support, the y with A^T y = expand(I - S X S^+) /
-    d_A d_B, so that W(y) = S X S^+; None on a rank-deficient face.
+    witness solve's x; after the extension solve or on a whole support,
+    the least-squares y = pinv^T t raised until both witness blocks are
+    PSD (see the module docstring); None on a rank-deficient face.
     diagnostics["witness_value"] is the solve's lower bound on
     1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) without a y), and
     diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
@@ -448,7 +456,7 @@ def best_extendible_decomposition(cls):
             solution=sol)
 
     bases = (build_basis(da), build_basis(db))
-    witness = None
+    witness = target = None
     if program == "witness":
         witness, (first, second), n = sol.x, sol.z_blocks, da * db
         parts = (first[:n, :n], second, first[n:, n:])
@@ -458,20 +466,21 @@ def best_extendible_decomposition(cls):
         chi = np.tensordot(sol.x[:n_f], chi_mats, 1)
         rho = np.tensordot(pinv @ cls.rhs + N @ sol.x[n_f:], rho_mats, 1)
         pair = (rho - partial_trace_matrix(chi, (da, db, db), keep=(0, 1)), chi)
-        # the least-squares multipliers of the class rows:
         # A^T y = e_00 - A_r*(Z_T), A_r*(Z)_kl = Re <rho_mats[kl], Z>
-        dual = -np.einsum("kij,ij->k", rho_mats.conj(), sol.z_blocks[0]).real
-        dual[0] += 1.0
-        witness = pinv.T @ dual
-        # raise both witness blocks by t along c = pinv^T e_00, A^T c = e_00
-        t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(witness, blk.mats, 1))[0]
-                 for blk in build_sdp(cls)[0].blocks)
-        witness = witness - max(t, 0.0) * pinv[0]
+        target = -np.einsum("kij,ij->k", rho_mats.conj(), sol.z_blocks[0]).real
+        target[0] += 1.0
     elif support_rank == da * db:
         S = pinned[1]
         W = S @ np.tensordot(sol.x, _hermitian_stack(da * db), 1) @ S.conj().T
         target = expand(np.eye(da * db) - W, bases).ravel() / (da * db)
-        witness = np.linalg.lstsq(cls.rows.T, target, rcond=None)[0]
+    if target is not None:
+        # the least-squares multipliers of the class rows, with both witness
+        # blocks raised by t along c = pinv^T e_00, A^T c = e_00
+        blocks, pinv, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)
+        witness = pinv.T @ target
+        t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(witness, blk.mats, 1))[0]
+                 for blk in blocks)
+        witness = witness - max(t, 0.0) * pinv[0]
     if program != "extension":
         V_s, V_a = _swap_sectors(dims)
         T, Z_s, Z_a = parts

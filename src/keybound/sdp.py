@@ -44,17 +44,18 @@ factor; the tau column is one more right-hand side.  Every block's
 S, Z, residual and scaled matrices sit in one packed vector, so that
 with Q_i the packed R^-1 Fi R^-H, M = Re(Q Q^H) is one product and the
 directions and inner products are single vector operations.  The
-packed data and index arrays are built once per block set (_packed),
-and a solve iterates on buffers it makes once, with their per-block
-views, updating S and Z in place.  Only what needs a block's matrix
-runs per block: R and R^-1 from the Cholesky
-factors of S and Z and one SVD, with no triangular solve (_nt_scaling),
-the step's distance to the cone boundary from the lowest eigenvalue of
-each scaled direction (_step_bound), the corrector's product dS dZ and
-the update R (.) R^H.  Every factorization is a direct LAPACK call (see
-_load_lapack), and solve runs with the BLAS pools at one thread (see
-_one_blas_thread).  A variable whose matrices are zero in every block
-would make M singular, so SdpProblem rejects it.
+index arrays of that layout are built once per block shape (_layout);
+a solve packs its own data next to them, into buffers it makes once,
+with their per-block views, and iterates on those, updating S and Z in
+place.  Only what needs a block's matrix runs per block: R and R^-1
+from the Cholesky factors of S and Z and one SVD, with no triangular
+solve (_nt_scaling), the step's distance to the cone boundary from the
+lowest eigenvalue of each scaled direction (_step_bound), the
+corrector's product dS dZ and the update R (.) R^H.  Every
+factorization is a direct LAPACK call (see _load_lapack), and solve
+runs with the BLAS pools at one thread (see _one_blas_thread).  A
+variable whose matrices are zero in every block would make M singular,
+so SdpProblem rejects it.
 
 Weak duality: with rp and rd the primal and dual residuals of the
 normalized iterate, pobj = c.x and dobj = -<F0, Z>, every iterate has
@@ -370,13 +371,12 @@ def _congruence(L, G, out):
     np.matmul(np.conj(X.transpose(0, 2, 1)).reshape(-1, n, n), LH, out=out)
 
 
-# four: one per built-in sweep configuration (kind x direction)
-@functools.lru_cache(maxsize=4)
-def _packed(blocks):
-    """The packed form of a tuple of LmiBlocks, (dims, starts, spans,
-    weight, wt, sqrt_wt, ntot, ii, jj, diag, eye, F, F0, p_scale), built
-    once per block set and read-only: build_sdp hands every program of
-    one row set the same tuple, so the points of a sweep share one.
+@functools.lru_cache(maxsize=8)
+def _layout(dims, weights):
+    """The packed layout of blocks of sizes dims and weights (2 for a
+    complex block, 1 for a real one), (starts, spans, wt, sqrt_wt, ntot,
+    ii, jj, diag, eye), built once per block shape and read-only: every
+    program of one shape shares it, whatever its data.
 
     Every block matrix lives in one packed vector: block b's n x n
     entries, row-major, at spans[b] of a complex array of length npk.
@@ -385,36 +385,23 @@ def _packed(blocks):
     entries by 2, as its real embedding would count them; ntot is the
     barrier degree.  ii and jj are the row and column of each float-view
     entry in the stacked diagonals d, diag the float offsets of the
-    diagonal entries and eye the packed identity.  F and F0 are the
-    packed mats and consts (float views), and p_scale the primal
-    residual's scale per block."""
-    dims = np.array([blk.dim for blk in blocks])
+    diagonal entries and eye the packed identity."""
+    dims, weight = np.array(dims), np.array(weights)
     ends = np.cumsum(dims * dims)
     starts = ends - dims * dims
-    npk = int(ends[-1])
     spans = tuple(slice(s, e) for s, e in zip(starts, ends))
-    weight = np.array([2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in blocks])
     wt = np.repeat(weight, 2 * dims * dims)
     first = np.cumsum(dims) - dims
     ii = np.repeat(np.concatenate([f + np.repeat(np.arange(n), n) for f, n in zip(first, dims)]), 2)
     jj = np.repeat(np.concatenate([f + np.tile(np.arange(n), n) for f, n in zip(first, dims)]), 2)
     diag = np.flatnonzero(ii == jj)[::2]
-    eye = np.zeros(2 * npk)
+    eye = np.zeros(2 * int(ends[-1]))
     eye[diag] = 1.0
-    nw = blocks[0].mats.shape[0]
-    F = np.zeros((nw, npk), dtype=complex)
-    F0 = np.empty(npk, dtype=complex)
-    for blk, sp in zip(blocks, spans):
-        F[:, sp] = blk.mats.reshape(nw, -1)
-        F0[sp] = blk.const.ravel()
-    p_scale = 1.0 + np.sqrt(weight) * np.array(
-        [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
-    packed = (dims, starts, spans, weight, wt, np.sqrt(wt), float(weight @ dims),
-              ii, jj, diag, eye, F.view(float), F0.view(float), p_scale)
-    for arr in packed:
+    layout = (starts, spans, wt, np.sqrt(wt), float(weight @ dims), ii, jj, diag, eye)
+    for arr in layout:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
-    return packed
+    return layout
 
 
 def solve(problem):
@@ -425,29 +412,35 @@ def solve(problem):
 
 
 def _solve(problem):
-    c, nw = problem.c, problem.num_vars
-    (dims, starts, spans, weight, wt, sqrt_wt, ntot, ii, jj, diag, eye, F, F0,
-     p_scale) = _packed(problem.blocks)
-    npk = F0.size // 2
+    c, nw, blocks = problem.c, problem.num_vars, problem.blocks
+    dims = tuple(blk.dim for blk in blocks)
+    weight = tuple(2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in blocks)
+    starts, spans, wt, sqrt_wt, ntot, ii, jj, diag, eye = _layout(dims, weight)
+    npk = eye.size // 2
     d_scale = 1.0 + float(np.linalg.norm(c))
 
-    # Buffers made once per solve, with their per-block complex views: Q
-    # holds the scaled [Q_i; rp~; F0~], each block's stack its
-    # [mats; rp_b; const] (rp_b written per iteration), and the packed
-    # vectors below the iterate, residual, directions and cross term;
-    # step is scratch for the step lengths and the update R (.) R^H.
+    # Buffers made once per solve, with their per-block complex views: F
+    # and F0 the packed mats and consts (float views), Q the scaled
+    # [Q_i; rp~; F0~], each block's stack its [mats; rp_b; const] (rp_b
+    # written per iteration), and the packed vectors below the iterate,
+    # residual, directions and cross term; step is scratch for the step
+    # lengths and the update R (.) R^H.
+    F = np.concatenate([blk.mats.reshape(nw, -1) for blk in blocks], 1, dtype=complex).view(float)
+    F0 = np.concatenate([blk.const.ravel() for blk in blocks], dtype=complex).view(float)
     Q = np.zeros((nw + 2, npk), dtype=complex)
     Qr = Q.view(float)
     rpp, F0t = Qr[nw], Qr[nw + 1]
     Qs = np.empty_like(Qr)
     stacks = []
-    for blk in problem.blocks:
+    for blk in blocks:
         G = np.empty((nw + 2, blk.dim, blk.dim), dtype=complex)
         G[:nw], G[-1] = blk.mats, blk.const
         stacks.append(G)
+    p_scale = 1.0 + np.sqrt(weight) * np.array(
+        [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
     S, Z, rp, lin, wZ, dS_a, dZ_a, dS, dZ, cross, step = np.empty((11, 2 * npk))
     D = np.zeros(2 * npk)
-    d = np.empty(int(dims.sum()))
+    d = np.empty(sum(dims))
 
     def blocks_of(v):
         v = v.view(complex)

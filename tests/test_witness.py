@@ -1,14 +1,16 @@
 """The witness program against the extension program it is the dual of,
 and the fallback from one to the other."""
 
+import functools
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from keybound import extendibility
 from keybound.basis import build_basis
-from keybound.bounds import one_way_upper_bound
+from keybound.bounds import one_way_upper_bound, sweep
 from keybound.extendibility import (best_extendible_decomposition, build_sdp,
                                     extension_sdp, verify_extension)
 from keybound.protocols import (EquivalenceClassSpec, ProtocolSpec, assemble_class,
@@ -299,6 +301,30 @@ def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypa
 NEAR_ZERO = (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e-3)
 
 
+@functools.cache
+def near_zero_points():
+    """(spec, class, decomposition) at every NEAR_ZERO rate of the twelve
+    built-in configurations, decomposed once for the tests below."""
+    points = []
+    for kind, direction, source_constraint in product(
+            ("four-state", "six-state"), ("direct", "reverse"), (None, True, False)):
+        for e in NEAR_ZERO:
+            spec = ProtocolSpec(kind, e=e, direction=direction,
+                                source_constraint=source_constraint)
+            cls = assemble_class(*realize_protocol(spec), spec)
+            points.append((spec, cls, best_extendible_decomposition(cls)))
+    return points
+
+
+def assert_witness_feasible(spec, cls, res):
+    """Both witness blocks are PSD at the reported y, so b.y bounds
+    1 - lambda_max from below."""
+    y = res.diagnostics["witness"]
+    for blk in build_sdp(cls)[0].blocks:
+        slack = blk.const + np.tensordot(y, blk.mats, 1)
+        assert np.linalg.eigvalsh(slack)[0] >= -1e-12, spec
+
+
 def test_fallback_witness_is_a_proof():
     # near e = 0 the witness solve can stall, and the extension program
     # then gives a point of a class that does not pin rho; its witness y
@@ -306,24 +332,46 @@ def test_fallback_witness_is_a_proof():
     # lower bound on 1 - lambda_max (find_cutoff reads it as one).  The
     # least-squares row multipliers alone missed that by -1.27e-8
     # (four-state, direct, source_constraint=False, e = 3e-8)
-    fallbacks = 0
-    for kind in ("four-state", "six-state"):
-        for direction in ("direct", "reverse"):
-            for source_constraint in (None, True, False):
-                for e in NEAR_ZERO:
-                    spec = ProtocolSpec(kind, e=e, direction=direction,
-                                        source_constraint=source_constraint)
-                    cls = assemble_class(*realize_protocol(spec), spec)
-                    res = best_extendible_decomposition(cls)
-                    if res.diagnostics["program"] != "extension":
-                        continue
-                    fallbacks += 1
-                    y = res.diagnostics["witness"]
-                    for blk in build_sdp(cls)[0].blocks:
-                        slack = blk.const + np.tensordot(y, blk.mats, 1)
-                        assert np.linalg.eigvalsh(slack)[0] >= -1e-12, spec
-                    assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + 1e-9, spec
-    assert fallbacks > 0
+    fallbacks = [point for point in near_zero_points()
+                 if point[2].diagnostics["program"] == "extension"]
+    assert fallbacks
+    for spec, cls, res in fallbacks:
+        assert_witness_feasible(spec, cls, res)
+        assert res.diagnostics["witness_value"] <= 1.0 - res.lambda_max + 1e-9, spec
+
+
+def test_full_support_face_witness_is_a_proof():
+    # a pinned full-rank class whose witness solve stalls near e = 0 is
+    # solved on its face over the whole support; its witness, from the
+    # same least-squares routine as the extension program's, must be
+    # feasible for the witness program too
+    faces = [point for point in near_zero_points()
+             if point[2].diagnostics["support_rank"] == 4]
+    assert faces
+    for point in faces:
+        assert point[2].diagnostics["program"] == "face"
+        assert_witness_feasible(*point)
+
+
+def test_class_rows_are_factored_once_per_row_set(monkeypatch):
+    # every class reads the one SVD of its rows cached per row set: a
+    # sweep, a forced (r, f) fallback and a stalled six-state face solve
+    # run no least-squares solve of their own
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(extendibility.np.linalg, "lstsq", no_lstsq)
+    extendibility._row_set.cache_clear()
+    for kind, direction in product(("four-state", "six-state"), ("direct", "reverse")):
+        points = sweep(kind, np.linspace(0.0, 0.25, 26), direction=direction)
+        assert {point.status for point in points} == {"optimal"}
+    assert extendibility._row_set.cache_info().misses == 4
+    for kind, program in (("four-state", "extension"), ("six-state", "face")):
+        with monkeypatch.context() as patch:
+            fail_witness_solves(patch)
+            res = best_extendible_decomposition(protocol_class(kind, 0.05))
+        assert res.diagnostics["program"] == program
+        assert res.diagnostics["witness"] is not None
 
 
 def test_inconsistent_rows_raise_infeasible(monkeypatch):
