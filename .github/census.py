@@ -13,7 +13,8 @@ import numpy as np
 
 from keybound import (DensityOperator, ProtocolSpec, SolverError, assemble_class,
                       best_extendible_decomposition, build_sdp, class_from_state,
-                      extendibility, find_cutoff, realize_protocol, sdp, verify_extension)
+                      extendibility, find_cutoff, one_way_upper_bound, realize_protocol, sdp,
+                      verify_extension)
 
 KINDS, DIRECTIONS = ("four-state", "six-state"), ("direct", "reverse")
 CONFIGS = list(product(KINDS, DIRECTIONS, (None, True, False)))
@@ -82,6 +83,12 @@ stalled = {program: [res for res in near_zero if res.diagnostics["program"] == p
 print(f"near-zero census fallbacks, of 36 points: {len(stalled['extension'])} (r, f) "
       f"(expected 8), {iterations(stalled['extension'])} IPM iterations; "
       f"{len(stalled['face'])} face (expected 17), {iterations(stalled['face'])} IPM iterations")
+dense = [one_way_upper_bound(ProtocolSpec(kind, e=float(e), direction=direction,
+                                          source_constraint=source_constraint))
+         for kind, direction, source_constraint in CONFIGS
+         for e in np.geomspace(1e-9, 1e-6, 61)]
+print(f"near-zero bound points failed, 12 configurations x geomspace(1e-9, 1e-6, 61): "
+      f"{sum(point.status == 'failed' for point in dense)} of {len(dense)}")
 rng = np.random.default_rng(0)
 for rank in (3, 4, 5):
     face = [qubit_qutrit(rng, rank) for _ in range(5)]

@@ -85,7 +85,7 @@ def rank_deficient():
     print(f"  lambda_max       = {lam:.9f}")
     print(f"  support rank {diag['support_rank']}, face dimension "
           f"{diag['face_dim']}, {res.solution.iterations} iterations")
-    full = solve(extension_sdp(cls)[0])
+    full = solve(extension_sdp(cls))
     print(f"  full program     = {full.status} after {full.iterations} iterations")
     print(f"  verify_extension = {verify_extension(res).passed}")
 

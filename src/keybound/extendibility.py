@@ -54,11 +54,13 @@ witness solve of a class that does not pin rho ends numerical-failure
 (its dual residual can stall near 1e-7 at error rates close to 0), the
 extension program is solved instead, the f parts of its blocks built
 once per dims on the first such fallback and only its w parts per
-class; its (f, w) is mapped once to chi~ = sum_i f_i chi_mats[i],
-r = r0 + N w and T = rho - Tr_B'(chi~), and its witness is the
-least-squares multipliers y = pinv^T t of the class rows,
-A^T y = t = e_00 - A_r*(Z_T) with A_r*(Z)_kl = Re <S_k (x) S_l, Z> / d_A d_B
-and Z_T the dual block of rho - sigma~ >= 0, raised along
+class.  It hands the unpack what every route hands it, the sector
+blocks (T, Z_s, Z_a), and, as it solves for no y, a witness operator W:
+T = rho - sigma~ and chi~ are its two blocks at its solution,
+(Z_s, Z_a) = (V_s^T chi~ V_s, V_a^T chi~ V_a), and W is the dual block
+of rho - sigma~ >= 0.  The witness is then the least-squares
+multipliers y = pinv^T expand(I - W) / d_A d_B of the class rows, with
+sum_j y_j O_j = I - W when I - W lies in their span, raised along
 c = pinv^T e_00, with sum_j c_j O_j = I, until both witness blocks are
 PSD.  pinv and N come from the one SVD of the rows per row set
 (_row_set), which also holds the witness program's blocks.
@@ -76,8 +78,8 @@ needs no fallback, and its dual blocks give T and chi~ through V_s and
 V_a as above.  An empty face gives lambda_max = 0 with no solve: T = rho
 and chi~ = 0.  A full-rank pinned rho runs the witness program, and the
 face program over its whole support only when that solve stalls; its
-witness is the same least-squares y, for t = expand(I - S X S^+) / d_A d_B,
-so that W(y) = S X S^+.
+witness operator is W = S X S^+, and its witness the same least-squares
+y.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ def extension_sdp(cls):
     first (rho = sum_kl r_kl rho_mats[kl]) and zeros in the second
     appended here; the objective is r_00 - f_000 less its constant r0_00.
     Raises SolverError when r0 misses the rows by more than FEAS_TOL
-    (relative to 1 + ||b||): then no r meets them.  Returns
-    (SdpProblem, pinv, N).
+    (relative to 1 + ||b||): then no r meets them.  Returns the
+    SdpProblem; its blocks at a solution x are rho - sigma~ and chi~.
     """
     dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
     rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
@@ -162,7 +164,7 @@ def extension_sdp(cls):
                        mats=np.concatenate([sigma_mats, np.tensordot(N.T, rho_mats, 1)])),
               LmiBlock(const=np.zeros((dabb, dabb)),
                        mats=np.concatenate([chi_mats, np.zeros((N.shape[1], dabb, dabb))])))
-    return SdpProblem(c=c, blocks=blocks), pinv, N
+    return SdpProblem(c=c, blocks=blocks)
 
 
 @functools.lru_cache(maxsize=8)
@@ -426,12 +428,14 @@ def best_extendible_decomposition(cls):
     has a primal ray d with sum_j d_j O_j <= 0 and b.d > 0, which proves
     that no state meets the class rows, so it raises at once.  A face
     solve's diagnostics carry rho's support rank and the face dimension
-    (None for both otherwise).  Every path gives a pair (T, chi~) that
-    _decomposition turns into the result's matrices.
-    diagnostics["witness"] is the witness y in class-row coordinates: the
-    witness solve's x; after the extension solve or on a whole support,
-    the least-squares y = pinv^T t raised until both witness blocks are
-    PSD (see the module docstring); None on a rank-deficient face.
+    (None for both otherwise).  Every path gives the sector blocks
+    (T, Z_s, Z_a), from which _decomposition builds the result's
+    matrices.  diagnostics["witness"] is the witness y in class-row
+    coordinates: the witness solve's x; after the extension solve or on a
+    whole support, which give a witness operator W instead, the
+    least-squares y = pinv^T expand(I - W) / d_A d_B raised until both
+    witness blocks are PSD (see the module docstring); None on a
+    rank-deficient face.
     diagnostics["witness_value"] is the solve's lower bound on
     1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) without a y), and
     diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
@@ -445,7 +449,7 @@ def best_extendible_decomposition(cls):
         if sol.status == "numerical-failure":
             program = "extension" if pinned is None else "face"
     if program == "extension":
-        problem, pinv, N = extension_sdp(cls)
+        problem = extension_sdp(cls)
         sol = solve(problem)
     elif program == "face":
         support_rank = pinned[0].size
@@ -456,38 +460,31 @@ def best_extendible_decomposition(cls):
             solution=sol)
 
     bases = (build_basis(da), build_basis(db))
-    witness = target = None
+    V_s, V_a = _swap_sectors(dims)
+    witness = W = None
     if program == "witness":
         witness, (first, second), n = sol.x, sol.z_blocks, da * db
         parts = (first[:n, :n], second, first[n:, n:])
     elif program == "extension":
-        rho_mats, _, chi_mats = _extension_structure(dims)
-        n_f = chi_mats.shape[0]
-        chi = np.tensordot(sol.x[:n_f], chi_mats, 1)
-        rho = np.tensordot(pinv @ cls.rhs + N @ sol.x[n_f:], rho_mats, 1)
-        pair = (rho - partial_trace_matrix(chi, (da, db, db), keep=(0, 1)), chi)
-        # A^T y = e_00 - A_r*(Z_T), A_r*(Z)_kl = Re <rho_mats[kl], Z>
-        target = -np.einsum("kij,ij->k", rho_mats.conj(), sol.z_blocks[0]).real
-        target[0] += 1.0
+        # rho - sigma~ and chi~ are its blocks at x, W the first one's dual
+        T, chi = (blk.const + np.tensordot(sol.x, blk.mats, 1) for blk in problem.blocks)
+        parts, W = (T, V_s.T @ chi @ V_s, V_a.T @ chi @ V_a), sol.z_blocks[0]
     elif support_rank == da * db:
         S = pinned[1]
         W = S @ np.tensordot(sol.x, _hermitian_stack(da * db), 1) @ S.conj().T
-        target = expand(np.eye(da * db) - W, bases).ravel() / (da * db)
-    if target is not None:
-        # the least-squares multipliers of the class rows, with both witness
-        # blocks raised by t along c = pinv^T e_00, A^T c = e_00
+    if W is not None:
+        # the least-squares multipliers of the class rows for W(y) = W,
+        # with both witness blocks raised by t along c = pinv^T e_00,
+        # A^T c = e_00
         blocks, pinv, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)
-        witness = pinv.T @ target
+        witness = pinv.T @ expand(np.eye(da * db) - W, bases).ravel() / (da * db)
         t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(witness, blk.mats, 1))[0]
                  for blk in blocks)
         witness = witness - max(t, 0.0) * pinv[0]
-    if program != "extension":
-        V_s, V_a = _swap_sectors(dims)
-        T, Z_s, Z_a = parts
-        pair = (T, V_s @ Z_s @ V_s.T + V_a @ Z_a @ V_a.T)
     witness_value = (float(pinned[0].sum() - sol.objective) if witness is None
                      else float(cls.rhs @ witness))
-    rho, sigma, chi = _decomposition(*pair, dims)
+    T, Z_s, Z_a = parts
+    rho, sigma, chi = _decomposition(T, V_s @ Z_s @ V_s.T + V_a @ Z_a @ V_a.T, dims)
 
     raw_lam = float(np.trace(chi).real)
     if raw_lam < -1e-6 or raw_lam > 1.0 + 1e-6:

@@ -81,7 +81,7 @@ def pinned_problem(cls, lam):
     "does the class admit a decomposition with weight exactly lam";
     useful as an independent route to lambda_max via bisection.
     """
-    problem = extension_sdp(cls)[0]
+    problem = extension_sdp(cls)
     blocks = [LmiBlock(const=blk.const + lam * blk.mats[0], mats=blk.mats[1:])   # f_000
               for blk in problem.blocks]
     return SdpProblem(c=problem.c[1:], blocks=blocks)

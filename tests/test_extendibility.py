@@ -60,7 +60,8 @@ def test_variable_layout_counts():
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         mat = g @ g.conj().T
         cls = class_from_state(DensityOperator(mat / np.trace(mat).real, dims))
-        prob, pinv, N = extension_sdp(cls)
+        prob = extension_sdp(cls)
+        _, pinv, N = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, dims)
         rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
         assert cls.rows.shape[1] == rho_mats.shape[0] == n_r
         assert N.shape == (n_r, 0) and pinv.shape == cls.rows.shape[::-1]
@@ -89,7 +90,7 @@ def test_build_sdp_shares_structure_per_dims():
     assert not np.array_equal(p1.c, p2.c)
     # the extension program's f parts are one structure per dims; the
     # rho - sigma~ block's const carries the class's r0
-    e1, e2 = extension_sdp(six_state_class(0.05))[0], extension_sdp(six_state_class(0.10))[0]
+    e1, e2 = extension_sdp(six_state_class(0.05)), extension_sdp(six_state_class(0.10))
     for e in (e1, e2):
         assert_extension_layout(e, (2, 2))
     assert not np.array_equal(e1.blocks[0].const, e2.blocks[0].const)
@@ -167,7 +168,8 @@ def test_sdp_structure():
     for kind, n_w in (("four-state", 6), ("six-state", 0)):
         spec = ProtocolSpec(kind, e=0.05)
         cls = assemble_class(*realize_protocol(spec), spec)
-        prob, pinv, N = extension_sdp(cls)
+        prob = extension_sdp(cls)
+        _, pinv, N = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, (2, 2))
         # the class rows leave n_w of rho's 16 coefficients free: the 40
         # f, then w, and no equality rows
         assert N.shape == (16, n_w) and prob.num_vars == 40 + n_w
@@ -354,7 +356,7 @@ def rank_deficient_outcome(seed, rank):
     except Exception as err:
         outcome = type(err).__name__
     try:
-        full = type(solve(extension_sdp(cls)[0])).__name__
+        full = type(solve(extension_sdp(cls))).__name__
     except Exception as err:
         full = type(err).__name__
     return f"{outcome} {full}"
@@ -512,7 +514,7 @@ def test_face_program_matches_full_program_where_it_converges():
     cls = class_from_state(DensityOperator(mat, (2, 2)))
     res = best_extendible_decomposition(cls)
     assert res.diagnostics["face_dim"] is not None
-    full = solve(extension_sdp(cls)[0])
+    full = solve(extension_sdp(cls))
     assert full.status == "optimal"
     full_lam = float(full.x[0])   # f_000
     assert full_lam == pytest.approx(1.0, abs=1e-6)

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_triangular
 
-from keybound import sdp
+from keybound import extendibility, sdp
 from keybound.extendibility import best_extendible_decomposition, extension_sdp
 from keybound.infotheory import JointDistribution
 from keybound.protocols import (
@@ -321,23 +321,26 @@ def test_pinned_weight_above_lambda_max_is_certified_infeasible():
 
 def test_duplicated_equality_rows_give_the_deduplicated_optimum():
     # rank-deficient rows: every class row twice, plus the sum of two of
-    # them, which extension_sdp substitutes away by one SVD
+    # them, which extension_sdp substitutes away by one SVD.  The optimal
+    # face is not a point, so each solve is checked for what holds on all
+    # of it: the optimum, PSD blocks, and an r that meets its rows.
     spec = ProtocolSpec("four-state", e=0.05)
     cls = assemble_class(*realize_protocol(spec), spec)
     A, b = cls.rows, cls.rhs
     dup = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([A, A, A[:1] + A[1:2]]),
                                rhs=np.concatenate([b, b, b[:1] + b[1:2]]))
-    (problem, pinv, N), (dup_problem, dup_pinv, dup_N) = extension_sdp(cls), extension_sdp(dup)
+    problem, dup_problem = extension_sdp(cls), extension_sdp(dup)
     assert dup_problem.num_vars == problem.num_vars
     ref, sol = solve(problem), solve(dup_problem)
     assert ref.status == sol.status == "optimal"
     assert abs(sol.objective - ref.objective) <= 1e-9
-    # the same (f, r), though N may be another basis of the same null space
-    n_f = problem.num_vars - N.shape[1]
-    r_ref, r_dup = pinv @ b + N @ ref.x[n_f:], dup_pinv @ dup.rhs + dup_N @ sol.x[n_f:]
-    assert np.max(np.abs(sol.x[:n_f] - ref.x[:n_f])) <= 1e-7
-    assert np.max(np.abs(r_dup - r_ref)) <= 1e-7
-    assert np.linalg.norm(dup.rows @ r_dup - dup.rhs) <= 1e-12
+    for c, prob, s in ((cls, problem, ref), (dup, dup_problem, sol)):
+        for blk in prob.blocks:
+            value = blk.const + np.tensordot(s.x, blk.mats, 1)
+            assert np.linalg.eigvalsh(value)[0] >= -1e-9
+        _, pinv, N = extendibility._row_set(c.rows.tobytes(), c.rows.shape, tuple(c.dims))
+        r = pinv @ c.rhs + N @ s.x[prob.num_vars - N.shape[1]:]
+        assert np.linalg.norm(c.rows @ r - c.rhs) <= 1e-12
 
 
 def test_inconsistent_class_rows_raise():

@@ -38,7 +38,7 @@ def full_rank_class(dims, seed):
 
 
 def extension_lambda(cls):
-    sol = solve(extension_sdp(cls)[0])
+    sol = solve(extension_sdp(cls))
     assert sol.status == "optimal", sol.message
     return float(sol.x[0])   # f_000
 
@@ -205,7 +205,7 @@ def test_non_optimal_witness_solve_falls_back(monkeypatch):
         with monkeypatch.context() as patch:
             runs = fail_witness_solves(patch)
             res = best_extendible_decomposition(cls)
-        second = extension_sdp(cls)[0].num_vars if program == "extension" else 16
+        second = extension_sdp(cls).num_vars if program == "extension" else 16
         assert runs == [cls.rows.shape[0], second]
         assert res.diagnostics["program"] == program
         assert verify_extension(res).passed
