@@ -66,6 +66,10 @@ def iterations(results):
     return sum(res.solution.iterations for res in results)
 
 
+def all_iterations(results):   # a stalled witness solve's included
+    return sum(res.diagnostics["iterations"] for res in results)
+
+
 sweeps = [protocol_point(kind, direction, None, float(e))
           for kind, direction in product(KINDS, DIRECTIONS)
           for e in np.linspace(0.0, 0.25, 26)]
@@ -80,9 +84,11 @@ print(f"solver layouts and class-row sets built over the 104 points: {layouts} a
 near_zero = [protocol_point(*config, e) for config in CONFIGS for e in (1e-8, 1e-7, 1e-6)]
 stalled = {program: [res for res in near_zero if res.diagnostics["program"] == program]
            for program in ("extension", "face")}
-print(f"near-zero census fallbacks, of 36 points: {len(stalled['extension'])} (r, f) "
-      f"(expected 8), {iterations(stalled['extension'])} IPM iterations; "
-      f"{len(stalled['face'])} face (expected 17), {iterations(stalled['face'])} IPM iterations")
+extension, face = stalled["extension"], stalled["face"]
+print(f"near-zero census fallbacks, of 36 points: {len(extension)} (r, f) (expected 8), "
+      f"{iterations(extension)} IPM iterations, {all_iterations(extension)} with the "
+      f"stalled witness solves; {len(face)} face (expected 17), {iterations(face)} IPM "
+      f"iterations, {all_iterations(face)} with the stalled witness solves")
 dense = [one_way_upper_bound(ProtocolSpec(kind, e=float(e), direction=direction,
                                           source_constraint=source_constraint))
          for kind, direction, source_constraint in CONFIGS

@@ -40,7 +40,8 @@ class BoundPoint:
     """One evaluated point of the upper-bound curve.
 
     mutual_info_ne is None when lambda ~ 1 (the bound is exactly 0 and
-    rho_ne is not defined) and for failed solves.
+    rho_ne is not defined) and for failed solves.  iterations counts every
+    solve of the decomposition; a failed point's, its failing solve only.
     """
 
     e: float
@@ -77,9 +78,10 @@ def one_way_upper_bound(spec):
         res = best_extendible_decomposition(cls)
     except SolverError as err:
         sol, status, qber_val = err.solution, "failed", math.nan
+        iterations = sol.iterations if sol is not None else 0
     else:
         sol, lam, bound = res.solution, res.lambda_max, 0.0
-        status = sol.status
+        status, iterations = sol.status, res.diagnostics["iterations"]
         if res.rho_ne is not None:
             data_ne = simulate_observed_data(res.rho_ne, povms)
             info_full = mutual_information(JointDistribution(data_ne.probs))
@@ -95,7 +97,7 @@ def one_way_upper_bound(spec):
         duality_gap=sol.duality_gap if sol is not None else math.nan,
         status=status,
         mutual_info_ne_full=info_full,
-        iterations=sol.iterations if sol is not None else 0,
+        iterations=iterations,
         protocol=spec.kind,
         direction=spec.direction,
     )
@@ -158,10 +160,10 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     e_w = lo + (hi - lo) / 8
     res = best_extendible_decomposition(
         replace(cls_lo, rhs=cls_lo.rhs + (e_w - lo) * slope))
-    solves = [(e_w, res.solution.iterations)]
+    solves = [(e_w, res.diagnostics["iterations"])]
     if res.extendible:
         e_w, res = lo, best_extendible_decomposition(cls_lo)
-        solves.append((lo, res.solution.iterations))
+        solves.append((lo, res.diagnostics["iterations"]))
         if res.extendible:
             raise ValueError(f"lower bracket e={lo} is already extendible")
     y = res.diagnostics["witness"]

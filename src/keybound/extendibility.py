@@ -91,6 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import build_basis, expand, reconstruct
+from .protocols import _independent_rows
 from .sdp import FEAS_TOL, LmiBlock, SdpProblem, SdpSolution, SolverError, solve
 from .states import DensityOperator, partial_trace_matrix, swap_last_two
 
@@ -225,7 +226,7 @@ def _row_set(key, shape, dims):
     W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I), with const I (+) 0, and
     V_s^T (W(y) (x) I_B') V_s - I, with const 0 (see _product_ops), and
     A's pseudo-inverse and an orthonormal basis of its null space, from
-    one SVD, singular values at most max(A.shape) eps s_max cut as 0."""
+    one SVD cut at the rank protocols._independent_rows finds."""
     rows = np.frombuffer(key).reshape(shape)
     ops, first, second = _product_ops(dims)
     n, m = ops.shape[1], first.shape[1]
@@ -233,7 +234,7 @@ def _row_set(key, shape, dims):
                        mats=-np.tensordot(rows, first, 1)),
               LmiBlock(const=np.zeros((m, m)), mats=-np.tensordot(rows, second, 1)))
     U, s, Vt = np.linalg.svd(rows)
-    rank = np.count_nonzero(s > max(shape) * np.finfo(float).eps * s.max(initial=0.0))
+    rank = _independent_rows(rows).size
     pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
     N = Vt[rank:].T
     for arr in (pinv, N):
@@ -263,7 +264,8 @@ class ExtendibilityResult:
     sigma_tilde and chi_tilde are sigma~ = lambda sigma_ext and
     chi~ = lambda chi as solved, before clipping, with trace
     diagnostics["raw_lambda"]; solution is the solve of the program
-    named by diagnostics["program"], as it ended."""
+    named by diagnostics["program"], as it ended, and
+    diagnostics["iterations"] the iterations of every solve that ran."""
 
     lambda_max: float
     rho_star: DensityOperator
@@ -437,17 +439,20 @@ def best_extendible_decomposition(cls):
     witness blocks are PSD (see the module docstring); None on a
     rank-deficient face.
     diagnostics["witness_value"] is the solve's lower bound on
-    1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) without a y), and
+    1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) without a y),
     diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
-    reported rho*.
+    reported rho*; diagnostics["iterations"] counts every solve that ran,
+    a stalled witness solve and the program that followed it included.
     """
     da, db = dims = tuple(cls.dims)
     pinned = _pinned_support(cls)
     program, support_rank, face_dim = "face", None, None
+    stalled = 0     # iterations of a stalled witness solve
     if pinned is None or pinned[0].size == da * db:
         program, sol = "witness", solve(build_sdp(cls)[0])
         if sol.status == "numerical-failure":
             program = "extension" if pinned is None else "face"
+            stalled = sol.iterations
     if program == "extension":
         problem = extension_sdp(cls)
         sol = solve(problem)
@@ -492,7 +497,8 @@ def best_extendible_decomposition(cls):
                           solution=sol)
     lam = min(max(raw_lam, 0.0), 1.0)
 
-    diagnostics = {"program": program, "raw_lambda": raw_lam, "witness": witness,
+    diagnostics = {"program": program, "iterations": stalled + sol.iterations,
+                   "raw_lambda": raw_lam, "witness": witness,
                    "witness_value": witness_value,
                    "support_rank": support_rank, "face_dim": face_dim}
     rho_star = _to_density(rho, dims, diagnostics, "rho_star")

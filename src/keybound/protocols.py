@@ -86,7 +86,8 @@ class Povm:
                 raise ValueError("POVM: bases/bits must have one entry per outcome, "
                                  f"got {len(self.bases)}/{len(self.bits)} for {len(mats)}")
             bits = tuple(self.bits)
-            if not all(isinstance(b, numbers.Integral) and b >= 0 for b in bits):
+            if not all(isinstance(b, numbers.Integral) and not isinstance(b, bool)
+                       and b >= 0 for b in bits):
                 raise ValueError(f"POVM: bits must be non-negative integers, got {bits}")
             object.__setattr__(self, "bases", tuple(str(b) for b in self.bases))
             object.__setattr__(self, "bits", tuple(int(b) for b in bits))
@@ -454,10 +455,10 @@ def _class_rows(alice, bob, source_slot):
     coefficients, at source_slot 0 or 1, or none when it is None; one row
     per outcome pair), the independent ones and their indices (see
     _independent_rows), and an orthonormal basis of the left null space
-    of A, the linear identities the rows obey (rank cut as numpy's lstsq
-    cuts it).  Read-only, and built once per POVM pair and source slot:
-    the points of a sweep share them, as do both ends of a cutoff
-    bracket."""
+    of A, the linear identities the rows obey: A's last len(A) - len(kept)
+    left singular vectors.  Read-only, and built once per POVM pair and
+    source slot: the points of a sweep share them, as do both ends of a
+    cutoff bracket."""
     basis_a, basis_b = build_basis(alice.dim), build_basis(bob.dim)
     na, nb = len(basis_a), len(basis_b)
     unit = np.eye(na * nb)
@@ -470,8 +471,7 @@ def _class_rows(alice, bob, source_slot):
     A = np.concatenate(rows)
     kept = _independent_rows(A)
     independent = A[kept]
-    U, sv, _ = np.linalg.svd(A)
-    null = U[:, np.count_nonzero(sv > max(A.shape) * np.finfo(float).eps * sv[0]):]
+    null = np.linalg.svd(A)[0][:, kept.size:]
     for arr in (A, independent, null):
         arr.setflags(write=False)
     return A, independent, kept, null

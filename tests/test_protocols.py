@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from keybound import extendibility
 from keybound.basis import build_basis, expand
 from keybound.bounds import one_way_upper_bound
 from keybound.infotheory import mutual_information
@@ -191,6 +193,64 @@ def test_inconsistency_threshold(factor, raises):
             assemble_class((alice, bob), tampered, spec)
     else:
         assemble_class((alice, bob), tampered, spec)
+
+
+def perturbed_four_state(delta):
+    """four_state_povms() with Bob's X0 moved by +delta H and his Z0 by
+    -delta H, H = [[0, -0.1j], [0.1j, 0]], so the POVM stays complete
+    and every identity its rows obey holds only to rounding; and
+    signalling data on them: the depolarized_bell(0.05) table with 0.01
+    moved from Alice's X1 to her X0 in Bob's Z0 column."""
+    alice, bob = four_state_povms()
+    H = np.array([[0.0, -0.1j], [0.1j, 0.0]])
+    shift = {"X0": delta * H, "Z0": -delta * H}
+    bob = Povm(tuple(m + shift.get(label, 0.0) for label, m in zip(bob.labels, bob.elements)),
+               bob.labels, bob.bases, bob.bits)
+    data = simulate_observed_data(depolarized_bell(0.05), (alice, bob))
+    probs = data.probs.copy()
+    z0 = bob.labels.index("Z0")
+    probs[alice.labels.index("X1"), z0] -= 0.01
+    probs[alice.labels.index("X0"), z0] += 0.01
+    return (alice, bob), ObservedData(probs, data.alice_labels, data.bob_labels)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-11, 3e-10, 1e-9])
+def test_signalling_data_refused_on_nearly_dependent_rows(delta):
+    # Alice's marginal, read in Bob's X and Z columns, differs by 0.01 on
+    # each of her X outcomes: the data miss two identities of the rows by
+    # 0.01 / 2 each, 0.01 / sqrt(2) in all.  The rows kept at delta > 0
+    # are the 9 kept at 0, and the consistency test checks every identity
+    # among the rows they drop, however small the singular values the
+    # perturbation gives those identities
+    povms, data = perturbed_four_state(delta)
+    assert _class_rows(*povms, None)[2].size == 9
+    with pytest.raises(InconsistentDataError, match="residual") as err:
+        assemble_class(povms, data)
+    residual = float(re.search(r"residual (\S+)", str(err.value)).group(1))
+    assert residual == pytest.approx(7.071e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize("row_set", [
+    (kind, slot, direction) for kind in ("four-state", "six-state")
+    for slot in (None, 0, 1) for direction in ("direct", "reverse")] + ["perturbed"])
+def test_kept_rows_cut_both_null_bases(row_set):
+    # _independent_rows is the one rank decision for class rows: the left
+    # null basis of _class_rows and the null basis N of _row_set have as
+    # many columns as the rows it drops leave
+    if row_set == "perturbed":
+        (alice, bob), _ = perturbed_four_state(1e-9)
+        slot, n_kept = None, 9
+    else:
+        kind, slot, direction = row_set
+        alice, bob = four_state_povms() if kind == "four-state" else six_state_povms()
+        if direction == "reverse":
+            alice, bob = bob, alice
+        n_kept = 16 if kind == "six-state" else 9 if slot is None else 10
+    A, _, kept, null = _class_rows(alice, bob, slot)
+    assert kept.size == n_kept
+    assert null.shape == (len(A), len(A) - kept.size)
+    N = extendibility._row_set(A.tobytes(), A.shape, (alice.dim, bob.dim))[2]
+    assert N.shape == (A.shape[1], A.shape[1] - kept.size)
 
 
 def test_class_from_state_and_trivial():
@@ -383,11 +443,12 @@ def test_povm_rejects_malformed_key_metadata(meta):
 
 
 @pytest.mark.parametrize("bits", [(-1, 0, -1, 0), (0, 1.5, 0, 1), (0, "1", 0, 1),
-                                  (0, None, 0, 1)],
-                         ids=["negative", "fractional", "string", "none"])
+                                  (0, None, 0, 1), (False, True, False, True)],
+                         ids=["negative", "fractional", "string", "none", "boolean"])
 def test_povm_refuses_bits_that_are_not_non_negative_integers(bits):
     # bits -1/0 used to wrap onto the last row of the key table and give a
-    # bound of 0 with status optimal; bit 1.5 used to be truncated to 1
+    # bound of 0 with status optimal; bit 1.5 used to be truncated to 1,
+    # and bit False stored as 0, where a protocol file's false is refused
     for povm in four_state_povms():
         with pytest.raises(ValueError, match="bits"):
             Povm(povm.elements, povm.labels, povm.bases, bits)

@@ -172,6 +172,8 @@ def test_stalled_witness_solve_falls_back_early(kind, direction, source_constrai
     point = one_way_upper_bound(ProtocolSpec(kind, e=e, direction=direction,
                                              source_constraint=source_constraint))
     assert point.status == "optimal"
+    # the point counts the iterations of every solve it ran
+    assert point.iterations == sum(sol.iterations for sol in runs)
     witness = runs[0]
     if witness.status != "optimal":
         assert witness.iterations <= 30
@@ -213,6 +215,25 @@ def test_non_optimal_witness_solve_falls_back(monkeypatch):
     assert res.lambda_max == pytest.approx(0.3, abs=AGREE_TOL)
     assert res.diagnostics["support_rank"] == 4
     assert res.diagnostics["face_dim"] == 8
+
+
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_fallback_diagnostics_count_both_solves(kind, monkeypatch):
+    # diagnostics["iterations"] sums the witness solve and the solve of
+    # the program that follows it; solution is the last of the two
+    fail_witness_solves(monkeypatch)
+    failing, counts = extendibility.solve, []
+
+    def counted(problem):
+        sol = failing(problem)
+        counts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(extendibility, "solve", counted)
+    res = best_extendible_decomposition(protocol_class(kind, 0.05))
+    assert len(counts) == 2 and min(counts) > 0
+    assert res.diagnostics["iterations"] == sum(counts)
+    assert res.solution.iterations == counts[1]
 
 
 # the program each route runs, from a class that takes it
