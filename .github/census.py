@@ -7,6 +7,7 @@ OPENBLAS_NUM_THREADS.
 """
 
 import hashlib
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -74,20 +75,24 @@ sweeps = [protocol_point(kind, direction, None, float(e))
           for kind, direction in product(KINDS, DIRECTIONS)
           for e in np.linspace(0.0, 0.25, 26)]
 fallbacks = sum(res.diagnostics["program"] == "extension" for res in sweeps)
+real = Counter(res.solution.x.size for res in sweeps if res.diagnostics["program"] == "witness"
+               and not np.iscomplexobj(res.solution.z_blocks[0]))
 builds = extendibility._extension_structure.cache_info().misses
 layouts = sdp._layout.cache_info().misses
 row_sets = extendibility._row_set.cache_info().misses
 print(f"IPM iterations, four 26-point sweeps: {iterations(sweeps)}")
 print(f"points solved by the (r, f) fallback, of 104: {fallbacks}")
+print(f"witness solves in real arithmetic over the 104 points: {sum(real.values())} ("
+      + ", ".join(f"{count} of {n} variables" for n, count in sorted(real.items())) + ")")
 print(f"(r, f) structure builds over the 104 points: {builds}")
 print(f"solver layouts and class-row sets built over the 104 points: {layouts} and {row_sets}")
 near_zero = [protocol_point(*config, e) for config in CONFIGS for e in (1e-8, 1e-7, 1e-6)]
 stalled = {program: [res for res in near_zero if res.diagnostics["program"] == program]
            for program in ("extension", "face")}
 extension, face = stalled["extension"], stalled["face"]
-print(f"near-zero census fallbacks, of 36 points: {len(extension)} (r, f) (expected 8), "
+print(f"near-zero census fallbacks, of 36 points: {len(extension)} (r, f) (expected 6), "
       f"{iterations(extension)} IPM iterations, {all_iterations(extension)} with the "
-      f"stalled witness solves; {len(face)} face (expected 17), {iterations(face)} IPM "
+      f"stalled witness solves; {len(face)} face (expected 13), {iterations(face)} IPM "
       f"iterations, {all_iterations(face)} with the stalled witness solves")
 dense = [one_way_upper_bound(ProtocolSpec(kind, e=float(e), direction=direction,
                                           source_constraint=source_constraint))

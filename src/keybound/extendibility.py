@@ -65,6 +65,25 @@ c = pinv^T e_00, with sum_j c_j O_j = I, until both witness blocks are
 PSD.  pinv and N come from the one SVD of the rows per row set
 (_row_set), which also holds the witness program's blocks.
 
+Complex conjugation maps the program of a class whose rows and data it
+maps to themselves to itself, so such a class has an optimal W(y) that
+is real, and is solved over those y alone (Gatermann & Parrilo, J. Pure
+Appl. Algebra 192 (2004)).  On the coefficients r_kl conjugation is
+the sign flip D of the odd columns, those where exactly one of S_k and
+S_l is imaginary (Pauli Y, the antisymmetric Gell-Mann matrices): it
+maps W(y) to W(y') with A^T y' = D A^T y when the row space of A is
+D-invariant, with b.y' = b.y when r0 = pinv b is a real state,
+A D r0 = b.  The average of y and y' is then as good, and has A^T y zero
+on the odd columns, so W(y) real.  build_sdp states such a class's
+program over y = B z, B an orthonormal basis of those y (_row_set): 9
+variables for a four-state qubit point and 10 for six-state, in place
+of 10 and 16, with real-valued blocks.  They are given as complex
+arrays, so solve counts them twice, as it counts the blocks of the
+program over y, whose central path the iterates follow; and, all
+real-valued, it runs them in real arithmetic (see sdp).  The witness
+reported is B z, in class-row coordinates.  Every other class keeps the
+program over y.
+
 When the class rows pin rho = S diag(w) S^+, the witness program may be
 stated over W(y) = S X S^+, X Hermitian on supp(rho).  If rho is
 rank-deficient the program has no strictly feasible point: every v in
@@ -152,7 +171,7 @@ def extension_sdp(cls):
     """
     dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
     rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
-    _, pinv, N = _row_set(A.tobytes(), A.shape, dims)
+    _, pinv, N, _ = _row_set(A.tobytes(), A.shape, dims)
     r0 = pinv @ b
     miss = float(np.linalg.norm(A @ r0 - b))
     if miss > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
@@ -200,12 +219,15 @@ def _lift(M, dims):
 
 @functools.lru_cache(maxsize=8)
 def _product_ops(dims):
-    """(ops, first, second): ops the (n_r, d_A d_B, d_A d_B) stack of
-    O_kl = S_k (x) S_l, in (k, l) order, and the witness program's two
+    """(ops, first, second, odd): ops the (n_r, d_A d_B, d_A d_B) stack
+    of O_kl = S_k (x) S_l, in (k, l) order, the witness program's two
     stacks, both of size m = d_A d_B (d_B + 1)/2: first the block sum
     O_kl (+) V_a^T (O_kl (x) I_B') V_a, second V_s^T (O_kl (x) I_B') V_s
-    (see _lift).  Built on the first witness program of these dims and
-    read-only."""
+    (see _lift), and odd the mask of the (k, l) whose O_kl is imaginary,
+    those where exactly one of S_k and S_l is: the columns on which
+    complex conjugation flips the sign of the coefficients r_kl.  The
+    other stacks are real-valued, with zero imaginary parts.  Built on
+    the first witness program of these dims and read-only."""
     da, db = dims
     sa, sb = build_basis(da), build_basis(db)
     dab = da * db
@@ -214,32 +236,58 @@ def _product_ops(dims):
     first = np.zeros((ops.shape[0],) + second.shape[1:], dtype=complex)
     first[:, :dab, :dab] = ops
     first[:, dab:, dab:] = anti
-    for arr in (ops, first, second):
+    odd = ops.imag.any(axis=(1, 2))
+    for arr in (ops, first, second, odd):
         arr.setflags(write=False)
-    return ops, first, second
+    return ops, first, second, odd
 
 
 @functools.lru_cache(maxsize=8)
 def _row_set(key, shape, dims):
-    """(blocks, pinv, N) for class rows A given by bytes and shape, built
-    once per row set and read-only: the witness program's two blocks,
-    W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I), with const I (+) 0, and
-    V_s^T (W(y) (x) I_B') V_s - I, with const 0 (see _product_ops), and
+    """(blocks, pinv, N, real) for class rows A given by bytes and shape,
+    built once per row set and read-only: the witness program's two
+    blocks, W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I), with const I (+) 0,
+    and V_s^T (W(y) (x) I_B') V_s - I, with const 0 (see _product_ops),
     A's pseudo-inverse and an orthonormal basis of its null space, from
-    one SVD cut at the rank protocols._independent_rows finds."""
+    one SVD cut at the rank protocols._independent_rows finds, and the
+    real witness program's (B, blocks), or None.
+
+    The rows qualify for the real program when they are independent and
+    their row space is invariant under the sign flip D of the odd
+    columns: exactly when its even and odd parts have ranks adding up to
+    its own, all three by _independent_rows.  B is then an orthonormal
+    basis of the y with A^T y zero on the odd columns: the eigenvectors,
+    at eigenvalue 1, of the projector onto them, U U^T with U the left
+    singular vectors of A[:, odd] past its rank.  The SVD's U is an
+    arbitrary rotation of that space, with which the rounding of the
+    last iterations on the built-in row sets moved lambda_max of the 104
+    sweep points from the class-row program's by up to 1.3e-8, against
+    1.6e-9 with B.  The blocks are those of
+    W(B z), from the even columns of the stacks: real-valued, as complex
+    arrays."""
     rows = np.frombuffer(key).reshape(shape)
-    ops, first, second = _product_ops(dims)
+    ops, first, second, odd = _product_ops(dims)
     n, m = ops.shape[1], first.shape[1]
-    blocks = (LmiBlock(const=np.diag(np.repeat([1.0, 0.0], [n, m - n])),
-                       mats=-np.tensordot(rows, first, 1)),
-              LmiBlock(const=np.zeros((m, m)), mats=-np.tensordot(rows, second, 1)))
+    consts = (np.diag(np.repeat([1.0, 0.0], [n, m - n])), np.zeros((m, m)))
+
+    def witness_blocks(rows, cols):
+        return tuple(LmiBlock(const=const, mats=-np.tensordot(rows, stack[cols], 1))
+                     for const, stack in zip(consts, (first, second)))
+
     U, s, Vt = np.linalg.svd(rows)
     rank = _independent_rows(rows).size
     pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
     N = Vt[rank:].T
+    real = None
+    n_odd = _independent_rows(rows[:, odd]).size
+    if n_odd + _independent_rows(rows[:, ~odd]).size == rank == shape[0]:
+        U = np.linalg.svd(rows[:, odd])[0][:, n_odd:]
+        B = np.linalg.eigh(U @ U.T)[1][:, n_odd:]
+        B.setflags(write=False)
+        real = B, witness_blocks(B.T @ rows[:, ~odd], ~odd)
     for arr in (pinv, N):
         arr.setflags(write=False)
-    return blocks, pinv, N
+    return witness_blocks(rows, slice(None)), pinv, N, real
 
 
 def build_sdp(cls):
@@ -249,12 +297,21 @@ def build_sdp(cls):
     W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I) and
     V_s^T (W(y) (x) I_B') V_s - I (see the module docstring).
 
-    Returns (SdpProblem, dims): a pair, because perfbench/spans.py, which
-    wraps this function by name, unpacks it so.
+    Returns (SdpProblem, B), y = B z at the program's variables z: the
+    real witness program over z when the class qualifies (_row_set
+    qualifies its rows, and r0 = pinv b is a real state, A D r0 = b
+    within FEAS_TOL relative to 1 + ||b||), and the program over y, with
+    B = I, otherwise.
     """
-    dims = tuple(cls.dims)
-    blocks = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)[0]
-    return SdpProblem(c=-cls.rhs, blocks=blocks), dims
+    dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
+    blocks, pinv, _, real = _row_set(A.tobytes(), A.shape, dims)
+    if real is not None:
+        r0 = pinv @ b
+        flipped = np.where(_product_ops(dims)[3], -r0, r0)
+        if np.linalg.norm(A @ flipped - b) <= FEAS_TOL * (1.0 + np.linalg.norm(b)):
+            B, blocks = real
+            return SdpProblem(c=-(b @ B), blocks=blocks), B
+    return SdpProblem(c=-b, blocks=blocks), np.eye(b.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +369,7 @@ def _pinned_support(cls):
     S diag(w) S^+ is rho with its kernel eigenvalues, rounding, set to
     exactly zero (the full eigenbasis when rho has full rank).  None for
     every other class."""
-    _, pinv, N = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))
+    _, pinv, N, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))
     r = pinv @ cls.rhs
     resid = np.linalg.norm(cls.rows @ r - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs))
     if N.shape[1] or resid > FEAS_TOL:
@@ -433,11 +490,11 @@ def best_extendible_decomposition(cls):
     (None for both otherwise).  Every path gives the sector blocks
     (T, Z_s, Z_a), from which _decomposition builds the result's
     matrices.  diagnostics["witness"] is the witness y in class-row
-    coordinates: the witness solve's x; after the extension solve or on a
-    whole support, which give a witness operator W instead, the
-    least-squares y = pinv^T expand(I - W) / d_A d_B raised until both
-    witness blocks are PSD (see the module docstring); None on a
-    rank-deficient face.
+    coordinates: B x of the witness solve's x (see build_sdp); after the
+    extension solve or on a whole support, which give a witness operator
+    W instead, the least-squares y = pinv^T expand(I - W) / d_A d_B
+    raised until both witness blocks are PSD (see the module docstring);
+    None on a rank-deficient face.
     diagnostics["witness_value"] is the solve's lower bound on
     1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) without a y),
     diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
@@ -449,7 +506,8 @@ def best_extendible_decomposition(cls):
     program, support_rank, face_dim = "face", None, None
     stalled = 0     # iterations of a stalled witness solve
     if pinned is None or pinned[0].size == da * db:
-        program, sol = "witness", solve(build_sdp(cls)[0])
+        problem, B = build_sdp(cls)
+        program, sol = "witness", solve(problem)
         if sol.status == "numerical-failure":
             program = "extension" if pinned is None else "face"
             stalled = sol.iterations
@@ -468,7 +526,7 @@ def best_extendible_decomposition(cls):
     V_s, V_a = _swap_sectors(dims)
     witness = W = None
     if program == "witness":
-        witness, (first, second), n = sol.x, sol.z_blocks, da * db
+        witness, (first, second), n = B @ sol.x, sol.z_blocks, da * db
         parts = (first[:n, :n], second, first[n:, n:])
     elif program == "extension":
         # rho - sigma~ and chi~ are its blocks at x, W the first one's dual
@@ -481,7 +539,7 @@ def best_extendible_decomposition(cls):
         # the least-squares multipliers of the class rows for W(y) = W,
         # with both witness blocks raised by t along c = pinv^T e_00,
         # A^T c = e_00
-        blocks, pinv, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)
+        blocks, pinv, _, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)
         witness = pinv.T @ expand(np.eye(da * db) - W, bases).ravel() / (da * db)
         t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(witness, blk.mats, 1))[0]
                  for blk in blocks)

@@ -41,7 +41,13 @@ CONSISTENCY_TOL = 1e-8
 
 
 class InconsistentDataError(ValueError):
-    """No state can reproduce the observed probabilities."""
+    """No state can reproduce the observed probabilities; residual is the
+    norm of the data's part in the left null space of the class rows, the
+    distance the consistency test found."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,7 +442,7 @@ def assemble_class(povms, data, spec=None):
     gap = float(np.linalg.norm(null.T @ b))
     if gap > CONSISTENCY_TOL * max(1.0, float(np.linalg.norm(b))):
         raise InconsistentDataError(
-            f"no state reproduces the data: residual {gap:.3e} after projection")
+            f"no state reproduces the data: residual {gap:.3e} after projection", gap)
 
     return EquivalenceClassSpec(
         dims=(alice.dim, bob.dim),

@@ -6,12 +6,21 @@ Problem form::
     subject to  F^(b)(x) = F0^(b) + sum_i x_i Fi^(b)  >= 0   for each block b
 
 with Hermitian F matrices and real c.  Each block is stored and iterated
-at its own size n: a block with complex data in complex arithmetic,
-counted twice in every inner product and in the barrier degree, so the
-iterates are those of its real symmetric embedding [[Re, -Im], [Im, Re]]
-of size 2n; a real block once.  Below, <X, Y> = Re Tr(X^H Y) on the
-stored blocks, and the z_blocks returned are duals for it: a complex
-block's is twice its iterate, as its real embedding's dual reads back.
+at its own size n.  Its weight follows the field its data were given
+in: a block given as complex arrays is counted twice in every inner
+product and in the barrier degree, even when every imaginary part is
+zero, so the iterates are those of its real symmetric embedding
+[[Re, -Im], [Im, Re]] of size 2n; a block given as real arrays is
+counted once.  The arithmetic follows the values: a program whose
+blocks are all real-valued runs in float64, one float per entry and
+real LAPACK routines, and any other program in complex arithmetic.  So
+a complex program that conjugation maps to itself, restricted to its
+real-valued solutions and given as complex arrays with zero imaginary
+part, runs in real arithmetic on the central path of the complex
+program (extendibility.build_sdp states its witness programs so).
+Below, <X, Y> = Re Tr(X^H Y) on the stored blocks, and the z_blocks
+returned are duals for it: a weight-2 block's is twice its iterate, as
+its real embedding's dual reads back.
 A program with equality constraints is stated over a parametrization
 of their solutions (extendibility.extension_sdp does so).
 
@@ -44,16 +53,16 @@ factor; the tau column is one more right-hand side.  Every block's
 S, Z, residual and scaled matrices sit in one packed vector, so that
 with Q_i the packed R^-1 Fi R^-H, M = Re(Q Q^H) is one product and the
 directions and inner products are single vector operations.  The
-index arrays of that layout are built once per block shape (_layout);
-a solve packs its own data next to them, into buffers it makes once,
-with their per-block views, and iterates on those, updating S and Z in
-place.  Only what needs a block's matrix runs per block: R and R^-1
-from the Cholesky factors of S and Z and one SVD, with no triangular
-solve (_nt_scaling), the step's distance to the cone boundary from the
-lowest eigenvalue of each scaled direction (_step_bound), the
-corrector's product dS dZ and the update R (.) R^H.  Every
-factorization is a direct LAPACK call (see _load_lapack), and solve
-runs with the BLAS pools at one thread (see _one_blas_thread).  A
+index arrays of that layout are built once per block shape and field
+(_layout); a solve packs its own data next to them, into buffers it
+makes once, with their per-block views, and iterates on those, updating
+S and Z in place.  Only what needs a block's matrix runs per block: R
+and R^-1 from the Cholesky factors of S and Z and one SVD, with no
+triangular solve (_nt_scaling), the step's distance to the cone
+boundary from the lowest eigenvalue of each scaled direction
+(_step_bound), the corrector's product dS dZ and the update R (.) R^H.
+Every factorization is a direct LAPACK call (see _load_lapack), and
+solve runs with the BLAS pools at one thread (see _one_blas_thread).  A
 variable whose matrices are zero in every block would make M singular,
 so SdpProblem rejects it.
 
@@ -96,13 +105,14 @@ TAU_FLOOR = math.sqrt(np.finfo(float).tiny)
 log = logging.getLogger(__name__)
 
 
-_LAPACK = ("dpotrf", "dpotrs", "dtrtrs", "zpotrf", "zgesdd", "zheevr")
+_LAPACK = ("dpotrf", "dpotrs", "dtrtrs", "zpotrf", "zgesdd", "zheevr", "dgesdd", "dsyevr")
 
 
 def _load_lapack(linalg_dir):
     """The routines named in _LAPACK, from the _flapack extension in
-    linalg_dir: the real ones for the Gram matrix M, the complex ones for
-    the blocks.
+    linalg_dir: dpotrf, dpotrs and dtrtrs for the Gram matrix M, and for
+    the blocks the complex ones, or dpotrf, dgesdd and dsyevr in a real
+    program.
 
     The extension file is loaded on its own, under its scipy name, so
     neither scipy nor scipy.linalg (most of this package's import time) is
@@ -132,7 +142,7 @@ _scipy = importlib.util.find_spec("scipy")
 if _scipy is None:
     raise ModuleNotFoundError("keybound needs scipy", name="scipy")
 # called directly, without scipy's wrappers (see _load_lapack)
-_potrf, _potrs, _trtrs, _zpotrf, _zgesdd, _zheevr = _load_lapack(
+_potrf, _potrs, _trtrs, _zpotrf, _zgesdd, _zheevr, _dgesdd, _dsyevr = _load_lapack(
     Path(_scipy.submodule_search_locations[0], "linalg"))
 
 
@@ -211,17 +221,21 @@ class LmiBlock:
     that does not enter the block).
 
     const and mats hold the Hermitian input at its own size dim,
-    read-only: real arrays when every matrix is real, complex ones
-    otherwise.  solve iterates on a complex block in complex arithmetic
-    and counts it twice in its inner products and barrier degree, as it
-    would count the block's real embedding [[Re, -Im], [Im, Re]].
+    read-only: real arrays when every matrix is real-valued, complex ones
+    otherwise.  weight is the field the input was given in: 2 when const
+    or mats is a complex array, even with every imaginary part zero, and
+    1 otherwise.  solve counts the block weight times in its inner
+    products and barrier degree, so a weight-2 block as it would count
+    its real embedding [[Re, -Im], [Im, Re]].
     """
 
     const: np.ndarray
     mats: np.ndarray
     dim: int = field(init=False)
+    weight: float = field(init=False)
 
     def __post_init__(self):
+        weight = 2.0 if np.iscomplexobj(self.const) or np.iscomplexobj(self.mats) else 1.0
         const = _as_herm(self.const, "block const")
         dim = const.shape[0]
         mats = _finite(np.asarray(self.mats, dtype=complex), "block mats")
@@ -239,6 +253,7 @@ class LmiBlock:
         for arr in (const, mats):
             arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "mats", mats)
 
@@ -333,15 +348,17 @@ def _nt_scaling(S, Z):
 
     With S = Ls Ls^H, Z = Lz Lz^H and Lz^H Ls = U diag(d) V^H,
     R = Ls V D^-1/2 and Rinv = D^-1/2 U^H Lz^H (Todd, Toh & Tutuncu 1998),
-    so no triangular solve.  Raises LinAlgError when a factorization fails.
+    so no triangular solve, in the arithmetic of S.  Raises LinAlgError
+    when a factorization fails.
     """
-    Ls, Lz = _chol_ridge(S, _zpotrf), _chol_ridge(Z, _zpotrf)
+    potrf, gesdd = (_zpotrf, _zgesdd) if S.dtype.kind == "c" else (_potrf, _dgesdd)
+    Ls, Lz = _chol_ridge(S, potrf), _chol_ridge(Z, potrf)
     if Ls is None or Lz is None:
         raise np.linalg.LinAlgError("lost positive definiteness of an iterate")
-    U, d, Vh, info = _zgesdd(Lz.conj().T @ Ls)
+    U, d, Vh, info = gesdd(Lz.conj().T @ Ls)
     if info:
         raise np.linalg.LinAlgError(
-            f"SVD of the Nesterov-Todd scaling did not converge (zgesdd info {info})")
+            f"SVD of the Nesterov-Todd scaling did not converge (gesdd info {info})")
     d = np.maximum(d, 1e-150)
     sd = np.sqrt(d)
     return Ls @ (Vh.conj().T / sd), (Lz @ (U / sd)).conj().T, d
@@ -352,7 +369,8 @@ def _step_bound(*scaled):
     for a block, X = diag(d)^-1/2 delta diag(d)^-1/2 of a direction delta."""
     lo = np.inf
     for X in scaled:
-        w, _, _, _, info = _zheevr(X, compute_v=0, range="I", il=1, iu=1, lower=1)
+        evr = _zheevr if X.dtype.kind == "c" else _dsyevr
+        w, _, _, _, info = evr(X, compute_v=0, range="I", il=1, iu=1, lower=1)
         if info:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         lo = min(lo, float(w[0]))
@@ -372,32 +390,35 @@ def _congruence(L, G, out):
 
 
 @functools.lru_cache(maxsize=8)
-def _layout(dims, weights):
-    """The packed layout of blocks of sizes dims and weights (2 for a
-    complex block, 1 for a real one), (starts, spans, wt, sqrt_wt, ntot,
-    ii, jj, diag, eye), built once per block shape and read-only: every
-    program of one shape shares it, whatever its data.
+def _layout(dims, weights, parts):
+    """The packed layout of blocks of sizes dims and weights (see
+    LmiBlock) in a program whose entries take parts floats each, 2 in
+    complex arithmetic and 1 in real, (starts, spans, wt, sqrt_wt, ntot,
+    ii, jj, diag, eye), built once per block shape and field and
+    read-only: every program of one shape shares it, whatever its data.
 
     Every block matrix lives in one packed vector: block b's n x n
-    entries, row-major, at spans[b] of a complex array of length npk.
-    Its float view, of length 2 npk, carries all the vector algebra:
-    there Re <X, Y> is a dot product, and wt weighs a complex block's
-    entries by 2, as its real embedding would count them; ntot is the
-    barrier degree.  ii and jj are the row and column of each float-view
-    entry in the stacked diagonals d, diag the float offsets of the
-    diagonal entries and eye the packed identity."""
+    entries, row-major, at spans[b] of an array of length npk, complex
+    or real.  Its float view, of length parts npk, carries all the vector
+    algebra: there Re <X, Y> is a dot product, and wt weighs a weight-2
+    block's entries by 2, as its real embedding would count them; ntot is
+    the barrier degree.  starts are the blocks' float offsets, ii and jj
+    the row and column of each float-view entry in the stacked diagonals
+    d, diag the float offsets of the diagonal entries and eye the packed
+    identity."""
     dims, weight = np.array(dims), np.array(weights)
     ends = np.cumsum(dims * dims)
     starts = ends - dims * dims
     spans = tuple(slice(s, e) for s, e in zip(starts, ends))
-    wt = np.repeat(weight, 2 * dims * dims)
+    wt = np.repeat(weight, parts * dims * dims)
     first = np.cumsum(dims) - dims
-    ii = np.repeat(np.concatenate([f + np.repeat(np.arange(n), n) for f, n in zip(first, dims)]), 2)
-    jj = np.repeat(np.concatenate([f + np.tile(np.arange(n), n) for f, n in zip(first, dims)]), 2)
-    diag = np.flatnonzero(ii == jj)[::2]
-    eye = np.zeros(2 * int(ends[-1]))
+    rows = np.concatenate([f + np.repeat(np.arange(n), n) for f, n in zip(first, dims)])
+    cols = np.concatenate([f + np.tile(np.arange(n), n) for f, n in zip(first, dims)])
+    ii, jj = np.repeat(rows, parts), np.repeat(cols, parts)
+    diag = np.flatnonzero(ii == jj)[::parts]
+    eye = np.zeros(parts * int(ends[-1]))
     eye[diag] = 1.0
-    layout = (starts, spans, wt, np.sqrt(wt), float(weight @ dims), ii, jj, diag, eye)
+    layout = (parts * starts, spans, wt, np.sqrt(wt), float(weight @ dims), ii, jj, diag, eye)
     for arr in layout:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
@@ -414,36 +435,38 @@ def solve(problem):
 def _solve(problem):
     c, nw, blocks = problem.c, problem.num_vars, problem.blocks
     dims = tuple(blk.dim for blk in blocks)
-    weight = tuple(2.0 if np.iscomplexobj(blk.mats) else 1.0 for blk in blocks)
-    starts, spans, wt, sqrt_wt, ntot, ii, jj, diag, eye = _layout(dims, weight)
-    npk = eye.size // 2
+    weight = tuple(blk.weight for blk in blocks)
+    dtype = complex if any(np.iscomplexobj(blk.mats) for blk in blocks) else float
+    parts = 2 if dtype is complex else 1
+    starts, spans, wt, sqrt_wt, ntot, ii, jj, diag, eye = _layout(dims, weight, parts)
+    npk = eye.size // parts
     d_scale = 1.0 + float(np.linalg.norm(c))
 
-    # Buffers made once per solve, with their per-block complex views: F
+    # Buffers made once per solve, with their per-block views: F
     # and F0 the packed mats and consts (float views), Q the scaled
     # [Q_i; rp~; F0~], each block's stack its [mats; rp_b; const] (rp_b
     # written per iteration), and the packed vectors below the iterate,
     # residual, directions and cross term; step is scratch for the step
     # lengths and the update R (.) R^H.
-    F = np.concatenate([blk.mats.reshape(nw, -1) for blk in blocks], 1, dtype=complex).view(float)
-    F0 = np.concatenate([blk.const.ravel() for blk in blocks], dtype=complex).view(float)
-    Q = np.zeros((nw + 2, npk), dtype=complex)
+    F = np.concatenate([blk.mats.reshape(nw, -1) for blk in blocks], 1, dtype=dtype).view(float)
+    F0 = np.concatenate([blk.const.ravel() for blk in blocks], dtype=dtype).view(float)
+    Q = np.zeros((nw + 2, npk), dtype=dtype)
     Qr = Q.view(float)
     rpp, F0t = Qr[nw], Qr[nw + 1]
     Qs = np.empty_like(Qr)
     stacks = []
     for blk in blocks:
-        G = np.empty((nw + 2, blk.dim, blk.dim), dtype=complex)
+        G = np.empty((nw + 2, blk.dim, blk.dim), dtype=dtype)
         G[:nw], G[-1] = blk.mats, blk.const
         stacks.append(G)
     p_scale = 1.0 + np.sqrt(weight) * np.array(
         [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
-    S, Z, rp, lin, wZ, dS_a, dZ_a, dS, dZ, cross, step = np.empty((11, 2 * npk))
-    D = np.zeros(2 * npk)
+    S, Z, rp, lin, wZ, dS_a, dZ_a, dS, dZ, cross, step = np.empty((11, eye.size))
+    D = np.zeros(eye.size)
     d = np.empty(sum(dims))
 
     def blocks_of(v):
-        v = v.view(complex)
+        v = v.view(dtype)
         return [v[sp].reshape(n, n) for sp, n in zip(spans, dims)]
 
     S_b, Z_b, rp_b, dSa_b, dZa_b, cross_b, step_b = (
@@ -451,7 +474,7 @@ def _solve(problem):
     Q_b = [Q[:, sp].reshape(nw + 2, n, n) for sp, n in zip(spans, dims)]
 
     def block_norms(v):
-        return np.sqrt(np.add.reduceat(wt * v * v, 2 * starts))
+        return np.sqrt(np.add.reduceat(wt * v * v, starts))
 
     def update(Ls, delta, a, out):
         """out_b = L_b (D + a delta)_b L_b^H, made exactly Hermitian."""
@@ -674,7 +697,7 @@ def _solve(problem):
         update(RinvHs, dZ, alpha, Z_b)
         it += 1
 
-    # A complex block's dual is weight * Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
+    # A weight-2 block's dual is 2 Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
     Z = [wb * Zb / tau if wb == 2.0 else Zb.real / tau
          for wb, Zb in zip(weight, Z_b)]
     if status == "infeasible":

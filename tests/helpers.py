@@ -18,7 +18,7 @@ import numpy as np
 from keybound import bounds
 from keybound.basis import build_basis
 from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
-                                    _pinned_support, _swap_sectors, build_sdp,
+                                    _pinned_support, _row_set, _swap_sectors, build_sdp,
                                     extension_sdp)
 from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
 from keybound.sdp import LmiBlock, SdpProblem, solve
@@ -147,15 +147,24 @@ def face_primal_oracle(cls):
     return float(-c @ sol.x), sol
 
 
+def class_row_program(cls):
+    """The witness program over one y_j per class row, minimize -b.y:
+    what build_sdp returns for a class that does not qualify for the
+    real program, and in whose coordinates diagnostics["witness"] is."""
+    blocks = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))[0]
+    return SdpProblem(c=-cls.rhs, blocks=blocks)
+
+
 def assert_ray_proves_no_state(cls, sol):
-    """sol, the witness solve of cls, ended unbounded, and its primal ray
-    d proves that no state meets the class rows: every block of
-    F_lin(d) = sum_j d_j mats_j is PSD within 1e-9 (sum_j d_j O_j <= 0)
-    and b.d > 0, so b.y grows without bound over feasible witnesses."""
+    """sol, the witness solve of cls, ended unbounded, and its primal ray,
+    mapped to the class rows as d = B x by build_sdp's B, proves that no
+    state meets them: every block of F_lin(d) = sum_j d_j mats_j of the
+    class-row program is PSD within 1e-9 (sum_j d_j O_j <= 0) and
+    b.d > 0, so b.y grows without bound over feasible witnesses."""
     assert sol.status == "unbounded"
     assert sol.certificate["kind"] == "primal-ray"
-    d = sol.certificate["x"]
-    for blk in build_sdp(cls)[0].blocks:
+    d = build_sdp(cls)[1] @ sol.certificate["x"]
+    for blk in class_row_program(cls).blocks:
         assert np.linalg.eigvalsh(np.tensordot(d, blk.mats, 1))[0] >= -1e-9
     assert float(cls.rhs @ d) > 0.0
 

@@ -6,14 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import cutoff_bisection_oracle, min_block_eigenvalue
+from helpers import class_row_program, cutoff_bisection_oracle, min_block_eigenvalue
 from keybound import bounds, extendibility
 from keybound.basis import build_basis, expand
 from keybound.bounds import (
     BoundPoint, bound_points_to_csv, bound_points_to_json, find_cutoff,
     gnuplot_script, one_way_upper_bound, sweep,
 )
-from keybound.extendibility import LAMBDA_TOL, verify_extension
+from keybound.extendibility import LAMBDA_TOL, build_sdp, verify_extension
 from keybound.protocols import (Povm, ProtocolSpec, assemble_class, four_state_povms,
                                 realize_protocol, simulate_observed_data)
 from keybound.sdp import SolverError, solve
@@ -148,9 +148,12 @@ def test_find_cutoff_names_upper_bracket_just_below_cutoff(kind, hi, monkeypatch
     monkeypatch.setattr(extendibility, "solve", spy)
     with pytest.raises(ValueError, match=f"upper bracket e={hi} is not extendible"):
         find_cutoff(kind, tol=1e-4, bracket=(0.0, hi))
-    # one witness solve: the witness program has one variable per class row
+    # one witness solve, of the real witness program: the class rows less
+    # the rank of their odd columns (10 - 1 four-state, 16 - 6 six-state)
     spec = ProtocolSpec(kind, e=hi)
-    assert runs == [(assemble_class(*realize_protocol(spec), spec).rows.shape[0], "optimal")]
+    n = {"four-state": 9, "six-state": 10}[kind]
+    assert runs == [(n, "optimal")]
+    assert build_sdp(assemble_class(*realize_protocol(spec), spec))[1].shape[1] == n
 
 
 def family_class(kind, direction, source_constraint, e):
@@ -198,8 +201,12 @@ def test_find_cutoff_certificate(kind, direction, source_constraint, monkeypatch
     assert min_block_eigenvalue(problem, sol.x) >= -1e-9
     cls_lo, cls_hi = (family_class(kind, direction, source_constraint, e)
                       for e in (0.0, 0.25))
+    # the witness y = B x, in class-row coordinates, is feasible there too
+    y = res.diagnostics["witness"]
+    assert np.array_equal(y, build_sdp(cls_lo)[1] @ sol.x)
+    assert min_block_eigenvalue(class_row_program(cls_lo), y) >= -1e-9
     at_cut = cls_lo.rhs + cut * (cls_hi.rhs - cls_lo.rhs) / 0.25
-    assert abs(at_cut @ sol.x - LAMBDA_TOL) <= 1e-12
+    assert abs(at_cut @ y - LAMBDA_TOL) <= 1e-12
     assert verify_extension(res).passed
     (e_s, off_s), (e_n, off_n) = (place_on_family(cls_lo, cls_hi, state)
                                   for state in (res.sigma_ext, res.rho_ne))

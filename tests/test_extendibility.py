@@ -24,7 +24,7 @@ from keybound.sdp import SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              swap_last_two)
 from helpers import (assert_ray_proves_no_state, check_feasible, chi_reference,
-                     extend_qutrit_stream_state, lambda_bisection_oracle,
+                     class_row_program, extend_qutrit_stream_state, lambda_bisection_oracle,
                      min_block_eigenvalue, pinned_problem, sigma_coefficients,
                      three_block_reference, trivial_class)
 
@@ -61,7 +61,7 @@ def test_variable_layout_counts():
         mat = g @ g.conj().T
         cls = class_from_state(DensityOperator(mat / np.trace(mat).real, dims))
         prob = extension_sdp(cls)
-        _, pinv, N = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, dims)
+        _, pinv, N, _ = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, dims)
         rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
         assert cls.rows.shape[1] == rho_mats.shape[0] == n_r
         assert N.shape == (n_r, 0) and pinv.shape == cls.rows.shape[::-1]
@@ -82,10 +82,11 @@ def test_chi_stack_matches_kronecker_reference(dims):
 
 
 def test_build_sdp_shares_structure_per_dims():
-    # the witness blocks depend only on the rows, the objective -b on the data
-    p1, dims1 = build_sdp(six_state_class(0.05))
-    p2, dims2 = build_sdp(six_state_class(0.10))
-    assert dims1 == dims2 == (2, 2)
+    # the witness blocks and B depend only on the rows, the objective
+    # -B^T b on the data
+    p1, B1 = build_sdp(six_state_class(0.05))
+    p2, B2 = build_sdp(six_state_class(0.10))
+    assert B1 is B2 and B1.shape == (16, 10)
     assert all(a is b for a, b in zip(p1.blocks, p2.blocks))
     assert not np.array_equal(p1.c, p2.c)
     # the extension program's f parts are one structure per dims; the
@@ -106,10 +107,10 @@ def test_cached_structure_is_read_only():
     cls = assemble_class(*realize_protocol(spec), spec)
     cached = {
         "extension structure": _extension_structure((2, 2)),
-        "solver layout": [arr for arr in sdp._layout((6, 6), (2.0, 2.0))
+        "solver layout": [arr for arr in sdp._layout((6, 6), (2.0, 2.0), 1)
                           if isinstance(arr, np.ndarray)],
-        "row-set factorization": extendibility._row_set(
-            cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))[1:],
+        "row-set factorization": [*extendibility._row_set(
+            cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))[1:3], build_sdp(cls)[1]],
         "swap sectors": extendibility._swap_sectors((2, 3)),
         "witness stacks": extendibility._product_ops((2, 3)),
         "class rows": protocols._class_rows(*six_state_povms(), 0),
@@ -169,7 +170,7 @@ def test_sdp_structure():
         spec = ProtocolSpec(kind, e=0.05)
         cls = assemble_class(*realize_protocol(spec), spec)
         prob = extension_sdp(cls)
-        _, pinv, N = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, (2, 2))
+        _, pinv, N, _ = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, (2, 2))
         # the class rows leave n_w of rho's 16 coefficients free: the 40
         # f, then w, and no equality rows
         assert N.shape == (16, n_w) and prob.num_vars == 40 + n_w
@@ -194,7 +195,7 @@ def test_witness_program_structure(dims):
     else:
         rho = random_qutrit_state(np.random.default_rng(sum(dims)), n, dims).matrix
         cls = class_from_state(DensityOperator(np.eye(n) / n, dims))
-    prob, _ = build_sdp(cls)
+    prob = class_row_program(cls)
     rows = cls.rows.shape[0]
     # one variable per class row, no equalities, objective -b.y
     assert prob.num_vars == rows and prob.eq_rows.shape == (0, rows)
@@ -227,6 +228,21 @@ def test_witness_program_structure(dims):
         ext = 0.5 * (ext + P @ ext @ P)
         rebuilt = -(V_s @ M_s @ V_s.T + V_a @ M_first[n:, n:] @ V_a.T)
         assert np.max(np.abs(rebuilt - ext)) <= 1e-12
+    # the class is real, so build_sdp returns the real program over
+    # y = B z: B orthonormal, A^T B zero on the odd columns, objective
+    # -B^T b, and blocks real-valued, given as complex (weight 2), that
+    # are the class-row program's at y = B z
+    real, B = build_sdp(cls)
+    odd = extendibility._product_ops(dims)[3]
+    assert real.num_vars == B.shape[1] == rows - np.linalg.matrix_rank(cls.rows[:, odd])
+    assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-12
+    assert np.max(np.abs(B.T @ cls.rows[:, odd])) <= 1e-12
+    assert np.array_equal(real.c, -(cls.rhs @ B))
+    z = np.random.default_rng(0).normal(size=B.shape[1])
+    for blk, full in zip(real.blocks, prob.blocks):
+        assert blk.weight == 2.0 and not np.iscomplexobj(blk.mats)
+        at_z, at_y = (b.const + np.tensordot(x, b.mats, 1) for b, x in ((blk, z), (full, B @ z)))
+        assert np.max(np.abs(at_z - at_y)) <= 1e-12
 
 
 def test_bell_state_not_extendible():
@@ -536,8 +552,9 @@ def _inconsistent_pinned_class():
 @pytest.mark.parametrize("make", [_negative_pinned_class, _inconsistent_pinned_class],
                          ids=["eigenvalue-below-support-tol", "inconsistent-rows"])
 def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
-    # the witness program (one variable per row) runs first.  On the
-    # class pinned to a matrix with eigenvalue -1e-8 it ends
+    # the witness program runs first: over one variable per row for the
+    # inconsistent rows, which are dependent, and over the 10 of the real
+    # program for the real matrix with eigenvalue -1e-8.  On the latter it ends
     # numerical-failure, so the extension program runs after it; on
     # inconsistent rows it ends unbounded, and its primal ray refuses the
     # class with no second solve
@@ -558,7 +575,7 @@ def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
         assert_ray_proves_no_state(cls, runs[0][1])
     else:
         # the rows pin rho, so the extension program has the 40 f alone
-        assert [n for n, _ in runs] == [cls.rows.shape[0], 40]
+        assert [n for n, _ in runs] == [10, 40]
         assert runs[0][1].status == "numerical-failure"
 
 
@@ -611,7 +628,24 @@ def test_threshold_certifies_non_extendible_upper_bracket(hi, direction,
     ((problem, sol),) = runs
     assert sol.status == "optimal", sol.message
     assert min_block_eigenvalue(problem, sol.x) >= -1e-9
-    assert four_state_class(hi, direction, source_constraint).rhs @ sol.x > LAMBDA_TOL
+    # and so does its witness y = B x on the class-row program
+    cls = four_state_class(hi, direction, source_constraint)
+    y = build_sdp(cls)[1] @ sol.x
+    assert min_block_eigenvalue(class_row_program(cls), y) >= -1e-9
+    assert cls.rhs @ y > LAMBDA_TOL
+
+
+@pytest.mark.parametrize("source_constraint", [True, False])
+def test_four_state_programs_run_at_one_barrier_degree(source_constraint):
+    # without the source constraint the four-state rows have no odd
+    # column, so the witness program is real-valued as stated; its blocks
+    # are given as complex arrays, so they count twice, at barrier degree
+    # 24 like the program with the r_Y0 row, not once at 12
+    problem, B = build_sdp(four_state_class(0.05, "direct", source_constraint))
+    assert B.shape == (9 + source_constraint, 9)
+    weights = tuple(blk.weight for blk in problem.blocks)
+    assert weights == (2.0, 2.0)
+    assert sdp._layout((6, 6), weights, 1)[4] == 24.0
 
 
 def reference_lambda(cls):

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from keybound import extendibility
 from keybound.bounds import one_way_upper_bound
-from keybound.extendibility import best_extendible_decomposition, verify_extension
-from keybound.protocols import (ProtocolSpec, assemble_class, class_from_state,
-                                four_state_povms, realize_protocol, simulate_observed_data,
-                                six_state_povms)
+from keybound.extendibility import best_extendible_decomposition, build_sdp, verify_extension
+from keybound.protocols import (EquivalenceClassSpec, Povm, ProtocolSpec, assemble_class,
+                                class_from_state, four_state_povms, realize_protocol,
+                                simulate_observed_data, six_state_povms)
 from keybound.sdp import GAP_TOL, LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve
-from keybound.states import DensityOperator
-from helpers import face_primal_oracle
+from keybound.states import DensityOperator, partial_trace_matrix
+from helpers import class_row_program, face_primal_oracle, min_block_eigenvalue
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
                         max_examples=30)
@@ -154,25 +155,31 @@ def random_hermitian(rng, *shape):
 
 
 @DERANDOMIZED
-@given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_complex_block_and_its_real_embedding_solve_alike(n, k, seed):
+@given(st.integers(2, 3), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_complex_block_and_its_real_embedding_solve_alike(n, k, real_valued, seed):
     # a complex block, stored at its size n, and its realification given
     # as real input, stored at 2n, are one constraint: the two solves take
     # the same steps in exact arithmetic, so end alike to rounding.  At a
     # rank-deficient optimum rounding moves x by up to about
     # sqrt(GAP_TOL), as between a block and a unitary rotation of it, and
-    # can move the last acceptance test by one iteration
+    # can move the last acceptance test by one iteration.  A real-valued
+    # block given as complex arrays is stored and iterated real, but still
+    # counts twice, as its embedding diag(M, M) does (it was counted once,
+    # on another central path)
     rng = np.random.default_rng(seed)
     const = random_hermitian(rng, n, n)
-    const = const @ const + 0.1 * np.eye(n)
     mats = random_hermitian(rng, k, n, n)
     w = random_hermitian(rng, n, n)
+    if real_valued:
+        const, mats, w = (arr.real + 0j for arr in (const, mats, w))
+    const = const @ const + 0.1 * np.eye(n)
     w = w @ w + 0.1 * np.eye(n)
     # c_i = <mats_i, W> with W > 0 bounds c.x below by -<const, W>
     c = np.einsum("ijk,kj->i", mats, w).real
     blocks = [LmiBlock(const=const, mats=mats),
               LmiBlock(const=realify(const), mats=realify(mats))]
-    assert (blocks[0].dim, blocks[1].dim) == (n, 2 * n)
+    assert [(blk.dim, blk.weight) for blk in blocks] == [(n, 2.0), (2 * n, 1.0)]
+    assert np.iscomplexobj(blocks[0].mats) is not real_valued
     assert np.array_equal(realify(blocks[0].const), blocks[1].const)
     assert np.array_equal(realify(blocks[0].mats), blocks[1].mats)
     problems = [SdpProblem(c=c, blocks=[blk]) for blk in blocks]
@@ -181,6 +188,86 @@ def test_complex_block_and_its_real_embedding_solve_alike(n, k, seed):
     assert abs(sols[0].iterations - sols[1].iterations) <= 1
     assert sols[0].objective == pytest.approx(sols[1].objective, rel=1e-9)
     assert np.abs(sols[0].x - sols[1].x).max() <= math.sqrt(GAP_TOL) * np.abs(sols[1].x).max()
+
+
+def random_real_povm(rng, outcomes):
+    """A random real qubit POVM: S^-1/2 G_i S^-1/2 for random real
+    positive G_i, S = sum_i G_i."""
+    g = rng.standard_normal((outcomes, 2, 2))
+    g = g @ np.swapaxes(g, 1, 2) + 0.05 * np.eye(2)
+    w, V = np.linalg.eigh(g.sum(axis=0))
+    root = (V / np.sqrt(w)) @ V.T
+    elements = root @ g @ root
+    return Povm(0.5 * (elements + np.swapaxes(elements, 1, 2)),
+                tuple(str(i) for i in range(outcomes)))
+
+
+def assert_real_program_matches_class_row_program(cls):
+    """cls qualifies for the real witness program, over the class rows
+    less the rank of their odd columns; its optimum is the class-row
+    program's, its witness B x is feasible for the class-row program, and
+    its decomposition verifies."""
+    problem, B = build_sdp(cls)
+    odd = extendibility._product_ops(tuple(cls.dims))[3]
+    n_odd = np.linalg.matrix_rank(cls.rows[:, odd])
+    assert B.shape == (cls.rows.shape[0], problem.num_vars)
+    assert problem.num_vars == cls.rows.shape[0] - n_odd
+    assert not any(np.iscomplexobj(blk.mats) for blk in problem.blocks)
+    real, full = solve(problem), solve(class_row_program(cls))
+    assert real.status == full.status == "optimal"
+    assert abs(real.objective - full.objective) <= 1e-8
+    assert min_block_eigenvalue(class_row_program(cls), B @ real.x) >= -1e-9
+    res = best_extendible_decomposition(cls)
+    assert res.diagnostics["program"] == "witness"
+    assert verify_extension(res).passed
+
+
+@settings(DERANDOMIZED, max_examples=6)
+@given(st.sampled_from([(2, 2), (2, 3)]), st.integers(0, 2**32 - 1))
+def test_real_state_runs_the_real_witness_program(dims, seed):
+    # a random real full-rank state pins a real class: 16 - 6 = 10
+    # variables at (2, 2), 36 - 15 = 21 at (2, 3)
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    g = rng.standard_normal((d, d))
+    cls = class_from_state(DensityOperator(g @ g.T / np.trace(g @ g.T), dims))
+    assert build_sdp(cls)[0].num_vars == {(2, 2): 10, (2, 3): 21}[dims]
+    assert_real_program_matches_class_row_program(cls)
+
+
+@settings(DERANDOMIZED, max_examples=6)
+@given(st.integers(2, 4), st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_real_custom_protocol_runs_the_real_witness_program(na, nb, source, seed):
+    # real POVMs and the data of a real state: every row is even, and
+    # the source constraint adds the odd row of r_Y0 with rhs 0
+    rng = np.random.default_rng(seed)
+    povms = (random_real_povm(rng, na), random_real_povm(rng, nb))
+    g = rng.standard_normal((4, 4))
+    state = DensityOperator(g @ g.T / np.trace(g @ g.T), (2, 2))
+    spec = ProtocolSpec("custom", povms=povms, data=simulate_observed_data(state, povms),
+                        source_constraint=source,
+                        alice_marginal=partial_trace_matrix(state.matrix, (2, 2), keep=(0,)))
+    assert_real_program_matches_class_row_program(assemble_class(povms, spec.data, spec))
+
+
+def test_complex_state_and_mixed_rows_keep_the_class_row_program():
+    # a state with an imaginary part has a class no real state meets, and
+    # rows that mix the coefficients of X and Y are not invariant under
+    # the sign flip of the odd columns: both keep one variable per row
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat = g @ g.conj().T
+    complex_cls = class_from_state(DensityOperator(mat / np.trace(mat).real, (2, 2)))
+    rows = np.eye(16)
+    rows[1] = (rows[1] + rows[2]) / math.sqrt(2.0)   # (I, X) and (I, Y), together
+    mixed = EquivalenceClassSpec(dims=(2, 2), rows=np.delete(rows, 2, axis=0),
+                                 rhs=np.eye(15)[0])
+    assert extendibility._row_set(mixed.rows.tobytes(), mixed.rows.shape, (2, 2))[3] is None
+    for cls in (complex_cls, mixed):
+        problem, B = build_sdp(cls)
+        assert problem.num_vars == cls.rows.shape[0]
+        assert np.array_equal(B, np.eye(cls.rows.shape[0]))
+        assert any(np.iscomplexobj(blk.mats) for blk in problem.blocks)
 
 
 def random_spd(rng, n, log_cond, hermitian=False):

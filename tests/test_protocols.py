@@ -1,5 +1,5 @@
 import json
-import re
+import math
 
 import numpy as np
 import pytest
@@ -226,8 +226,7 @@ def test_signalling_data_refused_on_nearly_dependent_rows(delta):
     assert _class_rows(*povms, None)[2].size == 9
     with pytest.raises(InconsistentDataError, match="residual") as err:
         assemble_class(povms, data)
-    residual = float(re.search(r"residual (\S+)", str(err.value)).group(1))
-    assert residual == pytest.approx(7.071e-3, rel=1e-6)
+    assert err.value.residual == pytest.approx(0.01 / math.sqrt(2.0), rel=1e-6)
 
 
 @pytest.mark.parametrize("row_set", [

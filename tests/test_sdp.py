@@ -18,8 +18,8 @@ from keybound.protocols import (
     simulate_observed_data, six_state_povms,
 )
 from keybound.sdp import (
-    LmiBlock, SdpProblem, SolverError, _chol_ridge, _load_lapack, _potrs, _trtrs, _zgesdd,
-    _zheevr, _zpotrf, solve,
+    LmiBlock, SdpProblem, SolverError, _chol_ridge, _dgesdd, _dsyevr, _load_lapack, _potrs,
+    _trtrs, _zgesdd, _zheevr, _zpotrf, solve,
 )
 from keybound.states import DensityOperator, depolarized_bell
 from helpers import (check_feasible, feasibility_problem, grid_search_minimum, pinned_problem,
@@ -338,7 +338,7 @@ def test_duplicated_equality_rows_give_the_deduplicated_optimum():
         for blk in prob.blocks:
             value = blk.const + np.tensordot(s.x, blk.mats, 1)
             assert np.linalg.eigvalsh(value)[0] >= -1e-9
-        _, pinv, N = extendibility._row_set(c.rows.tobytes(), c.rows.shape, tuple(c.dims))
+        _, pinv, N, _ = extendibility._row_set(c.rows.tobytes(), c.rows.shape, tuple(c.dims))
         r = pinv @ c.rhs + N @ s.x[prob.num_vars - N.shape[1]:]
         assert np.linalg.norm(c.rows @ r - c.rhs) <= 1e-12
 
@@ -353,13 +353,15 @@ def test_inconsistent_class_rows_raise():
 
 def test_lapack_helpers_match_scipy_wrappers():
     # solve() calls potrf/potrs/trtrs on M and zpotrf/zgesdd/zheevr on
-    # the blocks directly; its output bytes rest on these giving exactly
-    # the bits of the scipy wrappers.  zgesdd and zheevr are compared with
-    # scipy's routine wrappers at the same (default) workspace:
-    # scipy.linalg.svd and eigh query other sizes, with which the routines
-    # take other paths at some sizes (with scipy 1.17: real gesdd at
-    # n = 33..42, heevr at n = 35 and above).
+    # the blocks directly, or potrf/dgesdd/dsyevr on a real program's; its
+    # output bytes rest on these giving exactly the bits of the scipy
+    # wrappers.  The SVD and eigenvalue routines are compared with scipy's
+    # routine wrappers at the same (default) workspace: scipy.linalg.svd
+    # and eigh query other sizes, with which the routines take other paths
+    # at some sizes (with scipy 1.17: real gesdd at n = 33..42, heevr at
+    # n = 35 and above).
     gesdd, heevr = get_lapack_funcs(("gesdd", "heevr"), (np.zeros((1, 1), dtype=complex),))
+    dgesdd, syevr = get_lapack_funcs(("gesdd", "syevr"), (np.zeros((1, 1)),))
     rng = np.random.default_rng(0)
     for n in range(2, 61):
         G = rng.standard_normal((n, n))
@@ -385,6 +387,13 @@ def test_lapack_helpers_match_scipy_wrappers():
         assert info == 0 and m == 1
         assert np.array_equal(w[:1], heevr(herm, compute_v=0, range="I", il=1, iu=1,
                                            lower=1)[0][:1])
+        for got, want in zip(_dgesdd(G), dgesdd(G)):
+            assert np.array_equal(got, want)
+        sym = G + G.T
+        w, _, m, _, info = _dsyevr(sym, compute_v=0, range="I", il=1, iu=1, lower=1)
+        assert info == 0 and m == 1
+        assert np.array_equal(w[:1], syevr(sym, compute_v=0, range="I", il=1, iu=1,
+                                           lower=1)[0][:1])
 
 
 def test_import_leaves_scipy_linalg_unimported():
@@ -407,7 +416,7 @@ def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
     if unloadable:
         (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
     linalg_dir = Path(scipy.linalg.__file__).parent if unloadable is None else tmp_path
-    potrf, potrs, trtrs, zpotrf, zgesdd, zheevr = _load_lapack(linalg_dir)
+    potrf, potrs, trtrs, zpotrf, zgesdd, zheevr, dgesdd, dsyevr = _load_lapack(linalg_dir)
     spd = np.array([[4.0, 2.0], [2.0, 3.0]])
     L, info = potrf(spd, lower=1)
     assert info == 0
@@ -427,6 +436,13 @@ def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
     w, _, m, _, info = zheevr(hpd, compute_v=0, range="I", il=1, iu=1, lower=1)
     assert info == m - 1 == 0
     assert w[0] == pytest.approx((7.0 - np.sqrt(21.0)) / 2.0)
+    # the real SVD and lowest eigenvalue, as a real program calls them
+    U, s, Vt, info = dgesdd(spd)
+    assert info == 0
+    assert np.allclose((U * s) @ Vt, spd)
+    w, _, m, _, info = dsyevr(spd, compute_v=0, range="I", il=1, iu=1, lower=1)
+    assert info == m - 1 == 0
+    assert w[0] == pytest.approx((7.0 - np.sqrt(17.0)) / 2.0)
 
 
 SIX_STATE = ProtocolSpec("six-state", e=0.1)

@@ -17,8 +17,8 @@ from keybound.protocols import (EquivalenceClassSpec, ProtocolSpec, assemble_cla
                                 class_from_state, realize_protocol)
 from keybound.sdp import SolverError, solve
 from keybound.states import DensityOperator, swap_last_two
-from helpers import (assert_ray_proves_no_state, extend_qutrit_stream_state,
-                     unsplit_witness_program)
+from helpers import (assert_ray_proves_no_state, class_row_program,
+                     extend_qutrit_stream_state, unsplit_witness_program)
 
 # lambda_max of the two programs, each within GAP_TOL (1 + |pobj| + |dobj|)
 AGREE_TOL = 3e-8
@@ -73,7 +73,8 @@ def assert_split_matches_unsplit(cls, monkeypatch):
     # sym(W(y) (x) I_B') - I >= 0 by an orthogonal change of basis of each
     # swap sector, so the solve takes the same iterations to the same
     # witness, T, chi~ and lambda_max, and the chi~ it unpacks is
-    # swap-symmetric.
+    # swap-symmetric.  A real class runs the real program, on the same
+    # central path; its witness is compared in class-row coordinates.
     unpacked = []
     decomposition = extendibility._decomposition
 
@@ -89,7 +90,7 @@ def assert_split_matches_unsplit(cls, monkeypatch):
     chi = decomposition(*old.z_blocks, cls.dims)[2]
     assert res.solution.iterations == old.iterations
     assert abs(res.lambda_max - min(max(np.trace(chi).real, 0.0), 1.0)) <= 1e-9
-    assert np.max(np.abs(res.solution.x - old.x)) <= 1e-9
+    assert np.max(np.abs(res.diagnostics["witness"] - old.x)) <= 1e-9
     ((T, chi),) = unpacked
     for mat, want in zip((T, chi), old.z_blocks):
         assert np.max(np.abs(mat - want)) <= 1e-9
@@ -127,9 +128,13 @@ def test_solution_is_the_witness_solve():
     cls = protocol_class("four-state", 0.05)
     res = best_extendible_decomposition(cls)
     sol, d = res.solution, res.diagnostics
-    # x is the witness y, one entry per class row, and b.y is its value
-    assert sol.x.shape == (cls.rows.shape[0],)
-    assert d["witness_value"] == pytest.approx(float(cls.rhs @ sol.x), abs=1e-15)
+    # x is z, over the real program's 9 variables (10 class rows less the
+    # rank 1 of their odd columns), and the witness is y = B z, one entry
+    # per class row, with b.y its value
+    y = d["witness"]
+    assert sol.x.shape == (9,) and y.shape == (cls.rows.shape[0],)
+    assert np.array_equal(y, build_sdp(cls)[1] @ sol.x)
+    assert d["witness_value"] == pytest.approx(float(cls.rhs @ y), abs=1e-15)
     assert sol.objective == pytest.approx(-d["witness_value"], abs=1e-15)
     assert d["witness_value"] == pytest.approx(1.0 - res.lambda_max, abs=AGREE_TOL)
     # the record is a unit-trace decomposition whose Tr(chi~) is lambda
@@ -137,9 +142,10 @@ def test_solution_is_the_witness_solve():
     assert np.trace(res.sigma_tilde).real == pytest.approx(d["raw_lambda"], abs=1e-15)
     assert np.trace(res.chi_tilde).real == d["raw_lambda"]
     assert 0.0 < d["class_residual"] <= 1e-8
-    # the witness is feasible: both blocks of build_sdp are PSD at y
-    for blk in build_sdp(cls)[0].blocks:
-        slack = blk.const + np.einsum("i,ijk->jk", sol.x, blk.mats)
+    # the witness is feasible: both blocks of the class-row program are
+    # PSD at y
+    for blk in class_row_program(cls).blocks:
+        slack = blk.const + np.einsum("i,ijk->jk", y, blk.mats)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-9
 
 
@@ -208,7 +214,9 @@ def test_non_optimal_witness_solve_falls_back(monkeypatch):
             runs = fail_witness_solves(patch)
             res = best_extendible_decomposition(cls)
         second = extension_sdp(cls).num_vars if program == "extension" else 16
-        assert runs == [cls.rows.shape[0], second]
+        # the witness solve runs the real program: 9 and 10 variables
+        assert runs == [build_sdp(cls)[0].num_vars, second]
+        assert runs[0] == {"four-state": 9, "six-state": 10}[kind]
         assert res.diagnostics["program"] == program
         assert verify_extension(res).passed
         assert res.lambda_max == pytest.approx(lam, abs=AGREE_TOL)
@@ -303,7 +311,7 @@ def test_fallback_record_matches_the_witness_record(kind, direction, e, monkeypa
         assert res.diagnostics["program"] == "face"
         # its witness is the y with W(y) = S X S^+, so both witness blocks
         # are PSD at y
-        for blk in build_sdp(cls)[0].blocks:
+        for blk in class_row_program(cls).blocks:
             slack = blk.const + np.tensordot(y, blk.mats, 1)
             assert np.linalg.eigvalsh(slack)[0] >= -1e-12
     assert res.diagnostics["witness_value"] == float(cls.rhs @ y)
@@ -341,7 +349,7 @@ def assert_witness_feasible(spec, cls, res):
     """Both witness blocks are PSD at the reported y, so b.y bounds
     1 - lambda_max from below."""
     y = res.diagnostics["witness"]
-    for blk in build_sdp(cls)[0].blocks:
+    for blk in class_row_program(cls).blocks:
         slack = blk.const + np.tensordot(y, blk.mats, 1)
         assert np.linalg.eigvalsh(slack)[0] >= -1e-12, spec
 
