@@ -92,7 +92,7 @@ stalled = {program: [res for res in near_zero if res.diagnostics["program"] == p
 extension, face = stalled["extension"], stalled["face"]
 print(f"near-zero census fallbacks, of 36 points: {len(extension)} (r, f) (expected 6), "
       f"{iterations(extension)} IPM iterations, {all_iterations(extension)} with the "
-      f"stalled witness solves; {len(face)} face (expected 13), {iterations(face)} IPM "
+      f"stalled witness solves; {len(face)} face (expected 14), {iterations(face)} IPM "
       f"iterations, {all_iterations(face)} with the stalled witness solves")
 dense = [one_way_upper_bound(ProtocolSpec(kind, e=float(e), direction=direction,
                                           source_constraint=source_constraint))

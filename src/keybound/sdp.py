@@ -61,8 +61,11 @@ and R^-1 from the Cholesky factors of S and Z and one SVD, with no
 triangular solve (_nt_scaling), the step's distance to the cone
 boundary from the lowest eigenvalue of each scaled direction
 (_step_bound), the corrector's product dS dZ and the update R (.) R^H.
-Every factorization is a direct LAPACK call (see _load_lapack), and
-solve runs with the BLAS pools at one thread (see _one_blas_thread).  A
+Every factorization is a direct LAPACK call into the OpenBLAS that
+numpy's wheel bundles, or a numpy.linalg stand-in where numpy has no such
+build (see _load_lapack), and solve runs with that library's thread pool
+at one thread (see _one_blas_thread).  A factorization or eigensolve
+that fails ends the run as numerical-failure with its message.  A
 variable whose matrices are zero in every block would make M singular,
 so SdpProblem rejects it.
 
@@ -81,12 +84,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib.util
 import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -106,66 +107,230 @@ log = logging.getLogger(__name__)
 
 
 _LAPACK = ("dpotrf", "dpotrs", "dtrtrs", "zpotrf", "zgesdd", "zheevr", "dgesdd", "dsyevr")
+# Thread-count symbols, routine names and integer type of the OpenBLAS
+# builds numpy's wheels bundle: ILP64 scipy-openblas (numpy 2.x), ILP64
+# openblas (numpy 1.x), and their LP64 forms.
+_OPENBLAS_SYMBOLS = (("scipy_openblas", "64_", "scipy_{}_64_", ctypes.c_int64),
+                     ("scipy_openblas", "", "scipy_{}_", ctypes.c_int32),
+                     ("openblas", "64_", "{}_64_", ctypes.c_int64),
+                     ("openblas", "", "{}_", ctypes.c_int32))
 
 
-def _load_lapack(linalg_dir):
-    """The routines named in _LAPACK, from the _flapack extension in
-    linalg_dir: dpotrf, dpotrs and dtrtrs for the Gram matrix M, and for
-    the blocks the complex ones, or dpotrf, dgesdd and dsyevr in a real
-    program.
+def _find_openblas():
+    """The OpenBLAS in numpy's wheel (its .libs directory), as (get, set,
+    routines, int): its thread-count functions, the routines named in
+    _LAPACK and its integer type; None for any other BLAS build
+    (Accelerate, MKL, a distribution's) or one without those symbols.
+    The library is opened as a PyDLL, so a call keeps the GIL rather than
+    paying to release and take it back."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.PyDLL(str(lib))
+        for prefix, suffix, routine, itype in _OPENBLAS_SYMBOLS:
+            names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}",
+                     *(routine.format(name) for name in _LAPACK))
+            if not all(hasattr(handle, name) for name in names):
+                continue
+            get, put, *routines = (getattr(handle, name) for name in names)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            for fn in routines:
+                fn.restype = None
+            return get, put, routines, itype
+    return None
 
-    The extension file is loaded on its own, under its scipy name, so
-    neither scipy nor scipy.linalg (most of this package's import time) is
-    imported; when linalg_dir holds no loadable _flapack, the same routines
-    come from scipy.linalg.lapack.  solve calls dpotrf, dpotrs and dtrtrs
-    as cho_factor, cho_solve and solve_triangular would, so with the same
-    bits.  At its sizes the input checks of those wrappers, and of
-    numpy.linalg's cholesky, svd and eigvalsh, cost more than the
-    routines; the one that mattered, finiteness, is made on M.
-    """
-    for suffix in EXTENSION_SUFFIXES:
-        path = Path(linalg_dir, "_flapack" + suffix)
-        if not path.is_file():
-            continue
-        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+
+def _ctypes_lapack(routines, itype):
+    """The routines of _LAPACK as ctypes calls with the f2py wrappers'
+    conventions (scipy.linalg.lapack): the same arguments and defaults,
+    the input copied to Fortran order, the default workspaces, the
+    outputs in new Fortran-ordered arrays and info returned; potrf zeros
+    the other triangle, as clean=1 does, and syevr and heevr compute
+    eigenvalues by index only (compute_v=0, range="I").
+
+    Each routine keeps, per size, Fortran-ordered buffers and its whole
+    argument tuple, built once, so a call copies the input in, calls the
+    routine and copies the outputs out.  No argtypes are set: every
+    argument is already a reference to a typed value or a buffer of the
+    right size, and argtypes would add a conversion per argument to every
+    call, at sizes where a call costs little more than its overhead.  The
+    buffers are shared, so one call runs at a time (solve holds
+    _blas_lock).  Like numpy.linalg's calls into the same library, they
+    pass no hidden lengths of the character arguments."""
+    dpotrf, dpotrs, dtrtrs, zpotrf, zgesdd, zheevr, dgesdd, dsyevr = routines
+    index = np.dtype(itype)
+
+    def ref(value, ctype=itype):
+        return ctypes.byref(ctype(value))
+
+    def buf(shape, dtype=float):
+        return np.zeros(shape, dtype, order="F")
+
+    def ptr(arr):
+        # a reference to arr's first byte, which keeps arr alive; ctypes
+        # passes these faster than c_void_p
+        return ctypes.byref(ctypes.c_char.from_buffer(arr.ravel(order="K")))
+
+    def uplo(lower):
+        return b"L" if lower else b"U"
+
+    def potrf(fn, dtype):
+        def at(n, lower):
+            a, info = buf((n, n), dtype), itype()
+            # the other triangle is zeroed by one AND of the buffer's bits
+            # with a mask: all ones on the factor's triangle, else zero
+            keep = np.tri(n, dtype=bool) if lower else np.tri(n, dtype=bool).T
+            keep = np.repeat(keep.ravel(order="F"), a.itemsize // 8) * np.int64(-1)
+            bits = a.ravel(order="K").view(np.int64)
+            return a, bits, keep, info, (uplo(lower), ref(n), ptr(a), ref(n), ctypes.byref(info))
+        sizes = functools.cache(at)
+
+        def call(a, lower=0):
+            a_buf, bits, keep, info, args = sizes(a.shape[0], lower)
+            a_buf[...] = a
+            fn(*args)
+            np.bitwise_and(bits, keep, out=bits)
+            return a_buf.copy(order="F"), info.value
+        return call
+
+    def solve_at(n, b_shape, *chars):
+        """Buffers and arguments of potrs (chars: uplo) or trtrs (uplo,
+        trans, diag), whose arguments differ only in those."""
+        a, b, info = buf((n, n)), buf(b_shape), itype()
+        nrhs = b_shape[1] if len(b_shape) == 2 else 1
+        return a, b, info, (*chars, ref(n), ref(nrhs), ptr(a), ref(n), ptr(b), ref(n),
+                            ctypes.byref(info))
+    potrs_sizes = functools.cache(lambda n, b_shape, lower: solve_at(n, b_shape, uplo(lower)))
+    trtrs_sizes = functools.cache(lambda n, b_shape, lower, trans: solve_at(
+        n, b_shape, uplo(lower), b"NTC"[trans:trans + 1], b"N"))
+
+    def potrs(c, b, lower=0):
+        c_buf, b_buf, info, args = potrs_sizes(c.shape[0], b.shape, lower)
+        c_buf[...], b_buf[...] = c, b
+        dpotrs(*args)
+        return b_buf.copy(order="F"), info.value
+
+    def trtrs(a, b, lower=0, trans=0):
+        a_buf, b_buf, info, args = trtrs_sizes(a.shape[0], b.shape, lower, trans)
+        a_buf[...], b_buf[...] = a, b
+        dtrtrs(*args)
+        return b_buf.copy(order="F"), info.value
+
+    def gesdd(fn, dtype):
+        def at(m, n):
+            mn, mx = min(m, n), max(m, n)
+            a, s, u, vt, info = buf((m, n), dtype), buf(mn), buf((m, m), dtype), \
+                buf((n, n), dtype), itype()
+            if dtype is complex:
+                lwork = max(2 * mn * mn + mx + 2 * mn, 1)
+                rwork = (ptr(buf(max(5 * mn * mn + 5 * mn, 2 * mx * mn + 2 * mn * mn + mn, 1))),)
+            else:
+                lwork, rwork = max(4 * mn * mn + mx + 9 * mn, 1), ()
+            return a, u, s, vt, info, (
+                b"A", ref(m), ref(n), ptr(a), ref(m), ptr(s), ptr(u), ref(m), ptr(vt), ref(n),
+                ptr(buf(lwork, dtype)), ref(lwork), *rwork, ptr(buf(8 * mn, index)),
+                ctypes.byref(info))
+        sizes = functools.cache(at)
+
+        def call(a):
+            a_buf, u, s, vt, info, args = sizes(*a.shape)
+            a_buf[...] = a
+            fn(*args)
+            return u.copy(order="F"), s.copy(), vt.copy(order="F"), info.value
+        return call
+
+    def evr(fn, dtype):
+        def at(n, lower, il, iu):
+            a, w, found, info = buf((n, n), dtype), buf(n), itype(), itype()
+            if dtype is complex:
+                lwork, lrwork = max(2 * n, 1), max(24 * n, 1)
+                rwork = (ptr(buf(lrwork)), ref(lrwork))
+            else:
+                lwork, rwork = max(26 * n, 1), ()
+            liwork, real = max(10 * n, 1), ctypes.c_double
+            return a, w, found, info, (
+                b"N", b"I", uplo(lower), ref(n), ptr(a), ref(n), ref(0.0, real), ref(1.0, real),
+                ref(il), ref(iu), ref(0.0, real), ctypes.byref(found), ptr(w),
+                ptr(buf(1, dtype)), ref(1), ptr(buf(2 * max(n, 1), index)),
+                ptr(buf(lwork, dtype)), ref(lwork), *rwork, ptr(buf(liwork, index)), ref(liwork),
+                ctypes.byref(info))
+        sizes = functools.cache(at)
+
+        def call(a, compute_v=0, range="I", il=1, iu=1, lower=0):
+            if compute_v or range != "I":
+                raise ValueError("only eigenvalues by index (compute_v=0, range='I')")
+            a_buf, w, found, info, args = sizes(a.shape[0], lower, il, iu)
+            a_buf[...] = a
+            fn(*args)
+            return w.copy(), None, found.value, None, info.value
+        return call
+
+    return (potrf(dpotrf, float), potrs, trtrs, potrf(zpotrf, complex), gesdd(zgesdd, complex),
+            evr(zheevr, complex), gesdd(dgesdd, float), evr(dsyevr, float))
+
+
+def _numpy_lapack():
+    """numpy.linalg stand-ins for the routines of _LAPACK, with the calls
+    and returns of _ctypes_lapack: the LAPACK routines of a numpy built on
+    another BLAS, behind numpy's wrappers."""
+    LinAlgError = np.linalg.LinAlgError
+
+    def potrf(a, lower=0):
         try:
-            flapack = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(flapack)
-        except ImportError:
-            break
-        return tuple(getattr(flapack, name) for name in _LAPACK)
-    from scipy.linalg import lapack
-    return tuple(getattr(lapack, name) for name in _LAPACK)
+            L = np.linalg.cholesky(a if lower else a.conj().T)
+        except LinAlgError:
+            return a, 1
+        return (L if lower else L.conj().T), 0
+
+    def potrs(c, b, lower=0):
+        L = c if lower else c.conj().T
+        return np.linalg.solve(L.conj().T, np.linalg.solve(L, b)), 0
+
+    def trtrs(a, b, lower=0, trans=0):
+        return np.linalg.solve((a, a.T, a.conj().T)[trans], b), 0
+
+    def gesdd(a):
+        try:
+            return (*np.linalg.svd(a), 0)
+        except LinAlgError:
+            return None, None, None, 1
+
+    def evr(a, compute_v=0, range="I", il=1, iu=1, lower=0):
+        if compute_v or range != "I":
+            raise ValueError("only eigenvalues by index (compute_v=0, range='I')")
+        try:
+            w = np.linalg.eigvalsh(a, "L" if lower else "U")
+        except LinAlgError:
+            return None, None, 0, None, 1
+        return w[il - 1:iu], None, iu - il + 1, None, 0
+
+    return potrf, potrs, trtrs, potrf, gesdd, evr, gesdd, evr
 
 
-_scipy = importlib.util.find_spec("scipy")
-if _scipy is None:
-    raise ModuleNotFoundError("keybound needs scipy", name="scipy")
-# called directly, without scipy's wrappers (see _load_lapack)
-_potrf, _potrs, _trtrs, _zpotrf, _zgesdd, _zheevr, _dgesdd, _dsyevr = _load_lapack(
-    Path(_scipy.submodule_search_locations[0], "linalg"))
+def _load_lapack(openblas):
+    """The routines named in _LAPACK: dpotrf, dpotrs and dtrtrs for the
+    Gram matrix M, and for the blocks the complex ones, or dpotrf, dgesdd
+    and dsyevr in a real program.
+
+    With openblas (see _find_openblas) they are direct calls into the
+    OpenBLAS numpy's wheel bundles (_ctypes_lapack), the library numpy's
+    own products and numpy.linalg run in, so no second BLAS is loaded;
+    with None, numpy.linalg stand-ins (_numpy_lapack).  At the solver's
+    sizes numpy.linalg's input checks cost more than the routines; the
+    one that mattered, finiteness, is made on M."""
+    if openblas is None:
+        return _numpy_lapack()
+    return _ctypes_lapack(*openblas[2:])
 
 
-@functools.cache
+_OPENBLAS = _find_openblas()
+_potrf, _potrs, _trtrs, _zpotrf, _zgesdd, _zheevr, _dgesdd, _dsyevr = _load_lapack(_OPENBLAS)
+
+
 def _blas_pools():
-    """(get, set) of the thread count of each OpenBLAS build that numpy
-    and _flapack load from their wheels' .libs directories; empty for
-    other BLAS builds."""
-    pools = []
-    for pkg in ("numpy", "scipy"):
-        libs = Path(importlib.util.find_spec(pkg).submodule_search_locations[0])
-        for lib in sorted(libs.parent.glob(f"{pkg}.libs/*openblas*")):
-            handle = ctypes.CDLL(str(lib))
-            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                                   ("openblas", "64_"), ("openblas", "")):
-                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    pools.append((get, put))
-                    break
-    return tuple(pools)
+    """(get, set) of the thread count of numpy's OpenBLAS, which numpy's
+    products and solve's LAPACK calls run in; empty for other BLAS builds."""
+    return () if _OPENBLAS is None else (_OPENBLAS[:2],)
 
 
 _blas_lock = threading.Lock()
@@ -173,9 +338,9 @@ _blas_lock = threading.Lock()
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with every pool of _blas_pools at one thread, then
-    give the caller's counts back; one body at a time, since the counts
-    are process-wide.
+    """Run the body with the pool of _blas_pools at one thread, then give
+    the caller's count back; one body at a time, since the count is
+    process-wide and the LAPACK bindings share their buffers.
 
     On matrices this small a second thread costs more in handoffs than it
     saves, and OpenBLAS's threaded kernels round differently, so pinned
@@ -329,7 +494,7 @@ def _norm(a):
     return math.sqrt(float(np.vdot(a, a).real))
 
 
-def _chol_ridge(mat, potrf=_potrf):
+def _chol_ridge(mat, potrf):
     """Lower Cholesky factor with an escalating diagonal ridge; None if hopeless."""
     n = mat.shape[0]
     ridge = 0.0
@@ -552,9 +717,11 @@ def _solve(problem):
             message = f"no convergence within {MAX_ITER} iterations"
             break
 
-        # --- Nesterov-Todd scaling per block, into Q = [Q_i; rp~; F0~] ---
-        Rs, RinvHs, ds = [], [], []
+        # A factorization or eigensolve that fails (in the scaling or in a
+        # step length) ends the run with the iterate it had.
         try:
+            # --- Nesterov-Todd scaling per block, into Q = [Q_i; rp~; F0~] ---
+            Rs, RinvHs, ds = [], [], []
             for Sb, Zb, rpb, G, Qb in zip(S_b, Z_b, rp_b, stacks, Q_b):
                 R, Rinv, db = _nt_scaling(Sb, Zb)
                 G[-2] = rpb
@@ -562,140 +729,140 @@ def _solve(problem):
                 Rs.append(R)
                 RinvHs.append(Rinv.conj().T)
                 ds.append(db)
+            np.concatenate(ds, out=d)
+            sd = np.sqrt(d)
+            isd = 1.0 / (sd[ii] * sd[jj])
+            D[diag] = d
+
+            # with every row weighted by sqrt(wt), one symmetric product gives
+            # M, Q.rp~, Q.F0~ = f0 and ||F0~||^2
+            np.multiply(Qr, sqrt_wt, out=Qs)
+            gram = Qs @ Qs.T
+            M, f0 = gram[:nw, :nw], gram[:nw, nw + 1]
+            if not np.isfinite(gram).all():
+                status = "numerical-failure"
+                message = "scaled normal (Gram) matrix M has a non-finite entry"
+                break
+            Mf = _chol_ridge(M, _potrf)
+            if Mf is None:
+                status = "numerical-failure"
+                message = "scaled normal matrix is numerically singular"
+                break
+            # L^-1 and M^-1 of [c, f0] for the tau column
+            half = _trtrs(Mf, np.column_stack([c, f0]), lower=1)[0]
+            mc, mf = _trtrs(Mf, half, lower=1, trans=1)[0].T
+
+            def fixed_tau_step(h):
+                return _potrs(Mf, h, lower=1)[0]
+
+            def directions(dw, dtau, Kp, dS, dZ):
+                """dS = F~_lin(dw) + dtau F0~ + rp~ and dZ = Kp - F~_lin(dw) - dtau F0~."""
+                np.matmul(dw, Qr[:nw], out=dS)
+                np.multiply(dtau, F0t, out=dZ)
+                np.add(dS, dZ, out=dS)
+                np.subtract(Kp, dS, out=dZ)
+                np.add(dS, rpp, out=dS)
+
+            def cone_step(*deltas):
+                """Largest step along every packed direction that keeps each
+                block's D + alpha delta >= 0."""
+                bound = np.inf
+                for delta in deltas:
+                    np.multiply(delta, isd, out=step)
+                    bound = min(bound, _step_bound(*step_b))
+                return bound
+
+            # the affine-scaling target S~ Z~ = 0, so dS~ + dZ~ = -D
+            K_aff = -D - rpp
+            if accept:
+                # w/tau still violates the blocks by about pres, so a last step
+                # moves w and S alone at fixed tau.  The affine-scaling direction
+                # dw heads for the optimal face on the cone boundary and is cut
+                # to STEP_FRACTION of the distance there, but its part fix, the
+                # least-squares move that zeros the primal residual, is taken in
+                # full when the result stays in the cone.
+                fix = -fixed_tau_step(gram[:nw, nw])
+                dw = fixed_tau_step(Qs[:nw] @ (sqrt_wt * K_aff) - rd)
+                directions(dw, 0.0, K_aff, dS_a, dZ_a)
+                ap = min(1.0, STEP_FRACTION * cone_step(dS_a))
+                dw_full = fix + ap * (dw - fix)
+                directions(dw_full, 0.0, K_aff, dS, dZ)
+                taken = dS_a
+                if cone_step(dS) >= 1.0:
+                    dw, taken, ap = dw_full, dS, 1.0
+                w = w + ap * dw
+                update(Rs, taken, ap, S_b)
+                polished = True
+                it += 1
+                continue
+
+            # The tau column: dw = u + dtau p with u the Newton step at fixed
+            # tau and p = -M^-1 (c + f0).  The pivot den is negative and is
+            # summed from its sign-definite parts: near a degenerate optimum
+            # ||F0~||^2 and f0^T M^-1 f0 grow large and nearly equal, and their
+            # difference alone can round to exactly 0.
+            quad_c = float(half[:, 0] @ half[:, 0])
+            quad_f = max(float(gram[nw + 1, nw + 1]) - float(half[:, 1] @ half[:, 1]), 0.0)
+            p = -mc - mf
+            den = -(quad_c + quad_f + kappa / tau)
+
+            def kkt_solve(Kp, rtk):
+                QK = Qs @ (sqrt_wt * Kp)
+                u = fixed_tau_step(QK[:nw] - rd)
+                r4 = -rg - float(QK[nw + 1]) - rtk / tau
+                dtau = (r4 - float((c - f0) @ u)) / den
+                return u + dtau * p, dtau, (rtk - kappa * dtau) / tau
+
+            def step_bound(dS, dZ, dtau, dkappa):
+                return min(cone_step(dS, dZ),
+                           -tau / dtau if dtau < 0.0 else np.inf,
+                           -kappa / dkappa if dkappa < 0.0 else np.inf)
+
+            # predictor
+            dw_a, dt_a, dk_a = kkt_solve(K_aff, -tau * kappa)
+            directions(dw_a, dt_a, K_aff, dS_a, dZ_a)
+            a_a = min(1.0, step_bound(dS_a, dZ_a, dt_a, dk_a))
+            mu_aff = (float((wt * (D + a_a * dS_a)) @ (D + a_a * dZ_a))
+                      + (tau + a_a * dt_a) * (kappa + a_a * dk_a)) / (ntot + 1)
+            sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
+
+            # corrector: the cross term (dS~ dZ~ + dZ~ dS~) / 2 of each block
+            for dS_b, dZ_b, C_b in zip(dSa_b, dZa_b, cross_b):
+                P = dS_b @ dZ_b
+                np.add(P, P.conj().T, out=C_b)
+                np.multiply(0.5, C_b, out=C_b)
+            Kc = 2.0 * (sigma * mu * eye - D * D - cross) / (d[ii] + d[jj]) - rpp
+            dw, dtau, dkappa = kkt_solve(Kc, sigma * mu - tau * kappa - dt_a * dk_a)
+            directions(dw, dtau, Kc, dS, dZ)
+            alpha = min(1.0, STEP_FRACTION * step_bound(dS, dZ, dtau, dkappa))
+
+            if alpha < 1e-10:
+                stall += 1
+                if stall >= 3:
+                    status = "numerical-failure"
+                    message = "step sizes collapsed"
+                    break
+            else:
+                stall = 0
+            if tau + alpha * dtau < TAU_FLOOR:
+                # Only a certificate may end a run with tau -> 0; without one
+                # the iterate is kept and the solve reports that it broke down.
+                status = "numerical-failure"
+                message = (f"tau underflow: the step would take tau from {tau:.2e} "
+                           f"below {TAU_FLOOR:.2e} with no Farkas certificate or "
+                           "primal ray")
+                break
+
+            w = w + alpha * dw
+            tau += alpha * dtau
+            kappa += alpha * dkappa
+            update(Rs, dS, alpha, S_b)
+            update(RinvHs, dZ, alpha, Z_b)
+            it += 1
         except np.linalg.LinAlgError as err:
             status = "numerical-failure"
             message = str(err)
             break
-        np.concatenate(ds, out=d)
-        sd = np.sqrt(d)
-        isd = 1.0 / (sd[ii] * sd[jj])
-        D[diag] = d
-
-        # with every row weighted by sqrt(wt), one symmetric product gives
-        # M, Q.rp~, Q.F0~ = f0 and ||F0~||^2
-        np.multiply(Qr, sqrt_wt, out=Qs)
-        gram = Qs @ Qs.T
-        M, f0 = gram[:nw, :nw], gram[:nw, nw + 1]
-        if not np.isfinite(gram).all():
-            status = "numerical-failure"
-            message = "scaled normal (Gram) matrix M has a non-finite entry"
-            break
-        Mf = _chol_ridge(M)
-        if Mf is None:
-            status = "numerical-failure"
-            message = "scaled normal matrix is numerically singular"
-            break
-        # L^-1 and M^-1 of [c, f0] for the tau column
-        half = _trtrs(Mf, np.column_stack([c, f0]), lower=1)[0]
-        mc, mf = _trtrs(Mf, half, lower=1, trans=1)[0].T
-
-        def fixed_tau_step(h):
-            return _potrs(Mf, h, lower=1)[0]
-
-        def directions(dw, dtau, Kp, dS, dZ):
-            """dS = F~_lin(dw) + dtau F0~ + rp~ and dZ = Kp - F~_lin(dw) - dtau F0~."""
-            np.matmul(dw, Qr[:nw], out=dS)
-            np.multiply(dtau, F0t, out=dZ)
-            np.add(dS, dZ, out=dS)
-            np.subtract(Kp, dS, out=dZ)
-            np.add(dS, rpp, out=dS)
-
-        def cone_step(*deltas):
-            """Largest step along every packed direction that keeps each
-            block's D + alpha delta >= 0."""
-            bound = np.inf
-            for delta in deltas:
-                np.multiply(delta, isd, out=step)
-                bound = min(bound, _step_bound(*step_b))
-            return bound
-
-        # the affine-scaling target S~ Z~ = 0, so dS~ + dZ~ = -D
-        K_aff = -D - rpp
-        if accept:
-            # w/tau still violates the blocks by about pres, so a last step
-            # moves w and S alone at fixed tau.  The affine-scaling direction
-            # dw heads for the optimal face on the cone boundary and is cut
-            # to STEP_FRACTION of the distance there, but its part fix, the
-            # least-squares move that zeros the primal residual, is taken in
-            # full when the result stays in the cone.
-            fix = -fixed_tau_step(gram[:nw, nw])
-            dw = fixed_tau_step(Qs[:nw] @ (sqrt_wt * K_aff) - rd)
-            directions(dw, 0.0, K_aff, dS_a, dZ_a)
-            ap = min(1.0, STEP_FRACTION * cone_step(dS_a))
-            dw_full = fix + ap * (dw - fix)
-            directions(dw_full, 0.0, K_aff, dS, dZ)
-            taken = dS_a
-            if cone_step(dS) >= 1.0:
-                dw, taken, ap = dw_full, dS, 1.0
-            w = w + ap * dw
-            update(Rs, taken, ap, S_b)
-            polished = True
-            it += 1
-            continue
-
-        # The tau column: dw = u + dtau p with u the Newton step at fixed
-        # tau and p = -M^-1 (c + f0).  The pivot den is negative and is
-        # summed from its sign-definite parts: near a degenerate optimum
-        # ||F0~||^2 and f0^T M^-1 f0 grow large and nearly equal, and their
-        # difference alone can round to exactly 0.
-        quad_c = float(half[:, 0] @ half[:, 0])
-        quad_f = max(float(gram[nw + 1, nw + 1]) - float(half[:, 1] @ half[:, 1]), 0.0)
-        p = -mc - mf
-        den = -(quad_c + quad_f + kappa / tau)
-
-        def kkt_solve(Kp, rtk):
-            QK = Qs @ (sqrt_wt * Kp)
-            u = fixed_tau_step(QK[:nw] - rd)
-            r4 = -rg - float(QK[nw + 1]) - rtk / tau
-            dtau = (r4 - float((c - f0) @ u)) / den
-            return u + dtau * p, dtau, (rtk - kappa * dtau) / tau
-
-        def step_bound(dS, dZ, dtau, dkappa):
-            return min(cone_step(dS, dZ),
-                       -tau / dtau if dtau < 0.0 else np.inf,
-                       -kappa / dkappa if dkappa < 0.0 else np.inf)
-
-        # predictor
-        dw_a, dt_a, dk_a = kkt_solve(K_aff, -tau * kappa)
-        directions(dw_a, dt_a, K_aff, dS_a, dZ_a)
-        a_a = min(1.0, step_bound(dS_a, dZ_a, dt_a, dk_a))
-        mu_aff = (float((wt * (D + a_a * dS_a)) @ (D + a_a * dZ_a))
-                  + (tau + a_a * dt_a) * (kappa + a_a * dk_a)) / (ntot + 1)
-        sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
-
-        # corrector: the cross term (dS~ dZ~ + dZ~ dS~) / 2 of each block
-        for dS_b, dZ_b, C_b in zip(dSa_b, dZa_b, cross_b):
-            P = dS_b @ dZ_b
-            np.add(P, P.conj().T, out=C_b)
-            np.multiply(0.5, C_b, out=C_b)
-        Kc = 2.0 * (sigma * mu * eye - D * D - cross) / (d[ii] + d[jj]) - rpp
-        dw, dtau, dkappa = kkt_solve(Kc, sigma * mu - tau * kappa - dt_a * dk_a)
-        directions(dw, dtau, Kc, dS, dZ)
-        alpha = min(1.0, STEP_FRACTION * step_bound(dS, dZ, dtau, dkappa))
-
-        if alpha < 1e-10:
-            stall += 1
-            if stall >= 3:
-                status = "numerical-failure"
-                message = "step sizes collapsed"
-                break
-        else:
-            stall = 0
-        if tau + alpha * dtau < TAU_FLOOR:
-            # Only a certificate may end a run with tau -> 0; without one
-            # the iterate is kept and the solve reports that it broke down.
-            status = "numerical-failure"
-            message = (f"tau underflow: the step would take tau from {tau:.2e} "
-                       f"below {TAU_FLOOR:.2e} with no Farkas certificate or "
-                       "primal ray")
-            break
-
-        w = w + alpha * dw
-        tau += alpha * dtau
-        kappa += alpha * dkappa
-        update(Rs, dS, alpha, S_b)
-        update(RinvHs, dZ, alpha, Z_b)
-        it += 1
 
     # A weight-2 block's dual is 2 Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
     Z = [wb * Zb / tau if wb == 2.0 else Zb.real / tau

@@ -2,24 +2,22 @@ import logging
 import os
 import subprocess
 import sys
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_triangular
 
-from keybound import extendibility, sdp
+from keybound import bounds, extendibility, sdp
+from keybound.cli import main
 from keybound.extendibility import best_extendible_decomposition, extension_sdp
 from keybound.infotheory import JointDistribution
 from keybound.protocols import (
-    EquivalenceClassSpec, Povm, ProtocolSpec, assemble_class, realize_protocol,
+    EquivalenceClassSpec, Povm, ProtocolSpec, assemble_class, class_from_state, realize_protocol,
     simulate_observed_data, six_state_povms,
 )
 from keybound.sdp import (
-    LmiBlock, SdpProblem, SolverError, _chol_ridge, _dgesdd, _dsyevr, _load_lapack, _potrs,
-    _trtrs, _zgesdd, _zheevr, _zpotrf, solve,
+    _LAPACK, LmiBlock, SdpProblem, SolverError, _chol_ridge, _dgesdd, _dsyevr, _load_lapack,
+    _potrf, _potrs, _trtrs, _zgesdd, _zheevr, _zpotrf, solve,
 )
 from keybound.states import DensityOperator, depolarized_bell
 from helpers import (check_feasible, feasibility_problem, grid_search_minimum, pinned_problem,
@@ -74,8 +72,8 @@ def test_largest_eigenvalue_complex():
 
 
 def test_solve_runs_blas_at_one_thread_and_restores_the_count(monkeypatch):
-    # the OpenBLAS pools numpy and scipy load run the solve at one thread,
-    # and the caller's count is back afterwards
+    # numpy's OpenBLAS pool, which solve's LAPACK calls run in, runs the
+    # solve at one thread, and the caller's count is back afterwards
     pools = sdp._blas_pools()
     if not pools:
         pytest.skip("no OpenBLAS build with a thread-count setter is loaded")
@@ -351,98 +349,145 @@ def test_inconsistent_class_rows_raise():
         extension_sdp(bad)
 
 
-def test_lapack_helpers_match_scipy_wrappers():
-    # solve() calls potrf/potrs/trtrs on M and zpotrf/zgesdd/zheevr on
-    # the blocks directly, or potrf/dgesdd/dsyevr on a real program's; its
-    # output bytes rest on these giving exactly the bits of the scipy
-    # wrappers.  The SVD and eigenvalue routines are compared with scipy's
-    # routine wrappers at the same (default) workspace: scipy.linalg.svd
-    # and eigh query other sizes, with which the routines take other paths
-    # at some sizes (with scipy 1.17: real gesdd at n = 33..42, heevr at
-    # n = 35 and above).
-    gesdd, heevr = get_lapack_funcs(("gesdd", "heevr"), (np.zeros((1, 1), dtype=complex),))
-    dgesdd, syevr = get_lapack_funcs(("gesdd", "syevr"), (np.zeros((1, 1)),))
+def test_lapack_bindings_match_numpy_linalg():
+    # solve's output bytes rest on its LAPACK calls giving fixed bits.
+    # dpotrf and zpotrf give those of numpy.linalg.cholesky, and dgesdd and
+    # zgesdd those of numpy.linalg.svd, which call the same routine of the
+    # same library.  The SVDs are compared at the solver's sizes: svd
+    # queries its workspace, and with that larger one the routines take
+    # other paths at n = 33..42 (dgesdd) and from n = 46 (zgesdd), 1e-15
+    # apart.
     rng = np.random.default_rng(0)
     for n in range(2, 61):
         G = rng.standard_normal((n, n))
-        spd = G @ G.T + n * np.eye(n)
-        B = rng.standard_normal((n, 3))
-        ref = cho_factor(spd, lower=True)
-        L = _chol_ridge(spd)
-        assert np.array_equal(L, np.tril(ref[0]))
-        for rhs in (B, B[:, 0]):
-            assert np.array_equal(_potrs(L, rhs, lower=1)[0], cho_solve(ref, rhs))
-        assert np.array_equal(_trtrs(L, B, lower=1)[0],
-                              solve_triangular(ref[0], B, lower=True))
-        assert np.array_equal(_trtrs(L, B, lower=1, trans=1)[0],
-                              solve_triangular(ref[0], B, lower=True, trans="T"))
         H = G + 1j * rng.standard_normal((n, n))
-        hpd = H @ H.conj().T + n * np.eye(n)
-        assert np.array_equal(_chol_ridge(hpd, _zpotrf),
-                              np.tril(cho_factor(hpd, lower=True)[0]))
-        for got, want in zip(_zgesdd(H), gesdd(H)):
-            assert np.array_equal(got, want)
-        herm = H + H.conj().T
-        w, _, m, _, info = _zheevr(herm, compute_v=0, range="I", il=1, iu=1, lower=1)
-        assert info == 0 and m == 1
-        assert np.array_equal(w[:1], heevr(herm, compute_v=0, range="I", il=1, iu=1,
-                                           lower=1)[0][:1])
-        for got, want in zip(_dgesdd(G), dgesdd(G)):
-            assert np.array_equal(got, want)
-        sym = G + G.T
-        w, _, m, _, info = _dsyevr(sym, compute_v=0, range="I", il=1, iu=1, lower=1)
-        assert info == 0 and m == 1
-        assert np.array_equal(w[:1], syevr(sym, compute_v=0, range="I", il=1, iu=1,
-                                           lower=1)[0][:1])
+        spd, hpd = G @ G.T + n * np.eye(n), H @ H.conj().T + n * np.eye(n)
+        for potrf, mat in ((_potrf, spd), (_zpotrf, hpd)):
+            L, info = potrf(mat, lower=1)
+            assert info == 0 and L.flags.f_contiguous
+            assert L.tobytes() == np.asfortranarray(np.linalg.cholesky(mat)).tobytes()
+        if n <= 32:
+            for gesdd, mat in ((_dgesdd, G), (_zgesdd, H)):
+                *got, info = gesdd(mat)
+                assert info == 0
+                for x, y in zip(got, np.linalg.svd(mat)):
+                    assert np.array_equal(x, y)
+
+
+def test_lapack_helpers_match_scipy_wrappers():
+    # dpotrs, dtrtrs, zheevr and dsyevr, which numpy.linalg does not call,
+    # and the SVDs at every size give the bits of scipy's wrappers of the
+    # same routines (in scipy's own OpenBLAS build), called with the same
+    # (default) workspaces: scipy.linalg.svd and eigh query other sizes.
+    # scipy is needed for the tests only.
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    ev = dict(compute_v=0, range="I", il=1, iu=1, lower=1)
+    rng = np.random.default_rng(0)
+    for n in range(2, 61):
+        G = rng.standard_normal((n, n))
+        L = _chol_ridge(G @ G.T + n * np.eye(n), _potrf)
+        B = rng.standard_normal((n, 3))
+        for rhs in (B, B[:, 0]):
+            assert np.array_equal(_potrs(L, rhs, lower=1)[0], lapack.dpotrs(L, rhs, lower=1)[0])
+        for trans in (0, 1):
+            assert np.array_equal(_trtrs(L, B, lower=1, trans=trans)[0],
+                                  lapack.dtrtrs(L, B, lower=1, trans=trans)[0])
+        H = G + 1j * rng.standard_normal((n, n))
+        for gesdd, ref, mat in ((_dgesdd, lapack.dgesdd, G), (_zgesdd, lapack.zgesdd, H)):
+            for got, want in zip(gesdd(mat), ref(mat)):
+                assert np.array_equal(got, want)
+        for evr, ref, mat in ((_zheevr, lapack.zheevr, H + H.conj().T),
+                              (_dsyevr, lapack.dsyevr, G + G.T)):
+            w, _, m, _, info = evr(mat, **ev)
+            assert info == 0 and m == 1
+            assert np.array_equal(w[:1], ref(mat, **ev)[0][:1])
 
 
 def test_import_leaves_scipy_linalg_unimported():
-    # the LAPACK routines are loaded from scipy's _flapack file alone;
-    # importing scipy.linalg would be most of keybound's import time
+    # the LAPACK routines are called in numpy's own OpenBLAS: no scipy
+    # module is loaded, by the import or by a solve
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, keybound, keybound.cli; "
-            "print(sorted({'scipy', 'scipy.linalg'} & set(sys.modules)))")
+    code = ("import sys, keybound, keybound.cli\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "keybound.one_way_upper_bound(keybound.ProtocolSpec('six-state', e=0.05))\n"
+            "print(scipy())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]"]
 
 
-@pytest.mark.parametrize("unloadable", [False, True, None], ids=["absent", "unloadable", "loaded"])
-def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
-    # no loadable _flapack in the directory: the routines come from
-    # scipy.linalg; the same checks hold for those of scipy's own _flapack
-    if unloadable:
-        (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
-    linalg_dir = Path(scipy.linalg.__file__).parent if unloadable is None else tmp_path
-    potrf, potrs, trtrs, zpotrf, zgesdd, zheevr, dgesdd, dsyevr = _load_lapack(linalg_dir)
-    spd = np.array([[4.0, 2.0], [2.0, 3.0]])
-    L, info = potrf(spd, lower=1)
-    assert info == 0
-    L = np.tril(L)
-    assert np.allclose(L @ L.T, spd)
-    b = np.array([1.0, 2.0])
-    assert np.allclose(spd @ potrs(L, b, lower=1)[0], b)
-    assert np.allclose(L @ trtrs(L, b, lower=1)[0], b)
-    hpd = np.array([[4.0, 2.0 - 1.0j], [2.0 + 1.0j, 3.0]])
-    Lc, info = zpotrf(hpd, lower=1)
-    assert info == 0
-    Lc = np.tril(Lc)
-    assert np.allclose(Lc @ Lc.conj().T, hpd)
-    U, s, Vh, info = zgesdd(hpd)
-    assert info == 0
-    assert np.allclose((U * s) @ Vh, hpd)
-    w, _, m, _, info = zheevr(hpd, compute_v=0, range="I", il=1, iu=1, lower=1)
-    assert info == m - 1 == 0
-    assert w[0] == pytest.approx((7.0 - np.sqrt(21.0)) / 2.0)
-    # the real SVD and lowest eigenvalue, as a real program calls them
-    U, s, Vt, info = dgesdd(spd)
-    assert info == 0
-    assert np.allclose((U * s) @ Vt, spd)
-    w, _, m, _, info = dsyevr(spd, compute_v=0, range="I", il=1, iu=1, lower=1)
-    assert info == m - 1 == 0
-    assert w[0] == pytest.approx((7.0 - np.sqrt(17.0)) / 2.0)
+def test_numpy_linalg_stand_ins_match_the_bindings(monkeypatch):
+    # where numpy bundles no OpenBLAS, the routines are numpy.linalg
+    # stand-ins; forced here, a qubit point and a full-rank (2, 3)
+    # decomposition agree with those of the ctypes bindings to 1e-7
+    if sdp._find_openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS: the stand-ins are the only path")
+    g = np.random.default_rng(0).standard_normal((6, 6))
+    mat = g @ g.T + np.eye(6)
+    state = DensityOperator(mat / np.trace(mat), (2, 3))
+    spec = ProtocolSpec("four-state", e=0.05)
+
+    def run():
+        point = bounds.one_way_upper_bound(spec)
+        return point, best_extendible_decomposition(class_from_state(state))
+
+    ref_point, ref_dec = run()
+    stand_ins = _load_lapack(None)
+    assert all(fn.__module__ == "keybound.sdp" and "_numpy_lapack" in fn.__qualname__
+               for fn in stand_ins)
+    names = ("_potrf", "_potrs", "_trtrs", "_zpotrf", "_zgesdd", "_zheevr", "_dgesdd", "_dsyevr")
+    assert len(names) == len(_LAPACK)
+    for name, fn in zip(names, stand_ins):
+        monkeypatch.setattr(sdp, name, fn)
+    point, dec = run()
+    assert point.status == ref_point.status == "optimal"
+    assert abs(point.lambda_max - ref_point.lambda_max) <= 1e-7
+    assert abs(point.upper_bound - ref_point.upper_bound) <= 1e-7
+    assert abs(dec.lambda_max - ref_dec.lambda_max) <= 1e-7
+    assert np.max(np.abs(dec.rho_star.matrix - ref_dec.rho_star.matrix)) <= 1e-7
+
+
+def failing_from(call, monkeypatch, every=False):
+    """Make the step-length eigensolves (sdp._dsyevr, sdp._zheevr) report
+    info = 1 at their call-th call, counted together (and after it, with
+    every)."""
+    count = [0]
+
+    def failing(real):
+        def evr(*args, **kwargs):
+            count[0] += 1
+            w, z, m, isuppz, info = real(*args, **kwargs)
+            hit = count[0] >= call if every else count[0] == call
+            return w, z, m, isuppz, 1 if hit else info
+        return evr
+    for name in ("_dsyevr", "_zheevr"):
+        monkeypatch.setattr(sdp, name, failing(getattr(sdp, name)))
+
+
+def test_step_length_eigensolve_failure_ends_the_solve(monkeypatch):
+    # a step length whose eigensolve fails ends the run as
+    # numerical-failure with its message, like a failed scaling
+    problem = extendibility.build_sdp(assemble_class(*realize_protocol(SIX_STATE), SIX_STATE))[0]
+    failing_from(5, monkeypatch)
+    sol = solve(problem)
+    assert sol.status == "numerical-failure"
+    assert sol.message == "Eigenvalues did not converge"
+    assert sol.iterations < 3 and np.isfinite(sol.x).all()
+
+
+def test_step_length_eigensolve_failures_give_a_failed_point(monkeypatch, capsys):
+    # every solve after the fourth step-length eigensolve fails: the point
+    # is failed, not raised, and the CLI exits 1 (solver failure), not 2
+    failing_from(5, monkeypatch, every=True)
+    point = bounds.one_way_upper_bound(ProtocolSpec("four-state", e=0.05))
+    assert point.status == "failed"
+    monkeypatch.undo()
+    failing_from(5, monkeypatch, every=True)
+    assert main(["bound", "--protocol", "four-state", "--e", "0.05"]) == 1
+    assert "status: failed" in capsys.readouterr().out
 
 
 SIX_STATE = ProtocolSpec("six-state", e=0.1)
