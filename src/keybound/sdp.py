@@ -116,16 +116,21 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_", "scipy_{}_64_", ctypes.c_int64),
                      ("openblas", "", "{}_", ctypes.c_int32))
 
 
-def _find_openblas():
+_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def _find_openblas(libs=_NUMPY_LIBS):
     """The OpenBLAS in numpy's wheel (its .libs directory), as (get, set,
     routines, int): its thread-count functions, the routines named in
     _LAPACK and its integer type; None for any other BLAS build
-    (Accelerate, MKL, a distribution's) or one without those symbols.
-    The library is opened as a PyDLL, so a call keeps the GIL rather than
-    paying to release and take it back."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.PyDLL(str(lib))
+    (Accelerate, MKL, a distribution's), one that does not load or one
+    without those symbols.  The library is opened as a PyDLL, so a call
+    keeps the GIL rather than paying to release and take it back."""
+    for lib in sorted(Path(libs).glob("*openblas*")):
+        try:
+            handle = ctypes.PyDLL(str(lib))
+        except OSError:
+            continue
         for prefix, suffix, routine, itype in _OPENBLAS_SYMBOLS:
             names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}",
                      *(routine.format(name) for name in _LAPACK))

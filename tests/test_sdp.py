@@ -419,6 +419,48 @@ def test_import_leaves_scipy_linalg_unimported():
     assert out.split() == ["[]", "[]"]
 
 
+@pytest.mark.parametrize("unloadable", [False, True, None], ids=["absent", "unloadable", "loaded"])
+def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
+    # (named for the scipy.linalg fallback the numpy.linalg stand-ins
+    # replaced) no loadable OpenBLAS in the directory: the routines are the
+    # stand-ins; the same checks hold for the bindings into numpy's own
+    if unloadable:
+        (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    libs = sdp._NUMPY_LIBS if unloadable is None else tmp_path
+    openblas = sdp._find_openblas(libs)
+    if unloadable is None and openblas is None:
+        pytest.skip("numpy bundles no OpenBLAS: the stand-ins are the only path")
+    assert (openblas is None) == (unloadable is not None)
+    potrf, potrs, trtrs, zpotrf, zgesdd, zheevr, dgesdd, dsyevr = _load_lapack(openblas)
+    assert ("_numpy_lapack" in potrf.__qualname__) == (openblas is None)
+    spd = np.array([[4.0, 2.0], [2.0, 3.0]])
+    L, info = potrf(spd, lower=1)
+    assert info == 0
+    L = np.tril(L)
+    assert np.allclose(L @ L.T, spd)
+    b = np.array([1.0, 2.0])
+    assert np.allclose(spd @ potrs(L, b, lower=1)[0], b)
+    assert np.allclose(L @ trtrs(L, b, lower=1)[0], b)
+    hpd = np.array([[4.0, 2.0 - 1.0j], [2.0 + 1.0j, 3.0]])
+    Lc, info = zpotrf(hpd, lower=1)
+    assert info == 0
+    Lc = np.tril(Lc)
+    assert np.allclose(Lc @ Lc.conj().T, hpd)
+    U, s, Vh, info = zgesdd(hpd)
+    assert info == 0
+    assert np.allclose((U * s) @ Vh, hpd)
+    w, _, m, _, info = zheevr(hpd, compute_v=0, range="I", il=1, iu=1, lower=1)
+    assert info == m - 1 == 0
+    assert w[0] == pytest.approx((7.0 - np.sqrt(21.0)) / 2.0)
+    # the real SVD and lowest eigenvalue, as a real program calls them
+    U, s, Vt, info = dgesdd(spd)
+    assert info == 0
+    assert np.allclose((U * s) @ Vt, spd)
+    w, _, m, _, info = dsyevr(spd, compute_v=0, range="I", il=1, iu=1, lower=1)
+    assert info == m - 1 == 0
+    assert w[0] == pytest.approx((7.0 - np.sqrt(17.0)) / 2.0)
+
+
 def test_numpy_linalg_stand_ins_match_the_bindings(monkeypatch):
     # where numpy bundles no OpenBLAS, the routines are numpy.linalg
     # stand-ins; forced here, a qubit point and a full-rank (2, 3)
