@@ -63,7 +63,8 @@ def one_way_upper_bound(spec):
 
     Solver breakdowns are not raised: the returned point carries
     status "failed" with NaN numbers.  POVMs with key metadata but no
-    matched-basis probability mass raise ValueError before any solve.
+    matched-basis probability mass raise ValueError before any solve, and
+    data that no state reproduces raise InconsistentDataError.
     """
     povms, data = realize_protocol(spec)
     cls = assemble_class(povms, data, spec)

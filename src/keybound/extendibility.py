@@ -49,7 +49,8 @@ corner, swap-symmetric to the bit since P V_s = V_s and P V_a = -V_a
 hold exactly; _decomposition turns them into the reported matrices, with
 lambda = Tr(chi~) rather than b.y.  Rows that no state meets make it
 unbounded: its primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which
-proves the class empty, so that solve is raised as it ended.  When the
+proves the class empty, so best_extendible_decomposition raises
+InconsistentDataError with b.d at ||d|| = 1 as its residual.  When the
 witness solve of a class that does not pin rho ends numerical-failure
 (its dual residual can stall near 1e-7 at error rates close to 0), the
 extension program is solved instead, the f parts of its blocks built
@@ -110,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import build_basis, expand, reconstruct
-from .protocols import _independent_rows
+from .protocols import InconsistentDataError, _independent_rows
 from .sdp import FEAS_TOL, LmiBlock, SdpProblem, SdpSolution, SolverError, solve
 from .states import DensityOperator, partial_trace_matrix, swap_last_two
 
@@ -476,7 +477,8 @@ def best_extendible_decomposition(cls):
     extendible part is reported (sigma_ext and chi are None); within
     LAMBDA_TOL of 1 no rho_ne is reported.  Reported parts are
     renormalized to unit trace.  Solver failure raises SolverError with
-    the solution attached.
+    the solution attached, and rows that no state meets raise
+    InconsistentDataError.
 
     The program that ran is diagnostics["program"]: "face" for a class
     whose rows pin rho to a rank-deficient state (see _pinned_support),
@@ -485,7 +487,8 @@ def best_extendible_decomposition(cls):
     its face over its whole support ("face"), any other class by the
     extension program ("extension").  A witness solve that ends unbounded
     has a primal ray d with sum_j d_j O_j <= 0 and b.d > 0, which proves
-    that no state meets the class rows, so it raises at once.  A face
+    that no state meets the class rows, so it raises InconsistentDataError
+    at once, with b.d at ||d|| = 1 as its residual.  A face
     solve's diagnostics carry rho's support rank and the face dimension
     (None for both otherwise).  Every path gives the sector blocks
     (T, Z_s, Z_a), from which _decomposition builds the result's
@@ -517,6 +520,12 @@ def best_extendible_decomposition(cls):
     elif program == "face":
         support_rank = pinned[0].size
         sol, face_dim, parts = _solve_on_face(*pinned, dims)
+    if program == "witness" and sol.status == "unbounded":
+        d = B @ sol.certificate["x"]
+        residual = float(cls.rhs @ d) / float(np.linalg.norm(d))
+        raise InconsistentDataError(
+            "no state meets the class rows: the witness program is unbounded along "
+            f"a primal ray d with b.d = {residual:.3e} at ||d|| = 1", residual)
     if sol.status != "optimal":
         raise SolverError(
             f"decomposition solve ended with status {sol.status}: {sol.message}",

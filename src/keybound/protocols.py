@@ -43,7 +43,9 @@ CONSISTENCY_TOL = 1e-8
 class InconsistentDataError(ValueError):
     """No state can reproduce the observed probabilities; residual is the
     norm of the data's part in the left null space of the class rows, the
-    distance the consistency test found."""
+    distance the consistency test found, or, raised by
+    best_extendible_decomposition, b.d of the witness program's primal
+    ray d at ||d|| = 1."""
 
     def __init__(self, message, residual):
         super().__init__(message)

@@ -61,13 +61,16 @@ and R^-1 from the Cholesky factors of S and Z and one SVD, with no
 triangular solve (_nt_scaling), the step's distance to the cone
 boundary from the lowest eigenvalue of each scaled direction
 (_step_bound), the corrector's product dS dZ and the update R (.) R^H.
-Every factorization is a direct LAPACK call into the OpenBLAS that
-numpy's wheel bundles, or a numpy.linalg stand-in where numpy has no such
-build (see _load_lapack), and solve runs with that library's thread pool
-at one thread (see _one_blas_thread).  A factorization or eigensolve
-that fails ends the run as numerical-failure with its message.  A
-variable whose matrices are zero in every block would make M singular,
-so SdpProblem rejects it.
+Every factorization goes through five LAPACK entry points
+(_load_lapack): direct calls into the OpenBLAS that numpy's wheel
+bundles, or numpy.linalg stand-ins where numpy has no such build.  They
+reuse buffers per size: the SVD returns views, which _nt_scaling reads
+at once, and the Cholesky factors and M's solves return copies, since
+two results of one size live at once.  solve runs with that library's
+thread pool at one thread (see _one_blas_thread).  A factorization or
+eigensolve that fails ends the run as numerical-failure with its
+message.  A variable whose matrices are zero in every block would make
+M singular, so SdpProblem rejects it.
 
 Weak duality: with rp and rd the primal and dual residuals of the
 normalized iterate, pobj = c.x and dobj = -<F0, Z>, every iterate has
@@ -146,180 +149,160 @@ def _find_openblas(libs=_NUMPY_LIBS):
 
 
 def _ctypes_lapack(routines, itype):
-    """The routines of _LAPACK as ctypes calls with the f2py wrappers'
-    conventions (scipy.linalg.lapack): the same arguments and defaults,
-    the input copied to Fortran order, the default workspaces, the
-    outputs in new Fortran-ordered arrays and info returned; potrf zeros
-    the other triangle, as clean=1 does, and syevr and heevr compute
-    eigenvalues by index only (compute_v=0, range="I").
-
-    Each routine keeps, per size, Fortran-ordered buffers and its whole
-    argument tuple, built once, so a call copies the input in, calls the
-    routine and copies the outputs out.  No argtypes are set: every
-    argument is already a reference to a typed value or a buffer of the
-    right size, and argtypes would add a conversion per argument to every
-    call, at sizes where a call costs little more than its overhead.  The
-    buffers are shared, so one call runs at a time (solve holds
-    _blas_lock).  Like numpy.linalg's calls into the same library, they
-    pass no hidden lengths of the character arguments."""
+    """The entry points of _load_lapack as direct ctypes calls: the input
+    copied into a Fortran-ordered float64 or complex128 buffer, with the
+    workspaces scipy's f2py wrappers pass by default, so the bits are
+    those of the routines behind those wrappers.  Each keeps, per size
+    and field, its buffers and whole argument tuple, built once.  No
+    argtypes are set: every argument is already a reference to a typed
+    value or a buffer of the right size, and argtypes would add a
+    conversion per argument to every call.  The buffers are shared, so
+    one call runs at a time (solve holds _blas_lock).  Like numpy.linalg's
+    calls into the same library, they pass no hidden lengths of the
+    character arguments."""
     dpotrf, dpotrs, dtrtrs, zpotrf, zgesdd, zheevr, dgesdd, dsyevr = routines
     index = np.dtype(itype)
 
     def ref(value, ctype=itype):
         return ctypes.byref(ctype(value))
 
-    def buf(shape, dtype=float):
-        return np.zeros(shape, dtype, order="F")
+    def buf(shape, cplx=False):
+        return np.zeros(shape, complex if cplx else float, order="F")
 
     def ptr(arr):
         # a reference to arr's first byte, which keeps arr alive; ctypes
         # passes these faster than c_void_p
         return ctypes.byref(ctypes.c_char.from_buffer(arr.ravel(order="K")))
 
-    def uplo(lower):
-        return b"L" if lower else b"U"
+    @functools.cache
+    def potrf_at(n, cplx):
+        a, info = buf((n, n), cplx), itype()
+        # the upper triangle is zeroed by one AND of the buffer's bits with
+        # a mask: all ones on the lower triangle, else zero
+        keep = np.repeat(np.tri(n, dtype=bool).ravel(order="F"), a.itemsize // 8) * np.int64(-1)
+        fn = zpotrf if cplx else dpotrf
+        return a, a.ravel(order="K").view(np.int64), keep, info, fn, (
+            b"L", ref(n), ptr(a), ref(n), ctypes.byref(info))
 
-    def potrf(fn, dtype):
-        def at(n, lower):
-            a, info = buf((n, n), dtype), itype()
-            # the other triangle is zeroed by one AND of the buffer's bits
-            # with a mask: all ones on the factor's triangle, else zero
-            keep = np.tri(n, dtype=bool) if lower else np.tri(n, dtype=bool).T
-            keep = np.repeat(keep.ravel(order="F"), a.itemsize // 8) * np.int64(-1)
-            bits = a.ravel(order="K").view(np.int64)
-            return a, bits, keep, info, (uplo(lower), ref(n), ptr(a), ref(n), ctypes.byref(info))
-        sizes = functools.cache(at)
+    def potrf(a):
+        a_buf, bits, keep, info, fn, args = potrf_at(a.shape[0], a.dtype.kind == "c")
+        a_buf[...] = a
+        fn(*args)
+        if info.value:
+            return None
+        np.bitwise_and(bits, keep, out=bits)
+        return a_buf.copy(order="F")
 
-        def call(a, lower=0):
-            a_buf, bits, keep, info, args = sizes(a.shape[0], lower)
-            a_buf[...] = a
-            fn(*args)
-            np.bitwise_and(bits, keep, out=bits)
-            return a_buf.copy(order="F"), info.value
-        return call
+    @functools.cache
+    def solve_at(n, columns, chars):
+        a, b, info = buf((n, n)), buf((n, *columns)), itype()
+        nrhs = columns[0] if columns else 1
+        return a, b, (*chars, ref(n), ref(nrhs), ptr(a), ref(n), ptr(b), ref(n),
+                      ctypes.byref(info))
 
-    def solve_at(n, b_shape, *chars):
-        """Buffers and arguments of potrs (chars: uplo) or trtrs (uplo,
-        trans, diag), whose arguments differ only in those."""
-        a, b, info = buf((n, n)), buf(b_shape), itype()
-        nrhs = b_shape[1] if len(b_shape) == 2 else 1
-        return a, b, info, (*chars, ref(n), ref(nrhs), ptr(a), ref(n), ptr(b), ref(n),
-                            ctypes.byref(info))
-    potrs_sizes = functools.cache(lambda n, b_shape, lower: solve_at(n, b_shape, uplo(lower)))
-    trtrs_sizes = functools.cache(lambda n, b_shape, lower, trans: solve_at(
-        n, b_shape, uplo(lower), b"NTC"[trans:trans + 1], b"N"))
+    def solve_with(fn, L, b, chars):
+        # potrs (chars: uplo) and trtrs (uplo, trans, diag) differ only in
+        # those; the factor of a successful potrf leaves no info to read
+        a_buf, b_buf, args = solve_at(L.shape[0], b.shape[1:], chars)
+        a_buf[...], b_buf[...] = L, b
+        fn(*args)
+        return b_buf.copy(order="F")
 
-    def potrs(c, b, lower=0):
-        c_buf, b_buf, info, args = potrs_sizes(c.shape[0], b.shape, lower)
-        c_buf[...], b_buf[...] = c, b
-        dpotrs(*args)
-        return b_buf.copy(order="F"), info.value
+    def potrs(L, b):
+        return solve_with(dpotrs, L, b, (b"L",))
 
-    def trtrs(a, b, lower=0, trans=0):
-        a_buf, b_buf, info, args = trtrs_sizes(a.shape[0], b.shape, lower, trans)
-        a_buf[...], b_buf[...] = a, b
-        dtrtrs(*args)
-        return b_buf.copy(order="F"), info.value
+    def trtrs(L, b, trans):
+        return solve_with(dtrtrs, L, b, ((b"L", b"N", b"N"), (b"L", b"T", b"N"))[trans])
 
-    def gesdd(fn, dtype):
-        def at(m, n):
-            mn, mx = min(m, n), max(m, n)
-            a, s, u, vt, info = buf((m, n), dtype), buf(mn), buf((m, m), dtype), \
-                buf((n, n), dtype), itype()
-            if dtype is complex:
-                lwork = max(2 * mn * mn + mx + 2 * mn, 1)
-                rwork = (ptr(buf(max(5 * mn * mn + 5 * mn, 2 * mx * mn + 2 * mn * mn + mn, 1))),)
-            else:
-                lwork, rwork = max(4 * mn * mn + mx + 9 * mn, 1), ()
-            return a, u, s, vt, info, (
-                b"A", ref(m), ref(n), ptr(a), ref(m), ptr(s), ptr(u), ref(m), ptr(vt), ref(n),
-                ptr(buf(lwork, dtype)), ref(lwork), *rwork, ptr(buf(8 * mn, index)),
-                ctypes.byref(info))
-        sizes = functools.cache(at)
+    @functools.cache
+    def gesdd_at(n, cplx):
+        a, u, vt = (buf((n, n), cplx) for _ in range(3))
+        s, info = buf(n), itype()
+        if cplx:
+            fn, lwork, rwork = zgesdd, 2 * n * n + 3 * n, (ptr(buf(5 * n * n + 5 * n)),)
+        else:
+            fn, lwork, rwork = dgesdd, 4 * n * n + 10 * n, ()
+        return fn, a, (u, s, vt), info, (
+            b"A", ref(n), ref(n), ptr(a), ref(n), ptr(s), ptr(u), ref(n), ptr(vt), ref(n),
+            ptr(buf(lwork, cplx)), ref(lwork), *rwork, ptr(np.zeros(8 * n, index)),
+            ctypes.byref(info))
 
-        def call(a):
-            a_buf, u, s, vt, info, args = sizes(*a.shape)
-            a_buf[...] = a
-            fn(*args)
-            return u.copy(order="F"), s.copy(), vt.copy(order="F"), info.value
-        return call
+    def gesdd(a):
+        fn, a_buf, usv, info, args = gesdd_at(a.shape[0], a.dtype.kind == "c")
+        a_buf[...] = a
+        fn(*args)
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"SVD of the Nesterov-Todd scaling did not converge (gesdd info {info.value})")
+        return usv
 
-    def evr(fn, dtype):
-        def at(n, lower, il, iu):
-            a, w, found, info = buf((n, n), dtype), buf(n), itype(), itype()
-            if dtype is complex:
-                lwork, lrwork = max(2 * n, 1), max(24 * n, 1)
-                rwork = (ptr(buf(lrwork)), ref(lrwork))
-            else:
-                lwork, rwork = max(26 * n, 1), ()
-            liwork, real = max(10 * n, 1), ctypes.c_double
-            return a, w, found, info, (
-                b"N", b"I", uplo(lower), ref(n), ptr(a), ref(n), ref(0.0, real), ref(1.0, real),
-                ref(il), ref(iu), ref(0.0, real), ctypes.byref(found), ptr(w),
-                ptr(buf(1, dtype)), ref(1), ptr(buf(2 * max(n, 1), index)),
-                ptr(buf(lwork, dtype)), ref(lwork), *rwork, ptr(buf(liwork, index)), ref(liwork),
-                ctypes.byref(info))
-        sizes = functools.cache(at)
+    @functools.cache
+    def lowest_at(n, cplx):
+        a, w, found, info = buf((n, n), cplx), buf(n), itype(), itype()
+        if cplx:
+            fn, lwork, rwork = zheevr, 2 * n, (ptr(buf(24 * n)), ref(24 * n))
+        else:
+            fn, lwork, rwork = dsyevr, 26 * n, ()
+        real = ctypes.c_double
+        return fn, a, w, info, (
+            b"N", b"I", b"L", ref(n), ptr(a), ref(n), ref(0.0, real), ref(1.0, real),
+            ref(1), ref(1), ref(0.0, real), ctypes.byref(found), ptr(w),
+            ptr(buf(1, cplx)), ref(1), ptr(np.zeros(2 * n, index)),
+            ptr(buf(lwork, cplx)), ref(lwork), *rwork, ptr(np.zeros(10 * n, index)), ref(10 * n),
+            ctypes.byref(info))
 
-        def call(a, compute_v=0, range="I", il=1, iu=1, lower=0):
-            if compute_v or range != "I":
-                raise ValueError("only eigenvalues by index (compute_v=0, range='I')")
-            a_buf, w, found, info, args = sizes(a.shape[0], lower, il, iu)
-            a_buf[...] = a
-            fn(*args)
-            return w.copy(), None, found.value, None, info.value
-        return call
+    def lowest(a):
+        fn, a_buf, w, info, args = lowest_at(a.shape[0], a.dtype.kind == "c")
+        a_buf[...] = a
+        fn(*args)
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return float(w[0])
 
-    return (potrf(dpotrf, float), potrs, trtrs, potrf(zpotrf, complex), gesdd(zgesdd, complex),
-            evr(zheevr, complex), gesdd(dgesdd, float), evr(dsyevr, float))
+    return potrf, potrs, trtrs, gesdd, lowest
 
 
 def _numpy_lapack():
-    """numpy.linalg stand-ins for the routines of _LAPACK, with the calls
-    and returns of _ctypes_lapack: the LAPACK routines of a numpy built on
+    """numpy.linalg stand-ins for the five entry points of _ctypes_lapack,
+    with their calls and returns: the LAPACK routines of a numpy built on
     another BLAS, behind numpy's wrappers."""
-    LinAlgError = np.linalg.LinAlgError
 
-    def potrf(a, lower=0):
+    def potrf(a):
         try:
-            L = np.linalg.cholesky(a if lower else a.conj().T)
-        except LinAlgError:
-            return a, 1
-        return (L if lower else L.conj().T), 0
+            return np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return None
 
-    def potrs(c, b, lower=0):
-        L = c if lower else c.conj().T
-        return np.linalg.solve(L.conj().T, np.linalg.solve(L, b)), 0
+    def potrs(L, b):
+        return np.linalg.solve(L.conj().T, np.linalg.solve(L, b))
 
-    def trtrs(a, b, lower=0, trans=0):
-        return np.linalg.solve((a, a.T, a.conj().T)[trans], b), 0
+    def trtrs(L, b, trans):
+        return np.linalg.solve(L.T if trans else L, b)
 
     def gesdd(a):
-        try:
-            return (*np.linalg.svd(a), 0)
-        except LinAlgError:
-            return None, None, None, 1
+        return np.linalg.svd(a)
 
-    def evr(a, compute_v=0, range="I", il=1, iu=1, lower=0):
-        if compute_v or range != "I":
-            raise ValueError("only eigenvalues by index (compute_v=0, range='I')")
-        try:
-            w = np.linalg.eigvalsh(a, "L" if lower else "U")
-        except LinAlgError:
-            return None, None, 0, None, 1
-        return w[il - 1:iu], None, iu - il + 1, None, 0
+    def lowest(a):
+        return float(np.linalg.eigvalsh(a, "L")[0])
 
-    return potrf, potrs, trtrs, potrf, gesdd, evr, gesdd, evr
+    return potrf, potrs, trtrs, gesdd, lowest
 
 
 def _load_lapack(openblas):
-    """The routines named in _LAPACK: dpotrf, dpotrs and dtrtrs for the
-    Gram matrix M, and for the blocks the complex ones, or dpotrf, dgesdd
-    and dsyevr in a real program.
+    """The solver's LAPACK entry points over the routines of _LAPACK;
+    potrf, gesdd and lowest take the d or z routine by the input's dtype,
+    and potrs and trtrs, for M, are real:
 
-    With openblas (see _find_openblas) they are direct calls into the
-    OpenBLAS numpy's wheel bundles (_ctypes_lapack), the library numpy's
-    own products and numpy.linalg run in, so no second BLAS is loaded;
+    - potrf(a): the lower Cholesky factor, upper triangle zeroed, or None;
+    - potrs(L, b) and trtrs(L, b, trans): x with L L^T x = b, and with
+      L x = b (L^T x = b for trans = 1);
+    - gesdd(a): (U, s, Vh) of a square a, which may be views that its
+      next call of that size overwrites;
+    - lowest(a): the lowest eigenvalue of a Hermitian a, as a float.
+
+    gesdd and lowest raise LinAlgError when they do not converge.  With
+    openblas (see _find_openblas) they are direct calls into the OpenBLAS
+    numpy's wheel bundles (_ctypes_lapack), so no second BLAS is loaded;
     with None, numpy.linalg stand-ins (_numpy_lapack).  At the solver's
     sizes numpy.linalg's input checks cost more than the routines; the
     one that mattered, finiteness, is made on M."""
@@ -329,7 +312,7 @@ def _load_lapack(openblas):
 
 
 _OPENBLAS = _find_openblas()
-_potrf, _potrs, _trtrs, _zpotrf, _zgesdd, _zheevr, _dgesdd, _dsyevr = _load_lapack(_OPENBLAS)
+_potrf, _potrs, _trtrs, _gesdd, _lowest = _load_lapack(_OPENBLAS)
 
 
 def _blas_pools():
@@ -499,13 +482,13 @@ def _norm(a):
     return math.sqrt(float(np.vdot(a, a).real))
 
 
-def _chol_ridge(mat, potrf):
+def _chol_ridge(mat):
     """Lower Cholesky factor with an escalating diagonal ridge; None if hopeless."""
     n = mat.shape[0]
     ridge = 0.0
     for _ in range(3):
-        L, info = potrf(mat + ridge * np.eye(n) if ridge else mat, lower=1)
-        if info == 0:
+        L = _potrf(mat + ridge * np.eye(n) if ridge else mat)
+        if L is not None:
             return L
         ridge = 1e-12 * max(1.0, float(np.max(np.diag(mat).real))) if ridge == 0.0 \
             else ridge * 1e4
@@ -521,14 +504,10 @@ def _nt_scaling(S, Z):
     so no triangular solve, in the arithmetic of S.  Raises LinAlgError
     when a factorization fails.
     """
-    potrf, gesdd = (_zpotrf, _zgesdd) if S.dtype.kind == "c" else (_potrf, _dgesdd)
-    Ls, Lz = _chol_ridge(S, potrf), _chol_ridge(Z, potrf)
+    Ls, Lz = _chol_ridge(S), _chol_ridge(Z)
     if Ls is None or Lz is None:
         raise np.linalg.LinAlgError("lost positive definiteness of an iterate")
-    U, d, Vh, info = gesdd(Lz.conj().T @ Ls)
-    if info:
-        raise np.linalg.LinAlgError(
-            f"SVD of the Nesterov-Todd scaling did not converge (gesdd info {info})")
+    U, d, Vh = _gesdd(Lz.conj().T @ Ls)
     d = np.maximum(d, 1e-150)
     sd = np.sqrt(d)
     return Ls @ (Vh.conj().T / sd), (Lz @ (U / sd)).conj().T, d
@@ -537,13 +516,7 @@ def _nt_scaling(S, Z):
 def _step_bound(*scaled):
     """Largest alpha with I + alpha * X >= 0 for every Hermitian X given:
     for a block, X = diag(d)^-1/2 delta diag(d)^-1/2 of a direction delta."""
-    lo = np.inf
-    for X in scaled:
-        evr = _zheevr if X.dtype.kind == "c" else _dsyevr
-        w, _, _, _, info = evr(X, compute_v=0, range="I", il=1, iu=1, lower=1)
-        if info:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        lo = min(lo, float(w[0]))
+    lo = min(_lowest(X) for X in scaled)
     if lo >= -1e-300:
         return np.inf
     return 1.0 / (-lo)
@@ -748,17 +721,17 @@ def _solve(problem):
                 status = "numerical-failure"
                 message = "scaled normal (Gram) matrix M has a non-finite entry"
                 break
-            Mf = _chol_ridge(M, _potrf)
+            Mf = _chol_ridge(M)
             if Mf is None:
                 status = "numerical-failure"
                 message = "scaled normal matrix is numerically singular"
                 break
             # L^-1 and M^-1 of [c, f0] for the tau column
-            half = _trtrs(Mf, np.column_stack([c, f0]), lower=1)[0]
-            mc, mf = _trtrs(Mf, half, lower=1, trans=1)[0].T
+            half = _trtrs(Mf, np.column_stack([c, f0]), 0)
+            mc, mf = _trtrs(Mf, half, 1).T
 
             def fixed_tau_step(h):
-                return _potrs(Mf, h, lower=1)[0]
+                return _potrs(Mf, h)
 
             def directions(dw, dtau, Kp, dS, dZ):
                 """dS = F~_lin(dw) + dtau F0~ + rp~ and dZ = Kp - F~_lin(dw) - dtau F0~."""

@@ -160,13 +160,15 @@ def assert_ray_proves_no_state(cls, sol):
     mapped to the class rows as d = B x by build_sdp's B, proves that no
     state meets them: every block of F_lin(d) = sum_j d_j mats_j of the
     class-row program is PSD within 1e-9 (sum_j d_j O_j <= 0) and
-    b.d > 0, so b.y grows without bound over feasible witnesses."""
+    b.d > 0, so b.y grows without bound over feasible witnesses.
+    Returns b.d at ||d|| = 1."""
     assert sol.status == "unbounded"
     assert sol.certificate["kind"] == "primal-ray"
     d = build_sdp(cls)[1] @ sol.certificate["x"]
     for blk in class_row_program(cls).blocks:
         assert np.linalg.eigvalsh(np.tensordot(d, blk.mats, 1))[0] >= -1e-9
     assert float(cls.rhs @ d) > 0.0
+    return float(cls.rhs @ d) / float(np.linalg.norm(d))
 
 
 def extend_qutrit_stream_state(cycle, rank):

@@ -17,8 +17,8 @@ from keybound.extendibility import (
     extension_sdp, verify_extension,
 )
 from keybound.protocols import (
-    EquivalenceClassSpec, ProtocolSpec, assemble_class, class_from_state,
-    realize_protocol, six_state_povms,
+    EquivalenceClassSpec, InconsistentDataError, ProtocolSpec, assemble_class,
+    class_from_state, realize_protocol, six_state_povms,
 )
 from keybound.sdp import SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
@@ -557,7 +557,7 @@ def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
     # program for the real matrix with eigenvalue -1e-8.  On the latter it ends
     # numerical-failure, so the extension program runs after it; on
     # inconsistent rows it ends unbounded, and its primal ray refuses the
-    # class with no second solve
+    # class as inconsistent data, with no second solve
     cls = make()
     runs = []
 
@@ -567,12 +567,13 @@ def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
         return sol
 
     monkeypatch.setattr(extendibility, "solve", spy)
-    with pytest.raises(SolverError) as err:
+    inconsistent = make is _inconsistent_pinned_class
+    with pytest.raises(InconsistentDataError if inconsistent else SolverError) as err:
         best_extendible_decomposition(cls)
-    if make is _inconsistent_pinned_class:
+    if inconsistent:
         assert [n for n, _ in runs] == [cls.rows.shape[0]]
-        assert err.value.solution is runs[0][1]
-        assert_ray_proves_no_state(cls, runs[0][1])
+        assert err.value.residual == pytest.approx(
+            assert_ray_proves_no_state(cls, runs[0][1]), rel=1e-12)
     else:
         # the rows pin rho, so the extension program has the 40 f alone
         assert [n for n, _ in runs] == [10, 40]

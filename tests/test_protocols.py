@@ -7,6 +7,7 @@ import pytest
 from keybound import extendibility
 from keybound.basis import build_basis, expand
 from keybound.bounds import one_way_upper_bound
+from keybound.cli import main
 from keybound.infotheory import mutual_information
 from keybound.protocols import (
     CONSISTENCY_TOL, EquivalenceClassSpec, InconsistentDataError, ObservedData, Povm,
@@ -227,6 +228,32 @@ def test_signalling_data_refused_on_nearly_dependent_rows(delta):
     with pytest.raises(InconsistentDataError, match="residual") as err:
         assemble_class(povms, data)
     assert err.value.residual == pytest.approx(0.01 / math.sqrt(2.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("delta", [3e-9, 1e-5])
+def test_signalling_data_on_independent_rows_refused_by_the_witness_ray(delta, tmp_path, capsys):
+    # from 3e-9 on, the perturbation leaves the 12 rows independent, so the
+    # consistency test has no identity to check and the class assembles;
+    # the witness program then ends on a primal ray, which proves that no
+    # state meets the rows: the same InconsistentDataError, with the ray's
+    # b.d at ||d|| = 1 as its residual, and the CLI exits 2, as for data
+    # the consistency test refuses
+    povms, data = perturbed_four_state(delta)
+    assert _class_rows(*povms, None)[2].size == 12
+    with pytest.raises(InconsistentDataError, match="primal ray") as err:
+        extendibility.best_extendible_decomposition(assemble_class(povms, data))
+    assert 0.0 < err.value.residual < 0.01
+    records = [{"label": label, "matrix": {"re": m.real.tolist(), "im": m.imag.tolist()}}
+               for label, m in zip(povms[1].labels, povms[1].elements)]
+    doc = {"dims": [2, 2], "bob_povm": records,
+           "alice_povm": [{"label": label, "matrix": {"re": m.real.tolist()}}
+                          for label, m in zip(povms[0].labels, povms[0].elements)],
+           "probabilities": [{"alice": la, "bob": lb, "p": p}
+                             for (la, lb), p in data.entries().items()]}
+    path = tmp_path / "signalling.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", "--protocol", "custom", "--custom-file", str(path)]) == 2
+    assert "no state meets the class rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row_set", [

@@ -16,8 +16,8 @@ from keybound.protocols import (
     simulate_observed_data, six_state_povms,
 )
 from keybound.sdp import (
-    _LAPACK, LmiBlock, SdpProblem, SolverError, _chol_ridge, _dgesdd, _dsyevr, _load_lapack,
-    _potrf, _potrs, _trtrs, _zgesdd, _zheevr, _zpotrf, solve,
+    LmiBlock, SdpProblem, SolverError, _chol_ridge, _gesdd, _load_lapack, _lowest, _potrf, _potrs,
+    _trtrs, solve,
 )
 from keybound.states import DensityOperator, depolarized_bell
 from helpers import (check_feasible, feasibility_problem, grid_search_minimum, pinned_problem,
@@ -351,27 +351,50 @@ def test_inconsistent_class_rows_raise():
 
 def test_lapack_bindings_match_numpy_linalg():
     # solve's output bytes rest on its LAPACK calls giving fixed bits.
-    # dpotrf and zpotrf give those of numpy.linalg.cholesky, and dgesdd and
-    # zgesdd those of numpy.linalg.svd, which call the same routine of the
-    # same library.  The SVDs are compared at the solver's sizes: svd
-    # queries its workspace, and with that larger one the routines take
-    # other paths at n = 33..42 (dgesdd) and from n = 46 (zgesdd), 1e-15
-    # apart.
+    # _potrf (dpotrf, zpotrf) gives those of numpy.linalg.cholesky, and
+    # _gesdd (dgesdd, zgesdd) those of numpy.linalg.svd, which call the
+    # same routine of the same library.  The SVDs are compared at the
+    # solver's sizes: svd queries its workspace, and with that larger one
+    # the routines take other paths at n = 33..42 (dgesdd) and from n = 46
+    # (zgesdd), 1e-15 apart.
     rng = np.random.default_rng(0)
     for n in range(2, 61):
         G = rng.standard_normal((n, n))
         H = G + 1j * rng.standard_normal((n, n))
         spd, hpd = G @ G.T + n * np.eye(n), H @ H.conj().T + n * np.eye(n)
-        for potrf, mat in ((_potrf, spd), (_zpotrf, hpd)):
-            L, info = potrf(mat, lower=1)
-            assert info == 0 and L.flags.f_contiguous
+        for mat in (spd, hpd):
+            L = _potrf(mat)
+            assert L is not None and L.flags.f_contiguous
             assert L.tobytes() == np.asfortranarray(np.linalg.cholesky(mat)).tobytes()
         if n <= 32:
-            for gesdd, mat in ((_dgesdd, G), (_zgesdd, H)):
-                *got, info = gesdd(mat)
-                assert info == 0
-                for x, y in zip(got, np.linalg.svd(mat)):
+            for mat in (G, H):
+                for x, y in zip(_gesdd(mat), np.linalg.svd(mat), strict=True):
                     assert np.array_equal(x, y)
+
+
+def test_lapack_results_outlive_the_next_call_of_their_size():
+    # _potrf, _potrs and _trtrs return new arrays, not views of their
+    # per-size buffers: the solver holds two results of one size at once
+    # (Ls and Lz in _nt_scaling, the polish step's fix and dw, half and
+    # (mc, mf)), so a second call with other input leaves the first result
+    # as it was, in real and in complex arithmetic
+    rng = np.random.default_rng(4)
+    n = 6
+    G = rng.standard_normal((2, n, n))
+    H = G + 1j * rng.standard_normal((2, n, n))
+    spd = G @ G.transpose(0, 2, 1) + n * np.eye(n)
+    hpd = H @ H.conj().transpose(0, 2, 1) + n * np.eye(n)
+    L = _potrf(spd[0])
+    B = rng.standard_normal((2, n, 2))
+    calls = [(_potrf, spd), (_potrf, hpd)] + [
+        (call, rhs) for rhs in (B, B[:, :, 0])
+        for call in (lambda b: _potrs(L, b), lambda b: _trtrs(L, b, 0),
+                     lambda b: _trtrs(L, b, 1))]
+    for call, (a, b) in calls:
+        first = call(a)
+        kept = first.copy()
+        second = call(b)
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
 
 def test_lapack_helpers_match_scipy_wrappers():
@@ -385,22 +408,23 @@ def test_lapack_helpers_match_scipy_wrappers():
     rng = np.random.default_rng(0)
     for n in range(2, 61):
         G = rng.standard_normal((n, n))
-        L = _chol_ridge(G @ G.T + n * np.eye(n), _potrf)
+        L = _chol_ridge(G @ G.T + n * np.eye(n))
         B = rng.standard_normal((n, 3))
         for rhs in (B, B[:, 0]):
-            assert np.array_equal(_potrs(L, rhs, lower=1)[0], lapack.dpotrs(L, rhs, lower=1)[0])
+            assert np.array_equal(_potrs(L, rhs), lapack.dpotrs(L, rhs, lower=1)[0])
         for trans in (0, 1):
-            assert np.array_equal(_trtrs(L, B, lower=1, trans=trans)[0],
+            assert np.array_equal(_trtrs(L, B, trans),
                                   lapack.dtrtrs(L, B, lower=1, trans=trans)[0])
         H = G + 1j * rng.standard_normal((n, n))
-        for gesdd, ref, mat in ((_dgesdd, lapack.dgesdd, G), (_zgesdd, lapack.zgesdd, H)):
-            for got, want in zip(gesdd(mat), ref(mat)):
+        for ref, mat in ((lapack.dgesdd, G), (lapack.zgesdd, H)):
+            *usv, info = ref(mat)
+            assert info == 0
+            for got, want in zip(_gesdd(mat), usv, strict=True):
                 assert np.array_equal(got, want)
-        for evr, ref, mat in ((_zheevr, lapack.zheevr, H + H.conj().T),
-                              (_dsyevr, lapack.dsyevr, G + G.T)):
-            w, _, m, _, info = evr(mat, **ev)
+        for ref, mat in ((lapack.zheevr, H + H.conj().T), (lapack.dsyevr, G + G.T)):
+            w, _, m, _, info = ref(mat, **ev)
             assert info == 0 and m == 1
-            assert np.array_equal(w[:1], ref(mat, **ev)[0][:1])
+            assert np.array_equal(_lowest(mat), w[0])
 
 
 def test_import_leaves_scipy_linalg_unimported():
@@ -431,34 +455,30 @@ def test_lapack_loader_falls_back_to_get_lapack_funcs(tmp_path, unloadable):
     if unloadable is None and openblas is None:
         pytest.skip("numpy bundles no OpenBLAS: the stand-ins are the only path")
     assert (openblas is None) == (unloadable is not None)
-    potrf, potrs, trtrs, zpotrf, zgesdd, zheevr, dgesdd, dsyevr = _load_lapack(openblas)
-    assert ("_numpy_lapack" in potrf.__qualname__) == (openblas is None)
+    potrf, potrs, trtrs, gesdd, lowest = _load_lapack(openblas)
+    assert all(("_numpy_lapack" in fn.__qualname__) == (openblas is None)
+               for fn in (potrf, potrs, trtrs, gesdd, lowest))
     spd = np.array([[4.0, 2.0], [2.0, 3.0]])
-    L, info = potrf(spd, lower=1)
-    assert info == 0
-    L = np.tril(L)
+    L = potrf(spd)
+    assert np.array_equal(L, np.tril(L))
     assert np.allclose(L @ L.T, spd)
+    assert potrf(-spd) is None
     b = np.array([1.0, 2.0])
-    assert np.allclose(spd @ potrs(L, b, lower=1)[0], b)
-    assert np.allclose(L @ trtrs(L, b, lower=1)[0], b)
+    assert np.allclose(spd @ potrs(L, b), b)
+    assert np.allclose(L @ trtrs(L, b, 0), b)
+    assert np.allclose(L.T @ trtrs(L, b, 1), b)
     hpd = np.array([[4.0, 2.0 - 1.0j], [2.0 + 1.0j, 3.0]])
-    Lc, info = zpotrf(hpd, lower=1)
-    assert info == 0
-    Lc = np.tril(Lc)
+    Lc = potrf(hpd)
+    assert np.array_equal(Lc, np.tril(Lc))
     assert np.allclose(Lc @ Lc.conj().T, hpd)
-    U, s, Vh, info = zgesdd(hpd)
-    assert info == 0
+    assert potrf(-hpd) is None
+    U, s, Vh = gesdd(hpd)
     assert np.allclose((U * s) @ Vh, hpd)
-    w, _, m, _, info = zheevr(hpd, compute_v=0, range="I", il=1, iu=1, lower=1)
-    assert info == m - 1 == 0
-    assert w[0] == pytest.approx((7.0 - np.sqrt(21.0)) / 2.0)
+    assert lowest(hpd) == pytest.approx((7.0 - np.sqrt(21.0)) / 2.0)
     # the real SVD and lowest eigenvalue, as a real program calls them
-    U, s, Vt, info = dgesdd(spd)
-    assert info == 0
+    U, s, Vt = gesdd(spd)
     assert np.allclose((U * s) @ Vt, spd)
-    w, _, m, _, info = dsyevr(spd, compute_v=0, range="I", il=1, iu=1, lower=1)
-    assert info == m - 1 == 0
-    assert w[0] == pytest.approx((7.0 - np.sqrt(17.0)) / 2.0)
+    assert lowest(spd) == pytest.approx((7.0 - np.sqrt(17.0)) / 2.0)
 
 
 def test_numpy_linalg_stand_ins_match_the_bindings(monkeypatch):
@@ -480,9 +500,8 @@ def test_numpy_linalg_stand_ins_match_the_bindings(monkeypatch):
     stand_ins = _load_lapack(None)
     assert all(fn.__module__ == "keybound.sdp" and "_numpy_lapack" in fn.__qualname__
                for fn in stand_ins)
-    names = ("_potrf", "_potrs", "_trtrs", "_zpotrf", "_zgesdd", "_zheevr", "_dgesdd", "_dsyevr")
-    assert len(names) == len(_LAPACK)
-    for name, fn in zip(names, stand_ins):
+    names = ("_potrf", "_potrs", "_trtrs", "_gesdd", "_lowest")
+    for name, fn in zip(names, stand_ins, strict=True):
         monkeypatch.setattr(sdp, name, fn)
     point, dec = run()
     assert point.status == ref_point.status == "optimal"
@@ -493,20 +512,18 @@ def test_numpy_linalg_stand_ins_match_the_bindings(monkeypatch):
 
 
 def failing_from(call, monkeypatch, every=False):
-    """Make the step-length eigensolves (sdp._dsyevr, sdp._zheevr) report
-    info = 1 at their call-th call, counted together (and after it, with
+    """Make the step-length eigensolve sdp._lowest raise the LinAlgError
+    of a failed eigensolve at its call-th call (and after it, with
     every)."""
     count = [0]
+    lowest = sdp._lowest
 
-    def failing(real):
-        def evr(*args, **kwargs):
-            count[0] += 1
-            w, z, m, isuppz, info = real(*args, **kwargs)
-            hit = count[0] >= call if every else count[0] == call
-            return w, z, m, isuppz, 1 if hit else info
-        return evr
-    for name in ("_dsyevr", "_zheevr"):
-        monkeypatch.setattr(sdp, name, failing(getattr(sdp, name)))
+    def failing(X):
+        count[0] += 1
+        if count[0] >= call if every else count[0] == call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return lowest(X)
+    monkeypatch.setattr(sdp, "_lowest", failing)
 
 
 def test_step_length_eigensolve_failure_ends_the_solve(monkeypatch):

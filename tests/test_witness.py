@@ -13,9 +13,9 @@ from keybound.basis import build_basis
 from keybound.bounds import one_way_upper_bound, sweep
 from keybound.extendibility import (best_extendible_decomposition, build_sdp,
                                     extension_sdp, verify_extension)
-from keybound.protocols import (EquivalenceClassSpec, ProtocolSpec, assemble_class,
-                                class_from_state, realize_protocol)
-from keybound.sdp import SolverError, solve
+from keybound.protocols import (EquivalenceClassSpec, InconsistentDataError, ProtocolSpec,
+                                assemble_class, class_from_state, realize_protocol)
+from keybound.sdp import solve
 from keybound.states import DensityOperator, swap_last_two
 from helpers import (assert_ray_proves_no_state, class_row_program,
                      extend_qutrit_stream_state, unsplit_witness_program)
@@ -420,13 +420,14 @@ def test_inconsistent_rows_raise_infeasible(monkeypatch):
         return sol
 
     monkeypatch.setattr(extendibility, "solve", spy)
-    with pytest.raises(SolverError) as err:
+    with pytest.raises(InconsistentDataError) as err:
         best_extendible_decomposition(bad)
     # the witness program is unbounded along a primal ray, which proves
-    # that no state meets the rows; that solve is what reaches the caller
+    # that no state meets the rows; the caller gets that verdict, with the
+    # ray's b.d at ||d|| = 1 as its residual
     assert [sol.status for sol in runs] == ["unbounded"]
-    assert err.value.solution is runs[0]
-    assert_ray_proves_no_state(bad, runs[0])
+    assert err.value.residual == pytest.approx(assert_ray_proves_no_state(bad, runs[0]),
+                                               rel=1e-12)
 
 
 def test_extension_structure_is_built_only_on_a_fallback():
