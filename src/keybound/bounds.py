@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .basis import build_basis, expand
 from .extendibility import LAMBDA_TOL, best_extendible_decomposition, verify_extension
 from .infotheory import JointDistribution, mutual_information
 from .protocols import (ProtocolSpec, assemble_class, matched_key_distribution, qber,
@@ -179,7 +178,7 @@ def find_cutoff(protocol, tol=1e-3, bracket=(0.0, 0.25), direction="direct",
     cut = lo + (LAMBDA_TOL - at_lo) / rate
 
     def place(state):   # the e at which state's statistics lie on the family
-        stats = cls_lo.rows @ expand(state.matrix, map(build_basis, state.dims)).ravel()
+        stats = cls_lo.statistics(state.matrix)
         e = lo + float(slope @ (stats - cls_lo.rhs) / (slope @ slope))
         if np.max(np.abs(cls_lo.rhs + (e - lo) * slope - stats)) > 1e-9:
             raise SolverError(f"the decomposition at e={e_w} has a part off the "

@@ -124,6 +124,12 @@ VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
                      "marginal": 1e-8, "psd_floor": -1e-9}
 
 
+def _class_residual(cls, stats):
+    """||stats - b|| / (1 + ||b||) for readings stats on the class rows:
+    A r of coefficients r, or cls.statistics of an operator."""
+    return float(np.linalg.norm(stats - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs)))
+
+
 @functools.lru_cache(maxsize=8)
 def _extension_structure(dims):
     """The data-free parts of the extension program for dims = (d_A, d_B),
@@ -166,18 +172,18 @@ def extension_sdp(cls):
     _extension_structure(cls.dims), with the w part N^T rho_mats of the
     first (rho = sum_kl r_kl rho_mats[kl]) and zeros in the second
     appended here; the objective is r_00 - f_000 less its constant r0_00.
-    Raises SolverError when r0 misses the rows by more than FEAS_TOL
-    (relative to 1 + ||b||): then no r meets them.  Returns the
-    SdpProblem; its blocks at a solution x are rho - sigma~ and chi~.
+    Raises InconsistentDataError when r0 misses the rows by more than
+    FEAS_TOL (_class_residual, its residual), as no r meets them then.
+    Returns the SdpProblem; its blocks at x are rho - sigma~ and chi~.
     """
     dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
     rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
     _, pinv, N, _ = _row_set(A.tobytes(), A.shape, dims)
     r0 = pinv @ b
-    miss = float(np.linalg.norm(A @ r0 - b))
-    if miss > FEAS_TOL * (1.0 + float(np.linalg.norm(b))):
-        raise SolverError(f"the class rows are inconsistent: their least-squares "
-                          f"solution misses them by {miss:.3e}")
+    miss = _class_residual(cls, A @ r0)
+    if miss > FEAS_TOL:
+        raise InconsistentDataError("no state meets the class rows: their least-squares "
+                                    f"solution misses them by {miss:.3e} (relative)", miss)
     n_f, dabb = chi_mats.shape[:2]
     c = np.concatenate([np.zeros(n_f), N[0]])
     c[0] = -1.0      # f_000
@@ -301,7 +307,7 @@ def build_sdp(cls):
     Returns (SdpProblem, B), y = B z at the program's variables z: the
     real witness program over z when the class qualifies (_row_set
     qualifies its rows, and r0 = pinv b is a real state, A D r0 = b
-    within FEAS_TOL relative to 1 + ||b||), and the program over y, with
+    within FEAS_TOL by _class_residual), and the program over y, with
     B = I, otherwise.
     """
     dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
@@ -309,7 +315,7 @@ def build_sdp(cls):
     if real is not None:
         r0 = pinv @ b
         flipped = np.where(_product_ops(dims)[3], -r0, r0)
-        if np.linalg.norm(A @ flipped - b) <= FEAS_TOL * (1.0 + np.linalg.norm(b)):
+        if _class_residual(cls, A @ flipped) <= FEAS_TOL:
             B, blocks = real
             return SdpProblem(c=-(b @ B), blocks=blocks), B
     return SdpProblem(c=-b, blocks=blocks), np.eye(b.size)
@@ -372,12 +378,10 @@ def _pinned_support(cls):
     every other class."""
     _, pinv, N, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))
     r = pinv @ cls.rhs
-    resid = np.linalg.norm(cls.rows @ r - cls.rhs) / (1.0 + np.linalg.norm(cls.rhs))
-    if N.shape[1] or resid > FEAS_TOL:
+    if N.shape[1] or _class_residual(cls, cls.rows @ r) > FEAS_TOL:
         return None
     da, db = cls.dims
-    bases = (build_basis(da), build_basis(db))
-    w, V = np.linalg.eigh(reconstruct(r.reshape(da * da, db * db), bases))
+    w, V = np.linalg.eigh(reconstruct(r.reshape(da * da, db * db), map(build_basis, cls.dims)))
     if w[0] < -SUPPORT_TOL:
         return None
     keep = w > SUPPORT_TOL
@@ -500,8 +504,8 @@ def best_extendible_decomposition(cls):
     None on a rank-deficient face.
     diagnostics["witness_value"] is the solve's lower bound on
     1 - lambda_max (b.y, or Tr(rho) - Tr(diag(w) X) without a y),
-    diagnostics["class_residual"] is ||A r* - b|| / (1 + ||b||) at the
-    reported rho*; diagnostics["iterations"] counts every solve that ran,
+    diagnostics["class_residual"] is _class_residual at the reported
+    rho*; diagnostics["iterations"] counts every solve that ran,
     a stalled witness solve and the program that followed it included.
     """
     da, db = dims = tuple(cls.dims)
@@ -531,7 +535,6 @@ def best_extendible_decomposition(cls):
             f"decomposition solve ended with status {sol.status}: {sol.message}",
             solution=sol)
 
-    bases = (build_basis(da), build_basis(db))
     V_s, V_a = _swap_sectors(dims)
     witness = W = None
     if program == "witness":
@@ -549,7 +552,7 @@ def best_extendible_decomposition(cls):
         # with both witness blocks raised by t along c = pinv^T e_00,
         # A^T c = e_00
         blocks, pinv, _, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)
-        witness = pinv.T @ expand(np.eye(da * db) - W, bases).ravel() / (da * db)
+        witness = pinv.T @ expand(np.eye(da * db) - W, map(build_basis, dims)).ravel() / (da * db)
         t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(witness, blk.mats, 1))[0]
                  for blk in blocks)
         witness = witness - max(t, 0.0) * pinv[0]
@@ -569,9 +572,7 @@ def best_extendible_decomposition(cls):
                    "witness_value": witness_value,
                    "support_rank": support_rank, "face_dim": face_dim}
     rho_star = _to_density(rho, dims, diagnostics, "rho_star")
-    resid = cls.rows @ expand(rho_star.matrix, bases).ravel() - cls.rhs
-    diagnostics["class_residual"] = float(np.linalg.norm(resid)
-                                          / (1.0 + np.linalg.norm(cls.rhs)))
+    diagnostics["class_residual"] = _class_residual(cls, cls.statistics(rho_star.matrix))
     sigma_ext = rho_ne = chi_ext = None
     if lam > LAMBDA_TOL:
         sigma_ext = _to_density(sigma / lam, dims, diagnostics, "sigma_ext")

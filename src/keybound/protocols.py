@@ -43,9 +43,9 @@ CONSISTENCY_TOL = 1e-8
 class InconsistentDataError(ValueError):
     """No state can reproduce the observed probabilities; residual is the
     norm of the data's part in the left null space of the class rows, the
-    distance the consistency test found, or, raised by
+    distance the consistency test found; raised by
     best_extendible_decomposition, b.d of the witness program's primal
-    ray d at ||d|| = 1."""
+    ray d at ||d|| = 1, and by extension_sdp, its relative miss."""
 
     def __init__(self, message, residual):
         super().__init__(message)
@@ -353,11 +353,14 @@ class EquivalenceClassSpec:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
+    def statistics(self, matrix):
+        """The rows' readings rows @ r of a Hermitian operator on dims with
+        flattened expansion coefficients r: rhs for a state in the class."""
+        return self.rows @ expand(matrix, map(build_basis, self.dims)).ravel()
+
     def residual(self, state):
         """Largest violation of the constraints by a DensityOperator."""
-        da, db = self.dims
-        coeffs = expand(state.matrix, (build_basis(da), build_basis(db)))
-        return float(np.max(np.abs(self.rows @ coeffs.ravel() - self.rhs)))
+        return float(np.max(np.abs(self.statistics(state.matrix) - self.rhs)))
 
 
 def _independent_rows(rows):

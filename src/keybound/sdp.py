@@ -315,33 +315,30 @@ _OPENBLAS = _find_openblas()
 _potrf, _potrs, _trtrs, _gesdd, _lowest = _load_lapack(_OPENBLAS)
 
 
-def _blas_pools():
-    """(get, set) of the thread count of numpy's OpenBLAS, which numpy's
-    products and solve's LAPACK calls run in; empty for other BLAS builds."""
-    return () if _OPENBLAS is None else (_OPENBLAS[:2],)
-
-
 _blas_lock = threading.Lock()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with the pool of _blas_pools at one thread, then give
-    the caller's count back; one body at a time, since the count is
-    process-wide and the LAPACK bindings share their buffers.
+    """Run the body with numpy's OpenBLAS pool (_OPENBLAS[:2] gets and
+    sets its count) at one thread, then give the caller's count back; one
+    body at a time, since the count is process-wide and the LAPACK
+    bindings share their buffers.  Other BLAS builds run it as they are.
 
     On matrices this small a second thread costs more in handoffs than it
     saves, and OpenBLAS's threaded kernels round differently, so pinned
     iterates are also the same on every host."""
     with _blas_lock:
-        counts = [get() for get, _ in _blas_pools()]
-        for _, put in _blas_pools():
-            put(1)
+        if _OPENBLAS is None:
+            yield
+            return
+        get, put = _OPENBLAS[:2]
+        count = get()
+        put(1)
         try:
             yield
         finally:
-            for (_, put), count in zip(_blas_pools(), counts):
-                put(count)
+            put(count)
 
 
 class SolverError(RuntimeError):

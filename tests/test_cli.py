@@ -437,3 +437,66 @@ def test_reverse_direction_flag(capsys):
     assert "direction: reverse" in out
     lam = float(next(l for l in out.splitlines() if "lambda_max" in l).split(":")[1])
     assert abs(lam - 0.3) < 1e-5
+
+
+def test_bound_out_writes_the_seven_column_csv(tmp_path, capsys):
+    out_file = tmp_path / "p.csv"
+    code, out = invoke(["bound", "--protocol", "six-state", "--e", "0.05",
+                        "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == f"wrote {out_file}"
+    header, row = out_file.read_text().splitlines()
+    assert header == "e,qber,lambda_max,mutual_info_ne,upper_bound,duality_gap,status"
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert len(row.split(",")) == 7
+    assert fields["e"] == "0.05" and fields["status"] == "optimal"
+    assert abs(float(fields["lambda_max"]) - 0.3) < 1e-5
+
+
+def test_sweep_without_out_prints_the_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out = invoke(["sweep", "--protocol", "six-state", "--grid", "0:0.2:3"], capsys)
+    assert code == 0
+    assert out == bounds.bound_points_to_csv(bounds.sweep("six-state", [0.0, 0.1, 0.2]))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_direction_and_source_flags_override_the_custom_file(tmp_path, capsys,
+                                                             monkeypatch):
+    seen = []
+    real = bounds.one_way_upper_bound
+
+    def spy(spec):
+        seen.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr("keybound.cli.one_way_upper_bound", spy)
+    doc = _custom_doc()
+    doc.update(direction="reverse", source_constraint=True)
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    code, out = invoke(["bound", "--protocol", "custom", "--custom-file", str(path)], capsys)
+    assert code == 0 and "direction: reverse" in out
+    code, out = invoke(["bound", "--protocol", "custom", "--custom-file", str(path),
+                        "--direction", "direct", "--no-source-constraint"], capsys)
+    assert code == 0 and "direction: direct" in out
+    assert [(spec.direction, spec.source_constraint) for spec in seen] == [
+        ("reverse", True), ("direct", False)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--protocol", "six-state", "--e", "0.05"],
+    ["sweep", "--protocol", "six-state", "--grid", "0:0.1:2"],
+], ids=["bound", "sweep"])
+def test_out_into_missing_directory_exits_2_and_leaves_nothing(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    missing = tmp_path / "missing"
+    code = main(argv + ["--out", str(missing / "p.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "wrote" not in captured.out
+    assert not missing.exists()
+    assert list(tmp_path.iterdir()) == []

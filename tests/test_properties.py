@@ -110,6 +110,28 @@ def test_two_qubit_verdict_matches_closed_form(rank, mixed, seed):
     assert res.extendible == (margin >= 0.0)
 
 
+ISOTROPIC_CASES = [(d, float(F)) for d in (2, 3) for F in np.linspace(0.2, 1.0, 9)]
+
+
+@pytest.mark.parametrize("d, F", ISOTROPIC_CASES,
+                         ids=[f"d{d}-F{F:.1f}" for d, F in ISOTROPIC_CASES])
+def test_isotropic_state_matches_closed_form(d, F):
+    # the isotropic state of fidelity F with |Phi+> on C^d (x) C^d has a
+    # two-copy symmetric extension on B exactly when F <= F* = (d + 1)/(2d)
+    # (Johnson & Viola, PRA 88, 032323 (2013)); above F* the best split
+    # mixes rho_F* with |Phi+><Phi+|, so lambda_max = (1 - F)/(1 - F*): an
+    # oracle at d = 3 that does not rest on the solver agreeing with itself
+    phi = np.eye(d).ravel() / math.sqrt(d)
+    proj = np.outer(phi, phi)
+    mat = F * proj + (1.0 - F) * (np.eye(d * d) - proj) / (d * d - 1)
+    res = best_extendible_decomposition(class_from_state(DensityOperator(mat, (d, d))))
+    f_star = (d + 1) / (2 * d)
+    exact = 1.0 if F <= f_star else (1.0 - F) / (1.0 - f_star)
+    assert abs(res.lambda_max - exact) <= 1e-8
+    assert res.extendible == (F <= f_star)
+    assert verify_extension(res).passed
+
+
 PINNED_CASES = [((2, 2), r) for r in range(1, 5)] + [((2, 3), r) for r in range(1, 7)]
 
 

@@ -12,11 +12,11 @@ from keybound.cli import main
 from keybound.extendibility import best_extendible_decomposition, extension_sdp
 from keybound.infotheory import JointDistribution
 from keybound.protocols import (
-    EquivalenceClassSpec, Povm, ProtocolSpec, assemble_class, class_from_state, realize_protocol,
-    simulate_observed_data, six_state_povms,
+    EquivalenceClassSpec, InconsistentDataError, Povm, ProtocolSpec, assemble_class,
+    class_from_state, realize_protocol, simulate_observed_data, six_state_povms,
 )
 from keybound.sdp import (
-    LmiBlock, SdpProblem, SolverError, _chol_ridge, _gesdd, _load_lapack, _lowest, _potrf, _potrs,
+    LmiBlock, SdpProblem, _chol_ridge, _gesdd, _load_lapack, _lowest, _potrf, _potrs,
     _trtrs, solve,
 )
 from keybound.states import DensityOperator, depolarized_bell
@@ -74,28 +74,26 @@ def test_largest_eigenvalue_complex():
 def test_solve_runs_blas_at_one_thread_and_restores_the_count(monkeypatch):
     # numpy's OpenBLAS pool, which solve's LAPACK calls run in, runs the
     # solve at one thread, and the caller's count is back afterwards
-    pools = sdp._blas_pools()
-    if not pools:
+    if sdp._OPENBLAS is None:
         pytest.skip("no OpenBLAS build with a thread-count setter is loaded")
-    saved = [get() for get, _ in pools]
+    get, put = sdp._OPENBLAS[:2]
+    saved = get()
     seen = []
     scaling = sdp._nt_scaling
 
     def spy(S, Z):
-        seen.append([get() for get, _ in pools])
+        seen.append(get())
         return scaling(S, Z)
 
     monkeypatch.setattr(sdp, "_nt_scaling", spy)
     blk = LmiBlock(const=-random_hermitian(np.random.default_rng(2), 4), mats=np.eye(4)[None])
     try:
-        for _, put in pools:
-            put(2)
+        put(2)
         assert solve(SdpProblem(c=np.array([1.0]), blocks=[blk])).status == "optimal"
-        assert [get() for get, _ in pools] == [2] * len(pools)
+        assert get() == 2
     finally:
-        for (_, put), count in zip(pools, saved):
-            put(count)
-    assert seen and all(counts == [1] * len(pools) for counts in seen)
+        put(saved)
+    assert seen and all(count == 1 for count in seen)
 
 
 def test_dual_objective_sandwiches_primal():
@@ -345,8 +343,13 @@ def test_inconsistent_class_rows_raise():
     cls = trivial_class((2, 2))
     bad = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows]),
                                rhs=np.array([1.0, 0.5]))
-    with pytest.raises(SolverError, match="inconsistent"):
+    # no r meets both rows: the least-squares r_00 = 0.75 misses each by
+    # 0.25, so extension_sdp refuses the data as assemble_class and the
+    # witness ray do, with the relative miss as the residual
+    with pytest.raises(InconsistentDataError, match="no state meets the class rows") as exc:
         extension_sdp(bad)
+    want = np.linalg.norm([0.25, 0.25]) / (1.0 + np.linalg.norm([1.0, 0.5]))
+    assert exc.value.residual == pytest.approx(want, rel=1e-12)
 
 
 def test_lapack_bindings_match_numpy_linalg():
