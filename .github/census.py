@@ -14,9 +14,9 @@ from itertools import product
 import numpy as np
 
 from keybound import (DensityOperator, ProtocolSpec, SolverError, assemble_class,
-                      best_extendible_decomposition, build_sdp, class_from_state,
-                      extendibility, find_cutoff, one_way_upper_bound, realize_protocol, sdp,
-                      verify_extension)
+                      best_extendible_decomposition, bound_points_to_csv, bound_points_to_json,
+                      build_sdp, class_from_state, extendibility, find_cutoff,
+                      one_way_upper_bound, realize_protocol, sdp, sweep, verify_extension)
 
 KINDS, DIRECTIONS = ("four-state", "six-state"), ("direct", "reverse")
 CONFIGS = list(product(KINDS, DIRECTIONS, (None, True, False)))
@@ -155,3 +155,15 @@ print("witness program block sizes, (2, 2) and (2, 3): "
       + "; ".join(" and ".join(map(str, dims)) for dims in sizes))
 print("lambda_max and cutoff bytes (sha256):",
       hashlib.sha256(np.array(values).tobytes()).hexdigest())
+
+# the bytes of the 16 tracked CLI outputs, in-process: per kind and
+# direction, `sweep --grid 0:0.25:26` as CSV and JSON, then `cutoff` at
+# --tol 1e-3 and 1e-4
+cli = hashlib.sha256()
+for kind, direction in product(KINDS, DIRECTIONS):
+    points = sweep(kind, [float(e) for e in np.linspace(0.0, 0.25, 26)], direction=direction)
+    cli.update(bound_points_to_csv(points).encode())
+    cli.update(bound_points_to_json(points).encode())
+    for tol in (1e-3, 1e-4):
+        cli.update(f"{find_cutoff(kind, tol=tol, direction=direction):.10g}\n".encode())
+print("CLI sweep and cutoff output bytes (sha256):", cli.hexdigest())

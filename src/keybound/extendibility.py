@@ -78,10 +78,10 @@ A D r0 = b.  The average of y and y' is then as good, and has A^T y zero
 on the odd columns, so W(y) real.  build_sdp states such a class's
 program over y = B z, B an orthonormal basis of those y (_row_set): 9
 variables for a four-state qubit point and 10 for six-state, in place
-of 10 and 16, with real-valued blocks.  They are given as complex
-arrays, so solve counts them twice, as it counts the blocks of the
-program over y, whose central path the iterates follow; and, all
-real-valued, it runs them in real arithmetic (see sdp).  The witness
+of 10 and 16, with real-valued blocks.  solve counts them as it counts
+every block, as Hermitian, so the iterates follow the central path of
+the program over y; and, all real-valued, it runs them in real
+arithmetic (see sdp).  The witness
 reported is B z, in class-row coordinates.  Every other class keeps the
 program over y.
 
@@ -270,8 +270,7 @@ def _row_set(key, shape, dims):
     last iterations on the built-in row sets moved lambda_max of the 104
     sweep points from the class-row program's by up to 1.3e-8, against
     1.6e-9 with B.  The blocks are those of
-    W(B z), from the even columns of the stacks: real-valued, as complex
-    arrays."""
+    W(B z), from the even columns of the stacks: real-valued."""
     rows = np.frombuffer(key).reshape(shape)
     ops, first, second, odd = _product_ops(dims)
     n, m = ops.shape[1], first.shape[1]

@@ -31,7 +31,7 @@ import numpy as np
 from .basis import build_basis, expand
 from .infotheory import JointDistribution
 from .sdp import _finite
-from .states import depolarized_bell
+from .states import DensityOperator, depolarized_bell
 
 PSD_ATOL = 1e-10
 COMPLETE_ATOL = 1e-10
@@ -410,14 +410,22 @@ def assemble_class(povms, data, spec=None):
 
     Raises InconsistentDataError when no coefficient vector satisfies all
     rows (augmented rank exceeds row rank beyond tolerance), and
-    ValueError when the data's labels are not the POVMs' labels.
+    ValueError when the data's labels are not the POVMs' labels or when
+    spec's alice_marginal is not a density matrix of Alice's system
+    (Hermitian, unit trace, positive, as DensityOperator checks), whether
+    or not the source constraint reads it.
     """
     alice, bob = povms
     data = _in_povm_order(data, alice, bob)
     direction = spec.direction if spec is not None else "direct"
     use_source = spec.resolved_source_constraint() if spec is not None else False
     marginal = spec.alice_marginal if spec is not None else None
-    if marginal is None and use_source:
+    if marginal is not None:
+        try:
+            DensityOperator(marginal, (alice.dim,))
+        except ValueError as err:
+            raise ValueError(f"alice_marginal is not a density matrix: {err}") from None
+    elif use_source:
         if alice.dim != 2:
             raise ValueError("source constraint needs an explicit alice_marginal "
                              "for non-qubit preparers")
@@ -435,9 +443,6 @@ def assemble_class(povms, data, spec=None):
     rhs = [np.ones(1)]
     if use_source:
         srcb = build_basis(alice.dim if source_slot == 0 else bob.dim)
-        marginal = np.asarray(marginal)
-        if marginal.shape != srcb.shape[1:]:
-            raise ValueError("alice_marginal shape does not match the preparer")
         rhs.append(np.trace(marginal @ srcb, axis1=1, axis2=2).real)
     rhs.append(data.probs.ravel())
     b = np.concatenate(rhs)

@@ -6,21 +6,17 @@ Problem form::
     subject to  F^(b)(x) = F0^(b) + sum_i x_i Fi^(b)  >= 0   for each block b
 
 with Hermitian F matrices and real c.  Each block is stored and iterated
-at its own size n.  Its weight follows the field its data were given
-in: a block given as complex arrays is counted twice in every inner
-product and in the barrier degree, even when every imaginary part is
-zero, so the iterates are those of its real symmetric embedding
-[[Re, -Im], [Im, Re]] of size 2n; a block given as real arrays is
-counted once.  The arithmetic follows the values: a program whose
+at its own size n, and counts as a Hermitian block: twice in every inner
+product and in the barrier degree, so the iterates are those of its real
+symmetric embedding [[Re, -Im], [Im, Re]] of size 2n, whatever dtype its
+arrays came in.  Only the arithmetic follows the values: a program whose
 blocks are all real-valued runs in float64, one float per entry and
-real LAPACK routines, and any other program in complex arithmetic.  So
-a complex program that conjugation maps to itself, restricted to its
-real-valued solutions and given as complex arrays with zero imaginary
-part, runs in real arithmetic on the central path of the complex
-program (extendibility.build_sdp states its witness programs so).
-Below, <X, Y> = Re Tr(X^H Y) on the stored blocks, and the z_blocks
-returned are duals for it: a weight-2 block's is twice its iterate, as
-its real embedding's dual reads back.
+real LAPACK routines, on the central path it would take in complex
+arithmetic, and any other program runs in complex arithmetic
+(extendibility.build_sdp states its real witness programs so).  Below,
+<X, Y> = Re Tr(X^H Y) on the stored blocks, and the z_blocks returned
+are duals for it: each is twice its iterate, as the real embedding's
+dual reads back.
 A program with equality constraints is stated over a parametrization
 of their solutions (extendibility.extension_sdp does so).
 
@@ -372,20 +368,14 @@ class LmiBlock:
 
     const and mats hold the Hermitian input at its own size dim,
     read-only: real arrays when every matrix is real-valued, complex ones
-    otherwise.  weight is the field the input was given in: 2 when const
-    or mats is a complex array, even with every imaginary part zero, and
-    1 otherwise.  solve counts the block weight times in its inner
-    products and barrier degree, so a weight-2 block as it would count
-    its real embedding [[Re, -Im], [Im, Re]].
+    otherwise, whatever dtype they were given in.
     """
 
     const: np.ndarray
     mats: np.ndarray
     dim: int = field(init=False)
-    weight: float = field(init=False)
 
     def __post_init__(self):
-        weight = 2.0 if np.iscomplexobj(self.const) or np.iscomplexobj(self.mats) else 1.0
         const = _as_herm(self.const, "block const")
         dim = const.shape[0]
         mats = _finite(np.asarray(self.mats, dtype=complex), "block mats")
@@ -403,7 +393,6 @@ class LmiBlock:
         for arr in (const, mats):
             arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "mats", mats)
 
@@ -530,27 +519,24 @@ def _congruence(L, G, out):
 
 
 @functools.lru_cache(maxsize=8)
-def _layout(dims, weights, parts):
-    """The packed layout of blocks of sizes dims and weights (see
-    LmiBlock) in a program whose entries take parts floats each, 2 in
-    complex arithmetic and 1 in real, (starts, spans, wt, sqrt_wt, ntot,
-    ii, jj, diag, eye), built once per block shape and field and
-    read-only: every program of one shape shares it, whatever its data.
+def _layout(dims, parts):
+    """The packed layout of blocks of sizes dims in a program whose
+    entries take parts floats each, 2 in complex arithmetic and 1 in
+    real, (starts, spans, ii, jj, diag, eye), built once per block shape
+    and field and read-only: every program of one shape shares it,
+    whatever its data.
 
     Every block matrix lives in one packed vector: block b's n x n
     entries, row-major, at spans[b] of an array of length npk, complex
     or real.  Its float view, of length parts npk, carries all the vector
-    algebra: there Re <X, Y> is a dot product, and wt weighs a weight-2
-    block's entries by 2, as its real embedding would count them; ntot is
-    the barrier degree.  starts are the blocks' float offsets, ii and jj
-    the row and column of each float-view entry in the stacked diagonals
-    d, diag the float offsets of the diagonal entries and eye the packed
-    identity."""
-    dims, weight = np.array(dims), np.array(weights)
+    algebra: there Re <X, Y> is a dot product.  starts are the blocks'
+    float offsets, ii and jj the row and column of each float-view entry
+    in the stacked diagonals d, diag the float offsets of the diagonal
+    entries and eye the packed identity."""
+    dims = np.array(dims)
     ends = np.cumsum(dims * dims)
     starts = ends - dims * dims
     spans = tuple(slice(s, e) for s, e in zip(starts, ends))
-    wt = np.repeat(weight, parts * dims * dims)
     first = np.cumsum(dims) - dims
     rows = np.concatenate([f + np.repeat(np.arange(n), n) for f, n in zip(first, dims)])
     cols = np.concatenate([f + np.tile(np.arange(n), n) for f, n in zip(first, dims)])
@@ -558,7 +544,7 @@ def _layout(dims, weights, parts):
     diag = np.flatnonzero(ii == jj)[::parts]
     eye = np.zeros(parts * int(ends[-1]))
     eye[diag] = 1.0
-    layout = (parts * starts, spans, wt, np.sqrt(wt), float(weight @ dims), ii, jj, diag, eye)
+    layout = (parts * starts, spans, ii, jj, diag, eye)
     for arr in layout:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
@@ -575,10 +561,12 @@ def solve(problem):
 def _solve(problem):
     c, nw, blocks = problem.c, problem.num_vars, problem.blocks
     dims = tuple(blk.dim for blk in blocks)
-    weight = tuple(blk.weight for blk in blocks)
     dtype = complex if any(np.iscomplexobj(blk.mats) for blk in blocks) else float
     parts = 2 if dtype is complex else 1
-    starts, spans, wt, sqrt_wt, ntot, ii, jj, diag, eye = _layout(dims, weight, parts)
+    starts, spans, ii, jj, diag, eye = _layout(dims, parts)
+    # every block counts twice, as its real embedding would: wt weighs
+    # the inner products, ntot is the barrier degree
+    wt, sqrt_wt, ntot = 2.0, math.sqrt(2.0), 2.0 * sum(dims)
     npk = eye.size // parts
     d_scale = 1.0 + float(np.linalg.norm(c))
 
@@ -599,7 +587,7 @@ def _solve(problem):
         G = np.empty((nw + 2, blk.dim, blk.dim), dtype=dtype)
         G[:nw], G[-1] = blk.mats, blk.const
         stacks.append(G)
-    p_scale = 1.0 + np.sqrt(weight) * np.array(
+    p_scale = 1.0 + sqrt_wt * np.array(
         [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
     S, Z, rp, lin, wZ, dS_a, dZ_a, dS, dZ, cross, step = np.empty((11, eye.size))
     D = np.zeros(eye.size)
@@ -839,9 +827,8 @@ def _solve(problem):
             message = str(err)
             break
 
-    # A weight-2 block's dual is 2 Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
-    Z = [wb * Zb / tau if wb == 2.0 else Zb.real / tau
-         for wb, Zb in zip(weight, Z_b)]
+    # each block's dual is 2 Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
+    Z = [wt * Zb / tau for Zb in Z_b]
     if status == "infeasible":
         # scaled to -<F0, Z> = 1; AZ and violation are those of the last iterate
         certificate = {"kind": "farkas", "z_blocks": [Zb * (tau / violation) for Zb in Z],

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from keybound import bounds
-from keybound.cli import OUTPUT_DIR_ENV, build_parser, main, run
-from keybound.protocols import four_state_povms, load_protocol, simulate_observed_data
+from keybound.cli import OUTPUT_DIR_ENV, _point_lines, build_parser, main, run
+from keybound.protocols import (ProtocolSpec, four_state_povms, load_protocol,
+                                simulate_observed_data)
 from keybound.states import depolarized_bell
 
 
@@ -246,6 +247,20 @@ def _drop_bits(doc):
      "probability record 1: missing key 'bob'"),
     (lambda doc: doc["probabilities"][0].update(alice=[0]),
      "probability record 0: unknown label [0]"),
+    (lambda doc: doc.update(alice_marginal={"re": (np.eye(3) / 3).tolist()}),
+     "alice_marginal does not match dims"),
+    # the rows read Tr(marginal S_k).real alone, which would take a
+    # non-Hermitian marginal for its Hermitian part
+    (lambda doc: doc.update(source_constraint=True, alice_marginal={
+        "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.2], [0.2, 0.0]]}),
+     "alice_marginal is not a density matrix: density matrix is not Hermitian"),
+    (lambda doc: doc.update(source_constraint=True, alice_marginal={"re": [[1.2, 0.0],
+                                                                           [0.0, -0.2]]}),
+     "alice_marginal is not a density matrix: smallest eigenvalue -0.2"),
+    # checked also where the source constraint does not read it
+    (lambda doc: doc.update(source_constraint=False, alice_marginal={"re": [[1.0, 0.0],
+                                                                            [0.0, 1.0]]}),
+     "alice_marginal is not a density matrix: trace is 2.0"),
     (lambda doc: doc["probabilities"][0].update(bob={"label": "Z0"}),
      "probability record 0: unknown label {'label': 'Z0'}"),
     # Povm keeps str(label), which only a string or an integer round-trips
@@ -257,9 +272,10 @@ def _drop_bits(doc):
         "string-dim", "nan-marginal", "inf-povm-entry", "element-not-object",
         "null-povm", "null-probabilities", "no-shared-basis", "misspelt-bit",
         "basis-without-bit", "misspelt-top-level-key", "misspelt-im",
-        "misspelt-marginal-im", "extra-record-key", "record-without-alice",
-        "record-without-bob", "list-label", "object-label", "float-element-label",
-        "boolean-element-label"])
+        "misspelt-marginal-im", "wrong-shape-marginal", "non-hermitian-marginal",
+        "negative-marginal", "unread-trace-2-marginal", "extra-record-key",
+        "record-without-alice", "record-without-bob", "list-label", "object-label",
+        "float-element-label", "boolean-element-label"])
 def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     doc = _custom_doc()
     corrupt(doc)
@@ -270,6 +286,31 @@ def test_malformed_custom_protocol_exits_2(tmp_path, capsys, corrupt, field):
     assert code == 2
     assert field in captured.err
     assert captured.out == ""
+
+
+def test_custom_protocol_file_with_alice_marginal(tmp_path, capsys):
+    # the data leave the Y component of Alice's marginal open; the file's
+    # marginal I/2 + 0.1 Y pins it, and the file gives the library's bound
+    marginal = np.array([[0.5, -0.1j], [0.1j, 0.5]])
+    doc = _custom_doc()
+    doc.update(source_constraint=True,
+               alice_marginal={"re": marginal.real.tolist(), "im": marginal.imag.tolist()})
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(doc))
+    code, out = invoke(["bound", "--protocol", "custom", "--custom-file", str(path)], capsys)
+    assert code == 0
+    alice, bob = four_state_povms()
+    spec = ProtocolSpec("custom", povms=(alice, bob), source_constraint=True,
+                        data=simulate_observed_data(depolarized_bell(0.05), (alice, bob)),
+                        alice_marginal=marginal)
+    point = bounds.one_way_upper_bound(spec)
+    assert point.status == "optimal"
+    assert out.splitlines() == _point_lines(point)
+    # the pinned marginal tightens the class, so the bound moves off I/2's
+    doc["alice_marginal"] = {"re": [[0.5, 0.0], [0.0, 0.5]]}
+    path.write_text(json.dumps(doc))
+    assert invoke(["bound", "--protocol", "custom", "--custom-file", str(path)],
+                  capsys)[1] != out
 
 
 @pytest.mark.parametrize("label, record_label", [(7, 7), ("7", 7), (7, "7")],
@@ -398,6 +439,35 @@ def test_builtin_protocol_refuses_custom_file(command, tmp_path, capsys):
         assert code == 2
         assert "--custom-file applies only to --protocol custom" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--protocol", "six-state", "--grid", "0:0.25:0"],
+     "grid count must be at least 1"),
+    (["cutoff", "--protocol", "six-state", "--bracket", "0.1"], "bracket must be lo:hi"),
+    (["cutoff", "--protocol", "six-state", "--bracket", "0.2:0.1"],
+     "bracket must be an increasing pair"),
+    (["bound", "--protocol", "four-state"], "--protocol four-state needs --e"),
+], ids=["empty-grid", "one-sided-bracket", "decreasing-bracket", "bound-without-e"])
+def test_invalid_arguments_exit_2(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_out_naming_a_directory_exits_2_and_leaves_no_temporary(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    code = main(["sweep", "--protocol", "six-state", "--grid", "0.05:0.05:1",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(target) in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_grid_syntax_errors():

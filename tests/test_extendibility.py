@@ -20,7 +20,7 @@ from keybound.protocols import (
     EquivalenceClassSpec, InconsistentDataError, ProtocolSpec, assemble_class,
     class_from_state, realize_protocol, six_state_povms,
 )
-from keybound.sdp import SolverError, solve
+from keybound.sdp import LmiBlock, SdpProblem, SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              swap_last_two)
 from helpers import (assert_ray_proves_no_state, check_feasible, chi_reference,
@@ -107,7 +107,7 @@ def test_cached_structure_is_read_only():
     cls = assemble_class(*realize_protocol(spec), spec)
     cached = {
         "extension structure": _extension_structure((2, 2)),
-        "solver layout": [arr for arr in sdp._layout((6, 6), (2.0, 2.0), 1)
+        "solver layout": [arr for arr in sdp._layout((6, 6), 1)
                           if isinstance(arr, np.ndarray)],
         "row-set factorization": [*extendibility._row_set(
             cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))[1:3], build_sdp(cls)[1]],
@@ -230,8 +230,8 @@ def test_witness_program_structure(dims):
         assert np.max(np.abs(rebuilt - ext)) <= 1e-12
     # the class is real, so build_sdp returns the real program over
     # y = B z: B orthonormal, A^T B zero on the odd columns, objective
-    # -B^T b, and blocks real-valued, given as complex (weight 2), that
-    # are the class-row program's at y = B z
+    # -B^T b, and blocks real-valued, stored real, that are the class-row
+    # program's at y = B z
     real, B = build_sdp(cls)
     odd = extendibility._product_ops(dims)[3]
     assert real.num_vars == B.shape[1] == rows - np.linalg.matrix_rank(cls.rows[:, odd])
@@ -240,7 +240,7 @@ def test_witness_program_structure(dims):
     assert np.array_equal(real.c, -(cls.rhs @ B))
     z = np.random.default_rng(0).normal(size=B.shape[1])
     for blk, full in zip(real.blocks, prob.blocks):
-        assert blk.weight == 2.0 and not np.iscomplexobj(blk.mats)
+        assert not np.iscomplexobj(blk.mats)
         at_z, at_y = (b.const + np.tensordot(x, b.mats, 1) for b, x in ((blk, z), (full, B @ z)))
         assert np.max(np.abs(at_z - at_y)) <= 1e-12
 
@@ -639,14 +639,23 @@ def test_threshold_certifies_non_extendible_upper_bracket(hi, direction,
 @pytest.mark.parametrize("source_constraint", [True, False])
 def test_four_state_programs_run_at_one_barrier_degree(source_constraint):
     # without the source constraint the four-state rows have no odd
-    # column, so the witness program is real-valued as stated; its blocks
-    # are given as complex arrays, so they count twice, at barrier degree
-    # 24 like the program with the r_Y0 row, not once at 12
+    # column, so the witness program is real-valued as stated; with the
+    # r_Y0 row it is real over y = B z.  Either way its blocks are stored
+    # real and count as Hermitian, at barrier degree 24, whatever dtype
+    # they came in: given again as those real arrays they solve bit for
+    # bit as given
     problem, B = build_sdp(four_state_class(0.05, "direct", source_constraint))
     assert B.shape == (9 + source_constraint, 9)
-    weights = tuple(blk.weight for blk in problem.blocks)
-    assert weights == (2.0, 2.0)
-    assert sdp._layout((6, 6), weights, 1)[4] == 24.0
+    assert not any(np.iscomplexobj(blk.mats) for blk in problem.blocks)
+    again = SdpProblem(c=problem.c, blocks=[LmiBlock(const=np.array(blk.const, float),
+                                                     mats=np.array(blk.mats, float))
+                                            for blk in problem.blocks])
+    sols = [solve(prob) for prob in (problem, again)]
+    assert sols[0].status == sols[1].status == "optimal"
+    assert sols[0].iterations == sols[1].iterations
+    assert np.array_equal(sols[0].x, sols[1].x)
+    for z0, z1 in zip(sols[0].z_blocks, sols[1].z_blocks):
+        assert np.array_equal(z0, z1)
 
 
 def reference_lambda(cls):

@@ -300,6 +300,26 @@ def test_reverse_direction_swaps_parties():
     assert cls.residual(depolarized_bell(0.08)) < 1e-10
 
 
+@pytest.mark.parametrize("marginal, field", [
+    ([[0.5, 0.2j], [0.2j, 0.5]], "not Hermitian"),
+    ([[1.0, 0.0], [0.0, 1.0]], "trace is 2.0"),
+    ([[1.2, 0.0], [0.0, -0.2]], "smallest eigenvalue -0.2"),
+    (np.eye(3) / 3, "does not match dims"),
+], ids=["non-hermitian", "trace-2", "negative", "wrong-shape"])
+@pytest.mark.parametrize("source_constraint", [True, False])
+def test_assemble_class_refuses_a_marginal_that_is_not_a_density_matrix(
+        marginal, field, source_constraint):
+    # the rows read Tr(marginal S_k).real alone, which would take a
+    # non-Hermitian marginal for its Hermitian part and blame the data for
+    # the others; a marginal is checked whether or not the rows read it
+    alice, bob = four_state_povms()
+    data = simulate_observed_data(depolarized_bell(0.05), (alice, bob))
+    spec = ProtocolSpec("custom", povms=(alice, bob), data=data,
+                        source_constraint=source_constraint, alice_marginal=np.array(marginal))
+    with pytest.raises(ValueError, match=f"alice_marginal is not a density matrix: .*{field}"):
+        assemble_class((alice, bob), data, spec)
+
+
 def _four_state_doc():
     """The four-state protocol at e = 0.08 as a custom-protocol document."""
     alice, bob = four_state_povms()
