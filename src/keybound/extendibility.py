@@ -24,8 +24,9 @@ Tr(chi~) = f_000 = Tr(sigma~), the objective min r_00 - f_000 returns
 1 - lambda_max.
 
 best_extendible_decomposition solves its conic dual instead, the witness
-program (build_sdp): one variable y_j per class row, with the observed
-operators O_j = sum_kl A[j, kl] S_k (x) S_l, so Tr(O_j rho) = (A r)_j,
+program (build_sdp): one variable y_j per independent class row, with
+the observed operators O_j = sum_kl A[j, kl] S_k (x) S_l, so
+Tr(O_j rho) = (A r)_j,
 
     minimize  -b.y   s.t.  W(y) = I_AB - sum_j y_j O_j >= 0,
                            sym(W(y) (x) I_B') - I >= 0,
@@ -50,7 +51,10 @@ hold exactly; _decomposition turns them into the reported matrices, with
 lambda = Tr(chi~) rather than b.y.  Rows that no state meets make it
 unbounded: its primal ray d has sum_j d_j O_j <= 0 and b.d > 0, which
 proves the class empty, so best_extendible_decomposition raises
-InconsistentDataError with b.d at ||d|| = 1 as its residual.  When the
+InconsistentDataError with b.d at ||d|| = 1 as its residual.  Two such
+classes are refused before any solve: rows that contradict the
+independent ones, and rows that pin an operator with an eigenvalue below
+PINNED_FLOOR (_pinned_support).  When the
 witness solve of a class that does not pin rho ends numerical-failure
 (its dual residual can stall near 1e-7 at error rates close to 0), the
 extension program is solved instead, the f parts of its blocks built
@@ -63,8 +67,9 @@ of rho - sigma~ >= 0.  The witness is then the least-squares
 multipliers y = pinv^T expand(I - W) / d_A d_B of the class rows, with
 sum_j y_j O_j = I - W when I - W lies in their span, raised along
 c = pinv^T e_00, with sum_j c_j O_j = I, until both witness blocks are
-PSD.  pinv and N come from the one SVD of the rows per row set
-(_row_set), which also holds the witness program's blocks.
+PSD.  pinv and N come from the one SVD per row set of its independent
+rows (_row_set), over which every program is stated, and which also
+holds the witness program's blocks.
 
 Complex conjugation maps the program of a class whose rows and data it
 maps to themselves to itself, so such a class has an optimal W(y) that
@@ -117,8 +122,13 @@ from .states import DensityOperator, partial_trace_matrix, swap_last_two
 
 LAMBDA_TOL = 1e-6
 CLIP_TOL = 1e-7
-# Eigenvalues of a pinned rho at most this large count as its kernel.
+# Eigenvalues of a pinned rho from PINNED_FLOOR to SUPPORT_TOL count as its
+# kernel; one below PINNED_FLOOR makes it no state.  That is
+# DensityOperator's floor, -1e-9, less 1e-10 for the rounding of
+# class_from_state, which brings states drawn at that floor back at down
+# to -1.0000001e-9.
 SUPPORT_TOL = 1e-9
+PINNED_FLOOR = -1.1e-9
 # Residual bounds and eigenvalue floor of verify_extension.
 VERIFY_TOLERANCES = {"decomposition": 1e-7, "swap": 1e-9, "partial_trace": 1e-8,
                      "marginal": 1e-8, "psd_floor": -1e-9}
@@ -165,25 +175,19 @@ def extension_sdp(cls):
     """The extension program for an EquivalenceClassSpec, the fallback of
     best_extendible_decomposition, with its class rows substituted away.
 
-    The rows' pseudo-inverse pinv and orthonormal null-space basis N,
-    from the one SVD per row set (_row_set), give the r that meet them as
-    r = r0 + N w with r0 = pinv b.  The variables are (f, w); the blocks
-    are rho - sigma~ >= 0 and chi~ >= 0, their f parts from
+    The pseudo-inverse pinv of the independent rows and the orthonormal
+    null-space basis N, from the one SVD per row set (_row_set), give the
+    r that meet them as r = r0 + N w, r0 = pinv b (_rows_of).  The
+    variables are (f, w); the blocks are rho - sigma~ >= 0 and chi~ >= 0, their f parts from
     _extension_structure(cls.dims), with the w part N^T rho_mats of the
     first (rho = sum_kl r_kl rho_mats[kl]) and zeros in the second
     appended here; the objective is r_00 - f_000 less its constant r0_00.
     Raises InconsistentDataError when r0 misses the rows by more than
-    FEAS_TOL (_class_residual, its residual), as no r meets them then.
+    FEAS_TOL (_rows_of), as no r meets them then.
     Returns the SdpProblem; its blocks at x are rho - sigma~ and chi~.
     """
-    dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
-    rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
-    _, pinv, N, _ = _row_set(A.tobytes(), A.shape, dims)
-    r0 = pinv @ b
-    miss = _class_residual(cls, A @ r0)
-    if miss > FEAS_TOL:
-        raise InconsistentDataError("no state meets the class rows: their least-squares "
-                                    f"solution misses them by {miss:.3e} (relative)", miss)
+    rho_mats, sigma_mats, chi_mats = _extension_structure(tuple(cls.dims))
+    (_, _, N, _, _), r0 = _rows_of(cls)
     n_f, dabb = chi_mats.shape[:2]
     c = np.concatenate([np.zeros(n_f), N[0]])
     c[0] = -1.0      # f_000
@@ -251,73 +255,93 @@ def _product_ops(dims):
 
 @functools.lru_cache(maxsize=8)
 def _row_set(key, shape, dims):
-    """(blocks, pinv, N, real) for class rows A given by bytes and shape,
-    built once per row set and read-only: the witness program's two
-    blocks, W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I), with const I (+) 0,
-    and V_s^T (W(y) (x) I_B') V_s - I, with const 0 (see _product_ops),
-    A's pseudo-inverse and an orthonormal basis of its null space, from
-    one SVD cut at the rank protocols._independent_rows finds, and the
-    real witness program's (B, blocks), or None.
+    """(keep, pinv, N, program, real) for class rows A given by bytes and
+    shape, built once per row set and read-only: keep the indices of A's
+    independent rows, by protocols._independent_rows, the rows every
+    program is stated over; the pseudo-inverse of A[keep] and an
+    orthonormal basis of its null space, A's, from one SVD; and the
+    witness program over y as (B, blocks), with y = B z at its variables
+    z, in class-row coordinates: B = I[:, keep], which sets the dropped
+    rows' y to 0, and the two blocks W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I),
+    with const I (+) 0, and V_s^T (W(y) (x) I_B') V_s - I, with const 0
+    (see _product_ops), over the kept rows; real, the real witness
+    program's (B, blocks), or None.
 
-    The rows qualify for the real program when they are independent and
-    their row space is invariant under the sign flip D of the odd
-    columns: exactly when its even and odd parts have ranks adding up to
-    its own, all three by _independent_rows.  B is then an orthonormal
-    basis of the y with A^T y zero on the odd columns: the eigenvectors,
-    at eigenvalue 1, of the projector onto them, U U^T with U the left
-    singular vectors of A[:, odd] past its rank.  The SVD's U is an
-    arbitrary rotation of that space, with which the rounding of the
-    last iterations on the built-in row sets moved lambda_max of the 104
-    sweep points from the class-row program's by up to 1.3e-8, against
-    1.6e-9 with B.  The blocks are those of
-    W(B z), from the even columns of the stacks: real-valued."""
+    The rows qualify for the real program when the row space is invariant
+    under the sign flip D of the odd columns: exactly when the even and
+    odd parts of A[keep] have ranks adding up to its own, both by
+    _independent_rows.  B is then an orthonormal basis of the y with
+    A[keep]^T y zero on the odd columns, put in the rows keep: the
+    eigenvectors, at eigenvalue 1, of the projector onto them, U U^T with
+    U the left singular vectors of A[keep][:, odd] past its rank.  The
+    SVD's U is an arbitrary rotation of that space, with which the
+    rounding of the last iterations on the built-in row sets moved
+    lambda_max of the 104 sweep points from the class-row program's by up
+    to 1.3e-8, against 1.6e-9 with B.  The blocks are those of W(B z),
+    from the even columns of the stacks: real-valued."""
     rows = np.frombuffer(key).reshape(shape)
+    keep = _independent_rows(rows)
+    rows = rows[keep]
     ops, first, second, odd = _product_ops(dims)
     n, m = ops.shape[1], first.shape[1]
     consts = (np.diag(np.repeat([1.0, 0.0], [n, m - n])), np.zeros((m, m)))
 
-    def witness_blocks(rows, cols):
-        return tuple(LmiBlock(const=const, mats=-np.tensordot(rows, stack[cols], 1))
-                     for const, stack in zip(consts, (first, second)))
+    def program(B, rows, cols):
+        B = np.eye(shape[0])[:, keep] @ B     # in class-row coordinates
+        B.setflags(write=False)
+        return B, tuple(LmiBlock(const=const, mats=-np.tensordot(rows, stack[cols], 1))
+                           for const, stack in zip(consts, (first, second)))
 
     U, s, Vt = np.linalg.svd(rows)
-    rank = _independent_rows(rows).size
+    rank = keep.size
     pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
     N = Vt[rank:].T
     real = None
     n_odd = _independent_rows(rows[:, odd]).size
-    if n_odd + _independent_rows(rows[:, ~odd]).size == rank == shape[0]:
+    if n_odd + _independent_rows(rows[:, ~odd]).size == rank:
         U = np.linalg.svd(rows[:, odd])[0][:, n_odd:]
         B = np.linalg.eigh(U @ U.T)[1][:, n_odd:]
-        B.setflags(write=False)
-        real = B, witness_blocks(B.T @ rows[:, ~odd], ~odd)
+        real = program(B, B.T @ rows[:, ~odd], ~odd)
     for arr in (pinv, N):
         arr.setflags(write=False)
-    return witness_blocks(rows, slice(None)), pinv, N, real
+    return keep, pinv, N, program(np.eye(rank), rows, slice(None)), real
+
+
+def _rows_of(cls):
+    """(_row_set of cls's rows, r0 = pinv b[keep]), r0 the least-squares
+    coefficients of the independent rows.  Raises InconsistentDataError,
+    with _class_residual as its residual, when r0 misses the class rows by
+    more than FEAS_TOL: the other rows contradict the independent ones."""
+    row_set = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))
+    r0 = row_set[1] @ cls.rhs[row_set[0]]
+    miss = _class_residual(cls, cls.rows @ r0)
+    if miss > FEAS_TOL:
+        raise InconsistentDataError("no state meets the class rows: their least-squares "
+                                    f"solution misses them by {miss:.3e} (relative)", miss)
+    return row_set, r0
 
 
 def build_sdp(cls):
     """The witness program for an EquivalenceClassSpec: one variable y_j
-    per class row, minimize -b.y with W(y) >= 0 and
+    per independent class row, minimize -b.y with W(y) >= 0 and
     sym(W(y) (x) I_B') - I >= 0 as two blocks of size d_A d_B (d_B + 1)/2,
     W(y) (+) (V_a^T (W(y) (x) I_B') V_a - I) and
     V_s^T (W(y) (x) I_B') V_s - I (see the module docstring).
 
-    Returns (SdpProblem, B), y = B z at the program's variables z: the
-    real witness program over z when the class qualifies (_row_set
-    qualifies its rows, and r0 = pinv b is a real state, A D r0 = b
-    within FEAS_TOL by _class_residual), and the program over y, with
-    B = I, otherwise.
+    Returns (SdpProblem, B), y = B z in class-row coordinates at the
+    program's variables z: the real witness program over z when the class
+    qualifies (_row_set qualifies its rows, and r0 is a real state,
+    A D r0 = b within FEAS_TOL by _class_residual), and the program over
+    the y of the independent rows, B = I[:, keep], otherwise.  Raises
+    InconsistentDataError for rows that contradict the independent ones
+    (_rows_of).
     """
-    dims, A, b = tuple(cls.dims), cls.rows, cls.rhs
-    blocks, pinv, _, real = _row_set(A.tobytes(), A.shape, dims)
-    if real is not None:
-        r0 = pinv @ b
-        flipped = np.where(_product_ops(dims)[3], -r0, r0)
-        if _class_residual(cls, A @ flipped) <= FEAS_TOL:
-            B, blocks = real
-            return SdpProblem(c=-(b @ B), blocks=blocks), B
-    return SdpProblem(c=-b, blocks=blocks), np.eye(b.size)
+    (keep, _, _, program, real), r0 = _rows_of(cls)
+    if real is not None and _class_residual(
+            cls, cls.rows @ np.where(_product_ops(tuple(cls.dims))[3], -r0, r0)) <= FEAS_TOL:
+        program = real
+    B, blocks = program
+    return SdpProblem(c=-(cls.rhs[keep] @ B[keep]), blocks=blocks), B
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,21 +392,23 @@ def _to_density(mat, dims, diagnostics, name):
 
 
 def _pinned_support(cls):
-    """(w, S) when the class rows pin rho (no null space in _row_set, and
-    r = pinv b meets them within the solver's feasibility tolerance) to a
-    state, one whose smallest eigenvalue is at least -SUPPORT_TOL: w its
-    eigenvalues above SUPPORT_TOL and S their orthonormal eigenvectors, so
-    S diag(w) S^+ is rho with its kernel eigenvalues, rounding, set to
-    exactly zero (the full eigenbasis when rho has full rank).  None for
-    every other class."""
-    _, pinv, N, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))
-    r = pinv @ cls.rhs
-    if N.shape[1] or _class_residual(cls, cls.rows @ r) > FEAS_TOL:
+    """(w, S) when the class rows pin rho, the r0 of _rows_of (no null
+    space in _row_set): w its eigenvalues above SUPPORT_TOL and S their
+    orthonormal eigenvectors, so S diag(w) S^+ is rho with its kernel
+    eigenvalues, rounding, set to exactly zero (the full eigenbasis when
+    rho has full rank).  None for every other class.  Raises
+    InconsistentDataError before any solve for rows that contradict the
+    independent ones (_rows_of), and for a rho with an eigenvalue below
+    PINNED_FLOOR, which no state meets, with that eigenvalue's size as its
+    residual."""
+    (_, _, N, _, _), r = _rows_of(cls)
+    if N.shape[1]:
         return None
     da, db = cls.dims
     w, V = np.linalg.eigh(reconstruct(r.reshape(da * da, db * db), map(build_basis, cls.dims)))
-    if w[0] < -SUPPORT_TOL:
-        return None
+    if w[0] < PINNED_FLOOR:
+        raise InconsistentDataError("no state meets the class rows: they pin an operator "
+                                    f"with eigenvalue {w[0]:.3e}", -float(w[0]))
     keep = w > SUPPORT_TOL
     return w[keep], V[:, keep]
 
@@ -481,7 +507,10 @@ def best_extendible_decomposition(cls):
     LAMBDA_TOL of 1 no rho_ne is reported.  Reported parts are
     renormalized to unit trace.  Solver failure raises SolverError with
     the solution attached, and rows that no state meets raise
-    InconsistentDataError.
+    InconsistentDataError: before any solve when they contradict the
+    independent rows or pin an operator with an eigenvalue below
+    PINNED_FLOOR (see _pinned_support), and after a witness solve that
+    ends unbounded otherwise.
 
     The program that ran is diagnostics["program"]: "face" for a class
     whose rows pin rho to a rank-deficient state (see _pinned_support),
@@ -547,14 +576,14 @@ def best_extendible_decomposition(cls):
         S = pinned[1]
         W = S @ np.tensordot(sol.x, _hermitian_stack(da * db), 1) @ S.conj().T
     if W is not None:
-        # the least-squares multipliers of the class rows for W(y) = W,
-        # with both witness blocks raised by t along c = pinv^T e_00,
-        # A^T c = e_00
-        blocks, pinv, _, _ = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)
-        witness = pinv.T @ expand(np.eye(da * db) - W, map(build_basis, dims)).ravel() / (da * db)
-        t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(witness, blk.mats, 1))[0]
+        # the least-squares multipliers of the independent rows for
+        # W(y) = W, with both witness blocks raised by t along
+        # c = pinv^T e_00, A^T c = e_00, in class-row coordinates
+        _, pinv, _, (B, blocks), _ = _row_set(cls.rows.tobytes(), cls.rows.shape, dims)
+        y = pinv.T @ expand(np.eye(da * db) - W, map(build_basis, dims)).ravel() / (da * db)
+        t = -min(np.linalg.eigvalsh(blk.const + np.tensordot(y, blk.mats, 1))[0]
                  for blk in blocks)
-        witness = witness - max(t, 0.0) * pinv[0]
+        witness = B @ (y - max(t, 0.0) * pinv[0])
     witness_value = (float(pinned[0].sum() - sol.objective) if witness is None
                      else float(cls.rhs @ witness))
     T, Z_s, Z_a = parts

@@ -41,11 +41,16 @@ CONSISTENCY_TOL = 1e-8
 
 
 class InconsistentDataError(ValueError):
-    """No state can reproduce the observed probabilities; residual is the
-    norm of the data's part in the left null space of the class rows, the
-    distance the consistency test found; raised by
-    best_extendible_decomposition, b.d of the witness program's primal
-    ray d at ||d|| = 1, and by extension_sdp, its relative miss."""
+    """No state can reproduce the observed probabilities.  residual is:
+    raised by assemble_class, the norm of the data's part in the left null
+    space of the class rows, the distance the consistency test found; by
+    build_sdp, extension_sdp and, before any solve,
+    best_extendible_decomposition, for rows that contradict the
+    independent ones, the relative miss of those rows' least-squares
+    solution; by best_extendible_decomposition before any solve, for rows
+    that pin an operator with an eigenvalue below PINNED_FLOOR, that
+    eigenvalue's size; and by best_extendible_decomposition after a witness
+    solve that ends unbounded, b.d of its primal ray d at ||d|| = 1."""
 
     def __init__(self, message, residual):
         super().__init__(message)

@@ -20,9 +20,9 @@ from keybound.basis import build_basis
 from keybound.extendibility import (LAMBDA_TOL, _face_basis, _hermitian_stack,
                                     _pinned_support, _row_set, _swap_sectors, build_sdp,
                                     extension_sdp)
-from keybound.protocols import EquivalenceClassSpec, ProtocolSpec
+from keybound.protocols import EquivalenceClassSpec, ObservedData, ProtocolSpec, six_state_povms
 from keybound.sdp import LmiBlock, SdpProblem, solve
-from keybound.states import DensityOperator, swap_last_two
+from keybound.states import DensityOperator, bell_psi_plus, swap_last_two
 
 # check_feasible calls a problem feasible when its phase-I slack is at most this.
 FEASIBLE_MARGIN = 1e-8
@@ -148,10 +148,11 @@ def face_primal_oracle(cls):
 
 
 def class_row_program(cls):
-    """The witness program over one y_j per class row, minimize -b.y:
-    what build_sdp returns for a class that does not qualify for the
-    real program, and in whose coordinates diagnostics["witness"] is."""
-    blocks = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))[0]
+    """The witness program over one y_j per class row, minimize -b.y, for
+    a class whose rows are independent: what build_sdp returns for one
+    that does not qualify for the real program, and in whose coordinates
+    diagnostics["witness"] is."""
+    blocks = _row_set(cls.rows.tobytes(), cls.rows.shape, tuple(cls.dims))[3][1]
     return SdpProblem(c=-cls.rhs, blocks=blocks)
 
 
@@ -169,6 +170,21 @@ def assert_ray_proves_no_state(cls, sol):
         assert np.linalg.eigvalsh(np.tensordot(d, blk.mats, 1))[0] >= -1e-9
     assert float(cls.rhs @ d) > 0.0
     return float(cls.rhs @ d) / float(np.linalg.norm(d))
+
+
+def no_state_six_state_data(lowest):
+    """The six-state POVMs and the Born-rule table of the operator
+    t PT(|psi+><psi+|) + (1 - t) I/4, PT the partial transpose on B, whose
+    smallest eigenvalue is lowest (PT's eigenvalues are -1/2 once and 1/2
+    thrice).  The six-state rows are tomographically complete, so the class
+    of these data pins that operator: no state for lowest < 0."""
+    pt = bell_psi_plus().matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    t = (1.0 - 4.0 * lowest) / 3.0
+    op = t * pt + (1.0 - t) * np.eye(4) / 4.0
+    alice, bob = six_state_povms()
+    probs = np.array([[np.trace(np.kron(a, b) @ op).real for b in bob.elements]
+                      for a in alice.elements])
+    return (alice, bob), ObservedData(probs, alice.labels, bob.labels)
 
 
 def extend_qutrit_stream_state(cycle, rank):
@@ -229,6 +245,22 @@ def cutoff_bisection_oracle(protocol, tol=1e-3, bracket=(0.0, 0.25),
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def achievable_rate(kind, e):
+    """A one-way key rate per sifted bit that post-processing is proven to
+    reach at QBER e on the depolarized Bell state, clipped at 0:
+    1 - 2h(e) for four-state (Shor & Preskill, PRL 85, 441 (2000)) and
+    1 + (1 - 3e/2) log2(1 - 3e/2) + (3e/2) log2(e/2) for six-state
+    (Lo, Quantum Inf. Comput. 1, 81 (2001)).  No valid upper bound on the
+    one-way key rate lies below it."""
+    if kind == "four-state":
+        h = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e) if e > 0.0 else 0.0
+        rate = 1.0 - 2.0 * h
+    else:
+        q = 1.5 * e
+        rate = 1.0 + (1.0 - q) * math.log2(1.0 - q) + (q * math.log2(e / 2.0) if e > 0.0 else 0.0)
+    return max(rate, 0.0)
 
 
 def random_box_sdp(rng, num_vars=3, block_dim=4, box=2.0):

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from keybound import bounds
+from keybound import bounds, extendibility
 from keybound.cli import OUTPUT_DIR_ENV, _point_lines, build_parser, main, run
 from keybound.protocols import (ProtocolSpec, four_state_povms, load_protocol,
                                 simulate_observed_data)
 from keybound.states import depolarized_bell
+from helpers import no_state_six_state_data
 
 
 def invoke(argv, capsys):
@@ -176,9 +177,13 @@ def test_custom_protocol_with_nan_probability_exits_2(tmp_path, capsys):
     assert "probs has a non-finite entry" in captured.err
 
 
-def _custom_doc():
-    alice, bob = four_state_povms()
-    data = simulate_observed_data(depolarized_bell(0.05), (alice, bob))
+def _custom_doc(povms=None, data=None):
+    """The protocol file of povms and data, by default the four-state
+    POVMs at e = 0.05."""
+    if povms is None:
+        povms = four_state_povms()
+        data = simulate_observed_data(depolarized_bell(0.05), povms)
+    alice, bob = povms
 
     def povm_json(p):
         return [{"label": l, "basis": ba, "bit": bi,
@@ -424,6 +429,23 @@ def test_custom_protocol_refuses_e(command, tmp_path, capsys):
     assert code == 2
     assert "--e does not apply to --protocol custom" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("lowest", [-5e-9, -1e-8, -7.5e-8, -2e-7, -1e-6])
+@pytest.mark.parametrize("command", ["bound", "check-extendible"])
+def test_data_pinning_no_state_exit_2_before_any_solve(command, lowest, tmp_path, capsys,
+                                                       monkeypatch):
+    # six-state data of an operator with smallest eigenvalue lowest: no
+    # state meets them, so they are refused as inconsistent data, before
+    # any solve
+    path = tmp_path / "proto.json"
+    path.write_text(json.dumps(_custom_doc(*no_state_six_state_data(lowest))))
+    problems = []
+    monkeypatch.setattr(extendibility, "solve", problems.append)
+    code = main([command, "--protocol", "custom", "--custom-file", str(path)])
+    assert code == 2
+    assert problems == []
+    assert "pin an operator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["bound", "check-extendible"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from keybound import bounds, extendibility, protocols, sdp, states
-from keybound.basis import build_basis, expand
+from keybound.basis import build_basis, expand, reconstruct
 from keybound.bounds import find_cutoff
 from keybound.extendibility import (
     LAMBDA_TOL, SUPPORT_TOL, _extension_structure, _face_basis, _hermitian_stack,
@@ -23,9 +23,9 @@ from keybound.protocols import (
 from keybound.sdp import LmiBlock, SdpProblem, SolverError, solve
 from keybound.states import (DensityOperator, bell_psi_plus, depolarized_bell,
                              swap_last_two)
-from helpers import (assert_ray_proves_no_state, check_feasible, chi_reference,
-                     class_row_program, extend_qutrit_stream_state, lambda_bisection_oracle,
-                     min_block_eigenvalue, pinned_problem, sigma_coefficients,
+from helpers import (check_feasible, chi_reference, class_row_program,
+                     extend_qutrit_stream_state, lambda_bisection_oracle, min_block_eigenvalue,
+                     no_state_six_state_data, pinned_problem, sigma_coefficients,
                      three_block_reference, trivial_class)
 
 
@@ -61,7 +61,7 @@ def test_variable_layout_counts():
         mat = g @ g.conj().T
         cls = class_from_state(DensityOperator(mat / np.trace(mat).real, dims))
         prob = extension_sdp(cls)
-        _, pinv, N, _ = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, dims)
+        pinv, N = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, dims)[1:3]
         rho_mats, sigma_mats, chi_mats = _extension_structure(dims)
         assert cls.rows.shape[1] == rho_mats.shape[0] == n_r
         assert N.shape == (n_r, 0) and pinv.shape == cls.rows.shape[::-1]
@@ -170,7 +170,7 @@ def test_sdp_structure():
         spec = ProtocolSpec(kind, e=0.05)
         cls = assemble_class(*realize_protocol(spec), spec)
         prob = extension_sdp(cls)
-        _, pinv, N, _ = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, (2, 2))
+        pinv, N = extendibility._row_set(cls.rows.tobytes(), cls.rows.shape, (2, 2))[1:3]
         # the class rows leave n_w of rho's 16 coefficients free: the 40
         # f, then w, and no equality rows
         assert N.shape == (16, n_w) and prob.num_vars == 40 + n_w
@@ -551,33 +551,39 @@ def _inconsistent_pinned_class():
 
 @pytest.mark.parametrize("make", [_negative_pinned_class, _inconsistent_pinned_class],
                          ids=["eigenvalue-below-support-tol", "inconsistent-rows"])
-def test_pinned_class_not_reduced_runs_the_full_program(make, monkeypatch):
-    # the witness program runs first: over one variable per row for the
-    # inconsistent rows, which are dependent, and over the 10 of the real
-    # program for the real matrix with eigenvalue -1e-8.  On the latter it ends
-    # numerical-failure, so the extension program runs after it; on
-    # inconsistent rows it ends unbounded, and its primal ray refuses the
-    # class as inconsistent data, with no second solve
+def test_pinned_class_of_no_state_is_refused(make, monkeypatch):
+    # the rows pin an operator with eigenvalue -1e-8, below PINNED_FLOOR,
+    # or a copy of them contradicts them by 0.1%: no state meets either
+    # class, and each is refused before any solve, with the eigenvalue's
+    # size or the relative miss of the independent rows' least squares as
+    # its residual
     cls = make()
-    runs = []
-
-    def spy(problem):
-        sol = solve(problem)
-        runs.append((problem.num_vars, sol))
-        return sol
-
-    monkeypatch.setattr(extendibility, "solve", spy)
-    inconsistent = make is _inconsistent_pinned_class
-    with pytest.raises(InconsistentDataError if inconsistent else SolverError) as err:
+    problems = []
+    monkeypatch.setattr(extendibility, "solve", problems.append)
+    with pytest.raises(InconsistentDataError) as err:
         best_extendible_decomposition(cls)
-    if inconsistent:
-        assert [n for n, _ in runs] == [cls.rows.shape[0]]
-        assert err.value.residual == pytest.approx(
-            assert_ray_proves_no_state(cls, runs[0][1]), rel=1e-12)
+    assert problems == []
+    if make is _inconsistent_pinned_class:
+        rhs = cls.rhs[:16]
+        want = 0.001 * np.linalg.norm(rhs) / (1.0 + np.linalg.norm(cls.rhs))
     else:
-        # the rows pin rho, so the extension program has the 40 f alone
-        assert [n for n, _ in runs] == [10, 40]
-        assert runs[0][1].status == "numerical-failure"
+        mat = reconstruct(cls.rhs.reshape(4, 4), (build_basis(2),) * 2)
+        want = -np.linalg.eigvalsh(mat)[0]
+    assert err.value.residual == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("lowest", [-5e-9, -1e-8, -7.5e-8, -2e-7, -1e-6])
+def test_data_pinning_no_state_are_refused_before_any_solve(lowest, monkeypatch):
+    # six-state data of an operator with smallest eigenvalue lowest, below
+    # PINNED_FLOOR: the point is refused before any solve, with that
+    # eigenvalue's size as its residual
+    povms, data = no_state_six_state_data(lowest)
+    problems = []
+    monkeypatch.setattr(extendibility, "solve", problems.append)
+    with pytest.raises(InconsistentDataError, match="pin an operator") as err:
+        bounds.one_way_upper_bound(ProtocolSpec("custom", povms=povms, data=data))
+    assert problems == []
+    assert err.value.residual == pytest.approx(-lowest, rel=1e-6)
 
 
 def test_full_rank_and_unpinned_classes_run_the_full_program():

@@ -20,7 +20,8 @@ from keybound.protocols import (EquivalenceClassSpec, Povm, ProtocolSpec, assemb
                                 simulate_observed_data, six_state_povms)
 from keybound.sdp import GAP_TOL, LmiBlock, SdpProblem, _nt_scaling, _step_bound, solve
 from keybound.states import DensityOperator, partial_trace_matrix
-from helpers import class_row_program, face_primal_oracle, min_block_eigenvalue
+from helpers import (achievable_rate, class_row_program, face_primal_oracle,
+                     min_block_eigenvalue)
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
                         max_examples=30)
@@ -304,12 +305,34 @@ def test_complex_state_and_mixed_rows_keep_the_class_row_program():
     rows[1] = (rows[1] + rows[2]) / math.sqrt(2.0)   # (I, X) and (I, Y), together
     mixed = EquivalenceClassSpec(dims=(2, 2), rows=np.delete(rows, 2, axis=0),
                                  rhs=np.eye(15)[0])
-    assert extendibility._row_set(mixed.rows.tobytes(), mixed.rows.shape, (2, 2))[3] is None
+    assert extendibility._row_set(mixed.rows.tobytes(), mixed.rows.shape, (2, 2))[4] is None
     for cls in (complex_cls, mixed):
         problem, B = build_sdp(cls)
         assert problem.num_vars == cls.rows.shape[0]
         assert np.array_equal(B, np.eye(cls.rows.shape[0]))
         assert any(np.iscomplexobj(blk.mats) for blk in problem.blocks)
+
+
+@DERANDOMIZED
+@given(st.sampled_from([(2, 2), (2, 3)]), st.integers(0, 2**32 - 1))
+def test_state_at_the_eigenvalue_floor_decomposes(dims, seed):
+    # DensityOperator takes eigenvalues down to -1e-9, and class_from_state
+    # brings about a third of the states drawn at that floor back just
+    # below it, past -SUPPORT_TOL: the refusal of a class that pins no
+    # state lies beyond that rounding, and such a state decomposes on its
+    # face like any other
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    w = rng.uniform(0.0, 1.0, d)
+    w = np.concatenate([[-1e-9], w[1:] * (1.0 + 1e-9) / w[1:].sum()])
+    V = haar_unitary(rng, d)
+    try:
+        state = DensityOperator((V * w) @ V.conj().T, dims)
+    except ValueError:   # rounded below the floor
+        assume(False)
+    res = best_extendible_decomposition(class_from_state(state))
+    assert res.diagnostics["program"] == "face"
+    assert verify_extension(res).passed
 
 
 def random_spd(rng, n, log_cond, hermitian=False):
@@ -380,22 +403,6 @@ def test_lambda_max_monotone_in_error_rate(kind, direction, e1, e2):
     lo, hi = sorted((e1, e2))
     assert (depolarized_lambda_max(kind, direction, lo)
             <= depolarized_lambda_max(kind, direction, hi) + 1e-7)
-
-
-def achievable_rate(kind, e):
-    """A one-way key rate per sifted bit that post-processing is proven to
-    reach at QBER e on the depolarized Bell state, clipped at 0:
-    1 - 2h(e) for four-state (Shor & Preskill, PRL 85, 441 (2000)) and
-    1 + (1 - 3e/2) log2(1 - 3e/2) + (3e/2) log2(e/2) for six-state
-    (Lo, Quantum Inf. Comput. 1, 81 (2001)).  No valid upper bound on the
-    one-way key rate lies below it."""
-    if kind == "four-state":
-        h = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e) if e > 0.0 else 0.0
-        rate = 1.0 - 2.0 * h
-    else:
-        q = 1.5 * e
-        rate = 1.0 + (1.0 - q) * math.log2(1.0 - q) + (q * math.log2(e / 2.0) if e > 0.0 else 0.0)
-    return max(rate, 0.0)
 
 
 def floor_cases():

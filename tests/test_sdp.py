@@ -334,8 +334,9 @@ def test_duplicated_equality_rows_give_the_deduplicated_optimum():
         for blk in prob.blocks:
             value = blk.const + np.tensordot(s.x, blk.mats, 1)
             assert np.linalg.eigvalsh(value)[0] >= -1e-9
-        _, pinv, N, _ = extendibility._row_set(c.rows.tobytes(), c.rows.shape, tuple(c.dims))
-        r = pinv @ c.rhs + N @ s.x[prob.num_vars - N.shape[1]:]
+        keep, pinv, N = extendibility._row_set(c.rows.tobytes(), c.rows.shape,
+                                               tuple(c.dims))[:3]
+        r = pinv @ c.rhs[keep] + N @ s.x[prob.num_vars - N.shape[1]:]
         assert np.linalg.norm(c.rows @ r - c.rhs) <= 1e-12
 
 
@@ -343,12 +344,13 @@ def test_inconsistent_class_rows_raise():
     cls = trivial_class((2, 2))
     bad = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows]),
                                rhs=np.array([1.0, 0.5]))
-    # no r meets both rows: the least-squares r_00 = 0.75 misses each by
-    # 0.25, so extension_sdp refuses the data as assemble_class and the
-    # witness ray do, with the relative miss as the residual
+    # no r meets both rows: the second repeats the first, and r_00 = 1,
+    # the least squares of the first alone, misses it by 0.5, so
+    # extension_sdp refuses the data as assemble_class and the witness ray
+    # do, with the relative miss as the residual
     with pytest.raises(InconsistentDataError, match="no state meets the class rows") as exc:
         extension_sdp(bad)
-    want = np.linalg.norm([0.25, 0.25]) / (1.0 + np.linalg.norm([1.0, 0.5]))
+    want = 0.5 / (1.0 + np.linalg.norm([1.0, 0.5]))
     assert exc.value.residual == pytest.approx(want, rel=1e-12)
 
 

@@ -409,9 +409,6 @@ def test_class_rows_are_factored_once_per_row_set(monkeypatch):
 
 
 def test_inconsistent_rows_raise_infeasible(monkeypatch):
-    cls = protocol_class("six-state", 0.05)
-    bad = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows[:1]]),
-                               rhs=np.concatenate([cls.rhs, [cls.rhs[0] + 1e-3]]))
     runs = []
 
     def spy(problem):
@@ -420,14 +417,50 @@ def test_inconsistent_rows_raise_infeasible(monkeypatch):
         return sol
 
     monkeypatch.setattr(extendibility, "solve", spy)
-    with pytest.raises(InconsistentDataError) as err:
+    # a copy of the first six-state row that contradicts it by 1e-3: the
+    # independent rows' least squares misses it, so the class is refused
+    # before any solve, with that relative miss as its residual
+    cls = protocol_class("six-state", 0.05)
+    bad = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows, cls.rows[:1]]),
+                               rhs=np.concatenate([cls.rhs, [cls.rhs[0] + 1e-3]]))
+    with pytest.raises(InconsistentDataError, match="least-squares") as err:
         best_extendible_decomposition(bad)
-    # the witness program is unbounded along a primal ray, which proves
-    # that no state meets the rows; the caller gets that verdict, with the
-    # ray's b.d at ||d|| = 1 as its residual
+    assert runs == []
+    assert err.value.residual == pytest.approx(1e-3 / (1.0 + np.linalg.norm(bad.rhs)),
+                                               rel=1e-9)
+    # independent rows that no state meets, <Z (x) I> = 2: the witness
+    # program is unbounded along a primal ray, which proves that no state
+    # meets the rows; the caller gets that verdict, with the ray's b.d at
+    # ||d|| = 1 as its residual
+    far = EquivalenceClassSpec(dims=(2, 2), rows=np.eye(16)[[0, 12]], rhs=[1.0, 2.0])
+    with pytest.raises(InconsistentDataError, match="primal ray") as err:
+        best_extendible_decomposition(far)
     assert [sol.status for sol in runs] == ["unbounded"]
-    assert err.value.residual == pytest.approx(assert_ray_proves_no_state(bad, runs[0]),
+    assert err.value.residual == pytest.approx(assert_ray_proves_no_state(far, runs[0]),
                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("e", [1e-7, 0.02])
+@pytest.mark.parametrize("kind", ["four-state", "six-state"])
+def test_repeated_rows_run_the_program_of_the_class(kind, e):
+    # the programs are stated over the independent rows, so a class with
+    # every row written twice runs the class's own: the real witness
+    # program, over 9 variables four-state and 10 six-state, or at 1e-7
+    # six-state the face program its stalled witness solve falls back to;
+    # the witness comes back in class-row coordinates, zero on the copies
+    cls = protocol_class(kind, e)
+    twice = EquivalenceClassSpec(dims=cls.dims, rows=np.vstack([cls.rows] * 2),
+                                 rhs=np.concatenate([cls.rhs] * 2))
+    res, again = (best_extendible_decomposition(c) for c in (cls, twice))
+    for key in ("program", "iterations"):
+        assert again.diagnostics[key] == res.diagnostics[key]
+    assert again.solution.x.size == res.solution.x.size
+    if res.diagnostics["program"] == "witness":
+        assert again.lambda_max == res.lambda_max
+        y = res.diagnostics["witness"]
+        assert np.array_equal(again.diagnostics["witness"], np.concatenate([y, 0.0 * y]))
+    else:
+        assert abs(again.lambda_max - res.lambda_max) <= 1e-12
 
 
 def test_extension_structure_is_built_only_on_a_fallback():
