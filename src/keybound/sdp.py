@@ -50,13 +50,19 @@ S, Z, residual and scaled matrices sit in one packed vector, so that
 with Q_i the packed R^-1 Fi R^-H, M = Re(Q Q^H) is one product and the
 directions and inner products are single vector operations.  The
 index arrays of that layout are built once per block shape and field
-(_layout); a solve packs its own data next to them, into buffers it
-makes once, with their per-block views, and iterates on those, updating
-S and Z in place.  Only what needs a block's matrix runs per block: R
-and R^-1 from the Cholesky factors of S and Z and one SVD, with no
-triangular solve (_nt_scaling), the step's distance to the cone
-boundary from the lowest eigenvalue of each scaled direction
-(_step_bound), the corrector's product dS dZ and the update R (.) R^H.
+(_layout), and the buffers a solve packs its data into, with their
+views, once per program shape (_workspace); a solve fills them and
+iterates on them, updating S and Z in place.  Consecutive blocks of
+one size form a run, a stack (k, n, n) (the witness program's two
+blocks are one run), and what needs a block's matrix runs per run: the
+congruence R^-1 (.) R^-H, the corrector's product dS dZ and the update
+R (.) R^H are one batched product each.  The LAPACK calls go matrix by
+matrix: R and R^-1 from the Cholesky factors of S and Z and one SVD,
+with no triangular solve (_nt_scaling), and the step's distance to the
+cone boundary from the lowest eigenvalue of each scaled direction
+(_step_bound).  The first iteration, at S = Z = I, calls none of them
+for the scaling: the factorizations give R = R^-1 = I and d = 1
+exactly, so Q is the unscaled data.
 Every factorization goes through five LAPACK entry points
 (_load_lapack): direct calls into the OpenBLAS that numpy's wheel
 bundles, or numpy.linalg stand-ins where numpy has no such build.  They
@@ -83,6 +89,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import logging
 import math
 import threading
@@ -481,41 +488,68 @@ def _chol_ridge(mat):
     return None
 
 
+def _adj(a):
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _each(runs):
+    """The matrices of runs, each a matrix (n, n) or a stack (k, n, n)."""
+    return [X for run in runs for X in run.reshape(-1, *run.shape[-2:])]
+
+
 def _nt_scaling(S, Z):
     """Nesterov-Todd scaling of Hermitian S, Z > 0: (R, Rinv, d) with
-    Rinv = R^-1 and R^H Z R = diag(d) = Rinv S Rinv^H.
+    Rinv = R^-1 and R^H Z R = diag(d) = Rinv S Rinv^H; of each pair of
+    two stacks (k, n, n), as stacks.
 
     With S = Ls Ls^H, Z = Lz Lz^H and Lz^H Ls = U diag(d) V^H,
     R = Ls V D^-1/2 and Rinv = D^-1/2 U^H Lz^H (Todd, Toh & Tutuncu 1998),
-    so no triangular solve, in the arithmetic of S.  Raises LinAlgError
-    when a factorization fails.
+    so no triangular solve, in the arithmetic of S.  The LAPACK results
+    come one matrix at a time, so a stack's products are made per matrix,
+    into the stacks: stacking the factors first would cost as much as
+    batching the products saves.  Raises LinAlgError when a factorization
+    fails.
     """
+    if S.ndim == 2:
+        R, RinvH, d = _nt_into(S, Z)
+    else:
+        R, RinvH, d = np.empty_like(S), np.empty_like(S), np.empty(S.shape[:2])
+        for args in zip(S, Z, R, RinvH, d):
+            _nt_into(*args)
+    return R, _adj(RinvH), d
+
+
+def _nt_into(S, Z, R=None, RinvH=None, d=None):
+    """R, Rinv^H and d of _nt_scaling for one pair, into R, RinvH and d
+    when given."""
     Ls, Lz = _chol_ridge(S), _chol_ridge(Z)
     if Ls is None or Lz is None:
         raise np.linalg.LinAlgError("lost positive definiteness of an iterate")
-    U, d, Vh = _gesdd(Lz.conj().T @ Ls)
-    d = np.maximum(d, 1e-150)
+    U, s, Vh = _gesdd(_adj(Lz) @ Ls)
+    d = np.maximum(s, 1e-150, out=d)
     sd = np.sqrt(d)
-    return Ls @ (Vh.conj().T / sd), (Lz @ (U / sd)).conj().T, d
+    return np.matmul(Ls, _adj(Vh) / sd, out=R), np.matmul(Lz, U / sd, out=RinvH), d
 
 
 def _step_bound(*scaled):
-    """Largest alpha with I + alpha * X >= 0 for every Hermitian X given:
-    for a block, X = diag(d)^-1/2 delta diag(d)^-1/2 of a direction delta."""
-    lo = min(_lowest(X) for X in scaled)
+    """Largest alpha with I + alpha * X >= 0 for every Hermitian X given,
+    alone or in a stack (k, n, n): for a block,
+    X = diag(d)^-1/2 delta diag(d)^-1/2 of a direction delta."""
+    lo = min(_lowest(X) if X.ndim == 2 else min(map(_lowest, X)) for X in scaled)
     if lo >= -1e-300:
         return np.inf
     return 1.0 / (-lo)
 
 
-def _congruence(L, G, out):
-    """L G_j L^H for each Hermitian G_j of the stack G, into out
-    (len(G), n, n): with X_j = G_j L^H, X_j^H L^H = L G_j L^H, so two
-    products in all."""
-    n = L.shape[0]
-    LH = L.conj().T
-    X = (G.reshape(-1, n) @ LH).reshape(-1, n, n)
-    np.matmul(np.conj(X.transpose(0, 2, 1)).reshape(-1, n, n), LH, out=out)
+def _congruence(LH, G, out):
+    """L G_j L^H, given LH = L^H, for each Hermitian G_j of the stack G
+    (m, n, n), into out (m, n, n), or the same per matrix of a stack LH
+    (k, n, n), with G and out (k, m, n, n): with X_j = G_j L^H,
+    X_j^H L^H = L G_j L^H, so two (batched) products in all."""
+    n = LH.shape[-1]
+    X = (G.reshape(*LH.shape[:-2], -1, n) @ LH).reshape(G.shape)
+    np.matmul(_adj(X), LH[..., None, :, :], out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -551,6 +585,50 @@ def _layout(dims, parts):
     return layout
 
 
+@functools.lru_cache(maxsize=8)
+def _workspace(dims, parts, nw):
+    """The solver's buffers for programs of nw variables over blocks of
+    sizes dims (parts as in _layout), with their views, made once per
+    program shape: (F, F0, Q, Qs, vecs, d, G_b, runs).
+
+    F (nw rows) and F0 hold the packed mats and consts (float views), Q
+    the scaled [Q_i; rp~; F0~] and Qs its weighted float view; the rows
+    of vecs are the packed iterate, residual, directions and cross term
+    (rp and Z first, so one reduceat gives the block norms of both; D zero
+    off its diagonal; step is scratch for the step lengths and the update
+    R (.) R^H), d the stacked diagonals and G_b each block's stack
+    [mats; rp_b; const].
+    runs has one (G, Q_view, eyes, vec_views) per run of consecutive
+    blocks of one size n, k of them: their stacks as one (k, nw + 2, n, n)
+    array, their part of Q as a (k, nw + 2, n, n) view, the stack of k
+    identities and, per vector, the run's part as a (k, n, n) view.  A
+    run of one block drops the k axis: its matrices cost what a block's
+    did when every block was iterated alone.
+
+    Every solve of that shape fills these and writes them as it goes, one
+    solve at a time (under _blas_lock), so unlike _layout they are
+    scratch, and nothing a solve returns is a view of them."""
+    dtype = complex if parts == 2 else float
+    spans = _layout(dims, parts)[1]
+    size = parts * spans[-1].stop
+    F, Qs = np.empty((nw, size)), np.empty((nw + 2, size))
+    F0, d = np.empty(size), np.empty(sum(dims))
+    Q = np.empty((nw + 2, size // parts), dtype)
+    vecs = np.zeros((12, size))
+    runs, G_b, first = [], [], 0
+    for n, group in itertools.groupby(dims):
+        k = len(list(group))
+        stack = (k, n, n) if k > 1 else (n, n)
+        sp = slice(spans[first].start, spans[first + k - 1].stop)
+        G = np.empty((*stack[:-2], nw + 2, n, n), dtype)
+        eyes = np.broadcast_to(np.eye(n, dtype=dtype), stack)
+        views = tuple(vecs.view(dtype)[:, sp].reshape(len(vecs), *stack))
+        runs.append((G, Q[:, sp].reshape(nw + 2, *stack).swapaxes(0, -3), eyes, views))
+        G_b.extend(G.reshape(k, nw + 2, n, n))
+        first += k
+    return F, F0, Q, Qs, vecs, d, G_b, runs
+
+
 def solve(problem):
     """Run the interior-point method at GAP_TOL, FEAS_TOL and MAX_ITER,
     with the BLAS pools at one thread; always returns an SdpSolution."""
@@ -564,53 +642,35 @@ def _solve(problem):
     dtype = complex if any(np.iscomplexobj(blk.mats) for blk in blocks) else float
     parts = 2 if dtype is complex else 1
     starts, spans, ii, jj, diag, eye = _layout(dims, parts)
+    F, F0, Q, Qs, vecs, d, G_b, runs = _workspace(dims, parts, nw)
+    rp, Z, S, lin, wZ, dS_a, dZ_a, dS, dZ, cross, step, D = vecs
+    G_r, Q_r, eye_r, views = zip(*runs)
+    rp_r, Z_r, S_r, _, _, dSa_r, dZa_r, _, _, cross_r, step_r, _ = zip(*views)
+    step_b = _each(step_r)
     # every block counts twice, as its real embedding would: wt weighs
     # the inner products, ntot is the barrier degree
     wt, sqrt_wt, ntot = 2.0, math.sqrt(2.0), 2.0 * sum(dims)
-    npk = eye.size // parts
     d_scale = 1.0 + float(np.linalg.norm(c))
 
-    # Buffers made once per solve, with their per-block views: F
-    # and F0 the packed mats and consts (float views), Q the scaled
-    # [Q_i; rp~; F0~], each block's stack its [mats; rp_b; const] (rp_b
-    # written per iteration), and the packed vectors below the iterate,
-    # residual, directions and cross term; step is scratch for the step
-    # lengths and the update R (.) R^H.
-    F = np.concatenate([blk.mats.reshape(nw, -1) for blk in blocks], 1, dtype=dtype).view(float)
-    F0 = np.concatenate([blk.const.ravel() for blk in blocks], dtype=dtype).view(float)
-    Q = np.zeros((nw + 2, npk), dtype=dtype)
+    for blk, sp, G in zip(blocks, spans, G_b):
+        F.view(dtype)[:, sp] = blk.mats.reshape(nw, -1)
+        F0.view(dtype)[sp] = blk.const.ravel()
+        G[:nw], G[-1] = blk.mats, blk.const
     Qr = Q.view(float)
     rpp, F0t = Qr[nw], Qr[nw + 1]
-    Qs = np.empty_like(Qr)
-    stacks = []
-    for blk in blocks:
-        G = np.empty((nw + 2, blk.dim, blk.dim), dtype=dtype)
-        G[:nw], G[-1] = blk.mats, blk.const
-        stacks.append(G)
     p_scale = 1.0 + sqrt_wt * np.array(
         [float(np.linalg.norm(blk.const, "fro")) for blk in blocks])
-    S, Z, rp, lin, wZ, dS_a, dZ_a, dS, dZ, cross, step = np.empty((11, eye.size))
-    D = np.zeros(eye.size)
-    d = np.empty(sum(dims))
-
-    def blocks_of(v):
-        v = v.view(dtype)
-        return [v[sp].reshape(n, n) for sp, n in zip(spans, dims)]
-
-    S_b, Z_b, rp_b, dSa_b, dZa_b, cross_b, step_b = (
-        blocks_of(v) for v in (S, Z, rp, dS_a, dZ_a, cross, step))
-    Q_b = [Q[:, sp].reshape(nw + 2, n, n) for sp, n in zip(spans, dims)]
 
     def block_norms(v):
-        return np.sqrt(np.add.reduceat(wt * v * v, starts))
+        return np.sqrt(np.add.reduceat(wt * v * v, starts, axis=-1))
 
-    def update(Ls, delta, a, out):
-        """out_b = L_b (D + a delta)_b L_b^H, made exactly Hermitian."""
+    def update(Rs, delta, a, out):
+        """out_r = R_r (D + a delta)_r R_r^H for each run, made exactly Hermitian."""
         np.multiply(a, delta, out=step)
         np.add(D, step, out=step)
-        for L, X, Y_out in zip(Ls, step_b, out):
-            Y = L @ X @ L.conj().T
-            np.add(Y, Y.conj().T, out=Y_out)
+        for R, X, Y_out in zip(Rs, step_r, out):
+            Y = R @ X @ _adj(R)
+            np.add(Y, _adj(Y), out=Y_out)
             np.multiply(0.5, Y_out, out=Y_out)
 
     w = np.zeros(nw)
@@ -631,19 +691,20 @@ def _solve(problem):
         AZ = F @ wZ
         rd = tau * c - AZ
         F0Z = float(F0 @ wZ)
-        rg = kappa + float(c @ w) + F0Z
+        cw = float(c @ w)
+        rg = kappa + cw + F0Z
         inner = float(S @ wZ)
         mu = max((inner + tau * kappa) / (ntot + 1), 1e-300)
         gap_inner = inner / tau ** 2
 
         # --- metrics of the tau-normalized iterate ---
-        pobj = float(c @ w) / tau
+        pobj = cw / tau
         dobj = -F0Z / tau
-        rp_norm, rd_norm = block_norms(rp), _norm(rd)
-        pres = float(np.max(rp_norm / (tau * p_scale)))
+        (rp_norm, z_norm), rd_norm = block_norms(vecs[:2]), _norm(rd)
+        pres = float((rp_norm / (tau * p_scale)).max())
         dres = rd_norm / (tau * d_scale)
         relgap = gap_inner / (1.0 + abs(pobj) + abs(dobj))
-        wd_budget = (float(rp_norm @ block_norms(Z)) + rd_norm * _norm(w)) / tau ** 2
+        wd_budget = (float(rp_norm @ z_norm) + rd_norm * _norm(w)) / tau ** 2
         history.append(IterateRecord(
             iteration=it, primal_obj=pobj, dual_obj=dobj, inner=gap_inner,
             kappa=wd_budget, primal_res=pres, dual_res=dres))
@@ -663,7 +724,7 @@ def _solve(problem):
                 status = "infeasible"
                 message = "Farkas certificate: tau -> 0 with -<F0, Z> > 0"
                 break
-            slope = -float(c @ w)
+            slope = -cw
             ray_res = float(np.max(block_norms(lin - S)))
             if slope > 0.0 and ray_res <= FEAS_TOL * slope:
                 status = "unbounded"
@@ -683,16 +744,24 @@ def _solve(problem):
         # A factorization or eigensolve that fails (in the scaling or in a
         # step length) ends the run with the iterate it had.
         try:
-            # --- Nesterov-Todd scaling per block, into Q = [Q_i; rp~; F0~] ---
-            Rs, RinvHs, ds = [], [], []
-            for Sb, Zb, rpb, G, Qb in zip(S_b, Z_b, rp_b, stacks, Q_b):
-                R, Rinv, db = _nt_scaling(Sb, Zb)
-                G[-2] = rpb
-                _congruence(Rinv, G, Qb)
-                Rs.append(R)
-                RinvHs.append(Rinv.conj().T)
-                ds.append(db)
-            np.concatenate(ds, out=d)
+            # --- Nesterov-Todd scaling per run, into Q = [Q_i; rp~; F0~] ---
+            if it == 0:
+                # at S = Z = I the factorizations give R = R^-1 = I and
+                # d = 1 exactly, so Q is the unscaled [mats; rp; const]
+                Rs = RinvHs = eye_r
+                d[:] = 1.0
+                Qr[:nw], rpp[:], F0t[:] = F, rp, F0
+            else:
+                Rs, RinvHs, ds = [], [], []
+                for S_, Z_, rp_, G, Q_ in zip(S_r, Z_r, rp_r, G_r, Q_r):
+                    R, Rinv, dr = _nt_scaling(S_, Z_)
+                    RinvH = _adj(Rinv)
+                    G[..., -2, :, :] = rp_
+                    _congruence(RinvH, G, Q_)
+                    Rs.append(R)
+                    RinvHs.append(RinvH)
+                    ds.append(dr.ravel())
+                np.concatenate(ds, out=d)
             sd = np.sqrt(d)
             isd = 1.0 / (sd[ii] * sd[jj])
             D[diag] = d
@@ -712,7 +781,7 @@ def _solve(problem):
                 message = "scaled normal matrix is numerically singular"
                 break
             # L^-1 and M^-1 of [c, f0] for the tau column
-            half = _trtrs(Mf, np.column_stack([c, f0]), 0)
+            half = _trtrs(Mf, np.array([c, f0]).T, 0)
             mc, mf = _trtrs(Mf, half, 1).T
 
             def fixed_tau_step(h):
@@ -754,7 +823,7 @@ def _solve(problem):
                 if cone_step(dS) >= 1.0:
                     dw, taken, ap = dw_full, dS, 1.0
                 w = w + ap * dw
-                update(Rs, taken, ap, S_b)
+                update(Rs, taken, ap, S_r)
                 polished = True
                 it += 1
                 continue
@@ -790,10 +859,10 @@ def _solve(problem):
             sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
             # corrector: the cross term (dS~ dZ~ + dZ~ dS~) / 2 of each block
-            for dS_b, dZ_b, C_b in zip(dSa_b, dZa_b, cross_b):
-                P = dS_b @ dZ_b
-                np.add(P, P.conj().T, out=C_b)
-                np.multiply(0.5, C_b, out=C_b)
+            for dS_, dZ_, C_ in zip(dSa_r, dZa_r, cross_r):
+                P = dS_ @ dZ_
+                np.add(P, _adj(P), out=C_)
+                np.multiply(0.5, C_, out=C_)
             Kc = 2.0 * (sigma * mu * eye - D * D - cross) / (d[ii] + d[jj]) - rpp
             dw, dtau, dkappa = kkt_solve(Kc, sigma * mu - tau * kappa - dt_a * dk_a)
             directions(dw, dtau, Kc, dS, dZ)
@@ -819,8 +888,8 @@ def _solve(problem):
             w = w + alpha * dw
             tau += alpha * dtau
             kappa += alpha * dkappa
-            update(Rs, dS, alpha, S_b)
-            update(RinvHs, dZ, alpha, Z_b)
+            update(Rs, dS, alpha, S_r)
+            update(RinvHs, dZ, alpha, Z_r)
             it += 1
         except np.linalg.LinAlgError as err:
             status = "numerical-failure"
@@ -828,7 +897,7 @@ def _solve(problem):
             break
 
     # each block's dual is 2 Z: A*(Z)_i = sum_b Re <Fi, Z_b>.
-    Z = [wt * Zb / tau for Zb in Z_b]
+    Z = [wt * Zb / tau for Zb in _each(Z_r)]
     if status == "infeasible":
         # scaled to -<F0, Z> = 1; AZ and violation are those of the last iterate
         certificate = {"kind": "farkas", "z_blocks": [Zb * (tau / violation) for Zb in Z],

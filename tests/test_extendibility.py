@@ -102,7 +102,10 @@ def test_build_sdp_shares_structure_per_dims():
 def test_cached_structure_is_read_only():
     # every array a cache hands out is shared by later calls, so none of
     # them may be written; four-state rows leave rho a null space, so N
-    # has columns
+    # has columns.  sdp._workspace is exempt: its buffers are scratch that
+    # every solve of its shape writes, and test_sdp's
+    # test_a_solution_survives_later_solves_of_its_shape guards what a
+    # solve hands out
     spec = ProtocolSpec("four-state", e=0.05)
     cls = assemble_class(*realize_protocol(spec), spec)
     cached = {
@@ -126,7 +129,7 @@ def test_cached_structure_is_read_only():
                 pytest.fail(f"a cached {name} array is writable")
 
 
-CACHES = (sdp._layout, protocols._class_rows, protocols._born_stack,
+CACHES = (sdp._layout, sdp._workspace, protocols._class_rows, protocols._born_stack,
           extendibility._swap_sectors, extendibility._product_ops,
           extendibility._row_set, extendibility._hermitian_stack,
           states.bell_psi_plus)
@@ -150,8 +153,8 @@ def test_cold_and_warm_caches_give_the_same_bits():
     cases = [functools.partial(point, ProtocolSpec(kind, e=0.05, direction=direction))
              for kind in ("four-state", "six-state") for direction in ("direct", "reverse")]
     # a rank-6 (2, 3) state runs the witness program, a rank-5 one its face,
-    # whose blocks are built per class but share the solver layout of their
-    # shape, so a warm run rebuilds nothing
+    # whose blocks are built per class but share the solver layout and
+    # buffers of their shape, so a warm run rebuilds nothing
     cases += [functools.partial(qubit_qutrit, 6, "witness"),
               functools.partial(qubit_qutrit, 5, "face")]
     for case in cases:

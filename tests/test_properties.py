@@ -355,6 +355,11 @@ def test_nesterov_todd_scaling(n, log_cond_s, log_cond_z, hermitian, seed):
     assert np.abs(R @ Rinv - np.eye(n)).max() <= 1e-8
     for scaled in (R.conj().T @ Z @ R, Rinv @ S @ Rinv.conj().T):
         assert np.abs(scaled - np.diag(d)).max() <= 1e-8 * d.max()
+    # a stack of pairs gives, slice by slice, the bits of each pair alone
+    stacked = _nt_scaling(np.stack([S, Z]), np.stack([Z, S]))
+    for j, pair in enumerate(((S, Z), (Z, S))):
+        for got, want in zip(stacked, _nt_scaling(*pair), strict=True):
+            assert got[j].tobytes() == want.tobytes()
 
 
 def step_bound_reference(d, *deltas):
@@ -380,7 +385,9 @@ def test_step_bound_matches_eigvalsh(n, log_cond, psd, hermitian, seed):
         ev = rng.uniform(0.1, 1.0, n) if is_psd else np.append(-1.0, rng.uniform(-1.0, 1.0, n - 1))
         N = (q * ev) @ q.conj().T
         deltas.append(np.outer(sd, sd) * 0.5 * (N + N.conj().T))
-    got = _step_bound(*(delta / np.outer(sd, sd) for delta in deltas))
+    scaled = [delta / np.outer(sd, sd) for delta in deltas]
+    got = _step_bound(*scaled)
+    assert _step_bound(np.stack(scaled)) == got
     want = step_bound_reference(d, *deltas)
     if all(psd):
         assert got == want == np.inf

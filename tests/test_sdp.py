@@ -24,6 +24,8 @@ from helpers import (check_feasible, feasibility_problem, grid_search_minimum, p
                      random_box_sdp, random_hermitian, trivial_class)
 
 ONE = np.ones((1, 1))
+# the module names of _load_lapack's entry points, in its order
+LAPACK_NAMES = ("_potrf", "_potrs", "_trtrs", "_gesdd", "_lowest")
 
 
 def scalar_block(const, coeff, var=0, num_vars=1):
@@ -94,6 +96,87 @@ def test_solve_runs_blas_at_one_thread_and_restores_the_count(monkeypatch):
     finally:
         put(saved)
     assert seen and all(count == 1 for count in seen)
+
+
+@pytest.mark.parametrize("loader", ["bindings", "numpy.linalg"])
+def test_identity_start_is_the_scaling_of_identities(monkeypatch, loader):
+    # solve's first iteration takes R = R^-1 = I and d = 1 without
+    # factorizing S = Z = I, because the factorizations give exactly that,
+    # under either LAPACK loader, alone and in stacks (equal, not close;
+    # only a zero's sign may differ: zpotrf gives -0.0 entries from n = 33)
+    if loader == "numpy.linalg":
+        for name, fn in zip(LAPACK_NAMES, _load_lapack(None), strict=True):
+            monkeypatch.setattr(sdp, name, fn)
+    elif sdp._OPENBLAS is None:
+        pytest.skip("numpy bundles no OpenBLAS: the stand-ins are the only path")
+    for n in range(1, 37):
+        for dtype in (float, complex):
+            eye = np.eye(n, dtype=dtype)
+            assert np.array_equal(_chol_ridge(eye), eye)
+            U, s, Vh = sdp._gesdd(eye)
+            assert np.array_equal(U, eye) and np.array_equal(Vh, eye)
+            assert np.array_equal(s, np.ones(n))
+            for S in (eye, np.stack([eye, eye])):
+                R, Rinv, d = sdp._nt_scaling(S, S)
+                assert np.array_equal(R, S) and np.array_equal(Rinv, S)
+                assert np.array_equal(d, np.ones(S.shape[:-1]))
+
+
+def shape_mates():
+    """Three programs of one shape, two 1 x 1 blocks over one variable:
+    infeasible (x >= 1 and -x >= 0), unbounded (min -x over x >= 0) and
+    optimal (min x over 1 <= x <= 5)."""
+    return [SdpProblem(c=np.array([c]), blocks=[scalar_block(*one), scalar_block(*two)])
+            for c, one, two in ((1.0, (-1.0, 1.0), (0.0, -1.0)),
+                                (-1.0, (0.0, 1.0), (1.0, 1.0)),
+                                (1.0, (-1.0, 1.0), (5.0, -1.0)))]
+
+
+def solution_bytes(sol):
+    cert = sol.certificate or {}
+    arrays = [sol.x, *sol.z_blocks, *cert.get("z_blocks", ()), cert.get("x", np.zeros(0))]
+    return [np.asarray(a).tobytes() for a in arrays] + [repr(sol.history), repr(cert)]
+
+
+def test_a_solution_survives_later_solves_of_its_shape():
+    # the solver's buffers are made once per program shape and written by
+    # every solve of it: what a solve returns must be its own, so its x,
+    # z_blocks, certificate and history outlive the solves that follow
+    sdp._workspace.cache_clear()
+    sols = [solve(problem) for problem in shape_mates()]
+    assert [sol.status for sol in sols] == ["infeasible", "unbounded", "optimal"]
+    assert sdp._workspace.cache_info().misses == 1
+    kept = [solution_bytes(sol) for sol in sols]
+    for problem in shape_mates()[::-1]:
+        solve(problem)
+    assert [solution_bytes(sol) for sol in sols] == kept
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_equal_size_blocks_give_one_optimum_in_any_order(dtype):
+    # consecutive blocks of one size are iterated as one stack: blocks of
+    # sizes (a, a, b), (a, b, a) and (b, a, a) are the same program, with
+    # one run of two blocks, or two runs of one a apart
+    rng = np.random.default_rng(8)
+
+    def herm(n):
+        g = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0.0)
+        return 0.5 * (g + g.conj().T)
+
+    def pd(n):
+        g = herm(n)
+        return g @ g.conj().T + np.eye(n)
+
+    mats = np.array([herm(3) for _ in range(3)])
+    # -C1 <= F(x) <= C2 bounds x; the 2 x 2 block cuts into that box
+    a1, a2 = LmiBlock(const=pd(3), mats=mats), LmiBlock(const=pd(3), mats=-mats)
+    b = LmiBlock(const=pd(2), mats=np.array([herm(2) for _ in range(3)]))
+    c = rng.normal(size=3)
+    sols = [solve(SdpProblem(c=c, blocks=order))
+            for order in ((a1, a2, b), (a1, b, a2), (b, a1, a2))]
+    assert [sol.status for sol in sols] == ["optimal"] * 3
+    for sol in sols[1:]:
+        assert abs(sol.objective - sols[0].objective) <= 1e-8
 
 
 def test_dual_objective_sandwiches_primal():
@@ -505,8 +588,7 @@ def test_numpy_linalg_stand_ins_match_the_bindings(monkeypatch):
     stand_ins = _load_lapack(None)
     assert all(fn.__module__ == "keybound.sdp" and "_numpy_lapack" in fn.__qualname__
                for fn in stand_ins)
-    names = ("_potrf", "_potrs", "_trtrs", "_gesdd", "_lowest")
-    for name, fn in zip(names, stand_ins, strict=True):
+    for name, fn in zip(LAPACK_NAMES, stand_ins, strict=True):
         monkeypatch.setattr(sdp, name, fn)
     point, dec = run()
     assert point.status == ref_point.status == "optimal"
